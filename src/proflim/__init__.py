@@ -16,8 +16,9 @@ from .report import AxiomCheck, VerificationReport
 from .family import (FamilyMismatch, FibrationData, LevelSpace,
                      ProfiniteFamily, ProfiniteMap, check_profinite_map,
                      compose_profinite_maps, cotangent_maps,
-                     is_profinite_diffeomorphism, sample_chains, sample_point,
-                     tangent_family, verify_family, verify_fibration)
+                     is_profinite_diffeomorphism, sample_chains, sample_pairs,
+                     sample_point, tangent_family, verify_family,
+                     verify_fibration)
 from .limits import (AlgebraicStructure, IllDefinedSection, Incomparable,
                      MorphismViolation, NotInvertible, ScalarAction,
                      SectionPoint, Thread, check_thread, extend_section_point,

@@ -26,7 +26,7 @@ from .descriptors import (DescriptorError, SCHEMA_VERSION, family_from_descripto
                           gallery_reference_descriptor, load_measure_csv,
                           thread_from_descriptor)
 from .expr import ExpressionError, cylindrical_from_expression
-from .family import FamilyMismatch, sample_chains, verify_family
+from .family import FamilyMismatch, sample_pairs, verify_family
 from .gallery import (GALLERY_BUILDERS, GalleryFamily, build_gallery,
                       gallery_names, pairing, pl_path)
 from .maps import DimensionMismatch
@@ -153,19 +153,6 @@ def finish_reports(cfg: RunConfig, doc: dict, reports: List[VerificationReport])
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def comparable_pairs(family, rng: np.random.Generator, count: int = 12) -> list:
-    poset = family.poset
-    if poset.elements is None:
-        raise UsageError("this operation needs a finite index poset")
-    els = list(poset.elements)
-    pairs = []
-    for _ in range(count):
-        a = els[rng.integers(len(els))]
-        above = [e for e in els if poset.leq(a, e)]
-        pairs.append((a, above[rng.integers(len(above))]))
-    return pairs
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -175,7 +162,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     rng = cfg.rng()
     reports = [verify_family(fam, points_per_chain=cfg.samples, tol=cfg.tol, rng=rng)]
 
-    pairs = comparable_pairs(fam, rng)
+    pairs = sample_pairs(fam.poset, rng)
     form_src = cfg.options.get("form")
     if form_src:
         with open(form_src) as fh:

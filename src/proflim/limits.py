@@ -14,7 +14,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .family import ProfiniteFamily, sample_point
+from .family import ProfiniteFamily, sample_pairs, sample_point
 from .maps import DimensionMismatch, as_point
 from .poset import Section
 from .report import VerificationReport
@@ -248,18 +248,6 @@ class ScalarAction:
     name: str = ""
 
 
-def _default_pairs(poset, rng: np.random.Generator, count: int = 12) -> list[tuple]:
-    if poset.elements is None:
-        raise Incomparable("operand check needs a finite poset or explicit pairs")
-    els = list(poset.elements)
-    pairs = []
-    for _ in range(count):
-        a = els[rng.integers(len(els))]
-        above = [e for e in els if poset.leq(a, e)]
-        pairs.append((a, above[rng.integers(len(above))]))
-    return pairs
-
-
 def lift_binary(structure: AlgebraicStructure, x: Thread, y: Thread,
                 pairs: Optional[Iterable[tuple]] = None, tol: float = 1e-9,
                 rng: Optional[np.random.Generator] = None) -> Thread:
@@ -273,7 +261,7 @@ def lift_binary(structure: AlgebraicStructure, x: Thread, y: Thread,
     if x.family is not structure.family or y.family is not structure.family:
         raise Incomparable("operands must live in the structure's family")
     rng = rng or np.random.default_rng(0)
-    pairs = list(pairs) if pairs is not None else _default_pairs(structure.family.poset, rng)
+    pairs = list(pairs) if pairs is not None else sample_pairs(structure.family.poset, rng)
     for J, K in pairs:
         if not structure.family.poset.leq(J, K) or J == K:
             continue
@@ -295,7 +283,7 @@ def lift_inverse(structure: AlgebraicStructure, x: Thread,
     if structure.inverse is None or structure.neutral is None:
         raise NotInvertible(None, "structure has no inverse/neutral oracles")
     rng = rng or np.random.default_rng(0)
-    pairs = list(pairs) if pairs is not None else _default_pairs(structure.family.poset, rng)
+    pairs = list(pairs) if pairs is not None else sample_pairs(structure.family.poset, rng)
 
     def invert(J):
         try:
@@ -320,7 +308,7 @@ def lift_scalar_action(action: ScalarAction, r: Thread, x: Thread,
     if r.family is not action.ring or x.family is not action.module:
         raise Incomparable("operands must live in the ring/module families")
     rng = rng or np.random.default_rng(0)
-    pairs = list(pairs) if pairs is not None else _default_pairs(action.module.poset, rng)
+    pairs = list(pairs) if pairs is not None else sample_pairs(action.module.poset, rng)
     for J, K in pairs:
         if not action.module.poset.leq(J, K) or J == K:
             continue

@@ -74,6 +74,24 @@ class DifferentiableMap:
                 f"{self.name or 'map'}: value has dim {y.size}, expected {self.codomain_dim}")
         return y
 
+    def rows(self, X) -> np.ndarray:
+        """Apply the map to every row of an (n, domain_dim) batch.
+
+        A linear map is one matrix product; any other map runs `__call__`
+        row by row, so its dimension checks still hold.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.domain_dim:
+            raise DimensionMismatch(
+                f"{self.name or 'map'}: batch has shape {X.shape}, "
+                f"expected (n, {self.domain_dim})")
+        if self.matrix is not None:
+            return X @ self.matrix.T
+        out = np.empty((X.shape[0], self.codomain_dim))
+        for i, x in enumerate(X):
+            out[i] = self(x)
+        return out
+
     def jacobian(self, x) -> np.ndarray:
         x = as_point(x)
         if self.matrix is not None:
@@ -93,6 +111,11 @@ class DifferentiableMap:
     def __repr__(self):
         tag = self.name or ("linear" if self.is_linear else "smooth")
         return f"DifferentiableMap({tag}: {self.domain_dim}->{self.codomain_dim})"
+
+
+def residual(lhs, rhs) -> float:
+    """max |lhs - rhs| over all entries, 0.0 when empty; a NaN gap gives NaN."""
+    return float(np.max(np.abs(np.subtract(lhs, rhs)), initial=0.0))
 
 
 def matrix_map(matrix, name: str = "") -> DifferentiableMap:

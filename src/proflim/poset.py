@@ -247,4 +247,4 @@ def is_finitely_cylindrical_witness(poset: IndexPoset, section,
                                     probe: Optional[Iterable] = None) -> bool:
     """Certificate that the section is finite and covers the (probed) poset."""
     mem = list(section.members) if isinstance(section, Section) else list(section)
-    return len(mem) < float("inf") and is_section(poset, mem, probe=probe)
+    return is_section(poset, mem, probe=probe)

@@ -1,6 +1,7 @@
 """Shared audit-report types, JSON-ready."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,6 +45,20 @@ class VerificationReport:
         check = AxiomCheck(name, float(max_residual), float(tol), detail)
         self.checks.append(check)
         return check
+
+    def add_worst(self, name, gaps, tol, what="pair") -> AxiomCheck:
+        """Add a check from (witness, residual) entries, naming the worst.
+
+        The largest residual wins and a tie keeps the first witness; a NaN
+        residual beats every number, so it fails the check instead of
+        vanishing from a running max.
+        """
+        worst, res = None, 0.0
+        for witness, gap in gaps:
+            if worst is None or gap > res or (math.isnan(gap) and not math.isnan(res)):
+                worst, res = witness, gap
+        detail = "" if worst is None else f"worst {what} {worst!r} of {len(gaps)} {what}s"
+        return self.add(name, res, tol, detail)
 
     def to_dict(self) -> dict:
         return {"title": self.title, "passed": bool(self.passed),

@@ -47,11 +47,6 @@ def level_rank(matrix: np.ndarray, rel_threshold: float = RANK_RTOL) -> int:
     return int(np.sum(sv > rel_threshold * top))
 
 
-def _level_matrix(obj, J, x) -> np.ndarray:
-    # TameForm (degree 2) and CompatibleMetric both expose .matrix
-    return obj.matrix(J, x)
-
-
 @dataclass
 class SymplecticStructure:
     """A degree-2 tame form with its closedness certificate and rank profile."""
@@ -94,7 +89,6 @@ class SymplecticStructure:
                                  float(np.max(np.abs(d_omega.comps(J, x)), initial=0.0)))
                 mat = omega.matrix(J, x)
                 skew = float(np.max(np.abs(mat + mat.T), initial=0.0))
-                closed_res = max(closed_res, 0.0)
                 if skew > tol:
                     raise SingularForm(f"components at {J!r} are not antisymmetric")
                 ranks.add(level_rank(mat))
@@ -116,7 +110,7 @@ def is_projectively_nondegenerate(obj, levels: Iterable, samples: int = 10,
         rank = dim
         for _ in range(samples):
             x = sample_point(dim, rng)
-            rank = min(rank, level_rank(_level_matrix(obj, J, x), rel_threshold))
+            rank = min(rank, level_rank(obj.matrix(J, x), rel_threshold))
         profile[J] = {"dim": dim, "rank": rank, "full": rank == dim}
         verdict = verdict and rank == dim
     return verdict, profile
@@ -143,7 +137,7 @@ def is_weakly_nondegenerate(obj, u, I, search_levels: Iterable,
             continue
         inj = fam.inj(J, I)
         pushed = inj.jacobian(base_point) @ u
-        mat = _level_matrix(obj, J, inj(base_point))
+        mat = obj.matrix(J, inj(base_point))
         pairings = mat.T @ pushed  # value against each basis vector
         scale = max(float(np.max(np.abs(mat), initial=0.0)), 1.0)
         hits = np.where(np.abs(pairings) > threshold * scale)[0]

@@ -82,3 +82,50 @@ def pl_interp_anchor(knots, values, t):
     ts = np.concatenate([[0.0], np.asarray(knots, float)])
     vs = np.concatenate([[0.0], np.asarray(values, float)])
     return float(np.interp(t, ts, vs))
+
+
+def family_axioms_pointwise(family, chains, points_per_chain, rng):
+    """Max residuals (identity, consistency, retraction, cocycle) of the
+    family audit, one sample point and one map call at a time.  NaN
+    propagates through np.max."""
+    ident, cons, retr, cocy = [0.0], [0.0], [0.0], [0.0]
+    for chain in chains:
+        chain = list(chain)
+        for J in chain:
+            for _ in range(max(1, points_per_chain // 10)):
+                x = rng.standard_normal(family.dim(J))
+                ident.append(np.max(np.abs(family.proj(J, J)(x) - x), initial=0.0))
+        for J, K in zip(chain, chain[1:]):
+            if J == K:
+                continue
+            for _ in range(points_per_chain):
+                y = rng.standard_normal(family.dim(J))
+                back = family.proj(J, K)(family.inj(K, J)(y))
+                retr.append(np.max(np.abs(back - y), initial=0.0))
+        for I, K, L in zip(chain, chain[1:], chain[2:]):
+            if len({family.poset.key(c) for c in (I, K, L)}) < 3:
+                continue
+            for _ in range(points_per_chain):
+                x = rng.standard_normal(family.dim(L))
+                gap = family.proj(I, L)(x) - family.proj(I, K)(family.proj(K, L)(x))
+                cons.append(np.max(np.abs(gap), initial=0.0))
+                z = rng.standard_normal(family.dim(I))
+                gap = family.inj(L, K)(family.inj(K, I)(z)) - family.inj(L, I)(z)
+                cocy.append(np.max(np.abs(gap), initial=0.0))
+    return [float(np.max(r)) for r in (ident, cons, retr, cocy)]
+
+
+def commuting_squares_pointwise(f, pairs, samples, rng):
+    """Max commuting-square residual of a profinite map, one point at a time."""
+    gaps = [0.0]
+    for J, K in pairs:
+        if not f.source.poset.leq(J, K):
+            continue
+        if not f.target.poset.leq(f.index_map(J), f.index_map(K)):
+            continue
+        p_tgt = f.target.proj(f.index_map(J), f.index_map(K))
+        for _ in range(samples):
+            x = rng.standard_normal(f.source.dim(K))
+            gap = p_tgt(f.level_map(K)(x)) - f.level_map(J)(f.source.proj(J, K)(x))
+            gaps.append(np.max(np.abs(gap), initial=0.0))
+    return float(np.max(gaps))

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import proflim as pl
 import proflim.cli as cli
 from conftest import FIXTURE_DIR
 
@@ -54,6 +55,15 @@ def test_corrupted_descriptor_fails_naming_retraction(capsys):
     assert json.loads(out)["passed"] is False
     assert "retraction" in err
     assert "e-03" in err  # the planted defect sits around 1e-3
+
+
+def test_verify_infinite_poset_exit_two(capsys, monkeypatch):
+    fam = pl.ProfiniteFamily(pl.nat_chain(), lambda n: n,
+                             lambda J, K: None, lambda K, J: None)
+    monkeypatch.setattr(cli, "resolve_family", lambda name, max_level=None: (None, fam))
+    code, _, err = run(capsys, "verify", "--family", "naturals")
+    assert code == 2
+    assert "finite poset" in err
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import proflim as pl
+from oracles import commuting_squares_pointwise, family_axioms_pointwise
+
+ORACLE_SEED = 7
 
 
 def test_gallery_axioms_all_exact(euclid, poly, matrix, cross, wiener,
@@ -102,6 +107,129 @@ def test_fibration_tangent_bundle(euclid, rng):
 
 
 def test_sample_chains_increasing(euclid, rng):
-    for chain in pl.sample_chains(euclid.family.poset, rng, count=10, length=3):
+    poset = euclid.family.poset
+    for chain in pl.sample_chains(poset, rng, count=10, length=3):
         for a, b in zip(chain, chain[1:]):
-            assert euclid.family.poset.leq(a, b)
+            assert poset.leq(a, b)
+    assert all(poset.leq(a, b) for a, b in pl.sample_pairs(poset, rng, count=20))
+    with pytest.raises(pl.FamilyMismatch):
+        pl.sample_pairs(pl.nat_chain(), rng)
+
+
+def _padded_family() -> pl.ProfiniteFamily:
+    """Chain 1..4, dim n; projections truncate (matrix maps), injections pad
+    with tanh(y_0) (no matrix, so batches go through the row-wise path)."""
+    def inj(K, J):
+        def fn(y):
+            return np.concatenate([y, np.full(K - J, np.tanh(y[0]))])
+
+        def jac(y):
+            pad = np.zeros((K - J, J))
+            pad[:, 0] = 1.0 / np.cosh(y[0]) ** 2
+            return np.vstack([np.eye(J), pad])
+
+        return pl.DifferentiableMap(J, K, fn, jac=jac, name=f"pad{J}->{K}")
+
+    return pl.ProfiniteFamily(pl.chain_poset(range(1, 5)), lambda n: n,
+                              proj_factory=lambda J, K: pl.selection_map(K, range(J)),
+                              inj_factory=inj, name="padded")
+
+
+def _bundle_map(family) -> pl.ProfiniteMap:
+    """T(family) -> family, (x, v) -> x: a linear map that commutes."""
+    return pl.ProfiniteMap(pl.tangent_family(family), family, lambda J: J,
+                           lambda J: pl.selection_map(2 * family.dim(J),
+                                                      range(family.dim(J))),
+                           name="bundle")
+
+
+def _assert_matches_pointwise(family, points=20):
+    rng, ref = np.random.default_rng(ORACLE_SEED), np.random.default_rng(ORACLE_SEED)
+    rep = pl.verify_family(family, points_per_chain=points, rng=rng)
+    expected = family_axioms_pointwise(family, pl.sample_chains(family.poset, ref),
+                                       points, ref)
+    assert [c.max_residual for c in rep.checks] == expected
+    assert rep.passed, rep.summary()
+    assert rng.standard_normal() == ref.standard_normal()  # same stream consumed
+
+
+def _assert_squares_match_pointwise(f, samples=5):
+    pairs = pl.sample_pairs(f.source.poset, np.random.default_rng(ORACLE_SEED))
+    rng, ref = np.random.default_rng(ORACLE_SEED), np.random.default_rng(ORACLE_SEED)
+    rep = pl.check_profinite_map(f, pairs, samples=samples, rng=rng)
+    assert rep.checks[1].max_residual == commuting_squares_pointwise(f, pairs, samples, ref)
+    assert rep.passed, rep.summary()
+    assert rng.standard_normal() == ref.standard_normal()
+
+
+@pytest.mark.parametrize("name", pl.gallery_names())
+def test_batched_audits_match_pointwise_oracle(name):
+    g = pl.build_gallery(name)
+    _assert_matches_pointwise(g.family)
+    maps = [obj for _, obj in sorted(g.extras.items()) if isinstance(obj, pl.ProfiniteMap)]
+    for f in maps + [_bundle_map(g.family)]:
+        _assert_squares_match_pointwise(f)
+
+
+def test_row_wise_maps_match_pointwise_oracle():
+    fam = _padded_family()
+    assert not fam.inj(3, 1).is_linear and not pl.tangent_family(fam).inj(3, 1).is_linear
+    for f in (fam, pl.tangent_family(fam)):
+        _assert_matches_pointwise(f)
+    _assert_squares_match_pointwise(_bundle_map(fam))
+
+
+def test_rows_shapes_dim_zero_and_mismatch(cross):
+    up = cross.family.inj("L", "I")                        # matrix map, 0 -> 2
+    assert np.array_equal(up.rows(np.zeros((3, 0))), np.zeros((3, 2)))
+    assert cross.family.proj("I", "L").rows(np.ones((3, 2))).shape == (3, 0)
+    smooth = pl.DifferentiableMap(0, 2, lambda x: np.ones(2))
+    assert np.array_equal(smooth.rows(np.zeros((3, 0))), np.ones((3, 2)))
+    for mp in (up, smooth):
+        for bad in (np.zeros(0), np.zeros((3, 1)), np.zeros((1, 3, 0))):
+            with pytest.raises(pl.DimensionMismatch):
+                mp.rows(bad)
+    # the row-wise path keeps __call__'s value-dimension check
+    short = pl.DifferentiableMap(2, 2, lambda x: x[:1])
+    with pytest.raises(pl.DimensionMismatch):
+        short.rows(np.ones((3, 2)))
+
+
+def _nan_projections(family) -> pl.ProfiniteFamily:
+    """The same family with every non-identity projection returning NaN."""
+    def proj(J, K):
+        mp = family.proj(J, K)
+        return pl.DifferentiableMap(mp.domain_dim, mp.codomain_dim,
+                                    lambda x, _m=mp: _m(x) * np.nan)
+
+    return pl.ProfiniteFamily(family.poset, family.dim, proj, family.inj, name="nan")
+
+
+def test_nan_residual_fails_the_audits(rng):
+    base = pl.euclid_tower(4).family
+    fam = _nan_projections(base)
+    rep = pl.verify_family(fam, points_per_chain=5, rng=rng)
+    checks = {c.name: c for c in rep.checks}
+    assert not rep.passed
+    assert math.isnan(checks["retraction"].max_residual)
+    assert math.isnan(checks["consistency"].max_residual)
+    assert checks["identity"].passed and checks["cocycle"].passed
+    assert "max residual nan" in rep.summary()
+    ident = pl.ProfiniteMap(fam, fam, lambda n: n, lambda n: pl.identity_map(fam.dim(n)))
+    squares = pl.check_profinite_map(ident, [(1, 3), (2, 4)], rng=rng)
+    assert not squares.passed and math.isnan(squares.checks[1].max_residual)
+    data = pl.FibrationData(total=fam, base=base, bundle_proj=lambda J: pl.identity_map(J))
+    fib = pl.verify_fibration(data, [(1, 3), (2, 4)], rng=rng)
+    assert not fib.passed and math.isnan(fib.checks[0].max_residual)
+
+
+def test_audits_name_their_worst_witness(euclid, rng):
+    rep = pl.verify_family(euclid.family, points_per_chain=5, rng=rng)
+    details = {c.name: c.detail for c in rep.checks}
+    assert details["identity"].startswith("worst level ")
+    assert details["retraction"].startswith("worst pair (")
+    assert details["cocycle"].startswith("worst triple (")
+    check = pl.VerificationReport("t").add_worst(
+        "gap", [((1, 2), 0.5), ((2, 3), math.nan), ((3, 4), 1.0)], 1e-9)
+    assert math.isnan(check.max_residual) and not check.passed
+    assert check.detail == "worst pair (2, 3) of 3 pairs"
