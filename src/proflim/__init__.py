@@ -26,8 +26,8 @@ from .limits import (AlgebraicStructure, IllDefinedSection, Incomparable,
                      lift_scalar_action, restrict_thread, thread_axpy,
                      thread_from_section, validate_section_point)
 from .cylinder import (CylPolynomial, CylindricalFunction, common_section,
-                       coordinate_function, differential, evaluate,
-                       eval_representative, level_function, linear_combination,
+                       coordinate_function, differential, eval_representative,
+                       level_function, linear_combination,
                        pair_with_direction, poly_add, poly_mul, poly_scale,
                        poly_to_cylindrical, poly_univariate, reexpress,
                        refine_sections, representative, separate)

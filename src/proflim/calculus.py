@@ -17,7 +17,7 @@ import numpy as np
 from .cylinder import CylindricalFunction, differential, pair_with_direction
 from .family import ProfiniteFamily, sample_point
 from .limits import Thread, thread_axpy
-from .maps import FD_STEP, as_point
+from .maps import FD_STEP, as_point, residual
 from .report import VerificationReport
 
 
@@ -218,20 +218,16 @@ def check_tame(form: TameForm, pairs: Iterable[tuple], samples: int = 20,
                tol: float = 1e-9, rng: Optional[np.random.Generator] = None) -> VerificationReport:
     """Injection-pullback compatibility residual over sampled pairs."""
     rng = rng or np.random.default_rng(0)
-    res = 0.0
-    worst = None
+    fam, key = form.family, form.family.poset.key
+    gaps = []
     for I, K in pairs:
-        if not form.family.poset.leq(I, K) or I == K:
+        if not fam.poset.leq(I, K) or I == K:
             continue
-        for _ in range(samples):
-            x = sample_point(form.family.dim(I), rng)
-            gap = float(np.max(np.abs(pullback_inj(form, I, K, x) - form.comps(I, x)),
-                               initial=0.0))
-            if gap > res:
-                res, worst = gap, (I, K)
+        X = sample_point(fam.dim(I), rng, samples)
+        gaps.append(((key(I), key(K)), residual([pullback_inj(form, I, K, x) for x in X],
+                                                [form.comps(I, x) for x in X])))
     report = VerificationReport(f"tame form: {form.name or 'anonymous'}")
-    report.add("injection-pullback compatibility", res, tol,
-               detail="" if worst is None else f"worst pair {worst!r}")
+    report.add_worst("injection-pullback compatibility", gaps, tol)
     return report
 
 
@@ -285,44 +281,43 @@ def metric_check(metric: CompatibleMetric, pairs: Iterable[tuple], samples: int 
                  tol: float = 1e-9, rng: Optional[np.random.Generator] = None) -> VerificationReport:
     """Compatibility, symmetry, and the definiteness demanded by the kind."""
     rng = rng or np.random.default_rng(0)
-    pairs = [p for p in pairs if metric.family.poset.leq(p[0], p[1])]
-    levels = sorted({J for p in pairs for J in p}, key=metric.family.poset.key)
+    fam, key = metric.family, metric.family.poset.key
+    pairs = [p for p in pairs if fam.poset.leq(p[0], p[1])]
+    levels = sorted({J for p in pairs for J in p}, key=key)
 
-    res_compat = 0.0
+    compat = []
     for I, K in pairs:
         if I == K:
             continue
-        inj = metric.family.inj(K, I)
-        for _ in range(samples):
-            x = sample_point(metric.family.dim(I), rng)
-            jac = inj.jacobian(x)
-            pulled = jac.T @ metric.matrix(K, inj(x)) @ jac
-            res_compat = max(res_compat,
-                             float(np.max(np.abs(pulled - metric.matrix(I, x)), initial=0.0)))
+        inj = fam.inj(K, I)
+        X = sample_point(fam.dim(I), rng, samples)
+        jacs = [inj.jacobian(x) for x in X]
+        compat.append(((key(I), key(K)),
+                       residual([jac.T @ metric.matrix(K, inj(x)) @ jac
+                                 for x, jac in zip(X, jacs)],
+                                [metric.matrix(I, x) for x in X])))
 
-    res_sym = 0.0
+    sym, cstr = [], []
     min_eig = np.inf
     signatures = set()
-    res_cstr = 0.0
     for J in levels:
-        d = metric.family.dim(J)
+        d = fam.dim(J)
         if d == 0:
             continue
         cs = metric.complex_structure(J) if metric.complex_structure else None
-        if cs is not None:
-            res_cstr = max(res_cstr, float(np.max(np.abs(cs @ cs + np.eye(d)))))
-        for _ in range(samples):
-            x = sample_point(d, rng)
-            g = metric.matrix(J, x)
-            res_sym = max(res_sym, float(np.max(np.abs(g - g.T), initial=0.0)))
+        grams = [metric.matrix(J, x) for x in sample_point(d, rng, samples)]
+        sym.append((key(J), residual(grams, [g.T for g in grams])))
+        for g in grams:
             min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(g))))
             signatures.add(_signature(g))
-            if cs is not None:
-                res_cstr = max(res_cstr, float(np.max(np.abs(cs.T @ g @ cs - g))))
+        if cs is not None:
+            # cs @ cs = -1 once per level, then cs^T g cs = g at every sample
+            cstr.append((key(J), residual([cs @ cs] + [cs.T @ g @ cs for g in grams],
+                                          [-np.eye(d)] + grams)))
 
     report = VerificationReport(f"metric: {metric.name or metric.symmetry}")
-    report.add("injection-pullback compatibility", res_compat, tol)
-    report.add("gram symmetry", res_sym, tol)
+    report.add_worst("injection-pullback compatibility", compat, tol)
+    report.add_worst("gram symmetry", sym, tol, what="level")
     if metric.symmetry in ("riemannian", "hermitian"):
         shortfall = 0.0 if (np.isinf(min_eig) or min_eig > 0) else abs(min_eig) + 1e-300
         report.add("positive-definite", shortfall, 0.0,
@@ -331,7 +326,7 @@ def metric_check(metric: CompatibleMetric, pairs: Iterable[tuple], samples: int 
         report.add("constant signature", 0.0 if len(signatures) <= 1 else 1.0, 0.5,
                    detail=f"signatures {sorted(signatures)!r}")
     if "hermitian" in metric.symmetry:
-        report.add("complex-structure invariance", res_cstr, tol)
+        report.add_worst("complex-structure invariance", cstr, tol, what="level")
     return report
 
 
@@ -357,15 +352,12 @@ class TangentThread:
 
 def check_tangent_thread(v: TangentThread, pairs: Iterable[tuple],
                          tol: float = 1e-9) -> VerificationReport:
-    fam = v.base.family
-    res = 0.0
-    for J, K in pairs:
-        if not fam.poset.leq(J, K) or J == K:
-            continue
-        pushed = fam.proj(J, K).jacobian(v.base(K)) @ v.direction(K)
-        res = max(res, float(np.max(np.abs(v.direction(J) - pushed), initial=0.0)))
+    fam, key = v.base.family, v.base.family.poset.key
+    gaps = [((key(J), key(K)),
+             residual(v.direction(J), fam.proj(J, K).jacobian(v.base(K)) @ v.direction(K)))
+            for J, K in pairs if fam.poset.leq(J, K) and J != K]
     report = VerificationReport("tangent thread compatibility")
-    report.add("pushed-projection compatibility", res, tol)
+    report.add_worst("pushed-projection compatibility", gaps, tol)
     return report
 
 

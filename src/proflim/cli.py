@@ -10,6 +10,7 @@ default directory for relative output paths.
 from __future__ import annotations
 
 import argparse
+import inspect
 import io
 import json
 import os
@@ -26,10 +27,10 @@ from .descriptors import (DescriptorError, SCHEMA_VERSION, family_from_descripto
                           gallery_reference_descriptor, load_measure_csv,
                           thread_from_descriptor)
 from .expr import ExpressionError, cylindrical_from_expression
-from .family import FamilyMismatch, sample_pairs, verify_family
+from .family import FamilyMismatch, sample_pairs, sample_point, verify_family
 from .gallery import (GALLERY_BUILDERS, GalleryFamily, build_gallery,
                       gallery_names, pairing, pl_path)
-from .maps import DimensionMismatch
+from .maps import DimensionMismatch, residual
 from .profmetric import (LevelMetricFamily, d_inf, d_mu, discrete_metrics,
                          euclidean_metrics)
 from .report import VerificationReport
@@ -40,24 +41,17 @@ from .symplectic import (NonconvergentSolve, NonSymplecticAction, SingularForm,
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
-# gallery builders keyed by their size flag
-SIZE_KWARG = {
-    "euclid_tower": "max_level", "euclid": "max_level",
-    "poly_tower": "max_degree", "poly": "max_degree",
-    "jet_tower": "max_order", "jet": "max_order",
-    "matrix_tower": "max_n", "matrix": "max_n",
-    "wiener_family": None, "wiener": None,
-    "cross_family": None, "cross": None,
-    "symplectic_even_tower": "max_pairs", "symplectic": "max_pairs",
-    "odd_symplectic_tower": "max_dim", "odd-symplectic": "max_dim",
-}
+# builder function names resolve like their registry keys
+BUILDER_ALIASES = {b.__name__: key for key, b in GALLERY_BUILDERS.items()}
 
-BUILDER_ALIASES = {
-    "euclid_tower": "euclid", "poly_tower": "poly", "jet_tower": "jet",
-    "matrix_tower": "matrix", "cross_family": "cross",
-    "wiener_family": "wiener", "symplectic_even_tower": "symplectic",
-    "odd_symplectic_tower": "odd-symplectic",
-}
+
+def _size_kwarg(builder) -> Optional[str]:
+    """The builder's int-defaulted size parameter, or None if it has none."""
+    return next((p.name for p in inspect.signature(builder).parameters.values()
+                 if isinstance(p.default, int)), None)
+
+
+SIZE_KWARG = {key: _size_kwarg(b) for key, b in GALLERY_BUILDERS.items()}
 
 
 class UsageError(ValueError):
@@ -124,7 +118,7 @@ def resolve_family(name_or_path: str, max_level: Optional[int] = None):
         raise UsageError(f"unknown family {name_or_path!r}; gallery: "
                          + ", ".join(gallery_names()))
     kwargs = {}
-    size = SIZE_KWARG.get(name_or_path) or SIZE_KWARG.get(key)
+    size = SIZE_KWARG[key]
     if max_level is not None:
         if size is None:
             raise UsageError(f"{name_or_path!r} does not take --max-level")
@@ -294,7 +288,8 @@ def cmd_wiener(cfg: RunConfig) -> int:
     report = VerificationReport("wiener experiments")
 
     # structural: retraction and PL cocycle on random inclusion triples
-    res_cocycle = 0.0
+    key = fam.poset.key
+    triples = []
     for _ in range(int(cfg.options.get("triples", 20))):
         picks = [frozenset(t for t in pool if rng.random() < 0.5) for _ in range(3)]
         T = min(picks, key=len)
@@ -305,11 +300,11 @@ def cmd_wiener(cfg: RunConfig) -> int:
         x = rng.standard_normal(len(T))
         via = fam.inj(U, S)(fam.inj(S, T)(x))
         direct = fam.inj(U, T)(x)
-        res_cocycle = max(res_cocycle, float(np.max(np.abs(via - direct), initial=0.0)))
         back = fam.proj(T, U)(direct)
-        res_cocycle = max(res_cocycle, float(np.max(np.abs(back - x), initial=0.0)))
-    report.add("pl-injection cocycle and retraction", res_cocycle,
-               float(cfg.options.get("cocycle_tol", 1e-12)))
+        triples.append(((key(T), key(S), key(U)),
+                        residual(np.concatenate([via, back]), np.concatenate([direct, x]))))
+    report.add_worst("pl-injection cocycle and retraction", triples,
+                     float(cfg.options.get("cocycle_tol", 1e-12)), what="triple")
 
     # pairing formula versus direct summation
     S = frozenset(pool)
@@ -342,13 +337,13 @@ def cmd_wiener(cfg: RunConfig) -> int:
     coarse = frozenset(pool[:2])
     f = cylindrical_from_expression(fam, [coarse], "x0*x0 + sin(x1)")
     base_val = f(thread)
-    res_refine = 0.0
+    refined = []
     for extra in range(2, len(pool) + 1):
         finer = frozenset(pool[:extra])
         f2 = reexpress(f, Section.of(fam.poset, [finer]))
-        res_refine = max(res_refine, abs(f2(thread) - base_val))
-    report.add("cylindrical evaluation refinement-invariant", res_refine,
-               float(cfg.options.get("cocycle_tol", 1e-12)))
+        refined.append((key(finer), residual(f2(thread), base_val)))
+    report.add_worst("cylindrical evaluation refinement-invariant", refined,
+                     float(cfg.options.get("cocycle_tol", 1e-12)), what="member")
 
     doc = {"command": "wiener", "seed": cfg.seed, "pool": [float(t) for t in pool],
            "samples": n}
@@ -376,12 +371,10 @@ def cmd_symplectic(cfg: RunConfig) -> int:
     level = int(cfg.options.get("level", min(2, pairs_count)))
     H = g.extras["hamiltonian_at"](level)
     ham_tol = float(cfg.options.get("ham_tol", 1e-10))
-    res_ident = 0.0
-    for _ in range(max(1, cfg.samples // 10)):
-        x = rng.standard_normal(fam.dim(level))
-        res_ident = max(res_ident,
-                        hamiltonian_identity_residual(structure, H, level, x))
-    report.add("hamiltonian defining identity", res_ident, ham_tol)
+    X = sample_point(fam.dim(level), rng, max(1, cfg.samples // 10))
+    report.add_worst("hamiltonian defining identity",
+                     [(i, hamiltonian_identity_residual(structure, H, level, x))
+                      for i, x in enumerate(X)], ham_tol, what="sample")
 
     top = g.extras["hamiltonian_at"](pairs_count)
     adjacent = [(m, m + 1) for m in range(1, pairs_count)]

@@ -54,10 +54,6 @@ class CylindricalFunction:
         return float(self.base(self.gather(t))[0])
 
 
-def evaluate(f: CylindricalFunction, t: Thread) -> float:
-    return f(t)
-
-
 def representative(f: CylindricalFunction, t: Thread) -> SectionPoint:
     """The restriction of the thread to the member antichain; evaluating
     through it reproduces f(t) exactly."""

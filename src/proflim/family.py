@@ -316,13 +316,13 @@ def is_profinite_diffeomorphism(f: ProfiniteMap, g: ProfiniteMap,
         if g.index_map(K) != J:
             return False
         fJ, gK = f.level_map(J), g.level_map(K)
-        for _ in range(samples):
-            x = sample_point(f.source.dim(J), rng)
-            if np.max(np.abs(gK(fJ(x)) - x), initial=0.0) > tol:
-                return False
-            y = sample_point(f.target.dim(K), rng)
-            if np.max(np.abs(fJ(gK(y)) - y), initial=0.0) > tol:
-                return False
+        # one joint draw replays n alternating draws of x in E_J, y in E_K
+        dJ = f.source.dim(J)
+        XY = sample_point(dJ + f.target.dim(K), rng, samples)
+        X, Y = XY[:, :dJ], XY[:, dJ:]
+        if not (residual(gK.rows(fJ.rows(X)), X) <= tol
+                and residual(fJ.rows(gK.rows(Y)), Y) <= tol):
+            return False
     return True
 
 

@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .family import ProfiniteFamily, sample_pairs, sample_point
-from .maps import DimensionMismatch, as_point
+from .maps import DimensionMismatch, as_point, residual
 from .poset import Section
 from .report import VerificationReport
 
@@ -125,7 +125,7 @@ def extend_section_point(sp: SectionPoint, I, tol: float = 1e-9) -> np.ndarray:
         raise Incomparable(f"index {I!r} is comparable to no member of {sp.section}")
     first = cands[0]
     for other in cands[1:]:
-        if np.max(np.abs(other - first), initial=0.0) > tol:
+        if not residual(other, first) <= tol:
             raise IllDefinedSection(
                 f"member values disagree at {I!r}: {first} vs {other}")
     return first
@@ -174,17 +174,11 @@ def restrict_thread(t: Thread, section) -> SectionPoint:
 
 def check_thread(t: Thread, pairs: Iterable[tuple], tol: float = 1e-9) -> VerificationReport:
     """Consistency residual max |t(J) - proj(J, K)(t(K))| over the pairs."""
-    res = 0.0
-    worst = None
-    for J, K in pairs:
-        if not t.family.poset.leq(J, K):
-            continue
-        gap = float(np.max(np.abs(t(J) - t.family.proj(J, K)(t(K))), initial=0.0))
-        if gap > res:
-            res, worst = gap, (J, K)
+    fam, key = t.family, t.family.poset.key
+    gaps = [((key(J), key(K)), residual(t(J), fam.proj(J, K)(t(K))))
+            for J, K in pairs if fam.poset.leq(J, K)]
     report = VerificationReport(f"thread consistency: {t.name or 'anonymous'}")
-    report.add("projection consistency", res, tol,
-               detail="" if worst is None else f"worst pair {worst!r}")
+    report.add_worst("projection consistency", gaps, tol)
     return report
 
 
@@ -212,7 +206,7 @@ def is_inductive(t: Thread, candidate_sections: Iterable, probe: Optional[Iterab
                 if not any(poset.comparable(idx, m) for m in sec):
                     ok = False
                     break
-                if np.max(np.abs(induced(idx) - t(idx)), initial=0.0) > tol:
+                if not residual(induced(idx), t(idx)) <= tol:
                     ok = False
                     break
         except (IllDefinedSection, Incomparable):
@@ -248,6 +242,20 @@ class ScalarAction:
     name: str = ""
 
 
+def _check_morphism(family: ProfiniteFamily, pairs: Sequence[tuple],
+                    level_op: Callable[[Any], np.ndarray], tol: float, what: str) -> None:
+    """Raise MorphismViolation unless proj(J, K) carries level_op(K) to
+    level_op(J) on every comparable pair; a NaN residual violates."""
+    for J, K in pairs:
+        if not family.poset.leq(J, K) or J == K:
+            continue
+        gap = residual(family.proj(J, K)(level_op(K)), level_op(J))
+        if not gap <= tol:
+            raise MorphismViolation(
+                f"{what} is not projection-compatible at pair ({J!r}, {K!r}): "
+                f"residual {gap:.3e}")
+
+
 def lift_binary(structure: AlgebraicStructure, x: Thread, y: Thread,
                 pairs: Optional[Iterable[tuple]] = None, tol: float = 1e-9,
                 rng: Optional[np.random.Generator] = None) -> Thread:
@@ -262,16 +270,8 @@ def lift_binary(structure: AlgebraicStructure, x: Thread, y: Thread,
         raise Incomparable("operands must live in the structure's family")
     rng = rng or np.random.default_rng(0)
     pairs = list(pairs) if pairs is not None else sample_pairs(structure.family.poset, rng)
-    for J, K in pairs:
-        if not structure.family.poset.leq(J, K) or J == K:
-            continue
-        lhs = structure.family.proj(J, K)(structure.op(K, x(K), y(K)))
-        rhs = structure.op(J, x(J), y(J))
-        gap = float(np.max(np.abs(lhs - rhs), initial=0.0))
-        if gap > tol:
-            raise MorphismViolation(
-                f"{structure.name or 'op'} is not projection-compatible at pair "
-                f"({J!r}, {K!r}): residual {gap:.3e}")
+    _check_morphism(structure.family, pairs, lambda J: structure.op(J, x(J), y(J)),
+                    tol, structure.name or "op")
     return Thread(structure.family, lambda J: structure.op(J, x(J), y(J)),
                   name=f"({x.name}){structure.name or 'op'}({y.name})")
 
@@ -295,8 +295,8 @@ def lift_inverse(structure: AlgebraicStructure, x: Thread,
     product = lift_binary(structure, x, inv, pairs=pairs, tol=tol, rng=rng)
     indices = {J for pair in pairs for J in pair}
     for J in indices:
-        gap = float(np.max(np.abs(product(J) - structure.neutral(J)), initial=0.0))
-        if gap > tol:
+        gap = residual(product(J), structure.neutral(J))
+        if not gap <= tol:
             raise NotInvertible(J, f"inverse check failed at {J!r}: residual {gap:.3e}")
     return inv
 
@@ -309,15 +309,7 @@ def lift_scalar_action(action: ScalarAction, r: Thread, x: Thread,
         raise Incomparable("operands must live in the ring/module families")
     rng = rng or np.random.default_rng(0)
     pairs = list(pairs) if pairs is not None else sample_pairs(action.module.poset, rng)
-    for J, K in pairs:
-        if not action.module.poset.leq(J, K) or J == K:
-            continue
-        lhs = action.module.proj(J, K)(action.act(K, r(K), x(K)))
-        rhs = action.act(J, r(J), x(J))
-        gap = float(np.max(np.abs(lhs - rhs), initial=0.0))
-        if gap > tol:
-            raise MorphismViolation(
-                f"scalar action not projection-compatible at ({J!r}, {K!r}): "
-                f"residual {gap:.3e}")
+    _check_morphism(action.module, pairs, lambda J: action.act(J, r(J), x(J)),
+                    tol, action.name or "scalar action")
     return Thread(action.module, lambda J: action.act(J, r(J), x(J)),
                   name=f"({r.name}).({x.name})")

@@ -13,6 +13,7 @@ import numpy as np
 
 from .family import ProfiniteFamily, sample_point
 from .limits import SectionPoint, Thread, extend_section_point
+from .maps import residual
 from .report import VerificationReport
 
 METRIC_KINDS = ("euclidean", "discrete", "custom")
@@ -60,22 +61,21 @@ def injection_isometry_check(m: LevelMetricFamily, pairs: Iterable[tuple],
                              ) -> VerificationReport:
     """Whether injections preserve level distances on sampled pairs."""
     rng = rng or np.random.default_rng(0)
-    fam = m.family
-    res = 0.0
-    worst = None
+    fam, key = m.family, m.family.poset.key
+    gaps = []
     for J, K in pairs:
         if not fam.poset.leq(J, K) or J == K:
             continue
         inj = fam.inj(K, J)
-        for _ in range(samples):
-            x = sample_point(fam.dim(J), rng)
-            y = sample_point(fam.dim(J), rng)
-            gap = abs(m(K, inj(x), inj(y)) - m(J, x, y))
-            if gap > res:
-                res, worst = gap, (J, K)
+        # one joint draw replays n alternating draws of x, y in E_J
+        dJ = fam.dim(J)
+        XY = sample_point(2 * dJ, rng, samples)
+        X, Y = XY[:, :dJ], XY[:, dJ:]
+        gaps.append(((key(J), key(K)),
+                     residual([m(K, a, b) for a, b in zip(inj.rows(X), inj.rows(Y))],
+                              [m(J, x, y) for x, y in zip(X, Y)])))
     report = VerificationReport(f"injection isometry ({m.kind})")
-    report.add("dist(inj x, inj y) = dist(x, y)", res, tol,
-               detail="" if worst is None else f"worst pair {worst!r}")
+    report.add_worst("dist(inj x, inj y) = dist(x, y)", gaps, tol)
     return report
 
 
@@ -161,17 +161,15 @@ def pseudo_metric_audit(dist_fn: Callable[[Any, Any], float], points: list,
         for j in range(n):
             d[i, j] = dist_fn(points[i], points[j])
 
-    report.add("d(x, x) = 0", float(np.max(np.abs(np.diag(d)), initial=0.0)), tol)
+    report.add("d(x, x) = 0", residual(np.diag(d), 0.0), tol)
     report.add("nonnegative", float(max(0.0, -d.min())) if n else 0.0, tol)
-    report.add("symmetric", float(np.max(np.abs(d - d.T), initial=0.0)), tol)
+    report.add("symmetric", residual(d, d.T), tol)
 
-    tri = 0.0
-    for i, j, k in combinations(range(n), 3):
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            bound = max(d[a, c], d[c, b]) if check_ultrametric else d[a, c] + d[c, b]
-            tri = max(tri, d[a, b] - bound)
+    excess = [d[a, b] - (max(d[a, c], d[c, b]) if check_ultrametric else d[a, c] + d[c, b])
+              for i, j, k in combinations(range(n), 3)
+              for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
     report.add("ultrametric inequality" if check_ultrametric else "triangle inequality",
-               max(tri, 0.0), tol)
+               float(np.max(excess, initial=0.0)), tol)
 
     if check_positive:
         off = [d[i, j] for i in range(n) for j in range(n) if i != j]

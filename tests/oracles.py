@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 
+from proflim import hamiltonian_field, pullback_inj
+
 
 def powerset_sections(elements, leq):
     """All sections by filtering the full power set: nonempty subsets that
@@ -127,5 +129,67 @@ def commuting_squares_pointwise(f, pairs, samples, rng):
         for _ in range(samples):
             x = rng.standard_normal(f.source.dim(K))
             gap = p_tgt(f.level_map(K)(x)) - f.level_map(J)(f.source.proj(J, K)(x))
+            gaps.append(np.max(np.abs(gap), initial=0.0))
+    return float(np.max(gaps))
+
+
+def tame_pointwise(form, pairs, samples, rng):
+    """Max injection-pullback residual of check_tame, one point at a time."""
+    gaps = [0.0]
+    for I, K in pairs:
+        if not form.family.poset.leq(I, K) or I == K:
+            continue
+        for _ in range(samples):
+            x = rng.standard_normal(form.family.dim(I))
+            gap = pullback_inj(form, I, K, x) - form.comps(I, x)
+            gaps.append(np.max(np.abs(gap), initial=0.0))
+    return float(np.max(gaps))
+
+
+def isometry_pointwise(m, pairs, samples, rng):
+    """Max injection-isometry residual, one pair of points at a time."""
+    fam = m.family
+    gaps = [0.0]
+    for J, K in pairs:
+        if not fam.poset.leq(J, K) or J == K:
+            continue
+        inj = fam.inj(K, J)
+        for _ in range(samples):
+            x = rng.standard_normal(fam.dim(J))
+            y = rng.standard_normal(fam.dim(J))
+            gaps.append(abs(m(K, inj(x), inj(y)) - m(J, x, y)))
+    return float(np.max(gaps))
+
+
+def hamiltonian_compat_pointwise(form, H, pairs, samples, rng):
+    """Max |Dproj X_K - X_J| of hamiltonian_compat_check, one point at a time."""
+    fam = form.family
+    gaps = [0.0]
+    for J, K in pairs:
+        if not fam.poset.leq(J, K) or J == K:
+            continue
+        pr = fam.proj(J, K)
+        for _ in range(samples):
+            x = rng.standard_normal(fam.dim(K))
+            XK = hamiltonian_field(form, H, K, x)
+            XJ = hamiltonian_field(form, H, J, pr(x))
+            gaps.append(np.max(np.abs(pr.jacobian(x) @ XK - XJ), initial=0.0))
+    return float(np.max(gaps))
+
+
+def action_compat_pointwise(action, pairs, samples, rng):
+    """Max intertwining residual of check_action_compat, one group element
+    and one point at a time."""
+    fam = action.family
+    gaps = [0.0]
+    for J, K in pairs:
+        if not fam.poset.leq(J, K) or J == K:
+            continue
+        pr = fam.proj(J, K)
+        n_gen = len(list(action.generators(K)))
+        for _ in range(samples):
+            g = action.exp(action.algebra_element(K, rng.standard_normal(n_gen)))
+            x = rng.standard_normal(fam.dim(K))
+            gap = pr(action.act(K, g, x)) - action.act(J, action.restrict(J, K, g), pr(x))
             gaps.append(np.max(np.abs(gap), initial=0.0))
     return float(np.max(gaps))

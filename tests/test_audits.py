@@ -1,0 +1,158 @@
+"""Every audit and tolerance gate fails on NaN, and the batched audits
+reproduce their per-point loops bit for bit."""
+import math
+
+import numpy as np
+import pytest
+
+import proflim as pl
+from oracles import (action_compat_pointwise, hamiltonian_compat_pointwise,
+                     isometry_pointwise, tame_pointwise)
+
+ORACLE_SEED = 7
+NAN = np.nan
+
+EUCLID, POLY, SYMPL = pl.euclid_tower(4), pl.poly_tower(4), pl.symplectic_even_tower(3)
+E, P, S = EUCLID.family, POLY.family, SYMPL.family
+E_PAIRS, P_PAIRS, S_PAIRS = [(1, 3), (2, 4)], [(0, 2), (1, 4)], [(1, 2), (2, 3)]
+
+
+def _nan_thread(fam):
+    return pl.Thread(fam, lambda J: np.full(fam.dim(J), NAN), name="nan")
+
+
+def _nan_gradient():
+    base = pl.DifferentiableMap(2, 1, lambda x: np.zeros(1),
+                                jac=lambda x: np.full((1, 2), NAN))
+    return pl.CylindricalFunction(S, pl.Section.of(S.poset, [1]), base)
+
+
+def _nan_action():
+    action = SYMPL["action"]
+    return pl.ProfiniteGroupAction(S, action.generators, lambda m, g, x: g @ x * NAN,
+                                   action.restrict)
+
+
+class _NanExp(pl.ProfiniteGroupAction):
+    def exp(self, xi):
+        return np.full_like(xi, NAN)
+
+
+def _nan_exp_momentum():
+    action = SYMPL["action"]
+    nan_exp = _NanExp(S, action.generators, action.act, action.restrict)
+    mu = pl.MomentumMap(nan_exp, SYMPL["momentum"].functions)
+    return pl.momentum_verify(SYMPL["omega"], nan_exp, mu, [1.0, 0.0, 0.0], 3,
+                              samples=3, rng=np.random.default_rng(0))
+
+
+def _disagreeing_members():
+    # members 2 and 3 both project to level 1, where NaN meets 5.0
+    sp = pl.SectionPoint.of(E, [2, 3], {2: [NAN, 0.0], 3: [5.0, 5.0, 5.0]})
+    return pl.extend_section_point(sp, 1)
+
+
+def _nan_level_maps():
+    nan_maps = pl.ProfiniteMap(E, E, lambda n: n,
+                               lambda n: pl.DifferentiableMap(n, n, lambda x: x * NAN))
+    return pl.is_profinite_diffeomorphism(nan_maps, nan_maps, E.poset.elements)
+
+
+# name -> (run, the exception it must raise, or None when it returns a failing
+# report, False or None)
+CASES = {
+    "check_thread": (lambda: pl.check_thread(_nan_thread(E), E_PAIRS), None),
+    "check_tame": (lambda: pl.check_tame(pl.constant_form(
+        E, 2, lambda J: np.full((J, J), NAN if J == 4 else 0.0)), E_PAIRS, samples=3), None),
+    "injection_isometry_check": (lambda: pl.injection_isometry_check(
+        pl.LevelMetricFamily(E, lambda J, x, y: NAN), E_PAIRS, samples=3), None),
+    "check_tangent_thread": (lambda: pl.check_tangent_thread(
+        pl.TangentThread(EUCLID["origin"], lambda J: np.full(J, NAN)), E_PAIRS), None),
+    "hamiltonian_compat_check": (lambda: pl.hamiltonian_compat_check(
+        SYMPL["omega"], _nan_gradient(), S_PAIRS, samples=3), None),
+    "check_action_compat": (lambda: pl.check_action_compat(
+        _nan_action(), S_PAIRS, samples=3), None),
+    "momentum_verify": (_nan_exp_momentum, pl.NonSymplecticAction),
+    "extend_section_point": (_disagreeing_members, pl.IllDefinedSection),
+    "is_inductive": (lambda: pl.is_inductive(_nan_thread(E), [[2], [4]]), None),
+    "lift_binary": (lambda: pl.lift_binary(
+        pl.AlgebraicStructure(P, op=lambda J, a, b: a * NAN),
+        POLY["exp_series"], POLY["exp_series"], pairs=P_PAIRS), pl.MorphismViolation),
+    "lift_scalar_action": (lambda: pl.lift_scalar_action(
+        pl.ScalarAction(POLY["constants"], P, lambda J, c, a: float(c[0]) * a * NAN),
+        POLY["scalar_thread"](2.0), POLY["exp_series"], pairs=P_PAIRS),
+        pl.MorphismViolation),
+    "lift_inverse": (lambda: pl.lift_inverse(
+        pl.AlgebraicStructure(P, op=lambda J, a, b: a + b, neutral=_nan_thread(P),
+                              inverse=lambda J, a: -a),
+        POLY["exp_series"], pairs=P_PAIRS), pl.NotInvertible),
+    "is_profinite_diffeomorphism": (_nan_level_maps, None),
+    "metric_check": (lambda: pl.metric_check(pl.CompatibleMetric(
+        S, "hermitian", lambda m, x: np.eye(2 * m),
+        complex_structure=lambda m: np.full((2 * m, 2 * m), NAN)), S_PAIRS, samples=2),
+        None),
+    "build antisymmetry": (lambda: pl.SymplecticStructure.build(pl.constant_form(
+        S, 2, lambda m: np.full((2 * m, 2 * m), NAN)), [1, 2], samples=2),
+        pl.SingularForm),
+    "build closedness": (lambda: pl.SymplecticStructure.build(pl.TameForm(
+        S, 2, lambda m, x: pl.canonical_omega(2 * m),
+        dcomps=lambda m, x: np.full((2 * m,) * 3, NAN)), [1, 2], samples=2), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_nan_fails_every_audit_and_gate(name):
+    run, raises = CASES[name]
+    if raises is not None:
+        with pytest.raises(raises):
+            run()
+        return
+    out = run()
+    if isinstance(out, pl.VerificationReport):
+        assert not out.passed, out.summary()
+        assert any(math.isnan(c.max_residual) for c in out.checks)
+    elif isinstance(out, pl.SymplecticStructure):
+        assert math.isnan(out.closedness_residual) and not out.is_symplectic
+    else:
+        assert out is None or out is False
+
+
+def _assert_matches_pointwise(audit, pointwise):
+    """Same max residual as the per-point loop, and the same stream consumed."""
+    rng, ref = np.random.default_rng(ORACLE_SEED), np.random.default_rng(ORACLE_SEED)
+    report = audit(rng)
+    assert report.checks[0].max_residual == pointwise(ref)
+    assert rng.standard_normal() == ref.standard_normal()
+
+
+def _pairs(fam):
+    return pl.sample_pairs(fam.poset, np.random.default_rng(ORACLE_SEED))
+
+
+@pytest.mark.parametrize("name", pl.gallery_names())
+def test_isometry_check_matches_pointwise_oracle(name):
+    fam = pl.build_gallery(name).family
+    metrics, pairs = pl.euclidean_metrics(fam), _pairs(fam)
+    _assert_matches_pointwise(
+        lambda rng: pl.injection_isometry_check(metrics, pairs, samples=5, rng=rng),
+        lambda rng: isometry_pointwise(metrics, pairs, 5, rng))
+
+
+@pytest.mark.parametrize("name", ["symplectic", "odd-symplectic"])
+def test_check_tame_matches_pointwise_oracle(name):
+    g = pl.build_gallery(name)
+    form, pairs = g["omega"], _pairs(g.family)
+    _assert_matches_pointwise(
+        lambda rng: pl.check_tame(form, pairs, samples=5, rng=rng),
+        lambda rng: tame_pointwise(form, pairs, 5, rng))
+
+
+def test_symplectic_audits_match_pointwise_oracles():
+    g = pl.symplectic_even_tower(4)
+    omega, H, action, pairs = g["omega"], g["hamiltonian_at"](4), g["action"], _pairs(g.family)
+    _assert_matches_pointwise(
+        lambda rng: pl.hamiltonian_compat_check(omega, H, pairs, samples=5, rng=rng),
+        lambda rng: hamiltonian_compat_pointwise(omega, H, pairs, 5, rng))
+    _assert_matches_pointwise(
+        lambda rng: pl.check_action_compat(action, pairs, samples=5, rng=rng),
+        lambda rng: action_compat_pointwise(action, pairs, 5, rng))

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -245,3 +246,23 @@ def test_module_entry_point():
     proc2 = subprocess.run([sys.executable, "-m", "proflim.cli", "nope"],
                            capture_output=True, text=True)
     assert proc2.returncode == 2
+
+
+def test_symplectic_runs_without_scipy(tmp_path):
+    code = ("import sys, proflim, proflim.cli; "
+            f"rc = proflim.cli.main(['symplectic', '--out', {str(tmp_path / 's.json')!r}]); "
+            "assert 'scipy' not in sys.modules, 'scipy imported'; sys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_size_flag_tables_follow_the_registry():
+    for key, builder in pl.gallery.GALLERY_BUILDERS.items():
+        sized = any(isinstance(p.default, int)
+                    for p in inspect.signature(builder).parameters.values())
+        for name in (key, builder.__name__):
+            if sized:
+                assert cli.resolve_family(name, 3)[1].poset.elements
+            else:
+                with pytest.raises(cli.UsageError):
+                    cli.resolve_family(name, 3)

@@ -223,3 +223,37 @@ def test_non_symplectic_action_raises(symplectic, rng):
     with pytest.raises(pl.NonSymplecticAction):
         pl.momentum_verify(symplectic["omega"], dilation, mu, [1.0], 2,
                            samples=3, rng=rng)
+
+
+def test_exp_of_pair_rotation_generator_is_cos_sin(symplectic):
+    action = symplectic["action"]
+    for pair, xi in enumerate(action.generators(3)[:3]):  # pairs of level 3
+        for theta in (0.3, 2.0, -7.5):
+            expected = np.eye(6)
+            c, s = np.cos(theta), np.sin(theta)
+            expected[2 * pair:2 * pair + 2, 2 * pair:2 * pair + 2] = [[c, -s], [s, c]]
+            assert np.allclose(action.exp(theta * xi), expected, rtol=0, atol=1e-14)
+
+
+def test_exp_nilpotent_is_exact_and_dim_zero(symplectic):
+    action = symplectic["action"]
+    assert np.array_equal(action.exp(np.array([[0.0, 1.0], [0.0, 0.0]])),
+                          np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert action.exp(np.zeros((0, 0))).shape == (0, 0)
+    assert np.array_equal(action.exp(np.zeros((3, 3))), np.eye(3))
+
+
+@pytest.mark.parametrize("norm", [0.1, 1.0, 5.0, 20.0, 50.0])
+def test_exp_inverse_and_symmetric_closed_form(symplectic, norm):
+    action = symplectic["action"]
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 8):
+        A = rng.standard_normal((n, n))
+        skew = A - A.T if n > 1 else A     # a 1x1 skew matrix is zero
+        skew = skew * (norm / np.abs(skew).sum(axis=0).max())
+        assert np.allclose(action.exp(skew) @ action.exp(-skew), np.eye(n),
+                           rtol=0, atol=1e-12)
+        sym = (A + A.T) * (norm / np.abs(A + A.T).sum(axis=0).max())
+        w, V = np.linalg.eigh(sym)
+        closed = (V * np.exp(w)) @ V.T
+        assert np.max(np.abs(action.exp(sym) - closed)) <= 1e-12 * np.max(np.abs(closed))
