@@ -13,8 +13,8 @@ from .poset import (EmptySection, FilterBaseSet, IndexPoset, InfinitePoset,
                     is_finitely_cylindrical_witness, is_section, nat_chain,
                     subset_poset)
 from .report import AxiomCheck, VerificationReport
-from .family import (FamilyMismatch, FibrationData, LevelSpace,
-                     ProfiniteFamily, ProfiniteMap, check_profinite_map,
+from .family import (FamilyMismatch, FibrationData, ProfiniteFamily,
+                     ProfiniteMap, check_profinite_map,
                      compose_profinite_maps, cotangent_maps,
                      is_profinite_diffeomorphism, sample_chains, sample_pairs,
                      sample_point, tangent_family, verify_family,

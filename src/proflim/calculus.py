@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
 from .cylinder import CylindricalFunction, differential, pair_with_direction
 from .family import ProfiniteFamily, sample_point
 from .limits import Thread, thread_axpy
-from .maps import FD_STEP, as_point, residual
+from .maps import FD_STEP, as_point, fd_jacobian, residual
 from .report import VerificationReport
 
 
@@ -84,15 +84,8 @@ class TameForm:
         if self._dcomps is not None:
             return np.asarray(self._dcomps(J, x), dtype=float)
         dim = self.family.dim(J)
-        shape = (dim,) + (dim,) * self.degree
-        out = np.zeros(shape)
-        for j in range(dim):
-            h = FD_STEP * (1.0 + abs(x[j]))
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            out[j] = (self.comps(J, xp) - self.comps(J, xm)) / (2.0 * h)
-        return out
+        jac = fd_jacobian(lambda y: self.comps(J, y).ravel(), x, dim ** self.degree)
+        return jac.T.reshape((dim,) * (self.degree + 1))
 
     def __repr__(self):
         return f"TameForm({self.name or 'anonymous'}, degree={self.degree}, kind={self.kind})"
@@ -114,66 +107,52 @@ def symbolic_form(family: ProfiniteFamily, degree: int,
     level_exprs(J) returns (symbols, object-array of expressions).  The
     exterior derivative of a symbolic form is symbolic again, so repeated
     derivatives of polynomial payloads are exact (d o d vanishes to the
-    last bit).
+    last bit).  Each level is compiled once and differentiated once: one
+    partial tensor P[j, i1..ir] feeds both the symbolic d and `partials`.
     """
     import sympy
 
     cache: dict = {}
     lock = threading.Lock()
 
-    def compiled(J):
-        key = family.poset.key(J)
+    def memo(build, J):
+        key = (build, family.poset.key(J))
         with lock:
             if key in cache:
                 return cache[key]
-        syms, exprs = level_exprs(J)
-        exprs = np.asarray(exprs, dtype=object)
-        flat = [sympy.sympify(e) for e in exprs.ravel()]
-        fn = sympy.lambdify(list(syms), flat, "numpy")
-        entry = (list(syms), exprs, fn)
+        entry = build(J)
         with lock:
             return cache.setdefault(key, entry)
 
-    def comps(J, x):
-        syms, exprs, fn = compiled(J)
+    def compiled(J):
+        syms, exprs = level_exprs(J)
+        exprs = np.asarray(exprs, dtype=object)
+        flat = [sympy.sympify(e) for e in exprs.ravel()]
+        return list(syms), exprs, sympy.lambdify(list(syms), flat, "numpy")
+
+    def differentiated(J):
+        syms, exprs, _ = memo(compiled, J)
+        partial = np.empty((family.dim(J),) + exprs.shape, dtype=object)
+        for idx in np.ndindex(partial.shape):
+            partial[idx] = sympy.diff(sympy.sympify(exprs[idx[1:]]), syms[idx[0]])
+        return syms, partial, sympy.lambdify(syms, list(partial.ravel()), "numpy")
+
+    def evaluate(entry, x):
+        syms, exprs, fn = entry
         vals = fn(*x) if syms else fn()
         return np.asarray(vals, dtype=float).reshape(exprs.shape)
 
     def d_exprs(J):
-        import sympy as sp
-        syms, exprs, _ = compiled(J)
-        dim = family.dim(J)
-        shape = (dim,) + exprs.shape
-        partial = np.empty(shape, dtype=object)
-        for j in range(dim):
-            for idx in np.ndindex(exprs.shape):
-                partial[(j,) + idx] = sp.diff(sp.sympify(exprs[idx]), syms[j])
-        r_plus_1 = partial.ndim
-        out = np.empty(shape, dtype=object)
-        for idx in np.ndindex(shape):
-            total = sp.Integer(0)
-            for k in range(r_plus_1):
-                perm = (idx[k],) + idx[:k] + idx[k + 1:]
-                total = total + ((-1) ** k) * partial[perm]
-            out[idx] = sp.expand(total)
+        syms, partial, _ = memo(differentiated, J)
+        out = alternating_sum(partial)
+        for idx in np.ndindex(out.shape):
+            out[idx] = sympy.expand(out[idx])
         return syms, out
 
-    form = TameForm(family, degree, comps=comps, kind="symbolic",
-                    payload=d_exprs, name=name)
-
-    def dcomps(J, x):
-        syms, exprs, _ = compiled(J)
-        import sympy as sp
-        dim = family.dim(J)
-        out = np.zeros((dim,) + exprs.shape)
-        for j in range(dim):
-            for idx in np.ndindex(exprs.shape):
-                out[(j,) + idx] = float(sp.diff(sp.sympify(exprs[idx]), syms[j])
-                                        .subs(list(zip(syms, x))))
-        return out
-
-    form._dcomps = dcomps
-    return form
+    return TameForm(family, degree,
+                    comps=lambda J, x: evaluate(memo(compiled, J), x),
+                    dcomps=lambda J, x: evaluate(memo(differentiated, J), x),
+                    kind="symbolic", payload=d_exprs, name=name)
 
 
 def exterior_derivative(form: TameForm) -> TameForm:

@@ -24,12 +24,6 @@ class FamilyMismatch(Exception):
     """Two objects do not live over the same family (or compatible ones)."""
 
 
-@dataclass(frozen=True)
-class LevelSpace:
-    index: Any
-    dim: int
-
-
 class ProfiniteFamily:
     """Level dimensions plus projection/injection factories.
 
@@ -53,9 +47,6 @@ class ProfiniteFamily:
         self.name = name
         self._cache: dict = {}
         self._lock = threading.Lock()
-
-    def level(self, J) -> LevelSpace:
-        return LevelSpace(J, self.dim(J))
 
     def dim(self, J) -> int:
         return int(self._level_dim(J))

@@ -12,14 +12,14 @@ from typing import Any, Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .calculus import TameForm, constant_form
-from .cylinder import CylindricalFunction, coordinate_function
+from .calculus import constant_form
+from .cylinder import CylindricalFunction
 from .family import ProfiniteFamily, ProfiniteMap
 from .limits import AlgebraicStructure, ScalarAction, Thread
-from .maps import (DifferentiableMap, DimensionMismatch, identity_map,
-                   matrix_map, scatter_map, selection_map)
-from .poset import IndexPoset, Section, chain_poset, finite_poset, subset_poset
-from .profmetric import IndexMeasure, LevelMetricFamily, euclidean_metrics
+from .maps import (DifferentiableMap, DimensionMismatch, matrix_map,
+                   scatter_map, selection_map)
+from .poset import Section, chain_poset, finite_poset, subset_poset
+from .profmetric import IndexMeasure, euclidean_metrics
 from .symplectic import MomentumMap, ProfiniteGroupAction, canonical_omega
 
 
@@ -34,6 +34,20 @@ class GalleryFamily:
 
     def __getitem__(self, key):
         return self.extras[key]
+
+
+def _coordinate_family(levels: Sequence[int], level_dim: Callable[[int], int], name: str,
+                       coords: Optional[Callable[[int, int], Sequence[int]]] = None
+                       ) -> ProfiniteFamily:
+    """Chain whose level J sits in level K as the coordinates coords(J, K),
+    by default the first level_dim(J): projections select those
+    coordinates and injections scatter them, zero elsewhere."""
+    coords = coords or (lambda J, K: range(level_dim(J)))
+    return ProfiniteFamily(
+        chain_poset(levels), level_dim,
+        proj_factory=lambda J, K: selection_map(level_dim(K), coords(J, K)),
+        inj_factory=lambda K, J: scatter_map(level_dim(K), coords(J, K)),
+        name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -54,13 +68,7 @@ def sequence_thread(family: ProfiniteFamily, seq: Sequence[float],
 
 
 def euclid_tower(max_level: int = 6) -> GalleryFamily:
-    poset = chain_poset(range(max_level + 1))
-    fam = ProfiniteFamily(
-        poset,
-        level_dim=lambda n: n,
-        proj_factory=lambda J, K: selection_map(K, range(J)),
-        inj_factory=lambda K, J: scatter_map(K, range(J)),
-        name="euclid")
+    fam = _coordinate_family(range(max_level + 1), lambda n: n, "euclid")
     zeros = Thread(fam, lambda n: np.zeros(n), name="origin")
     # prefix distances grow to ||(3,4)|| = 5, so the squashed sup is 5/6
     seq = np.zeros(max_level + 1)
@@ -109,13 +117,7 @@ def _poly_mul_level(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def poly_tower(max_degree: int = 6) -> GalleryFamily:
-    poset = chain_poset(range(max_degree + 1))
-    fam = ProfiniteFamily(
-        poset,
-        level_dim=lambda n: n + 1,
-        proj_factory=lambda J, K: selection_map(K + 1, range(J + 1)),
-        inj_factory=lambda K, J: scatter_map(K + 1, range(J + 1)),
-        name="poly")
+    fam = _coordinate_family(range(max_degree + 1), lambda n: n + 1, "poly")
     exp_series = Thread(
         fam,
         lambda n: 1.0 / np.array([math.factorial(k) for k in range(n + 1)],
@@ -131,11 +133,7 @@ def poly_tower(max_degree: int = 6) -> GalleryFamily:
         fam, op=lambda J, a, b: _poly_mul_level(a, b),
         neutral=Thread(fam, lambda n: np.eye(n + 1)[0], name="one"),
         name="truncated product")
-    ring = ProfiniteFamily(
-        poset, level_dim=lambda n: 1,
-        proj_factory=lambda J, K: identity_map(1),
-        inj_factory=lambda K, J: identity_map(1),
-        name="constants")
+    ring = _coordinate_family(range(max_degree + 1), lambda n: 1, "constants")
     scal = ScalarAction(
         ring=ring, module=fam,
         act=lambda J, c, a: float(c[0]) * a,
@@ -177,13 +175,8 @@ def matrix_thread(family: ProfiniteFamily, block_fn: Callable[[int], np.ndarray]
 
 
 def matrix_tower(max_n: int = 4) -> GalleryFamily:
-    poset = chain_poset(range(1, max_n + 1))
-    fam = ProfiniteFamily(
-        poset,
-        level_dim=lambda n: n * n,
-        proj_factory=lambda J, K: selection_map(K * K, _corner_indices(J, K)),
-        inj_factory=lambda K, J: scatter_map(K * K, _corner_indices(J, K)),
-        name="matrix")
+    fam = _coordinate_family(range(1, max_n + 1), lambda n: n * n, "matrix",
+                             coords=_corner_indices)
 
     def as_block(J, x):
         n = int(round(np.sqrt(x.size)))
@@ -404,13 +397,7 @@ def pair_momentum(family: ProfiniteFamily, pair: int) -> CylindricalFunction:
 
 
 def symplectic_even_tower(max_pairs: int = 3) -> GalleryFamily:
-    poset = chain_poset(range(1, max_pairs + 1))
-    fam = ProfiniteFamily(
-        poset,
-        level_dim=lambda m: 2 * m,
-        proj_factory=lambda J, K: selection_map(2 * K, range(2 * J)),
-        inj_factory=lambda K, J: scatter_map(2 * K, range(2 * J)),
-        name="pair-tower")
+    fam = _coordinate_family(range(1, max_pairs + 1), lambda m: 2 * m, "pair-tower")
     omega = constant_form(fam, 2, lambda m: canonical_omega(2 * m), name="omega")
 
     action = ProfiniteGroupAction(
@@ -437,13 +424,7 @@ def symplectic_even_tower(max_pairs: int = 3) -> GalleryFamily:
 def odd_symplectic_tower(max_dim: int = 5) -> GalleryFamily:
     """Every dimension appears, so odd levels carry a degenerate form; the
     unpaired direction only finds a partner one level up."""
-    poset = chain_poset(range(1, max_dim + 1))
-    fam = ProfiniteFamily(
-        poset,
-        level_dim=lambda d: d,
-        proj_factory=lambda J, K: selection_map(K, range(J)),
-        inj_factory=lambda K, J: scatter_map(K, range(J)),
-        name="odd-tower")
+    fam = _coordinate_family(range(1, max_dim + 1), lambda d: d, "odd-tower")
     omega = constant_form(fam, 2, canonical_omega, name="omega-odd")
     return GalleryFamily(
         "odd-symplectic", fam,

@@ -2,8 +2,8 @@
 
 Every level space is modeled as R^dim and every structural map between
 levels (projection, injection, cylindrical base, bundle projection) is a
-DifferentiableMap: an evaluator plus a Jacobian, analytic when supplied
-and central finite differences otherwise.
+DifferentiableMap: either a matrix (a linear map) or an evaluator plus a
+Jacobian, analytic when supplied and central finite differences otherwise.
 """
 from __future__ import annotations
 
@@ -43,15 +43,18 @@ def fd_jacobian(fn: Callable, x, codomain_dim: int) -> np.ndarray:
 class DifferentiableMap:
     """A map R^m -> R^n carrying its own Jacobian oracle.
 
-    `matrix` is set for linear maps; compositions stay linear when both
-    factors are, which keeps tower algebra exact.
+    Give exactly one of `fn` and `matrix`: a linear map is its matrix and
+    nothing else.  Compositions stay linear when both factors are, which
+    keeps tower algebra exact.
     """
 
     def __init__(self, domain_dim: int, codomain_dim: int,
-                 fn: Callable[[np.ndarray], np.ndarray],
+                 fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  jac: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  matrix: Optional[np.ndarray] = None,
                  name: str = ""):
+        if (fn is None) == (matrix is None):
+            raise ValueError("give exactly one of fn and matrix")
         self.domain_dim = int(domain_dim)
         self.codomain_dim = int(codomain_dim)
         self.fn = fn
@@ -68,6 +71,8 @@ class DifferentiableMap:
         if x.size != self.domain_dim:
             raise DimensionMismatch(
                 f"{self.name or 'map'}: point has dim {x.size}, expected {self.domain_dim}")
+        if self.matrix is not None:
+            return self.matrix @ x
         y = as_point(self.fn(x))
         if y.size != self.codomain_dim:
             raise DimensionMismatch(
@@ -102,7 +107,7 @@ class DifferentiableMap:
         return self.fd_jacobian(x)
 
     def fd_jacobian(self, x) -> np.ndarray:
-        return fd_jacobian(self.fn, x, self.codomain_dim)
+        return fd_jacobian(self, x, self.codomain_dim)
 
     @property
     def is_linear(self) -> bool:
@@ -120,40 +125,26 @@ def residual(lhs, rhs) -> float:
 
 def matrix_map(matrix, name: str = "") -> DifferentiableMap:
     mat = np.atleast_2d(np.asarray(matrix, dtype=float))
-    return DifferentiableMap(mat.shape[1], mat.shape[0],
-                             lambda x, _m=mat: _m @ x,
-                             matrix=mat, name=name)
+    return DifferentiableMap(mat.shape[1], mat.shape[0], matrix=mat, name=name)
 
 
 def identity_map(dim: int) -> DifferentiableMap:
-    return DifferentiableMap(dim, dim, lambda x: x, matrix=np.eye(dim), name=f"id_{dim}")
+    return DifferentiableMap(dim, dim, matrix=np.eye(dim), name=f"id_{dim}")
 
 
 def selection_map(domain_dim: int, indices: Sequence[int], name: str = "") -> DifferentiableMap:
-    """Pick the listed coordinates, in order."""
-    idx = tuple(int(i) for i in indices)
-    mat = np.zeros((len(idx), domain_dim))
-    for row, col in enumerate(idx):
-        mat[row, col] = 1.0
-    return DifferentiableMap(domain_dim, len(idx),
-                             lambda x, _i=idx: x[list(_i)],
-                             matrix=mat, name=name or f"select{idx}")
+    """Pick the listed coordinates, in order: rows `indices` of the identity."""
+    idx = [int(i) for i in indices]
+    return DifferentiableMap(domain_dim, len(idx), matrix=np.eye(domain_dim)[idx],
+                             name=name or f"select{tuple(idx)}")
 
 
 def scatter_map(codomain_dim: int, indices: Sequence[int], name: str = "") -> DifferentiableMap:
-    """Place the input coordinates at the listed positions, zero elsewhere."""
-    idx = tuple(int(i) for i in indices)
-    mat = np.zeros((codomain_dim, len(idx)))
-    for row, col in zip(idx, range(len(idx))):
-        mat[row, col] = 1.0
-
-    def fn(x, _i=idx, _n=codomain_dim):
-        out = np.zeros(_n)
-        out[list(_i)] = x
-        return out
-
-    return DifferentiableMap(len(idx), codomain_dim, fn, matrix=mat,
-                             name=name or f"scatter{idx}")
+    """Place the input coordinates at the listed positions, zero elsewhere:
+    columns `indices` of the identity."""
+    idx = [int(i) for i in indices]
+    return DifferentiableMap(len(idx), codomain_dim, matrix=np.eye(codomain_dim)[:, idx],
+                             name=name or f"scatter{tuple(idx)}")
 
 
 def compose(outer: DifferentiableMap, inner: DifferentiableMap,

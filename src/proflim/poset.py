@@ -57,10 +57,6 @@ class IndexPoset:
     def sort(self, indices: Iterable) -> list:
         return sorted(indices, key=self.key)
 
-    @property
-    def is_finite(self) -> bool:
-        return self.elements is not None
-
     def require_join(self, a, b):
         r = self.join(a, b)
         if r is None or not (self.leq(a, r) and self.leq(b, r)):

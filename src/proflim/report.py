@@ -51,13 +51,15 @@ class VerificationReport:
 
         The largest residual wins and a tie keeps the first witness; a NaN
         residual beats every number, so it fails the check instead of
-        vanishing from a running max.
+        vanishing from a running max.  With no entries the check passes at
+        residual 0 and its detail says that nothing was audited.
         """
         worst, res = None, 0.0
         for witness, gap in gaps:
             if worst is None or gap > res or (math.isnan(gap) and not math.isnan(res)):
                 worst, res = witness, gap
-        detail = "" if worst is None else f"worst {what} {worst!r} of {len(gaps)} {what}s"
+        detail = (f"no {what}s audited" if worst is None
+                  else f"worst {what} {worst!r} of {len(gaps)} {what}s")
         return self.add(name, res, tol, detail)
 
     def to_dict(self) -> dict:

@@ -281,6 +281,9 @@ def flow(structure, H: CylindricalFunction, J, x0, dt: float, steps: int,
 
     leapfrog needs the canonical interleaved pair layout and a separable H;
     implicit-midpoint (Newton) works for any constant-rank invertible form.
+    Separability is probed at x0 only: leapfrog refuses an H whose FD
+    Hessian there has a mixed q-p entry above 1e-8 * max(1, max |Hessian|),
+    which catches a coupled H but does not prove that H is separable.
     """
     omega = _form(structure)
     x0 = as_point(x0).copy()
@@ -295,6 +298,12 @@ def flow(structure, H: CylindricalFunction, J, x0, dt: float, steps: int,
         if dim % 2 or not residual(mat0, canonical_omega(dim)) <= 1e-12:
             raise ValueError("leapfrog needs the canonical pair layout; "
                              "use scheme='implicit-midpoint'")
+        hess = fd_jacobian(grad, x0, dim)
+        scale = 1e-8 * max(1.0, residual(hess, 0.0))
+        if not (residual(hess[0::2, 1::2], 0.0) <= scale
+                and residual(hess[1::2, 0::2], 0.0) <= scale):
+            raise ValueError("leapfrog needs a separable H, but the Hessian couples "
+                             "q and p at x0; use scheme='implicit-midpoint'")
         states = _leapfrog(grad, x0, dt, steps)
     elif scheme == "implicit-midpoint":
         states = _implicit_midpoint(lambda x: omega.matrix(J, x), grad, x0, dt, steps,
@@ -358,11 +367,14 @@ def check_action_compat(action: ProfiniteGroupAction, pairs: Iterable[tuple],
                         samples: int = 10, tol: float = 1e-9,
                         rng: Optional[np.random.Generator] = None) -> VerificationReport:
     """proj(J,K) . act_K(g) = act_J(restrict(g)) . proj(J,K) on samples."""
+    if action.restrict is None:
+        raise ValueError(f"{action.name or 'action'} has no restrict map, "
+                         "so there is nothing to compare across levels")
     rng = rng or np.random.default_rng(0)
     fam = action.family
     gaps = []
     for J, K in pairs:
-        if not fam.poset.leq(J, K) or J == K or action.restrict is None:
+        if not fam.poset.leq(J, K) or J == K:
             continue
         pr = fam.proj(J, K)
         # one joint draw replays n alternating draws of coefficients, x in E_K

@@ -156,3 +156,17 @@ def test_symplectic_audits_match_pointwise_oracles():
     _assert_matches_pointwise(
         lambda rng: pl.check_action_compat(action, pairs, samples=5, rng=rng),
         lambda rng: action_compat_pointwise(action, pairs, 5, rng))
+
+
+def test_audit_over_no_pairs_says_so():
+    rep = pl.check_tame(SYMPL["omega"], [(1, 1), (2, 2)], samples=3)
+    check = rep.checks[0]
+    assert check.passed and check.max_residual == 0.0
+    assert check.detail == "no pairs audited"
+
+
+def test_action_without_restrict_raises():
+    action = SYMPL["action"]
+    bare = pl.ProfiniteGroupAction(S, action.generators, action.act)
+    with pytest.raises(ValueError):
+        pl.check_action_compat(bare, S_PAIRS, samples=3)

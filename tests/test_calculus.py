@@ -217,3 +217,35 @@ def test_tangent_duality_against_fd(euclid, rng):
         d = euclid["sequence_thread"](rng.standard_normal(10))
         v = pl.TangentThread.from_threads(b, d)
         assert pl.tangent_duality_check(f, v) < 1e-6
+
+
+def _quadratic_exprs(fam):
+    def exprs(J):
+        syms = sympy.symbols(f"x0:{fam.dim(J)}")
+        comps = np.empty((fam.dim(J),) * 2, dtype=object)
+        for i in range(fam.dim(J)):
+            for j in range(fam.dim(J)):
+                comps[i, j] = (syms[i] * syms[j] ** 2 - syms[j] * syms[i] ** 2
+                               + sympy.sin(syms[i] - syms[j]))
+        return syms, comps
+    return exprs
+
+
+def test_symbolic_partials_match_fd(euclid, rng):
+    fam = euclid.family
+    sym = pl.symbolic_form(fam, 2, _quadratic_exprs(fam))
+    fd = pl.TameForm(fam, 2, sym.comps)
+    for J in (0, 1, 3, 4):
+        x = rng.standard_normal(J)
+        assert sym.partials(J, x).shape == (J,) * 3
+        assert np.max(np.abs(sym.partials(J, x) - fd.partials(J, x)), initial=0.0) < 1e-6
+
+
+def test_symbolic_partials_differentiate_once(euclid, rng, monkeypatch):
+    form = pl.symbolic_form(euclid.family, 2, _quadratic_exprs(euclid.family))
+    form.partials(3, rng.standard_normal(3))
+    calls = []
+    real_diff = sympy.diff
+    monkeypatch.setattr(sympy, "diff", lambda *a, **k: calls.append(a) or real_diff(*a, **k))
+    form.partials(3, rng.standard_normal(3))
+    assert calls == []

@@ -163,6 +163,14 @@ def test_flow_bad_inputs_exit_two(capsys):
                "--level", "2")[0] == 2                     # no symplectic form
 
 
+def test_flow_leapfrog_on_coupled_hamiltonian_exits_two(capsys):
+    code, _, err = run(capsys, "flow", "--family", "symplectic_even_tower",
+                       "--level", "1", "--H", "(sqr(x0) + sqr(x1))/2 + x0*x1",
+                       "--steps", "10")
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_wiener_audit_passes(capsys):
     code, out, err = run(capsys, "wiener", "--samples", "30000", "--seed", "0")
     assert code == 0, err

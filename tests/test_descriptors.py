@@ -200,3 +200,48 @@ def test_measure_csv(tmp_path):
     stringy.write_text("J,1.0\n")
     mu2 = pl.load_measure_csv(stringy)
     assert mu2.weights == {"J": 1.0}
+
+
+def _readme_descriptor_examples():
+    import pathlib
+    import re
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## Descriptors", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```(\w+)\n(.*?)```", section, re.S)
+    inline = re.findall(r"(?<!`)`(\{[^`]*\})`(?!`)", re.sub(r"```.*?```", "", section, flags=re.S))
+    return blocks + [("json", doc) for doc in inline]
+
+
+POSET_KINDS = ("chain", "finite", "subsets")
+THREAD_KINDS = ("named", "sequence", "section-point")
+
+
+def test_readme_descriptor_examples_load_as_written(tmp_path):
+    examples = _readme_descriptor_examples()
+    euclid = pl.euclid_tower(4)
+    loaded = set()
+    for lang, text in examples:
+        if lang == "csv":
+            path = tmp_path / "measure.csv"
+            path.write_text(text)
+            assert pl.load_measure_csv(path).weights
+            loaded.add("measure")
+            continue
+        doc = json.loads(text)
+        if "projections" in doc:
+            fam = pl.family_from_descriptor(doc)
+            assert pl.verify_family(fam, points_per_chain=2).passed
+            loaded.add("family")
+        elif doc["kind"] in POSET_KINDS:
+            pl.poset_from_descriptor(doc)
+            loaded.add("poset")
+        elif doc["kind"] in THREAD_KINDS:
+            thread = pl.thread_from_descriptor(euclid, doc)
+            assert thread(2).shape == (2,)
+            loaded.add("thread")
+        else:
+            form = pl.form_from_descriptor(euclid.family, doc)
+            assert isinstance(form, pl.TameForm)
+            loaded.add("form")
+    assert loaded == {"family", "poset", "thread", "form", "measure"}
+    assert len(examples) == 11

@@ -257,3 +257,14 @@ def test_exp_inverse_and_symmetric_closed_form(symplectic, norm):
         w, V = np.linalg.eigh(sym)
         closed = (V * np.exp(w)) @ V.T
         assert np.max(np.abs(action.exp(sym) - closed)) <= 1e-12 * np.max(np.abs(closed))
+
+
+def test_leapfrog_refuses_coupled_hamiltonian(symplectic):
+    H = pl.cylindrical_from_expression(symplectic.family, [1],
+                                       "(sqr(x0) + sqr(x1))/2 + x0*x1")
+    x0 = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="implicit-midpoint"):
+        pl.flow(symplectic["omega"], H, 1, x0, dt=1e-2, steps=10)
+    traj = pl.flow(symplectic["omega"], H, 1, x0, dt=1e-2, steps=10,
+                   scheme="implicit-midpoint")
+    assert traj.energy_drift() < 1e-10
