@@ -21,18 +21,16 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from .calculus import CompatibleMetric, TameForm, check_tame, metric_check
-from .cylinder import CylindricalFunction
 from .descriptors import (DescriptorError, SCHEMA_VERSION, family_from_descriptor,
                           family_to_descriptor, form_from_descriptor,
                           gallery_reference_descriptor, load_measure_csv,
                           thread_from_descriptor)
 from .expr import ExpressionError, cylindrical_from_expression
 from .family import FamilyMismatch, sample_pairs, sample_point, verify_family
-from .gallery import (GALLERY_BUILDERS, GalleryFamily, build_gallery,
-                      gallery_names, pairing, pl_path)
+from .gallery import (GALLERY_BUILDERS, build_gallery, gallery_key, gallery_names,
+                      pairing)
 from .maps import DimensionMismatch, residual
-from .profmetric import (LevelMetricFamily, d_inf, d_mu, discrete_metrics,
-                         euclidean_metrics)
+from .profmetric import d_inf, d_mu, discrete_metrics, euclidean_metrics
 from .report import VerificationReport
 from .symplectic import (NonconvergentSolve, NonSymplecticAction, SingularForm,
                          SymplecticStructure, flow, hamiltonian_compat_check,
@@ -40,9 +38,6 @@ from .symplectic import (NonconvergentSolve, NonSymplecticAction, SingularForm,
                          momentum_verify)
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
-
-# builder function names resolve like their registry keys
-BUILDER_ALIASES = {b.__name__: key for key, b in GALLERY_BUILDERS.items()}
 
 
 def _size_kwarg(builder) -> Optional[str]:
@@ -113,7 +108,7 @@ def resolve_family(name_or_path: str, max_level: Optional[int] = None):
             except json.JSONDecodeError as err:
                 raise UsageError(f"bad JSON in {name_or_path}: {err}") from err
         return None, family_from_descriptor(doc)
-    key = BUILDER_ALIASES.get(name_or_path, name_or_path)
+    key = gallery_key(name_or_path)
     if key not in GALLERY_BUILDERS:
         raise UsageError(f"unknown family {name_or_path!r}; gallery: "
                          + ", ".join(gallery_names()))
@@ -161,6 +156,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     if form_src:
         with open(form_src) as fh:
             form = form_from_descriptor(g or fam, json.load(fh))
+        if g is not None and form.family is not fam:
+            raise UsageError(f"--form names a form of another family than {cfg.family!r}")
         reports.append(check_tame(form, pairs, samples=max(1, cfg.samples // 10),
                                   tol=cfg.options.get("tame_tol", cfg.tol), rng=rng))
     elif g is not None:
@@ -407,7 +404,7 @@ def cmd_gallery(cfg: RunConfig) -> int:
         return EXIT_PASS
     if name is None:
         raise UsageError(f"gallery {action} needs a family name")
-    key = BUILDER_ALIASES.get(name, name)
+    key = gallery_key(name)
     if key not in GALLERY_BUILDERS:
         raise UsageError(f"unknown gallery family {name!r}")
     g = build_gallery(key)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Optional
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .calculus import TameForm
 from .expr import ExpressionError, compile_scalar, parse_index_token
 from .family import ProfiniteFamily
 from .limits import SectionPoint, Thread, thread_from_section
-from .maps import DifferentiableMap, matrix_map, scatter_map, selection_map
+from .maps import matrix_map, scatter_map, selection_map
 from .poset import IndexPoset, chain_poset, finite_poset, subset_poset
 from .profmetric import IndexMeasure
 
@@ -275,12 +275,15 @@ def form_from_descriptor(family_or_gallery, doc: dict) -> TameForm:
     """{"kind": "named-gallery", "family": ..., "extra": ...} or
     {"kind": "expressions", "degree": r, "levels": [{"index", "comps"}]}
     with comps a nested list of mini-language expressions, shape (dim,)*r."""
-    from .gallery import GalleryFamily, build_gallery
+    from .gallery import GalleryFamily, build_gallery, gallery_key
 
     kind = doc.get("kind")
     if kind == "named-gallery":
-        g = (family_or_gallery if isinstance(family_or_gallery, GalleryFamily)
-             else build_gallery(doc["family"], **doc.get("kwargs", {})))
+        g, name = family_or_gallery, doc.get("family")
+        if not isinstance(g, GalleryFamily) or gallery_key(name or g.name) != g.name:
+            if name is None:
+                raise DescriptorError("a named-gallery form needs a 'family' or a gallery")
+            g = build_gallery(name, **doc.get("kwargs", {}))
         obj = g.extras.get(doc.get("extra", "omega"))
         if not isinstance(obj, TameForm):
             raise DescriptorError(f"{doc.get('extra')!r} is not a form of {g.name!r}")

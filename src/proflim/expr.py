@@ -1,18 +1,18 @@
 """A small arithmetic expression language for functions on level coordinates.
 
-Grammar: numbers, + - * / ** and parentheses, the nonlinearities named in
-FUNCTIONS, local coordinates x0, x1, ..., and cross-level references
+Grammar: numbers, + - * / ** and parentheses, the functions sin, cos, tan,
+exp, log, sqrt, tanh, abs and sqr, the constant pi, local coordinates x0,
+x1, ..., and cross-level references
 "level:<index>:<coord>" resolved against a member antichain.  Expressions
-compile through sympy, so gradients are analytic.
+compile through sympy, so gradients are analytic; sympy is imported on the
+first compile, not with the package.
 """
 from __future__ import annotations
 
 import re
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-import sympy
-from sympy.core.function import AppliedUndef
 
 from .cylinder import CylindricalFunction
 from .family import ProfiniteFamily
@@ -23,14 +23,6 @@ from .poset import Section
 class ExpressionError(ValueError):
     """Malformed or disallowed expression text."""
 
-
-FUNCTIONS = {
-    "sin": sympy.sin, "cos": sympy.cos, "tan": sympy.tan,
-    "exp": sympy.exp, "log": sympy.log, "sqrt": sympy.sqrt,
-    "tanh": sympy.tanh, "abs": sympy.Abs,
-    "sqr": lambda u: u ** 2,
-    "pi": sympy.pi,
-}
 
 _REF = re.compile(r"level:([^:\s()+\-*/,]+):([0-9]+)")
 _ALLOWED = re.compile(r"^[A-Za-z0-9_+\-*/().,:\s]*$")
@@ -51,8 +43,16 @@ def _guard(text: str) -> None:
         raise ExpressionError("double underscores are not allowed")
 
 
-def _sympify(text: str, symbols: dict) -> sympy.Expr:
-    local = dict(FUNCTIONS)
+def _sympify(text: str, symbols: dict) -> "sympy.Expr":
+    import sympy
+    from sympy.core.function import AppliedUndef
+    local = {
+        "sin": sympy.sin, "cos": sympy.cos, "tan": sympy.tan,
+        "exp": sympy.exp, "log": sympy.log, "sqrt": sympy.sqrt,
+        "tanh": sympy.tanh, "abs": sympy.Abs,
+        "sqr": lambda u: u ** 2,
+        "pi": sympy.pi,
+    }
     local.update(symbols)
     try:
         expr = sympy.sympify(text, locals=local, convert_xor=False)
@@ -74,6 +74,7 @@ def compile_scalar(dim: int, text: str) -> tuple:
     if _REF.search(text):
         raise ExpressionError("level references need a member antichain; "
                               "use cylindrical_from_expression")
+    import sympy
     # real symbols keep derivatives of abs/sqrt printable for lambdify
     syms = sympy.symbols(f"x0:{dim}", real=True)
     table = {f"x{i}": syms[i] for i in range(dim)}

@@ -452,9 +452,18 @@ def gallery_names() -> list:
     return sorted(GALLERY_BUILDERS)
 
 
+# builder function names resolve like their registry keys
+_BUILDER_ALIASES = {b.__name__: key for key, b in GALLERY_BUILDERS.items()}
+
+
+def gallery_key(name: str) -> str:
+    """The registry key of a key or a builder's name; other names pass through."""
+    return _BUILDER_ALIASES.get(name, name)
+
+
 def build_gallery(name: str, **kwargs) -> GalleryFamily:
     try:
-        builder = GALLERY_BUILDERS[name]
+        builder = GALLERY_BUILDERS[gallery_key(name)]
     except KeyError:
         raise KeyError(f"no gallery family named {name!r}; "
                        f"choose from {', '.join(gallery_names())}") from None

@@ -14,7 +14,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .family import ProfiniteFamily, sample_pairs, sample_point
+from .family import ProfiniteFamily, sample_pairs
 from .maps import DimensionMismatch, as_point, residual
 from .poset import Section
 from .report import VerificationReport

@@ -177,7 +177,7 @@ def fanout_map(maps: Sequence[DifferentiableMap], name: str = "") -> Differentia
         return matrix_map(np.vstack([m.matrix for m in maps]), name=name)
 
     def fn(x):
-        return np.concatenate([m(x) for m in maps]) if maps else np.zeros(0)
+        return np.concatenate([m(x) for m in maps])
 
     def jac(x):
         return np.vstack([m.jacobian(x) for m in maps])

@@ -5,7 +5,7 @@ weighted sums stay finite no matter how the level metrics grow.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Callable, Iterable, Mapping, Optional
 

@@ -232,6 +232,15 @@ def test_verify_with_form_descriptor(capsys, tmp_path):
     assert any("tame form" in t for t in titles)
 
 
+def test_verify_refuses_a_form_of_another_gallery(capsys, tmp_path):
+    form = tmp_path / "omega.json"
+    form.write_text(json.dumps({"kind": "named-gallery", "family": "symplectic",
+                                "extra": "omega"}))
+    code, out, err = run(capsys, "verify", "--family", "euclid", "--form", str(form))
+    assert code == 2 and out == ""
+    assert "another family" in err
+
+
 def test_out_dir_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PROFLIM_OUT_DIR", str(tmp_path / "runs"))
     code, out, _ = run(capsys, "gallery", "describe", "cross",
@@ -262,6 +271,50 @@ def test_symplectic_runs_without_scipy(tmp_path):
             "assert 'scipy' not in sys.modules, 'scipy imported'; sys.exit(rc)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+NUMPY_ONLY_COMMANDS = [
+    ["gallery", "list"],
+    ["verify", "--family", "euclid"],
+    ["verify", "--family", "wiener"],
+    ["distance", "--family", "euclid_tower", "--x", '{"kind": "named", "name": "origin"}',
+     "--y", '{"kind": "named", "name": "three_four"}'],
+    ["symplectic"],
+    ["flow", "--family", "symplectic", "--level", "2"],
+]
+
+
+def _run_fresh(code):
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_sympy_loads_only_when_an_expression_is_compiled(tmp_path):
+    out = str(tmp_path / "report")
+    _run_fresh("import sys, proflim, proflim.cli\n"
+               "assert 'sympy' not in sys.modules, 'import proflim'\n"
+               f"for argv in {NUMPY_ONLY_COMMANDS!r}:\n"
+               f"    assert proflim.cli.main(argv + ['--out', {out!r}]) == 0, argv\n"
+               "    assert 'sympy' not in sys.modules, argv\n"
+               "argv = ['wiener', '--samples', '30000', '--seed', '3', '--out', "
+               f"{out!r}]\n"
+               "assert proflim.cli.main(argv) == 0\n"
+               "assert 'sympy' in sys.modules, 'wiener'\n")
+    _run_fresh("import sys, proflim.cli\n"
+               "argv = ['flow', '--family', 'symplectic', '--level', '2', "
+               f"'--H', '0.5*x0**2 + 0.5*x1**2', '--out', {out!r}]\n"
+               "assert proflim.cli.main(argv) == 0\n"
+               "assert 'sympy' in sys.modules, 'flow --H'\n")
+
+
+def test_malformed_expression_raises_expression_error_in_a_fresh_interpreter():
+    _run_fresh("import proflim as pl\n"
+               "for text in ['x0 +* 2', 'mystery(x0)', 'x5 + 1', '__class__']:\n"
+               "    try:\n"
+               "        pl.compile_scalar(1, text)\n"
+               "    except pl.ExpressionError:\n"
+               "        continue\n"
+               "    raise AssertionError(f'{text!r} compiled')\n")
 
 
 def test_size_flag_tables_follow_the_registry():

@@ -183,6 +183,17 @@ def test_form_descriptors(euclid, symplectic, rng):
         pl.form_from_descriptor(euclid.family, {"kind": "what"})
 
 
+def test_named_gallery_form_builds_the_gallery_it_names(euclid, symplectic):
+    doc = {"kind": "named-gallery", "family": "symplectic", "extra": "omega"}
+    built = pl.form_from_descriptor(euclid, doc)
+    assert built.degree == 2 and built.family is not euclid.family
+    assert built.family.dim(2) == 4
+    for name in ("symplectic", "symplectic_even_tower"):  # builder names alias keys
+        assert pl.form_from_descriptor(symplectic, dict(doc, family=name)) is symplectic["omega"]
+    with pytest.raises(pl.DescriptorError):
+        pl.form_from_descriptor(euclid.family, {"kind": "named-gallery"})
+
+
 def test_measure_csv(tmp_path):
     path = tmp_path / "weights.csv"
     path.write_text("index,weight\n# comment line\n1,0.5\n2,0.25\ntail,0.125\n")
