@@ -146,6 +146,14 @@ def finish_reports(cfg: RunConfig, doc: dict, reports: List[VerificationReport])
 # subcommands
 
 
+def _same_levels(a, b) -> bool:
+    """Both families list the same levels with the same dimensions."""
+    els = a.poset.elements
+    return (els is not None and b.poset.elements is not None
+            and list(els) == list(b.poset.elements)
+            and all(a.dim(J) == b.dim(J) for J in els))
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     g, fam = resolve_family(cfg.family, cfg.max_level)
     rng = cfg.rng()
@@ -156,7 +164,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if form_src:
         with open(form_src) as fh:
             form = form_from_descriptor(g or fam, json.load(fh))
-        if g is not None and form.family is not fam:
+        if form.family is not fam and (g is not None or not _same_levels(form.family, fam)):
             raise UsageError(f"--form names a form of another family than {cfg.family!r}")
         reports.append(check_tame(form, pairs, samples=max(1, cfg.samples // 10),
                                   tol=cfg.options.get("tame_tol", cfg.tol), rng=rng))

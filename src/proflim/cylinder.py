@@ -91,7 +91,11 @@ def separate(x: Thread, y: Thread, witness_levels: Iterable,
 def level_function(f: CylindricalFunction, J) -> DifferentiableMap:
     """The representative of f on level J: evaluate f on the thread through
     a single point of E_J (project up to members below J, inject to members
-    above).  Raises Incomparable when some member cannot be reached."""
+    above).  Raises Incomparable when some member cannot be reached.  When
+    J is the only member, the thread's value there is the point itself and
+    the representative is the base map."""
+    if f.section.members == (J,):
+        return f.base
     fam, poset = f.family, f.family.poset
     pieces = []
     for m in f.section:

@@ -79,9 +79,38 @@ def poset_from_descriptor(doc: dict) -> IndexPoset:
         matrix = doc["leq"]
         if len(matrix) != len(els) or any(len(r) != len(els) for r in matrix):
             raise DescriptorError("leq matrix shape does not match elements")
+        twice = next((i for i, e in enumerate(els) if e in els[:i]), None)
+        if twice is not None:
+            raise DescriptorError(f"poset.elements[{twice}]: {els[twice]!r} is listed twice")
+        _check_directed_order(els, np.array(matrix, dtype=bool).reshape(len(els), len(els)))
         pos = {e: i for i, e in enumerate(els)}
         return finite_poset(els, leq=lambda a, b: bool(matrix[pos[a]][pos[b]]))
     raise DescriptorError(f"unknown poset kind {kind!r}")
+
+
+def _check_directed_order(els: list, leq: np.ndarray) -> None:
+    """Reflexive, antisymmetric, transitive, and every pair has an upper bound."""
+    step = leq.astype(int)
+    bad = np.argwhere(~np.diag(leq))
+    if bad.size:
+        i = int(bad[0, 0])
+        raise DescriptorError(f"poset.leq[{i}][{i}]: {els[i]!r} <= {els[i]!r} must hold")
+    bad = np.argwhere(leq & leq.T & ~np.eye(len(els), dtype=bool))
+    if bad.size:
+        i, j = map(int, bad[0])
+        raise DescriptorError(f"poset.leq[{i}][{j}]: {els[i]!r} <= {els[j]!r} and back, "
+                              "but they are distinct elements")
+    bad = np.argwhere((step @ step > 0) & ~leq)
+    if bad.size:
+        i, k = map(int, bad[0])
+        j = int(np.argmax(leq[i] & leq[:, k]))
+        raise DescriptorError(f"poset.leq[{i}][{k}]: {els[i]!r} <= {els[j]!r} <= "
+                              f"{els[k]!r} needs {els[i]!r} <= {els[k]!r}")
+    bad = np.argwhere(step @ step.T == 0)
+    if bad.size:
+        i, j = map(int, bad[0])
+        raise DescriptorError(f"poset.leq[{i}], poset.leq[{j}]: {els[i]!r} and "
+                              f"{els[j]!r} have no common upper bound")
 
 
 # ---------------------------------------------------------------------------

@@ -166,9 +166,10 @@ def hamiltonian_field(structure, H: CylindricalFunction, J, point) -> np.ndarray
     mat = _form(structure).matrix(J, point)
     if mat.shape[0] == 0:
         return np.zeros(0)
-    if level_rank(mat) < mat.shape[0]:
+    rank = level_rank(mat)
+    if rank < mat.shape[0]:
         raise SingularForm(f"form is degenerate at level {J!r} "
-                           f"(rank {level_rank(mat)} < {mat.shape[0]})")
+                           f"(rank {rank} < {mat.shape[0]})")
     grad = level_gradient(H, J)(point)
     return np.linalg.solve(mat.T, grad)
 
@@ -229,14 +230,16 @@ class Trajectory:
 
 
 def _leapfrog(grad: Callable, x0: np.ndarray, dt: float, steps: int) -> np.ndarray:
-    # kick-drift-kick on interleaved (q, p) pairs; assumes separable H
+    # kick-drift-kick on interleaved (q, p) pairs; assumes separable H.  The
+    # closing half kick moves p alone and dH/dq reads q alone, so its gradient
+    # opens the next step (FSAL): two gradients per step, one before the loop
     q_idx = np.arange(0, x0.size, 2)
     p_idx = np.arange(1, x0.size, 2)
     states = np.empty((steps + 1, x0.size))
     states[0] = x0
     x = x0.copy()
+    g = grad(x)
     for k in range(steps):
-        g = grad(x)
         x[p_idx] -= 0.5 * dt * g[q_idx]          # half kick: dp = -dH/dq
         g = grad(x)
         x[q_idx] += dt * g[p_idx]                # drift: dq = +dH/dp
@@ -292,7 +295,7 @@ def flow(structure, H: CylindricalFunction, J, x0, dt: float, steps: int,
     if level_rank(mat0) < dim:
         raise SingularForm(f"cannot flow on a degenerate level {J!r}")
     lf = level_function(H, J)
-    grad = lambda x: lf.jacobian(x).ravel()
+    grad = level_gradient(H, J)
 
     if scheme == "leapfrog":
         if dim % 2 or not residual(mat0, canonical_omega(dim)) <= 1e-12:
@@ -306,8 +309,10 @@ def flow(structure, H: CylindricalFunction, J, x0, dt: float, steps: int,
                              "q and p at x0; use scheme='implicit-midpoint'")
         states = _leapfrog(grad, x0, dt, steps)
     elif scheme == "implicit-midpoint":
-        states = _implicit_midpoint(lambda x: omega.matrix(J, x), grad, x0, dt, steps,
-                                    newton_iters=newton_iters)
+        # a constant form ignores x, so its matrix at x0 serves every midpoint
+        omega_at = ((lambda x: mat0) if omega.kind == "constant"
+                    else (lambda x: omega.matrix(J, x)))
+        states = _implicit_midpoint(omega_at, grad, x0, dt, steps, newton_iters=newton_iters)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 

@@ -78,6 +78,25 @@ def oscillator_exact(x0, t):
     return out
 
 
+def leapfrog_three_gradients(grad, x0, dt, steps):
+    """Kick-drift-kick on interleaved (q, p) pairs that takes a fresh
+    gradient before each kick and the drift: three per step, none reused."""
+    q_idx = np.arange(0, x0.size, 2)
+    p_idx = np.arange(1, x0.size, 2)
+    states = np.empty((steps + 1, x0.size))
+    states[0] = x0
+    x = x0.copy()
+    for k in range(steps):
+        g = grad(x)
+        x[p_idx] -= 0.5 * dt * g[q_idx]
+        g = grad(x)
+        x[q_idx] += dt * g[p_idx]
+        g = grad(x)
+        x[p_idx] -= 0.5 * dt * g[q_idx]
+        states[k + 1] = x
+    return states
+
+
 def pl_interp_anchor(knots, values, t):
     """PL interpolation through (0,0) and the knots, constant after the
     last knot; written with np.interp for independence."""

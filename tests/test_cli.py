@@ -241,6 +241,25 @@ def test_verify_refuses_a_form_of_another_gallery(capsys, tmp_path):
     assert "another family" in err
 
 
+def test_verify_refuses_a_form_of_another_descriptor_family(capsys, tmp_path):
+    code, exported, _ = run(capsys, "gallery", "export", "euclid")
+    assert code == 0
+    family = tmp_path / "euc.json"
+    family.write_text(exported)
+    form = tmp_path / "f.json"
+    form.write_text(json.dumps({"kind": "named-gallery", "family": "symplectic",
+                                "extra": "omega"}))
+    code, out, err = run(capsys, "verify", "--family", str(family), "--form", str(form))
+    assert code == 2 and out == ""
+    assert "--form names a form of another family" in err
+    # the same form over its own family, loaded from a descriptor, is audited
+    code, exported, _ = run(capsys, "gallery", "export", "symplectic")
+    family.write_text(exported)
+    code, out, _ = run(capsys, "verify", "--family", str(family), "--form", str(form))
+    assert code == 0
+    assert any("tame form" in r["title"] for r in json.loads(out)["reports"])
+
+
 def test_out_dir_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PROFLIM_OUT_DIR", str(tmp_path / "runs"))
     code, out, _ = run(capsys, "gallery", "describe", "cross",

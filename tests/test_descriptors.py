@@ -37,6 +37,30 @@ def test_poset_descriptor_kinds(euclid, cross, wiener):
         pl.poset_to_descriptor(pl.subset_poset())  # oracle poset, no elements
 
 
+@pytest.mark.parametrize("leq, message", [
+    ([[1, 1], [0, 0]], r"poset\.leq\[1\]\[1\]: 'b' <= 'b' must hold"),
+    ([[1, 1], [1, 1]], r"poset\.leq\[0\]\[1\]: 'a' <= 'b' and back"),
+    ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], r"poset\.leq\[0\]\[2\]: 'a' <= 'b' <= 'c' needs"),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], r"poset\.leq\[0\], poset\.leq\[1\]: 'a' and 'b' "
+                                        "have no common upper bound"),
+], ids=["reflexive", "antisymmetric", "transitive", "directed"])
+def test_finite_poset_descriptor_must_be_a_directed_order(leq, message):
+    doc = {"kind": "finite", "elements": ["a", "b", "c"][:len(leq)], "leq": leq}
+    with pytest.raises(pl.DescriptorError, match=message):
+        pl.poset_from_descriptor(doc)
+    with pytest.raises(pl.DescriptorError, match=message):
+        pl.family_from_descriptor({
+            "poset": doc, "levels": [{"index": e, "dim": 0} for e in doc["elements"]],
+            "projections": [], "injections": []})
+
+
+def test_finite_poset_descriptor_lists_each_element_once():
+    # a valid order on two slots, but both name 'a'
+    doc = {"kind": "finite", "elements": ["a", "a"], "leq": [[1, 1], [0, 1]]}
+    with pytest.raises(pl.DescriptorError, match=r"poset\.elements\[1\]: 'a' is listed twice"):
+        pl.poset_from_descriptor(doc)
+
+
 def test_family_round_trip_verifies(tmp_path, euclid, rng):
     path = tmp_path / "euclid.json"
     pl.dump_family(euclid.family, path)

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 import proflim as pl
-from oracles import oscillator_exact
+import proflim.symplectic as symplectic_module
+from oracles import leapfrog_three_gradients, oscillator_exact
+
+SEPARABLE_QUARTIC = ("(sqr(x1) + sqr(x3) + sqr(x5))/2 + (sqr(x0) + sqr(x2) + sqr(x4))/2"
+                     " + (sqr(sqr(x0)) + sqr(sqr(x2)) + sqr(sqr(x4)))/8")
 
 
 def levels(g):
@@ -268,3 +272,97 @@ def test_leapfrog_refuses_coupled_hamiltonian(symplectic):
     traj = pl.flow(symplectic["omega"], H, 1, x0, dt=1e-2, steps=10,
                    scheme="implicit-midpoint")
     assert traj.energy_drift() < 1e-10
+
+
+def _leapfrog_hamiltonians(symplectic):
+    return [(2, symplectic["hamiltonian_at"](2)),
+            (3, pl.cylindrical_from_expression(symplectic.family, [3], SEPARABLE_QUARTIC))]
+
+
+def test_leapfrog_reuses_the_closing_gradient_bit_for_bit(symplectic):
+    rng = np.random.default_rng(11)
+    for level, H in _leapfrog_hamiltonians(symplectic):
+        x0 = rng.uniform(-1.0, 1.0, symplectic.family.dim(level))
+        traj = pl.flow(symplectic["omega"], H, level, x0, dt=1e-2, steps=300)
+        want = leapfrog_three_gradients(lambda x: H.base.jacobian(x).ravel(), x0, 1e-2, 300)
+        assert traj.states.tobytes() == want.tobytes()
+        energies = np.array([float(H.base(s)[0]) for s in want])
+        assert traj.energies.tobytes() == energies.tobytes()
+
+
+@pytest.mark.parametrize("steps", [0, 1, 40])
+def test_leapfrog_takes_two_gradients_per_step(symplectic, monkeypatch, steps):
+    calls, inside = [], []
+    real_leapfrog = symplectic_module._leapfrog
+
+    def counted(*args, **kwargs):
+        before = len(calls)
+        out = real_leapfrog(*args, **kwargs)
+        inside.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(symplectic_module, "_leapfrog", counted)
+    for level, H in _leapfrog_hamiltonians(symplectic):
+        calls.clear()
+        inside.clear()
+        jacobian = H.base.jacobian
+        monkeypatch.setattr(H.base, "jacobian", lambda x, _j=jacobian: calls.append(1) or _j(x))
+        dim = symplectic.family.dim(level)
+        pl.flow(symplectic["omega"], H, level, np.linspace(-0.5, 0.5, dim),
+                dt=1e-2, steps=steps)
+        assert inside == [2 * steps + 1]
+        # the separability probe's FD Hessian comes on top
+        assert len(calls) == 2 * steps + 1 + 2 * dim
+
+
+def test_level_function_of_its_own_level_is_the_base(symplectic):
+    H = symplectic["hamiltonian_at"](2)
+    assert pl.level_function(H, 2) is H.base
+
+
+def _stretched_omega(family):
+    """The canonical form with dx0 ^ dx1 scaled by 1 + x0^2: closed, since
+    the one varying coefficient multiplies dx0 ^ dx1 and reads x0 alone, and
+    nondegenerate everywhere."""
+    import sympy
+
+    def exprs(J):
+        dim = family.dim(J)
+        syms = sympy.symbols(f"x0:{dim}")
+        comps = np.array(pl.canonical_omega(dim), dtype=object)
+        comps[0, 1] = 1 + syms[0] ** 2
+        comps[1, 0] = -(1 + syms[0] ** 2)
+        return syms, comps
+
+    return pl.symbolic_form(family, 2, exprs, name="stretched")
+
+
+def test_implicit_midpoint_reads_an_x_dependent_form_at_every_midpoint(symplectic):
+    omega = _stretched_omega(symplectic.family)
+    assert omega.kind != "constant"
+    H = symplectic["hamiltonian_at"](1)
+    x0 = np.array([0.8, -0.3])
+    traj = pl.flow(omega, H, 1, x0, dt=1e-2, steps=60, scheme="implicit-midpoint")
+    want = symplectic_module._implicit_midpoint(
+        lambda x: omega.matrix(1, x), lambda x: H.base.jacobian(x).ravel(), x0, 1e-2, 60)
+    assert traj.states.tobytes() == want.tobytes()
+    # the frozen form at x0 gives another trajectory, so the gate is seen
+    frozen = omega.matrix(1, x0)
+    stale = symplectic_module._implicit_midpoint(
+        lambda x: frozen, lambda x: H.base.jacobian(x).ravel(), x0, 1e-2, 60)
+    assert traj.states.tobytes() != stale.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["leapfrog", "implicit-midpoint"])
+def test_constant_form_is_read_a_fixed_number_of_times(symplectic, monkeypatch, scheme):
+    omega = symplectic["omega"]
+    assert omega.kind == "constant"
+    H = symplectic["hamiltonian_at"](1)
+    calls, counts = [], []
+    real_comps = omega.comps
+    monkeypatch.setattr(omega, "comps", lambda J, x: calls.append(1) or real_comps(J, x))
+    for steps in (3, 30):
+        calls.clear()
+        pl.flow(omega, H, 1, np.array([1.0, 0.0]), dt=1e-2, steps=steps, scheme=scheme)
+        counts.append(len(calls))
+    assert counts == [1, 1]
