@@ -37,7 +37,7 @@ from .calculus import (CompatibleMetric, TameForm, TangentThread,
                        pull_components, pullback_inj, pulled_level_field,
                        pushforward_proj, symbolic_form, tangent_duality_check)
 from .symplectic import (MomentumMap, NonSymplecticAction, NonconvergentSolve,
-                         ProfiniteGroupAction, SingularForm,
+                         ProfiniteGroupAction, SchemeMismatch, SingularForm,
                          SymplecticStructure, Trajectory, ZeroVector,
                          canonical_omega, check_action_compat, flow,
                          hamiltonian_compat_check, hamiltonian_field,

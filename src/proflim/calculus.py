@@ -43,7 +43,7 @@ def alternating_sum(partials: np.ndarray) -> np.ndarray:
 
 
 class TameForm:
-    """Per-level r-form components with a declared compatibility scope.
+    """Per-level r-form components.
 
     comps(J, x) returns the dense antisymmetric component array, shape
     (dim,) * degree.  dcomps(J, x), when given, returns the partial tensor
@@ -54,15 +54,13 @@ class TameForm:
     def __init__(self, family: ProfiniteFamily, degree: int,
                  comps: Callable[[Any, np.ndarray], np.ndarray],
                  dcomps: Optional[Callable[[Any, np.ndarray], np.ndarray]] = None,
-                 kind: str = "generic", payload=None,
-                 certified_pairs: Optional[tuple] = None, name: str = ""):
+                 kind: str = "generic", payload=None, name: str = ""):
         self.family = family
         self.degree = int(degree)
         self._comps = comps
         self._dcomps = dcomps
         self.kind = kind
         self.payload = payload
-        self.certified_pairs = certified_pairs
         self.name = name
 
     def comps(self, J, x) -> np.ndarray:

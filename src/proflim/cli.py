@@ -1,11 +1,11 @@
 """Command line front end: verification suites, distances, flows, Wiener
 experiments, and gallery export.
 
-Exit codes: 0 all audits pass, 1 an audit failed, 2 malformed input.  A
-fixed seed makes every report byte-identical across runs.  Reports are JSON
-with sorted keys; trajectories are CSV with the fixed header
-step,t,x0,...,H.  The PROFLIM_OUT_DIR environment variable supplies the
-default directory for relative output paths.
+Exit codes: 0 all audits pass; 1 an audit or the dynamics failed (`FAIL`
+on stderr); 2 bad input (`error:` on stderr); any other exception is a bug
+and surfaces as a traceback.  A fixed seed makes every report
+byte-identical across runs.  Reports are JSON with sorted keys;
+trajectories are CSV with the fixed header step,t,x0,...,H.
 """
 from __future__ import annotations
 
@@ -15,85 +15,98 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from .calculus import CompatibleMetric, TameForm, check_tame, metric_check
+from .cylinder import reexpress
 from .descriptors import (DescriptorError, SCHEMA_VERSION, family_from_descriptor,
                           family_to_descriptor, form_from_descriptor,
                           gallery_reference_descriptor, load_measure_csv,
                           thread_from_descriptor)
 from .expr import ExpressionError, cylindrical_from_expression
-from .family import FamilyMismatch, sample_pairs, sample_point, verify_family
+from .family import sample_pairs, sample_point, verify_family
 from .gallery import (GALLERY_BUILDERS, build_gallery, gallery_key, gallery_names,
                       pairing)
-from .maps import DimensionMismatch, residual
+from .limits import Thread
+from .maps import residual
+from .poset import Section
 from .profmetric import d_inf, d_mu, discrete_metrics, euclidean_metrics
 from .report import VerificationReport
-from .symplectic import (NonconvergentSolve, NonSymplecticAction, SingularForm,
-                         SymplecticStructure, flow, hamiltonian_compat_check,
-                         hamiltonian_identity_residual, is_projectively_nondegenerate,
-                         momentum_verify)
+from .symplectic import (NonconvergentSolve, NonSymplecticAction, SchemeMismatch,
+                         SingularForm, SymplecticStructure, flow,
+                         hamiltonian_compat_check, hamiltonian_identity_residual,
+                         is_projectively_nondegenerate, momentum_verify)
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
-def _size_kwarg(builder) -> Optional[str]:
-    """The builder's int-defaulted size parameter, or None if it has none."""
-    return next((p.name for p in inspect.signature(builder).parameters.values()
-                 if isinstance(p.default, int)), None)
+class UsageError(argparse.ArgumentTypeError):
+    """Bad command-line input (exit 2); argparse keeps its message in type=."""
 
 
-SIZE_KWARG = {key: _size_kwarg(b) for key, b in GALLERY_BUILDERS.items()}
+# ---------------------------------------------------------------------------
+# argument types: every command-line value is checked here or in a loader
 
 
-class UsageError(ValueError):
-    """Bad input surfaced with exit code 2."""
+def positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise UsageError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
-@dataclass
-class RunConfig:
-    """Everything a subcommand run depends on; the seed pins all sampling."""
-
-    subcommand: str
-    family: Optional[str] = None
-    max_level: Optional[int] = None
-    tol: float = 1e-9
-    samples: int = 100
-    seed: int = 0
-    out: Optional[str] = None
-    fmt: str = "json"
-    options: Dict[str, Any] = field(default_factory=dict)
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
+def float_list(text: str) -> List[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def resolve_out_path(out: Optional[str]) -> Optional[str]:
-    if out is None:
-        return None
-    base = os.environ.get("PROFLIM_OUT_DIR")
-    if base and not os.path.isabs(out):
-        os.makedirs(base, exist_ok=True)
-        return os.path.join(base, out)
-    return out
+def json_doc(text: str):
+    """Inline JSON (text starting with '{') or the path of a JSON file."""
+    try:
+        if text.lstrip().startswith("{"):
+            return json.loads(text)
+        with open(text) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as err:  # ValueError: not JSON, or not text
+        raise UsageError(f"cannot read JSON from {text!r}: {err}") from None
 
 
 def emit(text: str, out: Optional[str]) -> None:
-    path = resolve_out_path(out)
-    if path is None:
+    """Write to stdout, or to --out (relative to PROFLIM_OUT_DIR when set)."""
+    if out is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
+        return
+    base = os.environ.get("PROFLIM_OUT_DIR")
+    if base and not os.path.isabs(out):
+        os.makedirs(base, exist_ok=True)
+        out = os.path.join(base, out)
+    try:
+        with open(out, "w") as fh:
             fh.write(text)
+    except OSError as err:
+        raise UsageError(f"cannot write --out {out}: {err}") from None
 
 
 def report_json(doc: dict) -> str:
-    doc = dict(doc)
-    doc.setdefault("schema_version", SCHEMA_VERSION)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps({"schema_version": SCHEMA_VERSION, **doc}, sort_keys=True, indent=2) + "\n"
+
+
+def resolve_gallery(name: str, max_level: Optional[int] = None):
+    """The gallery family a registry key or builder name names, at --max-level."""
+    key = gallery_key(name)
+    if key not in GALLERY_BUILDERS:
+        raise UsageError(f"unknown family {name!r}; gallery: " + ", ".join(gallery_names()))
+    if max_level is None:
+        return build_gallery(key)
+    # the builder's size parameter is its one int-defaulted parameter
+    size = next((p.name for p in inspect.signature(GALLERY_BUILDERS[key]).parameters.values()
+                 if isinstance(p.default, int)), None)
+    if size is None:
+        raise UsageError(f"{name!r} does not take --max-level")
+    return build_gallery(key, **{size: max_level})
 
 
 def resolve_family(name_or_path: str, max_level: Optional[int] = None):
@@ -102,200 +115,147 @@ def resolve_family(name_or_path: str, max_level: Optional[int] = None):
     if name_or_path.endswith(".json") or os.path.sep in name_or_path:
         if not os.path.exists(name_or_path):
             raise UsageError(f"no such descriptor file: {name_or_path}")
-        with open(name_or_path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise UsageError(f"bad JSON in {name_or_path}: {err}") from err
-        return None, family_from_descriptor(doc)
-    key = gallery_key(name_or_path)
-    if key not in GALLERY_BUILDERS:
-        raise UsageError(f"unknown family {name_or_path!r}; gallery: "
-                         + ", ".join(gallery_names()))
-    kwargs = {}
-    size = SIZE_KWARG[key]
-    if max_level is not None:
-        if size is None:
-            raise UsageError(f"{name_or_path!r} does not take --max-level")
-        kwargs[size] = max_level
-    g = build_gallery(key, **kwargs)
+        return None, family_from_descriptor(json_doc(name_or_path))
+    g = resolve_gallery(name_or_path, max_level)
     return g, g.family
 
 
-def failing_lines(reports: List[VerificationReport]) -> List[str]:
-    lines = []
-    for rep in reports:
-        for chk in rep.checks:
-            if not chk.passed:
-                lines.append(f"FAIL {chk.name}: residual {chk.max_residual:.6e} "
-                             f"> tol {chk.tol:.1e}")
-    return lines
+def checked_level(fam, level):
+    """--level, refused unless it is an element of the family's poset."""
+    if level not in fam.poset.elements:
+        raise UsageError(f"--level {level!r} is not a level of {fam.name or 'the family'} "
+                         f"(levels: {', '.join(map(repr, fam.poset.sort(fam.poset.elements)))})")
+    return level
 
 
-def finish_reports(cfg: RunConfig, doc: dict, reports: List[VerificationReport]) -> int:
+def finish_reports(doc: dict, reports: List[VerificationReport], out: Optional[str]) -> int:
     passed = all(r.passed for r in reports)
     doc["passed"] = passed
     doc["reports"] = [r.to_dict() for r in reports]
-    emit(report_json(doc), cfg.out)
-    for line in failing_lines(reports):
-        print(line, file=sys.stderr)
+    emit(report_json(doc), out)
+    for chk in (c for rep in reports for c in rep.checks):
+        if not chk.passed:
+            print(f"FAIL {chk.name}: residual {chk.max_residual:.6e} > tol {chk.tol:.1e}",
+                  file=sys.stderr)
     return EXIT_PASS if passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed argparse namespace
 
 
 def _same_levels(a, b) -> bool:
-    """Both families list the same levels with the same dimensions."""
-    els = a.poset.elements
-    return (els is not None and b.poset.elements is not None
-            and list(els) == list(b.poset.elements)
-            and all(a.dim(J) == b.dim(J) for J in els))
+    """Both families list the same levels, b's finite, with the same dimensions."""
+    return (list(a.poset.elements or ()) == list(b.poset.elements)
+            and all(a.dim(J) == b.dim(J) for J in b.poset.elements))
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    g, fam = resolve_family(cfg.family, cfg.max_level)
-    rng = cfg.rng()
-    reports = [verify_family(fam, points_per_chain=cfg.samples, tol=cfg.tol, rng=rng)]
+def cmd_verify(ns: argparse.Namespace) -> int:
+    g, fam = resolve_family(ns.family, ns.max_level)
+    if not fam.poset.elements:
+        raise UsageError("verify needs a nonempty finite poset")
+    rng = np.random.default_rng(ns.seed)
+    reports = [verify_family(fam, points_per_chain=ns.samples, tol=ns.tol, rng=rng)]
 
     pairs = sample_pairs(fam.poset, rng)
-    form_src = cfg.options.get("form")
-    if form_src:
-        with open(form_src) as fh:
-            form = form_from_descriptor(g or fam, json.load(fh))
+    if ns.form is not None:
+        form = form_from_descriptor(g or fam, ns.form)
         if form.family is not fam and (g is not None or not _same_levels(form.family, fam)):
-            raise UsageError(f"--form names a form of another family than {cfg.family!r}")
-        reports.append(check_tame(form, pairs, samples=max(1, cfg.samples // 10),
-                                  tol=cfg.options.get("tame_tol", cfg.tol), rng=rng))
-    elif g is not None:
-        for key, obj in sorted(g.extras.items()):
-            if isinstance(obj, TameForm):
-                reports.append(check_tame(obj, pairs, samples=max(1, cfg.samples // 10),
-                                          tol=cfg.options.get("tame_tol", cfg.tol),
-                                          rng=rng))
-            elif isinstance(obj, CompatibleMetric):
-                reports.append(metric_check(obj, pairs,
-                                            samples=max(1, cfg.samples // 10),
-                                            tol=cfg.tol, rng=rng))
-
-    doc = {"command": "verify", "family": cfg.family, "seed": cfg.seed,
-           "tolerance": cfg.tol}
-    return finish_reports(cfg, doc, reports)
-
-
-def _thread_argument(g, fam, text: str):
-    if text.strip().startswith("{"):
-        doc = json.loads(text)
+            raise UsageError(f"--form names a form of another family than {ns.family!r}")
+        audited = [form]
     else:
-        if not os.path.exists(text):
-            raise UsageError(f"thread descriptor not found: {text}")
-        with open(text) as fh:
-            doc = json.load(fh)
-    return thread_from_descriptor(g if g is not None else fam, doc)
+        audited = [g.extras[k] for k in sorted(g.extras)] if g is not None else []
+    few = max(1, ns.samples // 10)
+    for obj in audited:
+        if isinstance(obj, TameForm):
+            reports.append(check_tame(obj, pairs, samples=few, rng=rng,
+                                      tol=ns.tol if ns.tame_tol is None else ns.tame_tol))
+        elif isinstance(obj, CompatibleMetric):
+            reports.append(metric_check(obj, pairs, samples=few, tol=ns.tol, rng=rng))
+
+    doc = {"command": "verify", "family": ns.family, "seed": ns.seed,
+           "tolerance": ns.tol}
+    return finish_reports(doc, reports, ns.out)
 
 
-def cmd_distance(cfg: RunConfig) -> int:
-    g, fam = resolve_family(cfg.family, cfg.max_level)
-    if fam.poset.elements is None:
-        raise UsageError("distance needs a finite index poset")
-    x = _thread_argument(g, fam, cfg.options["x"])
-    y = _thread_argument(g, fam, cfg.options["y"])
+def cmd_distance(ns: argparse.Namespace) -> int:
+    g, fam = resolve_family(ns.family, ns.max_level)
+    if not fam.poset.elements:
+        raise UsageError("distance needs a nonempty finite index poset")
+    x = thread_from_descriptor(g or fam, ns.x)
+    y = thread_from_descriptor(g or fam, ns.y)
+    metrics = {"euclidean": euclidean_metrics, "discrete": discrete_metrics}[ns.metric](fam)
 
-    kind = cfg.options.get("metric", "euclidean")
-    if kind == "euclidean":
-        metrics = euclidean_metrics(fam)
-    elif kind == "discrete":
-        metrics = discrete_metrics(fam)
-    else:
-        raise UsageError(f"unknown metric kind {kind!r}")
+    els = fam.poset.sort(fam.poset.elements)[:ns.levels]
+    value, converged, history = d_inf(metrics, x, y, [[J] for J in els], tol=ns.tol)
 
-    budget = cfg.options.get("levels")
-    els = fam.poset.sort(fam.poset.elements)
-    if budget is not None:
-        els = els[:int(budget)]
-    stages = [[J] for J in els]
-    value, converged, history = d_inf(metrics, x, y, stages, tol=cfg.tol)
-
-    doc = {"command": "distance", "family": cfg.family, "seed": cfg.seed,
-           "metric": kind, "d_inf": value, "converged": converged,
+    doc = {"command": "distance", "family": ns.family,
+           "metric": ns.metric, "d_inf": value, "converged": converged,
            "history": history,
-           "levels_used": [json.loads(json.dumps(sorted(J) if isinstance(J, frozenset) else J))
-                           for J in els]}
-    measure_path = cfg.options.get("measure")
-    if measure_path:
-        mu = load_measure_csv(measure_path)
-        val, bound = d_mu(metrics, mu, x, y)
-        doc["d_mu"] = val
-        doc["d_mu_tail_bound"] = bound
-    emit(report_json(doc), cfg.out)
+           "levels_used": [sorted(J) if isinstance(J, frozenset) else J for J in els]}
+    if ns.measure:
+        try:
+            mu = load_measure_csv(ns.measure)
+        except (OSError, UnicodeDecodeError) as err:
+            raise UsageError(f"cannot read --measure: {err}") from None
+        doc["d_mu"], doc["d_mu_tail_bound"] = d_mu(metrics, mu, x, y)
+    emit(report_json(doc), ns.out)
     return EXIT_PASS
 
 
-def cmd_flow(cfg: RunConfig) -> int:
-    g, fam = resolve_family(cfg.family, cfg.max_level)
-    level = cfg.options.get("level")
-    if level is None:
-        raise UsageError("flow needs --level")
-    level = int(level)
+def cmd_flow(ns: argparse.Namespace) -> int:
+    g, fam = resolve_family(ns.family, ns.max_level)
     omega = None if g is None else g.extras.get("omega")
     if not isinstance(omega, TameForm):
         raise UsageError("flow needs a family with a symplectic form "
                          "(gallery: symplectic_even_tower)")
+    level = checked_level(fam, ns.level)
 
-    h_text = cfg.options.get("hamiltonian", "oscillator")
-    if h_text == "oscillator" and "hamiltonian_at" in (g.extras if g else {}):
+    if ns.hamiltonian == "oscillator" and "hamiltonian_at" in g.extras:
         H = g.extras["hamiltonian_at"](level)
     else:
-        H = cylindrical_from_expression(fam, [level], h_text)
+        H = cylindrical_from_expression(fam, [level], ns.hamiltonian)
 
     dim = fam.dim(level)
-    x0_text = cfg.options.get("x0")
-    if x0_text:
-        x0 = np.array([float(v) for v in x0_text.split(",")], dtype=float)
-        if x0.size != dim:
-            raise UsageError(f"--x0 has {x0.size} coordinates, level {level} has {dim}")
-    else:
-        x0 = np.zeros(dim)
-        x0[0] = 1.0
+    x0 = np.array(ns.x0 or ([1.0] + [0.0] * (dim - 1)), dtype=float)
+    if x0.size != dim:
+        raise UsageError(f"--x0 has {x0.size} coordinates, level {level} has {dim}")
 
-    traj = flow(omega, H, level, x0,
-                dt=float(cfg.options.get("dt", 1e-3)),
-                steps=int(cfg.options.get("steps", 1000)),
-                scheme=cfg.options.get("scheme", "leapfrog"))
+    try:
+        traj = flow(omega, H, level, x0, dt=ns.dt, steps=ns.steps, scheme=ns.scheme)
+    except SchemeMismatch as err:
+        raise UsageError(str(err)) from None
 
-    if cfg.fmt == "csv":
+    if ns.format == "csv":
         buf = io.StringIO()
         traj.write_csv(buf)
-        emit(buf.getvalue(), cfg.out)
+        emit(buf.getvalue(), ns.out)
     else:
-        doc = {"command": "flow", "family": cfg.family, "seed": cfg.seed,
-               "level": level, "steps": int(cfg.options.get("steps", 1000)),
-               "dt": float(cfg.options.get("dt", 1e-3)),
+        doc = {"command": "flow", "family": ns.family,
+               "level": level, "steps": ns.steps, "dt": ns.dt,
                "energy_initial": float(traj.energies[0]),
                "energy_final": float(traj.energies[-1]),
                "energy_drift": traj.energy_drift(),
                "final_state": [float(v) for v in traj.states[-1]]}
-        emit(report_json(doc), cfg.out)
+        emit(report_json(doc), ns.out)
     return EXIT_PASS
 
 
-def cmd_wiener(cfg: RunConfig) -> int:
-    times = cfg.options.get("times")
-    kwargs = {}
-    if times:
-        kwargs["times"] = [float(t) for t in times.split(",")]
-    g = build_gallery("wiener", **kwargs)
+def cmd_wiener(ns: argparse.Namespace) -> int:
+    try:
+        g = build_gallery("wiener", times=ns.times)
+    except ValueError as err:  # the knot check of wiener_family
+        raise UsageError(f"--times: {err}") from None
     fam = g.family
     pool = list(g.extras["pool"])
-    rng = cfg.rng()
+    rng = np.random.default_rng(ns.seed)
 
     report = VerificationReport("wiener experiments")
 
     # structural: retraction and PL cocycle on random inclusion triples
     key = fam.poset.key
     triples = []
-    for _ in range(int(cfg.options.get("triples", 20))):
+    for _ in range(ns.triples):
         picks = [frozenset(t for t in pool if rng.random() < 0.5) for _ in range(3)]
         T = min(picks, key=len)
         S = T | picks[1]
@@ -308,8 +268,8 @@ def cmd_wiener(cfg: RunConfig) -> int:
         back = fam.proj(T, U)(direct)
         triples.append(((key(T), key(S), key(U)),
                         residual(np.concatenate([via, back]), np.concatenate([direct, x]))))
-    report.add_worst("pl-injection cocycle and retraction", triples,
-                     float(cfg.options.get("cocycle_tol", 1e-12)), what="triple")
+    report.add_worst("pl-injection cocycle and retraction", triples, ns.cocycle_tol,
+                     what="triple")
 
     # pairing formula versus direct summation
     S = frozenset(pool)
@@ -318,24 +278,19 @@ def cmd_wiener(cfg: RunConfig) -> int:
     alpha = [(pool[int(rng.integers(len(pool)))], float(rng.standard_normal()))
              for _ in range(5)]
     direct = sum(c * gamma(t) for t, c in alpha)
-    res_pairing = abs(pairing(alpha, gamma) - direct)
-    report.add("pairing equals direct summation", res_pairing, 0.0)
+    report.add("pairing equals direct summation", abs(pairing(alpha, gamma) - direct), 0.0)
 
     # sampler marginal variance ~ t
-    n = int(cfg.samples)
+    n = ns.samples
     ts = np.asarray(sorted(S), float)
     gaps = np.diff(np.concatenate([[0.0], ts]))
     increments = rng.standard_normal((n, ts.size)) * np.sqrt(gaps)
     paths = np.cumsum(increments, axis=1)
     rel = np.abs(paths.var(axis=0, ddof=1) - ts) / ts
-    report.add("marginal variance matches t", float(rel.max()),
-               float(cfg.options.get("var_tol", 0.05)),
+    report.add("marginal variance matches t", float(rel.max()), ns.var_tol,
                detail=f"{n} sample paths")
 
     # cylindrical evaluation invariant under grid refinement
-    from .cylinder import reexpress
-    from .limits import Thread
-    from .poset import Section
     master = {t: float(v) for t, v in zip(ts, values)}
     thread = Thread(fam, lambda Sx: np.array([master[t] for t in sorted(Sx)]),
                     name="master-path")
@@ -348,93 +303,76 @@ def cmd_wiener(cfg: RunConfig) -> int:
         f2 = reexpress(f, Section.of(fam.poset, [finer]))
         refined.append((key(finer), residual(f2(thread), base_val)))
     report.add_worst("cylindrical evaluation refinement-invariant", refined,
-                     float(cfg.options.get("cocycle_tol", 1e-12)), what="member")
+                     ns.cocycle_tol, what="member")
 
-    doc = {"command": "wiener", "seed": cfg.seed, "pool": [float(t) for t in pool],
+    doc = {"command": "wiener", "seed": ns.seed, "pool": [float(t) for t in pool],
            "samples": n}
-    return finish_reports(cfg, doc, [report])
+    return finish_reports(doc, [report], ns.out)
 
 
-def cmd_symplectic(cfg: RunConfig) -> int:
-    pairs_count = int(cfg.options.get("pairs", 3))
-    g = build_gallery("symplectic", max_pairs=pairs_count)
+def cmd_symplectic(ns: argparse.Namespace) -> int:
+    g = build_gallery("symplectic", max_pairs=ns.pairs)
     fam = g.family
-    rng = cfg.rng()
+    rng = np.random.default_rng(ns.seed)
     levels = list(fam.poset.elements)
+    level = checked_level(fam, min(2, ns.pairs) if ns.level is None else ns.level)
+    few = max(1, ns.samples // 10)
 
-    structure = SymplecticStructure.build(g.extras["omega"], levels,
-                                          samples=max(1, cfg.samples // 10),
-                                          tol=cfg.tol, rng=rng)
+    structure = SymplecticStructure.build(g.extras["omega"], levels, samples=few,
+                                          tol=ns.tol, rng=rng)
     report = VerificationReport("symplectic tower")
-    report.add("closedness (constant form)", structure.closedness_residual, cfg.tol)
-    nondeg, profile = is_projectively_nondegenerate(
-        structure.omega, levels, samples=max(1, cfg.samples // 10), rng=rng)
+    report.add("closedness (constant form)", structure.closedness_residual, ns.tol)
+    nondeg, profile = is_projectively_nondegenerate(structure.omega, levels,
+                                                    samples=few, rng=rng)
     report.add("projective nondegeneracy", 0.0 if nondeg else 1.0, 0.5,
                detail=json.dumps({str(k): v for k, v in sorted(profile.items())},
                                  sort_keys=True))
 
-    level = int(cfg.options.get("level", min(2, pairs_count)))
     H = g.extras["hamiltonian_at"](level)
-    ham_tol = float(cfg.options.get("ham_tol", 1e-10))
-    X = sample_point(fam.dim(level), rng, max(1, cfg.samples // 10))
+    X = sample_point(fam.dim(level), rng, few)
     report.add_worst("hamiltonian defining identity",
                      [(i, hamiltonian_identity_residual(structure, H, level, x))
-                      for i, x in enumerate(X)], ham_tol, what="sample")
+                      for i, x in enumerate(X)], ns.ham_tol, what="sample")
 
-    top = g.extras["hamiltonian_at"](pairs_count)
-    adjacent = [(m, m + 1) for m in range(1, pairs_count)]
-    compat = hamiltonian_compat_check(structure, top, adjacent,
-                                      samples=max(1, cfg.samples // 10),
-                                      tol=ham_tol, rng=rng)
+    top = g.extras["hamiltonian_at"](ns.pairs)
+    adjacent = [(m, m + 1) for m in range(1, ns.pairs)]
+    compat = hamiltonian_compat_check(structure, top, adjacent, samples=few,
+                                      tol=ns.ham_tol, rng=rng)
 
-    coeffs = [1.0] * pairs_count
     try:
-        momentum = momentum_verify(structure, g.extras["action"],
-                                   g.extras["momentum"], coeffs, pairs_count,
-                                   samples=max(1, cfg.samples // 10),
-                                   tol=float(cfg.options.get("momentum_tol", 1e-6)),
-                                   rng=rng)
+        momentum = momentum_verify(structure, g.extras["action"], g.extras["momentum"],
+                                   [1.0] * ns.pairs, ns.pairs, samples=few,
+                                   tol=ns.momentum_tol, rng=rng)
     except NonSymplecticAction as err:
         momentum = VerificationReport("momentum map")
         momentum.add("action preserves the form", 1.0, 0.0, detail=str(err))
 
-    doc = {"command": "symplectic", "seed": cfg.seed, "pairs": pairs_count,
+    doc = {"command": "symplectic", "seed": ns.seed, "pairs": ns.pairs,
            "level": level,
            "rank_profile": {str(k): v for k, v in sorted(structure.rank_profile.items())}}
-    return finish_reports(cfg, doc, [report, compat, momentum])
+    return finish_reports(doc, [report, compat, momentum], ns.out)
 
 
-def cmd_gallery(cfg: RunConfig) -> int:
-    action = cfg.options.get("action")
-    name = cfg.options.get("name")
-    if action == "list":
-        emit("\n".join(gallery_names()) + "\n", cfg.out)
+def cmd_gallery(ns: argparse.Namespace) -> int:
+    if ns.action == "list":
+        emit("\n".join(gallery_names()) + "\n", ns.out)
         return EXIT_PASS
-    if name is None:
-        raise UsageError(f"gallery {action} needs a family name")
-    key = gallery_key(name)
-    if key not in GALLERY_BUILDERS:
-        raise UsageError(f"unknown gallery family {name!r}")
-    g = build_gallery(key)
-    if action == "describe":
-        fam = g.family
+    if ns.name is None:
+        raise UsageError(f"gallery {ns.action} needs a family name")
+    g = resolve_gallery(ns.name)
+    fam = g.family
+    if ns.action == "describe":
         doc = {"command": "gallery describe", "name": g.name,
                "description": g.description,
-               "levels": [{"index": json.loads(json.dumps(
-                               sorted(J) if isinstance(J, frozenset) else J)),
-                           "dim": fam.dim(J)}
-                          for J in fam.poset.sort(fam.poset.elements)],
+               "levels": [{"index": sorted(J) if isinstance(J, frozenset) else J,
+                           "dim": fam.dim(J)} for J in fam.poset.sort(fam.poset.elements)],
                "extras": sorted(g.extras)}
-        emit(report_json(doc), cfg.out)
-        return EXIT_PASS
-    if action == "export":
-        if key in ("wiener", "symplectic", "odd-symplectic"):
-            doc = gallery_reference_descriptor(key)
-        else:
-            doc = family_to_descriptor(g.family, name=g.name)
-        emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", cfg.out)
-        return EXIT_PASS
-    raise UsageError(f"unknown gallery action {action!r}")
+    elif g.name in ("wiener", "symplectic", "odd-symplectic"):
+        doc = gallery_reference_descriptor(g.name)
+    else:
+        doc = family_to_descriptor(fam, name=g.name)
+    emit(report_json(doc), ns.out)  # exported descriptors carry their schema_version
+    return EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
@@ -447,111 +385,77 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def option(*flags, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*flags, **kwargs)
+        return parent
+
+    seed = option("--seed", type=int, default=0)
+    samples = option("--samples", type=positive_int, default=100)
+    tol = option("--tol", type=float, default=1e-9)
+    out = option("--out", help="output path (PROFLIM_OUT_DIR resolves relative paths)")
+    family = option("--family", required=True, help="gallery name or descriptor JSON path")
+    family.add_argument("--max-level", type=positive_int, help="tower size of a gallery family")
+
     p = _Parser(prog="proflim",
                 description="verification and experiments on profinite towers")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=100)
-        sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--out", help="output path (PROFLIM_OUT_DIR resolves "
-                                      "relative paths)")
-        sp.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                        default="json")
+    def command(name, run, parents, help):
+        sp = sub.add_parser(name, parents=parents, help=help)
+        sp.set_defaults(run=run)
+        return sp
 
-    sp = sub.add_parser("verify", help="audit family and form axioms")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--max-level", type=int, dest="max_level")
-    sp.add_argument("--form", help="form descriptor JSON path")
-    sp.add_argument("--tame-tol", type=float, dest="tame_tol")
-    common(sp)
+    sp = command("verify", cmd_verify, [family, seed, samples, tol, out],
+                 "audit family and form axioms")
+    sp.add_argument("--form", type=json_doc, help="form descriptor JSON path")
+    sp.add_argument("--tame-tol", type=float, help="tame-form tolerance (default --tol)")
 
-    sp = sub.add_parser("distance", help="pseudo-distances between threads")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--max-level", type=int, dest="max_level")
-    sp.add_argument("--x", required=True, help="thread descriptor (JSON or path)")
-    sp.add_argument("--y", required=True, help="thread descriptor (JSON or path)")
-    sp.add_argument("--metric", choices=("euclidean", "discrete"),
-                    default="euclidean")
-    sp.add_argument("--levels", type=int, help="level budget")
+    sp = command("distance", cmd_distance, [family, tol, out],
+                 "pseudo-distances between threads")
+    sp.add_argument("--x", type=json_doc, required=True, help="thread descriptor (JSON or path)")
+    sp.add_argument("--y", type=json_doc, required=True, help="thread descriptor (JSON or path)")
+    sp.add_argument("--metric", choices=("euclidean", "discrete"), default="euclidean")
+    sp.add_argument("--levels", type=positive_int, help="level budget")
     sp.add_argument("--measure", help="weights CSV (index,weight)")
-    common(sp)
 
-    sp = sub.add_parser("flow", help="integrate a Hamiltonian field")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--max-level", type=int, dest="max_level")
+    sp = command("flow", cmd_flow, [family, out], "integrate a Hamiltonian field")
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--H", dest="hamiltonian", default="oscillator",
                     help="named Hamiltonian or expression")
     sp.add_argument("--dt", type=float, default=1e-3)
-    sp.add_argument("--steps", type=int, default=1000)
+    sp.add_argument("--steps", type=positive_int, default=1000)
     sp.add_argument("--scheme", choices=("leapfrog", "implicit-midpoint"),
                     default="leapfrog")
-    sp.add_argument("--x0", help="comma-separated start point")
-    common(sp)
-    sp.set_defaults(fmt="csv")
+    sp.add_argument("--x0", type=float_list, help="comma-separated start point")
+    sp.add_argument("--format", choices=("json", "csv"), default="csv")
 
-    sp = sub.add_parser("wiener", help="path-space sampling and refinement audits")
-    sp.add_argument("--times", help="comma-separated knot pool")
-    sp.add_argument("--triples", type=int, default=20)
-    sp.add_argument("--var-tol", type=float, dest="var_tol", default=0.05)
-    sp.add_argument("--cocycle-tol", type=float, dest="cocycle_tol", default=1e-12)
-    common(sp)
+    sp = command("wiener", cmd_wiener, [seed, samples, out],
+                 "path-space sampling and refinement audits")
+    sp.add_argument("--times", type=float_list, help="comma-separated knot pool")
+    sp.add_argument("--triples", type=positive_int, default=20)
+    sp.add_argument("--var-tol", type=float, default=0.05)
+    sp.add_argument("--cocycle-tol", type=float, default=1e-12)
 
-    sp = sub.add_parser("symplectic", help="nondegeneracy, Hamiltonian, momentum")
-    sp.add_argument("--pairs", type=int, default=3)
-    sp.add_argument("--level", type=int)
-    sp.add_argument("--ham-tol", type=float, dest="ham_tol", default=1e-10)
-    sp.add_argument("--momentum-tol", type=float, dest="momentum_tol", default=1e-6)
-    common(sp)
+    sp = command("symplectic", cmd_symplectic, [seed, samples, tol, out],
+                 "nondegeneracy, Hamiltonian, momentum")
+    sp.add_argument("--pairs", type=positive_int, default=3)
+    sp.add_argument("--level", type=int, help="Hamiltonian level (default min(2, pairs))")
+    sp.add_argument("--ham-tol", type=float, default=1e-10)
+    sp.add_argument("--momentum-tol", type=float, default=1e-6)
 
-    sp = sub.add_parser("gallery", help="list, describe, or export families")
+    sp = command("gallery", cmd_gallery, [out], "list, describe, or export families")
     sp.add_argument("action", choices=("list", "describe", "export"))
     sp.add_argument("name", nargs="?")
-    common(sp)
 
     return p
 
 
-HANDLERS = {
-    "verify": cmd_verify,
-    "distance": cmd_distance,
-    "flow": cmd_flow,
-    "wiener": cmd_wiener,
-    "symplectic": cmd_symplectic,
-    "gallery": cmd_gallery,
-}
-
-
-def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    known = {"subcommand", "family", "max_level", "tol", "samples", "seed",
-             "out", "fmt"}
-    options = {k: v for k, v in vars(ns).items() if k not in known and v is not None}
-    return RunConfig(
-        subcommand=ns.subcommand,
-        family=getattr(ns, "family", None),
-        max_level=getattr(ns, "max_level", None),
-        tol=getattr(ns, "tol", 1e-9),
-        samples=getattr(ns, "samples", 100),
-        seed=getattr(ns, "seed", 0),
-        out=getattr(ns, "out", None),
-        fmt=getattr(ns, "fmt", "json"),
-        options=options)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        cfg = config_from_namespace(ns)
-        return HANDLERS[cfg.subcommand](cfg)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DescriptorError, ExpressionError, DimensionMismatch,
-            FamilyMismatch, json.JSONDecodeError, OSError, KeyError,
-            ValueError) as err:
+        ns = build_parser().parse_args(argv)
+        return ns.run(ns)
+    except (UsageError, DescriptorError, ExpressionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (SingularForm, NonconvergentSolve, NonSymplecticAction) as err:

@@ -36,14 +36,6 @@ class CylindricalFunction:
                 f"base must map R^{total} -> R, got "
                 f"{self.base.domain_dim}->{self.base.codomain_dim}")
 
-    def member_slices(self) -> dict:
-        out, offset = {}, 0
-        for m in self.section:
-            d = self.family.dim(m)
-            out[m] = slice(offset, offset + d)
-            offset += d
-        return out
-
     def gather(self, t: Thread) -> np.ndarray:
         if t.family is not self.family:
             raise FamilyMismatch("thread lives over a different family")
@@ -210,10 +202,6 @@ class CylPolynomial:
     @staticmethod
     def from_function(f: CylindricalFunction) -> "CylPolynomial":
         return CylPolynomial(f.family, [(1.0, (f,))])
-
-    @staticmethod
-    def from_constant(family: ProfiniteFamily, c: float) -> "CylPolynomial":
-        return CylPolynomial(family, [], constant=float(c))
 
     def evaluate(self, t: Thread) -> float:
         total = self.constant

@@ -5,21 +5,25 @@ A family descriptor is {"schema_version", "name", "poset", "levels":
 [{"index", "dim"}], "projections": [{"from", "to", "kind", "payload"}],
 "injections": [...]} with map kinds matrix, truncation, pl-interpolation,
 and named-gallery.  Set-valued indices are encoded as {"set": [...]}.
+
+The loaders raise DescriptorError for any malformed document, with the path
+of the offending field (`levels[0].dim: missing field`); a malformed
+expression raises ExpressionError.
 """
 from __future__ import annotations
 
 import csv
 import json
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
 from .calculus import TameForm
 from .expr import ExpressionError, compile_scalar, parse_index_token
-from .family import ProfiniteFamily
-from .limits import SectionPoint, Thread, thread_from_section
-from .maps import matrix_map, scatter_map, selection_map
-from .poset import IndexPoset, chain_poset, finite_poset, subset_poset
+from .family import FamilyMismatch, ProfiniteFamily
+from .limits import IllDefinedSection, SectionPoint, Thread, thread_from_section
+from .maps import DimensionMismatch, matrix_map, scatter_map, selection_map
+from .poset import EmptySection, IndexPoset, chain_poset, finite_poset, subset_poset
 from .profmetric import IndexMeasure
 
 SCHEMA_VERSION = 1
@@ -31,6 +35,42 @@ class DescriptorError(ValueError):
     """Malformed descriptor content."""
 
 
+def _field(obj, key: str, path: str, convert: Optional[Callable] = None,
+           default: Any = ...):
+    """obj[key] of a JSON object, passed through convert, or default when the
+    key is absent.  A missing field without a default, or a value convert
+    refuses with TypeError or ValueError, is a DescriptorError at path.key."""
+    where = f"{path}.{key}" if path else key
+    if not isinstance(obj, dict):
+        raise DescriptorError(f"{path or 'descriptor'}: expected a JSON object, got {obj!r}")
+    if key not in obj:
+        if default is ...:
+            raise DescriptorError(f"{where}: missing field")
+        return default
+    try:
+        return obj[key] if convert is None else convert(obj[key])
+    except (TypeError, ValueError) as err:  # DescriptorError included
+        msg = str(err)
+        raise DescriptorError(msg if msg.startswith(where) else f"{where}: {msg}") from None
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
+def _floats(value) -> list:
+    return [float(v) for v in _list(value)]
+
+
+def _dimension(value) -> int:
+    dim = int(value)
+    if dim < 0:
+        raise ValueError(f"a dimension cannot be negative, got {dim}")
+    return dim
+
+
 def encode_index(J) -> Any:
     if isinstance(J, frozenset):
         return {"set": sorted(J)}
@@ -40,11 +80,13 @@ def encode_index(J) -> Any:
 
 
 def decode_index(obj) -> Any:
-    if isinstance(obj, dict):
-        if set(obj) != {"set"}:
-            raise DescriptorError(f"bad index object {obj!r}")
-        return frozenset(obj["set"])
-    return obj
+    """A number or a string, or {"set": [...]} of them for a frozenset."""
+    is_set = isinstance(obj, dict) and set(obj) == {"set"} and isinstance(obj["set"], list)
+    members = obj["set"] if is_set else [obj]
+    if not all(isinstance(m, (int, float, str)) for m in members):
+        raise DescriptorError(f"bad index {obj!r}: expected a number, a string "
+                              'or {"set": [...]} of them')
+    return frozenset(members) if is_set else obj
 
 
 # ---------------------------------------------------------------------------
@@ -69,23 +111,24 @@ def poset_to_descriptor(poset: IndexPoset) -> dict:
 
 
 def poset_from_descriptor(doc: dict) -> IndexPoset:
-    kind = doc.get("kind")
+    kind = _field(doc, "kind", "poset")
     if kind == "chain":
-        return chain_poset(doc["elements"])
+        return _field(doc, "elements", "poset", lambda v: chain_poset(_list(v)))
     if kind == "subsets":
-        return subset_poset(doc["pool"])
+        return _field(doc, "pool", "poset", lambda v: subset_poset(_list(v)))
     if kind == "finite":
-        els = [decode_index(e) for e in doc["elements"]]
-        matrix = doc["leq"]
-        if len(matrix) != len(els) or any(len(r) != len(els) for r in matrix):
-            raise DescriptorError("leq matrix shape does not match elements")
+        els = _field(doc, "elements", "poset", lambda v: [decode_index(e) for e in _list(v)])
+        leq = _field(doc, "leq", "poset", lambda v: np.array(_list(v), dtype=bool))
+        if leq.shape != (len(els), len(els)):
+            raise DescriptorError(f"poset.leq: shape {leq.shape} does not match "
+                                  f"{len(els)} elements")
         twice = next((i for i, e in enumerate(els) if e in els[:i]), None)
         if twice is not None:
             raise DescriptorError(f"poset.elements[{twice}]: {els[twice]!r} is listed twice")
-        _check_directed_order(els, np.array(matrix, dtype=bool).reshape(len(els), len(els)))
+        _check_directed_order(els, leq)
         pos = {e: i for i, e in enumerate(els)}
-        return finite_poset(els, leq=lambda a, b: bool(matrix[pos[a]][pos[b]]))
-    raise DescriptorError(f"unknown poset kind {kind!r}")
+        return finite_poset(els, leq=lambda a, b: bool(leq[pos[a], pos[b]]))
+    raise DescriptorError(f"poset.kind: unknown poset kind {kind!r}")
 
 
 def _check_directed_order(els: list, leq: np.ndarray) -> None:
@@ -117,73 +160,113 @@ def _check_directed_order(els: list, leq: np.ndarray) -> None:
 # maps
 
 
-def map_from_entry(entry: dict, role: str, dims: Dict[Any, int],
-                   key: Callable) -> tuple:
-    """-> (domain index, codomain index, DifferentiableMap)."""
-    kind = entry.get("kind")
+def map_from_entry(entry: dict, role: str, level_dim: Callable[[Any], int],
+                   path: str = "map") -> tuple:
+    """-> (domain index, codomain index, DifferentiableMap); the map must
+    take the declared dimension of its domain to that of its codomain."""
+    kind = _field(entry, "kind", path)
     if kind not in MAP_KINDS:
-        raise DescriptorError(f"unknown map kind {kind!r}")
-    src = decode_index(entry["from"])
-    dst = decode_index(entry["to"])
-    payload = entry.get("payload", {})
+        raise DescriptorError(f"{path}.kind: unknown map kind {kind!r}")
+    if kind == "named-gallery":
+        raise DescriptorError(f"{path}: named-gallery maps resolve at the family level")
+    src = _field(entry, "from", path, decode_index)
+    dst = _field(entry, "to", path, decode_index)
+    n_src, n_dst = level_dim(src), level_dim(dst)
+    payload = _field(entry, "payload", path, default={})
+    where = f"{path}.payload"
     if kind == "matrix":
-        arr = np.asarray(payload["rows"], dtype=float)
-        if arr.ndim != 2:
+        rows = _field(payload, "rows", where, lambda v: np.asarray(_list(v), dtype=float))
+        if rows.ndim == 1 and rows.size == n_dst * n_src:
             # empty matrices round-trip through JSON as flat lists
-            arr = arr.reshape(dims[key(dst)], dims[key(src)])
-        mp = matrix_map(arr)
+            rows = rows.reshape(n_dst, n_src)
+        if rows.ndim != 2:
+            raise DescriptorError(f"{where}.rows: expected a list of rows")
+        mp = matrix_map(rows)
     elif kind == "truncation":
-        indices = [int(i) for i in payload["indices"]]
-        if role == "proj":
-            mp = selection_map(dims[key(src)], indices)
-        else:
-            mp = scatter_map(dims[key(dst)], indices)
-    elif kind == "pl-interpolation":
-        from .gallery import pl_weights
-        mp = matrix_map(pl_weights(payload["targets"], payload["knots"]))
+        full = n_src if role == "proj" else n_dst
+        indices = _field(payload, "indices", where, lambda v: [int(i) for i in _list(v)])
+        if not all(0 <= i < full for i in indices):
+            raise DescriptorError(f"{where}.indices: {indices} are not coordinates of R^{full}")
+        mp = selection_map(full, indices) if role == "proj" else scatter_map(full, indices)
     else:
-        raise DescriptorError("named-gallery maps resolve at the family level")
+        from .gallery import pl_weights
+        mp = matrix_map(pl_weights(_field(payload, "targets", where, _floats),
+                                   _field(payload, "knots", where, _floats)))
+    if (mp.domain_dim, mp.codomain_dim) != (n_src, n_dst):
+        raise DescriptorError(f"{path}: declared {n_src}->{n_dst}, map has "
+                              f"{mp.domain_dim}->{mp.codomain_dim}")
     return src, dst, mp
+
+
+def _named_gallery(doc: dict, path: str):
+    """The gallery family that doc["family"] names, built with doc["kwargs"]."""
+    from .gallery import build_gallery
+    name, kwargs = _field(doc, "family", path, str), _field(doc, "kwargs", path, default={})
+    try:
+        return build_gallery(name, **kwargs)
+    except (KeyError, TypeError, ValueError) as err:  # an unknown name, bad kwargs
+        raise DescriptorError(f"{path}: {err.args[0]}") from None
+
+
+class _LoadedFamily(ProfiniteFamily):
+    """A family read from a descriptor: stored maps that do not connect two
+    comparable levels are a defect of the document."""
+
+    def _chain_between(self, J, K) -> list:
+        try:
+            return super()._chain_between(J, K)
+        except FamilyMismatch as err:
+            raise DescriptorError(str(err)) from None
 
 
 def family_from_descriptor(doc: dict) -> ProfiniteFamily:
     """Build a family from a parsed descriptor dictionary."""
-    if doc.get("schema_version") not in (None, SCHEMA_VERSION):
-        raise DescriptorError(f"unsupported schema_version {doc.get('schema_version')!r}")
-
-    entries = list(doc.get("projections", [])) + list(doc.get("injections", []))
-    named = [e for e in entries if e.get("kind") == "named-gallery"]
+    version = _field(doc, "schema_version", "", default=None)
+    if version not in (None, SCHEMA_VERSION):
+        raise DescriptorError(f"schema_version: unsupported {version!r}")
+    entries = {"projections": _field(doc, "projections", "", _list, default=[]),
+               "injections": _field(doc, "injections", "", _list, default=[])}
+    named = [e for es in entries.values() for e in es
+             if isinstance(e, dict) and e.get("kind") == "named-gallery"]
     if named:
-        from .gallery import build_gallery
-        payload = named[0].get("payload", {})
-        g = build_gallery(payload["family"], **payload.get("kwargs", {}))
-        return g.family
+        return _named_gallery(named[0].get("payload", {}), "named-gallery payload").family
 
-    poset = poset_from_descriptor(doc["poset"])
+    poset = poset_from_descriptor(_field(doc, "poset", ""))
+    members = set(poset.elements)
     dims = {}
-    for lv in doc["levels"]:
-        dims[poset.key(decode_index(lv["index"]))] = int(lv["dim"])
+    for i, lv in enumerate(_field(doc, "levels", "", _list)):
+        J = _field(lv, "index", f"levels[{i}]", decode_index)
+        if J not in members:
+            raise DescriptorError(f"levels[{i}].index: {J!r} is not an element of the poset")
+        dims[poset.key(J)] = _field(lv, "dim", f"levels[{i}]", _dimension)
 
     def level_dim(J):
-        try:
-            return dims[poset.key(J)]
-        except KeyError:
-            raise DescriptorError(f"no declared dimension for level {J!r}") from None
+        if J not in members or poset.key(J) not in dims:
+            raise DescriptorError(f"no declared dimension for level {J!r}")
+        return dims[poset.key(J)]
 
-    proj_store, inj_store, stored_pairs = {}, {}, []
-    for entry in doc.get("projections", []):
-        src, dst, mp = map_from_entry(entry, "proj", dims, poset.key)
-        # projection goes from the finer level down: src >= dst
-        proj_store[(poset.key(dst), poset.key(src))] = mp
-        stored_pairs.append((dst, src))
-    for entry in doc.get("injections", []):
-        src, dst, mp = map_from_entry(entry, "inj", dims, poset.key)
-        inj_store[(poset.key(src), poset.key(dst))] = mp
+    # maps keyed by (key(lower), key(upper)); projections go down, injections up
+    stores = {"projections": {}, "injections": {}}
+    stored_pairs = []
+    for role, name in (("proj", "projections"), ("inj", "injections")):
+        for i, entry in enumerate(entries[name]):
+            src, dst, mp = map_from_entry(entry, role, level_dim, f"{name}[{i}]")
+            lo, hi = (dst, src) if role == "proj" else (src, dst)
+            if not poset.leq(lo, hi):
+                raise DescriptorError(f"{name}[{i}]: {src!r} -> {dst!r} runs against the order")
+            stores[name][(poset.key(lo), poset.key(hi))] = mp
+            if role == "proj":
+                stored_pairs.append((lo, hi))
+    lonely = [(lo, hi) for lo, hi in stored_pairs
+              if (poset.key(lo), poset.key(hi)) not in stores["injections"]]
+    if lonely:
+        raise DescriptorError(f"injections: none from {lonely[0][0]!r} to {lonely[0][1]!r}, "
+                              "where a projection is stored")
 
-    return ProfiniteFamily(
+    return _LoadedFamily(
         poset, level_dim,
-        proj_factory=lambda J, K: proj_store.get((poset.key(J), poset.key(K))),
-        inj_factory=lambda K, J: inj_store.get((poset.key(J), poset.key(K))),
+        proj_factory=lambda J, K: stores["projections"].get((poset.key(J), poset.key(K))),
+        inj_factory=lambda K, J: stores["injections"].get((poset.key(J), poset.key(K))),
         stored_pairs=stored_pairs,
         name=doc.get("name", "descriptor"))
 
@@ -255,6 +338,13 @@ def dump_family(family: ProfiniteFamily, path,
 # threads and section points
 
 
+def _level_of(family: ProfiniteFamily, J, path: str):
+    """J, refused unless it is an element of the family's finite poset."""
+    if family.poset.elements is not None and J not in family.poset.elements:
+        raise DescriptorError(f"{path}: {J!r} is not a level of {family.name or 'the family'}")
+    return J
+
+
 def thread_from_descriptor(gallery_or_family, doc: dict) -> Thread:
     """Thread descriptors: {"kind": "sequence"|"named"|"section-point", ...}.
 
@@ -268,16 +358,17 @@ def thread_from_descriptor(gallery_or_family, doc: dict) -> Thread:
 
     g = gallery_or_family if isinstance(gallery_or_family, GalleryFamily) else None
     family = g.family if g is not None else gallery_or_family
-    kind = doc.get("kind")
+    kind = _field(doc, "kind", "thread")
     if kind == "named":
         if g is None:
-            raise DescriptorError("named threads need a gallery family")
-        obj = g.extras.get(doc["name"])
+            raise DescriptorError("thread: named threads need a gallery family")
+        name = _field(doc, "name", "thread", str)
+        obj = g.extras.get(name)
         if not isinstance(obj, Thread):
-            raise DescriptorError(f"{doc['name']!r} is not a thread of {g.name!r}")
+            raise DescriptorError(f"thread.name: {name!r} is not a thread of {g.name!r}")
         return obj
     if kind == "sequence":
-        seq = np.asarray(doc["values"], dtype=float)
+        seq = np.asarray(_field(doc, "values", "thread", _floats), dtype=float)
 
         def fn(n):
             d = family.dim(n)
@@ -286,14 +377,18 @@ def thread_from_descriptor(gallery_or_family, doc: dict) -> Thread:
                     f"sequence of length {seq.size} too short for level {n!r}")
             return seq[:d]
 
-        return Thread(family, fn, name=doc.get("name", "sequence"))
+        return Thread(family, fn, name=_field(doc, "name", "thread", str, default="sequence"))
     if kind == "section-point":
-        values = {decode_index(idx): np.asarray(v, dtype=float)
-                  for idx, v in doc["values"]}
-        sp = SectionPoint.of(family, [decode_index(i) for i in doc["section"]],
-                             values)
+        section = _field(doc, "section", "thread", lambda v: [
+            _level_of(family, decode_index(i), "thread.section") for i in _list(v)])
+        values = _field(doc, "values", "thread", lambda v: {
+            decode_index(idx): np.asarray(_floats(x), dtype=float) for idx, x in _list(v)})
+        try:
+            sp = SectionPoint.of(family, section, values)
+        except (EmptySection, IllDefinedSection, DimensionMismatch) as err:
+            raise DescriptorError(f"thread: {err}") from None
         return thread_from_section(sp, check=False)
-    raise DescriptorError(f"unknown thread kind {kind!r}")
+    raise DescriptorError(f"thread.kind: unknown thread kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -304,35 +399,32 @@ def form_from_descriptor(family_or_gallery, doc: dict) -> TameForm:
     """{"kind": "named-gallery", "family": ..., "extra": ...} or
     {"kind": "expressions", "degree": r, "levels": [{"index", "comps"}]}
     with comps a nested list of mini-language expressions, shape (dim,)*r."""
-    from .gallery import GalleryFamily, build_gallery, gallery_key
+    from .gallery import GalleryFamily, gallery_key
 
-    kind = doc.get("kind")
+    kind = _field(doc, "kind", "form")
     if kind == "named-gallery":
-        g, name = family_or_gallery, doc.get("family")
+        g, name = family_or_gallery, _field(doc, "family", "form", str, default=None)
         if not isinstance(g, GalleryFamily) or gallery_key(name or g.name) != g.name:
-            if name is None:
-                raise DescriptorError("a named-gallery form needs a 'family' or a gallery")
-            g = build_gallery(name, **doc.get("kwargs", {}))
-        obj = g.extras.get(doc.get("extra", "omega"))
+            g = _named_gallery(doc, "form")  # without a family: "form.family: missing field"
+        extra = _field(doc, "extra", "form", str, default="omega")
+        obj = g.extras.get(extra)
         if not isinstance(obj, TameForm):
-            raise DescriptorError(f"{doc.get('extra')!r} is not a form of {g.name!r}")
+            raise DescriptorError(f"form.extra: {extra!r} is not a form of {g.name!r}")
         return obj
     if kind != "expressions":
-        raise DescriptorError(f"unknown form kind {kind!r}")
+        raise DescriptorError(f"form.kind: unknown form kind {kind!r}")
 
-    family = (family_or_gallery.family
-              if hasattr(family_or_gallery, "family") and
-              not isinstance(family_or_gallery, ProfiniteFamily)
-              else family_or_gallery)
-    degree = int(doc["degree"])
+    family = getattr(family_or_gallery, "family", family_or_gallery)
+    degree = _field(doc, "degree", "form", _dimension)
     compiled: dict = {}
-    for lv in doc["levels"]:
-        J = decode_index(lv["index"])
+    for i, lv in enumerate(_field(doc, "levels", "form", _list)):
+        where = f"form.levels[{i}]"
+        J = _level_of(family, _field(lv, "index", where, decode_index), f"{where}.index")
         dim = family.dim(J)
-        arr = np.asarray(lv["comps"], dtype=object)
+        arr = _field(lv, "comps", where, lambda v: np.asarray(v, dtype=object))
         if arr.shape != (dim,) * degree:
             raise DescriptorError(
-                f"components at {J!r} have shape {arr.shape}, "
+                f"{where}.comps: components at {J!r} have shape {arr.shape}, "
                 f"expected {(dim,) * degree}")
         fns = np.empty(arr.shape, dtype=object)
         for idx in np.ndindex(arr.shape):
@@ -349,7 +441,8 @@ def form_from_descriptor(family_or_gallery, doc: dict) -> TameForm:
             out[idx] = fns[idx](x)
         return out
 
-    return TameForm(family, degree, comps, name=doc.get("name", "expr-form"))
+    return TameForm(family, degree, comps, name=_field(doc, "name", "form", str,
+                                                       default="expr-form"))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +454,8 @@ def load_measure_csv(path) -> IndexMeasure:
     mass of unlisted indices."""
     weights, tail = {}, 0.0
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].strip().startswith("#"):
                 continue
             if len(row) != 2:
@@ -369,8 +463,13 @@ def load_measure_csv(path) -> IndexMeasure:
             head = row[0].strip()
             if head == "index":
                 continue
+            try:
+                value = float(row[1])
+            except ValueError:
+                raise DescriptorError(f"{path} line {reader.line_num}: weight {row[1]!r} "
+                                      "is not a number") from None
             if head == "tail":
-                tail = float(row[1])
-                continue
-            weights[parse_index_token(head)] = float(row[1])
+                tail = value
+            else:
+                weights[parse_index_token(head)] = value
     return IndexMeasure(weights, tail_mass=tail)

@@ -58,6 +58,8 @@ def _sympify(text: str, symbols: dict) -> "sympy.Expr":
         expr = sympy.sympify(text, locals=local, convert_xor=False)
     except (sympy.SympifyError, SyntaxError, TypeError) as err:
         raise ExpressionError(f"cannot parse {text!r}: {err}") from err
+    if not isinstance(expr, sympy.Expr):  # "None", "True": Python and logic constants
+        raise ExpressionError(f"{text!r} is not a numeric expression")
     free = {str(s) for s in expr.free_symbols}
     unknown = free - set(symbols)
     if unknown:

@@ -31,6 +31,10 @@ class NonconvergentSolve(Exception):
     """An implicit integrator step did not converge."""
 
 
+class SchemeMismatch(ValueError):
+    """The integrator scheme does not fit the form or the Hamiltonian."""
+
+
 class NonSymplecticAction(Exception):
     """The group action fails the form-preservation certificate."""
 
@@ -121,8 +125,7 @@ def is_projectively_nondegenerate(obj, levels: Iterable, samples: int = 10,
 
 
 def is_weakly_nondegenerate(obj, u, I, search_levels: Iterable,
-                            base_point=None, threshold: float = RANK_RTOL,
-                            rng: Optional[np.random.Generator] = None):
+                            base_point=None, threshold: float = RANK_RTOL):
     """Search the given levels for a pairing partner of the pushed vector.
 
     Returns (True, (J, basis_index, value)) on the first witness, else
@@ -160,25 +163,29 @@ def level_gradient(H: CylindricalFunction, J) -> Callable[[np.ndarray], np.ndarr
     return lambda x: lf.jacobian(x).ravel()
 
 
-def hamiltonian_field(structure, H: CylindricalFunction, J, point) -> np.ndarray:
-    """Solve Omega^T X = grad H at one level; SingularForm when deficient."""
+def _field_solve(structure, H: CylindricalFunction, J, point) -> tuple:
+    """(Omega, grad H, X) with Omega^T X = grad H; SingularForm when deficient."""
     point = as_point(point)
     mat = _form(structure).matrix(J, point)
     if mat.shape[0] == 0:
-        return np.zeros(0)
+        return mat, np.zeros(0), np.zeros(0)
     rank = level_rank(mat)
     if rank < mat.shape[0]:
         raise SingularForm(f"form is degenerate at level {J!r} "
                            f"(rank {rank} < {mat.shape[0]})")
     grad = level_gradient(H, J)(point)
-    return np.linalg.solve(mat.T, grad)
+    return mat, grad, np.linalg.solve(mat.T, grad)
+
+
+def hamiltonian_field(structure, H: CylindricalFunction, J, point) -> np.ndarray:
+    """Solve Omega^T X = grad H at one level; SingularForm when deficient."""
+    return _field_solve(structure, H, J, point)[2]
 
 
 def hamiltonian_identity_residual(structure, H: CylindricalFunction, J, point) -> float:
     """max_k | omega(X_H, e_k) - dH(e_k) | at the point."""
-    point = as_point(point)
-    X = hamiltonian_field(structure, H, J, point)
-    return residual(_form(structure).matrix(J, point).T @ X, level_gradient(H, J)(point))
+    mat, grad, X = _field_solve(structure, H, J, point)
+    return residual(mat.T @ X, grad)
 
 
 def hamiltonian_compat_check(structure, H: CylindricalFunction, pairs: Iterable[tuple],
@@ -282,11 +289,12 @@ def flow(structure, H: CylindricalFunction, J, x0, dt: float, steps: int,
          scheme: str = "leapfrog", newton_iters: int = 50) -> Trajectory:
     """Integrate the Hamiltonian field at one level.
 
-    leapfrog needs the canonical interleaved pair layout and a separable H;
-    implicit-midpoint (Newton) works for any constant-rank invertible form.
-    Separability is probed at x0 only: leapfrog refuses an H whose FD
-    Hessian there has a mixed q-p entry above 1e-8 * max(1, max |Hessian|),
-    which catches a coupled H but does not prove that H is separable.
+    leapfrog needs the canonical interleaved pair layout and a separable H,
+    and raises SchemeMismatch otherwise; implicit-midpoint (Newton) works for
+    any constant-rank invertible form.  Separability is probed at x0 only: an
+    H whose FD Hessian there has a mixed q-p entry above 1e-8 * max(1, max
+    |Hessian|) is refused, which catches a coupled H but does not prove that
+    H is separable.
     """
     omega = _form(structure)
     x0 = as_point(x0).copy()
@@ -299,14 +307,14 @@ def flow(structure, H: CylindricalFunction, J, x0, dt: float, steps: int,
 
     if scheme == "leapfrog":
         if dim % 2 or not residual(mat0, canonical_omega(dim)) <= 1e-12:
-            raise ValueError("leapfrog needs the canonical pair layout; "
-                             "use scheme='implicit-midpoint'")
+            raise SchemeMismatch("leapfrog needs the canonical pair layout; "
+                                 "use scheme='implicit-midpoint'")
         hess = fd_jacobian(grad, x0, dim)
         scale = 1e-8 * max(1.0, residual(hess, 0.0))
         if not (residual(hess[0::2, 1::2], 0.0) <= scale
                 and residual(hess[1::2, 0::2], 0.0) <= scale):
-            raise ValueError("leapfrog needs a separable H, but the Hessian couples "
-                             "q and p at x0; use scheme='implicit-midpoint'")
+            raise SchemeMismatch("leapfrog needs a separable H, but the Hessian couples "
+                                 "q and p at x0; use scheme='implicit-midpoint'")
         states = _leapfrog(grad, x0, dt, steps)
     elif scheme == "implicit-midpoint":
         # a constant form ignores x, so its matrix at x0 serves every midpoint

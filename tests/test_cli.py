@@ -1,6 +1,10 @@
+import argparse
 import inspect
 import json
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -346,3 +350,182 @@ def test_size_flag_tables_follow_the_registry():
             else:
                 with pytest.raises(cli.UsageError):
                     cli.resolve_family(name, 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--family", "symplectic", "--level", "0"],
+    ["flow", "--family", "symplectic", "--level", "7"],
+    ["flow", "--family", "symplectic", "--level", "1", "--steps", "-1"],
+    ["symplectic", "--pairs", "0"],
+    ["symplectic", "--level", "9"],
+    ["verify", "--family", "euclid", "--samples", "0"],
+], ids=["flow-level-0", "flow-level-7", "flow-steps-negative", "symplectic-pairs-0",
+        "symplectic-level-9", "verify-samples-0"])
+def test_bad_counts_and_levels_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+PAIR = {"schema_version": 1, "name": "pair", "poset": {"kind": "chain", "elements": [1, 2]},
+        "levels": [{"index": 1, "dim": 1}, {"index": 2, "dim": 2}],
+        "projections": [{"from": 2, "to": 1, "kind": "matrix",
+                         "payload": {"rows": [[1.0, 0.0]]}}],
+        "injections": [{"from": 1, "to": 2, "kind": "matrix",
+                        "payload": {"rows": [[1.0], [0.0]]}}]}
+# a chain 1 <= 2 <= 3 whose stored maps reach 1 from 2 and from 3, but never 3 from 2
+GAPPED_CHAIN = {
+    "poset": {"kind": "chain", "elements": [1, 2, 3]},
+    "levels": [{"index": n, "dim": n} for n in (1, 2, 3)],
+    "projections": [{"from": n, "to": 1, "kind": "truncation", "payload": {"indices": [0]}}
+                    for n in (2, 3)],
+    "injections": [{"from": 1, "to": n, "kind": "truncation", "payload": {"indices": [0]}}
+                   for n in (2, 3)]}
+ORIGIN = '{"kind": "named", "name": "origin"}'
+
+
+def _without(path):
+    """PAIR with the field at path (a tuple of keys and list positions) removed."""
+    doc = json.loads(json.dumps(PAIR))
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    del parent[last]
+    return doc
+
+
+def _with_rows(rows):
+    doc = json.loads(json.dumps(PAIR))
+    doc["projections"][0]["payload"]["rows"] = rows
+    return doc
+
+
+@pytest.mark.parametrize("case, message", [
+    ("no-levels", "levels: missing field"),
+    ("no-level-dim", r"levels\[0\].dim: missing field"),
+    ("map-shape", r"projections\[0\]: declared 2->1, map has 3->1"),
+    ("gapped-chain", "stored pairs do not connect 2 to 3"),
+    ("measure-row", "weight 'abc' is not a number"),
+    ("wiener-times", "knot times must be distinct and positive"),
+    ("distance-levels", "argument --levels: expected a positive integer"),
+    ("out-directory", "cannot write --out"),
+    ("inline-json", "argument --x: cannot read JSON"),
+])
+def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message):
+    def family(doc):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(doc))
+        return ["verify", "--family", str(path), "--samples", "5"]
+
+    distance = ["distance", "--family", "euclid", "--x", ORIGIN, "--y", ORIGIN]
+    measure = tmp_path / "mu.csv"
+    measure.write_text("1,abc\n")
+    argv = {
+        "no-levels": lambda: family(_without(("levels",))),
+        "no-level-dim": lambda: family(_without(("levels", 0, "dim"))),
+        "map-shape": lambda: family(_with_rows([[1.0, 0.0, 0.0]])),
+        "gapped-chain": lambda: family(GAPPED_CHAIN),
+        "measure-row": lambda: distance + ["--measure", str(measure)],
+        "wiener-times": lambda: ["wiener", "--times", "0.5,0.5"],
+        "distance-levels": lambda: distance + ["--levels", "0"],
+        "out-directory": lambda: ["gallery", "list", "--out",
+                                  str(tmp_path / "missing" / "list.txt")],
+        "inline-json": lambda: ["distance", "--family", "euclid", "--x", '{"kind": ',
+                                "--y", ORIGIN],
+    }[case]()
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+    assert re.search(message, err), err
+
+
+def test_a_bug_is_a_traceback_not_a_usage_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "verify_family", broken)
+    with pytest.raises(KeyError):
+        cli.main(["verify", "--family", "euclid"])
+
+
+def test_dynamics_failures_exit_one(capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise pl.SingularForm("degenerate")
+
+    monkeypatch.setattr(cli, "flow", singular)
+    code, out, err = run(capsys, "flow", "--family", "symplectic", "--level", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("FAIL: degenerate")
+
+
+SUBCOMMAND_OPTIONS = {
+    "verify": {"--family", "--max-level", "--form", "--tame-tol",
+               "--seed", "--samples", "--tol", "--out"},
+    "distance": {"--family", "--max-level", "--x", "--y", "--metric", "--levels",
+                 "--measure", "--tol", "--out"},
+    "flow": {"--family", "--max-level", "--level", "--H", "--dt", "--steps", "--scheme",
+             "--x0", "--format", "--out"},
+    "wiener": {"--times", "--triples", "--var-tol", "--cocycle-tol",
+               "--seed", "--samples", "--out"},
+    "symplectic": {"--pairs", "--level", "--ham-tol", "--momentum-tol",
+                   "--seed", "--samples", "--tol", "--out"},
+    "gallery": {"--out"},
+}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_each_subcommand_offers_only_the_options_it_reads():
+    subparsers = _subparsers()
+    assert set(subparsers) == set(SUBCOMMAND_OPTIONS)
+    for name, sp in subparsers.items():
+        flags = {f for a in sp._actions for f in a.option_strings} - {"-h", "--help"}
+        assert flags == SUBCOMMAND_OPTIONS[name], name
+    shared = {"--seed", "--samples", "--tol", "--format", "--out"}
+    assert sum(len(opts & shared) for opts in SUBCOMMAND_OPTIONS.values()) == 16
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "euclid", "--format", "csv"],
+    ["gallery", "list", "--seed", "5"],
+    ["gallery", "list", "--tol", "3"],
+    ["distance", "--family", "euclid", "--x", ORIGIN, "--y", ORIGIN, "--seed", "3"],
+    ["flow", "--family", "symplectic", "--level", "1", "--samples", "5"],
+])
+def test_options_a_subcommand_ignores_are_refused(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "unrecognized arguments" in err
+
+
+def test_flow_and_distance_reports_have_no_seed(capsys):
+    code, out, _ = run(capsys, "flow", "--family", "symplectic", "--level", "1",
+                       "--steps", "10", "--format", "json")
+    assert code == 0 and "seed" not in json.loads(out)
+    code, out, _ = run(capsys, "distance", "--family", "euclid", "--x", ORIGIN, "--y", ORIGIN)
+    assert code == 0 and "seed" not in json.loads(out)
+
+
+def _readme_commands():
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    commands = []
+    for heading in ("## CLI", "## Scripts"):
+        section = text.split(heading + "\n", 1)[1].split("\n## ", 1)[0]
+        for block in re.findall(r"```\n(.*?)```", section, re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                if line.startswith("proflim "):
+                    commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for argv in commands:
+        ns = parser.parse_args(argv)
+        assert callable(ns.run), argv

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import proflim as pl
 
@@ -280,3 +281,148 @@ def test_readme_descriptor_examples_load_as_written(tmp_path):
             loaded.add("form")
     assert loaded == {"family", "poset", "thread", "form", "measure"}
     assert len(examples) == 11
+
+
+@st.composite
+def linear_families(draw):
+    """A chain or a finite directed poset of up to five levels, with random
+    matrices stored on the covering pairs and composed along them elsewhere."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        els = sorted(draw(st.sets(st.integers(-5, 20), min_size=n, max_size=n)))
+        poset = pl.chain_poset(els)
+    else:
+        els = [f"e{i}" for i in range(n)]
+        leq = np.eye(n, dtype=bool)
+        leq[:, -1] = True  # a top element makes the order directed
+        for i in range(n):
+            for j in range(i + 1, n - 1):
+                leq[i, j] = draw(st.booleans())
+        for _ in range(n):
+            leq |= (leq.astype(int) @ leq.astype(int)) > 0
+        pos = {e: i for i, e in enumerate(els)}
+        poset = pl.finite_poset(els, lambda a, b: bool(leq[pos[a], pos[b]]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dims = {J: int(rng.integers(0, 4)) for J in els}
+    covers = [(a, b) for a in els for b in els if poset.lt(a, b)
+              and not any(poset.lt(a, c) and poset.lt(c, b) for c in els)]
+    maps = {(J, K): (pl.matrix_map(rng.standard_normal((dims[J], dims[K]))),
+                     pl.matrix_map(rng.standard_normal((dims[K], dims[J]))))
+            for J, K in covers}
+    return pl.ProfiniteFamily(
+        poset, dims.__getitem__,
+        proj_factory=lambda J, K: maps.get((J, K), (None, None))[0],
+        inj_factory=lambda K, J: maps.get((J, K), (None, None))[1],
+        stored_pairs=covers, name="random")
+
+
+@given(linear_families())
+def test_family_descriptor_round_trip(family):
+    doc = json.loads(json.dumps(pl.family_to_descriptor(family)))
+    back = pl.family_from_descriptor(doc)
+    els = list(family.poset.elements)
+    assert list(back.poset.elements) == els
+    assert [back.dim(J) for J in els] == [family.dim(J) for J in els]
+    for J in els:
+        for K in els:
+            assert back.poset.leq(J, K) == family.poset.leq(J, K)
+            if family.poset.leq(J, K):
+                assert np.array_equal(back.proj(J, K).matrix, family.proj(J, K).matrix)
+                assert np.array_equal(back.inj(K, J).matrix, family.inj(K, J).matrix)
+
+
+PAIR = {"poset": {"kind": "chain", "elements": [1, 2]},
+        "levels": [{"index": 1, "dim": 1}, {"index": 2, "dim": 2}],
+        "projections": [{"from": 2, "to": 1, "kind": "matrix",
+                         "payload": {"rows": [[1.0, 0.0]]}}],
+        "injections": [{"from": 1, "to": 2, "kind": "matrix",
+                        "payload": {"rows": [[1.0], [0.0]]}}]}
+
+
+def _edited(**changes):
+    """PAIR with each dotted path in changes set to its value (None deletes)."""
+    doc = json.loads(json.dumps(PAIR))
+    for path, value in changes.items():
+        *head, last = [int(k) if k.isdigit() else k for k in path.split("__")]
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        if value is None:
+            del parent[last]
+        else:
+            parent[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], r"descriptor: expected a JSON object"),
+    (_edited(poset=None), r"^poset: missing field"),
+    (_edited(poset__elements=["a"]), r"poset\.elements: invalid literal"),
+    (_edited(levels="all"), r"^levels: expected a list"),
+    (_edited(levels__0__index=7), r"levels\[0\]\.index: 7 is not an element"),
+    (_edited(levels__1__dim=-2), r"levels\[1\]\.dim: a dimension cannot be negative"),
+    (_edited(projections__0__to={"set": [[1]]}), r"projections\[0\]\.to: bad index"),
+    (_edited(projections__0__payload__rows=[[1.0, "x"]]), r"projections\[0\]\.payload\.rows"),
+    (_edited(projections__0__payload__rows=[[[1.0, 0.0]]]), r"rows: expected a list of rows"),
+    (_edited(injections__0__payload__rows=[[1.0, 0.0]]),
+     r"injections\[0\]: declared 1->2, map has 2->1"),
+    (_edited(projections__0__from=1, projections__0__to=2,
+             projections__0__payload__rows=[[1.0], [0.0]]),
+     r"projections\[0\]: 1 -> 2 runs against the order"),
+    (_edited(projections__0__kind="truncation", projections__0__payload={"indices": [2]}),
+     r"projections\[0\]\.payload\.indices: \[2\] are not coordinates of R\^2"),
+    (_edited(injections=[]), r"injections: none from 1 to 2, where a projection is stored"),
+    ({"projections": [{"kind": "named-gallery", "payload": {"family": "klein"}}]},
+     r"payload: no gallery family named 'klein'"),
+    ({"projections": [{"kind": "named-gallery",
+                       "payload": {"family": "euclid", "kwargs": {"size": 3}}}]},
+     r"payload: .*unexpected keyword"),
+], ids=["not-an-object", "no-poset", "chain-element", "levels-type", "level-index",
+        "negative-dim", "bad-index", "non-numeric-row", "three-dim-rows", "injection-shape",
+        "projection-upward", "truncation-range", "missing-injection", "unknown-gallery",
+        "gallery-kwargs"])
+def test_malformed_family_descriptors_name_the_field(doc, message):
+    with pytest.raises(pl.DescriptorError, match=message):
+        pl.family_from_descriptor(doc)
+
+
+def test_unconnected_levels_are_a_descriptor_error_on_use():
+    doc = _edited(poset__elements=[1, 2, 3],
+                  levels=[{"index": n, "dim": d} for n, d in ((1, 1), (2, 2), (3, 1))])
+    fam = pl.family_from_descriptor(doc)
+    assert np.array_equal(fam.proj(1, 2).matrix, [[1.0, 0.0]])
+    with pytest.raises(pl.DescriptorError, match="stored pairs do not connect 1 to 3"):
+        fam.proj(1, 3)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "section-point", "section": [2], "values": [[2, [1.0]]]},
+     r"thread: value at 2 has dim 1, expected 2"),
+    ({"kind": "section-point", "section": [2], "values": []}, r"missing value for member 2"),
+    ({"kind": "section-point", "section": ["a"], "values": []},
+     r"thread\.section: 'a' is not a level of euclid"),
+    ({"kind": "section-point", "section": [2], "values": [[2]]}, r"thread\.values"),
+    ({"kind": "sequence", "values": [[1.0]]}, r"thread\.values"),
+    ({"kind": "named"}, r"thread\.name: missing field"),
+], ids=["dimension", "missing-value", "not-a-level", "value-pair", "nested-values", "no-name"])
+def test_malformed_thread_descriptors_name_the_field(doc, message):
+    with pytest.raises(pl.DescriptorError, match=message):
+        pl.thread_from_descriptor(pl.euclid_tower(4), doc)
+
+
+def test_malformed_form_descriptors_name_the_field():
+    euclid = pl.euclid_tower(4)
+    with pytest.raises(pl.DescriptorError, match=r"form\.levels\[0\]\.index: 'a' is not a level"):
+        pl.form_from_descriptor(euclid, {"kind": "expressions", "degree": 1,
+                                         "levels": [{"index": "a", "comps": ["x0"]}]})
+    with pytest.raises(pl.DescriptorError, match=r"form\.degree: missing field"):
+        pl.form_from_descriptor(euclid, {"kind": "expressions", "levels": []})
+    with pytest.raises(pl.DescriptorError, match=r"form: no gallery family named"):
+        pl.form_from_descriptor(euclid, {"kind": "named-gallery", "family": "klein"})
+
+
+def test_measure_csv_names_the_bad_line(tmp_path):
+    path = tmp_path / "mu.csv"
+    path.write_text("index,weight\n1,0.5\n2,abc\n")
+    with pytest.raises(pl.DescriptorError, match=r"line 3: weight 'abc' is not a number"):
+        pl.load_measure_csv(path)

@@ -55,6 +55,12 @@ def test_guard_rejections():
         pl.compile_scalar(2, "level:2:0 + x0")  # refs need an antichain
 
 
+@pytest.mark.parametrize("text", ["None", "True"])
+def test_non_numeric_expressions_are_expression_errors(text):
+    with pytest.raises(pl.ExpressionError, match="not a numeric expression"):
+        pl.compile_scalar(1, text)
+
+
 def test_parse_index_token():
     assert parse_index_token("3") == 3
     assert parse_index_token("J") == "J"

@@ -366,3 +366,28 @@ def test_constant_form_is_read_a_fixed_number_of_times(symplectic, monkeypatch, 
         pl.flow(omega, H, 1, np.array([1.0, 0.0]), dt=1e-2, steps=steps, scheme=scheme)
         counts.append(len(calls))
     assert counts == [1, 1]
+
+
+def test_identity_residual_reads_the_form_and_gradient_once(monkeypatch):
+    g = pl.symplectic_even_tower(3)
+    omega, H = g["omega"], g["hamiltonian_at"](2)
+    comps, lfs = [], []
+    real_comps, real_lf = omega.comps, symplectic_module.level_function
+    monkeypatch.setattr(omega, "comps", lambda J, x: comps.append(J) or real_comps(J, x))
+    monkeypatch.setattr(symplectic_module, "level_function",
+                        lambda f, J: lfs.append(J) or real_lf(f, J))
+    pl.hamiltonian_identity_residual(omega, H, 2, np.array([0.3, -1.0, 2.0, 0.5]))
+    assert comps == [2] and lfs == [2]
+
+
+def test_identity_residual_is_bit_identical_to_reading_twice():
+    g = pl.symplectic_even_tower(3)
+    omega, H = g["omega"], g["hamiltonian_at"](2)
+    structure = pl.SymplecticStructure.build(omega, [1, 2, 3])
+    for x in np.random.default_rng(3).standard_normal((20, 4)) * 3.0:
+        # the form and the gradient read again after the solve, as before
+        X = pl.hamiltonian_field(structure, H, 2, x)
+        want = pl.maps.residual(omega.matrix(2, x).T @ X,
+                                pl.level_function(H, 2).jacobian(x).ravel())
+        got = pl.hamiltonian_identity_residual(structure, H, 2, x)
+        assert got.hex() == want.hex()
