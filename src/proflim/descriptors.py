@@ -23,7 +23,8 @@ from .expr import ExpressionError, compile_scalar, parse_index_token
 from .family import FamilyMismatch, ProfiniteFamily
 from .limits import IllDefinedSection, SectionPoint, Thread, thread_from_section
 from .maps import DimensionMismatch, matrix_map, scatter_map, selection_map
-from .poset import EmptySection, IndexPoset, chain_poset, finite_poset, subset_poset
+from .poset import (EmptySection, IndexPoset, chain_poset, finite_poset, section_defect,
+                    subset_poset)
 from .profmetric import IndexMeasure
 
 SCHEMA_VERSION = 1
@@ -352,7 +353,9 @@ def thread_from_descriptor(gallery_or_family, doc: dict) -> Thread:
     whose level n holds the first dim(n) entries of a master sequence).
     named: a thread shipped in a gallery family's extras.
     section-point: {"section": [...], "values": [[index, [floats]], ...]},
-    extended to a thread through the family's injections.
+    extended to a thread through the family's projections and injections;
+    on a finite poset the section must be a section (an antichain that
+    reaches every level) and the members must agree wherever they meet.
     """
     from .gallery import GalleryFamily
 
@@ -387,7 +390,14 @@ def thread_from_descriptor(gallery_or_family, doc: dict) -> Thread:
             sp = SectionPoint.of(family, section, values)
         except (EmptySection, IllDefinedSection, DimensionMismatch) as err:
             raise DescriptorError(f"thread: {err}") from None
-        return thread_from_section(sp, check=False)
+        defect = (None if family.poset.elements is None
+                  else section_defect(family.poset, sp.section))
+        if defect is not None:
+            raise DescriptorError(f"thread.section: not a section: {defect}")
+        try:
+            return thread_from_section(sp, check=True)
+        except IllDefinedSection as err:
+            raise DescriptorError(f"thread.values: {err}") from None
     raise DescriptorError(f"thread.kind: unknown thread kind {kind!r}")
 
 

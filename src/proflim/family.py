@@ -51,11 +51,22 @@ class ProfiniteFamily:
     def dim(self, J) -> int:
         return int(self._level_dim(J))
 
-    def _cached(self, key, build):
+    def _cached(self, kind: str, J, K, build: Callable[[], DifferentiableMap]):
+        """The map of `kind` ("proj" or "inj") for the pair J <= K, built once.
+
+        The cache is read before the order oracle: an entry exists only for
+        a pair that passed leq when it was built.  J == K shares one
+        identity entry between both kinds.
+        """
+        key = (("id", self.poset.key(J)) if J == K
+               else (kind, self.poset.key(J), self.poset.key(K)))
         with self._lock:
             if key in self._cache:
                 return self._cache[key]
-        value = build()
+        if not self.poset.leq(J, K):
+            pair = (J, K) if kind == "proj" else (K, J)
+            raise FamilyMismatch(f"{kind} asked for a non-comparable pair {pair!r}")
+        value = identity_map(self.dim(J)) if J == K else build()
         with self._lock:
             return self._cache.setdefault(key, value)
 
@@ -82,13 +93,6 @@ class ProfiniteFamily:
 
     def proj(self, J, K) -> DifferentiableMap:
         """The projection E_K -> E_J for J <= K."""
-        if not self.poset.leq(J, K):
-            raise FamilyMismatch(f"proj asked for a non-comparable pair ({J!r}, {K!r})")
-        if J == K:
-            return self._cached(("id", self.poset.key(J)),
-                                lambda: identity_map(self.dim(J)))
-        key = ("proj", self.poset.key(J), self.poset.key(K))
-
         def build():
             direct = self._proj_factory(J, K)
             if direct is not None:
@@ -103,17 +107,10 @@ class ProfiniteFamily:
                                               f"proj({lo!r},{hi!r})"), mp)
             return mp
 
-        return self._cached(key, build)
+        return self._cached("proj", J, K, build)
 
     def inj(self, K, J) -> DifferentiableMap:
         """The injection E_J -> E_K for J <= K."""
-        if not self.poset.leq(J, K):
-            raise FamilyMismatch(f"inj asked for a non-comparable pair ({K!r}, {J!r})")
-        if J == K:
-            return self._cached(("id", self.poset.key(J)),
-                                lambda: identity_map(self.dim(J)))
-        key = ("inj", self.poset.key(K), self.poset.key(J))
-
         def build():
             direct = self._inj_factory(K, J)
             if direct is not None:
@@ -128,7 +125,7 @@ class ProfiniteFamily:
                                               f"inj({hi!r},{lo!r})"), mp)
             return mp
 
-        return self._cached(key, build)
+        return self._cached("inj", J, K, build)
 
     @staticmethod
     def _check_dims(mp: DifferentiableMap, dom: int, cod: int, label: str) -> DifferentiableMap:

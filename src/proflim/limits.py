@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -56,7 +57,12 @@ class Thread:
         with self._lock:
             if key in self._memo:
                 return self._memo[key]
-        val = as_point(self._fn(J))
+        return self._store(J, self._fn(J), key)
+
+    def _store(self, J, val, key) -> np.ndarray:
+        """Memoize val at J (memo key `key`) as a read-only copy; the value
+        stored first wins."""
+        val = as_point(val)
         if val.size != self.family.dim(J):
             raise DimensionMismatch(
                 f"thread {self.name or 'anonymous'}: value at {J!r} has dim "
@@ -119,36 +125,28 @@ def _extension_candidates(sp: SectionPoint, I) -> list[np.ndarray]:
     return out
 
 
-def extend_section_point(sp: SectionPoint, I, tol: float = 1e-9) -> np.ndarray:
+def _member_value(sp: SectionPoint, I, tol: float) -> Optional[np.ndarray]:
+    """The value the members induce at I, or None when no member reaches I.
+    Raises IllDefinedSection when two members disagree there."""
     cands = _extension_candidates(sp, I)
-    if not cands:
-        raise Incomparable(f"index {I!r} is comparable to no member of {sp.section}")
-    first = cands[0]
     for other in cands[1:]:
-        if not residual(other, first) <= tol:
+        if not residual(other, cands[0]) <= tol:
             raise IllDefinedSection(
-                f"member values disagree at {I!r}: {first} vs {other}")
-    return first
+                f"member values disagree at {I!r}: {cands[0]} vs {other}")
+    return cands[0] if cands else None
 
 
-def validate_section_point(sp: SectionPoint, tol: float = 1e-9,
-                           lower_probe: Optional[Iterable] = None) -> None:
-    """Eagerly check coherence at pairwise joins and (optionally) below.
+def extend_section_point(sp: SectionPoint, I, tol: float = 1e-9) -> np.ndarray:
+    val = _member_value(sp, I, tol)
+    if val is None:
+        raise Incomparable(f"index {I!r} is comparable to no member of {sp.section}")
+    return val
 
-    lower_probe defaults to all elements of a finite poset; on oracle posets
-    lower conflicts are still caught lazily at evaluation time.
-    """
-    poset = sp.family.poset
-    members = list(sp.section)
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            top = poset.require_join(a, b)
-            extend_section_point(sp, top, tol=tol)
-    if lower_probe is None and poset.elements is not None:
-        lower_probe = poset.elements
-    for idx in (lower_probe or ()):
-        if any(poset.comparable(idx, m) for m in members):
-            extend_section_point(sp, idx, tol=tol)
+
+def validate_section_point(sp: SectionPoint, tol: float = 1e-9) -> None:
+    """Eagerly check coherence at pairwise joins and, on a finite poset, at
+    every element some member reaches; see thread_from_section."""
+    thread_from_section(sp, tol=tol, check=True)
 
 
 def thread_from_section(sp: SectionPoint, tol: float = 1e-9,
@@ -159,12 +157,24 @@ def thread_from_section(sp: SectionPoint, tol: float = 1e-9,
     the thread back to the section is float-exact.  Raises IllDefinedSection
     when two members see conflicting values at a shared index, Incomparable
     when an index is beyond every member's reach.
+
+    check compares the members at every pairwise join and, on a finite
+    poset, at every element some member reaches, and memoizes each checked
+    value: the extension rule runs once per index.  On an oracle poset,
+    conflicts below the joins are still caught lazily at evaluation time.
     """
-    if check:
-        validate_section_point(sp, tol=tol)
     label = ",".join(repr(m) for m in sp.section)
-    return Thread(sp.family, lambda I: extend_section_point(sp, I, tol=tol),
-                  name=f"sec[{label}]")
+    thread = Thread(sp.family, lambda I: extend_section_point(sp, I, tol=tol),
+                    name=f"sec[{label}]")
+    if check:
+        poset = sp.family.poset
+        joins = dict.fromkeys(poset.require_join(a, b)
+                              for a, b in combinations(sp.section, 2))
+        for I in (*joins, *(J for J in poset.elements or () if J not in joins)):
+            val = _member_value(sp, I, tol)
+            if val is not None:
+                thread._store(I, val, poset.key(I))
+    return thread
 
 
 def restrict_thread(t: Thread, section) -> SectionPoint:

@@ -135,7 +135,9 @@ def identity_map(dim: int) -> DifferentiableMap:
 def selection_map(domain_dim: int, indices: Sequence[int], name: str = "") -> DifferentiableMap:
     """Pick the listed coordinates, in order: rows `indices` of the identity."""
     idx = [int(i) for i in indices]
-    return DifferentiableMap(domain_dim, len(idx), matrix=np.eye(domain_dim)[idx],
+    mat = np.zeros((len(idx), domain_dim))
+    mat[np.arange(len(idx)), np.asarray(idx, dtype=int)] = 1.0
+    return DifferentiableMap(domain_dim, len(idx), matrix=mat,
                              name=name or f"select{tuple(idx)}")
 
 
@@ -143,7 +145,9 @@ def scatter_map(codomain_dim: int, indices: Sequence[int], name: str = "") -> Di
     """Place the input coordinates at the listed positions, zero elsewhere:
     columns `indices` of the identity."""
     idx = [int(i) for i in indices]
-    return DifferentiableMap(len(idx), codomain_dim, matrix=np.eye(codomain_dim)[:, idx],
+    mat = np.zeros((codomain_dim, len(idx)))
+    mat[np.asarray(idx, dtype=int), np.arange(len(idx))] = 1.0
+    return DifferentiableMap(len(idx), codomain_dim, matrix=mat,
                              name=name or f"scatter{tuple(idx)}")
 
 

@@ -189,8 +189,10 @@ def _resolve_probe(poset: IndexPoset, probe: Optional[Iterable]) -> list:
     return list(poset.elements)
 
 
-def is_section(poset: IndexPoset, members: Iterable, probe: Optional[Iterable] = None) -> bool:
-    """Antichain test plus comparability of every probe index to a member.
+def section_defect(poset: IndexPoset, members: Iterable,
+                   probe: Optional[Iterable] = None) -> Optional[str]:
+    """Why the members are not a section, or None when they are: the first
+    comparable pair of members, else the first probe index no member reaches.
 
     For finite posets the probe defaults to all elements, making the check
     exact; for oracle posets the result is only as strong as the probe.
@@ -200,11 +202,17 @@ def is_section(poset: IndexPoset, members: Iterable, probe: Optional[Iterable] =
         raise EmptySection("a section must have at least one member")
     for a, b in combinations(mem, 2):
         if poset.comparable(a, b):
-            return False
+            return f"members {a!r} and {b!r} are comparable"
     for idx in _resolve_probe(poset, probe):
         if not any(poset.comparable(idx, m) for m in mem):
-            return False
-    return True
+            return f"no member reaches level {idx!r}"
+    return None
+
+
+def is_section(poset: IndexPoset, members: Iterable, probe: Optional[Iterable] = None) -> bool:
+    """Antichain test plus comparability of every probe index to a member;
+    see section_defect."""
+    return section_defect(poset, members, probe) is None
 
 
 def enumerate_sections(poset: IndexPoset) -> list[Section]:

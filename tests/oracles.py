@@ -212,3 +212,31 @@ def action_compat_pointwise(action, pairs, samples, rng):
             gap = pr(action.act(K, g, x)) - action.act(J, action.restrict(J, K, g), pr(x))
             gaps.append(np.max(np.abs(gap), initial=0.0))
     return float(np.max(gaps))
+
+
+def section_thread_levels(family, values, tol=1e-9):
+    """Every level of a finite poset that some section member reaches,
+    mapped to (value, agree): the value induced by the first member in
+    canonical order, and whether every other member induces the same value
+    within tol.  The member's own value at its index, a fresh factory
+    projection from a member above, a fresh factory injection from a member
+    below: no map cache, no thread memo.  Needs factories that answer
+    every comparable pair directly."""
+    poset = family.poset
+    members = sorted(values, key=poset.key)
+    out = {}
+    for I in poset.elements:
+        cands = []
+        for m in members:
+            x = np.asarray(values[m], float)
+            if I == m:
+                cands.append(x)
+            elif poset.leq(I, m):
+                cands.append(family._proj_factory(I, m)(x))
+            elif poset.leq(m, I):
+                cands.append(family._inj_factory(I, m)(x))
+        if cands:
+            agree = all(np.max(np.abs(c - cands[0]), initial=0.0) <= tol
+                        for c in cands[1:])
+            out[I] = (cands[0], agree)
+    return out

@@ -382,6 +382,10 @@ GAPPED_CHAIN = {
     "injections": [{"from": 1, "to": n, "kind": "truncation", "payload": {"indices": [0]}}
                    for n in (2, 3)]}
 ORIGIN = '{"kind": "named", "name": "origin"}'
+# cross: J alone misses K; J and K both reach L, where (1, 0) != (0, 0)
+UNCOVERED = '{"kind": "section-point", "section": ["J"], "values": [["J", [1.0]]]}'
+DISAGREEING = ('{"kind": "section-point", "section": ["J", "K"], '
+               '"values": [["J", [1.0]], ["K", [0.0]]]}')
 
 
 def _without(path):
@@ -411,6 +415,8 @@ def _with_rows(rows):
     ("distance-levels", "argument --levels: expected a positive integer"),
     ("out-directory", "cannot write --out"),
     ("inline-json", "argument --x: cannot read JSON"),
+    ("section-uncovered", "thread.section: .*no member reaches level 'K'"),
+    ("section-disagreeing", "thread.values: member values disagree at 'L'"),
 ])
 def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message):
     def family(doc):
@@ -433,6 +439,10 @@ def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message)
                                   str(tmp_path / "missing" / "list.txt")],
         "inline-json": lambda: ["distance", "--family", "euclid", "--x", '{"kind": ',
                                 "--y", ORIGIN],
+        "section-uncovered": lambda: ["distance", "--family", "cross",
+                                      "--x", UNCOVERED, "--y", UNCOVERED],
+        "section-disagreeing": lambda: ["distance", "--family", "cross",
+                                        "--x", DISAGREEING, "--y", DISAGREEING],
     }[case]()
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

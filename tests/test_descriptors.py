@@ -404,7 +404,10 @@ def test_unconnected_levels_are_a_descriptor_error_on_use():
     ({"kind": "section-point", "section": [2], "values": [[2]]}, r"thread\.values"),
     ({"kind": "sequence", "values": [[1.0]]}, r"thread\.values"),
     ({"kind": "named"}, r"thread\.name: missing field"),
-], ids=["dimension", "missing-value", "not-a-level", "value-pair", "nested-values", "no-name"])
+    ({"kind": "section-point", "section": [1, 2], "values": [[1, [1.0]], [2, [1.0, 0.0]]]},
+     r"thread\.section: not a section: members 1 and 2 are comparable"),
+], ids=["dimension", "missing-value", "not-a-level", "value-pair", "nested-values", "no-name",
+        "comparable-members"])
 def test_malformed_thread_descriptors_name_the_field(doc, message):
     with pytest.raises(pl.DescriptorError, match=message):
         pl.thread_from_descriptor(pl.euclid_tower(4), doc)

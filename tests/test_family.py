@@ -26,6 +26,18 @@ def test_proj_inj_guards(euclid):
     assert fam.proj(2, 2).matrix.shape == (2, 2)
 
 
+def test_warm_cache_still_refuses_non_comparable_pairs():
+    fam = pl.cross_family().family
+    for J, K in [("J", "L"), ("K", "L"), ("I", "J"), ("J", "J")]:
+        fam.proj(J, K)
+        fam.inj(K, J)
+    for J, K in [("J", "K"), ("K", "J"), ("L", "J"), ("J", "I")]:
+        with pytest.raises(pl.FamilyMismatch):
+            fam.proj(J, K)
+        with pytest.raises(pl.FamilyMismatch):
+            fam.inj(K, J)
+
+
 def test_proj_composition_through_stored_pairs(cross):
     fam = cross.family
     # ("I", "L") is not stored directly; it must compose through J or K

@@ -1,8 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import proflim as pl
+import proflim.limits as limits
+from oracles import section_thread_levels
 
 
 def test_thread_memoizes_and_checks_dims(euclid):
@@ -56,6 +60,8 @@ def test_extension_conflicts_detected_on_diamond(cross):
     assert np.array_equal(pl.extend_section_point(ok, "L"), [0.0, 0.0])
     with pytest.raises(pl.IllDefinedSection):
         pl.validate_section_point(x)
+    with pytest.raises(pl.IllDefinedSection):
+        pl.thread_from_section(x)
 
 
 def test_thread_from_section_round_trip_is_exact(euclid):
@@ -77,6 +83,87 @@ def test_incomparable_extension_raises():
     sp = pl.SectionPoint.of(fam, ["a"], {"a": [1.0]})
     with pytest.raises(pl.Incomparable):
         pl.extend_section_point(sp, "b")
+
+
+@st.composite
+def section_points(draw):
+    """A one- or two-member antichain of cross or of the Wiener family on
+    1-5 knots, with member values that may or may not agree."""
+    if draw(st.booleans()):
+        fam = pl.cross_family().family
+    else:
+        k = draw(st.integers(1, 5))
+        fam = pl.wiener_family([(i + 1) / k for i in range(k)]).family
+    poset = fam.poset
+    members = [draw(st.sampled_from(poset.elements))]
+    others = [J for J in poset.elements if not poset.comparable(J, members[0])]
+    if others and draw(st.booleans()):
+        members.append(draw(st.sampled_from(others)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    values = {}
+    for m in members:
+        # a linear path agrees with its interpolations up to the last knot
+        ts = np.array(sorted(m), float) if isinstance(m, frozenset) else np.ones(fam.dim(m))
+        scale = draw(st.sampled_from([0.0, 1.0, -2.5]))
+        values[m] = rng.standard_normal(fam.dim(m)) if draw(st.booleans()) else scale * ts
+    return fam, values
+
+
+@given(section_points())
+def test_section_thread_matches_brute_force_oracle(case):
+    fam, values = case
+    sp = pl.SectionPoint.of(fam, list(values), values)
+    want = section_thread_levels(fam, values)
+    lazy = pl.thread_from_section(sp, check=False)
+    for J in fam.poset.elements:
+        if J not in want:
+            with pytest.raises(pl.Incomparable):
+                lazy(J)
+        elif want[J][1]:
+            assert lazy(J).tobytes() == want[J][0].tobytes()
+        else:
+            with pytest.raises(pl.IllDefinedSection):
+                lazy(J)
+    if all(agree for _, agree in want.values()):
+        eager = pl.thread_from_section(sp, check=True)
+        for J, (val, _) in want.items():
+            assert eager(J).tobytes() == val.tobytes()
+        pl.validate_section_point(sp)
+    else:
+        with pytest.raises(pl.IllDefinedSection):
+            pl.thread_from_section(sp, check=True)
+        with pytest.raises(pl.IllDefinedSection):
+            pl.validate_section_point(sp)
+
+
+@pytest.mark.parametrize("case", ["wiener", "cross"])
+def test_extension_rule_runs_once_per_reachable_level(monkeypatch, case):
+    if case == "wiener":
+        fam = pl.wiener_family([0.25, 0.5, 0.75, 1.0]).family
+        S = frozenset({0.25, 0.75})
+        values = {S: [1.0, -1.0]}
+    else:
+        fam = pl.cross_family().family
+        values = {"J": [0.0], "K": [0.0]}  # two members meeting at L
+    rule = limits._extension_candidates
+    calls = Counter()
+
+    def counted(sp, I):
+        calls[I] += 1
+        return rule(sp, I)
+
+    monkeypatch.setattr(limits, "_extension_candidates", counted)
+    sp = pl.SectionPoint.of(fam, list(values), values)
+    reachable = [J for J in fam.poset.elements
+                 if any(fam.poset.comparable(J, m) for m in values)]
+    x = pl.thread_from_section(sp, check=True)
+    y = pl.Thread(fam, lambda J: np.zeros(fam.dim(J)))
+    metrics = pl.euclidean_metrics(fam)
+    mu = pl.IndexMeasure({J: 1.0 / len(reachable) for J in reachable})
+    pl.d_inf(metrics, x, y, [[J] for J in reachable])
+    pl.d_mu(metrics, mu, x, y)
+    # the probe asks every element once; the distances then read the memo
+    assert calls == Counter(fam.poset.elements)
 
 
 def test_check_thread_catches_inconsistency(euclid):

@@ -35,6 +35,17 @@ def test_selection_and_scatter_match_fancy_indexing(dim):
         assert np.array_equal(sel.rows(X), X[:, idx])
 
 
+def test_selection_and_scatter_build_only_their_rows_or_columns():
+    n = 10 ** 6  # an n x n identity would be 7.28 TiB
+    sel = pl.selection_map(n, [3, 0])
+    sct = pl.scatter_map(n, [3, 0])
+    assert sel.matrix.shape == (2, n) and sct.matrix.shape == (n, 2)
+    x = np.arange(float(n))
+    assert np.array_equal(sel(x), [3.0, 0.0])
+    y = sct(np.array([5.0, 7.0]))
+    assert y[3] == 5.0 and y[0] == 7.0 and np.count_nonzero(y) == 2
+
+
 def test_linear_call_checks_dimension_and_propagates_nan():
     sel = pl.selection_map(3, [0])
     with pytest.raises(pl.DimensionMismatch):
