@@ -240,3 +240,53 @@ def section_thread_levels(family, values, tol=1e-9):
                         for c in cands[1:])
             out[I] = (cands[0], agree)
     return out
+
+
+def fibration_pointwise(data, pairs, samples, rng):
+    """Max residuals (vs projections, vs injections) of verify_fibration,
+    one point of E_K and one point of E_J at a time."""
+    via_proj, via_inj = [0.0], [0.0]
+    for J, K in pairs:
+        if not data.total.poset.leq(J, K) or J == K:
+            continue
+        pJ, pK = data.bundle_proj(J), data.bundle_proj(K)
+        for _ in range(samples):
+            x = rng.standard_normal(data.total.dim(K))
+            y = rng.standard_normal(data.total.dim(J))
+            gap = pJ(data.total.proj(J, K)(x)) - data.base.proj(J, K)(pK(x))
+            via_proj.append(np.max(np.abs(gap), initial=0.0))
+            gap = pK(data.total.inj(K, J)(y)) - data.base.inj(K, J)(pJ(y))
+            via_inj.append(np.max(np.abs(gap), initial=0.0))
+    return [float(np.max(via_proj)), float(np.max(via_inj))]
+
+
+def diffeomorphism_pointwise(f, g, indices, samples, tol, rng):
+    """is_profinite_diffeomorphism, one point of E_J and one point of E_f(J)
+    at a time; every sample of an index is drawn before its verdict."""
+    for J in indices:
+        K = f.index_map(J)
+        if g.index_map(K) != J:
+            return False
+        fJ, gK = f.level_map(J), g.level_map(K)
+        there, back = [0.0], [0.0]
+        for _ in range(samples):
+            x = rng.standard_normal(f.source.dim(J))
+            y = rng.standard_normal(f.target.dim(K))
+            there.append(np.max(np.abs(gK(fJ(x)) - x), initial=0.0))
+            back.append(np.max(np.abs(fJ(gK(y)) - y), initial=0.0))
+        if not (np.max(there) <= tol and np.max(back) <= tol):
+            return False
+    return True
+
+
+def form_preservation_pointwise(omega, action, J, group_elements, rng):
+    """Max |g^T omega(g x) g - omega(x)| of momentum_verify's first check,
+    one group element and one point at a time."""
+    n_gen = len(list(action.generators(J)))
+    gaps = [0.0]
+    for _ in range(group_elements):
+        g = action.exp(action.algebra_element(J, rng.standard_normal(n_gen)))
+        x = rng.standard_normal(omega.family.dim(J))
+        gap = g.T @ omega.matrix(J, action.act(J, g, x)) @ g - omega.matrix(J, x)
+        gaps.append(np.max(np.abs(gap), initial=0.0))
+    return float(np.max(gaps))

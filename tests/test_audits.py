@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import proflim as pl
-from oracles import (action_compat_pointwise, hamiltonian_compat_pointwise,
-                     isometry_pointwise, tame_pointwise)
+from oracles import (action_compat_pointwise, diffeomorphism_pointwise,
+                     fibration_pointwise, form_preservation_pointwise,
+                     hamiltonian_compat_pointwise, isometry_pointwise, tame_pointwise)
 
 ORACLE_SEED = 7
 NAN = np.nan
@@ -156,6 +157,54 @@ def test_symplectic_audits_match_pointwise_oracles():
     _assert_matches_pointwise(
         lambda rng: pl.check_action_compat(action, pairs, samples=5, rng=rng),
         lambda rng: action_compat_pointwise(action, pairs, 5, rng))
+
+
+def _seeded_pair():
+    return np.random.default_rng(ORACLE_SEED), np.random.default_rng(ORACLE_SEED)
+
+
+def test_fibration_matches_pointwise_oracle():
+    # the bundle projection x + J v / 100 depends on the level, so neither
+    # square commutes and both residuals are nonzero
+    def bundle(J):
+        return pl.DifferentiableMap(2 * J, J, lambda xv: xv[:J] + 0.01 * J * xv[J:])
+
+    data = pl.FibrationData(pl.tangent_family(E), E, bundle, name="twisted")
+    pairs, (rng, ref) = _pairs(E), _seeded_pair()
+    report = pl.verify_fibration(data, pairs, samples=5, rng=rng)
+    residuals = [c.max_residual for c in report.checks]
+    assert residuals == fibration_pointwise(data, pairs, 5, ref)
+    assert min(residuals) > 0.0 and not report.passed
+    assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_diffeomorphism_matches_pointwise_oracle():
+    swap = pl.cross_family()["swap"]
+    rng, ref = _seeded_pair()
+    indices = swap.source.poset.elements
+    verdict = pl.is_profinite_diffeomorphism(swap, swap, indices, samples=5, rng=rng)
+    assert verdict is diffeomorphism_pointwise(swap, swap, indices, 5, 1e-9, ref) is True
+    assert rng.standard_normal() == ref.standard_normal()
+
+    # g stops inverting f at level 3: its samples are drawn, level 4's are not
+    f = pl.ProfiniteMap(E, E, lambda J: J, lambda J: pl.identity_map(J))
+    g = pl.ProfiniteMap(E, E, lambda J: J,
+                        lambda J: pl.matrix_map((2.0 if J >= 3 else 1.0) * np.eye(J)))
+    rng, ref = _seeded_pair()
+    verdict = pl.is_profinite_diffeomorphism(f, g, E.poset.elements, samples=5, rng=rng)
+    assert verdict is diffeomorphism_pointwise(f, g, E.poset.elements, 5, 1e-9, ref) is False
+    assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_momentum_form_check_matches_pointwise_oracle():
+    omega, action, mu = SYMPL["omega"], SYMPL["action"], SYMPL["momentum"]
+    rng, ref = _seeded_pair()
+    report = pl.momentum_verify(omega, action, mu, [1.0, 0.0, 0.0], 3, samples=4, rng=rng)
+    # 20 group elements, then the generator check's 4 points of E_3
+    assert report.checks[0].max_residual == form_preservation_pointwise(
+        omega, action, 3, 20, ref)
+    ref.standard_normal((4, S.dim(3)))
+    assert rng.standard_normal() == ref.standard_normal()
 
 
 def test_audit_over_no_pairs_says_so():

@@ -38,13 +38,25 @@ def test_warm_cache_still_refuses_non_comparable_pairs():
             fam.inj(K, J)
 
 
-def test_proj_composition_through_stored_pairs(cross):
+def test_proj_composition_through_stored_pairs(cross, monkeypatch):
     fam = cross.family
-    # ("I", "L") is not stored directly; it must compose through J or K
+    # ("I", "L") is not a stored pair, but the cross factories answer it
+    # directly, so nothing composes here
     mp = fam.proj("I", "L")
     assert mp.domain_dim == 2 and mp.codomain_dim == 0
     ij = fam.inj("L", "I")
     assert ij(np.zeros(0)).shape == (2,)
+
+    # a descriptor stores only the adjacent pairs of euclid_tower(4), so the
+    # loaded family composes (0, 4) along 4 > 3 > 2 > 1 > 0
+    gallery = pl.euclid_tower(4).family
+    loaded = pl.family_from_descriptor(pl.family_to_descriptor(gallery))
+    chain, calls = loaded._chain_between, []
+    monkeypatch.setattr(loaded, "_chain_between",
+                        lambda J, K: calls.append((J, K)) or chain(J, K))
+    assert np.array_equal(loaded.proj(0, 4).matrix, gallery.proj(0, 4).matrix)
+    assert np.array_equal(loaded.inj(4, 0).matrix, gallery.inj(4, 0).matrix)
+    assert calls == [(0, 4), (0, 4)]
 
 
 def test_retraction_on_every_comparable_pair(matrix, rng):

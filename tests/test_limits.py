@@ -190,6 +190,14 @@ def test_is_inductive_rejects_non_cylindrical(euclid):
     assert pl.is_inductive(t, [pl.Section.of(fam.poset, [k]) for k in (1, 2, 3)]) is None
 
 
+def test_is_inductive_skips_a_candidate_that_misses_a_level(cross):
+    fam = cross.family
+    t = pl.thread_from_section(pl.SectionPoint.of(fam, ["L"], {"L": [1.0, 0.0]}))
+    # {J} agrees with t wherever it reaches, but never reaches K
+    found = pl.is_inductive(t, [["J"], ["L"]])
+    assert found is not None and list(found.section) == ["L"]
+
+
 def test_lift_binary_poly_truncated_convolution(poly, rng):
     exp = poly["exp_series"]
     prod = pl.lift_binary(poly["mul"], exp, exp, rng=rng)
