@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable, Optional
 import numpy as np
 
 from .cylinder import CylindricalFunction, differential, pair_with_direction
-from .family import ProfiniteFamily, sample_point
+from .family import ProfiniteFamily, sample_point, strict_pairs
 from .limits import Thread, thread_axpy
 from .maps import FD_STEP, as_point, fd_jacobian, residual
 from .report import VerificationReport
@@ -195,13 +195,11 @@ def check_tame(form: TameForm, pairs: Iterable[tuple], samples: int = 20,
                tol: float = 1e-9, rng: Optional[np.random.Generator] = None) -> VerificationReport:
     """Injection-pullback compatibility residual over sampled pairs."""
     rng = rng or np.random.default_rng(0)
-    fam, key = form.family, form.family.poset.key
+    fam = form.family
     gaps = []
-    for I, K in pairs:
-        if not fam.poset.leq(I, K) or I == K:
-            continue
+    for pair, I, K in strict_pairs(fam.poset, pairs):
         X = sample_point(fam.dim(I), rng, samples)
-        gaps.append(((key(I), key(K)), residual([pullback_inj(form, I, K, x) for x in X],
+        gaps.append((pair, residual([pullback_inj(form, I, K, x) for x in X],
                                                 [form.comps(I, x) for x in X])))
     report = VerificationReport(f"tame form: {form.name or 'anonymous'}")
     report.add_worst("injection-pullback compatibility", gaps, tol)
@@ -244,12 +242,12 @@ class CompatibleMetric:
         return arr
 
 
-def _signature(mat: np.ndarray, rel_threshold: float = 1e-10) -> tuple:
+def _signature(mat: np.ndarray) -> tuple:
     if mat.shape[0] == 0:
         return (0, 0, 0)
     eig = np.linalg.eigvalsh(mat)
     scale = float(np.max(np.abs(eig), initial=0.0))
-    cut = rel_threshold * max(scale, 1e-300)
+    cut = 1e-10 * max(scale, 1e-300)  # relative to the largest |eigenvalue|
     return (int(np.sum(eig > cut)), int(np.sum(eig < -cut)),
             int(np.sum(np.abs(eig) <= cut)))
 
@@ -259,17 +257,18 @@ def metric_check(metric: CompatibleMetric, pairs: Iterable[tuple], samples: int 
     """Compatibility, symmetry, and the definiteness demanded by the kind."""
     rng = rng or np.random.default_rng(0)
     fam, key = metric.family, metric.family.poset.key
-    pairs = [p for p in pairs if fam.poset.leq(p[0], p[1])]
-    levels = sorted({J for p in pairs for J in p}, key=key)
+    pairs = list(pairs)
+    strict = list(strict_pairs(fam.poset, pairs))
+    # a listed (J, J) adds level J: leq is reflexive and was asked already
+    levels = sorted({J for _, I, K in strict for J in (I, K)}
+                    | {I for I, K in pairs if I == K}, key=key)
 
     compat = []
-    for I, K in pairs:
-        if I == K:
-            continue
+    for pair, I, K in strict:
         inj = fam.inj(K, I)
         X = sample_point(fam.dim(I), rng, samples)
         jacs = [inj.jacobian(x) for x in X]
-        compat.append(((key(I), key(K)),
+        compat.append((pair,
                        residual([jac.T @ metric.matrix(K, inj(x)) @ jac
                                  for x, jac in zip(X, jacs)],
                                 [metric.matrix(I, x) for x in X])))
@@ -329,22 +328,20 @@ class TangentThread:
 
 def check_tangent_thread(v: TangentThread, pairs: Iterable[tuple],
                          tol: float = 1e-9) -> VerificationReport:
-    fam, key = v.base.family, v.base.family.poset.key
-    gaps = [((key(J), key(K)),
-             residual(v.direction(J), fam.proj(J, K).jacobian(v.base(K)) @ v.direction(K)))
-            for J, K in pairs if fam.poset.leq(J, K) and J != K]
+    fam = v.base.family
+    gaps = [(pair, residual(v.direction(J), fam.proj(J, K).jacobian(v.base(K)) @ v.direction(K)))
+            for pair, J, K in strict_pairs(fam.poset, pairs)]
     report = VerificationReport("tangent thread compatibility")
     report.add_worst("pushed-projection compatibility", gaps, tol)
     return report
 
 
-def tangent_duality_check(f: CylindricalFunction, v: TangentThread,
-                          fd_step: float = FD_STEP) -> float:
+def tangent_duality_check(f: CylindricalFunction, v: TangentThread) -> float:
     """Relative gap between the covector pairing <df, v> and the finite
     difference of f along v; the two coincide for tangent threads."""
     analytic = pair_with_direction(f, differential(f, v.base), v.vec)
     scale = 1.0 + float(np.linalg.norm(f.gather(v.base)))
-    h = fd_step * scale
+    h = FD_STEP * scale
     plus = f(thread_axpy(v.base, h, v.vec))
     minus = f(thread_axpy(v.base, -h, v.vec))
     fd = (plus - minus) / (2.0 * h)

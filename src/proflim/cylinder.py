@@ -88,15 +88,12 @@ def level_function(f: CylindricalFunction, J) -> DifferentiableMap:
     the representative is the base map."""
     if f.section.members == (J,):
         return f.base
-    fam, poset = f.family, f.family.poset
     pieces = []
     for m in f.section:
-        if poset.leq(m, J):
-            pieces.append(fam.proj(m, J))
-        elif poset.leq(J, m):
-            pieces.append(fam.inj(m, J))
-        else:
+        piece = f.family.transport(J, m)
+        if piece is None:
             raise Incomparable(f"member {m!r} is not comparable to level {J!r}")
+        pieces.append(piece)
     return compose(f.base, fanout_map(pieces), name=f"{f.name or 'f'}@{J!r}")
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from itertools import accumulate
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class ProfiniteFamily:
     def dim(self, J) -> int:
         return int(self._level_dim(J))
 
-    def _cached(self, kind: str, J, K, build: Callable[[], DifferentiableMap]):
+    def _cached(self, kind: str, J, K):
         """The map of `kind` ("proj" or "inj") for the pair J <= K, built once.
 
         The cache is read before the order oracle: an entry exists only for
@@ -66,7 +67,7 @@ class ProfiniteFamily:
         if not self.poset.leq(J, K):
             pair = (J, K) if kind == "proj" else (K, J)
             raise FamilyMismatch(f"{kind} asked for a non-comparable pair {pair!r}")
-        value = identity_map(self.dim(J)) if J == K else build()
+        value = identity_map(self.dim(J)) if J == K else self._build(kind, J, K)
         with self._lock:
             return self._cache.setdefault(key, value)
 
@@ -91,48 +92,51 @@ class ProfiniteFamily:
         raise FamilyMismatch(
             f"{self.name or 'family'}: stored pairs do not connect {J!r} to {K!r}")
 
+    def _stored(self, kind: str, a, b) -> Optional[DifferentiableMap]:
+        """The factory's answer to the call kind(a, b) (proj(J, K) or
+        inj(K, J)), dimension-checked; None when the factory has no map."""
+        mp = (self._proj_factory if kind == "proj" else self._inj_factory)(a, b)
+        if mp is not None:
+            dom, cod = self.dim(b), self.dim(a)
+            if mp.domain_dim != dom or mp.codomain_dim != cod:
+                raise DimensionMismatch(f"{kind}({a!r},{b!r}): declared {dom}->{cod}, "
+                                        f"map has {mp.domain_dim}->{mp.codomain_dim}")
+        return mp
+
+    def _build(self, kind: str, J, K) -> DifferentiableMap:
+        """The factory's direct answer for J < K, else the stored maps composed
+        along _chain_between: projections from K down, injections from J up."""
+        direct = self._stored(kind, *((J, K) if kind == "proj" else (K, J)))
+        if direct is not None:
+            return direct
+        chain = self._chain_between(J, K)  # K = c0 > c1 > ... > J
+        if kind == "inj":
+            chain = chain[::-1]
+        mp = identity_map(self.dim(chain[0]))
+        for a, b in zip(chain[1:], chain[:-1]):
+            step = self._stored(kind, a, b)
+            if step is None:
+                noun = "projection" if kind == "proj" else "injection"
+                raise FamilyMismatch(f"missing stored {noun} {(a, b)!r}")
+            mp = compose(step, mp)
+        return mp
+
     def proj(self, J, K) -> DifferentiableMap:
         """The projection E_K -> E_J for J <= K."""
-        def build():
-            direct = self._proj_factory(J, K)
-            if direct is not None:
-                return self._check_dims(direct, self.dim(K), self.dim(J), f"proj({J!r},{K!r})")
-            chain = self._chain_between(J, K)  # K = c0 > c1 > ... > J
-            mp = identity_map(self.dim(K))
-            for lo, hi in zip(chain[1:], chain[:-1]):
-                step = self._proj_factory(lo, hi)
-                if step is None:
-                    raise FamilyMismatch(f"missing stored projection ({lo!r}, {hi!r})")
-                mp = compose(self._check_dims(step, self.dim(hi), self.dim(lo),
-                                              f"proj({lo!r},{hi!r})"), mp)
-            return mp
-
-        return self._cached("proj", J, K, build)
+        return self._cached("proj", J, K)
 
     def inj(self, K, J) -> DifferentiableMap:
         """The injection E_J -> E_K for J <= K."""
-        def build():
-            direct = self._inj_factory(K, J)
-            if direct is not None:
-                return self._check_dims(direct, self.dim(J), self.dim(K), f"inj({K!r},{J!r})")
-            chain = self._chain_between(J, K)  # K = c0 > ... > J, inject upward
-            mp = identity_map(self.dim(J))
-            for lo, hi in zip(chain[::-1][:-1], chain[::-1][1:]):
-                step = self._inj_factory(hi, lo)
-                if step is None:
-                    raise FamilyMismatch(f"missing stored injection ({hi!r}, {lo!r})")
-                mp = compose(self._check_dims(step, self.dim(lo), self.dim(hi),
-                                              f"inj({hi!r},{lo!r})"), mp)
-            return mp
+        return self._cached("inj", J, K)
 
-        return self._cached("inj", J, K, build)
-
-    @staticmethod
-    def _check_dims(mp: DifferentiableMap, dom: int, cod: int, label: str) -> DifferentiableMap:
-        if mp.domain_dim != dom or mp.codomain_dim != cod:
-            raise DimensionMismatch(
-                f"{label}: declared {dom}->{cod}, map has {mp.domain_dim}->{mp.codomain_dim}")
-        return mp
+    def transport(self, src, dst) -> Optional[DifferentiableMap]:
+        """The map E_src -> E_dst between comparable levels: proj(dst, src)
+        when dst <= src, else inj(dst, src); None when they are incomparable."""
+        if self.poset.leq(dst, src):
+            return self.proj(dst, src)
+        if self.poset.leq(src, dst):
+            return self.inj(dst, src)
+        return None
 
     def __repr__(self):
         return f"ProfiniteFamily({self.name or 'anonymous'})"
@@ -149,6 +153,22 @@ def sample_point(dim: int, rng: np.random.Generator,
     A batch consumes the stream exactly as `count` single draws would.
     """
     return rng.standard_normal(dim if count is None else (count, dim))
+
+
+def sample_joint(rng: np.random.Generator, count: int, *dims: int) -> list[np.ndarray]:
+    """`count` points of each R^dim, as one (count, sum(dims)) draw split by
+    columns.  The stream is consumed exactly as `count` rounds of alternating
+    single draws, one point of each R^dim per round in the order given."""
+    X = sample_point(sum(dims), rng, count)
+    return [X[:, end - d:end] for d, end in zip(dims, accumulate(dims))]
+
+
+def strict_pairs(poset: IndexPoset, pairs: Iterable[tuple]) -> Iterator[tuple]:
+    """(witness, J, K) for each listed pair with J < K, in order; the witness
+    (key(J), key(K)) names the pair in a report."""
+    for J, K in pairs:
+        if poset.leq(J, K) and J != K:
+            yield (poset.key(J), poset.key(K)), J, K
 
 
 def sample_chains(poset: IndexPoset, rng: np.random.Generator,
@@ -218,10 +238,7 @@ def verify_family(family: ProfiniteFamily, chains: Optional[Iterable[tuple]] = N
             triple = (key(I), key(K), key(L))
             if len(set(triple)) < 3:
                 continue
-            # one joint draw replays n alternating draws of x in E_L, z in E_I
-            dL = family.dim(L)
-            XZ = sample_point(dL + family.dim(I), rng, points_per_chain)
-            X, Z = XZ[:, :dL], XZ[:, dL:]
+            X, Z = sample_joint(rng, points_per_chain, family.dim(L), family.dim(I))
             via_K = family.proj(I, K).rows(family.proj(K, L).rows(X))
             cons.append((triple, residual(family.proj(I, L).rows(X), via_K)))
             via_K = family.inj(L, K).rows(family.inj(K, I).rows(Z))
@@ -304,10 +321,7 @@ def is_profinite_diffeomorphism(f: ProfiniteMap, g: ProfiniteMap,
         if g.index_map(K) != J:
             return False
         fJ, gK = f.level_map(J), g.level_map(K)
-        # one joint draw replays n alternating draws of x in E_J, y in E_K
-        dJ = f.source.dim(J)
-        XY = sample_point(dJ + f.target.dim(K), rng, samples)
-        X, Y = XY[:, :dJ], XY[:, dJ:]
+        X, Y = sample_joint(rng, samples, f.source.dim(J), f.target.dim(K))
         if not (residual(gK.rows(fJ.rows(X)), X) <= tol
                 and residual(fJ.rows(gK.rows(Y)), Y) <= tol):
             return False
@@ -384,15 +398,9 @@ def verify_fibration(data: FibrationData, pairs: Iterable[tuple],
     """Bundle projections must intertwine both projections and injections."""
     rng = rng or np.random.default_rng(0)
     via_proj, via_inj = [], []
-    for J, K in pairs:
-        if not data.total.poset.leq(J, K) or J == K:
-            continue
+    for pair, J, K in strict_pairs(data.total.poset, pairs):
         pJ, pK = data.bundle_proj(J), data.bundle_proj(K)
-        pair = data.total.poset.key(J), data.total.poset.key(K)
-        # one joint draw replays n alternating draws of x at K, y at J
-        dK = data.total.dim(K)
-        XY = sample_point(dK + data.total.dim(J), rng, samples)
-        X, Y = XY[:, :dK], XY[:, dK:]
+        X, Y = sample_joint(rng, samples, data.total.dim(K), data.total.dim(J))
         via_proj.append((pair, residual(pJ.rows(data.total.proj(J, K).rows(X)),
                                           data.base.proj(J, K).rows(pK.rows(X)))))
         via_inj.append((pair, residual(pK.rows(data.total.inj(K, J).rows(Y)),

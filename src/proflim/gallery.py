@@ -319,15 +319,12 @@ def wiener_family(times: Optional[Sequence[float]] = None) -> GalleryFamily:
         raise ValueError("knot times must be distinct and positive")
     poset = subset_poset(pool)
 
-    def sorted_times(S):
-        return sorted(S)
-
     def proj_factory(T, S):
-        ts = sorted_times(S)
-        return selection_map(len(ts), [ts.index(t) for t in sorted_times(T)])
+        ts = sorted(S)
+        return selection_map(len(ts), [ts.index(t) for t in sorted(T)])
 
     def inj_factory(S, T):
-        return matrix_map(pl_weights(sorted_times(S), sorted_times(T)))
+        return matrix_map(pl_weights(sorted(S), sorted(T)))
 
     fam = ProfiniteFamily(
         poset,
@@ -337,7 +334,7 @@ def wiener_family(times: Optional[Sequence[float]] = None) -> GalleryFamily:
         name="wiener")
 
     def sample_path(S, rng):
-        return brownian_sample(sorted_times(S), rng)
+        return brownian_sample(sorted(S), rng)
 
     return GalleryFamily(
         "wiener", fam,
@@ -346,7 +343,7 @@ def wiener_family(times: Optional[Sequence[float]] = None) -> GalleryFamily:
             "pool": pool,
             "full_index": frozenset(pool),
             "sample_path": sample_path,
-            "pl_path": lambda S, v: pl_path(sorted_times(S), v),
+            "pl_path": lambda S, v: pl_path(sorted(S), v),
             "pairing": pairing,
         })
 

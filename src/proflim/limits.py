@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .family import ProfiniteFamily, sample_pairs
+from .family import ProfiniteFamily, sample_pairs, strict_pairs
 from .maps import DimensionMismatch, as_point, residual
 from .poset import Section
 from .report import VerificationReport
@@ -113,15 +113,12 @@ class SectionPoint:
 def _extension_candidates(sp: SectionPoint, I) -> list[np.ndarray]:
     """All member-induced values at index I: projections from members above,
     injections from members below.  Mixing cannot happen for an antichain."""
-    fam, poset = sp.family, sp.family.poset
     out = []
     for member in sp.section:
         if member == I:
             out.append(sp.values[member])
-        elif poset.leq(I, member):
-            out.append(fam.proj(I, member)(sp.values[member]))
-        elif poset.leq(member, I):
-            out.append(fam.inj(I, member)(sp.values[member]))
+        elif (mp := sp.family.transport(member, I)) is not None:
+            out.append(mp(sp.values[member]))
     return out
 
 
@@ -211,18 +208,11 @@ def is_inductive(t: Thread, candidate_sections: Iterable, probe: Optional[Iterab
         try:
             sp = restrict_thread(t, sec)
             induced = thread_from_section(sp, tol=tol)
-            ok = True
-            for idx in probe:
-                if not any(poset.comparable(idx, m) for m in sec):
-                    ok = False
-                    break
-                if not residual(induced(idx), t(idx)) <= tol:
-                    ok = False
-                    break
+            # an index no member reaches raises Incomparable before t is read
+            if all(residual(induced(idx), t(idx)) <= tol for idx in probe):
+                return sp
         except (IllDefinedSection, Incomparable):
             continue
-        if ok:
-            return sp
     return None
 
 
@@ -256,9 +246,7 @@ def _check_morphism(family: ProfiniteFamily, pairs: Sequence[tuple],
                     level_op: Callable[[Any], np.ndarray], tol: float, what: str) -> None:
     """Raise MorphismViolation unless proj(J, K) carries level_op(K) to
     level_op(J) on every comparable pair; a NaN residual violates."""
-    for J, K in pairs:
-        if not family.poset.leq(J, K) or J == K:
-            continue
+    for _, J, K in strict_pairs(family.poset, pairs):
         gap = residual(family.proj(J, K)(level_op(K)), level_op(J))
         if not gap <= tol:
             raise MorphismViolation(

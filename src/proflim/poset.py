@@ -250,5 +250,4 @@ def filter_base_set(poset: IndexPoset, section) -> FilterBaseSet:
 def is_finitely_cylindrical_witness(poset: IndexPoset, section,
                                     probe: Optional[Iterable] = None) -> bool:
     """Certificate that the section is finite and covers the (probed) poset."""
-    mem = list(section.members) if isinstance(section, Section) else list(section)
-    return is_section(poset, mem, probe=probe)
+    return is_section(poset, section, probe)

@@ -11,7 +11,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
-from .family import ProfiniteFamily, sample_point
+from .family import ProfiniteFamily, sample_joint, strict_pairs
 from .limits import SectionPoint, Thread, extend_section_point
 from .maps import residual
 from .report import VerificationReport
@@ -61,17 +61,12 @@ def injection_isometry_check(m: LevelMetricFamily, pairs: Iterable[tuple],
                              ) -> VerificationReport:
     """Whether injections preserve level distances on sampled pairs."""
     rng = rng or np.random.default_rng(0)
-    fam, key = m.family, m.family.poset.key
+    fam = m.family
     gaps = []
-    for J, K in pairs:
-        if not fam.poset.leq(J, K) or J == K:
-            continue
+    for pair, J, K in strict_pairs(fam.poset, pairs):
         inj = fam.inj(K, J)
-        # one joint draw replays n alternating draws of x, y in E_J
-        dJ = fam.dim(J)
-        XY = sample_point(2 * dJ, rng, samples)
-        X, Y = XY[:, :dJ], XY[:, dJ:]
-        gaps.append(((key(J), key(K)),
+        X, Y = sample_joint(rng, samples, fam.dim(J), fam.dim(J))
+        gaps.append((pair,
                      residual([m(K, a, b) for a, b in zip(inj.rows(X), inj.rows(Y))],
                               [m(J, x, y) for x, y in zip(X, Y)])))
     report = VerificationReport(f"injection isometry ({m.kind})")

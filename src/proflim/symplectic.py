@@ -14,11 +14,14 @@ import numpy as np
 
 from .calculus import TameForm, exterior_derivative
 from .cylinder import CylindricalFunction, level_function, linear_combination
-from .family import ProfiniteFamily, sample_point
+from .family import ProfiniteFamily, sample_joint, sample_point, strict_pairs
 from .maps import FD_STEP, as_point, fd_jacobian, residual
 from .report import VerificationReport
 
 RANK_RTOL = 1e-10
+# momentum_verify's form-preservation certificate: tolerance and group elements
+SYMPLECTIC_TOL = 1e-8
+GROUP_ELEMENTS = 20
 # 1/k! for k = 0..15 in rows of four, for ProfiniteGroupAction.exp
 _TAYLOR = np.array([1.0 / math.factorial(k) for k in range(16)]).reshape(4, 4)
 
@@ -43,14 +46,14 @@ class ZeroVector(Exception):
     """A nondegeneracy probe needs a nonzero vector."""
 
 
-def level_rank(matrix: np.ndarray, rel_threshold: float = RANK_RTOL) -> int:
+def level_rank(matrix: np.ndarray) -> int:
     if matrix.size == 0:
         return 0
     sv = np.linalg.svd(matrix, compute_uv=False)
     top = float(sv[0])
     if top == 0.0:
         return 0
-    return int(np.sum(sv > rel_threshold * top))
+    return int(np.sum(sv > RANK_RTOL * top))
 
 
 @dataclass
@@ -106,8 +109,7 @@ def _form(structure) -> TameForm:
 
 
 def is_projectively_nondegenerate(obj, levels: Iterable, samples: int = 10,
-                                  rng: Optional[np.random.Generator] = None,
-                                  rel_threshold: float = RANK_RTOL):
+                                  rng: Optional[np.random.Generator] = None):
     """Full rank at every listed level, with the per-level rank report."""
     rng = rng or np.random.default_rng(0)
     fam = obj.family
@@ -116,16 +118,15 @@ def is_projectively_nondegenerate(obj, levels: Iterable, samples: int = 10,
     for J in levels:
         dim = fam.dim(J)
         rank = dim
-        for _ in range(samples):
-            x = sample_point(dim, rng)
-            rank = min(rank, level_rank(obj.matrix(J, x), rel_threshold))
+        for x in sample_point(dim, rng, samples):
+            rank = min(rank, level_rank(obj.matrix(J, x)))
         profile[J] = {"dim": dim, "rank": rank, "full": rank == dim}
         verdict = verdict and rank == dim
     return verdict, profile
 
 
 def is_weakly_nondegenerate(obj, u, I, search_levels: Iterable,
-                            base_point=None, threshold: float = RANK_RTOL):
+                            base_point=None):
     """Search the given levels for a pairing partner of the pushed vector.
 
     Returns (True, (J, basis_index, value)) on the first witness, else
@@ -147,7 +148,7 @@ def is_weakly_nondegenerate(obj, u, I, search_levels: Iterable,
         mat = obj.matrix(J, inj(base_point))
         pairings = mat.T @ pushed  # value against each basis vector
         scale = max(float(np.max(np.abs(mat), initial=0.0)), 1.0)
-        hits = np.where(np.abs(pairings) > threshold * scale)[0]
+        hits = np.where(np.abs(pairings) > RANK_RTOL * scale)[0]
         if hits.size:
             k = int(hits[np.argmax(np.abs(pairings[hits]))])
             return True, (J, k, float(pairings[k]))
@@ -195,12 +196,10 @@ def hamiltonian_compat_check(structure, H: CylindricalFunction, pairs: Iterable[
     rng = rng or np.random.default_rng(0)
     fam = _form(structure).family
     gaps = []
-    for J, K in pairs:
-        if not fam.poset.leq(J, K) or J == K:
-            continue
+    for pair, J, K in strict_pairs(fam.poset, pairs):
         pr = fam.proj(J, K)
         X = sample_point(fam.dim(K), rng, samples)
-        gaps.append(((fam.poset.key(J), fam.poset.key(K)),
+        gaps.append((pair,
                      residual([pr.jacobian(x) @ hamiltonian_field(structure, H, K, x) for x in X],
                               [hamiltonian_field(structure, H, J, pr(x)) for x in X])))
     report = VerificationReport("hamiltonian projection compatibility")
@@ -386,16 +385,11 @@ def check_action_compat(action: ProfiniteGroupAction, pairs: Iterable[tuple],
     rng = rng or np.random.default_rng(0)
     fam = action.family
     gaps = []
-    for J, K in pairs:
-        if not fam.poset.leq(J, K) or J == K:
-            continue
+    for pair, J, K in strict_pairs(fam.poset, pairs):
         pr = fam.proj(J, K)
-        # one joint draw replays n alternating draws of coefficients, x in E_K
-        n_gen = len(list(action.generators(K)))
-        CX = sample_point(n_gen + fam.dim(K), rng, samples)
-        gs = [action.exp(action.algebra_element(K, c)) for c in CX[:, :n_gen]]
-        X = CX[:, n_gen:]
-        gaps.append(((fam.poset.key(J), fam.poset.key(K)),
+        C, X = sample_joint(rng, samples, len(list(action.generators(K))), fam.dim(K))
+        gs = [action.exp(action.algebra_element(K, c)) for c in C]
+        gaps.append((pair,
                      residual([pr(action.act(K, g, x)) for g, x in zip(gs, X)],
                               [action.act(J, action.restrict(J, K, g), pr(x))
                                for g, x in zip(gs, X)])))
@@ -418,8 +412,7 @@ class MomentumMap:
 
 def momentum_verify(structure, action: ProfiniteGroupAction, mu: MomentumMap,
                     coeffs: Sequence[float], J, samples: int = 10,
-                    tol: float = 1e-6, symplectic_tol: float = 1e-8,
-                    group_elements: int = 20,
+                    tol: float = 1e-6,
                     rng: Optional[np.random.Generator] = None) -> VerificationReport:
     """Certify the action preserves the form, then compare the finite
     difference generator of the action with the field of mu(coeffs).
@@ -429,18 +422,14 @@ def momentum_verify(structure, action: ProfiniteGroupAction, mu: MomentumMap,
     rng = rng or np.random.default_rng(0)
     omega = _form(structure)
     dim = omega.family.dim(J)
-    n_gen = len(list(action.generators(J)))
-
-    # one joint draw replays n alternating draws of coefficients, x in E_J
-    CX = sample_point(n_gen + dim, rng, group_elements)
-    gs = [action.exp(action.algebra_element(J, c)) for c in CX[:, :n_gen]]
-    X = CX[:, n_gen:]
+    C, X = sample_joint(rng, GROUP_ELEMENTS, len(list(action.generators(J))), dim)
+    gs = [action.exp(action.algebra_element(J, c)) for c in C]
     # linear action: Dphi_g = g
     preserve = [(i, residual(g.T @ omega.matrix(J, action.act(J, g, x)) @ g,
                              omega.matrix(J, x)))
                 for i, (g, x) in enumerate(zip(gs, X))]
     report = VerificationReport("momentum map")
-    form_check = report.add_worst("action preserves the form", preserve, symplectic_tol,
+    form_check = report.add_worst("action preserves the form", preserve, SYMPLECTIC_TOL,
                                   what="sample")
     if not form_check.passed:
         raise NonSymplecticAction(

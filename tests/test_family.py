@@ -59,6 +59,54 @@ def test_proj_composition_through_stored_pairs(cross, monkeypatch):
     assert calls == [(0, 4), (0, 4)]
 
 
+def _adjacent_chain(bad=None, missing=None) -> pl.ProfiniteFamily:
+    """Chain 1..4 of R^n storing only adjacent pairs; the map of the call
+    `bad` gets one extra domain coordinate, the call `missing` answers None."""
+    def factory(kind, make):
+        def answer(a, b):
+            if (kind, a, b) == missing or abs(a - b) != 1:
+                return None
+            extra = 1 if (kind, a, b) == bad else 0
+            return make(max(a, b) + extra, range(min(a, b)))
+        return answer
+
+    return pl.ProfiniteFamily(pl.chain_poset(range(1, 5)), lambda n: n,
+                              factory("proj", pl.selection_map),
+                              factory("inj", pl.scatter_map),
+                              stored_pairs=[(1, 2), (2, 3), (3, 4)], name="adjacent")
+
+
+@pytest.mark.parametrize("call, bad, missing, error, text", [
+    (("proj", 2, 3), ("proj", 2, 3), None, pl.DimensionMismatch,
+     "proj(2,3): declared 3->2, map has 4->2"),
+    (("proj", 1, 4), ("proj", 2, 3), None, pl.DimensionMismatch,
+     "proj(2,3): declared 3->2, map has 4->2"),
+    (("inj", 4, 1), ("inj", 3, 2), None, pl.DimensionMismatch,
+     "inj(3,2): declared 2->3, map has 2->4"),
+    (("proj", 1, 4), None, ("proj", 2, 3), pl.FamilyMismatch,
+     "missing stored projection (2, 3)"),
+    (("inj", 4, 1), None, ("inj", 3, 2), pl.FamilyMismatch,
+     "missing stored injection (3, 2)"),
+])
+def test_composed_maps_name_the_bad_stored_step(call, bad, missing, error, text):
+    fam = _adjacent_chain(bad, missing)
+    kind, a, b = call
+    with pytest.raises(error) as info:
+        getattr(fam, kind)(a, b)
+    assert str(info.value) == text
+
+
+def test_adjacent_chain_composes_both_ways():
+    fam = _adjacent_chain()
+    assert np.array_equal(fam.proj(1, 4).matrix, [[1.0, 0.0, 0.0, 0.0]])
+    assert np.array_equal(fam.inj(4, 1).matrix, [[1.0], [0.0], [0.0], [0.0]])
+    assert fam.transport(4, 1) is fam.proj(1, 4) and fam.transport(1, 4) is fam.inj(4, 1)
+
+
+def test_transport_is_none_between_incomparable_levels(cross):
+    assert cross.family.transport("J", "K") is None
+
+
 def test_retraction_on_every_comparable_pair(matrix, rng):
     fam = matrix.family
     for J in range(1, 9):
