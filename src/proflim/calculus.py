@@ -114,7 +114,7 @@ def symbolic_form(family: ProfiniteFamily, degree: int,
     lock = threading.Lock()
 
     def memo(build, J):
-        key = (build, family.poset.key(J))
+        key = (build, J)
         with lock:
             if key in cache:
                 return cache[key]

@@ -55,12 +55,11 @@ class ProfiniteFamily:
     def _cached(self, kind: str, J, K):
         """The map of `kind` ("proj" or "inj") for the pair J <= K, built once.
 
-        The cache is read before the order oracle: an entry exists only for
-        a pair that passed leq when it was built.  J == K shares one
-        identity entry between both kinds.
+        The cache is keyed by the indices themselves and read before the
+        order oracle: an entry exists only for a pair that passed leq when
+        it was built.  J == K shares one identity entry between both kinds.
         """
-        key = (("id", self.poset.key(J)) if J == K
-               else (kind, self.poset.key(J), self.poset.key(K)))
+        key = ("id", J) if J == K else (kind, J, K)
         with self._lock:
             if key in self._cache:
                 return self._cache[key]
@@ -78,16 +77,15 @@ class ProfiniteFamily:
                 f"{self.name or 'family'}: no stored map for pair ({J!r}, {K!r}) "
                 "and no stored-pair graph to compose along")
         frontier = [(K, [K])]
-        seen = {self.poset.key(K)}
+        seen = {K}
         while frontier:
             node, path = frontier.pop(0)
             for lo, hi in self.stored_pairs:
                 if hi == node and self.poset.leq(J, lo):
                     if lo == J:
                         return path + [lo]
-                    marker = self.poset.key(lo)
-                    if marker not in seen:
-                        seen.add(marker)
+                    if lo not in seen:
+                        seen.add(lo)
                         frontier.append((lo, path + [lo]))
         raise FamilyMismatch(
             f"{self.name or 'family'}: stored pairs do not connect {J!r} to {K!r}")
@@ -163,12 +161,12 @@ def sample_joint(rng: np.random.Generator, count: int, *dims: int) -> list[np.nd
     return [X[:, end - d:end] for d, end in zip(dims, accumulate(dims))]
 
 
-def strict_pairs(poset: IndexPoset, pairs: Iterable[tuple]) -> Iterator[tuple]:
+def strict_pairs(poset: IndexPoset, pairs: Iterable[tuple], named: bool = True) -> Iterator[tuple]:
     """(witness, J, K) for each listed pair with J < K, in order; the witness
-    (key(J), key(K)) names the pair in a report."""
+    (key(J), key(K)) names the pair in a report, and is None unless named."""
     for J, K in pairs:
         if poset.leq(J, K) and J != K:
-            yield (poset.key(J), poset.key(K)), J, K
+            yield ((poset.key(J), poset.key(K)) if named else None), J, K
 
 
 def sample_chains(poset: IndexPoset, rng: np.random.Generator,
@@ -176,13 +174,13 @@ def sample_chains(poset: IndexPoset, rng: np.random.Generator,
     """Random weakly increasing chains from a finite poset."""
     if poset.elements is None:
         raise FamilyMismatch("chain sampling needs a finite poset or explicit chains")
-    els = list(poset.elements)
+    els = poset.elements
     chains = []
     for _ in range(count):
         top = els[rng.integers(len(els))]
         chain = [top]
         for _ in range(length - 1):
-            below = [e for e in els if poset.leq(e, chain[-1])]
+            below = poset.down(chain[-1])
             chain.append(below[rng.integers(len(below))])
         chains.append(tuple(reversed(chain)))  # increasing
     return chains
@@ -193,11 +191,11 @@ def sample_pairs(poset: IndexPoset, rng: np.random.Generator,
     """Random comparable pairs (J, K), J <= K, from a finite poset."""
     if poset.elements is None:
         raise FamilyMismatch("pair sampling needs a finite poset or explicit pairs")
-    els = list(poset.elements)
+    els = poset.elements
     pairs = []
     for _ in range(count):
         a = els[rng.integers(len(els))]
-        above = [e for e in els if poset.leq(a, e)]
+        above = poset.up(a)
         pairs.append((a, above[rng.integers(len(above))]))
     return pairs
 

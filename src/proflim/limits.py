@@ -53,15 +53,14 @@ class Thread:
         self._lock = threading.Lock()
 
     def value(self, J) -> np.ndarray:
-        key = self.family.poset.key(J)
         with self._lock:
-            if key in self._memo:
-                return self._memo[key]
-        return self._store(J, self._fn(J), key)
+            if J in self._memo:
+                return self._memo[J]
+        return self._store(J, self._fn(J))
 
-    def _store(self, J, val, key) -> np.ndarray:
-        """Memoize val at J (memo key `key`) as a read-only copy; the value
-        stored first wins."""
+    def _store(self, J, val) -> np.ndarray:
+        """Memoize val at J (the memo is keyed by the index itself) as a
+        read-only copy; the value stored first wins."""
         val = as_point(val)
         if val.size != self.family.dim(J):
             raise DimensionMismatch(
@@ -70,7 +69,7 @@ class Thread:
         val = val.copy()
         val.setflags(write=False)
         with self._lock:
-            return self._memo.setdefault(key, val)
+            return self._memo.setdefault(J, val)
 
     __call__ = value
 
@@ -122,22 +121,17 @@ def _extension_candidates(sp: SectionPoint, I) -> list[np.ndarray]:
     return out
 
 
-def _member_value(sp: SectionPoint, I, tol: float) -> Optional[np.ndarray]:
-    """The value the members induce at I, or None when no member reaches I.
-    Raises IllDefinedSection when two members disagree there."""
+def extend_section_point(sp: SectionPoint, I, tol: float = 1e-9) -> np.ndarray:
+    """The value the members induce at I.  Raises Incomparable when no
+    member reaches I, IllDefinedSection when two members disagree there."""
     cands = _extension_candidates(sp, I)
+    if not cands:
+        raise Incomparable(f"index {I!r} is comparable to no member of {sp.section}")
     for other in cands[1:]:
         if not residual(other, cands[0]) <= tol:
             raise IllDefinedSection(
                 f"member values disagree at {I!r}: {cands[0]} vs {other}")
-    return cands[0] if cands else None
-
-
-def extend_section_point(sp: SectionPoint, I, tol: float = 1e-9) -> np.ndarray:
-    val = _member_value(sp, I, tol)
-    if val is None:
-        raise Incomparable(f"index {I!r} is comparable to no member of {sp.section}")
-    return val
+    return cands[0]
 
 
 def validate_section_point(sp: SectionPoint, tol: float = 1e-9) -> None:
@@ -156,9 +150,10 @@ def thread_from_section(sp: SectionPoint, tol: float = 1e-9,
     when an index is beyond every member's reach.
 
     check compares the members at every pairwise join and, on a finite
-    poset, at every element some member reaches, and memoizes each checked
-    value: the extension rule runs once per index.  On an oracle poset,
-    conflicts below the joins are still caught lazily at evaluation time.
+    poset, at every element of `poset.reach(section)`, and memoizes each
+    checked value: the extension rule runs once per reachable index and at
+    no other.  On an oracle poset, conflicts below the joins are still
+    caught lazily at evaluation time.
     """
     label = ",".join(repr(m) for m in sp.section)
     thread = Thread(sp.family, lambda I: extend_section_point(sp, I, tol=tol),
@@ -167,10 +162,9 @@ def thread_from_section(sp: SectionPoint, tol: float = 1e-9,
         poset = sp.family.poset
         joins = dict.fromkeys(poset.require_join(a, b)
                               for a, b in combinations(sp.section, 2))
-        for I in (*joins, *(J for J in poset.elements or () if J not in joins)):
-            val = _member_value(sp, I, tol)
-            if val is not None:
-                thread._store(I, val, poset.key(I))
+        reach = () if poset.elements is None else poset.reach(sp.section)
+        for I in (*joins, *(J for J in reach if J not in joins)):
+            thread._store(I, extend_section_point(sp, I, tol=tol))
     return thread
 
 
@@ -246,7 +240,7 @@ def _check_morphism(family: ProfiniteFamily, pairs: Sequence[tuple],
                     level_op: Callable[[Any], np.ndarray], tol: float, what: str) -> None:
     """Raise MorphismViolation unless proj(J, K) carries level_op(K) to
     level_op(J) on every comparable pair; a NaN residual violates."""
-    for _, J, K in strict_pairs(family.poset, pairs):
+    for _, J, K in strict_pairs(family.poset, pairs, named=False):
         gap = residual(family.proj(J, K)(level_op(K)), level_op(J))
         if not gap <= tol:
             raise MorphismViolation(

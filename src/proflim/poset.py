@@ -9,7 +9,9 @@ on that probe and never as a proof.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Any, Callable, Iterable, Optional
 
@@ -32,7 +34,7 @@ class InfinitePoset(Exception):
 
 def _default_key(x):
     # total order on index identifiers, independent of leq, for canonical
-    # sorting and memo keys
+    # sorting and witness names
     if isinstance(x, frozenset):
         return tuple(sorted(x))
     return x
@@ -40,13 +42,16 @@ def _default_key(x):
 
 @dataclass(frozen=True)
 class IndexPoset:
-    """leq/join oracles plus an optional finite enumeration."""
+    """leq/join oracles plus an optional finite enumeration; `below(I)` and
+    `above(I)`, when given, list the elements <= I and >= I without leq."""
 
     leq: Callable[[Any, Any], bool]
     join: Callable[[Any, Any], Optional[Any]]
     kind: str = "finite"
     elements: Optional[tuple] = None
     key: Callable[[Any], Any] = _default_key
+    below: Optional[Callable[[Any], tuple]] = field(default=None, repr=False, compare=False)
+    above: Optional[Callable[[Any], tuple]] = field(default=None, repr=False, compare=False)
 
     def lt(self, a, b) -> bool:
         return a != b and self.leq(a, b)
@@ -56,6 +61,28 @@ class IndexPoset:
 
     def sort(self, indices: Iterable) -> list:
         return sorted(indices, key=self.key)
+
+    def down(self, I) -> tuple:
+        """Every element J <= I, in `elements` order."""
+        return self._walk(self.below, I, lambda J: self.leq(J, I))
+
+    def up(self, I) -> tuple:
+        """Every element J >= I, in `elements` order."""
+        return self._walk(self.above, I, lambda J: self.leq(I, J))
+
+    def reach(self, members: Iterable) -> tuple:
+        """Every element comparable to some member, in `elements` order."""
+        found = {J for m in members for side in (self.down(m), self.up(m)) for J in side}
+        return tuple(sorted(found, key=self._position.__getitem__))
+
+    def _walk(self, enum, I, keep) -> tuple:
+        if self.elements is None:
+            raise InfinitePoset("an oracle poset cannot enumerate its elements")
+        return enum(I) if enum is not None else tuple(filter(keep, self.elements))
+
+    @cached_property
+    def _position(self) -> dict:
+        return {J: i for i, J in enumerate(self.elements)}
 
     def require_join(self, a, b):
         r = self.join(a, b)
@@ -106,11 +133,13 @@ class FilterBaseSet:
 
 
 def chain_poset(indices: Iterable[int]) -> IndexPoset:
-    """Finite totally ordered poset over the given integers."""
-    els = tuple(sorted(int(i) for i in indices))
+    """Finite totally ordered poset over the given integers, each listed once."""
+    els = tuple(sorted({int(i) for i in indices}))
     return IndexPoset(leq=lambda a, b: a <= b,
                       join=lambda a, b: max(a, b),
-                      kind="finite", elements=els)
+                      kind="finite", elements=els,
+                      below=lambda i: els[:bisect_right(els, i)],
+                      above=lambda i: els[bisect_left(els, i):])
 
 
 def nat_chain() -> IndexPoset:
@@ -124,9 +153,14 @@ def finite_poset(elements: Iterable, leq: Callable[[Any, Any], bool]) -> IndexPo
     """Finite poset from an explicit leq oracle; joins found by search.
 
     The join oracle returns the canonically smallest minimal upper bound,
-    or None when the pair has no upper bound at all.
+    or None when the pair has no upper bound at all; down- and up-sets are
+    read from leq on first use and kept.
     """
-    els = tuple(elements)
+    els = tuple(dict.fromkeys(elements))  # each element once, in the order given
+
+    @lru_cache(maxsize=None)
+    def sides(I):
+        return (tuple(J for J in els if leq(J, I)), tuple(J for J in els if leq(I, J)))
 
     def join(a, b):
         uppers = [r for r in els if leq(a, r) and leq(b, r)]
@@ -136,15 +170,19 @@ def finite_poset(elements: Iterable, leq: Callable[[Any, Any], bool]) -> IndexPo
                    if not any(leq(v, u) and v != u for v in uppers)]
         return sorted(minimal, key=_default_key)[0]
 
-    return IndexPoset(leq=leq, join=join, kind="finite", elements=els)
+    return IndexPoset(leq=leq, join=join, kind="finite", elements=els,
+                      below=lambda I: sides(I)[0], above=lambda I: sides(I)[1])
 
 
 def subset_poset(pool: Optional[Iterable] = None) -> IndexPoset:
     """Finite subsets ordered by inclusion.
 
     With a finite `pool` the poset is fully enumerable (all subsets of the
-    pool, the empty set included); with pool=None it is the oracle poset of
-    finite subsets of an unspecified parameter set.
+    pool, the empty set included, by size, then by `combinations` over the
+    sorted pool); with pool=None it is the oracle poset of finite subsets of
+    an unspecified parameter set.  The down-set of S (the subsets of S) and
+    its up-set (S joined with each subset of the rest) are generated the
+    same way, so they list the element objects in element order.
     """
     def leq(a, b):
         return frozenset(a) <= frozenset(b)
@@ -156,12 +194,24 @@ def subset_poset(pool: Optional[Iterable] = None) -> IndexPoset:
         return IndexPoset(leq=leq, join=join,
                           kind="finite-subsets-of-parameter-set", elements=None)
     items = sorted(set(pool))
-    els = []
-    for r in range(len(items) + 1):
-        for sub in combinations(items, r):
-            els.append(frozenset(sub))
-    return IndexPoset(leq=leq, join=join,
-                      kind="finite-subsets-of-parameter-set", elements=tuple(els))
+
+    def subsets(among):
+        return (frozenset(sub) for r in range(len(among) + 1)
+                for sub in combinations(among, r))
+
+    els = tuple(subsets(items))
+    canon = {S: S for S in els}
+
+    def below(S):
+        return tuple(canon[T] for T in subsets([t for t in items if t in S]))
+
+    def above(S):
+        S = frozenset(S)
+        rest = [t for t in items if t not in S]
+        return tuple(canon[S | R] for R in subsets(rest)) if S in canon else ()
+
+    return IndexPoset(leq=leq, join=join, kind="finite-subsets-of-parameter-set",
+                      elements=els, below=below, above=above)
 
 
 # ---------------------------------------------------------------------------
@@ -181,21 +231,14 @@ def is_directed(poset: IndexPoset, sample: Iterable) -> bool:
     return True
 
 
-def _resolve_probe(poset: IndexPoset, probe: Optional[Iterable]) -> list:
-    if probe is not None:
-        return list(probe)
-    if poset.elements is None:
-        raise InfinitePoset("an oracle poset needs an explicit probe")
-    return list(poset.elements)
-
-
 def section_defect(poset: IndexPoset, members: Iterable,
                    probe: Optional[Iterable] = None) -> Optional[str]:
     """Why the members are not a section, or None when they are: the first
     comparable pair of members, else the first probe index no member reaches.
 
     For finite posets the probe defaults to all elements, making the check
-    exact; for oracle posets the result is only as strong as the probe.
+    exact, and coverage is read from `poset.reach`; for oracle posets the
+    result is only as strong as the probe.
     """
     mem = list(members.members) if isinstance(members, Section) else list(members)
     if not mem:
@@ -203,7 +246,12 @@ def section_defect(poset: IndexPoset, members: Iterable,
     for a, b in combinations(mem, 2):
         if poset.comparable(a, b):
             return f"members {a!r} and {b!r} are comparable"
-    for idx in _resolve_probe(poset, probe):
+    if probe is None:
+        if poset.elements is None:
+            raise InfinitePoset("an oracle poset needs an explicit probe")
+        reached = set(poset.reach(mem))
+        probe = [J for J in poset.elements if J not in reached][:1]
+    for idx in probe:
         if not any(poset.comparable(idx, m) for m in mem):
             return f"no member reaches level {idx!r}"
     return None
@@ -227,11 +275,8 @@ def enumerate_sections(poset: IndexPoset) -> list[Section]:
     els = poset.sort(poset.elements)
     found = []
 
-    def covers(antichain):
-        return all(any(poset.comparable(idx, m) for m in antichain) for idx in els)
-
     def grow(prefix, rest):
-        if prefix and covers(prefix):
+        if prefix and len(poset.reach(prefix)) == len(els):
             found.append(Section(tuple(prefix)))
         for i, cand in enumerate(rest):
             if all(not poset.comparable(cand, m) for m in prefix):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -15,6 +16,37 @@ def test_index_round_trip():
         pl.encode_index((1, 2))
     with pytest.raises(pl.DescriptorError):
         pl.decode_index({"set": [1], "junk": 2})
+
+
+def test_decoded_indices_key_memos_and_maps_by_value():
+    """Memos and the map cache key by the index itself: one frozenset in
+    two spellings is one entry, an int and a string are two, and no lookup
+    asks poset.key."""
+    fam = pl.wiener_family([0.25, 0.5, 0.75]).family
+    key_calls = []
+    canonical = fam.poset.key
+    fam.poset = dataclasses.replace(
+        fam.poset, key=lambda J: key_calls.append(J) or canonical(J))
+    a, b = pl.decode_index({"set": [0.5, 0.25]}), pl.decode_index({"set": [0.25, 0.5]})
+    top = pl.decode_index({"set": [0.75, 0.25, 0.5]})
+    calls = []
+    t = pl.Thread(fam, lambda J: calls.append(J) or np.zeros(len(J)))
+    assert t(a) is t(b) and len(calls) == 1 and list(t._memo) == [a]
+    assert fam.proj(a, top) is fam.proj(b, top) and fam.inj(top, a) is fam.inj(top, b)
+    assert fam.proj(a, a) is fam.inj(b, b) and len(fam._cache) == 3
+    assert key_calls == []
+
+    one, word, two = (pl.decode_index(i) for i in (1, "1", 2))
+    rank = {one: 0, word: 1, two: 2}
+    dims = {one: 1, word: 2, two: 3}
+    chain = pl.ProfiniteFamily(
+        pl.finite_poset([one, word, two], lambda x, y: rank[x] <= rank[y]), dims.get,
+        proj_factory=lambda J, K: pl.selection_map(dims[K], range(dims[J])),
+        inj_factory=lambda K, J: pl.scatter_map(dims[K], range(dims[J])))
+    t = pl.Thread(chain, lambda J: np.ones(dims[J]))
+    assert [t(J).size for J in (one, word, two)] == [1, 2, 3] and len(t._memo) == 3
+    assert chain.proj(one, two).codomain_dim == 1 and chain.proj(word, two).codomain_dim == 2
+    assert len(chain._cache) == 2
 
 
 def test_poset_round_trips(euclid, cross, wiener):

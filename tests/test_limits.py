@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -162,8 +163,53 @@ def test_extension_rule_runs_once_per_reachable_level(monkeypatch, case):
     mu = pl.IndexMeasure({J: 1.0 / len(reachable) for J in reachable})
     pl.d_inf(metrics, x, y, [[J] for J in reachable])
     pl.d_mu(metrics, mu, x, y)
-    # the probe asks every element once; the distances then read the memo
-    assert calls == Counter(fam.poset.elements)
+    # the probe asks each reachable level once and no other level; the
+    # distances then read the memo
+    assert calls == Counter(reachable)
+
+
+@given(section_points())
+def test_check_memoizes_exactly_the_reachable_levels(case):
+    fam, values = case
+    want = section_thread_levels(fam, values)
+    sp = pl.SectionPoint.of(fam, list(values), values)
+    if not all(agree for _, agree in want.values()):
+        with pytest.raises(pl.IllDefinedSection):
+            pl.thread_from_section(sp, check=True)
+        return
+    memo = pl.thread_from_section(sp, check=True)._memo
+    assert len(memo) == len(want) and set(memo) == set(want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_probe_work_is_bounded_by_the_reachable_levels(monkeypatch, k):
+    """On the 1024 levels of a 10-knot Wiener family, a one-member section
+    of k knots reaches 2^k levels below it and 2^(10-k) above, its own level
+    counted in both.  The probe runs the extension rule there and nowhere
+    else, and asks leq at most twice per level, plus once more for each map
+    the family builds (a build checks its pair's order)."""
+    knots = [(i + 1) / 10 for i in range(10)]
+    fam = pl.wiener_family(knots).family
+    leq_calls = []
+    order = fam.poset.leq
+    fam.poset = dataclasses.replace(
+        fam.poset, leq=lambda a, b: leq_calls.append(1) or order(a, b))
+    rule = limits._extension_candidates
+    rule_calls = []
+    monkeypatch.setattr(limits, "_extension_candidates",
+                        lambda sp, I: rule_calls.append(I) or rule(sp, I))
+    S = frozenset(knots[:k])
+    reachable = 2 ** k + 2 ** (10 - k) - 1
+    for cold in (True, False):  # fresh maps, then the maps the first probe built
+        leq_calls.clear()
+        rule_calls.clear()
+        maps_before = len(fam._cache)
+        sp = pl.SectionPoint.of(fam, [S], {S: np.arange(float(k))})
+        pl.thread_from_section(sp, check=True)
+        built = len(fam._cache) - maps_before
+        assert len(rule_calls) == len(set(rule_calls)) == reachable
+        assert built == (reachable - 1 if cold else 0)
+        assert len(leq_calls) <= 2 * reachable + built
 
 
 def test_check_thread_catches_inconsistency(euclid):

@@ -46,12 +46,14 @@ def test_sections_match_powerset_oracle_subsets():
     assert got == want
 
 
-@given(st.integers(2, 12), st.data())
-def test_sections_match_powerset_oracle_random(n, data):
-    # random DAG order: i <= j iff i == j or (i < j and edge picked)
+@st.composite
+def dag_orders(draw, max_n=12):
+    """(n, leq) of a random DAG order on range(n): i <= j iff i == j or
+    (i < j and edge picked), closed transitively."""
+    n = draw(st.integers(2, max_n))
     edges = {}
     for i, j in combinations(range(n), 2):
-        edges[(i, j)] = data.draw(st.booleans())
+        edges[(i, j)] = draw(st.booleans())
     # transitive closure
     closure = {(i, i) for i in range(n)}
     closure |= {e for e, on in edges.items() if on}
@@ -63,7 +65,12 @@ def test_sections_match_powerset_oracle_random(n, data):
                 if b == c and (a, d) not in closure:
                     closure.add((a, d))
                     changed = True
-    leq = lambda a, b: (a, b) in closure
+    return n, lambda a, b: (a, b) in closure
+
+
+@given(dag_orders())
+def test_sections_match_powerset_oracle_random(order):
+    n, leq = order
     p = pl.finite_poset(range(n), leq)
     got = {frozenset(s.members) for s in pl.enumerate_sections(p)}
     want = set(powerset_sections(range(n), leq))
@@ -126,3 +133,55 @@ def test_enumerate_sections_ordering_is_deterministic():
     p = diamond()
     secs = pl.enumerate_sections(p)
     assert [s.members for s in secs] == [("I",), ("L",), ("J", "K")]
+
+
+@st.composite
+def finite_posets(draw):
+    """A chain, the subsets of 0-6 knots, the diamond, a random DAG order, or
+    a hand-built poset with no enumerators of its own."""
+    kind = draw(st.sampled_from(["chain", "subsets", "diamond", "dag", "bare"]))
+    if kind == "chain":
+        return pl.chain_poset(draw(st.lists(st.integers(-5, 20), min_size=1, max_size=8)))
+    if kind == "subsets":
+        k = draw(st.integers(0, 6))
+        return pl.subset_poset([(i + 1) / k for i in range(k)])
+    if kind == "diamond":
+        return pl.cross_family().family.poset
+    n, leq = draw(dag_orders(8))
+    if kind == "dag":
+        return pl.finite_poset(range(n), leq)
+    return pl.IndexPoset(leq=leq, join=lambda a, b: None, elements=tuple(range(n)))
+
+
+@given(finite_posets(), st.data())
+def test_enumerators_match_brute_force_filters(p, data):
+    els = p.elements
+    for I in els:
+        assert p.down(I) == tuple(J for J in els if p.leq(J, I))
+        assert p.up(I) == tuple(J for J in els if p.leq(I, J))
+        # the element objects themselves, so reprs in messages do not move
+        assert all(any(J is E for E in els) for J in p.down(I) + p.up(I))
+    members = data.draw(st.lists(st.sampled_from(els), min_size=1, max_size=3))
+    assert p.reach(members) == tuple(J for J in els
+                                     if any(p.comparable(J, m) for m in members))
+
+
+def test_subset_enumerators_ask_no_order_oracle():
+    calls = []
+    base = pl.subset_poset([1, 2, 3, 4])
+    p = pl.IndexPoset(leq=lambda a, b: calls.append((a, b)) or base.leq(a, b),
+                      join=base.join, kind=base.kind, elements=base.elements,
+                      below=base.below, above=base.above)
+    S = frozenset({2, 4})
+    assert p.down(S) == (frozenset(), frozenset({2}), frozenset({4}), S)
+    assert p.up(S) == (S, frozenset({1, 2, 4}), frozenset({2, 3, 4}), frozenset({1, 2, 3, 4}))
+    missed = set(p.elements) - set(p.reach([S, frozenset({1})]))
+    assert missed == {frozenset({3}), frozenset({2, 3}), frozenset({3, 4})}
+    assert calls == []
+
+
+def test_oracle_posets_do_not_enumerate():
+    for p in (pl.nat_chain(), pl.subset_poset()):
+        for walk in (p.down, p.up, lambda I: p.reach([I])):
+            with pytest.raises(pl.InfinitePoset):
+                walk(frozenset({1}) if p.kind != "countable-chain" else 1)
