@@ -239,14 +239,14 @@ def family_from_descriptor(doc: dict) -> ProfiniteFamily:
         J = _field(lv, "index", f"levels[{i}]", decode_index)
         if J not in members:
             raise DescriptorError(f"levels[{i}].index: {J!r} is not an element of the poset")
-        dims[poset.key(J)] = _field(lv, "dim", f"levels[{i}]", _dimension)
+        dims[J] = _field(lv, "dim", f"levels[{i}]", _dimension)
 
     def level_dim(J):
-        if J not in members or poset.key(J) not in dims:
+        if J not in dims:
             raise DescriptorError(f"no declared dimension for level {J!r}")
-        return dims[poset.key(J)]
+        return dims[J]
 
-    # maps keyed by (key(lower), key(upper)); projections go down, injections up
+    # maps keyed by (lower, upper); projections go down, injections up
     stores = {"projections": {}, "injections": {}}
     stored_pairs = []
     for role, name in (("proj", "projections"), ("inj", "injections")):
@@ -255,19 +255,19 @@ def family_from_descriptor(doc: dict) -> ProfiniteFamily:
             lo, hi = (dst, src) if role == "proj" else (src, dst)
             if not poset.leq(lo, hi):
                 raise DescriptorError(f"{name}[{i}]: {src!r} -> {dst!r} runs against the order")
-            stores[name][(poset.key(lo), poset.key(hi))] = mp
+            stores[name][(lo, hi)] = mp
             if role == "proj":
                 stored_pairs.append((lo, hi))
     lonely = [(lo, hi) for lo, hi in stored_pairs
-              if (poset.key(lo), poset.key(hi)) not in stores["injections"]]
+              if (lo, hi) not in stores["injections"]]
     if lonely:
         raise DescriptorError(f"injections: none from {lonely[0][0]!r} to {lonely[0][1]!r}, "
                               "where a projection is stored")
 
     return _LoadedFamily(
         poset, level_dim,
-        proj_factory=lambda J, K: stores["projections"].get((poset.key(J), poset.key(K))),
-        inj_factory=lambda K, J: stores["injections"].get((poset.key(J), poset.key(K))),
+        proj_factory=lambda J, K: stores["projections"].get((J, K)),
+        inj_factory=lambda K, J: stores["injections"].get((J, K)),
         stored_pairs=stored_pairs,
         name=doc.get("name", "descriptor"))
 
@@ -439,11 +439,11 @@ def form_from_descriptor(family_or_gallery, doc: dict) -> TameForm:
         fns = np.empty(arr.shape, dtype=object)
         for idx in np.ndindex(arr.shape):
             fns[idx] = compile_scalar(dim, str(arr[idx]))[0]
-        compiled[family.poset.key(J)] = (dim, fns)
+        compiled[J] = (dim, fns)
 
     def comps(J, x):
         try:
-            dim, fns = compiled[family.poset.key(J)]
+            dim, fns = compiled[J]
         except KeyError:
             raise ExpressionError(f"no components declared at level {J!r}") from None
         out = np.zeros(fns.shape)

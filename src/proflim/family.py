@@ -52,18 +52,19 @@ class ProfiniteFamily:
     def dim(self, J) -> int:
         return int(self._level_dim(J))
 
-    def _cached(self, kind: str, J, K):
+    def _cached(self, kind: str, J, K, ordered: bool):
         """The map of `kind` ("proj" or "inj") for the pair J <= K, built once.
 
         The cache is keyed by the indices themselves and read before the
         order oracle: an entry exists only for a pair that passed leq when
-        it was built.  J == K shares one identity entry between both kinds.
+        it was built, or that the caller had `ordered` by leq just before.
+        J == K shares one identity entry between both kinds.
         """
         key = ("id", J) if J == K else (kind, J, K)
         with self._lock:
             if key in self._cache:
                 return self._cache[key]
-        if not self.poset.leq(J, K):
+        if not (ordered or self.poset.leq(J, K)):
             pair = (J, K) if kind == "proj" else (K, J)
             raise FamilyMismatch(f"{kind} asked for a non-comparable pair {pair!r}")
         value = identity_map(self.dim(J)) if J == K else self._build(kind, J, K)
@@ -119,21 +120,23 @@ class ProfiniteFamily:
             mp = compose(step, mp)
         return mp
 
-    def proj(self, J, K) -> DifferentiableMap:
-        """The projection E_K -> E_J for J <= K."""
-        return self._cached("proj", J, K)
+    def proj(self, J, K, *, ordered: bool = False) -> DifferentiableMap:
+        """The projection E_K -> E_J for J <= K; `ordered` says the caller
+        has just read J <= K from the poset, so a build does not ask again."""
+        return self._cached("proj", J, K, ordered)
 
-    def inj(self, K, J) -> DifferentiableMap:
-        """The injection E_J -> E_K for J <= K."""
-        return self._cached("inj", J, K)
+    def inj(self, K, J, *, ordered: bool = False) -> DifferentiableMap:
+        """The injection E_J -> E_K for J <= K; `ordered` as for proj."""
+        return self._cached("inj", J, K, ordered)
 
     def transport(self, src, dst) -> Optional[DifferentiableMap]:
         """The map E_src -> E_dst between comparable levels: proj(dst, src)
-        when dst <= src, else inj(dst, src); None when they are incomparable."""
+        when dst <= src, else inj(dst, src); None when they are incomparable.
+        The order is read once per call, so a cold pair costs one or two leq."""
         if self.poset.leq(dst, src):
-            return self.proj(dst, src)
+            return self.proj(dst, src, ordered=True)
         if self.poset.leq(src, dst):
-            return self.inj(dst, src)
+            return self.inj(dst, src, ordered=True)
         return None
 
     def __repr__(self):
@@ -161,12 +164,12 @@ def sample_joint(rng: np.random.Generator, count: int, *dims: int) -> list[np.nd
     return [X[:, end - d:end] for d, end in zip(dims, accumulate(dims))]
 
 
-def strict_pairs(poset: IndexPoset, pairs: Iterable[tuple], named: bool = True) -> Iterator[tuple]:
+def strict_pairs(poset: IndexPoset, pairs: Iterable[tuple]) -> Iterator[tuple]:
     """(witness, J, K) for each listed pair with J < K, in order; the witness
-    (key(J), key(K)) names the pair in a report, and is None unless named."""
+    (key(J), key(K)) names the pair in a report."""
     for J, K in pairs:
         if poset.leq(J, K) and J != K:
-            yield ((poset.key(J), poset.key(K)) if named else None), J, K
+            yield (poset.key(J), poset.key(K)), J, K
 
 
 def sample_chains(poset: IndexPoset, rng: np.random.Generator,

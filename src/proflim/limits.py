@@ -240,7 +240,7 @@ def _check_morphism(family: ProfiniteFamily, pairs: Sequence[tuple],
                     level_op: Callable[[Any], np.ndarray], tol: float, what: str) -> None:
     """Raise MorphismViolation unless proj(J, K) carries level_op(K) to
     level_op(J) on every comparable pair; a NaN residual violates."""
-    for _, J, K in strict_pairs(family.poset, pairs, named=False):
+    for _, J, K in strict_pairs(family.poset, pairs):
         gap = residual(family.proj(J, K)(level_op(K)), level_op(J))
         if not gap <= tol:
             raise MorphismViolation(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Any, Callable, Iterable, Optional
 
@@ -71,7 +71,8 @@ class IndexPoset:
         return self._walk(self.above, I, lambda J: self.leq(I, J))
 
     def reach(self, members: Iterable) -> tuple:
-        """Every element comparable to some member, in `elements` order."""
+        """Every element comparable to some member, each once, in `elements`
+        order."""
         found = {J for m in members for side in (self.down(m), self.up(m)) for J in side}
         return tuple(sorted(found, key=self._position.__getitem__))
 
@@ -133,8 +134,8 @@ class FilterBaseSet:
 
 
 def chain_poset(indices: Iterable[int]) -> IndexPoset:
-    """Finite totally ordered poset over the given integers, each listed once."""
-    els = tuple(sorted({int(i) for i in indices}))
+    """Finite totally ordered poset over the given integers."""
+    els = tuple(sorted(int(i) for i in indices))
     return IndexPoset(leq=lambda a, b: a <= b,
                       join=lambda a, b: max(a, b),
                       kind="finite", elements=els,
@@ -153,14 +154,9 @@ def finite_poset(elements: Iterable, leq: Callable[[Any, Any], bool]) -> IndexPo
     """Finite poset from an explicit leq oracle; joins found by search.
 
     The join oracle returns the canonically smallest minimal upper bound,
-    or None when the pair has no upper bound at all; down- and up-sets are
-    read from leq on first use and kept.
+    or None when the pair has no upper bound at all.
     """
-    els = tuple(dict.fromkeys(elements))  # each element once, in the order given
-
-    @lru_cache(maxsize=None)
-    def sides(I):
-        return (tuple(J for J in els if leq(J, I)), tuple(J for J in els if leq(I, J)))
+    els = tuple(elements)
 
     def join(a, b):
         uppers = [r for r in els if leq(a, r) and leq(b, r)]
@@ -170,8 +166,7 @@ def finite_poset(elements: Iterable, leq: Callable[[Any, Any], bool]) -> IndexPo
                    if not any(leq(v, u) and v != u for v in uppers)]
         return sorted(minimal, key=_default_key)[0]
 
-    return IndexPoset(leq=leq, join=join, kind="finite", elements=els,
-                      below=lambda I: sides(I)[0], above=lambda I: sides(I)[1])
+    return IndexPoset(leq=leq, join=join, kind="finite", elements=els)
 
 
 def subset_poset(pool: Optional[Iterable] = None) -> IndexPoset:
@@ -276,7 +271,7 @@ def enumerate_sections(poset: IndexPoset) -> list[Section]:
     found = []
 
     def grow(prefix, rest):
-        if prefix and len(poset.reach(prefix)) == len(els):
+        if prefix and len(poset.reach(prefix)) == len(poset._position):
             found.append(Section(tuple(prefix)))
         for i, cand in enumerate(rest):
             if all(not poset.comparable(cand, m) for m in prefix):

@@ -48,6 +48,32 @@ def test_decoded_indices_key_memos_and_maps_by_value():
     assert chain.proj(one, two).codomain_dim == 1 and chain.proj(word, two).codomain_dim == 2
     assert len(chain._cache) == 2
 
+    # a loaded family keys its dimensions, stored maps and form by the index too
+    doc = {"poset": {"kind": "subsets", "pool": [0.5, 1.0]},
+           "levels": [{"index": {"set": s}, "dim": len(s)}
+                      for s in ([], [0.5], [1.0], [1.0, 0.5])],
+           "projections": [{"from": {"set": [1.0, 0.5]}, "to": {"set": [0.5]},
+                            "kind": "truncation", "payload": {"indices": [0]}}],
+           "injections": [{"from": {"set": [0.5]}, "to": {"set": [0.5, 1.0]},
+                           "kind": "truncation", "payload": {"indices": [0]}}]}
+    loaded = pl.family_from_descriptor(doc)
+    form = pl.form_from_descriptor(loaded, {"kind": "expressions", "degree": 1, "levels": [
+        {"index": {"set": [1.0, 0.5]}, "comps": ["x0", "x1"]}]})
+    canonical = loaded.poset.key
+    object.__setattr__(loaded.poset, "key",
+                       lambda J: key_calls.append(J) or canonical(J))
+    top, also_top = (pl.decode_index({"set": s}) for s in ([0.5, 1.0], [1.0, 0.5]))
+    half = pl.decode_index({"set": [0.5]})
+    assert loaded.dim(top) == loaded.dim(also_top) == 2
+    assert loaded.proj(half, top) is loaded.proj(half, also_top)
+    assert np.array_equal(loaded.inj(also_top, half)(np.array([3.0])), [3.0, 0.0])
+    t = pl.Thread(loaded, lambda J: np.ones(len(J)))
+    assert t(top) is t(also_top) and len(t._memo) == 1
+    assert np.array_equal(form.comps(also_top, np.array([2.0, 3.0])), [2.0, 3.0])
+    with pytest.raises(pl.DescriptorError, match="no declared dimension"):
+        loaded.dim((0.5, 1.0))  # a tuple is not the level {0.5, 1.0}
+    assert key_calls == []
+
 
 def test_poset_round_trips(euclid, cross, wiener):
     for poset in (euclid.family.poset, cross.family.poset, wiener.family.poset):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import proflim as pl
+from proflim.poset import section_defect
 from oracles import powerset_sections
 
 
@@ -137,9 +138,9 @@ def test_enumerate_sections_ordering_is_deterministic():
 
 @st.composite
 def finite_posets(draw):
-    """A chain, the subsets of 0-6 knots, the diamond, a random DAG order, or
-    a hand-built poset with no enumerators of its own."""
-    kind = draw(st.sampled_from(["chain", "subsets", "diamond", "dag", "bare"]))
+    """A chain (repeats allowed), the subsets of 0-6 knots, the diamond, or a
+    random DAG order, which has no enumerators of its own."""
+    kind = draw(st.sampled_from(["chain", "subsets", "diamond", "dag"]))
     if kind == "chain":
         return pl.chain_poset(draw(st.lists(st.integers(-5, 20), min_size=1, max_size=8)))
     if kind == "subsets":
@@ -148,9 +149,7 @@ def finite_posets(draw):
     if kind == "diamond":
         return pl.cross_family().family.poset
     n, leq = draw(dag_orders(8))
-    if kind == "dag":
-        return pl.finite_poset(range(n), leq)
-    return pl.IndexPoset(leq=leq, join=lambda a, b: None, elements=tuple(range(n)))
+    return pl.finite_poset(range(n), leq)
 
 
 @given(finite_posets(), st.data())
@@ -162,8 +161,17 @@ def test_enumerators_match_brute_force_filters(p, data):
         # the element objects themselves, so reprs in messages do not move
         assert all(any(J is E for E in els) for J in p.down(I) + p.up(I))
     members = data.draw(st.lists(st.sampled_from(els), min_size=1, max_size=3))
-    assert p.reach(members) == tuple(J for J in els
-                                     if any(p.comparable(J, m) for m in members))
+    # each element once, at its place in `elements`
+    assert p.reach(members) == tuple(dict.fromkeys(
+        J for J in els if any(p.comparable(J, m) for m in members)))
+
+
+def test_repeated_elements_still_cover():
+    """A chain listed with a repeat covers as its distinct elements do."""
+    p = pl.chain_poset([2, 1, 1])
+    assert p.elements == (1, 1, 2) and p.reach([1]) == (1, 2)
+    assert [s.members for s in pl.enumerate_sections(p)] == [(1,), (1,), (2,)]
+    assert section_defect(p, [2]) is None and section_defect(p, [1, 1]) is not None
 
 
 def test_subset_enumerators_ask_no_order_oracle():
