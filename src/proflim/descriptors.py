@@ -114,7 +114,8 @@ def poset_to_descriptor(poset: IndexPoset) -> dict:
 def poset_from_descriptor(doc: dict) -> IndexPoset:
     kind = _field(doc, "kind", "poset")
     if kind == "chain":
-        return _field(doc, "elements", "poset", lambda v: chain_poset(_list(v)))
+        return _field(doc, "elements", "poset",
+                      lambda v: chain_poset(_distinct([int(i) for i in _list(v)])))
     if kind == "subsets":
         return _field(doc, "pool", "poset", lambda v: subset_poset(_list(v)))
     if kind == "finite":
@@ -123,13 +124,18 @@ def poset_from_descriptor(doc: dict) -> IndexPoset:
         if leq.shape != (len(els), len(els)):
             raise DescriptorError(f"poset.leq: shape {leq.shape} does not match "
                                   f"{len(els)} elements")
-        twice = next((i for i, e in enumerate(els) if e in els[:i]), None)
-        if twice is not None:
-            raise DescriptorError(f"poset.elements[{twice}]: {els[twice]!r} is listed twice")
+        _distinct(els)
         _check_directed_order(els, leq)
         pos = {e: i for i, e in enumerate(els)}
         return finite_poset(els, leq=lambda a, b: bool(leq[pos[a], pos[b]]))
     raise DescriptorError(f"poset.kind: unknown poset kind {kind!r}")
+
+
+def _distinct(els: list) -> list:
+    twice = next((i for i, e in enumerate(els) if e in els[:i]), None)
+    if twice is not None:
+        raise DescriptorError(f"poset.elements[{twice}]: {els[twice]!r} is listed twice")
+    return els
 
 
 def _check_directed_order(els: list, leq: np.ndarray) -> None:

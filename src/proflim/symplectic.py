@@ -92,6 +92,7 @@ class SymplecticStructure:
             dim = fam.dim(J)
             ranks = set()
             X = sample_point(dim, rng, samples)
+            X = X[:1] if omega.is_constant else X  # one read stands for every sample
             closed.append(residual([d_omega.comps(J, x) for x in X], 0.0))
             for x in X:
                 mat = omega.matrix(J, x)
@@ -112,13 +113,14 @@ def is_projectively_nondegenerate(obj, levels: Iterable, samples: int = 10,
                                   rng: Optional[np.random.Generator] = None):
     """Full rank at every listed level, with the per-level rank report."""
     rng = rng or np.random.default_rng(0)
-    fam = obj.family
+    fam, constant = obj.family, _form(obj).is_constant
     profile = {}
     verdict = True
     for J in levels:
         dim = fam.dim(J)
         rank = dim
-        for x in sample_point(dim, rng, samples):
+        X = sample_point(dim, rng, samples)
+        for x in (X[:1] if constant else X):
             rank = min(rank, level_rank(obj.matrix(J, x)))
         profile[J] = {"dim": dim, "rank": rank, "full": rank == dim}
         verdict = verdict and rank == dim
@@ -164,28 +166,39 @@ def level_gradient(H: CylindricalFunction, J) -> Callable[[np.ndarray], np.ndarr
     return lambda x: lf.jacobian(x).ravel()
 
 
-def _field_solve(structure, H: CylindricalFunction, J, point) -> tuple:
-    """(Omega, grad H, X) with Omega^T X = grad H; SingularForm when deficient."""
-    point = as_point(point)
-    mat = _form(structure).matrix(J, point)
-    if mat.shape[0] == 0:
-        return mat, np.zeros(0), np.zeros(0)
-    rank = level_rank(mat)
-    if rank < mat.shape[0]:
-        raise SingularForm(f"form is degenerate at level {J!r} "
-                           f"(rank {rank} < {mat.shape[0]})")
-    grad = level_gradient(H, J)(point)
-    return mat, grad, np.linalg.solve(mat.T, grad)
+def hamiltonian_solver(structure, H: CylindricalFunction, J) -> Callable:
+    """point -> (Omega, grad H, X) with Omega^T X = grad H at level J; SingularForm
+    when deficient.  The gradient is built once, and a constant form's matrix
+    and rank are read once, at the first point."""
+    omega, fixed, grad = _form(structure), None, None
+
+    def solve(point):
+        nonlocal fixed, grad
+        point = as_point(point)
+        mat = fixed
+        if mat is None:
+            mat = omega.matrix(J, point)
+            if mat.shape[0] == 0:
+                return mat, np.zeros(0), np.zeros(0)
+            rank = level_rank(mat)
+            if rank < mat.shape[0]:
+                raise SingularForm(f"form is degenerate at level {J!r} "
+                                   f"(rank {rank} < {mat.shape[0]})")
+            fixed = mat if omega.is_constant else None
+        grad = grad or level_gradient(H, J)
+        g = grad(point)
+        return mat, g, np.linalg.solve(mat.T, g)
+    return solve
 
 
 def hamiltonian_field(structure, H: CylindricalFunction, J, point) -> np.ndarray:
     """Solve Omega^T X = grad H at one level; SingularForm when deficient."""
-    return _field_solve(structure, H, J, point)[2]
+    return hamiltonian_solver(structure, H, J)(point)[2]
 
 
 def hamiltonian_identity_residual(structure, H: CylindricalFunction, J, point) -> float:
     """max_k | omega(X_H, e_k) - dH(e_k) | at the point."""
-    mat, grad, X = _field_solve(structure, H, J, point)
+    mat, grad, X = hamiltonian_solver(structure, H, J)(point)
     return residual(mat.T @ X, grad)
 
 
@@ -195,13 +208,14 @@ def hamiltonian_compat_check(structure, H: CylindricalFunction, pairs: Iterable[
     """Pushed fields agree: Dproj(J,K) X_K = X_J at projected points."""
     rng = rng or np.random.default_rng(0)
     fam = _form(structure).family
+    strict = list(strict_pairs(fam.poset, pairs))
+    solve = {L: hamiltonian_solver(structure, H, L) for _, J, K in strict for L in (J, K)}
     gaps = []
-    for pair, J, K in strict_pairs(fam.poset, pairs):
+    for pair, J, K in strict:
         pr = fam.proj(J, K)
         X = sample_point(fam.dim(K), rng, samples)
-        gaps.append((pair,
-                     residual([pr.jacobian(x) @ hamiltonian_field(structure, H, K, x) for x in X],
-                              [hamiltonian_field(structure, H, J, pr(x)) for x in X])))
+        gaps.append((pair, residual([pr.jacobian(x) @ solve[K](x)[2] for x in X],
+                                    [solve[J](pr(x))[2] for x in X])))
     report = VerificationReport("hamiltonian projection compatibility")
     report.add_worst("Dproj . X_K = X_J", gaps, tol)
     return report
@@ -317,7 +331,7 @@ def flow(structure, H: CylindricalFunction, J, x0, dt: float, steps: int,
         states = _leapfrog(grad, x0, dt, steps)
     elif scheme == "implicit-midpoint":
         # a constant form ignores x, so its matrix at x0 serves every midpoint
-        omega_at = ((lambda x: mat0) if omega.kind == "constant"
+        omega_at = ((lambda x: mat0) if omega.is_constant
                     else (lambda x: omega.matrix(J, x)))
         states = _implicit_midpoint(omega_at, grad, x0, dt, steps, newton_iters=newton_iters)
     else:
@@ -387,8 +401,9 @@ def check_action_compat(action: ProfiniteGroupAction, pairs: Iterable[tuple],
     gaps = []
     for pair, J, K in strict_pairs(fam.poset, pairs):
         pr = fam.proj(J, K)
-        C, X = sample_joint(rng, samples, len(list(action.generators(K))), fam.dim(K))
-        gs = [action.exp(action.algebra_element(K, c)) for c in C]
+        gens = list(action.generators(K))
+        C, X = sample_joint(rng, samples, len(gens), fam.dim(K))
+        gs = [action.exp(sum(c * g for c, g in zip(row, gens))) for row in C]
         gaps.append((pair,
                      residual([pr(action.act(K, g, x)) for g, x in zip(gs, X)],
                               [action.act(J, action.restrict(J, K, g), pr(x))
@@ -422,8 +437,9 @@ def momentum_verify(structure, action: ProfiniteGroupAction, mu: MomentumMap,
     rng = rng or np.random.default_rng(0)
     omega = _form(structure)
     dim = omega.family.dim(J)
-    C, X = sample_joint(rng, GROUP_ELEMENTS, len(list(action.generators(J))), dim)
-    gs = [action.exp(action.algebra_element(J, c)) for c in C]
+    gens = list(action.generators(J))
+    C, X = sample_joint(rng, GROUP_ELEMENTS, len(gens), dim)
+    gs = [action.exp(sum(c * g for c, g in zip(row, gens))) for row in C]
     # linear action: Dphi_g = g
     preserve = [(i, residual(g.T @ omega.matrix(J, action.act(J, g, x)) @ g,
                              omega.matrix(J, x)))
@@ -436,14 +452,14 @@ def momentum_verify(structure, action: ProfiniteGroupAction, mu: MomentumMap,
             f"action does not preserve the form: residual {form_check.max_residual:.3e}")
 
     xi = action.algebra_element(J, coeffs)
-    H = mu.of(coeffs)
+    solve = hamiltonian_solver(structure, mu.of(coeffs), J)
     generator = []
     for i, x in enumerate(sample_point(dim, rng, samples)):
         h = FD_STEP * (1.0 + float(np.max(np.abs(x))))
         forward = action.act(J, action.exp(h * xi), x)
         backward = action.act(J, action.exp(-h * xi), x)
         generator.append((i, residual((forward - backward) / (2.0 * h),
-                                      hamiltonian_field(structure, H, J, x))))
+                                      solve(x)[2])))
     report.add_worst("momentum field matches the action generator", generator, tol,
                      what="sample")
     return report

@@ -236,6 +236,20 @@ def test_verify_with_form_descriptor(capsys, tmp_path):
     assert any("tame form" in t for t in titles)
 
 
+@pytest.mark.parametrize("poset", [
+    {"kind": "chain", "elements": [1, 2, 2]},
+    {"kind": "finite", "elements": [1, 2, 2], "leq": [[1, 1, 1], [0, 1, 1], [0, 1, 1]]},
+], ids=["chain", "finite"])
+def test_verify_refuses_a_repeated_poset_element(capsys, tmp_path, poset):
+    doc = json.loads(run(capsys, "gallery", "export", "euclid")[1])
+    doc["poset"] = poset
+    family = tmp_path / "repeat.json"
+    family.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--family", str(family))
+    assert code == 2 and out == ""
+    assert err == "error: poset.elements[2]: 2 is listed twice\n"
+
+
 def test_verify_refuses_a_form_of_another_gallery(capsys, tmp_path):
     form = tmp_path / "omega.json"
     form.write_text(json.dumps({"kind": "named-gallery", "family": "symplectic",

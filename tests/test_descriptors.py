@@ -416,6 +416,7 @@ def _edited(**changes):
     ([1, 2], r"descriptor: expected a JSON object"),
     (_edited(poset=None), r"^poset: missing field"),
     (_edited(poset__elements=["a"]), r"poset\.elements: invalid literal"),
+    (_edited(poset__elements=[2, 1, 1]), r"^poset\.elements\[2\]: 1 is listed twice$"),
     (_edited(levels="all"), r"^levels: expected a list"),
     (_edited(levels__0__index=7), r"levels\[0\]\.index: 7 is not an element"),
     (_edited(levels__1__dim=-2), r"levels\[1\]\.dim: a dimension cannot be negative"),
@@ -435,10 +436,10 @@ def _edited(**changes):
     ({"projections": [{"kind": "named-gallery",
                        "payload": {"family": "euclid", "kwargs": {"size": 3}}}]},
      r"payload: .*unexpected keyword"),
-], ids=["not-an-object", "no-poset", "chain-element", "levels-type", "level-index",
-        "negative-dim", "bad-index", "non-numeric-row", "three-dim-rows", "injection-shape",
-        "projection-upward", "truncation-range", "missing-injection", "unknown-gallery",
-        "gallery-kwargs"])
+], ids=["not-an-object", "no-poset", "chain-element", "chain-repeat", "levels-type",
+        "level-index", "negative-dim", "bad-index", "non-numeric-row", "three-dim-rows",
+        "injection-shape", "projection-upward", "truncation-range", "missing-injection",
+        "unknown-gallery", "gallery-kwargs"])
 def test_malformed_family_descriptors_name_the_field(doc, message):
     with pytest.raises(pl.DescriptorError, match=message):
         pl.family_from_descriptor(doc)

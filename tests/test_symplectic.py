@@ -391,3 +391,119 @@ def test_identity_residual_is_bit_identical_to_reading_twice():
                                 pl.level_function(H, 2).jacobian(x).ravel())
         got = pl.hamiltonian_identity_residual(structure, H, 2, x)
         assert got.hex() == want.hex()
+
+
+# ---------------------------------------------------------------------------
+# constant forms are read once per level; a generic twin of the same matrices
+# is read at every sample and must give the same reports bit for bit
+
+
+def _generic_twin(form):
+    return pl.TameForm(form.family, 2, comps=lambda J, x: form.payload(J), name=form.name)
+
+
+def _checks(report):
+    return [(c.name, c.max_residual.hex(), c.tol, c.passed, c.detail) for c in report.checks]
+
+
+def _twin_audits(g, H, ham_pairs):
+    """Every constant-form audit on g's form and on its generic twin, from
+    equal seeds; the stream position after each audit is recorded too."""
+    omega = g["omega"]
+    els = levels(g)
+    pairs = [(a, b) for a in els for b in els if a <= b]
+    outs = []
+    for form in (omega, _generic_twin(omega)):
+        assert form.is_constant == (form is omega)
+        rng = np.random.default_rng(11)
+        structure = pl.SymplecticStructure.build(form, els, samples=4, rng=rng)
+        out = [_checks(pl.check_tame(form, pairs, samples=4, rng=rng)), rng.random(),
+               structure.closedness_residual.hex(), structure.rank_profile, rng.random(),
+               pl.is_projectively_nondegenerate(form, els, samples=4, rng=rng), rng.random(),
+               _checks(pl.hamiltonian_compat_check(structure, H, ham_pairs, samples=4,
+                                                   rng=rng)), rng.random()]
+        if "action" in g.extras:
+            top = els[-1]
+            coeffs = list(np.linspace(-1.0, 1.0, len(g["momentum"].functions)))
+            out += [_checks(pl.momentum_verify(form, g["action"], g["momentum"], coeffs, top,
+                                               samples=4, rng=rng)), rng.random()]
+        outs.append(out)
+    return outs
+
+
+def test_constant_form_audits_match_their_generic_twin():
+    g = pl.symplectic_even_tower(3)
+    const, generic = _twin_audits(g, g["hamiltonian_at"](1), adjacent_pairs(g))
+    assert const == generic
+
+
+def test_odd_tower_audits_match_their_generic_twin():
+    g = pl.odd_symplectic_tower(5)
+    H = pl.cylindrical_from_expression(g.family, [2], "x0*x0 + x1*x1")
+    const, generic = _twin_audits(g, H, [(2, 4)])
+    assert const == generic
+    assert const[5][1][3] == {"dim": 3, "rank": 2, "full": False}
+
+
+def test_degenerate_level_raises_the_same_message_from_the_twin():
+    g = pl.odd_symplectic_tower(5)
+    H = pl.cylindrical_from_expression(g.family, [2], "x0*x0 + x1*x1")
+    messages = []
+    for form in (g["omega"], _generic_twin(g["omega"])):
+        for call in (lambda: pl.hamiltonian_compat_check(form, H, [(2, 4), (4, 5)], samples=3),
+                     lambda: pl.hamiltonian_field(form, H, 3, np.ones(3))):
+            with pytest.raises(pl.SingularForm) as err:
+                call()
+            messages.append(str(err.value))
+    assert messages[:2] == messages[2:] == ["form is degenerate at level 5 (rank 4 < 5)",
+                                            "form is degenerate at level 3 (rank 2 < 3)"]
+
+
+def _count(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_constant_form_ranks_once_per_level(symplectic, monkeypatch):
+    ranks = _count(monkeypatch, symplectic_module, "level_rank")
+    els = levels(symplectic)
+    pl.SymplecticStructure.build(symplectic["omega"], els, samples=10)
+    assert len(ranks) == len(els)
+    ranks.clear()
+    pl.is_projectively_nondegenerate(symplectic["omega"], els, samples=10)
+    assert len(ranks) == len(els)
+    ranks.clear()
+    # the generic twin is ranked at every sample, so the count above is a gate
+    pl.is_projectively_nondegenerate(_generic_twin(symplectic["omega"]), els, samples=10)
+    assert len(ranks) == 10 * len(els)
+
+
+def test_hamiltonian_checks_solve_with_one_solver_per_level(symplectic, monkeypatch):
+    ranks = _count(monkeypatch, symplectic_module, "level_rank")
+    builds = _count(monkeypatch, symplectic_module, "level_function")
+    pairs = adjacent_pairs(symplectic)
+    pl.hamiltonian_compat_check(symplectic["omega"], symplectic["hamiltonian"], pairs,
+                                samples=10)
+    assert len(ranks) <= 2 * len(pairs)
+    assert sorted(J for _, J in builds) == levels(symplectic)
+    ranks.clear()
+    builds.clear()
+    pl.momentum_verify(symplectic["omega"], symplectic["action"], symplectic["momentum"],
+                       [1.0, 0.0, 0.0, 0.0, 0.0], 3, samples=10)
+    assert len(ranks) == 1 and [J for _, J in builds] == [3]
+
+
+def test_check_tame_reads_a_constant_form_twice_per_pair(symplectic, monkeypatch):
+    omega = symplectic["omega"]
+    els = levels(symplectic)
+    pairs = [(a, b) for a in els for b in els if a <= b]
+    strict = sum(a < b for a, b in pairs)
+    twin = _generic_twin(omega)
+    comps = _count(monkeypatch, omega, "comps")
+    assert pl.check_tame(omega, pairs, samples=10).passed
+    assert 0 < len(comps) <= 2 * strict
+    twin_comps = _count(monkeypatch, twin, "comps")
+    pl.check_tame(twin, pairs, samples=10)
+    assert len(twin_comps) == 2 * 10 * strict
