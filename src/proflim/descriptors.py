@@ -115,7 +115,7 @@ def poset_from_descriptor(doc: dict) -> IndexPoset:
     kind = _field(doc, "kind", "poset")
     if kind == "chain":
         return _field(doc, "elements", "poset",
-                      lambda v: chain_poset(_distinct([int(i) for i in _list(v)])))
+                      lambda v: chain_poset(_distinct(_integers(_list(v)))))
     if kind == "subsets":
         return _field(doc, "pool", "poset", lambda v: subset_poset(_list(v)))
     if kind == "finite":
@@ -129,6 +129,14 @@ def poset_from_descriptor(doc: dict) -> IndexPoset:
         pos = {e: i for i, e in enumerate(els)}
         return finite_poset(els, leq=lambda a, b: bool(leq[pos[a], pos[b]]))
     raise DescriptorError(f"poset.kind: unknown poset kind {kind!r}")
+
+
+def _integers(els: list) -> list:
+    """The chain's elements, each a JSON integer (a bool or 1.5 is not one)."""
+    bad = next((i for i, e in enumerate(els) if type(e) is not int), None)
+    if bad is not None:
+        raise DescriptorError(f"poset.elements[{bad}]: {els[bad]!r} is not an integer")
+    return els
 
 
 def _distinct(els: list) -> list:

@@ -16,7 +16,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .maps import (DifferentiableMap, DimensionMismatch, as_point, compose,
-                   identity_map, matrix_map, residual)
+                   fanout_map, identity_map, matrix_map, residual)
 from .poset import IndexPoset
 from .report import VerificationReport
 
@@ -138,6 +138,23 @@ class ProfiniteFamily:
         if self.poset.leq(src, dst):
             return self.inj(dst, src, ordered=True)
         return None
+
+    def spread(self, member) -> tuple:
+        """(levels, cuts, map), built once: the levels `poset.reach([member])`,
+        the slice of the map's output that falls on each, and the fanout of
+        the member's transports to them (its own slot an uncached identity)."""
+        key = ("spread", member)
+        with self._lock:
+            if key in self._cache:
+                return self._cache[key]
+        levels = self.poset.reach([member])
+        maps = [identity_map(self.dim(I)) if I == member else self.transport(member, I)
+                for I in levels]
+        ends = accumulate(m.codomain_dim for m in maps)
+        cuts = [slice(end - m.codomain_dim, end) for m, end in zip(maps, ends)]
+        value = levels, cuts, fanout_map(maps)
+        with self._lock:
+            return self._cache.setdefault(key, value)
 
     def __repr__(self):
         return f"ProfiniteFamily({self.name or 'anonymous'})"

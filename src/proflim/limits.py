@@ -121,17 +121,22 @@ def _extension_candidates(sp: SectionPoint, I) -> list[np.ndarray]:
     return out
 
 
+def _agreed(I, cands: list, tol: float) -> np.ndarray:
+    """The first candidate at I, once every other one is within tol of it."""
+    for other in cands[1:]:
+        if not residual(other, cands[0]) <= tol:
+            raise IllDefinedSection(
+                f"member values disagree at {I!r}: {cands[0]} vs {other}")
+    return cands[0]
+
+
 def extend_section_point(sp: SectionPoint, I, tol: float = 1e-9) -> np.ndarray:
     """The value the members induce at I.  Raises Incomparable when no
     member reaches I, IllDefinedSection when two members disagree there."""
     cands = _extension_candidates(sp, I)
     if not cands:
         raise Incomparable(f"index {I!r} is comparable to no member of {sp.section}")
-    for other in cands[1:]:
-        if not residual(other, cands[0]) <= tol:
-            raise IllDefinedSection(
-                f"member values disagree at {I!r}: {cands[0]} vs {other}")
-    return cands[0]
+    return _agreed(I, cands, tol)
 
 
 def validate_section_point(sp: SectionPoint, tol: float = 1e-9) -> None:
@@ -150,21 +155,33 @@ def thread_from_section(sp: SectionPoint, tol: float = 1e-9,
     when an index is beyond every member's reach.
 
     check compares the members at every pairwise join and, on a finite
-    poset, at every element of `poset.reach(section)`, and memoizes each
-    checked value: the extension rule runs once per reachable index and at
-    no other.  On an oracle poset, conflicts below the joins are still
-    caught lazily at evaluation time.
+    poset, then at every element of `poset.reach(section)`, memoizing each
+    value as a read-only slice of one cached `family.spread` product per
+    member.  On an oracle poset conflicts below the joins surface lazily.
     """
     label = ",".join(repr(m) for m in sp.section)
     thread = Thread(sp.family, lambda I: extend_section_point(sp, I, tol=tol),
                     name=f"sec[{label}]")
-    if check:
-        poset = sp.family.poset
-        joins = dict.fromkeys(poset.require_join(a, b)
-                              for a, b in combinations(sp.section, 2))
-        reach = () if poset.elements is None else poset.reach(sp.section)
-        for I in (*joins, *(J for J in reach if J not in joins)):
+    if not check:
+        return thread
+    poset = sp.family.poset
+    joins = dict.fromkeys(poset.require_join(a, b) for a, b in combinations(sp.section, 2))
+    if poset.elements is None:
+        for I in joins:
             thread._store(I, extend_section_point(sp, I, tol=tol))
+        return thread
+    cands: dict = {}
+    for member in sp.section:
+        levels, cuts, spread = sp.family.spread(member)
+        out = spread(sp.values[member])
+        out.setflags(write=False)
+        for I, cut in zip(levels, cuts):
+            cands.setdefault(I, []).append(sp.values[member] if I == member else out[cut])
+    if len(sp.section) > 1:  # a level one member alone reaches has nothing to compare
+        for I in dict.fromkeys((*joins, *poset.reach(sp.section))):
+            _agreed(I, cands[I], tol)
+    with thread._lock:
+        thread._memo.update((I, vals[0]) for I, vals in cands.items())
     return thread
 
 

@@ -5,6 +5,7 @@ weighted sums stay finite no matter how the level metrics grow.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Callable, Iterable, Mapping, Optional
@@ -23,7 +24,7 @@ def squash(d: float) -> float:
     """phi(d) = d/(1+d): monotone, bounded by 1, subadditive."""
     if d < 0:
         raise ValueError("negative level distance")
-    if np.isinf(d):
+    if math.isinf(d):
         return 1.0
     return d / (1.0 + d)
 
@@ -44,9 +45,14 @@ class LevelMetricFamily:
         return float(self.dist(J, np.asarray(x, float), np.asarray(y, float)))
 
 
+def _euclidean(J, x, y) -> float:
+    # float(np.linalg.norm(x - y)) bit for bit, without the wrapper's dispatch
+    d = np.ravel(x - y)
+    return math.sqrt(d.dot(d))
+
+
 def euclidean_metrics(family: ProfiniteFamily) -> LevelMetricFamily:
-    return LevelMetricFamily(
-        family, lambda J, x, y: float(np.linalg.norm(x - y)), kind="euclidean")
+    return LevelMetricFamily(family, _euclidean, kind="euclidean")
 
 
 def discrete_metrics(family: ProfiniteFamily) -> LevelMetricFamily:

@@ -250,6 +250,22 @@ def test_verify_refuses_a_repeated_poset_element(capsys, tmp_path, poset):
     assert err == "error: poset.elements[2]: 2 is listed twice\n"
 
 
+@pytest.mark.parametrize("elements, bad", [
+    ([1, float("inf")], "poset.elements[1]: inf is not an integer"),
+    ([1.5, 3], "poset.elements[0]: 1.5 is not an integer"),
+    ([1, True], "poset.elements[1]: True is not an integer"),
+], ids=["infinity", "fraction", "bool"])
+def test_verify_refuses_a_chain_element_that_is_not_an_integer(capsys, tmp_path,
+                                                                elements, bad):
+    doc = json.loads(run(capsys, "gallery", "export", "euclid")[1])
+    doc["poset"] = {"kind": "chain", "elements": elements}
+    family = tmp_path / "chain.json"
+    family.write_text(json.dumps(doc))  # inf is written as Infinity, which json reads
+    code, out, err = run(capsys, "verify", "--family", str(family))
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}\n"
+
+
 def test_verify_refuses_a_form_of_another_gallery(capsys, tmp_path):
     form = tmp_path / "omega.json"
     form.write_text(json.dumps({"kind": "named-gallery", "family": "symplectic",

@@ -415,8 +415,13 @@ def _edited(**changes):
 @pytest.mark.parametrize("doc, message", [
     ([1, 2], r"descriptor: expected a JSON object"),
     (_edited(poset=None), r"^poset: missing field"),
-    (_edited(poset__elements=["a"]), r"poset\.elements: invalid literal"),
+    (_edited(poset__elements=["a"]), r"^poset\.elements\[0\]: 'a' is not an integer$"),
     (_edited(poset__elements=[2, 1, 1]), r"^poset\.elements\[2\]: 1 is listed twice$"),
+    (_edited(poset__elements=[1.5, 3]), r"^poset\.elements\[0\]: 1\.5 is not an integer$"),
+    (_edited(poset__elements=[1, 1.5]), r"^poset\.elements\[1\]: 1\.5 is not an integer$"),
+    (_edited(poset__elements=[1, float("inf")]), r"^poset\.elements\[1\]: inf is not an integer$"),
+    (_edited(poset__elements=[True, 2]), r"^poset\.elements\[0\]: True is not an integer$"),
+    (_edited(poset__elements=[1, 2.0]), r"^poset\.elements\[1\]: 2\.0 is not an integer$"),
     (_edited(levels="all"), r"^levels: expected a list"),
     (_edited(levels__0__index=7), r"levels\[0\]\.index: 7 is not an element"),
     (_edited(levels__1__dim=-2), r"levels\[1\]\.dim: a dimension cannot be negative"),
@@ -436,7 +441,8 @@ def _edited(**changes):
     ({"projections": [{"kind": "named-gallery",
                        "payload": {"family": "euclid", "kwargs": {"size": 3}}}]},
      r"payload: .*unexpected keyword"),
-], ids=["not-an-object", "no-poset", "chain-element", "chain-repeat", "levels-type",
+], ids=["not-an-object", "no-poset", "chain-element", "chain-repeat", "chain-fraction",
+        "chain-truncated-repeat", "chain-infinity", "chain-bool", "chain-float", "levels-type",
         "level-index", "negative-dim", "bad-index", "non-numeric-row", "three-dim-rows",
         "injection-shape", "projection-upward", "truncation-range", "missing-injection",
         "unknown-gallery", "gallery-kwargs"])

@@ -1,5 +1,6 @@
 import dataclasses
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -137,6 +138,15 @@ def test_section_thread_matches_brute_force_oracle(case):
             pl.validate_section_point(sp)
 
 
+def _count_transports(monkeypatch, fam) -> Counter:
+    """(member, level) -> transport calls on fam from here on."""
+    calls = Counter()
+    real = fam.transport
+    monkeypatch.setattr(fam, "transport",
+                        lambda src, dst: calls.update([(src, dst)]) or real(src, dst))
+    return calls
+
+
 @pytest.mark.parametrize("case", ["wiener", "cross"])
 def test_extension_rule_runs_once_per_reachable_level(monkeypatch, case):
     if case == "wiener":
@@ -147,25 +157,27 @@ def test_extension_rule_runs_once_per_reachable_level(monkeypatch, case):
         fam = pl.cross_family().family
         values = {"J": [0.0], "K": [0.0]}  # two members meeting at L
     rule = limits._extension_candidates
-    calls = Counter()
-
-    def counted(sp, I):
-        calls[I] += 1
-        return rule(sp, I)
-
-    monkeypatch.setattr(limits, "_extension_candidates", counted)
+    rule_calls = Counter()
+    monkeypatch.setattr(limits, "_extension_candidates",
+                        lambda sp, I: rule_calls.update([I]) or rule(sp, I))
+    transports = _count_transports(monkeypatch, fam)
     sp = pl.SectionPoint.of(fam, list(values), values)
     reachable = [J for J in fam.poset.elements
                  if any(fam.poset.comparable(J, m) for m in values)]
     x = pl.thread_from_section(sp, check=True)
+    # each member is carried once to every level it reaches but its own,
+    # where its value is read verbatim; no other level is asked
+    assert transports == Counter((m, J) for m in values for J in fam.poset.reach([m])
+                                 if J != m)
+    assert set(x._memo) == set(reachable) and len(x._memo) == len(reachable)
+    transports.clear()
     y = pl.Thread(fam, lambda J: np.zeros(fam.dim(J)))
     metrics = pl.euclidean_metrics(fam)
     mu = pl.IndexMeasure({J: 1.0 / len(reachable) for J in reachable})
     pl.d_inf(metrics, x, y, [[J] for J in reachable])
     pl.d_mu(metrics, mu, x, y)
-    # the probe asks each reachable level once and no other level; the
-    # distances then read the memo
-    assert calls == Counter(reachable)
+    # the distances then read the memo
+    assert not rule_calls and not transports
 
 
 @given(section_points())
@@ -179,15 +191,56 @@ def test_check_memoizes_exactly_the_reachable_levels(case):
         return
     memo = pl.thread_from_section(sp, check=True)._memo
     assert len(memo) == len(want) and set(memo) == set(want)
+    for val in memo.values():
+        assert not val.flags.writeable
+        if val.size:
+            with pytest.raises(ValueError):
+                val[0] = 99.0
+
+
+def _per_level_probe(sp):
+    """The check one level at a time through extend_section_point: the
+    pairwise joins first, then poset.reach(section) in element order."""
+    poset = sp.family.poset
+    joins = [poset.require_join(a, b) for a, b in combinations(sp.section, 2)]
+    for I in dict.fromkeys((*joins, *poset.reach(sp.section))):
+        pl.extend_section_point(sp, I)
+
+
+@given(section_points())
+def test_disagreeing_members_raise_the_per_level_message(case):
+    fam, values = case
+    sp = pl.SectionPoint.of(fam, list(values), values)
+    try:
+        _per_level_probe(sp)
+    except pl.IllDefinedSection as err:
+        want = str(err)
+    else:
+        return
+    with pytest.raises(pl.IllDefinedSection) as got:
+        pl.thread_from_section(sp, check=True)
+    assert str(got.value) == want
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"J": [1.0], "K": [0.0]}, "member values disagree at 'L': [1. 0.] vs [0. 0.]"),
+    ({"J": [0.0], "K": [2.0]}, "member values disagree at 'L': [0. 0.] vs [0. 2.]"),
+])
+def test_cross_disagreement_is_named_at_the_join(values, message):
+    sp = pl.SectionPoint.of(pl.cross_family().family, list(values), values)
+    with pytest.raises(pl.IllDefinedSection) as err:
+        pl.thread_from_section(sp, check=True)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 9])
 def test_probe_work_is_bounded_by_the_reachable_levels(monkeypatch, k):
     """On the 1024 levels of a 10-knot Wiener family, a one-member section
     of k knots reaches 2^k levels below it and 2^(10-k) above, its own level
-    counted in both.  The probe runs the extension rule there and nowhere
-    else, and asks leq at most twice per level, with the family's maps not
-    yet built and again once they are."""
+    counted in both.  With the family's maps not yet built, the probe builds
+    one map to every reachable level but its own plus the member's spread,
+    asking each level once and leq at most twice per level; once they are
+    built, it builds nothing and asks neither leq nor transport."""
     knots = [(i + 1) / 10 for i in range(10)]
     fam = pl.wiener_family(knots).family
     leq_calls = []
@@ -198,18 +251,24 @@ def test_probe_work_is_bounded_by_the_reachable_levels(monkeypatch, k):
     rule_calls = []
     monkeypatch.setattr(limits, "_extension_candidates",
                         lambda sp, I: rule_calls.append(I) or rule(sp, I))
+    transports = _count_transports(monkeypatch, fam)
     S = frozenset(knots[:k])
     reachable = 2 ** k + 2 ** (10 - k) - 1
     for cold in (True, False):  # fresh maps, then the maps the first probe built
         leq_calls.clear()
-        rule_calls.clear()
-        maps_before = len(fam._cache)
+        transports.clear()
+        before = set(fam._cache)
         sp = pl.SectionPoint.of(fam, [S], {S: np.arange(float(k))})
-        pl.thread_from_section(sp, check=True)
-        built = len(fam._cache) - maps_before
-        assert len(rule_calls) == len(set(rule_calls)) == reachable
-        assert built == (reachable - 1 if cold else 0)
-        assert len(leq_calls) <= 2 * reachable
+        memo = pl.thread_from_section(sp, check=True)._memo
+        built = set(fam._cache) - before
+        assert len(memo) == reachable and not rule_calls
+        if cold:
+            assert ("spread", S) in built and len(built) == reachable
+            assert len(transports) == sum(transports.values()) == reachable - 1
+            assert S not in {dst for _, dst in transports}
+            assert len(leq_calls) <= 2 * reachable
+        else:
+            assert not built and not transports and not leq_calls
 
 
 def test_check_thread_catches_inconsistency(euclid):

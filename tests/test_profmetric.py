@@ -25,6 +25,28 @@ def test_squash_edge_cases():
         pl.squash(-0.5)
 
 
+entries = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+
+
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(st.lists(entries, min_size=n, max_size=n),
+                                                      st.lists(entries, min_size=n, max_size=n))))
+def test_euclidean_metric_is_the_norm_bit_for_bit(pair):
+    x, y = (np.array(v, dtype=float) for v in pair)
+    m = pl.euclidean_metrics(pl.euclid_tower(2).family)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = m.dist(0, x, y), float(np.linalg.norm(x - y))
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("d", [0.0, math.inf, math.nan, np.float64(0.0), np.float64(math.inf),
+                               np.float64(math.nan), 1e308])
+def test_squash_matches_the_numpy_test_on_edge_values(d):
+    before = 1.0 if np.isinf(d) else d / (1.0 + d)
+    assert np.float64(pl.squash(d)).tobytes() == np.float64(before).tobytes()
+
+
 def test_d_inf_euclid_example(euclid):
     # x = 0, y = (3,4,0,...): level sup of phi(norm) is phi(5) = 5/6,
     # reached at level 2 and flat afterwards

@@ -507,3 +507,15 @@ def test_check_tame_reads_a_constant_form_twice_per_pair(symplectic, monkeypatch
     twin_comps = _count(monkeypatch, twin, "comps")
     pl.check_tame(twin, pairs, samples=10)
     assert len(twin_comps) == 2 * 10 * strict
+
+
+def test_momentum_verify_reads_a_constant_form_once_for_every_element(symplectic, monkeypatch):
+    omega, action, mu = symplectic["omega"], symplectic["action"], symplectic["momentum"]
+    twin = _generic_twin(omega)
+    comps = _count(monkeypatch, omega, "comps")
+    pl.momentum_verify(omega, action, mu, [1.0, 0.0, 0.0, 0.0, 0.0], 3, samples=10)
+    # one read for the preservation check, one for the field solver
+    assert len(comps) == 2
+    twin_comps = _count(monkeypatch, twin, "comps")
+    pl.momentum_verify(twin, action, mu, [1.0, 0.0, 0.0, 0.0, 0.0], 3, samples=10)
+    assert len(twin_comps) == 2 * symplectic_module.GROUP_ELEMENTS + 10
