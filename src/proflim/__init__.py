@@ -5,8 +5,8 @@ finite-dimensional levels tied by projections and injections, their limits
 
 from .maps import (DifferentiableMap, DimensionMismatch, FD_STEP, as_point,
                    compose, fanout_map, fd_jacobian, identity_map,
-                   linear_combination_map, matrix_map, scatter_map,
-                   selection_map)
+                   linear_combination_map, matrix_map, ScalarMap,
+                   scatter_map, selection_map)
 from .poset import (EmptySection, FilterBaseSet, IndexPoset, InfinitePoset,
                     JoinFailure, Section, chain_poset, enumerate_sections,
                     filter_base_set, finite_poset, is_directed,

@@ -220,6 +220,9 @@ def cmd_flow(ns: argparse.Namespace) -> int:
     x0 = np.array(ns.x0 or ([1.0] + [0.0] * (dim - 1)), dtype=float)
     if x0.size != dim:
         raise UsageError(f"--x0 has {x0.size} coordinates, level {level} has {dim}")
+    for flag, value in (("--dt", [ns.dt]), ("--x0", x0.tolist())):
+        if not np.isfinite(value).all():
+            raise UsageError(f"{flag} must be finite, got {','.join(map(str, value))}")
 
     try:
         traj = flow(omega, H, level, x0, dt=ns.dt, steps=ns.steps, scheme=ns.scheme)

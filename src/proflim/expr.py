@@ -9,6 +9,7 @@ first compile, not with the package.
 """
 from __future__ import annotations
 
+import functools
 import re
 from typing import Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .cylinder import CylindricalFunction
 from .family import ProfiniteFamily
-from .maps import DifferentiableMap
+from .maps import DifferentiableMap, ScalarMap
 from .poset import Section
 
 
@@ -71,7 +72,9 @@ def _sympify(text: str, symbols: dict) -> "sympy.Expr":
 
 
 def compile_scalar(dim: int, text: str) -> tuple:
-    """(fn, grad) for an expression in local coordinates x0..x{dim-1}."""
+    """(fn, grad) for an expression in local coordinates x0..x{dim-1}: grad
+    is an R^dim -> R^dim map whose Jacobian, the Hessian, is lambdified on
+    its first request."""
     _guard(text)
     if _REF.search(text):
         raise ExpressionError("level references need a member antichain; "
@@ -88,10 +91,13 @@ def compile_scalar(dim: int, text: str) -> tuple:
     def fn(x: np.ndarray) -> float:
         return float(f(*x))
 
-    def grad(x: np.ndarray) -> np.ndarray:
-        return np.asarray(g(*x), dtype=float)
+    @functools.cache
+    def hessian():  # abs leaves a DiracDelta at its kink; keep the smooth part
+        return sympy.lambdify(syms, [[sympy.diff(d, s).replace(sympy.DiracDelta, lambda *_: 0)
+                                      for s in syms] for d in grads], modules="numpy")
 
-    return fn, grad
+    return fn, DifferentiableMap(dim, dim, fn=lambda x: np.asarray(g(*x), dtype=float),
+                                 jac=lambda x: hessian()(*x), name=f"grad {text}")
 
 
 def cylindrical_from_expression(family: ProfiniteFamily, members: Sequence,
@@ -122,9 +128,5 @@ def cylindrical_from_expression(family: ProfiniteFamily, members: Sequence,
 
     resolved = _REF.sub(replace, text)
     fn, grad = compile_scalar(total, resolved)
-    base = DifferentiableMap(
-        total, 1,
-        fn=lambda x: np.array([fn(x)]),
-        jac=lambda x: grad(x).reshape(1, total),
-        name=name or text)
+    base = ScalarMap(grad, lambda x: np.array([fn(x)]), name=name or text)
     return CylindricalFunction(family, section, base, name=name or text)

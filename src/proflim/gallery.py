@@ -16,7 +16,7 @@ from .calculus import constant_form
 from .cylinder import CylindricalFunction
 from .family import ProfiniteFamily, ProfiniteMap
 from .limits import AlgebraicStructure, ScalarAction, Thread
-from .maps import (DifferentiableMap, DimensionMismatch, matrix_map,
+from .maps import (DifferentiableMap, DimensionMismatch, ScalarMap, matrix_map,
                    scatter_map, selection_map)
 from .poset import Section, chain_poset, finite_poset, subset_poset
 from .profmetric import IndexMeasure, euclidean_metrics
@@ -366,11 +366,8 @@ def oscillator_energy(family: ProfiniteFamily, level,
     function whose differential is available analytically."""
     dim = family.dim(level)
     sec = Section.of(family.poset, [level])
-    base = DifferentiableMap(
-        dim, 1,
-        fn=lambda x: np.array([0.5 * float(x @ x)]),
-        jac=lambda x: x.reshape(1, dim).copy(),
-        name=name)
+    base = ScalarMap(DifferentiableMap(dim, dim, fn=lambda x: x.copy(), name=f"grad {name}"),
+                     lambda x: np.array([0.5 * float(x @ x)]), name=name)
     return CylindricalFunction(family, sec, base, name=name)
 
 

@@ -73,6 +73,9 @@ class DifferentiableMap:
                 f"{self.name or 'map'}: point has dim {x.size}, expected {self.domain_dim}")
         if self.matrix is not None:
             return self.matrix @ x
+        return self._value(x)
+
+    def _value(self, x: np.ndarray) -> np.ndarray:
         y = as_point(self.fn(x))
         if y.size != self.codomain_dim:
             raise DimensionMismatch(
@@ -82,8 +85,8 @@ class DifferentiableMap:
     def rows(self, X) -> np.ndarray:
         """Apply the map to every row of an (n, domain_dim) batch.
 
-        A linear map is one matrix product; any other map runs `__call__`
-        row by row, so its dimension checks still hold.
+        A linear map is one matrix product; any other map runs `fn` row by
+        row after the one batch-shape check, and checks each value's size.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.domain_dim:
@@ -94,7 +97,7 @@ class DifferentiableMap:
             return X @ self.matrix.T
         out = np.empty((X.shape[0], self.codomain_dim))
         for i, x in enumerate(X):
-            out[i] = self(x)
+            out[i] = self._value(x)
         return out
 
     def jacobian(self, x) -> np.ndarray:
@@ -116,6 +119,15 @@ class DifferentiableMap:
     def __repr__(self):
         tag = self.name or ("linear" if self.is_linear else "smooth")
         return f"DifferentiableMap({tag}: {self.domain_dim}->{self.codomain_dim})"
+
+
+class ScalarMap(DifferentiableMap):
+    """A map R^n -> R built on its gradient: an R^n -> R^n map whose `fn` returns
+    a fresh array and whose Jacobian is the Hessian (FD when it has no `jac`)."""
+
+    def __init__(self, gradient: DifferentiableMap, fn: Callable, name: str = ""):
+        super().__init__(gradient.domain_dim, 1, fn=fn, jac=gradient.fn, name=name)
+        self.gradient = gradient
 
 
 def residual(lhs, rhs) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 from .calculus import TameForm, exterior_derivative
 from .cylinder import CylindricalFunction, level_function, linear_combination
 from .family import ProfiniteFamily, sample_joint, sample_point, strict_pairs
-from .maps import FD_STEP, as_point, fd_jacobian, residual
+from .maps import FD_STEP, DifferentiableMap, ScalarMap, as_point, residual
 from .report import VerificationReport
 
 RANK_RTOL = 1e-10
@@ -161,9 +161,13 @@ def is_weakly_nondegenerate(obj, u, I, search_levels: Iterable,
 # Hamiltonian fields and flows
 
 
-def level_gradient(H: CylindricalFunction, J) -> Callable[[np.ndarray], np.ndarray]:
+def level_gradient(H: CylindricalFunction, J) -> DifferentiableMap:
+    """H's gradient at level J as a map whose Jacobian is the Hessian: a
+    ScalarMap's own gradient, else the level Jacobian's row (FD Hessian)."""
     lf = level_function(H, J)
-    return lambda x: lf.jacobian(x).ravel()
+    if isinstance(lf, ScalarMap):
+        return lf.gradient
+    return DifferentiableMap(lf.domain_dim, lf.domain_dim, fn=lambda x: lf.jacobian(x).ravel())
 
 
 def hamiltonian_solver(structure, H: CylindricalFunction, J) -> Callable:
@@ -186,7 +190,7 @@ def hamiltonian_solver(structure, H: CylindricalFunction, J) -> Callable:
                                    f"(rank {rank} < {mat.shape[0]})")
             fixed = mat if omega.is_constant else None
         grad = grad or level_gradient(H, J)
-        g = grad(point)
+        g = grad.fn(point)
         return mat, g, np.linalg.solve(mat.T, g)
     return solve
 
@@ -252,29 +256,32 @@ class Trajectory:
 def _leapfrog(grad: Callable, x0: np.ndarray, dt: float, steps: int) -> np.ndarray:
     # kick-drift-kick on interleaved (q, p) pairs; assumes separable H.  The
     # closing half kick moves p alone and dH/dq reads q alone, so its gradient
-    # opens the next step (FSAL): two gradients per step, one before the loop
-    q_idx = np.arange(0, x0.size, 2)
-    p_idx = np.arange(1, x0.size, 2)
+    # opens the next step (FSAL): two gradients per step, one before the loop.
+    # q and p are strided views of x, so each kick and drift updates x in place
     states = np.empty((steps + 1, x0.size))
     states[0] = x0
     x = x0.copy()
+    q, p = x[0::2], x[1::2]
     g = grad(x)
     for k in range(steps):
-        x[p_idx] -= 0.5 * dt * g[q_idx]          # half kick: dp = -dH/dq
+        p -= 0.5 * dt * g[0::2]                  # half kick: dp = -dH/dq
         g = grad(x)
-        x[q_idx] += dt * g[p_idx]                # drift: dq = +dH/dp
+        q += dt * g[1::2]                        # drift: dq = +dH/dp
         g = grad(x)
-        x[p_idx] -= 0.5 * dt * g[q_idx]          # half kick
+        p -= 0.5 * dt * g[0::2]                  # half kick
         states[k + 1] = x
     return states
 
 
-def _implicit_midpoint(omega_at: Callable, grad: Callable, x0: np.ndarray,
+def _implicit_midpoint(omega_at: Callable, grad, x0: np.ndarray,
                        dt: float, steps: int, newton_iters: int = 50) -> np.ndarray:
+    # the Newton Hessian is grad's Jacobian; a bare callable gets FD through the map
     dim = x0.size
+    if not isinstance(grad, DifferentiableMap):
+        grad = DifferentiableMap(dim, dim, fn=grad)
 
     def field(x):
-        return np.linalg.solve(omega_at(x).T, grad(x))
+        return np.linalg.solve(omega_at(x).T, grad.fn(x))
 
     states = np.empty((steps + 1, dim))
     states[0] = x0
@@ -288,8 +295,7 @@ def _implicit_midpoint(omega_at: Callable, grad: Callable, x0: np.ndarray,
             if float(np.max(np.abs(G), initial=0.0)) <= 1e-12 * (1.0 + float(np.max(np.abs(y)))):
                 converged = True
                 break
-            hess = fd_jacobian(grad, mid, dim)
-            JG = np.eye(dim) - 0.5 * dt * np.linalg.solve(omega_at(mid).T, hess)
+            JG = np.eye(dim) - 0.5 * dt * np.linalg.solve(omega_at(mid).T, grad.jacobian(mid))
             y = y - np.linalg.solve(JG, G)
         if not converged:
             raise NonconvergentSolve(f"implicit midpoint stalled at step {k}")
@@ -304,13 +310,16 @@ def flow(structure, H: CylindricalFunction, J, x0, dt: float, steps: int,
 
     leapfrog needs the canonical interleaved pair layout and a separable H,
     and raises SchemeMismatch otherwise; implicit-midpoint (Newton) works for
-    any constant-rank invertible form.  Separability is probed at x0 only: an
-    H whose FD Hessian there has a mixed q-p entry above 1e-8 * max(1, max
-    |Hessian|) is refused, which catches a coupled H but does not prove that
-    H is separable.
+    any constant-rank invertible form, with an analytic Newton Hessian for an
+    expression H and an FD one otherwise.  Separability is probed at x0 only:
+    an H whose FD Hessian there is not finite or has a mixed q-p entry above
+    1e-8 * max(1, max |Hessian|) is refused, which catches a coupled H but
+    does not prove that H is separable.  A non-finite dt or x0 is a ValueError.
     """
     omega = _form(structure)
     x0 = as_point(x0).copy()
+    if not (math.isfinite(dt) and np.isfinite(x0).all()):
+        raise ValueError(f"flow needs a finite dt and x0, got dt={dt!r}, x0={x0.tolist()}")
     dim = x0.size
     mat0 = omega.matrix(J, x0)
     if level_rank(mat0) < dim:
@@ -322,13 +331,16 @@ def flow(structure, H: CylindricalFunction, J, x0, dt: float, steps: int,
         if dim % 2 or not residual(mat0, canonical_omega(dim)) <= 1e-12:
             raise SchemeMismatch("leapfrog needs the canonical pair layout; "
                                  "use scheme='implicit-midpoint'")
-        hess = fd_jacobian(grad, x0, dim)
+        hess = grad.fd_jacobian(x0)
+        if not np.isfinite(hess).all():
+            raise SchemeMismatch("leapfrog probes separability at x0, but the Hessian "
+                                 "there is not finite")
         scale = 1e-8 * max(1.0, residual(hess, 0.0))
         if not (residual(hess[0::2, 1::2], 0.0) <= scale
                 and residual(hess[1::2, 0::2], 0.0) <= scale):
             raise SchemeMismatch("leapfrog needs a separable H, but the Hessian couples "
                                  "q and p at x0; use scheme='implicit-midpoint'")
-        states = _leapfrog(grad, x0, dt, steps)
+        states = _leapfrog(grad.fn, x0, dt, steps)
     elif scheme == "implicit-midpoint":
         # a constant form ignores x, so its matrix at x0 serves every midpoint
         omega_at = ((lambda x: mat0) if omega.is_constant
@@ -338,7 +350,7 @@ def flow(structure, H: CylindricalFunction, J, x0, dt: float, steps: int,
         raise ValueError(f"unknown scheme {scheme!r}")
 
     times = dt * np.arange(steps + 1)
-    energies = np.array([float(lf(s)[0]) for s in states])
+    energies = lf.rows(states)[:, 0]
     return Trajectory(times, states, energies)
 
 

@@ -175,6 +175,25 @@ def test_flow_leapfrog_on_coupled_hamiltonian_exits_two(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--dt", "nan", "--steps", "5"], "--dt"),
+    (["--x0", "nan,0,0,1"], "--x0"),
+    (["--scheme", "implicit-midpoint", "--x0", "nan,0,0,1"], "--x0"),
+])
+def test_flow_refuses_non_finite_inputs(capsys, argv, flag):
+    code, out, err = run(capsys, "flow", "--family", "symplectic", "--level", "2", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} must be finite, got ")
+
+
+def test_flow_says_when_the_separability_probe_is_not_finite(capsys):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        code, _, err = run(capsys, "flow", "--family", "symplectic", "--level", "1",
+                           "--H", "1/x0 + sqr(x1)", "--x0", "0,1")
+    assert code == 2
+    assert "the Hessian there is not finite" in err and "couples" not in err
+
+
 def test_wiener_audit_passes(capsys):
     code, out, err = run(capsys, "wiener", "--samples", "30000", "--seed", "0")
     assert code == 0, err

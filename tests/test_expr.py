@@ -40,6 +40,23 @@ def test_analytic_gradient_matches_fd(rng):
         assert np.max(np.abs(grad(x) - fd_grad(fn, x))) < 1e-6
 
 
+@pytest.mark.parametrize("dim, text, signed", [
+    (2, "x0*x1 + 2", True),
+    (1, "sqr(x0) + pi", True),
+    (1, "exp(log(x0))", False),
+    (2, "tanh(x0) * sqrt(x1) - abs(x0)", True),
+    (3, "sin(x0)*x1 + exp(x2/3) - x0*x2", True),
+])
+def test_analytic_hessian_matches_fd(rng, dim, text, signed):
+    # signed: x0 may be negative (away from the kink of abs)
+    _, grad = pl.compile_scalar(dim, text)
+    for _ in range(10):
+        x = rng.uniform(0.2, 2.0, dim)
+        if signed:
+            x[0] *= rng.choice([-1.0, 1.0])
+        assert np.max(np.abs(grad.jacobian(x) - grad.fd_jacobian(x))) < 1e-5
+
+
 def test_guard_rejections():
     with pytest.raises(pl.ExpressionError):
         pl.compile_scalar(1, "__class__")

@@ -341,6 +341,17 @@ def test_lift_scalar_action(poly, rng):
     assert np.allclose(scaled(2), [2.5, 2.5, 1.25])
 
 
+def test_lift_checks_name_no_pairs(matrix, poly, rng, monkeypatch):
+    # the morphism checks raise with the indices themselves, so they build no
+    # (key(J), key(K)) witness
+    for g in (matrix, poly):
+        monkeypatch.setitem(vars(g.family.poset), "key", lambda J: pytest.fail("key called"))
+    lap = matrix["laplacian_exp"]
+    pl.lift_inverse(matrix["mul"], lap, pairs=[(1, 2), (2, 3), (2, 2)], rng=rng)
+    pl.lift_scalar_action(poly["scale"], poly["scalar_thread"](2.5), poly["exp_series"],
+                          pairs=[(1, 3), (3, 3)], rng=rng)
+
+
 def test_lift_binary_wrong_family_rejected(poly, euclid):
     with pytest.raises(pl.Incomparable):
         pl.lift_binary(poly["add"], euclid["origin"], euclid["origin"])

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 import proflim as pl
+import proflim.maps as maps_module
 import proflim.symplectic as symplectic_module
 from oracles import leapfrog_three_gradients, oscillator_exact
 
 SEPARABLE_QUARTIC = ("(sqr(x1) + sqr(x3) + sqr(x5))/2 + (sqr(x0) + sqr(x2) + sqr(x4))/2"
                      " + (sqr(sqr(x0)) + sqr(sqr(x2)) + sqr(sqr(x4)))/8")
+COUPLED_QUARTIC = ("(sqr(x0) + sqr(x1) + sqr(x2) + sqr(x3))/2 + x0*x1/2 + x2*x3/2"
+                   " + sqr(x0)*sqr(x2)/8")
 
 
 def levels(g):
@@ -150,6 +153,15 @@ def test_implicit_midpoint_nonconvergence_is_loud(symplectic):
     with pytest.raises(pl.NonconvergentSolve):
         pl.flow(symplectic["omega"], quartic, 1, np.array([2.0, 0.0]),
                 dt=0.5, steps=5, scheme="implicit-midpoint", newton_iters=1)
+
+
+@pytest.mark.parametrize("scheme", ["leapfrog", "implicit-midpoint"])
+@pytest.mark.parametrize("dt, x0", [(np.nan, [1.0, 0.0]), (np.inf, [1.0, 0.0]),
+                                    (1e-2, [np.nan, 0.0]), (1e-2, [1.0, -np.inf])])
+def test_flow_refuses_non_finite_dt_and_x0(symplectic, scheme, dt, x0):
+    with pytest.raises(ValueError, match="finite dt and x0"):
+        pl.flow(symplectic["omega"], symplectic["hamiltonian_at"](1), 1, np.array(x0),
+                dt=dt, steps=3, scheme=scheme)
 
 
 def test_flow_guards(symplectic, odd_tower, euclid):
@@ -305,14 +317,75 @@ def test_leapfrog_takes_two_gradients_per_step(symplectic, monkeypatch, steps):
     for level, H in _leapfrog_hamiltonians(symplectic):
         calls.clear()
         inside.clear()
-        jacobian = H.base.jacobian
-        monkeypatch.setattr(H.base, "jacobian", lambda x, _j=jacobian: calls.append(1) or _j(x))
+        gradient = H.base.gradient.fn
+        monkeypatch.setattr(H.base.gradient, "fn",
+                            lambda x, _g=gradient: calls.append(1) or _g(x))
         dim = symplectic.family.dim(level)
         pl.flow(symplectic["omega"], H, level, np.linspace(-0.5, 0.5, dim),
                 dt=1e-2, steps=steps)
         assert inside == [2 * steps + 1]
         # the separability probe's FD Hessian comes on top
         assert len(calls) == 2 * steps + 1 + 2 * dim
+
+
+def test_hessian_is_lambdified_on_the_first_implicit_flow_only(symplectic, monkeypatch):
+    import sympy
+    calls = []
+    real_lambdify = sympy.lambdify
+    monkeypatch.setattr(sympy, "lambdify",
+                        lambda *a, **k: calls.append(1) or real_lambdify(*a, **k))
+    omega, fam = symplectic["omega"], symplectic.family
+    separable = pl.cylindrical_from_expression(fam, [3], SEPARABLE_QUARTIC)
+    assert len(calls) == 2                                  # value and gradient
+    pl.flow(omega, separable, 3, np.linspace(-0.5, 0.5, 6), dt=1e-2, steps=5)
+    assert len(calls) == 2
+    coupled = pl.cylindrical_from_expression(fam, [2], COUPLED_QUARTIC)
+    for _ in range(2):
+        pl.flow(omega, coupled, 2, np.linspace(-0.5, 0.5, 4), dt=1e-2, steps=5,
+                scheme="implicit-midpoint")
+        assert len(calls) == 5                              # one Hessian, once
+
+
+@pytest.mark.parametrize("kind", ["expression", "gallery"])
+def test_newton_iterates_take_fd_gradients_only_without_an_analytic_hessian(
+        symplectic, monkeypatch, kind):
+    H = (pl.cylindrical_from_expression(symplectic.family, [2], COUPLED_QUARTIC)
+         if kind == "expression" else symplectic["hamiltonian_at"](2))
+    counts = {"grad": 0, "fd": 0, "fd_grad": 0}
+    real_gradient, real_fd = H.base.gradient.fn, maps_module.fd_jacobian
+
+    def gradient(x):
+        counts["grad"] += 1
+        return real_gradient(x)
+
+    def fd(fn, x, codomain_dim):
+        before = counts["grad"]
+        out = real_fd(fn, x, codomain_dim)
+        counts["fd"] += 1
+        counts["fd_grad"] += counts["grad"] - before
+        return out
+
+    monkeypatch.setattr(H.base.gradient, "fn", gradient)
+    monkeypatch.setattr(maps_module, "fd_jacobian", fd)
+    steps, dim = 20, 4
+    pl.flow(symplectic["omega"], H, 2, np.linspace(-0.5, 0.5, dim), dt=1e-2,
+            steps=steps, scheme="implicit-midpoint")
+    # a step takes a predictor gradient, one per Newton iterate and a final
+    # converged check, so the iterates are what the remaining gradients leave
+    iterates = counts["grad"] - counts["fd_grad"] - 2 * steps
+    assert iterates >= steps
+    if kind == "expression":
+        assert counts["fd"] == 0
+    else:
+        assert counts["fd"] == iterates
+        assert counts["fd_grad"] == 2 * dim * iterates
+
+
+def test_a_gradient_is_a_fresh_array(symplectic):
+    # FSAL reuses g after x has moved, so a gradient may not return a view of x
+    for level, H in _leapfrog_hamiltonians(symplectic):
+        x = np.linspace(-0.5, 0.5, symplectic.family.dim(level))
+        assert not np.shares_memory(H.base.gradient.fn(x), x)
 
 
 def test_level_function_of_its_own_level_is_the_base(symplectic):
