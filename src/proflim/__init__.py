@@ -7,11 +7,9 @@ from .maps import (DifferentiableMap, DimensionMismatch, FD_STEP, as_point,
                    compose, fanout_map, fd_jacobian, identity_map,
                    linear_combination_map, matrix_map, ScalarMap,
                    scatter_map, selection_map)
-from .poset import (EmptySection, FilterBaseSet, IndexPoset, InfinitePoset,
-                    JoinFailure, Section, chain_poset, enumerate_sections,
-                    filter_base_set, finite_poset, is_directed,
-                    is_finitely_cylindrical_witness, is_section, nat_chain,
-                    subset_poset)
+from .poset import (EmptySection, IndexPoset, InfinitePoset, JoinFailure,
+                    Section, chain_poset, enumerate_sections, finite_poset,
+                    is_directed, is_section, nat_chain, subset_poset)
 from .report import AxiomCheck, VerificationReport
 from .family import (FamilyMismatch, FibrationData, ProfiniteFamily,
                      ProfiniteMap, check_profinite_map,
@@ -24,13 +22,11 @@ from .limits import (AlgebraicStructure, IllDefinedSection, Incomparable,
                      SectionPoint, Thread, check_thread, extend_section_point,
                      is_inductive, lift_binary, lift_inverse,
                      lift_scalar_action, restrict_thread, thread_axpy,
-                     thread_from_section, validate_section_point)
-from .cylinder import (CylPolynomial, CylindricalFunction, common_section,
-                       coordinate_function, differential, eval_representative,
-                       level_function, linear_combination,
-                       pair_with_direction, poly_add, poly_mul, poly_scale,
-                       poly_to_cylindrical, poly_univariate, reexpress,
-                       refine_sections, representative, separate)
+                     thread_from_section)
+from .cylinder import (CylindricalFunction, coordinate_function, differential,
+                       eval_representative, level_function, linear_combination,
+                       pair_with_direction, product, reexpress, refine_sections,
+                       representative, separate)
 from .calculus import (CompatibleMetric, TameForm, TangentThread,
                        alternating_sum, check_tame, check_tangent_thread,
                        constant_form, exterior_derivative, metric_check,
@@ -47,7 +43,7 @@ from .symplectic import (MomentumMap, NonSymplecticAction, NonconvergentSolve,
 from .profmetric import (IndexMeasure, LevelMetricFamily, d_inf, d_mu,
                          discrete_metrics, euclidean_metrics,
                          injection_isometry_check, pseudo_metric_audit,
-                         squash, value_at)
+                         squash)
 from .gallery import (GalleryFamily, build_gallery, gallery_names,
                       brownian_sample, cross_family, euclid_tower, jet_tower,
                       matrix_tower, odd_symplectic_tower, pairing, pl_path,

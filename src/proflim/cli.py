@@ -34,10 +34,10 @@ from .maps import residual
 from .poset import Section
 from .profmetric import d_inf, d_mu, discrete_metrics, euclidean_metrics
 from .report import VerificationReport
-from .symplectic import (NonconvergentSolve, NonSymplecticAction, SchemeMismatch,
-                         SingularForm, SymplecticStructure, flow,
-                         hamiltonian_compat_check, hamiltonian_solver,
-                         is_projectively_nondegenerate, momentum_verify)
+from .symplectic import (NonconvergentSolve, NonSymplecticAction, SingularForm,
+                         SymplecticStructure, flow, hamiltonian_compat_check,
+                         hamiltonian_solver, is_projectively_nondegenerate,
+                         momentum_verify)
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -63,15 +63,24 @@ def float_list(text: str) -> List[float]:
         raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def json_doc(text: str):
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _read_json(text: str, **options):
     """Inline JSON (text starting with '{') or the path of a JSON file."""
     try:
         if text.lstrip().startswith("{"):
-            return json.loads(text)
+            return json.loads(text, **options)
         with open(text) as fh:
-            return json.load(fh)
+            return json.load(fh, **options)
     except (OSError, ValueError) as err:  # ValueError: not JSON, or not text
         raise UsageError(f"cannot read JSON from {text!r}: {err}") from None
+
+
+def json_doc(text: str):
+    """_read_json as strict JSON: NaN and Infinity are refused."""
+    return _read_json(text, parse_constant=_refuse_constant)
 
 
 def emit(text: str, out: Optional[str]) -> None:
@@ -91,7 +100,8 @@ def emit(text: str, out: Optional[str]) -> None:
 
 
 def report_json(doc: dict) -> str:
-    return json.dumps({"schema_version": SCHEMA_VERSION, **doc}, sort_keys=True, indent=2) + "\n"
+    return json.dumps({"schema_version": SCHEMA_VERSION, **doc}, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def resolve_gallery(name: str, max_level: Optional[int] = None):
@@ -115,7 +125,8 @@ def resolve_family(name_or_path: str, max_level: Optional[int] = None):
     if name_or_path.endswith(".json") or os.path.sep in name_or_path:
         if not os.path.exists(name_or_path):
             raise UsageError(f"no such descriptor file: {name_or_path}")
-        return None, family_from_descriptor(json_doc(name_or_path))
+        # the family loader refuses a non-finite number and names its field
+        return None, family_from_descriptor(_read_json(name_or_path))
     g = resolve_gallery(name_or_path, max_level)
     return g, g.family
 
@@ -178,6 +189,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     return finish_reports(doc, reports, ns.out)
 
 
+@np.errstate(over="ignore")  # a level distance may overflow to inf, which squashes to 1
 def cmd_distance(ns: argparse.Namespace) -> int:
     g, fam = resolve_family(ns.family, ns.max_level)
     if not fam.poset.elements:
@@ -226,7 +238,9 @@ def cmd_flow(ns: argparse.Namespace) -> int:
 
     try:
         traj = flow(omega, H, level, x0, dt=ns.dt, steps=ns.steps, scheme=ns.scheme)
-    except SchemeMismatch as err:
+    except np.linalg.LinAlgError:
+        raise  # a solve failing along the path is not bad input
+    except ValueError as err:  # SchemeMismatch, or H not finite at x0
         raise UsageError(str(err)) from None
 
     if ns.format == "csv":

@@ -8,7 +8,9 @@ function calculi coincide operationally.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -16,7 +18,8 @@ import numpy as np
 from .family import FamilyMismatch, ProfiniteFamily
 from .limits import (Incomparable, SectionPoint, Thread, restrict_thread,
                      thread_from_section)
-from .maps import DifferentiableMap, as_point, compose, fanout_map, selection_map
+from .maps import (DifferentiableMap, as_point, compose, fanout_map,
+                   linear_combination_map, selection_map)
 from .poset import JoinFailure, Section
 
 
@@ -136,150 +139,40 @@ def refine_sections(poset, members: Iterable) -> Section:
     """A common antichain refinement: fold members together with joins until
     no two are comparable.  JoinFailure propagates from the join oracle."""
     work = list(dict.fromkeys(members))
-    while True:
-        hit = None
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                if poset.comparable(work[i], work[j]):
-                    hit = (i, j)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return Section.of(poset, work)
-        i, j = hit
-        top = poset.require_join(work[i], work[j])
-        work = [w for k, w in enumerate(work) if k not in (i, j)] + [top]
+    while hit := next((p for p in combinations(work, 2) if poset.comparable(*p)), None):
+        work = [w for w in work if w not in hit] + [poset.require_join(*hit)]
+    return Section.of(poset, work)
 
 
-def common_section(functions: Sequence[CylindricalFunction]) -> Section:
-    poset = functions[0].family.poset
-    members = [m for f in functions for m in f.section]
-    return refine_sections(poset, members)
+def _refined_bases(functions: Sequence[CylindricalFunction]):
+    """(family, common antichain refinement, each base re-expressed over it)."""
+    fam = functions[0].family
+    sec = refine_sections(fam.poset, [m for f in functions for m in f.section])
+    # enlarge each member to a member of sec when needed
+    return fam, sec, [(reexpress(f, sec) if f.section != sec else f).base for f in functions]
 
 
 def linear_combination(functions: Sequence[CylindricalFunction],
                        coeffs: Sequence[float], name: str = "") -> CylindricalFunction:
     """sum c_i f_i as a single cylindrical function over a common refinement."""
-    functions = list(functions)
-    fam = functions[0].family
-    sec = common_section(functions)
-    # enlarge each member to a member of sec when needed
-    rewritten = [reexpress(f, sec) if f.section != sec else f for f in functions]
-    bases = [f.base for f in rewritten]
-    from .maps import linear_combination_map
+    fam, sec, bases = _refined_bases(list(functions))
     base = linear_combination_map(bases, coeffs, name=name or "lincomb")
     return CylindricalFunction(fam, sec, base, name=name or "lincomb")
 
 
-# ---------------------------------------------------------------------------
-# polynomial algebra
+def product(functions: Sequence[CylindricalFunction], name: str = "") -> CylindricalFunction:
+    """prod f_i as a single cylindrical function over a common refinement,
+    with the product-rule Jacobian sum_i (prod_{j != i} f_j) df_i."""
+    fam, sec, bases = _refined_bases(list(functions))
 
-
-@dataclass
-class CylPolynomial:
-    """Finite sums of scalar multiples of products of cylindrical functions.
-
-    Terms keep their factors unexpanded; `section` is the common antichain
-    refinement of all factor sections, computed up front so that factor
-    combinations that cannot be co-refined fail early with JoinFailure.
-    """
-
-    family: ProfiniteFamily
-    terms: list = field(default_factory=list)  # [(coeff, (f1, f2, ...)), ...]
-    constant: float = 0.0
-
-    @property
-    def section(self) -> Optional[Section]:
-        funcs = [f for _, fs in self.terms for f in fs]
-        if not funcs:
-            return None
-        return refine_sections(self.family.poset, [m for f in funcs for m in f.section])
-
-    @staticmethod
-    def from_function(f: CylindricalFunction) -> "CylPolynomial":
-        return CylPolynomial(f.family, [(1.0, (f,))])
-
-    def evaluate(self, t: Thread) -> float:
-        total = self.constant
-        for coeff, factors in self.terms:
-            prod = coeff
-            for f in factors:
-                prod *= f(t)
-            total += prod
-        return float(total)
-
-
-def poly_add(p: CylPolynomial, q: CylPolynomial) -> CylPolynomial:
-    if p.family is not q.family:
-        raise FamilyMismatch("polynomials over different families")
-    return CylPolynomial(p.family, list(p.terms) + list(q.terms),
-                         constant=p.constant + q.constant)
-
-
-def poly_scale(p: CylPolynomial, c: float) -> CylPolynomial:
-    return CylPolynomial(p.family, [(c * a, fs) for a, fs in p.terms],
-                         constant=c * p.constant)
-
-
-def poly_mul(p: CylPolynomial, q: CylPolynomial) -> CylPolynomial:
-    """Product polynomial; factor sections are co-refined eagerly so that
-    incompatible factors surface as JoinFailure here, not at evaluation."""
-    if p.family is not q.family:
-        raise FamilyMismatch("polynomials over different families")
-    terms = []
-    for a, fs in p.terms:
-        for b, gs in q.terms:
-            terms.append((a * b, fs + gs))
-        if q.constant:
-            terms.append((a * q.constant, fs))
-    if p.constant:
-        for b, gs in q.terms:
-            terms.append((p.constant * b, gs))
-    out = CylPolynomial(p.family, terms, constant=p.constant * q.constant)
-    out.section  # forces the co-refinement check
-    return out
-
-
-def poly_univariate(coeffs: Sequence[float], f: CylindricalFunction) -> CylPolynomial:
-    """P(f) for a one-variable polynomial P given by ascending coefficients."""
-    poly = CylPolynomial(f.family, [], constant=float(coeffs[0]) if coeffs else 0.0)
-    for k, c in enumerate(coeffs[1:], start=1):
-        if c:
-            poly.terms.append((float(c), (f,) * k))
-    return poly
-
-
-def poly_to_cylindrical(p: CylPolynomial, name: str = "") -> CylindricalFunction:
-    """Flatten a polynomial into one cylindrical function over the common
-    refinement of all factor sections."""
-    sec = p.section
-    if sec is None:
-        raise FamilyMismatch("a constant polynomial has no section to flatten over")
-    rewritten = [(c, tuple(reexpress(f, sec) if f.section != sec else f for f in fs))
-                 for c, fs in p.terms]
-    dim = sum(p.family.dim(m) for m in sec)
-
-    def fn(x):
-        total = p.constant
-        for c, fs in rewritten:
-            prod = c
-            for f in fs:
-                prod *= float(f.base(x)[0])
-            total += prod
-        return np.array([total])
+    def values(x):
+        return [float(b(x)[0]) for b in bases]
 
     def jac(x):
-        grad = np.zeros(dim)
-        for c, fs in rewritten:
-            vals = [float(f.base(x)[0]) for f in fs]
-            for i, f in enumerate(fs):
-                rest = c
-                for j, v in enumerate(vals):
-                    if j != i:
-                        rest *= v
-                grad += rest * f.base.jacobian(x).ravel()
-        return grad.reshape(1, dim)
+        vals = values(x)
+        return sum(math.prod(vals[:i] + vals[i + 1:]) * b.jacobian(x)
+                   for i, b in enumerate(bases))
 
-    base = DifferentiableMap(dim, 1, fn, jac=jac, name=name or "poly")
-    return CylindricalFunction(p.family, sec, base, name=name or "poly")
+    base = DifferentiableMap(bases[0].domain_dim, 1, lambda x: np.array([math.prod(values(x))]),
+                             jac=jac, name=name or "product")
+    return CylindricalFunction(fam, sec, base, name=name or "product")

@@ -50,7 +50,7 @@ def _field(obj, key: str, path: str, convert: Optional[Callable] = None,
         return default
     try:
         return obj[key] if convert is None else convert(obj[key])
-    except (TypeError, ValueError) as err:  # DescriptorError included
+    except (TypeError, ValueError, OverflowError) as err:  # DescriptorError included
         msg = str(err)
         raise DescriptorError(msg if msg.startswith(where) else f"{where}: {msg}") from None
 
@@ -61,8 +61,15 @@ def _list(value) -> list:
     return value
 
 
+def _finite(values):
+    """values (a list of floats or an array), refused unless every entry is finite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{np.asarray(values)[~np.isfinite(values)][0]} is not a finite number")
+    return values
+
+
 def _floats(value) -> list:
-    return [float(v) for v in _list(value)]
+    return _finite([float(v) for v in _list(value)])
 
 
 def _dimension(value) -> int:
@@ -190,7 +197,7 @@ def map_from_entry(entry: dict, role: str, level_dim: Callable[[Any], int],
     payload = _field(entry, "payload", path, default={})
     where = f"{path}.payload"
     if kind == "matrix":
-        rows = _field(payload, "rows", where, lambda v: np.asarray(_list(v), dtype=float))
+        rows = _field(payload, "rows", where, lambda v: _finite(np.asarray(_list(v), dtype=float)))
         if rows.ndim == 1 and rows.size == n_dst * n_src:
             # empty matrices round-trip through JSON as flat lists
             rows = rows.reshape(n_dst, n_src)
@@ -492,6 +499,9 @@ def load_measure_csv(path) -> IndexMeasure:
             except ValueError:
                 raise DescriptorError(f"{path} line {reader.line_num}: weight {row[1]!r} "
                                       "is not a number") from None
+            if not 0.0 <= value < np.inf:  # NaN included
+                raise DescriptorError(f"{path} line {reader.line_num}: weight {row[1]!r} "
+                                      "is not a finite number >= 0")
             if head == "tail":
                 tail = value
             else:

@@ -139,12 +139,6 @@ def extend_section_point(sp: SectionPoint, I, tol: float = 1e-9) -> np.ndarray:
     return _agreed(I, cands, tol)
 
 
-def validate_section_point(sp: SectionPoint, tol: float = 1e-9) -> None:
-    """Eagerly check coherence at pairwise joins and, on a finite poset, at
-    every element some member reaches; see thread_from_section."""
-    thread_from_section(sp, tol=tol, check=True)
-
-
 def thread_from_section(sp: SectionPoint, tol: float = 1e-9,
                         check: bool = True) -> Thread:
     """The thread induced by a section point.

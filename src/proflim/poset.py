@@ -115,20 +115,6 @@ class Section:
         return item in self.members
 
 
-@dataclass(frozen=True)
-class FilterBaseSet:
-    """The strict upper shadow of a section: {J | exists K in S with K < J}."""
-
-    poset: IndexPoset
-    section: Section
-
-    def membership(self, index) -> bool:
-        return any(self.poset.lt(k, index) for k in self.section)
-
-    def __contains__(self, index):
-        return self.membership(index)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -280,14 +266,3 @@ def enumerate_sections(poset: IndexPoset) -> list[Section]:
     grow([], els)
     found.sort(key=lambda s: (len(s.members), tuple(poset.key(m) for m in s.members)))
     return found
-
-
-def filter_base_set(poset: IndexPoset, section) -> FilterBaseSet:
-    sec = section if isinstance(section, Section) else Section.of(poset, section)
-    return FilterBaseSet(poset, sec)
-
-
-def is_finitely_cylindrical_witness(poset: IndexPoset, section,
-                                    probe: Optional[Iterable] = None) -> bool:
-    """Certificate that the section is finite and covers the (probed) poset."""
-    return is_section(poset, section, probe)

@@ -80,13 +80,21 @@ def injection_isometry_check(m: LevelMetricFamily, pairs: Iterable[tuple],
     return report
 
 
-def value_at(obj, J) -> np.ndarray:
+def _value_at(obj, J) -> np.ndarray:
     """Level value of a thread, section point, or plain index->array callable."""
     if isinstance(obj, Thread):
         return obj.value(J)
     if isinstance(obj, SectionPoint):
         return extend_section_point(obj, J)
     return np.asarray(obj(J), float)
+
+
+def _squashed(m: LevelMetricFamily, J, x, y) -> float:
+    """phi of the level-J distance; a NaN distance is a ValueError naming J."""
+    d = m(J, _value_at(x, J), _value_at(y, J))
+    if d != d:
+        raise ValueError(f"level {J!r}: the distance is {d}, not a number")
+    return squash(d)
 
 
 def d_inf(m: LevelMetricFamily, x, y, level_sets: Iterable[Iterable],
@@ -96,7 +104,8 @@ def d_inf(m: LevelMetricFamily, x, y, level_sets: Iterable[Iterable],
     Returns (value, converged, history).  Each stage takes the sup over all
     levels seen so far, so history is monotone; converged means the last
     enlargement moved the sup by at most tol.  Never a proof: the true sup
-    over an infinite poset can exceed every finite stage.
+    over an infinite poset can exceed every finite stage.  A NaN level
+    distance is a ValueError naming the level; an infinite one squashes to 1.
     """
     seen = set()
     history = []
@@ -106,7 +115,7 @@ def d_inf(m: LevelMetricFamily, x, y, level_sets: Iterable[Iterable],
             if J in seen:
                 continue
             seen.add(J)
-            current = max(current, squash(m(J, value_at(x, J), value_at(y, J))))
+            current = max(current, _squashed(m, J, x, y))
         history.append(current)
     if not history:
         raise ValueError("no levels supplied")
@@ -116,17 +125,17 @@ def d_inf(m: LevelMetricFamily, x, y, level_sets: Iterable[Iterable],
 
 @dataclass
 class IndexMeasure:
-    """Nonnegative weights on finitely many indices, plus unseen tail mass."""
+    """Finite nonnegative weights on finitely many indices, plus unseen tail mass."""
 
     weights: Mapping[Any, float]
     tail_mass: float = 0.0
 
     def __post_init__(self):
         for J, w in self.weights.items():
-            if w < 0:
-                raise ValueError(f"negative weight at {J!r}")
-        if self.tail_mass < 0:
-            raise ValueError("negative tail mass")
+            if not 0.0 <= w < math.inf:
+                raise ValueError(f"weight {w} at {J!r} is not a finite number >= 0")
+        if not 0.0 <= self.tail_mass < math.inf:
+            raise ValueError(f"tail mass {self.tail_mass} is not a finite number >= 0")
 
     @property
     def total_mass(self) -> float:
@@ -137,13 +146,14 @@ def d_mu(m: LevelMetricFamily, mu: IndexMeasure, x, y):
     """sum_J mu(J) phi(dist_J) over the measure's support.
 
     Returns (value, error_bound): phi is bounded by 1, so indices outside
-    the support contribute at most the tail mass.
+    the support contribute at most the tail mass.  A NaN level distance is
+    a ValueError naming the level, as in d_inf.
     """
     total = 0.0
     for J, w in mu.weights.items():
         if w == 0.0:
             continue
-        total += w * squash(m(J, value_at(x, J), value_at(y, J)))
+        total += w * _squashed(m, J, x, y)
     return total, mu.tail_mass
 
 

@@ -314,7 +314,8 @@ def flow(structure, H: CylindricalFunction, J, x0, dt: float, steps: int,
     expression H and an FD one otherwise.  Separability is probed at x0 only:
     an H whose FD Hessian there is not finite or has a mixed q-p entry above
     1e-8 * max(1, max |Hessian|) is refused, which catches a coupled H but
-    does not prove that H is separable.  A non-finite dt or x0 is a ValueError.
+    does not prove that H is separable.  A non-finite dt or x0, or an H or
+    gradient that is not finite at x0, is a ValueError.
     """
     omega = _form(structure)
     x0 = as_point(x0).copy()
@@ -326,12 +327,14 @@ def flow(structure, H: CylindricalFunction, J, x0, dt: float, steps: int,
         raise SingularForm(f"cannot flow on a degenerate level {J!r}")
     lf = level_function(H, J)
     grad = level_gradient(H, J)
+    with np.errstate(all="ignore"):  # an H undefined at x0 is refused below, not warned about
+        h0, g0 = lf(x0), grad.fn(x0)
+        hess = grad.fd_jacobian(x0) if scheme == "leapfrog" else None
 
     if scheme == "leapfrog":
         if dim % 2 or not residual(mat0, canonical_omega(dim)) <= 1e-12:
             raise SchemeMismatch("leapfrog needs the canonical pair layout; "
                                  "use scheme='implicit-midpoint'")
-        hess = grad.fd_jacobian(x0)
         if not np.isfinite(hess).all():
             raise SchemeMismatch("leapfrog probes separability at x0, but the Hessian "
                                  "there is not finite")
@@ -340,14 +343,18 @@ def flow(structure, H: CylindricalFunction, J, x0, dt: float, steps: int,
                 and residual(hess[1::2, 0::2], 0.0) <= scale):
             raise SchemeMismatch("leapfrog needs a separable H, but the Hessian couples "
                                  "q and p at x0; use scheme='implicit-midpoint'")
+    elif scheme != "implicit-midpoint":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if not (np.isfinite(h0).all() and np.isfinite(g0).all()):
+        raise ValueError(f"flow needs H and its gradient finite at x0, got "
+                         f"H={float(h0[0])!r}, gradient={g0.tolist()}")
+    if scheme == "leapfrog":
         states = _leapfrog(grad.fn, x0, dt, steps)
-    elif scheme == "implicit-midpoint":
+    else:
         # a constant form ignores x, so its matrix at x0 serves every midpoint
         omega_at = ((lambda x: mat0) if omega.is_constant
                     else (lambda x: omega.matrix(J, x)))
         states = _implicit_midpoint(omega_at, grad, x0, dt, steps, newton_iters=newton_iters)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
 
     times = dt * np.arange(steps + 1)
     energies = lf.rows(states)[:, 0]

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -435,6 +436,8 @@ ORIGIN = '{"kind": "named", "name": "origin"}'
 UNCOVERED = '{"kind": "section-point", "section": ["J"], "values": [["J", [1.0]]]}'
 DISAGREEING = ('{"kind": "section-point", "section": ["J", "K"], '
                '"values": [["J", [1.0]], ["K", [0.0]]]}')
+NAN_POINT = '{"kind": "section-point", "section": ["L"], "values": [["L", [NaN, 1]]]}'
+ZERO_POINT = '{"kind": "section-point", "section": ["L"], "values": [["L", [0, 1]]]}'
 
 
 def _without(path):
@@ -466,6 +469,13 @@ def _with_rows(rows):
     ("inline-json", "argument --x: cannot read JSON"),
     ("section-uncovered", "thread.section: .*no member reaches level 'K'"),
     ("section-disagreeing", "thread.values: member values disagree at 'L'"),
+    ("x-nan", "argument --x: cannot read JSON from .*: NaN is not a JSON number"),
+    ("y-infinity", "argument --y: cannot read JSON from .*: Infinity is not a JSON number"),
+    ("form-nan", "argument --form: cannot read JSON from .*: NaN is not a JSON number"),
+    ("family-nan-row", r"projections\[0\].payload.rows: nan is not a finite number"),
+    ("family-infinite-dim", r"levels\[0\].dim: cannot convert float infinity to integer"),
+    ("measure-nan", "line 1: weight 'nan' is not a finite number >= 0"),
+    ("measure-tail-inf", "line 2: weight 'inf' is not a finite number >= 0"),
 ])
 def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message):
     def family(doc):
@@ -476,6 +486,9 @@ def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message)
     distance = ["distance", "--family", "euclid", "--x", ORIGIN, "--y", ORIGIN]
     measure = tmp_path / "mu.csv"
     measure.write_text("1,abc\n")
+    nan_measure, inf_tail = tmp_path / "nan.csv", tmp_path / "tail.csv"
+    nan_measure.write_text("1,nan\n")
+    inf_tail.write_text("1,0.5\ntail,inf\n")
     argv = {
         "no-levels": lambda: family(_without(("levels",))),
         "no-level-dim": lambda: family(_without(("levels", 0, "dim"))),
@@ -492,6 +505,17 @@ def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message)
                                       "--x", UNCOVERED, "--y", UNCOVERED],
         "section-disagreeing": lambda: ["distance", "--family", "cross",
                                         "--x", DISAGREEING, "--y", DISAGREEING],
+        "x-nan": lambda: ["distance", "--family", "cross", "--x", NAN_POINT, "--y", ZERO_POINT],
+        "y-infinity": lambda: ["distance", "--family", "cross", "--x", ZERO_POINT,
+                               "--y", ZERO_POINT.replace("0, 1", "Infinity, 1")],
+        "form-nan": lambda: ["verify", "--family", "symplectic", "--samples", "5",
+                             "--form", '{"kind": "named-gallery", "extra": NaN}'],
+        # json writes NaN, which the family loader reads and refuses by field
+        "family-nan-row": lambda: family(_with_rows([[float("nan"), 0.0]])),
+        "family-infinite-dim": lambda: family({**PAIR, "levels": [
+            {"index": 1, "dim": float("inf")}, {"index": 2, "dim": 2}]}),
+        "measure-nan": lambda: distance + ["--measure", str(nan_measure)],
+        "measure-tail-inf": lambda: distance + ["--measure", str(inf_tail)],
     }[case]()
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -588,3 +612,48 @@ def test_readme_commands_parse():
     for argv in commands:
         ns = parser.parse_args(argv)
         assert callable(ns.run), argv
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} in a report")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_distance_of_huge_values_is_one_without_warnings(capsys):
+    far = ZERO_POINT.replace("0, 1", "1e308, -1e308")
+    near = ZERO_POINT.replace("0, 1", "-1e308, 1e308")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "distance", "--family", "cross", "--x", far, "--y", near)
+    assert (code, err) == (0, "")
+    doc = _strict_json(out)
+    assert doc["d_inf"] == 1.0 and doc["converged"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--H", "log(x0) + sqr(x1)", "--x0=-1,1", "--format", "json"],
+     "H=nan, gradient=[-1.0, 2.0]"),
+    (["--H", "1/x0 + sqr(x1)", "--x0", "0,1", "--scheme", "implicit-midpoint"],
+     "H=inf, gradient=[-inf, 2.0]"),
+], ids=["log", "reciprocal"])
+def test_flow_refuses_an_h_that_is_not_finite_at_x0(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "flow", "--family", "symplectic", "--level", "1",
+                             "--steps", "3", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: flow needs H and its gradient finite at x0, got {message}\n"
+
+
+def test_reports_are_strict_json(capsys):
+    with pytest.raises(ValueError):
+        cli.report_json({"value": float("nan")})
+    for argv in (["verify", "--family", "cross", "--samples", "5"],
+                 ["distance", "--family", "euclid", "--x", ORIGIN, "--y", ORIGIN],
+                 ["flow", "--family", "symplectic", "--level", "1", "--steps", "5",
+                  "--format", "json"],
+                 ["symplectic", "--pairs", "2", "--samples", "10"],
+                 ["gallery", "describe", "cross"], ["gallery", "export", "euclid"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and _strict_json(out)["schema_version"] == 1

@@ -87,7 +87,7 @@ def test_refine_sections_diamond(cross):
     assert sec2.members == ("L",)
 
 
-def test_common_section_and_linear_combination(euclid, rng):
+def test_refined_section_and_linear_combination(euclid, rng):
     fam = euclid.family
     f = quadratic_on(fam, 2)
     g = quadratic_on(fam, 4)
@@ -124,22 +124,18 @@ def test_cyl_polynomials_evaluate_like_composition(euclid, rng):
     fam = euclid.family
     f = pl.coordinate_function(fam, 2, 0)
     g = pl.coordinate_function(fam, 3, 2)
-    pf, pg = pl.CylPolynomial.from_function(f), pl.CylPolynomial.from_function(g)
-    s = pl.poly_add(pl.poly_mul(pf, pg), pl.poly_scale(pf, 3.0))
+    s = pl.linear_combination([pl.product([f, g]), f], [1.0, 3.0])
     t = euclid["sequence_thread"](np.array([2.0, 0, 5.0, 0, 0, 0, 0, 0, 0, 0]))
-    assert np.isclose(s.evaluate(t), 2.0 * 5.0 + 3.0 * 2.0)
+    assert np.isclose(s(t), 2.0 * 5.0 + 3.0 * 2.0)
     # univariate composition p(f) = f^2 - 1
-    u = pl.poly_univariate([-1.0, 0.0, 1.0], f)
-    assert np.isclose(u.evaluate(t), 3.0)
+    assert np.isclose(pl.product([f, f])(t) - 1.0, 3.0)
 
 
-def test_poly_to_cylindrical_jacobian(euclid, rng):
+def test_product_jacobian(euclid, rng):
     fam = euclid.family
     f = pl.coordinate_function(fam, 2, 0)
     g = pl.coordinate_function(fam, 2, 1)
-    p = pl.poly_mul(pl.CylPolynomial.from_function(f),
-                    pl.CylPolynomial.from_function(g))
-    h = pl.poly_to_cylindrical(p)
+    h = pl.product([f, g])
     t = euclid["sequence_thread"](np.array([3.0, 4.0] + [0.0] * 8))
     assert np.isclose(h(t), 12.0)
     grad = pl.differential(h, t)

@@ -61,7 +61,7 @@ def test_extension_conflicts_detected_on_diamond(cross):
     ok = pl.SectionPoint.of(fam, ["J", "K"], {"J": [0.0], "K": [0.0]})
     assert np.array_equal(pl.extend_section_point(ok, "L"), [0.0, 0.0])
     with pytest.raises(pl.IllDefinedSection):
-        pl.validate_section_point(x)
+        pl.thread_from_section(x, check=True)
     with pytest.raises(pl.IllDefinedSection):
         pl.thread_from_section(x)
 
@@ -130,12 +130,12 @@ def test_section_thread_matches_brute_force_oracle(case):
         eager = pl.thread_from_section(sp, check=True)
         for J, (val, _) in want.items():
             assert eager(J).tobytes() == val.tobytes()
-        pl.validate_section_point(sp)
+        pl.thread_from_section(sp, check=True)
     else:
         with pytest.raises(pl.IllDefinedSection):
             pl.thread_from_section(sp, check=True)
         with pytest.raises(pl.IllDefinedSection):
-            pl.validate_section_point(sp)
+            pl.thread_from_section(sp, check=True)
 
 
 def _count_transports(monkeypatch, fam) -> Counter:

@@ -95,21 +95,10 @@ def test_is_section_probe_semantics():
     assert not pl.is_section(pl.chain_poset(range(4)), [1, 2])
 
 
-def test_filter_base_set_is_strict_shadow():
-    p = diamond()
-    fb = pl.filter_base_set(p, ["J", "K"])
-    assert "L" in fb
-    assert "J" not in fb  # strict: members are not above themselves
-    assert "I" not in fb
-    fb2 = pl.filter_base_set(p, ["I"])
-    assert all(x in fb2 for x in ("J", "K", "L"))
-    assert "I" not in fb2
-
-
 def test_finitely_cylindrical_witness():
     p = diamond()
-    assert pl.is_finitely_cylindrical_witness(p, pl.Section.of(p, ["J", "K"]))
-    assert not pl.is_finitely_cylindrical_witness(p, ["J"])
+    assert pl.is_section(p, pl.Section.of(p, ["J", "K"]))
+    assert not pl.is_section(p, ["J"])
 
 
 def test_join_failure_surfaces():

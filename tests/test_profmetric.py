@@ -86,6 +86,34 @@ def test_index_measure_validation():
     assert abs(mu.total_mass - 0.875) <= 1e-15
 
 
+@pytest.mark.parametrize("weights, tail", [
+    ({1: float("nan")}, 0.0), ({1: math.inf}, 0.0),
+    ({1: 0.5}, float("nan")), ({1: 0.5}, math.inf),
+], ids=["nan-weight", "inf-weight", "nan-tail", "inf-tail"])
+def test_index_measure_refuses_non_finite_mass(weights, tail):
+    with pytest.raises(ValueError, match="is not a finite number >= 0"):
+        pl.IndexMeasure(weights, tail_mass=tail)
+
+
+def test_distances_refuse_a_nan_level_distance(cross):
+    # max(0.0, nan) is 0.0, so a sup that skipped the check would drop the NaN
+    m = pl.euclidean_metrics(cross.family)
+    x = pl.SectionPoint.of(cross.family, ["L"], {"L": [float("nan"), 1.0]})
+    y = pl.SectionPoint.of(cross.family, ["L"], {"L": [0.0, 1.0]})
+    with pytest.raises(ValueError, match="^level 'J': the distance is nan"):
+        pl.d_inf(m, x, y, [["I"], ["J"], ["K"], ["L"]])
+    with pytest.raises(ValueError, match="^level 'L': the distance is nan"):
+        pl.d_mu(m, pl.IndexMeasure({"I": 0.5, "L": 0.5}), x, y)
+
+
+def test_an_infinite_level_distance_squashes_to_one(euclid):
+    far = pl.SectionPoint.of(euclid.family, [2], {2: [1e308, -1e308]})
+    near = pl.SectionPoint.of(euclid.family, [2], {2: [-1e308, 1e308]})
+    with np.errstate(over="ignore"):
+        value, _, history = pl.d_inf(euclid["metrics"], far, near, [[1], [2]])
+    assert value == 1.0 and history[-1] == 1.0
+
+
 def test_ultrametric_value_on_euclid_chain(euclid):
     # discrete level metrics + inverse-square weights: x = 0 and
     # y = (0,1,1,...) differ exactly from level 2 on, so

@@ -324,8 +324,8 @@ def test_leapfrog_takes_two_gradients_per_step(symplectic, monkeypatch, steps):
         pl.flow(symplectic["omega"], H, level, np.linspace(-0.5, 0.5, dim),
                 dt=1e-2, steps=steps)
         assert inside == [2 * steps + 1]
-        # the separability probe's FD Hessian comes on top
-        assert len(calls) == 2 * steps + 1 + 2 * dim
+        # the separability probe's FD Hessian and the finite check at x0 come on top
+        assert len(calls) == 2 * steps + 1 + 2 * dim + 1
 
 
 def test_hessian_is_lambdified_on_the_first_implicit_flow_only(symplectic, monkeypatch):
@@ -371,8 +371,9 @@ def test_newton_iterates_take_fd_gradients_only_without_an_analytic_hessian(
     pl.flow(symplectic["omega"], H, 2, np.linspace(-0.5, 0.5, dim), dt=1e-2,
             steps=steps, scheme="implicit-midpoint")
     # a step takes a predictor gradient, one per Newton iterate and a final
-    # converged check, so the iterates are what the remaining gradients leave
-    iterates = counts["grad"] - counts["fd_grad"] - 2 * steps
+    # converged check, and flow checks the gradient at x0 once, so the
+    # iterates are what the remaining gradients leave
+    iterates = counts["grad"] - counts["fd_grad"] - 2 * steps - 1
     assert iterates >= steps
     if kind == "expression":
         assert counts["fd"] == 0
