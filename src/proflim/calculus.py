@@ -255,7 +255,7 @@ def _signature(mat: np.ndarray) -> tuple:
     if mat.shape[0] == 0:
         return (0, 0, 0)
     eig = np.linalg.eigvalsh(mat)
-    scale = float(np.max(np.abs(eig), initial=0.0))
+    scale = residual(eig, 0.0)
     cut = 1e-10 * max(scale, 1e-300)  # relative to the largest |eigenvalue|
     return (int(np.sum(eig > cut)), int(np.sum(eig < -cut)),
             int(np.sum(np.abs(eig) <= cut)))

@@ -335,17 +335,16 @@ def cmd_symplectic(ns: argparse.Namespace) -> int:
     level = checked_level(fam, min(2, ns.pairs) if ns.level is None else ns.level)
     few = max(1, ns.samples // 10)
 
-    structure = SymplecticStructure.build(g.extras["omega"], levels, samples=few,
-                                          tol=ns.tol, rng=rng)
+    omega = g.extras["omega"]
+    structure = SymplecticStructure.build(omega, levels, samples=few, tol=ns.tol, rng=rng)
     report = VerificationReport("symplectic tower")
     report.add("closedness (constant form)", structure.closedness_residual, ns.tol)
-    nondeg, profile = is_projectively_nondegenerate(structure.omega, levels,
-                                                    samples=few, rng=rng)
+    nondeg, profile = is_projectively_nondegenerate(omega, levels, samples=few, rng=rng)
     report.add("projective nondegeneracy", 0.0 if nondeg else 1.0, 0.5,
                detail=json.dumps({str(k): v for k, v in sorted(profile.items())},
                                  sort_keys=True))
 
-    solve = hamiltonian_solver(structure, g.extras["hamiltonian_at"](level), level)
+    solve = hamiltonian_solver(omega, g.extras["hamiltonian_at"](level), level)
     X = sample_point(fam.dim(level), rng, few)
     report.add_worst("hamiltonian defining identity",
                      [(i, residual(mat.T @ v, grad))
@@ -354,11 +353,11 @@ def cmd_symplectic(ns: argparse.Namespace) -> int:
 
     top = g.extras["hamiltonian_at"](ns.pairs)
     adjacent = [(m, m + 1) for m in range(1, ns.pairs)]
-    compat = hamiltonian_compat_check(structure, top, adjacent, samples=few,
+    compat = hamiltonian_compat_check(omega, top, adjacent, samples=few,
                                       tol=ns.ham_tol, rng=rng)
 
     try:
-        momentum = momentum_verify(structure, g.extras["action"], g.extras["momentum"],
+        momentum = momentum_verify(omega, g.extras["action"], g.extras["momentum"],
                                    [1.0] * ns.pairs, ns.pairs, samples=few,
                                    tol=ns.momentum_tol, rng=rng)
     except NonSymplecticAction as err:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
@@ -61,6 +62,24 @@ def _list(value) -> list:
     return value
 
 
+def _each(convert: Callable, value, path: str) -> list:
+    """convert applied to every entry of a JSON list; a refusal names path[i]."""
+    out = []
+    for i, entry in enumerate(_list(value)):
+        try:
+            out.append(convert(entry))
+        except (TypeError, ValueError) as err:
+            raise DescriptorError(f"{path}[{i}]: {err}") from None
+    return out
+
+
+def _finite_atom(value):
+    """A number or string of an index, refused when it is a NaN or an infinity."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DescriptorError(f"{value!r} is not a finite number")
+    return value
+
+
 def _finite(values):
     """values (a list of floats or an array), refused unless every entry is finite."""
     if not np.isfinite(values).all():
@@ -88,13 +107,13 @@ def encode_index(J) -> Any:
 
 
 def decode_index(obj) -> Any:
-    """A number or a string, or {"set": [...]} of them for a frozenset."""
+    """A finite number or a string, or {"set": [...]} of them for a frozenset."""
     is_set = isinstance(obj, dict) and set(obj) == {"set"} and isinstance(obj["set"], list)
     members = obj["set"] if is_set else [obj]
     if not all(isinstance(m, (int, float, str)) for m in members):
         raise DescriptorError(f"bad index {obj!r}: expected a number, a string "
                               'or {"set": [...]} of them')
-    return frozenset(members) if is_set else obj
+    return frozenset(map(_finite_atom, members)) if is_set else _finite_atom(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +141,13 @@ def poset_from_descriptor(doc: dict) -> IndexPoset:
     kind = _field(doc, "kind", "poset")
     if kind == "chain":
         return _field(doc, "elements", "poset",
-                      lambda v: chain_poset(_distinct(_integers(_list(v)))))
+                      lambda v: chain_poset(_distinct(_each(_integer, v, "poset.elements"))))
     if kind == "subsets":
-        return _field(doc, "pool", "poset", lambda v: subset_poset(_list(v)))
+        return _field(doc, "pool", "poset",
+                      lambda v: subset_poset(_each(_finite_atom, v, "poset.pool")))
     if kind == "finite":
-        els = _field(doc, "elements", "poset", lambda v: [decode_index(e) for e in _list(v)])
+        els = _field(doc, "elements", "poset",
+                     lambda v: _each(decode_index, v, "poset.elements"))
         leq = _field(doc, "leq", "poset", lambda v: np.array(_list(v), dtype=bool))
         if leq.shape != (len(els), len(els)):
             raise DescriptorError(f"poset.leq: shape {leq.shape} does not match "
@@ -138,12 +159,11 @@ def poset_from_descriptor(doc: dict) -> IndexPoset:
     raise DescriptorError(f"poset.kind: unknown poset kind {kind!r}")
 
 
-def _integers(els: list) -> list:
-    """The chain's elements, each a JSON integer (a bool or 1.5 is not one)."""
-    bad = next((i for i, e in enumerate(els) if type(e) is not int), None)
-    if bad is not None:
-        raise DescriptorError(f"poset.elements[{bad}]: {els[bad]!r} is not an integer")
-    return els
+def _integer(value) -> int:
+    """A chain element: a JSON integer (a bool or 1.5 is not one)."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
 
 
 def _distinct(els: list) -> list:
@@ -404,7 +424,8 @@ def thread_from_descriptor(gallery_or_family, doc: dict) -> Thread:
         return Thread(family, fn, name=_field(doc, "name", "thread", str, default="sequence"))
     if kind == "section-point":
         section = _field(doc, "section", "thread", lambda v: [
-            _level_of(family, decode_index(i), "thread.section") for i in _list(v)])
+            _level_of(family, J, "thread.section")
+            for J in _each(decode_index, v, "thread.section")])
         values = _field(doc, "values", "thread", lambda v: {
             decode_index(idx): np.asarray(_floats(x), dtype=float) for idx, x in _list(v)})
         try:

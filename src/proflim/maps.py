@@ -132,7 +132,7 @@ class ScalarMap(DifferentiableMap):
 
 def residual(lhs, rhs) -> float:
     """max |lhs - rhs| over all entries, 0.0 when empty; a NaN gap gives NaN."""
-    return float(np.max(np.abs(np.subtract(lhs, rhs)), initial=0.0))
+    return float(np.abs(np.subtract(lhs, rhs)).max(initial=0.0))
 
 
 def matrix_map(matrix, name: str = "") -> DifferentiableMap:

@@ -7,7 +7,7 @@ decisions use singular values relative to the largest one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -71,13 +71,6 @@ class SymplecticStructure:
                 all(info["rank"] == info["dim"] and info["constant"]
                     for info in self.rank_profile.values()))
 
-    @property
-    def family(self) -> ProfiniteFamily:
-        return self.omega.family
-
-    def matrix(self, J, x) -> np.ndarray:
-        return self.omega.matrix(J, x)
-
     @staticmethod
     def build(omega: TameForm, levels: Iterable, samples: int = 10,
               tol: float = 1e-9, rng: Optional[np.random.Generator] = None
@@ -104,16 +97,11 @@ class SymplecticStructure:
         return SymplecticStructure(omega, residual(closed, 0.0), profile, tol)
 
 
-def _form(structure) -> TameForm:
-    """The 2-form behind a SymplecticStructure, or the form itself."""
-    return structure.omega if isinstance(structure, SymplecticStructure) else structure
-
-
-def is_projectively_nondegenerate(obj, levels: Iterable, samples: int = 10,
+def is_projectively_nondegenerate(omega: TameForm, levels: Iterable, samples: int = 10,
                                   rng: Optional[np.random.Generator] = None):
     """Full rank at every listed level, with the per-level rank report."""
     rng = rng or np.random.default_rng(0)
-    fam, constant = obj.family, _form(obj).is_constant
+    fam, constant = omega.family, omega.is_constant
     profile = {}
     verdict = True
     for J in levels:
@@ -121,13 +109,13 @@ def is_projectively_nondegenerate(obj, levels: Iterable, samples: int = 10,
         rank = dim
         X = sample_point(dim, rng, samples)
         for x in (X[:1] if constant else X):
-            rank = min(rank, level_rank(obj.matrix(J, x)))
+            rank = min(rank, level_rank(omega.matrix(J, x)))
         profile[J] = {"dim": dim, "rank": rank, "full": rank == dim}
         verdict = verdict and rank == dim
     return verdict, profile
 
 
-def is_weakly_nondegenerate(obj, u, I, search_levels: Iterable,
+def is_weakly_nondegenerate(omega: TameForm, u, I, search_levels: Iterable,
                             base_point=None):
     """Search the given levels for a pairing partner of the pushed vector.
 
@@ -135,9 +123,9 @@ def is_weakly_nondegenerate(obj, u, I, search_levels: Iterable,
     (False, None): a False is only "unwitnessed within the search budget",
     never a proof of degeneracy.
     """
-    fam = obj.family
+    fam = omega.family
     u = as_point(u)
-    if float(np.max(np.abs(u), initial=0.0)) == 0.0:
+    if residual(u, 0.0) == 0.0:
         raise ZeroVector("weak nondegeneracy asks about a nonzero vector")
     if base_point is None:
         base_point = np.zeros(fam.dim(I))
@@ -147,9 +135,9 @@ def is_weakly_nondegenerate(obj, u, I, search_levels: Iterable,
             continue
         inj = fam.inj(J, I)
         pushed = inj.jacobian(base_point) @ u
-        mat = obj.matrix(J, inj(base_point))
+        mat = omega.matrix(J, inj(base_point))
         pairings = mat.T @ pushed  # value against each basis vector
-        scale = max(float(np.max(np.abs(mat), initial=0.0)), 1.0)
+        scale = max(residual(mat, 0.0), 1.0)
         hits = np.where(np.abs(pairings) > RANK_RTOL * scale)[0]
         if hits.size:
             k = int(hits[np.argmax(np.abs(pairings[hits]))])
@@ -170,11 +158,12 @@ def level_gradient(H: CylindricalFunction, J) -> DifferentiableMap:
     return DifferentiableMap(lf.domain_dim, lf.domain_dim, fn=lambda x: lf.jacobian(x).ravel())
 
 
-def hamiltonian_solver(structure, H: CylindricalFunction, J) -> Callable:
+def hamiltonian_solver(omega: TameForm, H: CylindricalFunction, J) -> Callable:
     """point -> (Omega, grad H, X) with Omega^T X = grad H at level J; SingularForm
     when deficient.  The gradient is built once, and a constant form's matrix
-    and rank are read once, at the first point."""
-    omega, fixed, grad = _form(structure), None, None
+    and rank are read once, at the first point; any other form is read and
+    rank-checked at every point."""
+    fixed, grad = None, None
 
     def solve(point):
         nonlocal fixed, grad
@@ -195,25 +184,25 @@ def hamiltonian_solver(structure, H: CylindricalFunction, J) -> Callable:
     return solve
 
 
-def hamiltonian_field(structure, H: CylindricalFunction, J, point) -> np.ndarray:
+def hamiltonian_field(omega: TameForm, H: CylindricalFunction, J, point) -> np.ndarray:
     """Solve Omega^T X = grad H at one level; SingularForm when deficient."""
-    return hamiltonian_solver(structure, H, J)(point)[2]
+    return hamiltonian_solver(omega, H, J)(point)[2]
 
 
-def hamiltonian_identity_residual(structure, H: CylindricalFunction, J, point) -> float:
+def hamiltonian_identity_residual(omega: TameForm, H: CylindricalFunction, J, point) -> float:
     """max_k | omega(X_H, e_k) - dH(e_k) | at the point."""
-    mat, grad, X = hamiltonian_solver(structure, H, J)(point)
+    mat, grad, X = hamiltonian_solver(omega, H, J)(point)
     return residual(mat.T @ X, grad)
 
 
-def hamiltonian_compat_check(structure, H: CylindricalFunction, pairs: Iterable[tuple],
+def hamiltonian_compat_check(omega: TameForm, H: CylindricalFunction, pairs: Iterable[tuple],
                              samples: int = 20, tol: float = 1e-10,
                              rng: Optional[np.random.Generator] = None) -> VerificationReport:
     """Pushed fields agree: Dproj(J,K) X_K = X_J at projected points."""
     rng = rng or np.random.default_rng(0)
-    fam = _form(structure).family
+    fam = omega.family
     strict = list(strict_pairs(fam.poset, pairs))
-    solve = {L: hamiltonian_solver(structure, H, L) for _, J, K in strict for L in (J, K)}
+    solve = {L: hamiltonian_solver(omega, H, L) for _, J, K in strict for L in (J, K)}
     gaps = []
     for pair, J, K in strict:
         pr = fam.proj(J, K)
@@ -273,29 +262,25 @@ def _leapfrog(grad: Callable, x0: np.ndarray, dt: float, steps: int) -> np.ndarr
     return states
 
 
-def _implicit_midpoint(omega_at: Callable, grad, x0: np.ndarray,
+def _implicit_midpoint(solve: Callable, hessian: Callable, x0: np.ndarray,
                        dt: float, steps: int, newton_iters: int = 50) -> np.ndarray:
-    # the Newton Hessian is grad's Jacobian; a bare callable gets FD through the map
+    # every field comes from solve; Newton's matrix I - dt/2 Omega^-T Hess H
+    # takes its Omega from the same solve, so the form is read once per iterate
     dim = x0.size
-    if not isinstance(grad, DifferentiableMap):
-        grad = DifferentiableMap(dim, dim, fn=grad)
-
-    def field(x):
-        return np.linalg.solve(omega_at(x).T, grad.fn(x))
-
     states = np.empty((steps + 1, dim))
     states[0] = x0
     x = x0.copy()
     for k in range(steps):
-        y = x + dt * field(x)
+        y = x + dt * solve(x)[2]
         converged = False
         for _ in range(newton_iters):
             mid = 0.5 * (x + y)
-            G = y - x - dt * field(mid)
-            if float(np.max(np.abs(G), initial=0.0)) <= 1e-12 * (1.0 + float(np.max(np.abs(y)))):
+            mat, _, X = solve(mid)
+            G = y - x - dt * X
+            if residual(G, 0.0) <= 1e-12 * (1.0 + residual(y, 0.0)):
                 converged = True
                 break
-            JG = np.eye(dim) - 0.5 * dt * np.linalg.solve(omega_at(mid).T, grad.jacobian(mid))
+            JG = np.eye(dim) - 0.5 * dt * np.linalg.solve(mat.T, hessian(mid))
             y = y - np.linalg.solve(JG, G)
         if not converged:
             raise NonconvergentSolve(f"implicit midpoint stalled at step {k}")
@@ -304,31 +289,31 @@ def _implicit_midpoint(omega_at: Callable, grad, x0: np.ndarray,
     return states
 
 
-def flow(structure, H: CylindricalFunction, J, x0, dt: float, steps: int,
+def flow(omega: TameForm, H: CylindricalFunction, J, x0, dt: float, steps: int,
          scheme: str = "leapfrog", newton_iters: int = 50) -> Trajectory:
     """Integrate the Hamiltonian field at one level.
 
     leapfrog needs the canonical interleaved pair layout and a separable H,
-    and raises SchemeMismatch otherwise; implicit-midpoint (Newton) works for
-    any constant-rank invertible form, with an analytic Newton Hessian for an
+    and raises SchemeMismatch otherwise; implicit-midpoint (Newton) solves
+    through hamiltonian_solver, with an analytic Newton Hessian for an
     expression H and an FD one otherwise.  Separability is probed at x0 only:
     an H whose FD Hessian there is not finite or has a mixed q-p entry above
     1e-8 * max(1, max |Hessian|) is refused, which catches a coupled H but
     does not prove that H is separable.  A non-finite dt or x0, or an H or
-    gradient that is not finite at x0, is a ValueError.
+    gradient that is not finite at x0, is a ValueError; a degenerate form at
+    x0 (or, for a non-constant form, at a midpoint) is a SingularForm; a run
+    that reaches a non-finite state or energy is a NonconvergentSolve.
     """
-    omega = _form(structure)
     x0 = as_point(x0).copy()
     if not (math.isfinite(dt) and np.isfinite(x0).all()):
         raise ValueError(f"flow needs a finite dt and x0, got dt={dt!r}, x0={x0.tolist()}")
     dim = x0.size
-    mat0 = omega.matrix(J, x0)
-    if level_rank(mat0) < dim:
-        raise SingularForm(f"cannot flow on a degenerate level {J!r}")
+    solve = hamiltonian_solver(omega, H, J)
     lf = level_function(H, J)
     grad = level_gradient(H, J)
     with np.errstate(all="ignore"):  # an H undefined at x0 is refused below, not warned about
-        h0, g0 = lf(x0), grad.fn(x0)
+        mat0, g0, _ = solve(x0)
+        h0 = lf(x0)
         hess = grad.fd_jacobian(x0) if scheme == "leapfrog" else None
 
     if scheme == "leapfrog":
@@ -348,17 +333,17 @@ def flow(structure, H: CylindricalFunction, J, x0, dt: float, steps: int,
     if not (np.isfinite(h0).all() and np.isfinite(g0).all()):
         raise ValueError(f"flow needs H and its gradient finite at x0, got "
                          f"H={float(h0[0])!r}, gradient={g0.tolist()}")
-    if scheme == "leapfrog":
-        states = _leapfrog(grad.fn, x0, dt, steps)
-    else:
-        # a constant form ignores x, so its matrix at x0 serves every midpoint
-        omega_at = ((lambda x: mat0) if omega.is_constant
-                    else (lambda x: omega.matrix(J, x)))
-        states = _implicit_midpoint(omega_at, grad, x0, dt, steps, newton_iters=newton_iters)
-
-    times = dt * np.arange(steps + 1)
-    energies = lf.rows(states)[:, 0]
-    return Trajectory(times, states, energies)
+    with np.errstate(all="ignore"):  # a diverging run is refused below, not warned about
+        if scheme == "leapfrog":
+            states = _leapfrog(grad.fn, x0, dt, steps)
+        else:
+            states = _implicit_midpoint(solve, grad.jacobian, x0, dt, steps, newton_iters)
+        energies = lf.rows(states)[:, 0]
+    finite = np.isfinite(states).all(axis=1) & np.isfinite(energies)
+    if not finite.all():
+        raise NonconvergentSolve(f"flow diverged: the state or its energy at step "
+                                 f"{int(np.argmin(finite))} is not finite")
+    return Trajectory(dt * np.arange(steps + 1), states, energies)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +429,7 @@ class MomentumMap:
                                   name="momentum")
 
 
-def momentum_verify(structure, action: ProfiniteGroupAction, mu: MomentumMap,
+def momentum_verify(omega: TameForm, action: ProfiniteGroupAction, mu: MomentumMap,
                     coeffs: Sequence[float], J, samples: int = 10,
                     tol: float = 1e-6,
                     rng: Optional[np.random.Generator] = None) -> VerificationReport:
@@ -454,7 +439,6 @@ def momentum_verify(structure, action: ProfiniteGroupAction, mu: MomentumMap,
     Raises NonSymplecticAction when the preservation certificate fails.
     """
     rng = rng or np.random.default_rng(0)
-    omega = _form(structure)
     dim = omega.family.dim(J)
     gens = list(action.generators(J))
     C, X = sample_joint(rng, GROUP_ELEMENTS, len(gens), dim)
@@ -472,10 +456,10 @@ def momentum_verify(structure, action: ProfiniteGroupAction, mu: MomentumMap,
             f"action does not preserve the form: residual {form_check.max_residual:.3e}")
 
     xi = action.algebra_element(J, coeffs)
-    solve = hamiltonian_solver(structure, mu.of(coeffs), J)
+    solve = hamiltonian_solver(omega, mu.of(coeffs), J)
     generator = []
     for i, x in enumerate(sample_point(dim, rng, samples)):
-        h = FD_STEP * (1.0 + float(np.max(np.abs(x))))
+        h = FD_STEP * (1.0 + residual(x, 0.0))
         forward = action.act(J, action.exp(h * xi), x)
         backward = action.act(J, action.exp(-h * xi), x)
         generator.append((i, residual((forward - backward) / (2.0 * h),

@@ -476,6 +476,10 @@ def _with_rows(rows):
     ("family-infinite-dim", r"levels\[0\].dim: cannot convert float infinity to integer"),
     ("measure-nan", "line 1: weight 'nan' is not a finite number >= 0"),
     ("measure-tail-inf", "line 2: weight 'inf' is not a finite number >= 0"),
+    ("poset-nan-element", r"poset\.elements\[0\]: nan is not a finite number"),
+    ("level-nan-index", r"levels\[0\]\.index: nan is not a finite number"),
+    ("pool-nan-entry", r"poset\.pool\[1\]: nan is not a finite number"),
+    ("section-inf-entry", r"thread\.section\[0\]: inf is not a finite number"),
 ])
 def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message):
     def family(doc):
@@ -516,6 +520,16 @@ def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message)
             {"index": 1, "dim": float("inf")}, {"index": 2, "dim": 2}]}),
         "measure-nan": lambda: distance + ["--measure", str(nan_measure)],
         "measure-tail-inf": lambda: distance + ["--measure", str(inf_tail)],
+        "poset-nan-element": lambda: family({**PAIR, "poset": {
+            "kind": "finite", "elements": [float("nan")], "leq": [[True]]}}),
+        "level-nan-index": lambda: family({**PAIR, "levels": [
+            {"index": float("nan"), "dim": 1}, {"index": 2, "dim": 2}]}),
+        "pool-nan-entry": lambda: family({**PAIR, "poset": {
+            "kind": "subsets", "pool": [0.5, float("nan")]}}),
+        # strict JSON reads 1e999 as inf
+        "section-inf-entry": lambda: ["distance", "--family", "euclid", "--y", ORIGIN, "--x",
+                                      '{"kind": "section-point", "section": [1e999], '
+                                      '"values": [[1e999, [0.0]]]}'],
     }[case]()
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -530,6 +544,17 @@ def test_a_bug_is_a_traceback_not_a_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_family", broken)
     with pytest.raises(KeyError):
         cli.main(["verify", "--family", "euclid"])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_diverging_flow_fails_in_either_format(capsys, fmt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        code, out, err = run(capsys, "flow", "--family", "symplectic", "--level", "1",
+                             "--H", "sqr(sqr(x0)) + sqr(x1)", "--dt", "10", "--steps", "20",
+                             "--format", fmt)
+    assert code == 1 and out == ""
+    assert err == "FAIL: flow diverged: the state or its energy at step 4 is not finite\n"
 
 
 def test_dynamics_failures_exit_one(capsys, monkeypatch):

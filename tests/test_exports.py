@@ -23,7 +23,6 @@ DELIBERATE_API = {
     "check_tangent_thread": "audits a tangent thread against the pushforwards",
     "Trajectory": "the return type of flow",
     "ZeroVector": "raised by is_weakly_nondegenerate",
-    "hamiltonian_field": "the Hamiltonian vector field at one level",
     "level_rank": "the rank of a form's matrix at one level",
     "brownian_sample": "draws Brownian values at given times",
     "pl_path": "the piecewise-linear path through values at knots, from (0, 0)",

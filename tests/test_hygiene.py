@@ -1,4 +1,5 @@
-"""Source hygiene: every name a library module imports is used there."""
+"""Source hygiene: every name a library module imports is used there, and
+max |a - b| is computed by maps.residual alone."""
 import ast
 from pathlib import Path
 
@@ -36,3 +37,11 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = sorted(set(_imported(tree)) - _used(tree))
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+def test_max_abs_gaps_go_through_residual():
+    by_hand = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
+               if path.name != "maps.py"  # residual itself
+               for n, line in enumerate(path.read_text().splitlines(), 1)
+               if "np.max(np.abs(" in line]
+    assert not by_hand, f"max |.| computed by hand at {by_hand}; use maps.residual"

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,19 @@ def test_flow_refuses_non_finite_dt_and_x0(symplectic, scheme, dt, x0):
     with pytest.raises(ValueError, match="finite dt and x0"):
         pl.flow(symplectic["omega"], symplectic["hamiltonian_at"](1), 1, np.array(x0),
                 dt=dt, steps=3, scheme=scheme)
+
+
+@pytest.mark.parametrize("expr, x0, dt, step", [
+    ("sqr(sqr(x0)) + sqr(x1)", [1.0, 0.0], 10.0, 4),   # the state overflows
+    # exp(700) is finite, but the first kick gives a momentum whose square is not
+    ("exp(x0) + sqr(x1)/2", [700.0, 0.0], 1e-3, 1),
+])
+def test_flow_refuses_a_run_that_leaves_the_finite_numbers(symplectic, expr, x0, dt, step):
+    H = pl.cylindrical_from_expression(symplectic.family, [1], expr)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pl.NonconvergentSolve, match=f"at step {step} is not finite"):
+            pl.flow(symplectic["omega"], H, 1, np.array(x0), dt=dt, steps=20)
 
 
 def test_flow_guards(symplectic, odd_tower, euclid):
@@ -417,13 +431,26 @@ def test_implicit_midpoint_reads_an_x_dependent_form_at_every_midpoint(symplecti
     H = symplectic["hamiltonian_at"](1)
     x0 = np.array([0.8, -0.3])
     traj = pl.flow(omega, H, 1, x0, dt=1e-2, steps=60, scheme="implicit-midpoint")
+
+    def gradient(x):
+        return H.base.jacobian(x).ravel()
+
+    def solve_with(form_at):
+        def solve(x):
+            mat, g = form_at(x), gradient(x)
+            return mat, g, np.linalg.solve(mat.T, g)
+        return solve
+
+    def hessian(x):
+        return maps_module.fd_jacobian(gradient, x, 2)
+
     want = symplectic_module._implicit_midpoint(
-        lambda x: omega.matrix(1, x), lambda x: H.base.jacobian(x).ravel(), x0, 1e-2, 60)
+        solve_with(lambda x: omega.matrix(1, x)), hessian, x0, 1e-2, 60)
     assert traj.states.tobytes() == want.tobytes()
     # the frozen form at x0 gives another trajectory, so the gate is seen
     frozen = omega.matrix(1, x0)
-    stale = symplectic_module._implicit_midpoint(
-        lambda x: frozen, lambda x: H.base.jacobian(x).ravel(), x0, 1e-2, 60)
+    stale = symplectic_module._implicit_midpoint(solve_with(lambda x: frozen), hessian,
+                                                 x0, 1e-2, 60)
     assert traj.states.tobytes() != stale.tobytes()
 
 
@@ -460,10 +487,10 @@ def test_identity_residual_is_bit_identical_to_reading_twice():
     structure = pl.SymplecticStructure.build(omega, [1, 2, 3])
     for x in np.random.default_rng(3).standard_normal((20, 4)) * 3.0:
         # the form and the gradient read again after the solve, as before
-        X = pl.hamiltonian_field(structure, H, 2, x)
+        X = pl.hamiltonian_field(structure.omega, H, 2, x)
         want = pl.maps.residual(omega.matrix(2, x).T @ X,
                                 pl.level_function(H, 2).jacobian(x).ravel())
-        got = pl.hamiltonian_identity_residual(structure, H, 2, x)
+        got = pl.hamiltonian_identity_residual(structure.omega, H, 2, x)
         assert got.hex() == want.hex()
 
 
@@ -494,7 +521,7 @@ def _twin_audits(g, H, ham_pairs):
         out = [_checks(pl.check_tame(form, pairs, samples=4, rng=rng)), rng.random(),
                structure.closedness_residual.hex(), structure.rank_profile, rng.random(),
                pl.is_projectively_nondegenerate(form, els, samples=4, rng=rng), rng.random(),
-               _checks(pl.hamiltonian_compat_check(structure, H, ham_pairs, samples=4,
+               _checks(pl.hamiltonian_compat_check(structure.omega, H, ham_pairs, samples=4,
                                                    rng=rng)), rng.random()]
         if "action" in g.extras:
             top = els[-1]
