@@ -68,6 +68,11 @@ def _sympify(text: str, symbols: dict) -> "sympy.Expr":
     undef = {type(f).__name__ for f in expr.atoms(AppliedUndef)}
     if undef:
         raise ExpressionError(f"unknown functions in {text!r}: {sorted(undef)}")
+    # 1/0 and log(0) parse to zoo, 0/0 to nan; none is a number to compute with
+    non_finite = {str(a) for a in expr.atoms()
+                  if a in (sympy.nan, sympy.zoo, sympy.oo, -sympy.oo)}
+    if non_finite:
+        raise ExpressionError(f"non-finite constants in {text!r}: {sorted(non_finite)}")
     return expr
 
 

@@ -58,6 +58,15 @@ class Thread:
                 return self._memo[J]
         return self._store(J, self._fn(J))
 
+    def values(self, levels: Sequence) -> list:
+        """[self.value(J) for J in levels], reading the memo under one lock."""
+        with self._lock:
+            got = [self._memo.get(J) for J in levels]
+        for i, val in enumerate(got):
+            if val is None:
+                got[i] = self.value(levels[i])
+        return got
+
     def _store(self, J, val) -> np.ndarray:
         """Memoize val at J (the memo is keyed by the index itself) as a
         read-only copy; the value stored first wins."""

@@ -8,25 +8,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .family import ProfiniteFamily, sample_joint, strict_pairs
-from .limits import SectionPoint, Thread, extend_section_point
-from .maps import residual
+from .limits import SectionPoint, Thread, thread_from_section
+from .maps import DimensionMismatch, residual
 from .report import VerificationReport
 
 METRIC_KINDS = ("euclidean", "discrete", "custom")
 
 
+def _phi(d: np.ndarray) -> np.ndarray:
+    """d/(1+d) entrywise, with an infinite distance squashed to 1."""
+    if (d < 0).any():
+        raise ValueError("negative level distance")
+    return np.divide(d, 1.0 + d, out=np.ones_like(d), where=~np.isinf(d))
+
+
 def squash(d: float) -> float:
     """phi(d) = d/(1+d): monotone, bounded by 1, subadditive."""
-    if d < 0:
-        raise ValueError("negative level distance")
-    if math.isinf(d):
-        return 1.0
-    return d / (1.0 + d)
+    return float(_phi(np.array([d], float))[0])
 
 
 @dataclass
@@ -42,13 +45,45 @@ class LevelMetricFamily:
             raise ValueError(f"unknown metric kind {self.kind!r}")
 
     def __call__(self, J, x, y) -> float:
-        return float(self.dist(J, np.asarray(x, float), np.asarray(y, float)))
+        return float(self.distances((J,), (np.asarray(x, float),),
+                                    (np.asarray(y, float),))[0])
+
+    def distances(self, levels: Sequence, xs: Sequence, ys: Sequence) -> np.ndarray:
+        """dist(levels[i], xs[i], ys[i]) for every i, the values as arrays.
+
+        The euclidean metric runs them as one batch of its kernel, so a
+        level's distance is the same number in every batch, __call__'s batch
+        of one included; other metrics call dist once per entry.
+        """
+        if self.dist is _euclidean:
+            return _euclidean_batch(levels, xs, ys)
+        return np.array([self.dist(J, a, b) for J, a, b in zip(levels, xs, ys)],
+                        dtype=float)
+
+
+_PAD = np.zeros(1)
+
+
+def _euclidean_batch(levels: Sequence, xs: Sequence, ys: Sequence) -> np.ndarray:
+    """The norms of xs[i] - ys[i]: one subtraction of the concatenated values
+    and one sum of squares per level at the level cuts."""
+    sizes = [a.size for a in xs]
+    if sizes != [b.size for b in ys]:
+        J, n, b = next((J, n, b) for J, n, b in zip(levels, sizes, ys) if b.size != n)
+        raise DimensionMismatch(f"level {J!r}: values of sizes {n} and {b.size}")
+    # cut at each level's start and at a trailing zero, so the last level's
+    # sum ends where its values do; an empty level's sum reads the next
+    # level's first square, and is reset to 0
+    d = np.concatenate([*xs, _PAD], axis=None) - np.concatenate([*ys, _PAD], axis=None)
+    cuts = np.add.accumulate([0, *sizes])
+    sums = np.add.reduceat(d * d, cuts)[:-1]
+    sums[cuts[1:] == cuts[:-1]] = 0.0
+    return np.sqrt(sums, out=sums)
 
 
 def _euclidean(J, x, y) -> float:
-    # float(np.linalg.norm(x - y)) bit for bit, without the wrapper's dispatch
-    d = np.ravel(x - y)
-    return math.sqrt(d.dot(d))
+    """The euclidean level distance, as a batch of one level."""
+    return float(_euclidean_batch((J,), (x,), (y,))[0])
 
 
 def euclidean_metrics(family: ProfiniteFamily) -> LevelMetricFamily:
@@ -72,29 +107,32 @@ def injection_isometry_check(m: LevelMetricFamily, pairs: Iterable[tuple],
     for pair, J, K in strict_pairs(fam.poset, pairs):
         inj = fam.inj(K, J)
         X, Y = sample_joint(rng, samples, fam.dim(J), fam.dim(J))
-        gaps.append((pair,
-                     residual([m(K, a, b) for a, b in zip(inj.rows(X), inj.rows(Y))],
-                              [m(J, x, y) for x, y in zip(X, Y)])))
+        gaps.append((pair, residual(m.distances([K] * samples, inj.rows(X), inj.rows(Y)),
+                                    m.distances([J] * samples, X, Y))))
     report = VerificationReport(f"injection isometry ({m.kind})")
     report.add_worst("dist(inj x, inj y) = dist(x, y)", gaps, tol)
     return report
 
 
-def _value_at(obj, J) -> np.ndarray:
-    """Level value of a thread, section point, or plain index->array callable."""
-    if isinstance(obj, Thread):
-        return obj.value(J)
-    if isinstance(obj, SectionPoint):
-        return extend_section_point(obj, J)
-    return np.asarray(obj(J), float)
+def _gather(point, levels: list) -> list:
+    """Level values of a thread, section point, or plain index->array callable;
+    a section point is extended through one lazy thread."""
+    if isinstance(point, SectionPoint):
+        point = thread_from_section(point, check=False)
+    if isinstance(point, Thread):
+        return point.values(levels)
+    return [np.asarray(point(J), float) for J in levels]
 
 
-def _squashed(m: LevelMetricFamily, J, x, y) -> float:
-    """phi of the level-J distance; a NaN distance is a ValueError naming J."""
-    d = m(J, _value_at(x, J), _value_at(y, J))
-    if d != d:
-        raise ValueError(f"level {J!r}: the distance is {d}, not a number")
-    return squash(d)
+def _squashed(m: LevelMetricFamily, levels: list, x, y) -> np.ndarray:
+    """phi of the distances between points x and y at levels, as one batch; a
+    NaN distance is a ValueError naming the first such level."""
+    d = m.distances(levels, _gather(x, levels), _gather(y, levels))
+    nan = np.isnan(d)
+    if nan.any():
+        i = int(nan.argmax())
+        raise ValueError(f"level {levels[i]!r}: the distance is {d[i]}, not a number")
+    return _phi(d)
 
 
 def d_inf(m: LevelMetricFamily, x, y, level_sets: Iterable[Iterable],
@@ -106,19 +144,18 @@ def d_inf(m: LevelMetricFamily, x, y, level_sets: Iterable[Iterable],
     enlargement moved the sup by at most tol.  Never a proof: the true sup
     over an infinite poset can exceed every finite stage.  A NaN level
     distance is a ValueError naming the level; an infinite one squashes to 1.
+    Every stage's new levels are measured in one batch.
     """
-    seen = set()
-    history = []
-    current = 0.0
+    seen: dict = {}  # every level once, in visit order
+    ends = []
     for stage in level_sets:
-        for J in stage:
-            if J in seen:
-                continue
-            seen.add(J)
-            current = max(current, _squashed(m, J, x, y))
-        history.append(current)
-    if not history:
+        seen.update(dict.fromkeys(stage))
+        ends.append(len(seen))
+    if not ends:
         raise ValueError("no levels supplied")
+    # running[k] is the sup over the first k levels, and 0 before any
+    running = np.maximum.accumulate(np.concatenate(([0.0], _squashed(m, list(seen), x, y))))
+    history = running[ends].tolist()
     converged = len(history) >= 2 and history[-1] - history[-2] <= tol
     return history[-1], converged, history
 
@@ -149,11 +186,10 @@ def d_mu(m: LevelMetricFamily, mu: IndexMeasure, x, y):
     the support contribute at most the tail mass.  A NaN level distance is
     a ValueError naming the level, as in d_inf.
     """
+    support = {J: w for J, w in mu.weights.items() if w != 0.0}
     total = 0.0
-    for J, w in mu.weights.items():
-        if w == 0.0:
-            continue
-        total += w * _squashed(m, J, x, y)
+    for w, p in zip(support.values(), _squashed(m, list(support), x, y).tolist()):
+        total += w * p
     return total, mu.tail_mass
 
 

@@ -262,16 +262,18 @@ def _leapfrog(grad: Callable, x0: np.ndarray, dt: float, steps: int) -> np.ndarr
     return states
 
 
-def _implicit_midpoint(solve: Callable, hessian: Callable, x0: np.ndarray,
+def _implicit_midpoint(solve: Callable, hessian: Callable, x0: np.ndarray, X0: np.ndarray,
                        dt: float, steps: int, newton_iters: int = 50) -> np.ndarray:
-    # every field comes from solve; Newton's matrix I - dt/2 Omega^-T Hess H
-    # takes its Omega from the same solve, so the form is read once per iterate
+    # every field comes from solve, the first predictor's X0 = solve(x0)[2]
+    # from the caller's own check at x0; Newton's matrix I - dt/2 Omega^-T
+    # Hess H takes its Omega from the same solve, so the form is read once
+    # per iterate
     dim = x0.size
     states = np.empty((steps + 1, dim))
     states[0] = x0
     x = x0.copy()
     for k in range(steps):
-        y = x + dt * solve(x)[2]
+        y = x + dt * (solve(x)[2] if k else X0)
         converged = False
         for _ in range(newton_iters):
             mid = 0.5 * (x + y)
@@ -312,7 +314,7 @@ def flow(omega: TameForm, H: CylindricalFunction, J, x0, dt: float, steps: int,
     lf = level_function(H, J)
     grad = level_gradient(H, J)
     with np.errstate(all="ignore"):  # an H undefined at x0 is refused below, not warned about
-        mat0, g0, _ = solve(x0)
+        mat0, g0, X0 = solve(x0)
         h0 = lf(x0)
         hess = grad.fd_jacobian(x0) if scheme == "leapfrog" else None
 
@@ -337,7 +339,8 @@ def flow(omega: TameForm, H: CylindricalFunction, J, x0, dt: float, steps: int,
         if scheme == "leapfrog":
             states = _leapfrog(grad.fn, x0, dt, steps)
         else:
-            states = _implicit_midpoint(solve, grad.jacobian, x0, dt, steps, newton_iters)
+            states = _implicit_midpoint(solve, grad.jacobian, x0, X0, dt, steps,
+                                        newton_iters)
         energies = lf.rows(states)[:, 0]
     finite = np.isfinite(states).all(axis=1) & np.isfinite(energies)
     if not finite.all():

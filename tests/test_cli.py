@@ -480,6 +480,7 @@ def _with_rows(rows):
     ("level-nan-index", r"levels\[0\]\.index: nan is not a finite number"),
     ("pool-nan-entry", r"poset\.pool\[1\]: nan is not a finite number"),
     ("section-inf-entry", r"thread\.section\[0\]: inf is not a finite number"),
+    ("flow-infinite-constant", r"non-finite constants in '1/0 \+ sqr\(x1\)': \['zoo'\]"),
 ])
 def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message):
     def family(doc):
@@ -530,6 +531,8 @@ def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message)
         "section-inf-entry": lambda: ["distance", "--family", "euclid", "--y", ORIGIN, "--x",
                                       '{"kind": "section-point", "section": [1e999], '
                                       '"values": [[1e999, [0.0]]]}'],
+        "flow-infinite-constant": lambda: ["flow", "--family", "symplectic", "--level", "1",
+                                           "--H", "1/0 + sqr(x1)", "--x0", "0,1"],
     }[case]()
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,16 @@ def test_guard_rejections():
 @pytest.mark.parametrize("text", ["None", "True"])
 def test_non_numeric_expressions_are_expression_errors(text):
     with pytest.raises(pl.ExpressionError, match="not a numeric expression"):
+        pl.compile_scalar(1, text)
+
+
+@pytest.mark.parametrize("text, constant", [
+    ("nan", "nan"), ("1/0 + sqr(x0)", "zoo"), ("log(0)", "zoo"), ("0*x0/0", "nan"),
+    ("oo", "oo"), ("x0 - oo", "-oo"),
+])
+def test_non_finite_constants_are_expression_errors(text, constant):
+    with pytest.raises(pl.ExpressionError,
+                       match=rf"^non-finite constants in .*: \['{re.escape(constant)}'\]$"):
         pl.compile_scalar(1, text)
 
 

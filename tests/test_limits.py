@@ -27,6 +27,16 @@ def test_thread_memoizes_and_checks_dims(euclid):
         bad(2)
 
 
+def test_values_reads_the_memo_and_fills_the_misses(euclid):
+    calls = []
+    t = pl.Thread(euclid.family, lambda n: calls.append(n) or np.full(n, float(n)))
+    first = t(3)
+    got = t.values([3, 1, 3, 2])
+    assert calls == [3, 1, 2] and got[0] is first and got[2] is first
+    assert [v.tolist() for v in got] == [[3.0] * 3, [1.0], [3.0] * 3, [2.0] * 2]
+    assert all(v is t(n) for v, n in zip(got, [3, 1, 3, 2]))
+
+
 def test_thread_values_read_only(euclid):
     t = euclid["three_four"]
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,13 +32,24 @@ entries = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
 
 @given(st.integers(0, 12).flatmap(lambda n: st.tuples(st.lists(entries, min_size=n, max_size=n),
                                                       st.lists(entries, min_size=n, max_size=n))))
-def test_euclidean_metric_is_the_norm_bit_for_bit(pair):
+def test_euclidean_metric_is_one_level_of_the_batch_kernel(pair):
     x, y = (np.array(v, dtype=float) for v in pair)
     m = pl.euclidean_metrics(pl.euclid_tower(2).family)
+    empty = np.zeros(0)
     with np.errstate(invalid="ignore", over="ignore"):
-        got, want = m.dist(0, x, y), float(np.linalg.norm(x - y))
+        got, norm = m.dist("J", x, y), float(np.linalg.norm(x - y))
+        # the pair sits between a nonempty and two empty levels of one batch
+        batch = m.distances(["a", "e", "J", "f"], [np.array([1.0, -2.0]), empty, x, empty],
+                            [np.zeros(2), empty, y, empty])
     assert type(got) is float
-    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    # bit for bit, but a NaN's sign bit depends on numpy's loop
+    assert (math.isnan(got) and math.isnan(batch[2])) or \
+        np.float64(got).tobytes() == batch[2].tobytes()
+    assert batch[1] == batch[3] == 0.0 and batch[0] == math.sqrt(5.0)
+    # the sum of at most 12 squares in another order: a few ulps apart, or
+    # the square root of a few subnormals when the squares underflow
+    assert (math.isnan(got) and math.isnan(norm)) or math.isclose(
+        got, norm, rel_tol=4e-15, abs_tol=1e-160)
 
 
 @pytest.mark.parametrize("d", [0.0, math.inf, math.nan, np.float64(0.0), np.float64(math.inf),
@@ -112,6 +124,69 @@ def test_an_infinite_level_distance_squashes_to_one(euclid):
     with np.errstate(over="ignore"):
         value, _, history = pl.d_inf(euclid["metrics"], far, near, [[1], [2]])
     assert value == 1.0 and history[-1] == 1.0
+
+
+def test_level_values_that_differ_in_size_are_refused(euclid):
+    # a broadcast would read (0) - (1, 1) as two differences of one
+    fam, m = euclid.family, euclid["metrics"]
+    with pytest.raises(pl.DimensionMismatch, match="^level 2: values of sizes 1 and 2"):
+        pl.d_inf(m, lambda J: np.zeros(1), lambda J: np.ones(fam.dim(J)), [[1], [2], [3]])
+    with pytest.raises(pl.DimensionMismatch, match="^level 3: values of sizes 2 and 3"):
+        m(3, np.zeros(2), np.zeros(3))
+
+
+WIENER_KNOTS = tuple(k / 10 for k in range(1, 11))
+
+
+@pytest.fixture(scope="module")
+def wiener_query():
+    """Two Brownian section threads on 5 of 10 knots, the levels comparable
+    to their member (the empty level first), and those levels by size."""
+    fam = pl.wiener_family(WIENER_KNOTS).family
+    rng = np.random.default_rng(11)
+    S = frozenset(WIENER_KNOTS[1::2])
+    x, y = (pl.thread_from_section(pl.SectionPoint.of(fam, [S], {S: rng.standard_normal(5)}))
+            for _ in range(2))
+    levels = sorted((J for J in fam.poset.elements if J <= S or S <= J), key=len)
+    stages = [[J for J in levels if len(J) == n] for n in range(11)]
+    return fam, levels, stages, x, y
+
+
+def test_euclidean_batch_matches_a_per_level_loop(wiener_query):
+    fam, levels, _, x, y = wiener_query
+    m = pl.euclidean_metrics(fam)
+    assert levels[0] == frozenset() and len(levels) == 63
+    batch = m.distances(levels, [x(J) for J in levels], [y(J) for J in levels])
+    loop = [math.sqrt(sum((a - b) ** 2 for a, b in zip(x(J), y(J)))) for J in levels]
+    assert batch[0] == 0.0 and (batch[1:] > 0).all()
+    np.testing.assert_allclose(batch, loop, rtol=1e-15, atol=0.0)
+    # one number per level, whichever API asks for it
+    assert all(np.float64(m(J, x(J), y(J))).tobytes() == d.tobytes()
+               for J, d in zip(levels, batch))
+
+
+def test_batched_distances_name_a_nan_and_squash_an_infinity(wiener_query):
+    fam, levels, stages, x, y = wiener_query
+    m = pl.euclidean_metrics(fam)
+    value, converged, history = pl.d_inf(m, x, y, stages)
+    assert history == sorted(history) and history[0] == 0.0 and value == history[-1] < 1.0
+    mu = pl.IndexMeasure({J: 1.0 / len(levels) for J in levels})
+    assert 0.0 < pl.d_mu(m, mu, x, y)[0] < value
+    # max(0.0, nan) is 0.0: a NaN late in the batch must still be named, the first one
+    first, second = stages[7][0], stages[9][0]
+
+    def nan_at(J):
+        return np.full(fam.dim(J), np.nan) if J in (first, second) else x(J)
+
+    with pytest.raises(ValueError, match=f"^level {re.escape(repr(first))}: the distance is nan"):
+        pl.d_inf(m, nan_at, y, stages)
+    with pytest.raises(ValueError, match=f"^level {re.escape(repr(first))}: the distance is nan"):
+        pl.d_mu(m, mu, nan_at, y)
+    with np.errstate(over="ignore"):
+        value, converged, history = pl.d_inf(m, lambda J: np.full(fam.dim(J), 1e300), y, stages)
+        total, _ = pl.d_mu(m, mu, lambda J: np.full(fam.dim(J), 1e300), y)
+    assert history == [0.0] + [1.0] * 10 and value == 1.0 and converged
+    assert math.isclose(total, 62 / 63, rel_tol=1e-14)
 
 
 def test_ultrametric_value_on_euclid_chain(euclid):
