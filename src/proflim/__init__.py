@@ -19,10 +19,9 @@ from .family import (FamilyMismatch, FibrationData, ProfiniteFamily,
                      verify_fibration)
 from .limits import (AlgebraicStructure, IllDefinedSection, Incomparable,
                      MorphismViolation, NotInvertible, ScalarAction,
-                     SectionPoint, Thread, check_thread, extend_section_point,
-                     is_inductive, lift_binary, lift_inverse,
-                     lift_scalar_action, restrict_thread, thread_axpy,
-                     thread_from_section)
+                     SectionPoint, Thread, check_thread, is_inductive,
+                     lift_binary, lift_inverse, lift_scalar_action,
+                     restrict_thread, thread_axpy, thread_from_section)
 from .cylinder import (CylindricalFunction, coordinate_function, differential,
                        eval_representative, level_function, linear_combination,
                        pair_with_direction, product, reexpress, refine_sections,

@@ -56,7 +56,7 @@ def representative(f: CylindricalFunction, t: Thread) -> SectionPoint:
 
 
 def eval_representative(f: CylindricalFunction, sp: SectionPoint) -> float:
-    return f(thread_from_section(sp, check=False))
+    return f(thread_from_section(sp))
 
 
 def coordinate_function(family: ProfiniteFamily, J, coord: int,
@@ -129,8 +129,7 @@ def differential(f: CylindricalFunction, t: Thread) -> np.ndarray:
 
 def pair_with_direction(f: CylindricalFunction, covector: np.ndarray, v) -> float:
     """Pair a member-coordinate covector with a direction's restriction."""
-    vfn = v.value if isinstance(v, Thread) else v
-    parts = [as_point(vfn(m)) for m in f.section]
+    parts = [as_point(v(m)) for m in f.section]
     direction = np.concatenate(parts) if parts else np.zeros(0)
     return float(np.dot(covector, direction))
 

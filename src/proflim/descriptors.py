@@ -437,7 +437,7 @@ def thread_from_descriptor(gallery_or_family, doc: dict) -> Thread:
         if defect is not None:
             raise DescriptorError(f"thread.section: not a section: {defect}")
         try:
-            return thread_from_section(sp, check=True)
+            return thread_from_section(sp)
         except IllDefinedSection as err:
             raise DescriptorError(f"thread.values: {err}") from None
     raise DescriptorError(f"thread.kind: unknown thread kind {kind!r}")

@@ -120,23 +120,22 @@ class ProfiniteFamily:
             mp = compose(step, mp)
         return mp
 
-    def proj(self, J, K, *, ordered: bool = False) -> DifferentiableMap:
-        """The projection E_K -> E_J for J <= K; `ordered` says the caller
-        has just read J <= K from the poset, so a build does not ask again."""
-        return self._cached("proj", J, K, ordered)
+    def proj(self, J, K) -> DifferentiableMap:
+        """The projection E_K -> E_J for J <= K."""
+        return self._cached("proj", J, K, False)
 
-    def inj(self, K, J, *, ordered: bool = False) -> DifferentiableMap:
-        """The injection E_J -> E_K for J <= K; `ordered` as for proj."""
-        return self._cached("inj", J, K, ordered)
+    def inj(self, K, J) -> DifferentiableMap:
+        """The injection E_J -> E_K for J <= K."""
+        return self._cached("inj", J, K, False)
 
     def transport(self, src, dst) -> Optional[DifferentiableMap]:
         """The map E_src -> E_dst between comparable levels: proj(dst, src)
         when dst <= src, else inj(dst, src); None when they are incomparable.
         The order is read once per call, so a cold pair costs one or two leq."""
         if self.poset.leq(dst, src):
-            return self.proj(dst, src, ordered=True)
+            return self._cached("proj", dst, src, True)
         if self.poset.leq(src, dst):
-            return self.inj(dst, src, ordered=True)
+            return self._cached("inj", src, dst, True)
         return None
 
     def spread(self, member) -> tuple:

@@ -89,8 +89,7 @@ class Thread:
 def thread_axpy(x: Thread, s: float, v) -> Thread:
     """The assignment J -> x(J) + s * v(J); a thread again when both are
     and the projections are linear."""
-    vfn = v.value if isinstance(v, Thread) else v
-    return Thread(x.family, lambda J: x(J) + s * as_point(vfn(J)),
+    return Thread(x.family, lambda J: x(J) + s * as_point(v(J)),
                   name=f"{x.name}+{s}*dir")
 
 
@@ -118,18 +117,6 @@ class SectionPoint:
         return SectionPoint(family, sec, vals)
 
 
-def _extension_candidates(sp: SectionPoint, I) -> list[np.ndarray]:
-    """All member-induced values at index I: projections from members above,
-    injections from members below.  Mixing cannot happen for an antichain."""
-    out = []
-    for member in sp.section:
-        if member == I:
-            out.append(sp.values[member])
-        elif (mp := sp.family.transport(member, I)) is not None:
-            out.append(mp(sp.values[member]))
-    return out
-
-
 def _agreed(I, cands: list, tol: float) -> np.ndarray:
     """The first candidate at I, once every other one is within tol of it."""
     for other in cands[1:]:
@@ -139,10 +126,16 @@ def _agreed(I, cands: list, tol: float) -> np.ndarray:
     return cands[0]
 
 
-def extend_section_point(sp: SectionPoint, I, tol: float = 1e-9) -> np.ndarray:
-    """The value the members induce at I.  Raises Incomparable when no
-    member reaches I, IllDefinedSection when two members disagree there."""
-    cands = _extension_candidates(sp, I)
+def _extend(sp: SectionPoint, I, tol: float) -> np.ndarray:
+    """The value the members induce at I, projected from members above and
+    injected from members below.  Raises Incomparable when no member
+    reaches I, IllDefinedSection when two members disagree there."""
+    cands = []
+    for member in sp.section:
+        if member == I:
+            cands.append(sp.values[member])
+        elif (mp := sp.family.transport(member, I)) is not None:
+            cands.append(mp(sp.values[member]))
     if not cands:
         raise Incomparable(f"index {I!r} is comparable to no member of {sp.section}")
     return _agreed(I, cands, tol)
@@ -150,28 +143,24 @@ def extend_section_point(sp: SectionPoint, I, tol: float = 1e-9) -> np.ndarray:
 
 def thread_from_section(sp: SectionPoint, tol: float = 1e-9,
                         check: bool = True) -> Thread:
-    """The thread induced by a section point.
+    """The thread induced by a section point; `check` is ignored.
 
     Member values are returned verbatim at their own index, so restricting
-    the thread back to the section is float-exact.  Raises IllDefinedSection
-    when two members see conflicting values at a shared index, Incomparable
-    when an index is beyond every member's reach.
-
-    check compares the members at every pairwise join and, on a finite
-    poset, then at every element of `poset.reach(section)`, memoizing each
-    value as a read-only slice of one cached `family.spread` product per
-    member.  On an oracle poset conflicts below the joins surface lazily.
+    the thread back to the section is float-exact.  The members are compared
+    at every pairwise join when the thread is built, and IllDefinedSection
+    names the first disagreement.  On a finite poset they are then compared
+    at every element of `poset.reach(section)`, and each value is memoized
+    as a read-only slice of one cached `family.spread` product per member.
+    On an oracle poset every other level is extended when it is first read.
+    A level no member reaches raises Incomparable.
     """
     label = ",".join(repr(m) for m in sp.section)
-    thread = Thread(sp.family, lambda I: extend_section_point(sp, I, tol=tol),
-                    name=f"sec[{label}]")
-    if not check:
-        return thread
+    thread = Thread(sp.family, lambda I: _extend(sp, I, tol), name=f"sec[{label}]")
     poset = sp.family.poset
     joins = dict.fromkeys(poset.require_join(a, b) for a, b in combinations(sp.section, 2))
     if poset.elements is None:
         for I in joins:
-            thread._store(I, extend_section_point(sp, I, tol=tol))
+            thread(I)
         return thread
     cands: dict = {}
     for member in sp.section:

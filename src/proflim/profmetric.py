@@ -116,9 +116,9 @@ def injection_isometry_check(m: LevelMetricFamily, pairs: Iterable[tuple],
 
 def _gather(point, levels: list) -> list:
     """Level values of a thread, section point, or plain index->array callable;
-    a section point is extended through one lazy thread."""
+    a section point is read through one checked thread."""
     if isinstance(point, SectionPoint):
-        point = thread_from_section(point, check=False)
+        point = thread_from_section(point)
     if isinstance(point, Thread):
         return point.values(levels)
     return [np.asarray(point(J), float) for J in levels]

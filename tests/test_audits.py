@@ -48,9 +48,9 @@ def _nan_exp_momentum():
 
 
 def _disagreeing_members():
-    # members 2 and 3 both project to level 1, where NaN meets 5.0
+    # members 2 and 3 meet at their join 3, where NaN meets 5.0
     sp = pl.SectionPoint.of(E, [2, 3], {2: [NAN, 0.0], 3: [5.0, 5.0, 5.0]})
-    return pl.extend_section_point(sp, 1)
+    return pl.thread_from_section(sp)
 
 
 def _nan_level_maps():
@@ -74,7 +74,7 @@ CASES = {
     "check_action_compat": (lambda: pl.check_action_compat(
         _nan_action(), S_PAIRS, samples=3), None),
     "momentum_verify": (_nan_exp_momentum, pl.NonSymplecticAction),
-    "extend_section_point": (_disagreeing_members, pl.IllDefinedSection),
+    "thread_from_section": (_disagreeing_members, pl.IllDefinedSection),
     "is_inductive": (lambda: pl.is_inductive(_nan_thread(E), [[2], [4]]), None),
     "lift_binary": (lambda: pl.lift_binary(
         pl.AlgebraicStructure(P, op=lambda J, a, b: a * NAN),

@@ -54,26 +54,22 @@ def test_thread_axpy_matches_pointwise(s, n):
 
 def test_extension_rule_projects_below_injects_above(euclid):
     fam = euclid.family
-    sp = pl.SectionPoint.of(fam, [3], {3: [1.0, 2.0, 3.0]})
-    assert np.array_equal(pl.extend_section_point(sp, 2), [1.0, 2.0])
-    assert np.array_equal(pl.extend_section_point(sp, 5), [1.0, 2.0, 3.0, 0.0, 0.0])
-    assert np.array_equal(pl.extend_section_point(sp, 3), [1.0, 2.0, 3.0])
+    t = pl.thread_from_section(pl.SectionPoint.of(fam, [3], {3: [1.0, 2.0, 3.0]}))
+    assert np.array_equal(t(2), [1.0, 2.0])
+    assert np.array_equal(t(5), [1.0, 2.0, 3.0, 0.0, 0.0])
+    assert np.array_equal(t(3), [1.0, 2.0, 3.0])
 
 
 def test_extension_conflicts_detected_on_diamond(cross):
     fam = cross.family
     x = pl.SectionPoint.of(fam, ["J", "K"], {"J": [1.0], "K": [0.0]})
     with pytest.raises(pl.IllDefinedSection):
-        pl.extend_section_point(x, "L")
+        pl.thread_from_section(x)
     y = pl.SectionPoint.of(fam, ["J", "K"], {"J": [0.0], "K": [2.0]})
     with pytest.raises(pl.IllDefinedSection):
-        pl.extend_section_point(y, "L")
+        pl.thread_from_section(y)
     ok = pl.SectionPoint.of(fam, ["J", "K"], {"J": [0.0], "K": [0.0]})
-    assert np.array_equal(pl.extend_section_point(ok, "L"), [0.0, 0.0])
-    with pytest.raises(pl.IllDefinedSection):
-        pl.thread_from_section(x, check=True)
-    with pytest.raises(pl.IllDefinedSection):
-        pl.thread_from_section(x)
+    assert np.array_equal(pl.thread_from_section(ok)("L"), [0.0, 0.0])
 
 
 def test_thread_from_section_round_trip_is_exact(euclid):
@@ -92,9 +88,9 @@ def test_incomparable_extension_raises():
     fam = pl.ProfiniteFamily(p, lambda _: 1,
                              proj_factory=lambda J, K: None,
                              inj_factory=lambda K, J: None)
-    sp = pl.SectionPoint.of(fam, ["a"], {"a": [1.0]})
+    t = pl.thread_from_section(pl.SectionPoint.of(fam, ["a"], {"a": [1.0]}))
     with pytest.raises(pl.Incomparable):
-        pl.extend_section_point(sp, "b")
+        t("b")
 
 
 @st.composite
@@ -126,26 +122,17 @@ def test_section_thread_matches_brute_force_oracle(case):
     fam, values = case
     sp = pl.SectionPoint.of(fam, list(values), values)
     want = section_thread_levels(fam, values)
-    lazy = pl.thread_from_section(sp, check=False)
+    if not all(agree for _, agree in want.values()):
+        with pytest.raises(pl.IllDefinedSection):
+            pl.thread_from_section(sp)
+        return
+    t = pl.thread_from_section(sp)
     for J in fam.poset.elements:
-        if J not in want:
-            with pytest.raises(pl.Incomparable):
-                lazy(J)
-        elif want[J][1]:
-            assert lazy(J).tobytes() == want[J][0].tobytes()
+        if J in want:
+            assert t(J).tobytes() == want[J][0].tobytes()
         else:
-            with pytest.raises(pl.IllDefinedSection):
-                lazy(J)
-    if all(agree for _, agree in want.values()):
-        eager = pl.thread_from_section(sp, check=True)
-        for J, (val, _) in want.items():
-            assert eager(J).tobytes() == val.tobytes()
-        pl.thread_from_section(sp, check=True)
-    else:
-        with pytest.raises(pl.IllDefinedSection):
-            pl.thread_from_section(sp, check=True)
-        with pytest.raises(pl.IllDefinedSection):
-            pl.thread_from_section(sp, check=True)
+            with pytest.raises(pl.Incomparable):
+                t(J)
 
 
 def _count_transports(monkeypatch, fam) -> Counter:
@@ -166,15 +153,15 @@ def test_extension_rule_runs_once_per_reachable_level(monkeypatch, case):
     else:
         fam = pl.cross_family().family
         values = {"J": [0.0], "K": [0.0]}  # two members meeting at L
-    rule = limits._extension_candidates
+    rule = limits._extend
     rule_calls = Counter()
-    monkeypatch.setattr(limits, "_extension_candidates",
-                        lambda sp, I: rule_calls.update([I]) or rule(sp, I))
+    monkeypatch.setattr(limits, "_extend",
+                        lambda sp, I, tol: rule_calls.update([I]) or rule(sp, I, tol))
     transports = _count_transports(monkeypatch, fam)
     sp = pl.SectionPoint.of(fam, list(values), values)
     reachable = [J for J in fam.poset.elements
                  if any(fam.poset.comparable(J, m) for m in values)]
-    x = pl.thread_from_section(sp, check=True)
+    x = pl.thread_from_section(sp)
     # each member is carried once to every level it reaches but its own,
     # where its value is read verbatim; no other level is asked
     assert transports == Counter((m, J) for m in values for J in fam.poset.reach([m])
@@ -197,9 +184,9 @@ def test_check_memoizes_exactly_the_reachable_levels(case):
     sp = pl.SectionPoint.of(fam, list(values), values)
     if not all(agree for _, agree in want.values()):
         with pytest.raises(pl.IllDefinedSection):
-            pl.thread_from_section(sp, check=True)
+            pl.thread_from_section(sp)
         return
-    memo = pl.thread_from_section(sp, check=True)._memo
+    memo = pl.thread_from_section(sp)._memo
     assert len(memo) == len(want) and set(memo) == set(want)
     for val in memo.values():
         assert not val.flags.writeable
@@ -209,12 +196,12 @@ def test_check_memoizes_exactly_the_reachable_levels(case):
 
 
 def _per_level_probe(sp):
-    """The check one level at a time through extend_section_point: the
+    """The check one level at a time through the extension rule: the
     pairwise joins first, then poset.reach(section) in element order."""
     poset = sp.family.poset
     joins = [poset.require_join(a, b) for a, b in combinations(sp.section, 2)]
     for I in dict.fromkeys((*joins, *poset.reach(sp.section))):
-        pl.extend_section_point(sp, I)
+        limits._extend(sp, I, 1e-9)
 
 
 @given(section_points())
@@ -228,7 +215,7 @@ def test_disagreeing_members_raise_the_per_level_message(case):
     else:
         return
     with pytest.raises(pl.IllDefinedSection) as got:
-        pl.thread_from_section(sp, check=True)
+        pl.thread_from_section(sp)
     assert str(got.value) == want
 
 
@@ -239,7 +226,7 @@ def test_disagreeing_members_raise_the_per_level_message(case):
 def test_cross_disagreement_is_named_at_the_join(values, message):
     sp = pl.SectionPoint.of(pl.cross_family().family, list(values), values)
     with pytest.raises(pl.IllDefinedSection) as err:
-        pl.thread_from_section(sp, check=True)
+        pl.thread_from_section(sp)
     assert str(err.value) == message
 
 
@@ -257,10 +244,10 @@ def test_probe_work_is_bounded_by_the_reachable_levels(monkeypatch, k):
     order = fam.poset.leq
     fam.poset = dataclasses.replace(
         fam.poset, leq=lambda a, b: leq_calls.append(1) or order(a, b))
-    rule = limits._extension_candidates
+    rule = limits._extend
     rule_calls = []
-    monkeypatch.setattr(limits, "_extension_candidates",
-                        lambda sp, I: rule_calls.append(I) or rule(sp, I))
+    monkeypatch.setattr(limits, "_extend",
+                        lambda sp, I, tol: rule_calls.append(I) or rule(sp, I, tol))
     transports = _count_transports(monkeypatch, fam)
     S = frozenset(knots[:k])
     reachable = 2 ** k + 2 ** (10 - k) - 1
@@ -269,7 +256,7 @@ def test_probe_work_is_bounded_by_the_reachable_levels(monkeypatch, k):
         transports.clear()
         before = set(fam._cache)
         sp = pl.SectionPoint.of(fam, [S], {S: np.arange(float(k))})
-        memo = pl.thread_from_section(sp, check=True)._memo
+        memo = pl.thread_from_section(sp)._memo
         built = set(fam._cache) - before
         assert len(memo) == reachable and not rule_calls
         if cold:
@@ -279,6 +266,95 @@ def test_probe_work_is_bounded_by_the_reachable_levels(monkeypatch, k):
             assert len(leq_calls) <= 2 * reachable
         else:
             assert not built and not transports and not leq_calls
+
+
+def test_an_oracle_poset_checks_the_joins_when_built_and_extends_on_read():
+    """Finite subsets of an unlisted parameter set, with the Wiener maps:
+    the members meet at their join when the thread is built, and every
+    other level is extended when it is first read."""
+    wiener = pl.wiener_family([0.25, 0.5, 0.75, 1.0]).family
+    fam = pl.ProfiniteFamily(pl.subset_poset(), len, proj_factory=wiener._proj_factory,
+                             inj_factory=wiener._inj_factory)
+    A, B = frozenset({0.25, 1.0}), frozenset({0.5, 1.0})
+    bad = pl.SectionPoint.of(fam, [A, B], {A: [0.25, 1.0], B: [1.5, 1.0]})
+    with pytest.raises(pl.IllDefinedSection, match="disagree at frozenset"):
+        pl.thread_from_section(bad)
+    # both members sample the path s -> s, so they agree at their join
+    sp = pl.SectionPoint.of(fam, [A, B], {A: [0.25, 1.0], B: [0.5, 1.0]})
+    t = pl.thread_from_section(sp)
+    assert list(t._memo) == [A | B]
+    top = frozenset({0.25, 0.5, 0.75, 1.0})
+    first = sp.section.members[0]
+    assert np.array_equal(t(top), fam.transport(first, top)(sp.values[first]))
+    assert np.allclose(t(top), [0.25, 0.5, 0.75, 1.0])
+    with pytest.raises(pl.Incomparable):
+        t(frozenset({0.3}))
+
+
+def _sine_chain(n: int = 6):
+    """Levels 1..n of R^J whose injections are not linear: projections
+    truncate, and inj(K, J)(x) appends sin(i * x[0]) for i = J..K-1, so
+    inj(L, K) inj(K, J) = inj(L, J) and proj(J, K) inj(K, J) = id."""
+    def inj(K, J):
+        i = np.arange(J, K)
+
+        def jac(x):
+            d = np.eye(K, J)
+            d[J:, 0] = i * np.cos(i * x[0])
+            return d
+
+        return pl.DifferentiableMap(J, K, lambda x: np.concatenate([x, np.sin(i * x[0])]),
+                                    jac=jac)
+
+    return pl.ProfiniteFamily(pl.chain_poset(range(1, n + 1)), lambda J: J,
+                              proj_factory=lambda J, K: pl.selection_map(K, range(J)),
+                              inj_factory=inj)
+
+
+def test_a_non_linear_family_runs_through_the_section_check():
+    fam = _sine_chain()
+    x = np.array([0.3, -1.2, 0.5])
+    t = pl.thread_from_section(pl.SectionPoint.of(fam, [3], {3: x}))
+    want = section_thread_levels(fam, {3: x})
+    assert set(t._memo) == set(want)
+    for J, (val, _) in want.items():
+        assert t(J).tobytes() == val.tobytes()
+    # the member's spread is one non-linear fanout of its transports
+    levels, _, spread = fam.spread(3)
+    assert not spread.is_linear
+    assert np.array_equal(spread.jacobian(x),
+                          np.vstack([fam.transport(3, J).jacobian(x) for J in levels]))
+    above = fam.inj(5, 3)(x)
+    pl.thread_from_section(pl.SectionPoint.of(fam, [3, 5], {3: x, 5: above}))
+    moved = above + np.array([0.0, 0.0, 0.0, 0.0, 1e-3])
+    with pytest.raises(pl.IllDefinedSection, match="disagree at 5:"):
+        pl.thread_from_section(pl.SectionPoint.of(fam, [3, 5], {3: x, 5: moved}))
+
+
+def _dense_chain(n: int = 8, seed: int = 0):
+    """Levels 1..n of R^J with dense transports: injections Q[:K, :J] of a
+    seeded orthogonal Q, their pseudo-inverses as projections."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return pl.ProfiniteFamily(
+        pl.chain_poset(range(1, n + 1)), lambda J: J,
+        proj_factory=lambda J, K: pl.matrix_map(np.linalg.pinv(Q[:K, :J])),
+        inj_factory=lambda K, J: pl.matrix_map(Q[:K, :J]))
+
+
+def test_d_inf_of_a_section_point_is_d_inf_of_its_thread():
+    """One value per level: a section point handed to d_inf reads the same
+    bits as the thread it induces, on transports whose stacked product may
+    round differently from each level's own."""
+    fam = _dense_chain()
+    m = pl.euclidean_metrics(fam)
+    origin = pl.Thread(fam, lambda J: np.zeros(J))
+    stages = [[J] for J in fam.poset.elements]
+    rng = np.random.default_rng(0)
+    for member in fam.poset.elements:
+        for _ in range(20):
+            sp = pl.SectionPoint.of(fam, [member], {member: rng.standard_normal(member)})
+            assert (pl.d_inf(m, sp, origin, stages)
+                    == pl.d_inf(m, pl.thread_from_section(sp), origin, stages))
 
 
 def test_check_thread_catches_inconsistency(euclid):
