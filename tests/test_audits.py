@@ -48,8 +48,9 @@ def _nan_exp_momentum():
 
 
 def _disagreeing_members():
-    # members 2 and 3 meet at their join 3, where NaN meets 5.0
-    sp = pl.SectionPoint.of(E, [2, 3], {2: [NAN, 0.0], 3: [5.0, 5.0, 5.0]})
+    # members 2 and 3 meet at their join 3, where [nan, 0, 0] meets [5, 0, 0]:
+    # NaN is the only difference
+    sp = pl.SectionPoint.of(E, [2, 3], {2: [NAN, 0.0], 3: [5.0, 0.0, 0.0]})
     return pl.thread_from_section(sp)
 
 
