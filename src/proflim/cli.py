@@ -23,7 +23,7 @@ from .calculus import CompatibleMetric, TameForm, check_tame, metric_check
 from .cylinder import reexpress
 from .descriptors import (DescriptorError, SCHEMA_VERSION, family_from_descriptor,
                           family_to_descriptor, form_from_descriptor,
-                          gallery_reference_descriptor, load_measure_csv,
+                          gallery_reference_descriptor, load_measure_csv, read_json,
                           thread_from_descriptor)
 from .expr import ExpressionError, cylindrical_from_expression
 from .family import sample_pairs, sample_point, verify_family
@@ -63,24 +63,16 @@ def float_list(text: str) -> List[float]:
         raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _refuse_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number")
-
-
-def _read_json(text: str, **options):
-    """Inline JSON (text starting with '{') or the path of a JSON file."""
+def json_doc(text: str):
+    """Inline JSON (text starting with '{') or the path of a JSON file, read
+    as strict JSON: NaN and Infinity are refused."""
     try:
         if text.lstrip().startswith("{"):
-            return json.loads(text, **options)
+            return read_json(text)
         with open(text) as fh:
-            return json.load(fh, **options)
-    except (OSError, ValueError) as err:  # ValueError: not JSON, or not text
+            return read_json(fh.read())
+    except (OSError, ValueError) as err:  # ValueError: not strict JSON, or not text
         raise UsageError(f"cannot read JSON from {text!r}: {err}") from None
-
-
-def json_doc(text: str):
-    """_read_json as strict JSON: NaN and Infinity are refused."""
-    return _read_json(text, parse_constant=_refuse_constant)
 
 
 def emit(text: str, out: Optional[str]) -> None:
@@ -125,8 +117,7 @@ def resolve_family(name_or_path: str, max_level: Optional[int] = None):
     if name_or_path.endswith(".json") or os.path.sep in name_or_path:
         if not os.path.exists(name_or_path):
             raise UsageError(f"no such descriptor file: {name_or_path}")
-        # the family loader refuses a non-finite number and names its field
-        return None, family_from_descriptor(_read_json(name_or_path))
+        return None, family_from_descriptor(json_doc(name_or_path))
     g = resolve_gallery(name_or_path, max_level)
     return g, g.family
 

@@ -24,8 +24,8 @@ from .expr import ExpressionError, compile_scalar, parse_index_token
 from .family import FamilyMismatch, ProfiniteFamily
 from .limits import IllDefinedSection, SectionPoint, Thread, thread_from_section
 from .maps import DimensionMismatch, matrix_map, scatter_map, selection_map
-from .poset import (EmptySection, IndexPoset, chain_poset, finite_poset, section_defect,
-                    subset_poset)
+from .poset import (ComparableMembers, EmptySection, IndexPoset, chain_poset, finite_poset,
+                    section_defect, subset_poset)
 from .profmetric import IndexMeasure
 
 SCHEMA_VERSION = 1
@@ -363,9 +363,20 @@ def gallery_reference_descriptor(name: str, kwargs: Optional[dict] = None) -> di
             "projections": [ref], "injections": [ref]}
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def read_json(text: str):
+    """Strict JSON: the NaN, Infinity and -Infinity tokens that Python's
+    reader accepts raise a ValueError naming the token."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def load_family(path) -> ProfiniteFamily:
+    """The family of a descriptor file, read as strict JSON."""
     with open(path, "r") as fh:
-        return family_from_descriptor(json.load(fh))
+        return family_from_descriptor(read_json(fh.read()))
 
 
 def dump_family(family: ProfiniteFamily, path,
@@ -430,6 +441,8 @@ def thread_from_descriptor(gallery_or_family, doc: dict) -> Thread:
             decode_index(idx): np.asarray(_floats(x), dtype=float) for idx, x in _list(v)})
         try:
             sp = SectionPoint.of(family, section, values)
+        except ComparableMembers as err:
+            raise DescriptorError(f"thread.section: not a section: {err}") from None
         except (EmptySection, IllDefinedSection, DimensionMismatch) as err:
             raise DescriptorError(f"thread: {err}") from None
         defect = (None if family.poset.elements is None

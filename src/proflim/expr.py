@@ -77,9 +77,10 @@ def _sympify(text: str, symbols: dict) -> "sympy.Expr":
 
 
 def compile_scalar(dim: int, text: str) -> tuple:
-    """(fn, grad) for an expression in local coordinates x0..x{dim-1}: grad
-    is an R^dim -> R^dim map whose Jacobian, the Hessian, is lambdified on
-    its first request."""
+    """(fn, grad, batch) for an expression in local coordinates x0..x{dim-1}:
+    fn is the value at one point, grad an R^dim -> R^dim map whose Jacobian,
+    the Hessian, is lambdified on its first request, and batch the n values
+    at the rows of an (n, dim) array in one call."""
     _guard(text)
     if _REF.search(text):
         raise ExpressionError("level references need a member antichain; "
@@ -96,13 +97,16 @@ def compile_scalar(dim: int, text: str) -> tuple:
     def fn(x: np.ndarray) -> float:
         return float(f(*x))
 
+    def batch(X: np.ndarray) -> np.ndarray:  # a constant expression gives one scalar
+        return np.full(X.shape[:1], f(*X.T), dtype=float)
+
     @functools.cache
     def hessian():  # abs leaves a DiracDelta at its kink; keep the smooth part
         return sympy.lambdify(syms, [[sympy.diff(d, s).replace(sympy.DiracDelta, lambda *_: 0)
                                       for s in syms] for d in grads], modules="numpy")
 
     return fn, DifferentiableMap(dim, dim, fn=lambda x: np.asarray(g(*x), dtype=float),
-                                 jac=lambda x: hessian()(*x), name=f"grad {text}")
+                                 jac=lambda x: hessian()(*x), name=f"grad {text}"), batch
 
 
 def cylindrical_from_expression(family: ProfiniteFamily, members: Sequence,
@@ -132,6 +136,6 @@ def cylindrical_from_expression(family: ProfiniteFamily, members: Sequence,
         raise ExpressionError(f"level {idx!r} is not a member of the antichain")
 
     resolved = _REF.sub(replace, text)
-    fn, grad = compile_scalar(total, resolved)
-    base = ScalarMap(grad, lambda x: np.array([fn(x)]), name=name or text)
+    fn, grad, batch = compile_scalar(total, resolved)
+    base = ScalarMap(grad, lambda x: np.array([fn(x)]), name=name or text, batch=batch)
     return CylindricalFunction(family, section, base, name=name or text)

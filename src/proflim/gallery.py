@@ -367,7 +367,8 @@ def oscillator_energy(family: ProfiniteFamily, level,
     dim = family.dim(level)
     sec = Section.of(family.poset, [level])
     base = ScalarMap(DifferentiableMap(dim, dim, fn=lambda x: x.copy(), name=f"grad {name}"),
-                     lambda x: np.array([0.5 * float(x @ x)]), name=name)
+                     lambda x: np.array([0.5 * float(x @ x)]), name=name,
+                     batch=lambda X: 0.5 * np.vecdot(X, X))
     return CylindricalFunction(family, sec, base, name=name)
 
 

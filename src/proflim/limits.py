@@ -17,7 +17,7 @@ import numpy as np
 
 from .family import ProfiniteFamily, sample_pairs
 from .maps import DimensionMismatch, as_point, residual
-from .poset import Section
+from .poset import ComparableMembers, Section
 from .report import VerificationReport
 
 
@@ -194,7 +194,8 @@ def check_thread(t: Thread, pairs: Iterable[tuple], tol: float = 1e-9) -> Verifi
 
 def is_inductive(t: Thread, candidate_sections: Iterable, probe: Optional[Iterable] = None,
                  tol: float = 1e-9) -> Optional[SectionPoint]:
-    """First candidate section whose induced thread matches t on the probe.
+    """First candidate section whose induced thread matches t on the probe;
+    a candidate with comparable members, or whose members disagree, is skipped.
 
     The probe defaults to every element of a finite poset; oracle posets
     need an explicit probe, since finitely many values can never certify
@@ -207,14 +208,14 @@ def is_inductive(t: Thread, candidate_sections: Iterable, probe: Optional[Iterab
         probe = poset.elements
     probe = list(probe)
     for section in candidate_sections:
-        sec = section if isinstance(section, Section) else Section.of(poset, section)
         try:
+            sec = section if isinstance(section, Section) else Section.of(poset, section)
             sp = restrict_thread(t, sec)
             induced = thread_from_section(sp, tol=tol)
             # an index no member reaches raises Incomparable before t is read
             if all(residual(induced(idx), t(idx)) <= tol for idx in probe):
                 return sp
-        except (IllDefinedSection, Incomparable):
+        except (ComparableMembers, IllDefinedSection, Incomparable):
             continue
     return None
 

@@ -85,8 +85,10 @@ class DifferentiableMap:
     def rows(self, X) -> np.ndarray:
         """Apply the map to every row of an (n, domain_dim) batch.
 
-        A linear map is one matrix product; any other map runs `fn` row by
-        row after the one batch-shape check, and checks each value's size.
+        A linear map is one matrix product, and a ScalarMap with a batch
+        evaluator is one call of it; any other map runs `fn` row by row.
+        The batch shape is checked once, then the size of each value or the
+        number of values the batch evaluator returned.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.domain_dim:
@@ -95,6 +97,9 @@ class DifferentiableMap:
                 f"expected (n, {self.domain_dim})")
         if self.matrix is not None:
             return X @ self.matrix.T
+        return self._rows(X)
+
+    def _rows(self, X: np.ndarray) -> np.ndarray:
         out = np.empty((X.shape[0], self.codomain_dim))
         for i, x in enumerate(X):
             out[i] = self._value(x)
@@ -123,11 +128,27 @@ class DifferentiableMap:
 
 class ScalarMap(DifferentiableMap):
     """A map R^n -> R built on its gradient: an R^n -> R^n map whose `fn` returns
-    a fresh array and whose Jacobian is the Hessian (FD when it has no `jac`)."""
+    a fresh array and whose Jacobian is the Hessian (FD when it has no `jac`).
 
-    def __init__(self, gradient: DifferentiableMap, fn: Callable, name: str = ""):
+    `batch`, when given, maps an (m, n) array to its m values in one call;
+    `rows` uses it instead of calling `fn` once per row, and raises
+    DimensionMismatch when it returns a different number of values.
+    """
+
+    def __init__(self, gradient: DifferentiableMap, fn: Callable, name: str = "",
+                 batch: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         super().__init__(gradient.domain_dim, 1, fn=fn, jac=gradient.fn, name=name)
         self.gradient = gradient
+        self.batch = batch
+
+    def _rows(self, X: np.ndarray) -> np.ndarray:
+        if self.batch is None:
+            return super()._rows(X)
+        y = np.asarray(self.batch(X), dtype=float)
+        if y.size != X.shape[0]:
+            raise DimensionMismatch(
+                f"{self.name or 'map'}: batch gave {y.size} values for {X.shape[0]} rows")
+        return y.reshape(-1, 1)
 
 
 def residual(lhs, rhs) -> float:

@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 
 class JoinFailure(Exception):
@@ -26,6 +26,10 @@ class JoinFailure(Exception):
 
 class EmptySection(Exception):
     """Sections are nonempty by definition."""
+
+
+class ComparableMembers(ValueError):
+    """Two members of a would-be section are comparable."""
 
 
 class InfinitePoset(Exception):
@@ -100,9 +104,14 @@ class Section:
 
     @staticmethod
     def of(poset: IndexPoset, members: Iterable) -> "Section":
+        """The antichain of the members; ComparableMembers names the first
+        comparable pair."""
         mem = tuple(poset.sort(set(members)))
         if not mem:
             raise EmptySection("a section must have at least one member")
+        defect = _comparable_pair(poset, mem)
+        if defect is not None:
+            raise ComparableMembers(defect)
         return Section(mem)
 
     def __iter__(self):
@@ -212,6 +221,11 @@ def is_directed(poset: IndexPoset, sample: Iterable) -> bool:
     return True
 
 
+def _comparable_pair(poset: IndexPoset, members: Sequence) -> Optional[str]:
+    return next((f"members {a!r} and {b!r} are comparable"
+                 for a, b in combinations(members, 2) if poset.comparable(a, b)), None)
+
+
 def section_defect(poset: IndexPoset, members: Iterable,
                    probe: Optional[Iterable] = None) -> Optional[str]:
     """Why the members are not a section, or None when they are: the first
@@ -224,9 +238,9 @@ def section_defect(poset: IndexPoset, members: Iterable,
     mem = list(members.members) if isinstance(members, Section) else list(members)
     if not mem:
         raise EmptySection("a section must have at least one member")
-    for a, b in combinations(mem, 2):
-        if poset.comparable(a, b):
-            return f"members {a!r} and {b!r} are comparable"
+    defect = _comparable_pair(poset, mem)
+    if defect is not None:
+        return defect
     if probe is None:
         if poset.elements is None:
             raise InfinitePoset("an oracle poset needs an explicit probe")

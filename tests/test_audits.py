@@ -48,9 +48,9 @@ def _nan_exp_momentum():
 
 
 def _disagreeing_members():
-    # members 2 and 3 meet at their join 3, where [nan, 0, 0] meets [5, 0, 0]:
+    # cross's members J and K meet at their join L, where (nan, 0) meets (0, 0):
     # NaN is the only difference
-    sp = pl.SectionPoint.of(E, [2, 3], {2: [NAN, 0.0], 3: [5.0, 0.0, 0.0]})
+    sp = pl.SectionPoint.of(pl.cross_family().family, ["J", "K"], {"J": [NAN], "K": [0.0]})
     return pl.thread_from_section(sp)
 
 

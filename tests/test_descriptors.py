@@ -441,14 +441,40 @@ def _edited(**changes):
     ({"projections": [{"kind": "named-gallery",
                        "payload": {"family": "euclid", "kwargs": {"size": 3}}}]},
      r"payload: .*unexpected keyword"),
+    # strict JSON has no NaN, but a document built in Python can
+    (_edited(projections__0__payload__rows=[[float("nan"), 0.0]]),
+     r"^projections\[0\]\.payload\.rows: nan is not a finite number$"),
+    (_edited(poset={"kind": "finite", "elements": [float("nan")], "leq": [[True]]}),
+     r"^poset\.elements\[0\]: nan is not a finite number$"),
+    (_edited(levels__0__index=float("nan")), r"^levels\[0\]\.index: nan is not a finite number$"),
+    (_edited(poset={"kind": "subsets", "pool": [0.5, float("nan")]}),
+     r"^poset\.pool\[1\]: nan is not a finite number$"),
 ], ids=["not-an-object", "no-poset", "chain-element", "chain-repeat", "chain-fraction",
         "chain-truncated-repeat", "chain-infinity", "chain-bool", "chain-float", "levels-type",
         "level-index", "negative-dim", "bad-index", "non-numeric-row", "three-dim-rows",
         "injection-shape", "projection-upward", "truncation-range", "missing-injection",
-        "unknown-gallery", "gallery-kwargs"])
+        "unknown-gallery", "gallery-kwargs", "nan-row", "nan-element", "nan-level-index",
+        "nan-pool-entry"])
 def test_malformed_family_descriptors_name_the_field(doc, message):
     with pytest.raises(pl.DescriptorError, match=message):
         pl.family_from_descriptor(doc)
+
+
+@pytest.mark.parametrize("value, token", [(float("nan"), "NaN"), (float("inf"), "Infinity"),
+                                          (-float("inf"), "-Infinity")],
+                         ids=["nan", "infinity", "minus-infinity"])
+def test_load_family_refuses_non_finite_json_tokens(tmp_path, value, token):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({**PAIR, "comment": value}))  # json writes the token
+    with pytest.raises(ValueError, match=f"^{token} is not a JSON number$"):
+        pl.load_family(path)
+
+
+def test_load_family_reads_an_overflowing_number_as_inf_and_names_its_field(tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(_edited(poset__elements=[1, 2.5])).replace("2.5", "1e999"))
+    with pytest.raises(pl.DescriptorError, match=r"^poset\.elements\[1\]: inf is not an integer$"):
+        pl.load_family(path)
 
 
 def test_unconnected_levels_are_a_descriptor_error_on_use():

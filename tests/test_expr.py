@@ -19,23 +19,23 @@ def fd_grad(fn, x, h=1e-6):
 
 
 def test_arithmetic_and_value():
-    fn, grad = pl.compile_scalar(2, "x0*x1 + 2")
+    fn, grad, _ = pl.compile_scalar(2, "x0*x1 + 2")
     assert fn(np.array([3.0, 4.0])) == 14.0
     assert np.array_equal(grad(np.array([3.0, 4.0])), [4.0, 3.0])
 
 
 def test_functions_and_constants():
-    fn, _ = pl.compile_scalar(1, "sqr(x0) + pi")
+    fn, _, _ = pl.compile_scalar(1, "sqr(x0) + pi")
     assert fn(np.array([2.0])) == pytest.approx(4.0 + math.pi)
-    fn2, _ = pl.compile_scalar(1, "exp(log(x0))")
+    fn2, _, _ = pl.compile_scalar(1, "exp(log(x0))")
     assert fn2(np.array([5.0])) == pytest.approx(5.0)
-    fn3, _ = pl.compile_scalar(2, "tanh(x0) * sqrt(x1) - abs(x0)")
+    fn3, _, _ = pl.compile_scalar(2, "tanh(x0) * sqrt(x1) - abs(x0)")
     x = np.array([0.4, 9.0])
     assert fn3(x) == pytest.approx(math.tanh(0.4) * 3.0 - 0.4)
 
 
 def test_analytic_gradient_matches_fd(rng):
-    fn, grad = pl.compile_scalar(3, "sin(x0)*x1 + exp(x2/3) - x0*x2")
+    fn, grad, _ = pl.compile_scalar(3, "sin(x0)*x1 + exp(x2/3) - x0*x2")
     for _ in range(10):
         x = rng.standard_normal(3)
         assert np.max(np.abs(grad(x) - fd_grad(fn, x))) < 1e-6
@@ -50,7 +50,7 @@ def test_analytic_gradient_matches_fd(rng):
 ])
 def test_analytic_hessian_matches_fd(rng, dim, text, signed):
     # signed: x0 may be negative (away from the kink of abs)
-    _, grad = pl.compile_scalar(dim, text)
+    _, grad, _ = pl.compile_scalar(dim, text)
     for _ in range(10):
         x = rng.uniform(0.2, 2.0, dim)
         if signed:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import proflim as pl
 import proflim.limits as limits
+from proflim.poset import ComparableMembers
 from oracles import section_thread_levels
 
 
@@ -311,6 +312,19 @@ def _sine_chain(n: int = 6):
                               inj_factory=inj)
 
 
+def _sine_vee():
+    """Levels J and K of R^1 below their join L = R^2, both injected by
+    x -> (x, sin x) and projected to the first coordinate."""
+    def inj(L, J):
+        return pl.DifferentiableMap(1, 2, lambda x: np.array([x[0], np.sin(x[0])]),
+                                    jac=lambda x: np.array([[1.0], [np.cos(x[0])]]))
+
+    return pl.ProfiniteFamily(pl.finite_poset(["J", "K", "L"], lambda a, b: a == b or b == "L"),
+                              {"J": 1, "K": 1, "L": 2}.get,
+                              proj_factory=lambda J, L: pl.selection_map(2, [0]),
+                              inj_factory=inj)
+
+
 def test_a_non_linear_family_runs_through_the_section_check():
     fam = _sine_chain()
     x = np.array([0.3, -1.2, 0.5])
@@ -324,11 +338,15 @@ def test_a_non_linear_family_runs_through_the_section_check():
     assert not spread.is_linear
     assert np.array_equal(spread.jacobian(x),
                           np.vstack([fam.transport(3, J).jacobian(x) for J in levels]))
-    above = fam.inj(5, 3)(x)
-    pl.thread_from_section(pl.SectionPoint.of(fam, [3, 5], {3: x, 5: above}))
-    moved = above + np.array([0.0, 0.0, 0.0, 0.0, 1e-3])
-    with pytest.raises(pl.IllDefinedSection, match="disagree at 5:"):
-        pl.thread_from_section(pl.SectionPoint.of(fam, [3, 5], {3: x, 5: moved}))
+    # two levels of a chain are comparable, so they are no section
+    with pytest.raises(ComparableMembers, match="^members 3 and 5 are comparable$"):
+        pl.SectionPoint.of(fam, [3, 5], {3: x, 5: fam.inj(5, 3)(x)})
+    # an antichain whose members meet at their join through non-linear injections
+    vee = _sine_vee()
+    pl.thread_from_section(pl.SectionPoint.of(vee, ["J", "K"], {"J": [0.7], "K": [0.7]}))
+    with pytest.raises(pl.IllDefinedSection, match="disagree at 'L':"):
+        pl.thread_from_section(pl.SectionPoint.of(vee, ["J", "K"],
+                                                  {"J": [0.7], "K": [0.7 + 1e-3]}))
 
 
 def _dense_chain(n: int = 8, seed: int = 0):
@@ -387,6 +405,13 @@ def test_is_inductive_skips_a_candidate_that_misses_a_level(cross):
     # {J} agrees with t wherever it reaches, but never reaches K
     found = pl.is_inductive(t, [["J"], ["L"]])
     assert found is not None and list(found.section) == ["L"]
+
+
+def test_is_inductive_skips_a_candidate_with_comparable_members(cross):
+    fam = cross.family
+    t = pl.thread_from_section(pl.SectionPoint.of(fam, ["L"], {"L": [0.0, 0.0]}))
+    found = pl.is_inductive(t, [["J", "L"], ["J", "K"]])
+    assert found is not None and list(found.section) == ["J", "K"]
 
 
 def test_lift_binary_poly_truncated_convolution(poly, rng):

@@ -1,4 +1,5 @@
-"""A linear map is its matrix: constructors, application and the towers."""
+"""A linear map is its matrix: constructors, application and the towers; a
+ScalarMap's rows are one batch evaluation that matches its point values."""
 import itertools
 
 import numpy as np
@@ -93,3 +94,78 @@ def test_every_tower_map_is_a_bare_matrix(name):
     for J, K in pairs:
         for mp in (fam.proj(J, K), fam.inj(K, J)):
             assert mp.is_linear and mp.fn is None, (name, J, K)
+
+
+SYMPLECTIC = pl.symplectic_even_tower(3)
+# every function of the expression language; each term is positive or
+# bounded, so the sums have no cancellation and the relative gap is the rounding
+EXPRESSIONS = [
+    (2, "sin(x0)*exp(x1/3) + tanh(x1) + 3"),
+    (4, "sqrt(abs(x0) + 1)*log(sqr(x1) + 2) + cos(x2) + pi"),
+    (6, "(sqr(x1) + sqr(x3) + sqr(x5))/2 + (sqr(x0) + sqr(x2) + sqr(x4))/2"
+        " + (sqr(sqr(x0)) + sqr(sqr(x2)) + sqr(sqr(x4)))/8"),
+    (4, "exp(-sqr(x0 - x3)) + sqrt(sqr(x1) + sqr(x2) + 1) + abs(tan(x0/2))"),
+]
+
+
+def _expression_base(dim: int, text: str) -> pl.ScalarMap:
+    return pl.cylindrical_from_expression(SYMPLECTIC.family, [dim // 2], text).base
+
+
+def _point_rows(base, X) -> np.ndarray:
+    return np.array([base.fn(x) for x in X]).reshape(-1, 1)
+
+
+@pytest.mark.parametrize("dim, text", EXPRESSIONS, ids=["sin-exp-tanh", "sqrt-abs-log-cos-pi",
+                                                        "separable-quartic", "exp-sqrt-abs-tan"])
+def test_expression_rows_match_the_point_values(dim, text):
+    base = _expression_base(dim, text)
+    assert base.batch is not None
+    X = np.random.default_rng(dim).uniform(-2.0, 2.0, (2000, dim))
+    got, want = base.rows(X), _point_rows(base, X)
+    assert got.shape == (2000, 1)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_oscillator_rows_match_the_point_values_bit_for_bit(level):
+    base = SYMPLECTIC["hamiltonian_at"](level).base
+    assert base.batch is not None
+    rng = np.random.default_rng(level)
+    X = rng.standard_normal((2000, 2 * level)) * 10.0 ** rng.integers(-3, 4, (2000, 1))
+    assert base.rows(X).tobytes() == _point_rows(base, X).tobytes()
+
+
+@pytest.mark.parametrize("base", [
+    _expression_base(*EXPRESSIONS[0]), SYMPLECTIC["hamiltonian_at"](1).base],
+    ids=["expression", "oscillator"])
+def test_a_nan_row_stays_nan_at_its_own_row_and_zero_rows_give_none(base):
+    X = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 2))
+    X[3, 1] = np.nan
+    got = base.rows(X)
+    assert np.isnan(got[3, 0]) and np.isfinite(np.delete(got, 3)).all()
+    assert np.array_equal(np.delete(got, 3), np.delete(_point_rows(base, X), 3))
+    assert base.rows(np.zeros((0, 2))).shape == (0, 1)
+
+
+def test_a_constant_expression_gives_one_value_per_row_at_any_dim():
+    cross = pl.cross_family().family
+    for level, dim in (("I", 0), ("L", 2)):
+        base = pl.cylindrical_from_expression(cross, [level], "2 + pi").base
+        for n in (0, 1, 4):
+            got = base.rows(np.zeros((n, dim)))
+            assert got.shape == (n, 1) and np.all(got == base.fn(np.zeros(dim)))
+            assert got.flags.writeable
+
+
+def test_a_batch_of_the_wrong_length_is_a_dimension_mismatch():
+    grad = pl.DifferentiableMap(2, 2, fn=lambda x: x.copy())
+    short = pl.ScalarMap(grad, lambda x: np.array([0.5 * float(x @ x)]), name="short",
+                         batch=lambda X: 0.5 * np.vecdot(X, X)[1:])
+    with pytest.raises(pl.DimensionMismatch, match="short: batch gave 2 values for 3 rows"):
+        short.rows(np.ones((3, 2)))
+    with pytest.raises(pl.DimensionMismatch, match="batch has shape"):
+        short.rows(np.ones((3, 3)))
+    loop = pl.ScalarMap(grad, short.fn)
+    assert loop.batch is None
+    assert np.array_equal(loop.rows(np.ones((3, 2))), np.ones((3, 1)))

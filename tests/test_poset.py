@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import proflim as pl
-from proflim.poset import section_defect
+from proflim.poset import ComparableMembers, section_defect
 from oracles import powerset_sections
 
 
@@ -85,6 +85,19 @@ def test_section_canonical_sorting_and_errors():
     assert "J" in s and len(s) == 2
     with pytest.raises(pl.EmptySection):
         pl.Section.of(p, [])
+
+
+@pytest.mark.parametrize("poset, members, pair", [
+    (pl.euclid_tower(4).family.poset, [3, 2], "2 and 3"),
+    (diamond(), ["J", "L", "K"], "'J' and 'L'"),
+    (pl.nat_chain(), [7, 5], "5 and 7"),
+], ids=["chain", "diamond", "oracle-chain"])
+def test_a_section_refuses_comparable_members(poset, members, pair):
+    with pytest.raises(ComparableMembers, match=f"^members {pair} are comparable$") as err:
+        pl.Section.of(poset, members)
+    assert isinstance(err.value, ValueError)
+    if poset.elements is not None:
+        assert str(err.value) == section_defect(poset, sorted(members, key=poset.key))
 
 
 def test_is_section_probe_semantics():

@@ -178,6 +178,54 @@ def test_flow_refuses_a_run_that_leaves_the_finite_numbers(symplectic, expr, x0,
             pl.flow(symplectic["omega"], H, 1, np.array(x0), dt=dt, steps=20)
 
 
+def _flows(symplectic):
+    """(H, level, scheme, batched) for a flow of each kind: the member is the
+    level, so energies come from the base's batch, or strictly below it, so
+    they come from the composed level function row by row."""
+    fam = symplectic.family
+    return [(symplectic["hamiltonian_at"](2), 2, "leapfrog", True),
+            (pl.cylindrical_from_expression(fam, [3], SEPARABLE_QUARTIC), 3, "leapfrog", True),
+            (pl.cylindrical_from_expression(fam, [2], COUPLED_QUARTIC), 2,
+             "implicit-midpoint", True),
+            (symplectic["hamiltonian_at"](1), 3, "leapfrog", False),
+            (pl.cylindrical_from_expression(fam, [2], COUPLED_QUARTIC), 3,
+             "implicit-midpoint", False)]
+
+
+def test_flow_energies_are_the_level_function_at_every_state(symplectic):
+    rng = np.random.default_rng(5)
+    for H, level, scheme, batched in _flows(symplectic):
+        lf = pl.level_function(H, level)
+        assert (getattr(lf, "batch", None) is not None) == batched
+        x0 = rng.uniform(-1.0, 1.0, symplectic.family.dim(level))
+        traj = pl.flow(symplectic["omega"], H, level, x0, dt=1e-2, steps=200, scheme=scheme)
+        want = np.array([lf(s)[0] for s in traj.states])
+        if batched and H.name != "oscillator":  # array and scalar powers may round apart
+            assert np.all(np.abs(traj.energies - want) <= 1e-15 * np.abs(want))
+        else:
+            assert traj.energies.tobytes() == want.tobytes()
+
+
+# at dt = 10 the state grows about a hundredfold a step, and its energy
+# overflows about half-way to the step where the state itself would
+@pytest.mark.parametrize("kind, step", [("oscillator", 78), ("expression", 67)])
+def test_a_diverging_flow_stops_where_its_row_by_row_energies_do(symplectic, kind, step):
+    H = {"oscillator": symplectic["hamiltonian_at"](1),
+         "expression": pl.cylindrical_from_expression(symplectic.family, [1],
+                                                      "sqr(x0) + sqr(x1)/2")}[kind]
+
+    def failure():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            with pytest.raises(pl.NonconvergentSolve) as err:
+                pl.flow(symplectic["omega"], H, 1, np.array([1.0, 0.0]), dt=10.0, steps=400)
+        return str(err.value)
+
+    assert failure() == f"flow diverged: the state or its energy at step {step} is not finite"
+    H.base.batch = None
+    assert failure() == f"flow diverged: the state or its energy at step {step} is not finite"
+
+
 def test_flow_guards(symplectic, odd_tower, euclid):
     H1 = symplectic["hamiltonian_at"](1)
     with pytest.raises(ValueError):
