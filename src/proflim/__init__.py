@@ -7,9 +7,9 @@ from .maps import (DifferentiableMap, DimensionMismatch, FD_STEP, as_point,
                    compose, fanout_map, fd_jacobian, identity_map,
                    linear_combination_map, matrix_map, ScalarMap,
                    scatter_map, selection_map)
-from .poset import (EmptySection, IndexPoset, InfinitePoset, JoinFailure,
-                    Section, chain_poset, enumerate_sections, finite_poset,
-                    is_directed, is_section, nat_chain, subset_poset)
+from .poset import (EmptySection, IndexPoset, JoinFailure, Section,
+                    chain_poset, enumerate_sections, finite_poset,
+                    is_directed, is_section, subset_poset)
 from .report import AxiomCheck, VerificationReport
 from .family import (FamilyMismatch, FibrationData, ProfiniteFamily,
                      ProfiniteMap, check_profinite_map,

@@ -147,15 +147,15 @@ def finish_reports(doc: dict, reports: List[VerificationReport], out: Optional[s
 
 
 def _same_levels(a, b) -> bool:
-    """Both families list the same levels, b's finite, with the same dimensions."""
-    return (list(a.poset.elements or ()) == list(b.poset.elements)
+    """Both families list the same levels with the same dimensions."""
+    return (list(a.poset.elements) == list(b.poset.elements)
             and all(a.dim(J) == b.dim(J) for J in b.poset.elements))
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     g, fam = resolve_family(ns.family, ns.max_level)
     if not fam.poset.elements:
-        raise UsageError("verify needs a nonempty finite poset")
+        raise UsageError("verify needs a nonempty poset")
     rng = np.random.default_rng(ns.seed)
     reports = [verify_family(fam, points_per_chain=ns.samples, tol=ns.tol, rng=rng)]
 
@@ -184,7 +184,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 def cmd_distance(ns: argparse.Namespace) -> int:
     g, fam = resolve_family(ns.family, ns.max_level)
     if not fam.poset.elements:
-        raise UsageError("distance needs a nonempty finite index poset")
+        raise UsageError("distance needs a nonempty poset")
     x = thread_from_descriptor(g or fam, ns.x)
     y = thread_from_descriptor(g or fam, ns.y)
     metrics = {"euclidean": euclidean_metrics, "discrete": discrete_metrics}[ns.metric](fam)

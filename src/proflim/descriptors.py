@@ -121,8 +121,6 @@ def decode_index(obj) -> Any:
 
 
 def poset_to_descriptor(poset: IndexPoset) -> dict:
-    if poset.elements is None:
-        raise DescriptorError("oracle posets have no finite descriptor")
     els = list(poset.elements)
     if all(isinstance(e, frozenset) for e in els) and els:
         pool = sorted(set().union(*els))
@@ -319,8 +317,6 @@ def family_to_descriptor(family: ProfiniteFamily,
     """Export with explicit matrices on the given comparable pairs (defaults
     to the family's stored pairs, else all adjacent comparable pairs)."""
     poset = family.poset
-    if poset.elements is None:
-        raise DescriptorError("oracle-indexed families have no finite descriptor")
     if pairs is None:
         if family.stored_pairs is not None:
             pairs = family.stored_pairs
@@ -392,8 +388,8 @@ def dump_family(family: ProfiniteFamily, path,
 
 
 def _level_of(family: ProfiniteFamily, J, path: str):
-    """J, refused unless it is an element of the family's finite poset."""
-    if family.poset.elements is not None and J not in family.poset.elements:
+    """J, refused unless it is an element of the family's poset."""
+    if J not in family.poset.elements:
         raise DescriptorError(f"{path}: {J!r} is not a level of {family.name or 'the family'}")
     return J
 
@@ -406,8 +402,8 @@ def thread_from_descriptor(gallery_or_family, doc: dict) -> Thread:
     named: a thread shipped in a gallery family's extras.
     section-point: {"section": [...], "values": [[index, [floats]], ...]},
     extended to a thread through the family's projections and injections;
-    on a finite poset the section must be a section (an antichain that
-    reaches every level) and the members must agree wherever they meet.
+    the section must be a section (an antichain that reaches every level)
+    and the members must agree wherever they meet.
     """
     from .gallery import GalleryFamily
 
@@ -445,8 +441,7 @@ def thread_from_descriptor(gallery_or_family, doc: dict) -> Thread:
             raise DescriptorError(f"thread.section: not a section: {err}") from None
         except (EmptySection, IllDefinedSection, DimensionMismatch) as err:
             raise DescriptorError(f"thread: {err}") from None
-        defect = (None if family.poset.elements is None
-                  else section_defect(family.poset, sp.section))
+        defect = section_defect(family.poset, sp.section)
         if defect is not None:
             raise DescriptorError(f"thread.section: not a section: {defect}")
         try:

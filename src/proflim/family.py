@@ -191,8 +191,6 @@ def strict_pairs(poset: IndexPoset, pairs: Iterable[tuple]) -> Iterator[tuple]:
 def sample_chains(poset: IndexPoset, rng: np.random.Generator,
                   count: int = 30, length: int = 3) -> list[tuple]:
     """Random weakly increasing chains from a finite poset."""
-    if poset.elements is None:
-        raise FamilyMismatch("chain sampling needs a finite poset or explicit chains")
     els = poset.elements
     chains = []
     for _ in range(count):
@@ -208,8 +206,6 @@ def sample_chains(poset: IndexPoset, rng: np.random.Generator,
 def sample_pairs(poset: IndexPoset, rng: np.random.Generator,
                  count: int = 12) -> list[tuple]:
     """Random comparable pairs (J, K), J <= K, from a finite poset."""
-    if poset.elements is None:
-        raise FamilyMismatch("pair sampling needs a finite poset or explicit pairs")
     els = poset.elements
     pairs = []
     for _ in range(count):

@@ -126,42 +126,24 @@ def _agreed(I, cands: list, tol: float) -> np.ndarray:
     return cands[0]
 
 
-def _extend(sp: SectionPoint, I, tol: float) -> np.ndarray:
-    """The value the members induce at I, projected from members above and
-    injected from members below.  Raises Incomparable when no member
-    reaches I, IllDefinedSection when two members disagree there."""
-    cands = []
-    for member in sp.section:
-        if member == I:
-            cands.append(sp.values[member])
-        elif (mp := sp.family.transport(member, I)) is not None:
-            cands.append(mp(sp.values[member]))
-    if not cands:
-        raise Incomparable(f"index {I!r} is comparable to no member of {sp.section}")
-    return _agreed(I, cands, tol)
-
-
 def thread_from_section(sp: SectionPoint, tol: float = 1e-9,
                         check: bool = True) -> Thread:
     """The thread induced by a section point; `check` is ignored.
 
     Member values are returned verbatim at their own index, so restricting
     the thread back to the section is float-exact.  The members are compared
-    at every pairwise join when the thread is built, and IllDefinedSection
-    names the first disagreement.  On a finite poset they are then compared
-    at every element of `poset.reach(section)`, and each value is memoized
-    as a read-only slice of one cached `family.spread` product per member.
-    On an oracle poset every other level is extended when it is first read.
-    A level no member reaches raises Incomparable.
+    at every pairwise join, then at every element of `poset.reach(section)`,
+    and IllDefinedSection names the first disagreement.  Each value is
+    memoized as a read-only slice of one cached `family.spread` product per
+    member.  A level no member reaches raises Incomparable.
     """
+    def unreached(I):
+        raise Incomparable(f"index {I!r} is comparable to no member of {sp.section}")
+
     label = ",".join(repr(m) for m in sp.section)
-    thread = Thread(sp.family, lambda I: _extend(sp, I, tol), name=f"sec[{label}]")
+    thread = Thread(sp.family, unreached, name=f"sec[{label}]")
     poset = sp.family.poset
     joins = dict.fromkeys(poset.require_join(a, b) for a, b in combinations(sp.section, 2))
-    if poset.elements is None:
-        for I in joins:
-            thread(I)
-        return thread
     cands: dict = {}
     for member in sp.section:
         levels, cuts, spread = sp.family.spread(member)
@@ -192,28 +174,19 @@ def check_thread(t: Thread, pairs: Iterable[tuple], tol: float = 1e-9) -> Verifi
     return report
 
 
-def is_inductive(t: Thread, candidate_sections: Iterable, probe: Optional[Iterable] = None,
+def is_inductive(t: Thread, candidate_sections: Iterable,
                  tol: float = 1e-9) -> Optional[SectionPoint]:
-    """First candidate section whose induced thread matches t on the probe;
-    a candidate with comparable members, or whose members disagree, is skipped.
-
-    The probe defaults to every element of a finite poset; oracle posets
-    need an explicit probe, since finitely many values can never certify
-    inductivity there on their own.
-    """
+    """First candidate section whose induced thread matches t at every
+    element; a candidate with comparable members, or whose members disagree,
+    is skipped."""
     poset = t.family.poset
-    if probe is None:
-        if poset.elements is None:
-            raise Incomparable("is_inductive on an oracle poset needs an explicit probe")
-        probe = poset.elements
-    probe = list(probe)
     for section in candidate_sections:
         try:
             sec = section if isinstance(section, Section) else Section.of(poset, section)
             sp = restrict_thread(t, sec)
             induced = thread_from_section(sp, tol=tol)
             # an index no member reaches raises Incomparable before t is read
-            if all(residual(induced(idx), t(idx)) <= tol for idx in probe):
+            if all(residual(induced(idx), t(idx)) <= tol for idx in poset.elements):
                 return sp
         except (ComparableMembers, IllDefinedSection, Incomparable):
             continue

@@ -1,11 +1,8 @@
 """Directed index posets, sections, and the filter of section shadows.
 
-A poset is given by a `leq` oracle together with a `join` oracle that
-produces an upper bound for any two indices (directedness).  Finite posets
-carry an explicit element tuple; infinite ones ("countable-chain",
-"finite-subsets-of-parameter-set") are pure oracles and every check about
-them is relative to a caller-supplied finite probe, reported as verified
-on that probe and never as a proof.
+A poset is a finite tuple of elements with a `leq` oracle and a `join`
+oracle that produces an upper bound for any two indices (directedness).
+An infinite index set such as the naturals appears as a finite truncation.
 """
 from __future__ import annotations
 
@@ -32,10 +29,6 @@ class ComparableMembers(ValueError):
     """Two members of a would-be section are comparable."""
 
 
-class InfinitePoset(Exception):
-    """An enumeration was requested from an oracle-only poset."""
-
-
 def _default_key(x):
     # total order on index identifiers, independent of leq, for canonical
     # sorting and witness names
@@ -46,13 +39,12 @@ def _default_key(x):
 
 @dataclass(frozen=True)
 class IndexPoset:
-    """leq/join oracles plus an optional finite enumeration; `below(I)` and
+    """leq/join oracles over a finite element tuple; `below(I)` and
     `above(I)`, when given, list the elements <= I and >= I without leq."""
 
     leq: Callable[[Any, Any], bool]
     join: Callable[[Any, Any], Optional[Any]]
-    kind: str = "finite"
-    elements: Optional[tuple] = None
+    elements: tuple
     key: Callable[[Any], Any] = _default_key
     below: Optional[Callable[[Any], tuple]] = field(default=None, repr=False, compare=False)
     above: Optional[Callable[[Any], tuple]] = field(default=None, repr=False, compare=False)
@@ -81,8 +73,6 @@ class IndexPoset:
         return tuple(sorted(found, key=self._position.__getitem__))
 
     def _walk(self, enum, I, keep) -> tuple:
-        if self.elements is None:
-            raise InfinitePoset("an oracle poset cannot enumerate its elements")
         return enum(I) if enum is not None else tuple(filter(keep, self.elements))
 
     @cached_property
@@ -133,16 +123,9 @@ def chain_poset(indices: Iterable[int]) -> IndexPoset:
     els = tuple(sorted(int(i) for i in indices))
     return IndexPoset(leq=lambda a, b: a <= b,
                       join=lambda a, b: max(a, b),
-                      kind="finite", elements=els,
+                      elements=els,
                       below=lambda i: els[:bisect_right(els, i)],
                       above=lambda i: els[bisect_left(els, i):])
-
-
-def nat_chain() -> IndexPoset:
-    """The naturals with the usual order, as a pure oracle."""
-    return IndexPoset(leq=lambda a, b: a <= b,
-                      join=lambda a, b: max(a, b),
-                      kind="countable-chain", elements=None)
 
 
 def finite_poset(elements: Iterable, leq: Callable[[Any, Any], bool]) -> IndexPoset:
@@ -161,18 +144,17 @@ def finite_poset(elements: Iterable, leq: Callable[[Any, Any], bool]) -> IndexPo
                    if not any(leq(v, u) and v != u for v in uppers)]
         return sorted(minimal, key=_default_key)[0]
 
-    return IndexPoset(leq=leq, join=join, kind="finite", elements=els)
+    return IndexPoset(leq=leq, join=join, elements=els)
 
 
-def subset_poset(pool: Optional[Iterable] = None) -> IndexPoset:
-    """Finite subsets ordered by inclusion.
+def subset_poset(pool: Iterable) -> IndexPoset:
+    """The subsets of a finite pool ordered by inclusion.
 
-    With a finite `pool` the poset is fully enumerable (all subsets of the
-    pool, the empty set included, by size, then by `combinations` over the
-    sorted pool); with pool=None it is the oracle poset of finite subsets of
-    an unspecified parameter set.  The down-set of S (the subsets of S) and
-    its up-set (S joined with each subset of the rest) are generated the
-    same way, so they list the element objects in element order.
+    The elements are all subsets of the pool, the empty set included, by
+    size, then by `combinations` over the sorted pool.  The down-set of S
+    (the subsets of S) and its up-set (S joined with each subset of the
+    rest) are generated the same way, so they list the element objects in
+    element order.
     """
     def leq(a, b):
         return frozenset(a) <= frozenset(b)
@@ -180,9 +162,6 @@ def subset_poset(pool: Optional[Iterable] = None) -> IndexPoset:
     def join(a, b):
         return frozenset(a) | frozenset(b)
 
-    if pool is None:
-        return IndexPoset(leq=leq, join=join,
-                          kind="finite-subsets-of-parameter-set", elements=None)
     items = sorted(set(pool))
 
     def subsets(among):
@@ -200,8 +179,7 @@ def subset_poset(pool: Optional[Iterable] = None) -> IndexPoset:
         rest = [t for t in items if t not in S]
         return tuple(canon[S | R] for R in subsets(rest)) if S in canon else ()
 
-    return IndexPoset(leq=leq, join=join, kind="finite-subsets-of-parameter-set",
-                      elements=els, below=below, above=above)
+    return IndexPoset(leq=leq, join=join, elements=els, below=below, above=above)
 
 
 # ---------------------------------------------------------------------------
@@ -226,36 +204,24 @@ def _comparable_pair(poset: IndexPoset, members: Sequence) -> Optional[str]:
                  for a, b in combinations(members, 2) if poset.comparable(a, b)), None)
 
 
-def section_defect(poset: IndexPoset, members: Iterable,
-                   probe: Optional[Iterable] = None) -> Optional[str]:
+def section_defect(poset: IndexPoset, members: Iterable) -> Optional[str]:
     """Why the members are not a section, or None when they are: the first
-    comparable pair of members, else the first probe index no member reaches.
-
-    For finite posets the probe defaults to all elements, making the check
-    exact, and coverage is read from `poset.reach`; for oracle posets the
-    result is only as strong as the probe.
-    """
+    comparable pair of members, else the first element no member reaches,
+    read from `poset.reach`."""
     mem = list(members.members) if isinstance(members, Section) else list(members)
     if not mem:
         raise EmptySection("a section must have at least one member")
     defect = _comparable_pair(poset, mem)
     if defect is not None:
         return defect
-    if probe is None:
-        if poset.elements is None:
-            raise InfinitePoset("an oracle poset needs an explicit probe")
-        reached = set(poset.reach(mem))
-        probe = [J for J in poset.elements if J not in reached][:1]
-    for idx in probe:
-        if not any(poset.comparable(idx, m) for m in mem):
-            return f"no member reaches level {idx!r}"
-    return None
+    reached = set(poset.reach(mem))
+    return next((f"no member reaches level {J!r}"
+                 for J in poset.elements if J not in reached), None)
 
 
-def is_section(poset: IndexPoset, members: Iterable, probe: Optional[Iterable] = None) -> bool:
-    """Antichain test plus comparability of every probe index to a member;
-    see section_defect."""
-    return section_defect(poset, members, probe) is None
+def is_section(poset: IndexPoset, members: Iterable) -> bool:
+    """Antichain test plus coverage of every element; see section_defect."""
+    return section_defect(poset, members) is None
 
 
 def enumerate_sections(poset: IndexPoset) -> list[Section]:
@@ -265,8 +231,6 @@ def enumerate_sections(poset: IndexPoset) -> list[Section]:
     in the tests: antichains are grown element by element with comparability
     pruning, then filtered by the coverage condition.
     """
-    if poset.elements is None:
-        raise InfinitePoset("cannot enumerate sections of an oracle poset")
     els = poset.sort(poset.elements)
     found = []
 

@@ -242,6 +242,22 @@ def section_thread_levels(family, values, tol=1e-9):
     return out
 
 
+def section_disagreement(sp, tol=1e-9):
+    """The IllDefinedSection message of a section point's first disagreement,
+    or None: the pairwise joins first, then poset.reach(section) in element
+    order, each level's candidates carried there one level at a time by
+    family.transport, in member order."""
+    family, poset = sp.family, sp.family.poset
+    joins = [poset.require_join(a, b) for a, b in combinations(sp.section, 2)]
+    for I in dict.fromkeys((*joins, *poset.reach(sp.section))):
+        cands = [sp.values[m] if m == I else family.transport(m, I)(sp.values[m])
+                 for m in sp.section if poset.comparable(m, I)]
+        for other in cands[1:]:
+            if not np.abs(other - cands[0]).max(initial=0.0) <= tol:
+                return f"member values disagree at {I!r}: {cands[0]} vs {other}"
+    return None
+
+
 def fibration_pointwise(data, pairs, samples, rng):
     """Max residuals (vs projections, vs injections) of verify_fibration,
     one point of E_K and one point of E_J at a time."""

@@ -63,13 +63,18 @@ def test_corrupted_descriptor_fails_naming_retraction(capsys):
     assert "e-03" in err  # the planted defect sits around 1e-3
 
 
-def test_verify_infinite_poset_exit_two(capsys, monkeypatch):
-    fam = pl.ProfiniteFamily(pl.nat_chain(), lambda n: n,
-                             lambda J, K: None, lambda K, J: None)
-    monkeypatch.setattr(cli, "resolve_family", lambda name, max_level=None: (None, fam))
-    code, _, err = run(capsys, "verify", "--family", "naturals")
-    assert code == 2
-    assert "finite poset" in err
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["distance", "--x", '{"kind": "sequence", "values": [1.0]}',
+     "--y", '{"kind": "sequence", "values": [2.0]}'],
+], ids=["verify", "distance"])
+def test_an_empty_poset_exits_two(capsys, tmp_path, argv):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"schema_version": pl.SCHEMA_VERSION, "levels": [],
+                                "poset": {"kind": "chain", "elements": []}}))
+    code, out, err = run(capsys, argv[0], "--family", str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert f"{argv[0]} needs a nonempty poset" in err
 
 
 def test_usage_errors_exit_two(capsys):

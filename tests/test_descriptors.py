@@ -92,8 +92,6 @@ def test_poset_descriptor_kinds(euclid, cross, wiener):
     assert pl.poset_to_descriptor(wiener.family.poset)["kind"] == "subsets"
     with pytest.raises(pl.DescriptorError):
         pl.poset_from_descriptor({"kind": "mystery"})
-    with pytest.raises(pl.DescriptorError):
-        pl.poset_to_descriptor(pl.subset_poset())  # oracle poset, no elements
 
 
 @pytest.mark.parametrize("leq, message", [

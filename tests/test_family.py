@@ -184,8 +184,6 @@ def test_sample_chains_increasing(euclid, rng):
         for a, b in zip(chain, chain[1:]):
             assert poset.leq(a, b)
     assert all(poset.leq(a, b) for a, b in pl.sample_pairs(poset, rng, count=20))
-    with pytest.raises(pl.FamilyMismatch):
-        pl.sample_pairs(pl.nat_chain(), rng)
 
 
 def _padded_family() -> pl.ProfiniteFamily:

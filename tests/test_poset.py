@@ -90,21 +90,15 @@ def test_section_canonical_sorting_and_errors():
 @pytest.mark.parametrize("poset, members, pair", [
     (pl.euclid_tower(4).family.poset, [3, 2], "2 and 3"),
     (diamond(), ["J", "L", "K"], "'J' and 'L'"),
-    (pl.nat_chain(), [7, 5], "5 and 7"),
-], ids=["chain", "diamond", "oracle-chain"])
+], ids=["chain", "diamond"])
 def test_a_section_refuses_comparable_members(poset, members, pair):
     with pytest.raises(ComparableMembers, match=f"^members {pair} are comparable$") as err:
         pl.Section.of(poset, members)
     assert isinstance(err.value, ValueError)
-    if poset.elements is not None:
-        assert str(err.value) == section_defect(poset, sorted(members, key=poset.key))
+    assert str(err.value) == section_defect(poset, sorted(members, key=poset.key))
 
 
 def test_is_section_probe_semantics():
-    p = pl.nat_chain()
-    with pytest.raises(pl.InfinitePoset):
-        pl.is_section(p, [3])
-    assert pl.is_section(p, [3], probe=range(10))
     assert not pl.is_section(pl.chain_poset(range(4)), [1, 2])
 
 
@@ -121,15 +115,6 @@ def test_join_failure_surfaces():
         pl.is_directed(p, ["a", "b"])
     with pytest.raises(pl.JoinFailure):
         p.require_join("a", "b")
-
-
-def test_subset_poset_oracle_mode():
-    p = pl.subset_poset()
-    assert p.elements is None
-    a, b = frozenset([1]), frozenset([2])
-    assert p.join(a, b) == frozenset([1, 2])
-    with pytest.raises(pl.InfinitePoset):
-        pl.enumerate_sections(p)
 
 
 def test_enumerate_sections_ordering_is_deterministic():
@@ -180,7 +165,7 @@ def test_subset_enumerators_ask_no_order_oracle():
     calls = []
     base = pl.subset_poset([1, 2, 3, 4])
     p = pl.IndexPoset(leq=lambda a, b: calls.append((a, b)) or base.leq(a, b),
-                      join=base.join, kind=base.kind, elements=base.elements,
+                      join=base.join, elements=base.elements,
                       below=base.below, above=base.above)
     S = frozenset({2, 4})
     assert p.down(S) == (frozenset(), frozenset({2}), frozenset({4}), S)
@@ -188,10 +173,3 @@ def test_subset_enumerators_ask_no_order_oracle():
     missed = set(p.elements) - set(p.reach([S, frozenset({1})]))
     assert missed == {frozenset({3}), frozenset({2, 3}), frozenset({3, 4})}
     assert calls == []
-
-
-def test_oracle_posets_do_not_enumerate():
-    for p in (pl.nat_chain(), pl.subset_poset()):
-        for walk in (p.down, p.up, lambda I: p.reach([I])):
-            with pytest.raises(pl.InfinitePoset):
-                walk(frozenset({1}) if p.kind != "countable-chain" else 1)
