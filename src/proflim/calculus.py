@@ -8,7 +8,7 @@ central finite differences otherwise.
 """
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
@@ -116,26 +116,16 @@ def symbolic_form(family: ProfiniteFamily, degree: int,
     """
     import sympy
 
-    cache: dict = {}
-    lock = threading.Lock()
-
-    def memo(build, J):
-        key = (build, J)
-        with lock:
-            if key in cache:
-                return cache[key]
-        entry = build(J)
-        with lock:
-            return cache.setdefault(key, entry)
-
+    @functools.cache
     def compiled(J):
         syms, exprs = level_exprs(J)
         exprs = np.asarray(exprs, dtype=object)
         flat = [sympy.sympify(e) for e in exprs.ravel()]
         return list(syms), exprs, sympy.lambdify(list(syms), flat, "numpy")
 
+    @functools.cache
     def differentiated(J):
-        syms, exprs, _ = memo(compiled, J)
+        syms, exprs, _ = compiled(J)
         partial = np.empty((family.dim(J),) + exprs.shape, dtype=object)
         for idx in np.ndindex(partial.shape):
             partial[idx] = sympy.diff(sympy.sympify(exprs[idx[1:]]), syms[idx[0]])
@@ -147,15 +137,15 @@ def symbolic_form(family: ProfiniteFamily, degree: int,
         return np.asarray(vals, dtype=float).reshape(exprs.shape)
 
     def d_exprs(J):
-        syms, partial, _ = memo(differentiated, J)
+        syms, partial, _ = differentiated(J)
         out = alternating_sum(partial)
         for idx in np.ndindex(out.shape):
             out[idx] = sympy.expand(out[idx])
         return syms, out
 
     return TameForm(family, degree,
-                    comps=lambda J, x: evaluate(memo(compiled, J), x),
-                    dcomps=lambda J, x: evaluate(memo(differentiated, J), x),
+                    comps=lambda J, x: evaluate(compiled(J), x),
+                    dcomps=lambda J, x: evaluate(differentiated(J), x),
                     kind="symbolic", payload=d_exprs, name=name)
 
 

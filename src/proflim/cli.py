@@ -19,7 +19,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .calculus import CompatibleMetric, TameForm, check_tame, metric_check
+from .calculus import TameForm, check_tame
 from .cylinder import reexpress
 from .descriptors import (DescriptorError, SCHEMA_VERSION, family_from_descriptor,
                           family_to_descriptor, form_from_descriptor,
@@ -172,8 +172,6 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         if isinstance(obj, TameForm):
             reports.append(check_tame(obj, pairs, samples=few, rng=rng,
                                       tol=ns.tol if ns.tame_tol is None else ns.tame_tol))
-        elif isinstance(obj, CompatibleMetric):
-            reports.append(metric_check(obj, pairs, samples=few, tol=ns.tol, rng=rng))
 
     doc = {"command": "verify", "family": ns.family, "seed": ns.seed,
            "tolerance": ns.tol}

@@ -52,19 +52,18 @@ class ProfiniteFamily:
     def dim(self, J) -> int:
         return int(self._level_dim(J))
 
-    def _cached(self, kind: str, J, K, ordered: bool):
+    def _cached(self, kind: str, J, K):
         """The map of `kind` ("proj" or "inj") for the pair J <= K, built once.
 
         The cache is keyed by the indices themselves and read before the
         order oracle: an entry exists only for a pair that passed leq when
-        it was built, or that the caller had `ordered` by leq just before.
-        J == K shares one identity entry between both kinds.
+        it was built.  J == K shares one identity entry between both kinds.
         """
         key = ("id", J) if J == K else (kind, J, K)
         with self._lock:
             if key in self._cache:
                 return self._cache[key]
-        if not (ordered or self.poset.leq(J, K)):
+        if not self.poset.leq(J, K):
             pair = (J, K) if kind == "proj" else (K, J)
             raise FamilyMismatch(f"{kind} asked for a non-comparable pair {pair!r}")
         value = identity_map(self.dim(J)) if J == K else self._build(kind, J, K)
@@ -122,33 +121,33 @@ class ProfiniteFamily:
 
     def proj(self, J, K) -> DifferentiableMap:
         """The projection E_K -> E_J for J <= K."""
-        return self._cached("proj", J, K, False)
+        return self._cached("proj", J, K)
 
     def inj(self, K, J) -> DifferentiableMap:
         """The injection E_J -> E_K for J <= K."""
-        return self._cached("inj", J, K, False)
+        return self._cached("inj", J, K)
 
     def transport(self, src, dst) -> Optional[DifferentiableMap]:
         """The map E_src -> E_dst between comparable levels: proj(dst, src)
-        when dst <= src, else inj(dst, src); None when they are incomparable.
-        The order is read once per call, so a cold pair costs one or two leq."""
+        when dst <= src, else inj(dst, src); None when they are incomparable."""
         if self.poset.leq(dst, src):
-            return self._cached("proj", dst, src, True)
+            return self.proj(dst, src)
         if self.poset.leq(src, dst):
-            return self._cached("inj", src, dst, True)
+            return self.inj(dst, src)
         return None
 
     def spread(self, member) -> tuple:
         """(levels, cuts, map), built once: the levels `poset.reach([member])`,
         the slice of the map's output that falls on each, and the fanout of
-        the member's transports to them (its own slot an uncached identity)."""
+        the member's transports to them; only the fanout is cached."""
         key = ("spread", member)
         with self._lock:
             if key in self._cache:
                 return self._cache[key]
         levels = self.poset.reach([member])
-        maps = [identity_map(self.dim(I)) if I == member else self.transport(member, I)
-                for I in levels]
+        maps = [identity_map(self.dim(I)) if I == member
+                else self._build("proj", I, member) if self.poset.leq(I, member)
+                else self._build("inj", member, I) for I in levels]
         ends = accumulate(m.codomain_dim for m in maps)
         cuts = [slice(end - m.codomain_dim, end) for m, end in zip(maps, ends)]
         value = levels, cuts, fanout_map(maps)

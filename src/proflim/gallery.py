@@ -18,7 +18,7 @@ from .family import ProfiniteFamily, ProfiniteMap
 from .limits import AlgebraicStructure, ScalarAction, Thread
 from .maps import (DifferentiableMap, DimensionMismatch, ScalarMap, matrix_map,
                    scatter_map, selection_map)
-from .poset import Section, chain_poset, finite_poset, subset_poset
+from .poset import IndexPoset, Section, chain_poset, finite_poset, subset_poset
 from .profmetric import IndexMeasure, euclidean_metrics
 from .symplectic import MomentumMap, ProfiniteGroupAction, canonical_omega
 
@@ -36,15 +36,15 @@ class GalleryFamily:
         return self.extras[key]
 
 
-def _coordinate_family(levels: Sequence[int], level_dim: Callable[[int], int], name: str,
-                       coords: Optional[Callable[[int, int], Sequence[int]]] = None
+def _coordinate_family(poset: IndexPoset, level_dim: Callable[[Any], int], name: str,
+                       coords: Optional[Callable[[Any, Any], Sequence[int]]] = None
                        ) -> ProfiniteFamily:
-    """Chain whose level J sits in level K as the coordinates coords(J, K),
+    """Family whose level J sits in level K as the coordinates coords(J, K),
     by default the first level_dim(J): projections select those
     coordinates and injections scatter them, zero elsewhere."""
     coords = coords or (lambda J, K: range(level_dim(J)))
     return ProfiniteFamily(
-        chain_poset(levels), level_dim,
+        poset, level_dim,
         proj_factory=lambda J, K: selection_map(level_dim(K), coords(J, K)),
         inj_factory=lambda K, J: scatter_map(level_dim(K), coords(J, K)),
         name=name)
@@ -68,7 +68,7 @@ def sequence_thread(family: ProfiniteFamily, seq: Sequence[float],
 
 
 def euclid_tower(max_level: int = 6) -> GalleryFamily:
-    fam = _coordinate_family(range(max_level + 1), lambda n: n, "euclid")
+    fam = _coordinate_family(chain_poset(range(max_level + 1)), lambda n: n, "euclid")
     zeros = Thread(fam, lambda n: np.zeros(n), name="origin")
     # prefix distances grow to ||(3,4)|| = 5, so the squashed sup is 5/6
     seq = np.zeros(max_level + 1)
@@ -117,7 +117,7 @@ def _poly_mul_level(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def poly_tower(max_degree: int = 6) -> GalleryFamily:
-    fam = _coordinate_family(range(max_degree + 1), lambda n: n + 1, "poly")
+    fam = _coordinate_family(chain_poset(range(max_degree + 1)), lambda n: n + 1, "poly")
     exp_series = Thread(
         fam,
         lambda n: 1.0 / np.array([math.factorial(k) for k in range(n + 1)],
@@ -133,7 +133,7 @@ def poly_tower(max_degree: int = 6) -> GalleryFamily:
         fam, op=lambda J, a, b: _poly_mul_level(a, b),
         neutral=Thread(fam, lambda n: np.eye(n + 1)[0], name="one"),
         name="truncated product")
-    ring = _coordinate_family(range(max_degree + 1), lambda n: 1, "constants")
+    ring = _coordinate_family(chain_poset(range(max_degree + 1)), lambda n: 1, "constants")
     scal = ScalarAction(
         ring=ring, module=fam,
         act=lambda J, c, a: float(c[0]) * a,
@@ -175,7 +175,7 @@ def matrix_thread(family: ProfiniteFamily, block_fn: Callable[[int], np.ndarray]
 
 
 def matrix_tower(max_n: int = 4) -> GalleryFamily:
-    fam = _coordinate_family(range(1, max_n + 1), lambda n: n * n, "matrix",
+    fam = _coordinate_family(chain_poset(range(1, max_n + 1)), lambda n: n * n, "matrix",
                              coords=_corner_indices)
 
     def as_block(J, x):
@@ -213,30 +213,11 @@ def matrix_tower(max_n: int = 4) -> GalleryFamily:
 
 def cross_family() -> GalleryFamily:
     order = {"I": 0, "J": 1, "K": 1, "L": 2}
-    poset = finite_poset(
-        ["I", "J", "K", "L"],
-        leq=lambda a, b: a == b or (order[a] < order[b]
-                                    and not (order[a] == 1 and order[b] == 1)))
+    poset = finite_poset(["I", "J", "K", "L"],
+                         leq=lambda a, b: a == b or order[a] < order[b])
     dims = {"I": 0, "J": 1, "K": 1, "L": 2}
-    coord = {"J": 0, "K": 1}
-
-    def proj_factory(J, K):
-        if K == "L" and J in coord:
-            return selection_map(2, [coord[J]])
-        if J == "I":
-            return selection_map(dims[K], [])
-        return None
-
-    def inj_factory(K, J):
-        if K == "L" and J in coord:
-            return scatter_map(2, [coord[J]])
-        if J == "I":
-            return scatter_map(dims[K], [])
-        return None
-
-    stored = [("I", "J"), ("I", "K"), ("J", "L"), ("K", "L")]
-    fam = ProfiniteFamily(poset, lambda n: dims[n], proj_factory, inj_factory,
-                          stored_pairs=stored, name="cross")
+    fam = _coordinate_family(poset, dims.__getitem__, "cross",
+                             coords=lambda J, K: {"J": [0], "K": [1]}.get(J, []))
     swap = ProfiniteMap(
         source=fam, target=fam,
         index_map=lambda n: {"J": "K", "K": "J"}.get(n, n),
@@ -313,25 +294,23 @@ def pairing(alpha: Sequence[tuple], path: Callable[[float], float]) -> float:
     return float(sum(c * path(t) for t, c in alpha))
 
 
-def wiener_family(times: Optional[Sequence[float]] = None) -> GalleryFamily:
-    pool = tuple(sorted(times)) if times is not None else DYADIC_POOL
+def knot_pool(times: Sequence[float]) -> tuple:
+    """The knot times, sorted; a ValueError unless distinct and positive."""
+    pool = tuple(sorted(times))
     if len(set(pool)) != len(pool) or any(t <= 0 for t in pool):
         raise ValueError("knot times must be distinct and positive")
+    return pool
+
+
+def wiener_family(times: Optional[Sequence[float]] = None) -> GalleryFamily:
+    pool = knot_pool(times) if times is not None else DYADIC_POOL
     poset = subset_poset(pool)
 
-    def proj_factory(T, S):
-        ts = sorted(S)
-        return selection_map(len(ts), [ts.index(t) for t in sorted(T)])
+    def interpolate(dst, src):
+        return matrix_map(pl_weights(sorted(dst), sorted(src)))
 
-    def inj_factory(S, T):
-        return matrix_map(pl_weights(sorted(S), sorted(T)))
-
-    fam = ProfiniteFamily(
-        poset,
-        level_dim=lambda S: len(S),
-        proj_factory=proj_factory,
-        inj_factory=inj_factory,
-        name="wiener")
+    fam = ProfiniteFamily(poset, level_dim=len, proj_factory=interpolate,
+                          inj_factory=interpolate, name="wiener")
 
     def sample_path(S, rng):
         return brownian_sample(sorted(S), rng)
@@ -392,7 +371,7 @@ def pair_momentum(family: ProfiniteFamily, pair: int) -> CylindricalFunction:
 
 
 def symplectic_even_tower(max_pairs: int = 3) -> GalleryFamily:
-    fam = _coordinate_family(range(1, max_pairs + 1), lambda m: 2 * m, "pair-tower")
+    fam = _coordinate_family(chain_poset(range(1, max_pairs + 1)), lambda m: 2 * m, "pair-tower")
     omega = constant_form(fam, 2, lambda m: canonical_omega(2 * m), name="omega")
 
     action = ProfiniteGroupAction(
@@ -419,7 +398,7 @@ def symplectic_even_tower(max_pairs: int = 3) -> GalleryFamily:
 def odd_symplectic_tower(max_dim: int = 5) -> GalleryFamily:
     """Every dimension appears, so odd levels carry a degenerate form; the
     unpaired direction only finds a partner one level up."""
-    fam = _coordinate_family(range(1, max_dim + 1), lambda d: d, "odd-tower")
+    fam = _coordinate_family(chain_poset(range(1, max_dim + 1)), lambda d: d, "odd-tower")
     omega = constant_form(fam, 2, canonical_omega, name="omega-odd")
     return GalleryFamily(
         "odd-symplectic", fam,

@@ -141,8 +141,9 @@ def d_inf(m: LevelMetricFamily, x, y, level_sets: Iterable[Iterable],
 
     Returns (value, converged, history).  Each stage takes the sup over all
     levels seen so far, so history is monotone; converged means the last
-    enlargement moved the sup by at most tol.  Never a proof: the true sup
-    over an infinite poset can exceed every finite stage.  A NaN level
+    enlargement moved the sup by at most tol.  Never a proof: the sup
+    covers only the levels in the given stages, and a level left out of
+    them can raise it.  A NaN level
     distance is a ValueError naming the level; an infinite one squashes to 1.
     Every stage's new levels are measured in one batch.
     """

@@ -486,6 +486,8 @@ def _with_rows(rows):
     ("measure-tail-inf", "line 2: weight 'inf' is not a finite number >= 0"),
     ("section-inf-entry", r"thread\.section\[0\]: inf is not a finite number"),
     ("flow-infinite-constant", r"non-finite constants in '1/0 \+ sqr\(x1\)': \['zoo'\]"),
+    ("family-pl-zero-knot",
+     r"injections\[0\]\.payload\.knots: knot times must be distinct and positive"),
 ])
 def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message):
     def family_text(text):
@@ -541,6 +543,10 @@ def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message)
                                       '"values": [[1e999, [0.0]]]}'],
         "flow-infinite-constant": lambda: ["flow", "--family", "symplectic", "--level", "1",
                                            "--H", "1/0 + sqr(x1)", "--x0", "0,1"],
+        # a knot at time 0 would divide by the zero gap to the (0, 0) anchor
+        "family-pl-zero-knot": lambda: family({**PAIR, "injections": [
+            {"from": 1, "to": 2, "kind": "pl-interpolation",
+             "payload": {"knots": [0.0], "targets": [-0.1]}}]}),
     }[case]()
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

@@ -210,6 +210,18 @@ def test_family_descriptor_errors(euclid):
         "projections": [], "injections": []})
     with pytest.raises(pl.DescriptorError):
         fam.dim(2)
+    with pytest.raises(pl.DescriptorError,
+                       match=r"^map: named-gallery maps resolve at the family level$"):
+        pl.map_from_entry({"kind": "named-gallery", "payload": {"family": "euclid"}},
+                          "proj", lambda J: J)
+    bent = pl.ProfiniteFamily(
+        pl.chain_poset([1, 2]), lambda J: J,
+        proj_factory=lambda J, K: pl.selection_map(K, range(J)),
+        inj_factory=lambda K, J: pl.DifferentiableMap(
+            J, K, lambda x: np.append(x, np.sin(x[0]))))
+    with pytest.raises(pl.DescriptorError,
+                       match=r"^pair \(1, 2\) is not linear; export needs explicit matrices$"):
+        pl.family_to_descriptor(bent)
 
 
 def test_thread_descriptors(euclid, rng):
@@ -447,12 +459,24 @@ def _edited(**changes):
     (_edited(levels__0__index=float("nan")), r"^levels\[0\]\.index: nan is not a finite number$"),
     (_edited(poset={"kind": "subsets", "pool": [0.5, float("nan")]}),
      r"^poset\.pool\[1\]: nan is not a finite number$"),
+    (_edited(poset={"kind": "finite", "elements": [1, 2], "leq": [[True]]}),
+     r"^poset\.leq: shape \(1, 1\) does not match 2 elements$"),
+    (_edited(injections__0__kind="pl-interpolation",
+             injections__0__payload={"knots": [0.0], "targets": [0.5, 1.0]}),
+     r"^injections\[0\]\.payload\.knots: knot times must be distinct and positive$"),
+    (_edited(injections__0__kind="pl-interpolation",
+             injections__0__payload={"knots": [0.5, 0.5], "targets": [0.5, 1.0]}),
+     r"^injections\[0\]\.payload\.knots: knot times must be distinct and positive$"),
+    (_edited(injections__0__kind="pl-interpolation",
+             injections__0__payload={"knots": [0.5], "targets": [-0.25, 0.5]}),
+     r"^injections\[0\]\.payload\.targets: -0\.25 is a negative time$"),
 ], ids=["not-an-object", "no-poset", "chain-element", "chain-repeat", "chain-fraction",
         "chain-truncated-repeat", "chain-infinity", "chain-bool", "chain-float", "levels-type",
         "level-index", "negative-dim", "bad-index", "non-numeric-row", "three-dim-rows",
         "injection-shape", "projection-upward", "truncation-range", "missing-injection",
         "unknown-gallery", "gallery-kwargs", "nan-row", "nan-element", "nan-level-index",
-        "nan-pool-entry"])
+        "nan-pool-entry", "leq-shape", "pl-zero-knot", "pl-repeated-knot",
+        "pl-negative-target"])
 def test_malformed_family_descriptors_name_the_field(doc, message):
     with pytest.raises(pl.DescriptorError, match=message):
         pl.family_from_descriptor(doc)

@@ -40,8 +40,8 @@ def test_warm_cache_still_refuses_non_comparable_pairs():
 
 def test_proj_composition_through_stored_pairs(cross, monkeypatch):
     fam = cross.family
-    # ("I", "L") is not a stored pair, but the cross factories answer it
-    # directly, so nothing composes here
+    # the cross factories answer every comparable pair, ("I", "L") too,
+    # so nothing composes here
     mp = fam.proj("I", "L")
     assert mp.domain_dim == 2 and mp.codomain_dim == 0
     ij = fam.inj("L", "I")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -155,3 +156,28 @@ def test_wiener_projection_of_interpolation_is_identity(wiener, rng):
 def test_gallery_getitem_missing_key(euclid):
     with pytest.raises(KeyError):
         euclid["nonexistent_extra"]
+
+
+def test_wiener_projection_rows_are_identity_rows():
+    # a projection is the interpolation at the coarse level's own knots, so
+    # its rows are rows of the identity, exactly
+    pool = np.random.default_rng(2024).uniform(0.01, 2.0, 7).tolist()
+    for r in range(len(pool) + 1):
+        for S in itertools.combinations(pool, r):
+            knots = sorted(S)
+            for mask in itertools.product([False, True], repeat=r):
+                T = [t for t, keep in zip(S, mask) if keep]
+                idx = np.array([knots.index(t) for t in sorted(T)], dtype=int)
+                W, want = pl.pl_weights(sorted(T), knots), np.eye(r)[idx]
+                assert W.shape == want.shape and W.tobytes() == want.tobytes()
+
+
+def test_pair_momentum_values_and_jacobians():
+    mu = pl.symplectic_even_tower(3)["momentum"]
+    rng = np.random.default_rng(5)
+    for i, f in enumerate(mu.functions):
+        assert f.section.members == (i + 1,)
+        for x in rng.standard_normal((4, 2 * (i + 1))):
+            assert f.base(x)[0] == -(x[2 * i] ** 2 + x[2 * i + 1] ** 2) / 2
+            assert np.allclose(f.base.jacobian(x), pl.fd_jacobian(f.base, x, 1),
+                               rtol=0, atol=1e-8)

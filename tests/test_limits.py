@@ -133,12 +133,16 @@ def test_section_thread_matches_brute_force_oracle(case):
                 t(J)
 
 
-def _count_transports(monkeypatch, fam) -> Counter:
-    """(member, level) -> transport calls on fam from here on."""
+def _count_builds(monkeypatch, fam) -> Counter:
+    """(source level, target level) -> maps fam builds from here on."""
     calls = Counter()
-    real = fam.transport
-    monkeypatch.setattr(fam, "transport",
-                        lambda src, dst: calls.update([(src, dst)]) or real(src, dst))
+    real = fam._build
+
+    def build(kind, J, K):
+        calls.update([(K, J) if kind == "proj" else (J, K)])
+        return real(kind, J, K)
+
+    monkeypatch.setattr(fam, "_build", build)
     return calls
 
 
@@ -151,24 +155,24 @@ def test_extension_rule_runs_once_per_reachable_level(monkeypatch, case):
     else:
         fam = pl.cross_family().family
         values = {"J": [0.0], "K": [0.0]}  # two members meeting at L
-    transports = _count_transports(monkeypatch, fam)
+    builds = _count_builds(monkeypatch, fam)
     sp = pl.SectionPoint.of(fam, list(values), values)
     reachable = [J for J in fam.poset.elements
                  if any(fam.poset.comparable(J, m) for m in values)]
     x = pl.thread_from_section(sp)
-    # each member is carried once to every level it reaches but its own,
-    # where its value is read verbatim; no other level is asked
-    assert transports == Counter((m, J) for m in values for J in fam.poset.reach([m])
-                                 if J != m)
+    # one map is built from each member to every level it reaches but its
+    # own, where its value is read verbatim; no other level is asked
+    assert builds == Counter((m, J) for m in values for J in fam.poset.reach([m])
+                             if J != m)
     assert set(x._memo) == set(reachable) and len(x._memo) == len(reachable)
-    transports.clear()
+    builds.clear()
     y = pl.Thread(fam, lambda J: np.zeros(fam.dim(J)))
     metrics = pl.euclidean_metrics(fam)
     mu = pl.IndexMeasure({J: 1.0 / len(reachable) for J in reachable})
     pl.d_inf(metrics, x, y, [[J] for J in reachable])
     pl.d_mu(metrics, mu, x, y)
     # the distances then read the memo
-    assert not transports
+    assert not builds
 
 
 @given(section_points())
@@ -217,33 +221,33 @@ def test_probe_work_is_bounded_by_the_reachable_levels(monkeypatch, k):
     """On the 1024 levels of a 10-knot Wiener family, a one-member section
     of k knots reaches 2^k levels below it and 2^(10-k) above, its own level
     counted in both.  With the family's maps not yet built, the probe builds
-    one map to every reachable level but its own plus the member's spread,
-    asking each level once and leq at most twice per level; once they are
-    built, it builds nothing and asks neither leq nor transport."""
+    one map to every reachable level but its own, asking leq once for each,
+    and caches only the member's spread; once it is built, the probe builds
+    nothing and asks no leq."""
     knots = [(i + 1) / 10 for i in range(10)]
     fam = pl.wiener_family(knots).family
     leq_calls = []
     order = fam.poset.leq
     fam.poset = dataclasses.replace(
         fam.poset, leq=lambda a, b: leq_calls.append(1) or order(a, b))
-    transports = _count_transports(monkeypatch, fam)
+    builds = _count_builds(monkeypatch, fam)
     S = frozenset(knots[:k])
     reachable = 2 ** k + 2 ** (10 - k) - 1
-    for cold in (True, False):  # fresh maps, then the maps the first probe built
+    for cold in (True, False):  # a fresh family, then the spread the first probe built
         leq_calls.clear()
-        transports.clear()
+        builds.clear()
         before = set(fam._cache)
         sp = pl.SectionPoint.of(fam, [S], {S: np.arange(float(k))})
         memo = pl.thread_from_section(sp)._memo
-        built = set(fam._cache) - before
+        cached = set(fam._cache) - before
         assert len(memo) == reachable
         if cold:
-            assert ("spread", S) in built and len(built) == reachable
-            assert len(transports) == sum(transports.values()) == reachable - 1
-            assert S not in {dst for _, dst in transports}
-            assert len(leq_calls) <= 2 * reachable
+            assert cached == {("spread", S)}
+            assert len(builds) == sum(builds.values()) == reachable - 1
+            assert {src for src, _ in builds} == {S} and S not in {dst for _, dst in builds}
+            assert len(leq_calls) == reachable - 1
         else:
-            assert not built and not transports and not leq_calls
+            assert not cached and not builds and not leq_calls
 
 
 def _sine_chain(n: int = 6):
