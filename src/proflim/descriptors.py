@@ -91,14 +91,6 @@ def _floats(value) -> list:
     return _finite([float(v) for v in _list(value)])
 
 
-def _times(value) -> list:
-    """Finite times of a path, refused before its anchor at time 0."""
-    times = _floats(value)
-    if any(t < 0 for t in times):
-        raise ValueError(f"{min(times)} is a negative time")
-    return times
-
-
 def _dimension(value) -> int:
     dim = int(value)
     if dim < 0:
@@ -239,7 +231,8 @@ def map_from_entry(entry: dict, role: str, level_dim: Callable[[Any], int],
     else:
         from .gallery import knot_pool, pl_weights
         knots = _field(payload, "knots", where, lambda v: knot_pool(_floats(v)))
-        mp = matrix_map(pl_weights(_field(payload, "targets", where, _times), knots))
+        mp = matrix_map(_field(payload, "targets", where,
+                               lambda v: pl_weights(_floats(v), knots)))
     if (mp.domain_dim, mp.codomain_dim) != (n_src, n_dst):
         raise DescriptorError(f"{path}: declared {n_src}->{n_dst}, map has "
                               f"{mp.domain_dim}->{mp.codomain_dim}")

@@ -31,6 +31,9 @@ class ProfiniteFamily:
     Factories may return None for pairs they do not store directly; such
     maps are assembled by composing along a chain of stored pairs (the
     stored pair graph must connect J to K through intermediate indices).
+    An optional `fanout(member, levels)` returns a member's transports to
+    the listed levels stacked in order, as one map; `spread` then asks it
+    once per member instead of building one map per level.
     Produced maps are memoized; the family itself is immutable.
     """
 
@@ -38,11 +41,13 @@ class ProfiniteFamily:
                  proj_factory: Callable[[Any, Any], Optional[DifferentiableMap]],
                  inj_factory: Callable[[Any, Any], Optional[DifferentiableMap]],
                  stored_pairs: Optional[Sequence[tuple]] = None,
-                 name: str = ""):
+                 name: str = "",
+                 fanout: Optional[Callable[[Any, Sequence], DifferentiableMap]] = None):
         self.poset = poset
         self._level_dim = level_dim
         self._proj_factory = proj_factory
         self._inj_factory = inj_factory
+        self._fanout = fanout
         # pairs (J, K) with J <= K for which the factories answer directly
         self.stored_pairs = None if stored_pairs is None else tuple(stored_pairs)
         self.name = name
@@ -138,19 +143,29 @@ class ProfiniteFamily:
 
     def spread(self, member) -> tuple:
         """(levels, cuts, map), built once: the levels `poset.reach([member])`,
-        the slice of the map's output that falls on each, and the fanout of
-        the member's transports to them; only the fanout is cached."""
+        the slice of the map's output that falls on each, and the member's
+        transports to them stacked in that order.  The stack is the family's
+        `fanout(member, levels)` when it has one, shape-checked, else one
+        map per level built through the factories; only the stack is cached."""
         key = ("spread", member)
         with self._lock:
             if key in self._cache:
                 return self._cache[key]
         levels = self.poset.reach([member])
-        maps = [identity_map(self.dim(I)) if I == member
-                else self._build("proj", I, member) if self.poset.leq(I, member)
-                else self._build("inj", member, I) for I in levels]
-        ends = accumulate(m.codomain_dim for m in maps)
-        cuts = [slice(end - m.codomain_dim, end) for m, end in zip(maps, ends)]
-        value = levels, cuts, fanout_map(maps)
+        dims = [self.dim(I) for I in levels]
+        if self._fanout is None:
+            stack = fanout_map([identity_map(self.dim(I)) if I == member
+                                else self._build("proj", I, member) if self.poset.leq(I, member)
+                                else self._build("inj", member, I) for I in levels])
+        else:
+            stack = self._fanout(member, levels)
+            want = (self.dim(member), sum(dims))
+            if (stack.domain_dim, stack.codomain_dim) != want:
+                raise DimensionMismatch(
+                    f"fanout({member!r}): declared {want[0]}->{want[1]}, "
+                    f"map has {stack.domain_dim}->{stack.codomain_dim}")
+        cuts = [slice(end - d, end) for d, end in zip(dims, accumulate(dims))]
+        value = levels, cuts, stack
         with self._lock:
             return self._cache.setdefault(key, value)
 

@@ -7,6 +7,7 @@ and verification reports come back with residuals at rounding scale.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence
 
@@ -241,43 +242,41 @@ DYADIC_POOL = tuple(k / 8.0 for k in range(1, 9))
 
 def pl_weights(targets: Sequence[float], knots: Sequence[float]) -> np.ndarray:
     """Interpolation matrix: rows evaluate the PL path through (0, 0) and
-    the knot values at the target times; constant past the last knot."""
+    the knot values at the target times; constant past the last knot.
+    A target or knot before the anchor raises ValueError."""
     knots = sorted(knots)
     W = np.zeros((len(targets), len(knots)))
+    if knots and knots[0] < 0:
+        raise ValueError(f"{knots[0]} is a negative time")
+    last = knots[-1] if knots else math.inf  # with no knots, a row is only checked
     for r, t in enumerate(targets):
-        if not knots:
-            continue
-        if t in knots:
-            W[r, knots.index(t)] = 1.0
-            continue
-        if t > knots[-1]:
+        if t > last:
             W[r, -1] = 1.0
             continue
-        # bracketing pair, with the fixed (0, 0) anchor on the left
-        lo_time, lo_col = 0.0, None
-        for c, u in enumerate(knots):
-            if u < t:
-                lo_time, lo_col = u, c
-            else:
-                frac = (t - lo_time) / (u - lo_time)
-                W[r, c] = frac
-                if lo_col is not None:
-                    W[r, lo_col] = 1.0 - frac
-                break
+        if t < 0:
+            raise ValueError(f"{t} is a negative time")
+        if not knots:
+            continue
+        c = bisect_left(knots, t)  # the first knot at or after t
+        if knots[c] == t:
+            W[r, c] = 1.0
+            continue
+        lo = knots[c - 1] if c else 0.0  # before the first knot, the anchor
+        frac = (t - lo) / (knots[c] - lo)
+        W[r, c] = frac
+        if c:
+            W[r, c - 1] = 1.0 - frac
     return W
 
 
 def pl_path(times: Sequence[float], values: np.ndarray) -> Callable[[float], float]:
     """The path itself: anchored at (0, 0), linear between knots, constant
-    after the last one."""
+    after the last one; a negative time or knot raises ValueError."""
     times = list(times)
     values = np.asarray(values, float)
 
     def gamma(t: float) -> float:
-        if not times:
-            return 0.0
-        W = pl_weights([float(t)], times)
-        return float((W @ values)[0])
+        return float((pl_weights([float(t)], times) @ values)[0])
 
     return gamma
 
@@ -306,11 +305,16 @@ def wiener_family(times: Optional[Sequence[float]] = None) -> GalleryFamily:
     pool = knot_pool(times) if times is not None else DYADIC_POOL
     poset = subset_poset(pool)
 
-    def interpolate(dst, src):
-        return matrix_map(pl_weights(sorted(dst), sorted(src)))
+    def fanout(src, levels):
+        # a row depends only on its target time and the source knots, so the
+        # stack of a member's transports is one interpolation matrix
+        return matrix_map(pl_weights([t for I in levels for t in sorted(I)], sorted(src)))
 
-    fam = ProfiniteFamily(poset, level_dim=len, proj_factory=interpolate,
-                          inj_factory=interpolate, name="wiener")
+    def transport(dst, src):
+        return fanout(src, [dst])
+
+    fam = ProfiniteFamily(poset, level_dim=len, proj_factory=transport,
+                          inj_factory=transport, name="wiener", fanout=fanout)
 
     def sample_path(S, rng):
         return brownian_sample(sorted(S), rng)

@@ -105,6 +105,35 @@ def pl_interp_anchor(knots, values, t):
     return float(np.interp(t, ts, vs))
 
 
+def pl_weights_scan(targets, knots):
+    """The PL interpolation matrix through (0, 0) and the knots, constant
+    after the last knot, found by scanning the sorted knots for each
+    target's bracket (no bisection); nonnegative targets only."""
+    knots = sorted(knots)
+    W = np.zeros((len(targets), len(knots)))
+    for r, t in enumerate(targets):
+        if not knots:
+            continue
+        if t in knots:
+            W[r, knots.index(t)] = 1.0
+            continue
+        if t > knots[-1]:
+            W[r, -1] = 1.0
+            continue
+        # bracketing pair, with the fixed (0, 0) anchor on the left
+        lo_time, lo_col = 0.0, None
+        for c, u in enumerate(knots):
+            if u < t:
+                lo_time, lo_col = u, c
+            else:
+                frac = (t - lo_time) / (u - lo_time)
+                W[r, c] = frac
+                if lo_col is not None:
+                    W[r, lo_col] = 1.0 - frac
+                break
+    return W
+
+
 def family_axioms_pointwise(family, chains, points_per_chain, rng):
     """Max residuals (identity, consistency, retraction, cocycle) of the
     family audit, one sample point and one map call at a time.  NaN

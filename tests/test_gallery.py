@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import proflim as pl
-from oracles import pl_interp_anchor
+from proflim.gallery import DYADIC_POOL
+from oracles import pl_interp_anchor, pl_weights_scan
 
 
 def test_registry_names_and_errors():
@@ -94,6 +95,47 @@ def test_pl_path_quarter_point():
     assert gamma(9.0) == 2.0                  # constant extension
     empty = pl.pl_path([], np.zeros(0))
     assert empty(0.7) == 0.0
+
+
+def test_negative_times_are_refused_and_zero_is_the_anchor(wiener):
+    with pytest.raises(ValueError, match=r"^-0\.25 is a negative time$"):
+        pl.pl_weights([-0.25], [0.5])
+    with pytest.raises(ValueError, match="negative time"):
+        pl.pl_weights([0.5, -1e-300], [])
+    with pytest.raises(ValueError, match=r"^-1\.0 is a negative time$"):
+        pl.pl_weights([0.5], [-1.0, 1.0])
+    for gamma in (pl.pl_path([0.5], [2.0]), pl.pl_path([], np.zeros(0)),
+                  wiener["pl_path"](frozenset({0.5}), [2.0])):
+        with pytest.raises(ValueError, match="negative time"):
+            gamma(-0.25)
+        assert gamma(0.0) == 0.0
+    assert pl.pl_weights([0.0], [0.5]).tolist() == [[0.0]]
+
+
+TEN_KNOTS = tuple((i + 1) / 10 for i in range(10))
+
+
+@st.composite
+def knots_and_targets(draw):
+    """0-10 knots of DYADIC_POOL or of the 10-knot pool, and targets at 0,
+    at the pool's knots, between them and past the last knot."""
+    pool = draw(st.sampled_from([DYADIC_POOL, TEN_KNOTS]))
+    knots = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+    grid = (0.0, *pool)
+    target = st.one_of(
+        st.just(0.0),
+        st.sampled_from(pool),
+        st.sampled_from([(a + b) / 2 for a, b in zip(grid, grid[1:])]),
+        st.floats(0.0, pool[-1]),
+        st.floats(pool[-1], 4.0, exclude_min=True))
+    return draw(st.lists(target, max_size=12)), knots
+
+
+@given(knots_and_targets())
+def test_pl_weights_matches_the_scanning_oracle_bit_for_bit(case):
+    targets, knots = case
+    W, want = pl.pl_weights(targets, knots), pl_weights_scan(targets, knots)
+    assert W.shape == want.shape and W.tobytes() == want.tobytes()
 
 
 @given(st.floats(min_value=0.01, max_value=0.99), st.floats(-3, 3))

@@ -133,46 +133,63 @@ def test_section_thread_matches_brute_force_oracle(case):
                 t(J)
 
 
-def _count_builds(monkeypatch, fam) -> Counter:
-    """(source level, target level) -> maps fam builds from here on."""
-    calls = Counter()
-    real = fam._build
+def _count_work(monkeypatch, fam) -> tuple:
+    """(builds, fanouts) from here on: (source level, target level) -> per-pair
+    maps fam builds, and the (member, levels) of each call to its fanout rule."""
+    builds, fanouts = Counter(), []
+    build, fanout = fam._build, fam._fanout
 
-    def build(kind, J, K):
-        calls.update([(K, J) if kind == "proj" else (J, K)])
-        return real(kind, J, K)
+    def counted_build(kind, J, K):
+        builds.update([(K, J) if kind == "proj" else (J, K)])
+        return build(kind, J, K)
 
-    monkeypatch.setattr(fam, "_build", build)
-    return calls
+    def counted_fanout(member, levels):
+        fanouts.append((member, levels))
+        return fanout(member, levels)
+
+    monkeypatch.setattr(fam, "_build", counted_build)
+    if fanout is not None:
+        monkeypatch.setattr(fam, "_fanout", counted_fanout)
+    return builds, fanouts
 
 
-@pytest.mark.parametrize("case", ["wiener", "cross"])
+@pytest.mark.parametrize("case", ["wiener", "cross", "euclid"])
 def test_extension_rule_runs_once_per_reachable_level(monkeypatch, case):
     if case == "wiener":
         fam = pl.wiener_family([0.25, 0.5, 0.75, 1.0]).family
         S = frozenset({0.25, 0.75})
         values = {S: [1.0, -1.0]}
-    else:
+    elif case == "cross":
         fam = pl.cross_family().family
         values = {"J": [0.0], "K": [0.0]}  # two members meeting at L
-    builds = _count_builds(monkeypatch, fam)
+    else:
+        fam = pl.euclid_tower(6).family
+        values = {3: [1.0, 2.0, 3.0]}
+    builds, fanouts = _count_work(monkeypatch, fam)
     sp = pl.SectionPoint.of(fam, list(values), values)
     reachable = [J for J in fam.poset.elements
                  if any(fam.poset.comparable(J, m) for m in values)]
     x = pl.thread_from_section(sp)
-    # one map is built from each member to every level it reaches but its
-    # own, where its value is read verbatim; no other level is asked
-    assert builds == Counter((m, J) for m in values for J in fam.poset.reach([m])
-                             if J != m)
+    if case == "wiener":
+        # the family's fanout rule is asked once per member, for every level
+        # the member reaches, and no per-pair map is built
+        assert fanouts == [(m, fam.poset.reach([m])) for m in values] and not builds
+    else:
+        # one map is built from each member to every level it reaches but its
+        # own, where its value is read verbatim; no other level is asked
+        assert builds == Counter((m, J) for m in values for J in fam.poset.reach([m])
+                                 if J != m)
+        assert not fanouts
     assert set(x._memo) == set(reachable) and len(x._memo) == len(reachable)
     builds.clear()
+    fanouts.clear()
     y = pl.Thread(fam, lambda J: np.zeros(fam.dim(J)))
     metrics = pl.euclidean_metrics(fam)
     mu = pl.IndexMeasure({J: 1.0 / len(reachable) for J in reachable})
     pl.d_inf(metrics, x, y, [[J] for J in reachable])
     pl.d_mu(metrics, mu, x, y)
     # the distances then read the memo
-    assert not builds
+    assert not builds and not fanouts
 
 
 @given(section_points())
@@ -220,34 +237,77 @@ def test_cross_disagreement_is_named_at_the_join(values, message):
 def test_probe_work_is_bounded_by_the_reachable_levels(monkeypatch, k):
     """On the 1024 levels of a 10-knot Wiener family, a one-member section
     of k knots reaches 2^k levels below it and 2^(10-k) above, its own level
-    counted in both.  With the family's maps not yet built, the probe builds
-    one map to every reachable level but its own, asking leq once for each,
-    and caches only the member's spread; once it is built, the probe builds
-    nothing and asks no leq."""
+    counted in both.  With the family's maps not yet built, the probe asks
+    the family's fanout rule once, for exactly those levels, builds no
+    per-pair map, asks no leq, and caches only the member's spread; once it
+    is built, the probe asks nothing."""
     knots = [(i + 1) / 10 for i in range(10)]
     fam = pl.wiener_family(knots).family
     leq_calls = []
     order = fam.poset.leq
     fam.poset = dataclasses.replace(
         fam.poset, leq=lambda a, b: leq_calls.append(1) or order(a, b))
-    builds = _count_builds(monkeypatch, fam)
+    builds, fanouts = _count_work(monkeypatch, fam)
     S = frozenset(knots[:k])
     reachable = 2 ** k + 2 ** (10 - k) - 1
     for cold in (True, False):  # a fresh family, then the spread the first probe built
         leq_calls.clear()
         builds.clear()
+        fanouts.clear()
         before = set(fam._cache)
         sp = pl.SectionPoint.of(fam, [S], {S: np.arange(float(k))})
         memo = pl.thread_from_section(sp)._memo
         cached = set(fam._cache) - before
         assert len(memo) == reachable
+        assert not builds and not leq_calls
         if cold:
             assert cached == {("spread", S)}
-            assert len(builds) == sum(builds.values()) == reachable - 1
-            assert {src for src, _ in builds} == {S} and S not in {dst for _, dst in builds}
-            assert len(leq_calls) == reachable - 1
+            assert fanouts == [(S, fam.poset.reach([S]))]
+            assert len(fanouts[0][1]) == reachable
         else:
-            assert not cached and not builds and not leq_calls
+            assert not cached and not fanouts
+
+
+def test_wiener_spread_is_the_stack_of_its_transports_bit_for_bit():
+    """Every row of a Wiener transport depends only on its target time and
+    the member's knots, so each member's one fanout matrix is the per-pair
+    matrices stacked, byte for byte, on every nonempty member of 10 knots."""
+    fam = pl.wiener_family([(i + 1) / 10 for i in range(10)]).family
+    for S in fam.poset.elements[1:]:
+        levels, cuts, spread = fam.spread(S)
+        want = np.vstack([fam.transport(S, I).matrix for I in levels])
+        assert spread.matrix.shape == want.shape
+        assert spread.matrix.tobytes() == want.tobytes()
+        assert [c.stop - c.start for c in cuts] == [len(I) for I in levels]
+        fam._cache.clear()  # keep the per-pair maps of one member at a time
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_a_fanout_of_the_wrong_shape_names_the_member(extra):
+    fam = pl.euclid_tower(4).family
+    rows = sum(fam.dim(I) for I in fam.poset.reach([2])) + extra
+    bad = pl.ProfiniteFamily(fam.poset, fam.dim, fam._proj_factory, fam._inj_factory,
+                             fanout=lambda m, levels: pl.matrix_map(np.zeros((rows, m))))
+    with pytest.raises(pl.DimensionMismatch,
+                       match=rf"^fanout\(2\): declared 2->10, map has 2->{10 + extra}$"):
+        pl.thread_from_section(pl.SectionPoint.of(bad, [2], {2: [1.0, 2.0]}))
+    assert ("spread", 2) not in bad._cache
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_fanout_path_fills_the_memo_of_the_oracle(seed):
+    """thread_from_section through the Wiener fanout memoizes, level for
+    level and byte for byte, what the per-pair oracle induces."""
+    rng = np.random.default_rng(seed)
+    fam = pl.wiener_family([(i + 1) / 10 for i in range(10)]).family
+    S = frozenset(rng.choice(np.arange(1, 11) / 10, size=rng.integers(1, 11),
+                             replace=False).tolist())
+    values = {S: rng.standard_normal(len(S))}
+    memo = pl.thread_from_section(pl.SectionPoint.of(fam, [S], values))._memo
+    want = section_thread_levels(fam, values)
+    assert set(memo) == set(want)
+    for J, (val, agree) in want.items():
+        assert agree and memo[J].tobytes() == val.tobytes()
 
 
 def _sine_chain(n: int = 6):
