@@ -21,9 +21,10 @@ import numpy as np
 
 from .calculus import TameForm
 from .expr import ExpressionError, compile_scalar, parse_index_token
-from .family import FamilyMismatch, ProfiniteFamily
+from .family import ProfiniteFamily
 from .limits import IllDefinedSection, SectionPoint, Thread, thread_from_section
-from .maps import DimensionMismatch, matrix_map, scatter_map, selection_map
+from .maps import (DimensionMismatch, compose, fanout_map, identity_map, matrix_map,
+                   scatter_map, selection_map)
 from .poset import (ComparableMembers, EmptySection, IndexPoset, chain_poset, finite_poset,
                     section_defect, subset_poset)
 from .profmetric import IndexMeasure
@@ -249,17 +250,6 @@ def _named_gallery(doc: dict, path: str):
         raise DescriptorError(f"{path}: {err.args[0]}") from None
 
 
-class _LoadedFamily(ProfiniteFamily):
-    """A family read from a descriptor: stored maps that do not connect two
-    comparable levels are a defect of the document."""
-
-    def _chain_between(self, J, K) -> list:
-        try:
-            return super()._chain_between(J, K)
-        except FamilyMismatch as err:
-            raise DescriptorError(str(err)) from None
-
-
 def family_from_descriptor(doc: dict) -> ProfiniteFamily:
     """Build a family from a parsed descriptor dictionary."""
     version = _field(doc, "schema_version", "", default=None)
@@ -288,7 +278,6 @@ def family_from_descriptor(doc: dict) -> ProfiniteFamily:
 
     # maps keyed by (lower, upper); projections go down, injections up
     stores = {"projections": {}, "injections": {}}
-    stored_pairs = []
     for role, name in (("proj", "projections"), ("inj", "injections")):
         for i, entry in enumerate(entries[name]):
             src, dst, mp = map_from_entry(entry, role, level_dim, f"{name}[{i}]")
@@ -296,36 +285,63 @@ def family_from_descriptor(doc: dict) -> ProfiniteFamily:
             if not poset.leq(lo, hi):
                 raise DescriptorError(f"{name}[{i}]: {src!r} -> {dst!r} runs against the order")
             stores[name][(lo, hi)] = mp
-            if role == "proj":
-                stored_pairs.append((lo, hi))
-    lonely = [(lo, hi) for lo, hi in stored_pairs
-              if (lo, hi) not in stores["injections"]]
+    links = list(stores["projections"])  # the pairs a chain may step along
+    lonely = [pair for pair in links if pair not in stores["injections"]]
     if lonely:
         raise DescriptorError(f"injections: none from {lonely[0][0]!r} to {lonely[0][1]!r}, "
                               "where a projection is stored")
+    family_name = doc.get("name", "descriptor")
 
-    return _LoadedFamily(
-        poset, level_dim,
-        proj_factory=lambda J, K: stores["projections"].get((J, K)),
-        inj_factory=lambda K, J: stores["injections"].get((J, K)),
-        stored_pairs=stored_pairs,
-        name=doc.get("name", "descriptor"))
+    def chain_between(J, K) -> list:
+        """K = c0 > c1 > ... > J through stored pairs, found breadth-first."""
+        frontier, seen = [[K]], {K}
+        while frontier:
+            path = frontier.pop(0)
+            for lo, hi in links:
+                if hi == path[-1] and poset.leq(J, lo):
+                    if lo == J:
+                        return path + [lo]
+                    if lo not in seen:
+                        seen.add(lo)
+                        frontier.append(path + [lo])
+        raise DescriptorError(
+            f"{family_name or 'family'}: stored pairs do not connect {J!r} to {K!r}")
+
+    def transport(src, dst):
+        """The stored map from src to dst, else the stored maps composed
+        along chain_between: projections from src down, injections up."""
+        if src == dst:
+            return identity_map(level_dim(src))
+        down = poset.leq(dst, src)
+        store = stores["projections" if down else "injections"]
+        pair = (dst, src) if down else (src, dst)
+        if pair in store:
+            return store[pair]
+        chain = chain_between(*pair)
+        if not down:
+            chain = chain[::-1]
+        mp = identity_map(level_dim(src))
+        for a, b in zip(chain[:-1], chain[1:]):
+            mp = compose(store[(b, a) if down else (a, b)], mp)
+        return mp
+
+    return ProfiniteFamily(poset, level_dim,
+                           lambda src, levels: fanout_map([transport(src, I) for I in levels]),
+                           name=family_name)
 
 
 def family_to_descriptor(family: ProfiniteFamily,
                          pairs: Optional[Iterable[tuple]] = None,
                          name: Optional[str] = None) -> dict:
-    """Export with explicit matrices on the given comparable pairs (defaults
-    to the family's stored pairs, else all adjacent comparable pairs)."""
+    """Export with explicit matrices on the given comparable pairs, by
+    default the poset's covers (J < K with no level strictly between), for
+    every family: a loaded family that stored a non-cover pair exports only
+    the covers, which its loader composes back."""
     poset = family.poset
     if pairs is None:
-        if family.stored_pairs is not None:
-            pairs = family.stored_pairs
-        else:
-            els = poset.sort(poset.elements)
-            pairs = [(a, b) for a in els for b in els
-                     if poset.lt(a, b) and not any(
-                         poset.lt(a, c) and poset.lt(c, b) for c in els)]
+        els = poset.sort(poset.elements)
+        pairs = [(a, b) for a in els for b in els
+                 if poset.lt(a, b) and not any(poset.lt(a, c) and poset.lt(c, b) for c in els)]
     projections, injections = [], []
     for J, K in pairs:
         pr, ij = family.proj(J, K), family.inj(K, J)

@@ -26,36 +26,37 @@ class FamilyMismatch(Exception):
 
 
 class ProfiniteFamily:
-    """Level dimensions plus projection/injection factories.
+    """Level dimensions plus one map rule.
 
-    Factories may return None for pairs they do not store directly; such
-    maps are assembled by composing along a chain of stored pairs (the
-    stored pair graph must connect J to K through intermediate indices).
-    An optional `fanout(member, levels)` returns a member's transports to
-    the listed levels stacked in order, as one map; `spread` then asks it
-    once per member instead of building one map per level.
-    Produced maps are memoized; the family itself is immutable.
+    `maps(src, levels)` returns the transports from level `src` to each
+    listed level, stacked in order as one map; the listed levels are all
+    comparable to `src`, and the block of `src` itself is the identity.
+    `proj(J, K)` asks it for `maps(K, [J])`, `inj(K, J)` for `maps(J, [K])`
+    and `spread(m)` for `maps(m, poset.reach([m]))`; every answer is
+    shape-checked.  Produced maps are memoized; the family is immutable.
     """
 
     def __init__(self, poset: IndexPoset, level_dim: Callable[[Any], int],
-                 proj_factory: Callable[[Any, Any], Optional[DifferentiableMap]],
-                 inj_factory: Callable[[Any, Any], Optional[DifferentiableMap]],
-                 stored_pairs: Optional[Sequence[tuple]] = None,
-                 name: str = "",
-                 fanout: Optional[Callable[[Any, Sequence], DifferentiableMap]] = None):
+                 maps: Callable[[Any, Sequence], DifferentiableMap], name: str = ""):
         self.poset = poset
         self._level_dim = level_dim
-        self._proj_factory = proj_factory
-        self._inj_factory = inj_factory
-        self._fanout = fanout
-        # pairs (J, K) with J <= K for which the factories answer directly
-        self.stored_pairs = None if stored_pairs is None else tuple(stored_pairs)
+        self._maps = maps
         self.name = name
         self._cache: dict = {}
         self._lock = threading.Lock()
 
     def dim(self, J) -> int:
         return int(self._level_dim(J))
+
+    def _ask(self, src, levels: Sequence, dims: Sequence[int]) -> DifferentiableMap:
+        """The rule's answer maps(src, levels), refused with DimensionMismatch
+        unless it takes dim(src) to sum(dims)."""
+        mp = self._maps(src, levels)
+        want = self.dim(src), sum(dims)
+        if (mp.domain_dim, mp.codomain_dim) != want:
+            raise DimensionMismatch(f"maps({src!r}): declared {want[0]}->{want[1]}, "
+                                    f"map has {mp.domain_dim}->{mp.codomain_dim}")
+        return mp
 
     def _cached(self, kind: str, J, K):
         """The map of `kind` ("proj" or "inj") for the pair J <= K, built once.
@@ -71,58 +72,13 @@ class ProfiniteFamily:
         if not self.poset.leq(J, K):
             pair = (J, K) if kind == "proj" else (K, J)
             raise FamilyMismatch(f"{kind} asked for a non-comparable pair {pair!r}")
-        value = identity_map(self.dim(J)) if J == K else self._build(kind, J, K)
+        if J == K:
+            value = identity_map(self.dim(J))
+        else:
+            src, dst = (K, J) if kind == "proj" else (J, K)
+            value = self._ask(src, [dst], [self.dim(dst)])
         with self._lock:
             return self._cache.setdefault(key, value)
-
-    def _chain_between(self, J, K) -> list:
-        # BFS through stored pairs from K down to J (projection direction)
-        if self.stored_pairs is None:
-            raise FamilyMismatch(
-                f"{self.name or 'family'}: no stored map for pair ({J!r}, {K!r}) "
-                "and no stored-pair graph to compose along")
-        frontier = [(K, [K])]
-        seen = {K}
-        while frontier:
-            node, path = frontier.pop(0)
-            for lo, hi in self.stored_pairs:
-                if hi == node and self.poset.leq(J, lo):
-                    if lo == J:
-                        return path + [lo]
-                    if lo not in seen:
-                        seen.add(lo)
-                        frontier.append((lo, path + [lo]))
-        raise FamilyMismatch(
-            f"{self.name or 'family'}: stored pairs do not connect {J!r} to {K!r}")
-
-    def _stored(self, kind: str, a, b) -> Optional[DifferentiableMap]:
-        """The factory's answer to the call kind(a, b) (proj(J, K) or
-        inj(K, J)), dimension-checked; None when the factory has no map."""
-        mp = (self._proj_factory if kind == "proj" else self._inj_factory)(a, b)
-        if mp is not None:
-            dom, cod = self.dim(b), self.dim(a)
-            if mp.domain_dim != dom or mp.codomain_dim != cod:
-                raise DimensionMismatch(f"{kind}({a!r},{b!r}): declared {dom}->{cod}, "
-                                        f"map has {mp.domain_dim}->{mp.codomain_dim}")
-        return mp
-
-    def _build(self, kind: str, J, K) -> DifferentiableMap:
-        """The factory's direct answer for J < K, else the stored maps composed
-        along _chain_between: projections from K down, injections from J up."""
-        direct = self._stored(kind, *((J, K) if kind == "proj" else (K, J)))
-        if direct is not None:
-            return direct
-        chain = self._chain_between(J, K)  # K = c0 > c1 > ... > J
-        if kind == "inj":
-            chain = chain[::-1]
-        mp = identity_map(self.dim(chain[0]))
-        for a, b in zip(chain[1:], chain[:-1]):
-            step = self._stored(kind, a, b)
-            if step is None:
-                noun = "projection" if kind == "proj" else "injection"
-                raise FamilyMismatch(f"missing stored {noun} {(a, b)!r}")
-            mp = compose(step, mp)
-        return mp
 
     def proj(self, J, K) -> DifferentiableMap:
         """The projection E_K -> E_J for J <= K."""
@@ -143,27 +99,15 @@ class ProfiniteFamily:
 
     def spread(self, member) -> tuple:
         """(levels, cuts, map), built once: the levels `poset.reach([member])`,
-        the slice of the map's output that falls on each, and the member's
-        transports to them stacked in that order.  The stack is the family's
-        `fanout(member, levels)` when it has one, shape-checked, else one
-        map per level built through the factories; only the stack is cached."""
+        the slice of the map's output that falls on each, and the rule's
+        answer `maps(member, levels)`; only this triple is cached."""
         key = ("spread", member)
         with self._lock:
             if key in self._cache:
                 return self._cache[key]
         levels = self.poset.reach([member])
         dims = [self.dim(I) for I in levels]
-        if self._fanout is None:
-            stack = fanout_map([identity_map(self.dim(I)) if I == member
-                                else self._build("proj", I, member) if self.poset.leq(I, member)
-                                else self._build("inj", member, I) for I in levels])
-        else:
-            stack = self._fanout(member, levels)
-            want = (self.dim(member), sum(dims))
-            if (stack.domain_dim, stack.codomain_dim) != want:
-                raise DimensionMismatch(
-                    f"fanout({member!r}): declared {want[0]}->{want[1]}, "
-                    f"map has {stack.domain_dim}->{stack.codomain_dim}")
+        stack = self._ask(member, levels, dims)
         cuts = [slice(end - d, end) for d, end in zip(dims, accumulate(dims))]
         value = levels, cuts, stack
         with self._lock:
@@ -376,13 +320,12 @@ def _tangent_map(mp: DifferentiableMap) -> DifferentiableMap:
 
 
 def tangent_family(family: ProfiniteFamily) -> ProfiniteFamily:
-    """Levels double in dimension; maps act by (value, pushed vector)."""
+    """Levels double in dimension; the rule's block for each level is the
+    tangent map (x, v) -> (f(x), Df(x) v) of the family's transport f."""
     return ProfiniteFamily(
-        poset=family.poset,
-        level_dim=lambda J: 2 * family.dim(J),
-        proj_factory=lambda J, K: _tangent_map(family.proj(J, K)),
-        inj_factory=lambda K, J: _tangent_map(family.inj(K, J)),
-        stored_pairs=family.stored_pairs,
+        family.poset, lambda J: 2 * family.dim(J),
+        lambda src, levels: fanout_map([_tangent_map(family.transport(src, I))
+                                        for I in levels]),
         name=f"T({family.name or 'family'})")
 
 

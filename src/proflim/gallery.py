@@ -17,8 +17,8 @@ from .calculus import constant_form
 from .cylinder import CylindricalFunction
 from .family import ProfiniteFamily, ProfiniteMap
 from .limits import AlgebraicStructure, ScalarAction, Thread
-from .maps import (DifferentiableMap, DimensionMismatch, ScalarMap, matrix_map,
-                   scatter_map, selection_map)
+from .maps import (DifferentiableMap, DimensionMismatch, ScalarMap, fanout_map,
+                   identity_map, matrix_map, scatter_map, selection_map)
 from .poset import IndexPoset, Section, chain_poset, finite_poset, subset_poset
 from .profmetric import IndexMeasure, euclidean_metrics
 from .symplectic import MomentumMap, ProfiniteGroupAction, canonical_omega
@@ -44,11 +44,17 @@ def _coordinate_family(poset: IndexPoset, level_dim: Callable[[Any], int], name:
     by default the first level_dim(J): projections select those
     coordinates and injections scatter them, zero elsewhere."""
     coords = coords or (lambda J, K: range(level_dim(J)))
-    return ProfiniteFamily(
-        poset, level_dim,
-        proj_factory=lambda J, K: selection_map(level_dim(K), coords(J, K)),
-        inj_factory=lambda K, J: scatter_map(level_dim(K), coords(J, K)),
-        name=name)
+
+    def block(src, dst):
+        if dst == src:
+            return identity_map(level_dim(src))
+        if poset.leq(dst, src):
+            return selection_map(level_dim(src), coords(dst, src))
+        return scatter_map(level_dim(dst), coords(src, dst))
+
+    return ProfiniteFamily(poset, level_dim,
+                           lambda src, levels: fanout_map([block(src, I) for I in levels]),
+                           name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +246,31 @@ def cross_family() -> GalleryFamily:
 DYADIC_POOL = tuple(k / 8.0 for k in range(1, 9))
 
 
+def _time_error(t: float) -> ValueError:
+    return ValueError(f"{t} is a negative time" if math.isfinite(t) else f"{t} is not a finite time")
+
+
 def pl_weights(targets: Sequence[float], knots: Sequence[float]) -> np.ndarray:
     """Interpolation matrix: rows evaluate the PL path through (0, 0) and
     the knot values at the target times; constant past the last knot.
-    A target or knot before the anchor raises ValueError."""
+    A target or knot before the anchor, a NaN or an infinity raises ValueError."""
     knots = sorted(knots)
     W = np.zeros((len(targets), len(knots)))
-    if knots and knots[0] < 0:
-        raise ValueError(f"{knots[0]} is a negative time")
+    bad = next((k for k in knots if not 0 <= k < math.inf), None)  # a NaN too
+    if bad is not None:
+        raise _time_error(bad)
     last = knots[-1] if knots else math.inf  # with no knots, a row is only checked
     for r, t in enumerate(targets):
         if t > last:
+            if t == math.inf:
+                raise _time_error(t)
             W[r, -1] = 1.0
             continue
-        if t < 0:
-            raise ValueError(f"{t} is a negative time")
+        if not t >= 0:  # a NaN too
+            raise _time_error(t)
         if not knots:
+            if t == math.inf:
+                raise _time_error(t)
             continue
         c = bisect_left(knots, t)  # the first knot at or after t
         if knots[c] == t:
@@ -270,13 +285,18 @@ def pl_weights(targets: Sequence[float], knots: Sequence[float]) -> np.ndarray:
 
 
 def pl_path(times: Sequence[float], values: np.ndarray) -> Callable[[float], float]:
-    """The path itself: anchored at (0, 0), linear between knots, constant
-    after the last one; a negative time or knot raises ValueError."""
-    times = list(times)
+    """The path itself: anchored at (0, 0), through (times[i], values[i]) in
+    any order of the times, linear between knots, constant after the last
+    one; a negative or non-finite time or knot raises ValueError."""
     values = np.asarray(values, float)
+    if values.shape != (len(times),):
+        raise DimensionMismatch(f"{values.size} values for {len(times)} times")
+    order = np.argsort(times, kind="stable")
+    knots = np.asarray(times, float)[order].tolist()
+    values = values[order]
 
     def gamma(t: float) -> float:
-        return float((pl_weights([float(t)], times) @ values)[0])
+        return float((pl_weights([float(t)], knots) @ values)[0])
 
     return gamma
 
@@ -294,7 +314,10 @@ def pairing(alpha: Sequence[tuple], path: Callable[[float], float]) -> float:
 
 
 def knot_pool(times: Sequence[float]) -> tuple:
-    """The knot times, sorted; a ValueError unless distinct and positive."""
+    """The knot times, sorted; a ValueError unless finite, distinct and positive."""
+    for t in times:
+        if not math.isfinite(t):
+            raise _time_error(t)
     pool = tuple(sorted(times))
     if len(set(pool)) != len(pool) or any(t <= 0 for t in pool):
         raise ValueError("knot times must be distinct and positive")
@@ -310,11 +333,7 @@ def wiener_family(times: Optional[Sequence[float]] = None) -> GalleryFamily:
         # stack of a member's transports is one interpolation matrix
         return matrix_map(pl_weights([t for I in levels for t in sorted(I)], sorted(src)))
 
-    def transport(dst, src):
-        return fanout(src, [dst])
-
-    fam = ProfiniteFamily(poset, level_dim=len, proj_factory=transport,
-                          inj_factory=transport, name="wiener", fanout=fanout)
+    fam = ProfiniteFamily(poset, len, fanout, name="wiener")
 
     def sample_path(S, rng):
         return brownian_sample(sorted(S), rng)

@@ -247,10 +247,9 @@ def section_thread_levels(family, values, tol=1e-9):
     """Every level of a finite poset that some section member reaches,
     mapped to (value, agree): the value induced by the first member in
     canonical order, and whether every other member induces the same value
-    within tol.  The member's own value at its index, a fresh factory
-    projection from a member above, a fresh factory injection from a member
-    below: no map cache, no thread memo.  Needs factories that answer
-    every comparable pair directly."""
+    within tol.  The member's own value at its index, else the family's
+    rule asked afresh for the one level, maps(m, [I]): no map cache, no
+    spread, no thread memo."""
     poset = family.poset
     members = sorted(values, key=poset.key)
     out = {}
@@ -260,10 +259,8 @@ def section_thread_levels(family, values, tol=1e-9):
             x = np.asarray(values[m], float)
             if I == m:
                 cands.append(x)
-            elif poset.leq(I, m):
-                cands.append(family._proj_factory(I, m)(x))
-            elif poset.leq(m, I):
-                cands.append(family._inj_factory(I, m)(x))
+            elif poset.comparable(I, m):
+                cands.append(family._maps(m, [I])(x))
         if cands:
             agree = all(np.max(np.abs(c - cands[0]), initial=0.0) <= tol
                         for c in cands[1:])

@@ -469,6 +469,8 @@ def _with_rows(rows):
     ("gapped-chain", "stored pairs do not connect 2 to 3"),
     ("measure-row", "weight 'abc' is not a number"),
     ("wiener-times", "knot times must be distinct and positive"),
+    ("wiener-nan-time", "--times: nan is not a finite time"),
+    ("wiener-infinite-time", "--times: inf is not a finite time"),
     ("distance-levels", "argument --levels: expected a positive integer"),
     ("out-directory", "cannot write --out"),
     ("inline-json", "argument --x: cannot read JSON"),
@@ -511,6 +513,8 @@ def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message)
         "gapped-chain": lambda: family(GAPPED_CHAIN),
         "measure-row": lambda: distance + ["--measure", str(measure)],
         "wiener-times": lambda: ["wiener", "--times", "0.5,0.5"],
+        "wiener-nan-time": lambda: ["wiener", "--times", "nan,0.5"],
+        "wiener-infinite-time": lambda: ["wiener", "--times", "inf,0.5"],
         "distance-levels": lambda: distance + ["--levels", "0"],
         "out-directory": lambda: ["gallery", "list", "--out",
                                   str(tmp_path / "missing" / "list.txt")],

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import proflim as pl
+from towers import cover_family, pair_family
 
 
 def test_index_round_trip():
@@ -39,10 +40,10 @@ def test_decoded_indices_key_memos_and_maps_by_value():
     one, word, two = (pl.decode_index(i) for i in (1, "1", 2))
     rank = {one: 0, word: 1, two: 2}
     dims = {one: 1, word: 2, two: 3}
-    chain = pl.ProfiniteFamily(
+    chain = pair_family(
         pl.finite_poset([one, word, two], lambda x, y: rank[x] <= rank[y]), dims.get,
-        proj_factory=lambda J, K: pl.selection_map(dims[K], range(dims[J])),
-        inj_factory=lambda K, J: pl.scatter_map(dims[K], range(dims[J])))
+        lambda J, K: pl.selection_map(dims[K], range(dims[J])),
+        lambda K, J: pl.scatter_map(dims[K], range(dims[J])))
     t = pl.Thread(chain, lambda J: np.ones(dims[J]))
     assert [t(J).size for J in (one, word, two)] == [1, 2, 3] and len(t._memo) == 3
     assert chain.proj(one, two).codomain_dim == 1 and chain.proj(word, two).codomain_dim == 2
@@ -138,6 +139,29 @@ def test_family_round_trip_cross(tmp_path, cross, rng):
     assert np.array_equal(fam.proj("K", "L")(np.array([1.0, 2.0])), [2.0])
 
 
+@pytest.mark.parametrize("name", ["euclid", "poly", "matrix", "cross"])
+def test_dump_load_dump_is_byte_identical(tmp_path, name):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    pl.dump_family(pl.build_gallery(name).family, first)
+    pl.dump_family(pl.load_family(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_a_stored_non_cover_pair_exports_as_the_covers():
+    """The export writes the poset's covers for every family: a loaded
+    family that also stored the pair (1, 3) exports only (1, 2) and (2, 3),
+    and its reload composes (1, 3) from them."""
+    doc = pl.family_to_descriptor(pl.euclid_tower(3).family)
+    doc["projections"].append({"from": 3, "to": 1, "kind": "truncation",
+                               "payload": {"indices": [0]}})
+    doc["injections"].append({"from": 1, "to": 3, "kind": "truncation",
+                              "payload": {"indices": [0]}})
+    again = pl.family_to_descriptor(pl.family_from_descriptor(doc))
+    assert [(e["from"], e["to"]) for e in again["projections"]] == [(1, 0), (2, 1), (3, 2)]
+    assert np.array_equal(pl.family_from_descriptor(again).proj(1, 3).matrix,
+                          [[1.0, 0.0, 0.0]])
+
+
 def test_descriptor_is_sorted_and_versioned(tmp_path, euclid):
     path = tmp_path / "euclid.json"
     pl.dump_family(euclid.family, path)
@@ -214,11 +238,9 @@ def test_family_descriptor_errors(euclid):
                        match=r"^map: named-gallery maps resolve at the family level$"):
         pl.map_from_entry({"kind": "named-gallery", "payload": {"family": "euclid"}},
                           "proj", lambda J: J)
-    bent = pl.ProfiniteFamily(
-        pl.chain_poset([1, 2]), lambda J: J,
-        proj_factory=lambda J, K: pl.selection_map(K, range(J)),
-        inj_factory=lambda K, J: pl.DifferentiableMap(
-            J, K, lambda x: np.append(x, np.sin(x[0]))))
+    bent = pair_family(
+        pl.chain_poset([1, 2]), lambda J: J, lambda J, K: pl.selection_map(K, range(J)),
+        lambda K, J: pl.DifferentiableMap(J, K, lambda x: np.append(x, np.sin(x[0]))))
     with pytest.raises(pl.DescriptorError,
                        match=r"^pair \(1, 2\) is not linear; export needs explicit matrices$"):
         pl.family_to_descriptor(bent)
@@ -377,11 +399,7 @@ def linear_families(draw):
     maps = {(J, K): (pl.matrix_map(rng.standard_normal((dims[J], dims[K]))),
                      pl.matrix_map(rng.standard_normal((dims[K], dims[J]))))
             for J, K in covers}
-    return pl.ProfiniteFamily(
-        poset, dims.__getitem__,
-        proj_factory=lambda J, K: maps.get((J, K), (None, None))[0],
-        inj_factory=lambda K, J: maps.get((J, K), (None, None))[1],
-        stored_pairs=covers, name="random")
+    return cover_family(poset, dims.__getitem__, maps, name="random")
 
 
 @given(linear_families())

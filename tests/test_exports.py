@@ -16,7 +16,6 @@ DELIBERATE_API = {
     "FibrationData": "the input type of verify_fibration",
     "compose_profinite_maps": "composition in the category of profinite maps",
     "cotangent_maps": "the dual tower of a family's tangent maps",
-    "tangent_family": "the tangent tower of a family",
     "verify_fibration": "audits a fibration of towers (bundle projections)",
     "alternating_sum": "the coordinate formula of the exterior derivative",
     "check_tangent_thread": "audits a tangent thread against the pushforwards",

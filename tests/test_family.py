@@ -5,6 +5,7 @@ import pytest
 
 import proflim as pl
 from oracles import commuting_squares_pointwise, family_axioms_pointwise
+from towers import pair_family
 
 ORACLE_SEED = 7
 
@@ -40,7 +41,7 @@ def test_warm_cache_still_refuses_non_comparable_pairs():
 
 def test_proj_composition_through_stored_pairs(cross, monkeypatch):
     fam = cross.family
-    # the cross factories answer every comparable pair, ("I", "L") too,
+    # the cross rule answers every comparable pair, ("I", "L") too,
     # so nothing composes here
     mp = fam.proj("I", "L")
     assert mp.domain_dim == 2 and mp.codomain_dim == 0
@@ -48,56 +49,63 @@ def test_proj_composition_through_stored_pairs(cross, monkeypatch):
     assert ij(np.zeros(0)).shape == (2,)
 
     # a descriptor stores only the adjacent pairs of euclid_tower(4), so the
-    # loaded family composes (0, 4) along 4 > 3 > 2 > 1 > 0
+    # loaded family's rule composes (0, 4) along 4 > 3 > 2 > 1 > 0
     gallery = pl.euclid_tower(4).family
     loaded = pl.family_from_descriptor(pl.family_to_descriptor(gallery))
-    chain, calls = loaded._chain_between, []
-    monkeypatch.setattr(loaded, "_chain_between",
-                        lambda J, K: calls.append((J, K)) or chain(J, K))
+    rule, calls = loaded._maps, []
+    monkeypatch.setattr(loaded, "_maps",
+                        lambda src, levels: calls.append((src, levels)) or rule(src, levels))
     assert np.array_equal(loaded.proj(0, 4).matrix, gallery.proj(0, 4).matrix)
     assert np.array_equal(loaded.inj(4, 0).matrix, gallery.inj(4, 0).matrix)
-    assert calls == [(0, 4), (0, 4)]
+    assert calls == [(4, [0]), (0, [4])]
 
 
-def _adjacent_chain(bad=None, missing=None) -> pl.ProfiniteFamily:
-    """Chain 1..4 of R^n storing only adjacent pairs; the map of the call
-    `bad` gets one extra domain coordinate, the call `missing` answers None."""
-    def factory(kind, make):
-        def answer(a, b):
-            if (kind, a, b) == missing or abs(a - b) != 1:
-                return None
-            extra = 1 if (kind, a, b) == bad else 0
-            return make(max(a, b) + extra, range(min(a, b)))
-        return answer
+def _adjacent_chain(bad=None, drop=None) -> dict:
+    """The descriptor of chain 1..4 of R^n storing only adjacent pairs as
+    truncations; the stored map `bad` (role, lower level) gets one extra
+    coordinate on the side of the upper level, and the map `drop` is left out."""
+    doc = {"name": "adjacent", "poset": {"kind": "chain", "elements": [1, 2, 3, 4]},
+           "levels": [{"index": n, "dim": n} for n in range(1, 5)],
+           "projections": [], "injections": []}
+    for role, key in (("proj", "projections"), ("inj", "injections")):
+        for lo in (1, 2, 3):
+            ends = {"from": lo + 1, "to": lo} if role == "proj" else {"from": lo, "to": lo + 1}
+            if (role, lo) == bad:
+                rows = np.eye(lo + 2, lo) if role == "inj" else np.eye(lo, lo + 2)
+                doc[key].append({**ends, "kind": "matrix", "payload": {"rows": rows.tolist()}})
+            elif (role, lo) != drop:
+                doc[key].append({**ends, "kind": "truncation",
+                                 "payload": {"indices": list(range(lo))}})
+    return doc
 
-    return pl.ProfiniteFamily(pl.chain_poset(range(1, 5)), lambda n: n,
-                              factory("proj", pl.selection_map),
-                              factory("inj", pl.scatter_map),
-                              stored_pairs=[(1, 2), (2, 3), (3, 4)], name="adjacent")
+
+@pytest.mark.parametrize("bad, drop, text", [
+    (("proj", 2), None, r"^projections\[1\]: declared 3->2, map has 4->2$"),
+    (("inj", 2), None, r"^injections\[1\]: declared 2->3, map has 2->4$"),
+    (None, ("inj", 2), r"^injections: none from 2 to 3, where a projection is stored$"),
+], ids=["projection-shape", "injection-shape", "missing-injection"])
+def test_composed_maps_name_the_bad_stored_step(bad, drop, text):
+    """A stored step of the wrong shape, or a projection stored without its
+    injection, is refused when the document loads, naming the entry."""
+    with pytest.raises(pl.DescriptorError, match=text):
+        pl.family_from_descriptor(_adjacent_chain(bad, drop))
 
 
-@pytest.mark.parametrize("call, bad, missing, error, text", [
-    (("proj", 2, 3), ("proj", 2, 3), None, pl.DimensionMismatch,
-     "proj(2,3): declared 3->2, map has 4->2"),
-    (("proj", 1, 4), ("proj", 2, 3), None, pl.DimensionMismatch,
-     "proj(2,3): declared 3->2, map has 4->2"),
-    (("inj", 4, 1), ("inj", 3, 2), None, pl.DimensionMismatch,
-     "inj(3,2): declared 2->3, map has 2->4"),
-    (("proj", 1, 4), None, ("proj", 2, 3), pl.FamilyMismatch,
-     "missing stored projection (2, 3)"),
-    (("inj", 4, 1), None, ("inj", 3, 2), pl.FamilyMismatch,
-     "missing stored injection (3, 2)"),
-])
-def test_composed_maps_name_the_bad_stored_step(call, bad, missing, error, text):
-    fam = _adjacent_chain(bad, missing)
-    kind, a, b = call
-    with pytest.raises(error) as info:
-        getattr(fam, kind)(a, b)
-    assert str(info.value) == text
+def test_a_gapped_stored_chain_names_the_pair_it_cannot_connect():
+    """Without the stored projection (2, 3) the chain 4 > 3 > 2 > 1 has a
+    gap: the document loads, and a pair across the gap is refused on use,
+    projection and injection alike, while the pairs beside it compose."""
+    fam = pl.family_from_descriptor(_adjacent_chain(drop=("proj", 2)))
+    assert np.array_equal(fam.proj(1, 2).matrix, [[1.0, 0.0]])
+    assert fam.inj(4, 3).codomain_dim == 4
+    for call in (lambda: fam.proj(1, 4), lambda: fam.inj(4, 1), lambda: fam.spread(3)):
+        with pytest.raises(pl.DescriptorError,
+                           match=r"^adjacent: stored pairs do not connect (1|2) to (3|4)$"):
+            call()
 
 
 def test_adjacent_chain_composes_both_ways():
-    fam = _adjacent_chain()
+    fam = pl.family_from_descriptor(_adjacent_chain())
     assert np.array_equal(fam.proj(1, 4).matrix, [[1.0, 0.0, 0.0, 0.0]])
     assert np.array_equal(fam.inj(4, 1).matrix, [[1.0], [0.0], [0.0], [0.0]])
     assert fam.transport(4, 1) is fam.proj(1, 4) and fam.transport(1, 4) is fam.inj(4, 1)
@@ -200,9 +208,8 @@ def _padded_family() -> pl.ProfiniteFamily:
 
         return pl.DifferentiableMap(J, K, fn, jac=jac, name=f"pad{J}->{K}")
 
-    return pl.ProfiniteFamily(pl.chain_poset(range(1, 5)), lambda n: n,
-                              proj_factory=lambda J, K: pl.selection_map(K, range(J)),
-                              inj_factory=inj, name="padded")
+    return pair_family(pl.chain_poset(range(1, 5)), lambda n: n,
+                       lambda J, K: pl.selection_map(K, range(J)), inj, name="padded")
 
 
 def _bundle_map(family) -> pl.ProfiniteMap:
@@ -272,7 +279,7 @@ def _nan_projections(family) -> pl.ProfiniteFamily:
         return pl.DifferentiableMap(mp.domain_dim, mp.codomain_dim,
                                     lambda x, _m=mp: _m(x) * np.nan)
 
-    return pl.ProfiniteFamily(family.poset, family.dim, proj, family.inj, name="nan")
+    return pair_family(family.poset, family.dim, proj, family.inj, name="nan")
 
 
 def test_nan_residual_fails_the_audits(rng):

@@ -112,6 +112,31 @@ def test_negative_times_are_refused_and_zero_is_the_anchor(wiener):
     assert pl.pl_weights([0.0], [0.5]).tolist() == [[0.0]]
 
 
+def test_pl_path_pairs_each_value_with_its_own_time():
+    gamma = pl.pl_path([1.0, 0.5], [10.0, 5.0])
+    assert gamma(0.5) == 5.0 and gamma(1.0) == 10.0 and gamma(0.75) == 7.5
+    assert gamma(0.25) == 2.5
+    for values in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(pl.DimensionMismatch, match=f"^{len(values)} values for 2 times$"):
+            pl.pl_path([1.0, 0.5], values)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_are_refused(bad):
+    """A NaN or an infinity is refused as a target, with knots or without,
+    and as a knot, in any position; the Wiener knot pool refuses one too."""
+    text = rf"^{bad} is not a finite time$"
+    for targets, knots in [([bad], [0.5]), ([0.25, bad], [0.5, 1.0]), ([bad], []),
+                           ([0.5], [bad]), ([0.5], [0.25, bad, 1.0])]:
+        with pytest.raises(ValueError, match=text):
+            pl.pl_weights(targets, knots)
+    for gamma in (pl.pl_path([], []), pl.pl_path([0.5], [2.0])):
+        with pytest.raises(ValueError, match=text):
+            gamma(bad)
+    with pytest.raises(ValueError, match=text):
+        pl.wiener_family(times=[0.5, bad])
+
+
 TEN_KNOTS = tuple((i + 1) / 10 for i in range(10))
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import given, strategies as st
 import proflim as pl
 from proflim.poset import ComparableMembers
 from oracles import section_disagreement, section_thread_levels
+from towers import pair_family
 
 
 def test_thread_memoizes_and_checks_dims(euclid):
@@ -83,9 +83,7 @@ def test_thread_from_section_round_trip_is_exact(euclid):
 def test_incomparable_extension_raises():
     # two incomparable levels: a section point on one cannot extend to the other
     p = pl.finite_poset(["a", "b"], leq=lambda x, y: x == y)
-    fam = pl.ProfiniteFamily(p, lambda _: 1,
-                             proj_factory=lambda J, K: None,
-                             inj_factory=lambda K, J: None)
+    fam = pair_family(p, lambda _: 1, None, None)
     t = pl.thread_from_section(pl.SectionPoint.of(fam, ["a"], {"a": [1.0]}))
     with pytest.raises(pl.Incomparable):
         t("b")
@@ -133,24 +131,12 @@ def test_section_thread_matches_brute_force_oracle(case):
                 t(J)
 
 
-def _count_work(monkeypatch, fam) -> tuple:
-    """(builds, fanouts) from here on: (source level, target level) -> per-pair
-    maps fam builds, and the (member, levels) of each call to its fanout rule."""
-    builds, fanouts = Counter(), []
-    build, fanout = fam._build, fam._fanout
-
-    def counted_build(kind, J, K):
-        builds.update([(K, J) if kind == "proj" else (J, K)])
-        return build(kind, J, K)
-
-    def counted_fanout(member, levels):
-        fanouts.append((member, levels))
-        return fanout(member, levels)
-
-    monkeypatch.setattr(fam, "_build", counted_build)
-    if fanout is not None:
-        monkeypatch.setattr(fam, "_fanout", counted_fanout)
-    return builds, fanouts
+def _count_work(monkeypatch, fam) -> list:
+    """The (src, levels) of each call to fam's map rule from here on."""
+    calls, rule = [], fam._maps
+    monkeypatch.setattr(fam, "_maps",
+                        lambda src, levels: calls.append((src, levels)) or rule(src, levels))
+    return calls
 
 
 @pytest.mark.parametrize("case", ["wiener", "cross", "euclid"])
@@ -165,31 +151,24 @@ def test_extension_rule_runs_once_per_reachable_level(monkeypatch, case):
     else:
         fam = pl.euclid_tower(6).family
         values = {3: [1.0, 2.0, 3.0]}
-    builds, fanouts = _count_work(monkeypatch, fam)
+    calls = _count_work(monkeypatch, fam)
     sp = pl.SectionPoint.of(fam, list(values), values)
     reachable = [J for J in fam.poset.elements
                  if any(fam.poset.comparable(J, m) for m in values)]
     x = pl.thread_from_section(sp)
-    if case == "wiener":
-        # the family's fanout rule is asked once per member, for every level
-        # the member reaches, and no per-pair map is built
-        assert fanouts == [(m, fam.poset.reach([m])) for m in values] and not builds
-    else:
-        # one map is built from each member to every level it reaches but its
-        # own, where its value is read verbatim; no other level is asked
-        assert builds == Counter((m, J) for m in values for J in fam.poset.reach([m])
-                                 if J != m)
-        assert not fanouts
+    # the family's rule is asked once per member, for every level the
+    # member reaches, and for no single pair
+    assert calls == [(m, fam.poset.reach([m])) for m in sp.section]
     assert set(x._memo) == set(reachable) and len(x._memo) == len(reachable)
-    builds.clear()
-    fanouts.clear()
+    calls.clear()
+    pl.thread_from_section(sp)
     y = pl.Thread(fam, lambda J: np.zeros(fam.dim(J)))
     metrics = pl.euclidean_metrics(fam)
     mu = pl.IndexMeasure({J: 1.0 / len(reachable) for J in reachable})
     pl.d_inf(metrics, x, y, [[J] for J in reachable])
     pl.d_mu(metrics, mu, x, y)
-    # the distances then read the memo
-    assert not builds and not fanouts
+    # a second thread reads the cached spreads, and the distances the memo
+    assert not calls
 
 
 @given(section_points())
@@ -238,60 +217,102 @@ def test_probe_work_is_bounded_by_the_reachable_levels(monkeypatch, k):
     """On the 1024 levels of a 10-knot Wiener family, a one-member section
     of k knots reaches 2^k levels below it and 2^(10-k) above, its own level
     counted in both.  With the family's maps not yet built, the probe asks
-    the family's fanout rule once, for exactly those levels, builds no
-    per-pair map, asks no leq, and caches only the member's spread; once it
-    is built, the probe asks nothing."""
+    the family's map rule once, for exactly those levels, asks no leq, and
+    caches only the member's spread; once it is built, the probe asks
+    nothing."""
     knots = [(i + 1) / 10 for i in range(10)]
     fam = pl.wiener_family(knots).family
     leq_calls = []
     order = fam.poset.leq
     fam.poset = dataclasses.replace(
         fam.poset, leq=lambda a, b: leq_calls.append(1) or order(a, b))
-    builds, fanouts = _count_work(monkeypatch, fam)
+    calls = _count_work(monkeypatch, fam)
     S = frozenset(knots[:k])
     reachable = 2 ** k + 2 ** (10 - k) - 1
     for cold in (True, False):  # a fresh family, then the spread the first probe built
         leq_calls.clear()
-        builds.clear()
-        fanouts.clear()
+        calls.clear()
         before = set(fam._cache)
         sp = pl.SectionPoint.of(fam, [S], {S: np.arange(float(k))})
         memo = pl.thread_from_section(sp)._memo
         cached = set(fam._cache) - before
         assert len(memo) == reachable
-        assert not builds and not leq_calls
+        assert not leq_calls
         if cold:
             assert cached == {("spread", S)}
-            assert fanouts == [(S, fam.poset.reach([S]))]
-            assert len(fanouts[0][1]) == reachable
+            assert calls == [(S, fam.poset.reach([S]))]
+            assert len(calls[0][1]) == reachable
         else:
-            assert not cached and not fanouts
+            assert not cached and not calls
 
 
-def test_wiener_spread_is_the_stack_of_its_transports_bit_for_bit():
-    """Every row of a Wiener transport depends only on its target time and
-    the member's knots, so each member's one fanout matrix is the per-pair
-    matrices stacked, byte for byte, on every nonempty member of 10 knots."""
-    fam = pl.wiener_family([(i + 1) / 10 for i in range(10)]).family
-    for S in fam.poset.elements[1:]:
+def _loaded_diamond() -> pl.ProfiniteFamily:
+    """A descriptor-loaded diamond that stores only its covers, with dense
+    maps, so its pairs across the diamond compose."""
+    rng = np.random.default_rng(5)
+    dims = {"I": 1, "J": 2, "K": 2, "L": 3}
+    covers = [("I", "J"), ("I", "K"), ("J", "L"), ("K", "L")]
+    leq = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+    return pl.family_from_descriptor({
+        "poset": {"kind": "finite", "elements": list(dims), "leq": leq},
+        "levels": [{"index": J, "dim": d} for J, d in dims.items()],
+        "projections": [{"from": K, "to": J, "kind": "matrix", "payload": {
+            "rows": rng.standard_normal((dims[J], dims[K])).tolist()}} for J, K in covers],
+        "injections": [{"from": J, "to": K, "kind": "matrix", "payload": {
+            "rows": rng.standard_normal((dims[K], dims[J])).tolist()}} for J, K in covers]})
+
+
+def _assert_spreads_stack_their_transports(fam):
+    for S in fam.poset.elements:
         levels, cuts, spread = fam.spread(S)
         want = np.vstack([fam.transport(S, I).matrix for I in levels])
         assert spread.matrix.shape == want.shape
         assert spread.matrix.tobytes() == want.tobytes()
-        assert [c.stop - c.start for c in cuts] == [len(I) for I in levels]
+        assert [c.stop - c.start for c in cuts] == [fam.dim(I) for I in levels]
         fam._cache.clear()  # keep the per-pair maps of one member at a time
+
+
+def test_wiener_spread_is_the_stack_of_its_transports_bit_for_bit():
+    """Every row of a Wiener transport depends only on its target time and
+    the member's knots, so each member's one rule answer is the per-pair
+    matrices stacked, byte for byte, on every member of 10 knots."""
+    _assert_spreads_stack_their_transports(
+        pl.wiener_family([(i + 1) / 10 for i in range(10)]).family)
+
+
+SPREAD_FAMILIES = {
+    **{name: lambda name=name: pl.build_gallery(name).family for name in pl.gallery_names()},
+    "tangent-euclid": lambda: pl.tangent_family(pl.euclid_tower().family),
+    "loaded-diamond": _loaded_diamond,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPREAD_FAMILIES))
+def test_every_spread_is_the_stack_of_its_transports_bit_for_bit(name):
+    """The same on every gallery family, on a tangent family, and on a
+    loaded family whose rule composes its stored maps."""
+    _assert_spreads_stack_their_transports(SPREAD_FAMILIES[name]())
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_a_fanout_of_the_wrong_shape_names_the_member(extra):
+    """A rule whose answer has `extra` rows too many is refused, naming its
+    source level, by proj, inj and spread alike, and nothing is cached."""
     fam = pl.euclid_tower(4).family
-    rows = sum(fam.dim(I) for I in fam.poset.reach([2])) + extra
-    bad = pl.ProfiniteFamily(fam.poset, fam.dim, fam._proj_factory, fam._inj_factory,
-                             fanout=lambda m, levels: pl.matrix_map(np.zeros((rows, m))))
-    with pytest.raises(pl.DimensionMismatch,
-                       match=rf"^fanout\(2\): declared 2->10, map has 2->{10 + extra}$"):
+
+    def rule(src, levels):
+        return pl.matrix_map(np.zeros((sum(fam.dim(I) for I in levels) + extra, src)))
+
+    bad = pl.ProfiniteFamily(fam.poset, fam.dim, rule)
+    for call, src, rows in [(lambda: bad.proj(1, 3), 3, 1), (lambda: bad.inj(3, 1), 1, 3),
+                            (lambda: bad.spread(2), 2, 10)]:
+        with pytest.raises(pl.DimensionMismatch,
+                           match=rf"^maps\({src}\): declared {src}->{rows}, "
+                                 rf"map has {src}->{rows + extra}$"):
+            call()
+    with pytest.raises(pl.DimensionMismatch, match=r"^maps\(2\): "):
         pl.thread_from_section(pl.SectionPoint.of(bad, [2], {2: [1.0, 2.0]}))
-    assert ("spread", 2) not in bad._cache
+    assert not bad._cache
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -325,9 +346,8 @@ def _sine_chain(n: int = 6):
         return pl.DifferentiableMap(J, K, lambda x: np.concatenate([x, np.sin(i * x[0])]),
                                     jac=jac)
 
-    return pl.ProfiniteFamily(pl.chain_poset(range(1, n + 1)), lambda J: J,
-                              proj_factory=lambda J, K: pl.selection_map(K, range(J)),
-                              inj_factory=inj)
+    return pair_family(pl.chain_poset(range(1, n + 1)), lambda J: J,
+                       lambda J, K: pl.selection_map(K, range(J)), inj)
 
 
 def _sine_vee():
@@ -337,10 +357,8 @@ def _sine_vee():
         return pl.DifferentiableMap(1, 2, lambda x: np.array([x[0], np.sin(x[0])]),
                                     jac=lambda x: np.array([[1.0], [np.cos(x[0])]]))
 
-    return pl.ProfiniteFamily(pl.finite_poset(["J", "K", "L"], lambda a, b: a == b or b == "L"),
-                              {"J": 1, "K": 1, "L": 2}.get,
-                              proj_factory=lambda J, L: pl.selection_map(2, [0]),
-                              inj_factory=inj)
+    return pair_family(pl.finite_poset(["J", "K", "L"], lambda a, b: a == b or b == "L"),
+                       {"J": 1, "K": 1, "L": 2}.get, lambda J, L: pl.selection_map(2, [0]), inj)
 
 
 def test_a_non_linear_family_runs_through_the_section_check():
@@ -371,10 +389,9 @@ def _dense_chain(n: int = 8, seed: int = 0):
     """Levels 1..n of R^J with dense transports: injections Q[:K, :J] of a
     seeded orthogonal Q, their pseudo-inverses as projections."""
     Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
-    return pl.ProfiniteFamily(
-        pl.chain_poset(range(1, n + 1)), lambda J: J,
-        proj_factory=lambda J, K: pl.matrix_map(np.linalg.pinv(Q[:K, :J])),
-        inj_factory=lambda K, J: pl.matrix_map(Q[:K, :J]))
+    return pair_family(pl.chain_poset(range(1, n + 1)), lambda J: J,
+                       lambda J, K: pl.matrix_map(np.linalg.pinv(Q[:K, :J])),
+                       lambda K, J: pl.matrix_map(Q[:K, :J]))
 
 
 def test_d_inf_of_a_section_point_is_d_inf_of_its_thread():
