@@ -81,12 +81,14 @@ def _adjacent_chain(bad=None, drop=None) -> dict:
 
 @pytest.mark.parametrize("bad, drop, text", [
     (("proj", 2), None, r"^projections\[1\]: declared 3->2, map has 4->2$"),
+    (("proj", 3), None, r"^projections\[2\]: declared 4->3, map has 5->3$"),
     (("inj", 2), None, r"^injections\[1\]: declared 2->3, map has 2->4$"),
     (None, ("inj", 2), r"^injections: none from 2 to 3, where a projection is stored$"),
-], ids=["projection-shape", "injection-shape", "missing-injection"])
+], ids=["projection-shape", "top-projection-shape", "injection-shape", "missing-injection"])
 def test_composed_maps_name_the_bad_stored_step(bad, drop, text):
-    """A stored step of the wrong shape, or a projection stored without its
-    injection, is refused when the document loads, naming the entry."""
+    """A stored step of the wrong shape, at the foot of the chain or at its
+    top, or a projection stored without its injection, is refused when the
+    document loads, naming the entry."""
     with pytest.raises(pl.DescriptorError, match=text):
         pl.family_from_descriptor(_adjacent_chain(bad, drop))
 
