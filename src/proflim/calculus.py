@@ -209,7 +209,7 @@ def check_tame(form: TameForm, pairs: Iterable[tuple], samples: int = 20,
 # metrics
 
 
-_METRIC_KINDS = ("riemannian", "pseudo-riemannian", "hermitian", "pseudo-hermitian")
+_SYMMETRIES = ("riemannian", "pseudo-riemannian", "hermitian", "pseudo-hermitian")
 
 
 @dataclass
@@ -228,7 +228,7 @@ class CompatibleMetric:
     name: str = ""
 
     def __post_init__(self):
-        if self.symmetry not in _METRIC_KINDS:
+        if self.symmetry not in _SYMMETRIES:
             raise ValueError(f"unknown symmetry type {self.symmetry!r}")
         if "hermitian" in self.symmetry and self.complex_structure is None:
             raise ValueError("hermitian kinds need a complex_structure oracle")

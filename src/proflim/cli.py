@@ -199,6 +199,10 @@ def cmd_distance(ns: argparse.Namespace) -> int:
             mu = load_measure_csv(ns.measure)
         except (OSError, UnicodeDecodeError) as err:
             raise UsageError(f"cannot read --measure: {err}") from None
+        stray = [J for J in mu.weights if J not in fam.poset.elements]
+        if stray:
+            raise UsageError(f"--measure: index {stray[0]!r} is not a level of "
+                             f"{fam.name or 'the family'}")
         doc["d_mu"], doc["d_mu_tail_bound"] = d_mu(metrics, mu, x, y)
     emit(report_json(doc), ns.out)
     return EXIT_PASS
@@ -254,6 +258,9 @@ def cmd_wiener(ns: argparse.Namespace) -> int:
         raise UsageError(f"--times: {err}") from None
     fam = g.family
     pool = list(g.extras["pool"])
+    if len(pool) < 2:
+        raise UsageError(f"--times: the refinement check needs at least two knots, "
+                         f"got {len(pool)}")
     rng = np.random.default_rng(ns.seed)
 
     report = VerificationReport("wiener experiments")

@@ -103,7 +103,7 @@ def level_function(f: CylindricalFunction, J) -> DifferentiableMap:
 def reexpress(f: CylindricalFunction, new_section) -> CylindricalFunction:
     """Rewrite f over a finer antichain (every member must sit below a new
     member); evaluation is unchanged on threads."""
-    sec = new_section if isinstance(new_section, Section) else Section.of(f.family.poset, new_section)
+    sec = Section.of(f.family.poset, new_section)
     fam, poset = f.family, f.family.poset
     offsets, offset = {}, 0
     for m in sec:

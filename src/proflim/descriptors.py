@@ -15,13 +15,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 from .calculus import TameForm
 from .expr import ExpressionError, compile_scalar, parse_index_token
 from .family import ProfiniteFamily
+from .gallery import GalleryFamily, build_gallery, gallery_key, knot_pool, pl_weights
 from .limits import IllDefinedSection, SectionPoint, Thread, thread_from_section
 from .maps import (DimensionMismatch, compose, fanout_map, identity_map, matrix_map,
                    scatter_map, selection_map)
@@ -114,6 +115,8 @@ def decode_index(obj) -> Any:
     if not all(isinstance(m, (int, float, str)) for m in members):
         raise DescriptorError(f"bad index {obj!r}: expected a number, a string "
                               'or {"set": [...]} of them')
+    if len({isinstance(m, str) for m in members}) > 1:
+        raise DescriptorError(f"bad index {obj!r}: a set mixes numbers and strings")
     return frozenset(map(_finite_atom, members)) if is_set else _finite_atom(obj)
 
 
@@ -146,7 +149,7 @@ def poset_from_descriptor(doc: dict) -> IndexPoset:
                       lambda v: subset_poset(_each(_finite_atom, v, "poset.pool")))
     if kind == "finite":
         els = _field(doc, "elements", "poset",
-                     lambda v: _each(decode_index, v, "poset.elements"))
+                     lambda v: _sortable(_each(decode_index, v, "poset.elements")))
         leq = _field(doc, "leq", "poset", lambda v: np.array(_list(v), dtype=bool))
         if leq.shape != (len(els), len(els)):
             raise DescriptorError(f"poset.leq: shape {leq.shape} does not match "
@@ -163,6 +166,16 @@ def _integer(value) -> int:
     if type(value) is not int:
         raise ValueError(f"{value!r} is not an integer")
     return value
+
+
+def _sortable(els: list) -> list:
+    """The elements, refused unless the canonical index order sorts them."""
+    try:
+        sorted(els, key=IndexPoset.key)
+    except TypeError:
+        raise ValueError(f"{els!r} have no common order: numbers, strings and "
+                         "sets of either do not mix") from None
+    return els
 
 
 def _distinct(els: list) -> list:
@@ -230,7 +243,6 @@ def map_from_entry(entry: dict, role: str, level_dim: Callable[[Any], int],
             raise DescriptorError(f"{where}.indices: {indices} are not coordinates of R^{full}")
         mp = selection_map(full, indices) if role == "proj" else scatter_map(full, indices)
     else:
-        from .gallery import knot_pool, pl_weights
         knots = _field(payload, "knots", where, lambda v: knot_pool(_floats(v)))
         mp = matrix_map(_field(payload, "targets", where,
                                lambda v: pl_weights(_floats(v), knots)))
@@ -242,7 +254,6 @@ def map_from_entry(entry: dict, role: str, level_dim: Callable[[Any], int],
 
 def _named_gallery(doc: dict, path: str):
     """The gallery family that doc["family"] names, built with doc["kwargs"]."""
-    from .gallery import build_gallery
     name, kwargs = _field(doc, "family", path, str), _field(doc, "kwargs", path, default={})
     try:
         return build_gallery(name, **kwargs)
@@ -330,18 +341,15 @@ def family_from_descriptor(doc: dict) -> ProfiniteFamily:
                            name=family_name)
 
 
-def family_to_descriptor(family: ProfiniteFamily,
-                         pairs: Optional[Iterable[tuple]] = None,
-                         name: Optional[str] = None) -> dict:
-    """Export with explicit matrices on the given comparable pairs, by
-    default the poset's covers (J < K with no level strictly between), for
-    every family: a loaded family that stored a non-cover pair exports only
-    the covers, which its loader composes back."""
+def family_to_descriptor(family: ProfiniteFamily, name: Optional[str] = None) -> dict:
+    """Export with explicit matrices on the poset's covers (J < K with no
+    level strictly between), for every family: a loaded family that stored
+    a non-cover pair exports only the covers, which its loader composes
+    back."""
     poset = family.poset
-    if pairs is None:
-        els = poset.sort(poset.elements)
-        pairs = [(a, b) for a in els for b in els
-                 if poset.lt(a, b) and not any(poset.lt(a, c) and poset.lt(c, b) for c in els)]
+    els = poset.sort(poset.elements)
+    pairs = [(a, b) for a in els for b in els
+             if poset.lt(a, b) and not any(poset.lt(a, c) and poset.lt(c, b) for c in els)]
     projections, injections = [], []
     for J, K in pairs:
         pr, ij = family.proj(J, K), family.inj(K, J)
@@ -364,7 +372,6 @@ def family_to_descriptor(family: ProfiniteFamily,
 
 def gallery_reference_descriptor(name: str, kwargs: Optional[dict] = None) -> dict:
     """A descriptor that defers every map to a named gallery builder."""
-    from .gallery import build_gallery
     g = build_gallery(name, **(kwargs or {}))
     fam = g.family
     levels = [{"index": encode_index(J), "dim": fam.dim(J)}
@@ -392,9 +399,8 @@ def load_family(path) -> ProfiniteFamily:
         return family_from_descriptor(read_json(fh.read()))
 
 
-def dump_family(family: ProfiniteFamily, path,
-                pairs: Optional[Iterable[tuple]] = None) -> None:
-    doc = family_to_descriptor(family, pairs=pairs)
+def dump_family(family: ProfiniteFamily, path) -> None:
+    doc = family_to_descriptor(family)
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -422,8 +428,6 @@ def thread_from_descriptor(gallery_or_family, doc: dict) -> Thread:
     the section must be a section (an antichain that reaches every level)
     and the members must agree wherever they meet.
     """
-    from .gallery import GalleryFamily
-
     g = gallery_or_family if isinstance(gallery_or_family, GalleryFamily) else None
     family = g.family if g is not None else gallery_or_family
     kind = _field(doc, "kind", "thread")
@@ -476,8 +480,6 @@ def form_from_descriptor(family_or_gallery, doc: dict) -> TameForm:
     """{"kind": "named-gallery", "family": ..., "extra": ...} or
     {"kind": "expressions", "degree": r, "levels": [{"index", "comps"}]}
     with comps a nested list of mini-language expressions, shape (dim,)*r."""
-    from .gallery import GalleryFamily, gallery_key
-
     kind = _field(doc, "kind", "form")
     if kind == "named-gallery":
         g, name = family_or_gallery, _field(doc, "family", "form", str, default=None)

@@ -16,7 +16,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .maps import (DifferentiableMap, DimensionMismatch, as_point, compose,
-                   fanout_map, identity_map, matrix_map, residual)
+                   fanout_map, matrix_map, residual)
 from .poset import IndexPoset
 from .report import VerificationReport
 
@@ -31,9 +31,10 @@ class ProfiniteFamily:
     `maps(src, levels)` returns the transports from level `src` to each
     listed level, stacked in order as one map; the listed levels are all
     comparable to `src`, and the block of `src` itself is the identity.
-    `proj(J, K)` asks it for `maps(K, [J])`, `inj(K, J)` for `maps(J, [K])`
-    and `spread(m)` for `maps(m, poset.reach([m]))`; every answer is
-    shape-checked.  Produced maps are memoized; the family is immutable.
+    `proj(J, K)` asks it for `maps(K, [J])`, `inj(K, J)` for `maps(J, [K])`,
+    J == K included, and `spread(m)` for `maps(m, poset.reach([m]))`; every
+    answer is shape-checked.  Produced maps are memoized; the family is
+    immutable.
     """
 
     def __init__(self, poset: IndexPoset, level_dim: Callable[[Any], int],
@@ -63,7 +64,8 @@ class ProfiniteFamily:
 
         The cache is keyed by the indices themselves and read before the
         order oracle: an entry exists only for a pair that passed leq when
-        it was built.  J == K shares one identity entry between both kinds.
+        it was built.  J == K shares one entry between both kinds: the
+        rule's own block maps(J, [J]).
         """
         key = ("id", J) if J == K else (kind, J, K)
         with self._lock:
@@ -72,11 +74,8 @@ class ProfiniteFamily:
         if not self.poset.leq(J, K):
             pair = (J, K) if kind == "proj" else (K, J)
             raise FamilyMismatch(f"{kind} asked for a non-comparable pair {pair!r}")
-        if J == K:
-            value = identity_map(self.dim(J))
-        else:
-            src, dst = (K, J) if kind == "proj" else (J, K)
-            value = self._ask(src, [dst], [self.dim(dst)])
+        src, dst = (K, J) if kind == "proj" else (J, K)
+        value = self._ask(src, [dst], [self.dim(dst)])
         with self._lock:
             return self._cache.setdefault(key, value)
 
@@ -155,8 +154,8 @@ def sample_chains(poset: IndexPoset, rng: np.random.Generator,
         top = els[rng.integers(len(els))]
         chain = [top]
         for _ in range(length - 1):
-            below = poset.down(chain[-1])
-            chain.append(below[rng.integers(len(below))])
+            lower = poset.below(chain[-1])
+            chain.append(lower[rng.integers(len(lower))])
         chains.append(tuple(reversed(chain)))  # increasing
     return chains
 
@@ -168,8 +167,8 @@ def sample_pairs(poset: IndexPoset, rng: np.random.Generator,
     pairs = []
     for _ in range(count):
         a = els[rng.integers(len(els))]
-        above = poset.up(a)
-        pairs.append((a, above[rng.integers(len(above))]))
+        upper = poset.above(a)
+        pairs.append((a, upper[rng.integers(len(upper))]))
     return pairs
 
 
@@ -177,25 +176,22 @@ def sample_pairs(poset: IndexPoset, rng: np.random.Generator,
 # family audit
 
 
-def verify_family(family: ProfiniteFamily, chains: Optional[Iterable[tuple]] = None,
-                  points_per_chain: int = 100, tol: float = 1e-9,
+def verify_family(family: ProfiniteFamily, points_per_chain: int = 100, tol: float = 1e-9,
                   rng: Optional[np.random.Generator] = None) -> VerificationReport:
     """Numerically audit the family axioms along sampled chains.
 
     Checks, each reported with its max residual over all samples and its
     worst level, pair or triple; a NaN residual fails its check:
-      identity     proj(J, J) = id
+      identity     proj(J, J) = id, the rule's own block maps(J, [J])
       consistency  proj(J, L) = proj(J, K) o proj(K, L)
       retraction   proj(J, K) o inj(K, J) = id on E_J
       cocycle      inj(K, J) o inj(J, I) = inj(K, I)
     Each level, pair or triple draws its sample points as one batch.
     """
     rng = rng or np.random.default_rng(0)
-    if chains is None:
-        chains = sample_chains(family.poset, rng)
     key = family.poset.key  # canonical witness names, stable under hash seeds
     ident, retr, cons, cocy = [], [], [], []
-    for chain in map(list, chains):
+    for chain in sample_chains(family.poset, rng):
         for J in chain:
             X = sample_point(family.dim(J), rng, max(1, points_per_chain // 10))
             ident.append((key(J), residual(family.proj(J, J).rows(X), X)))

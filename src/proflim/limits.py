@@ -103,7 +103,7 @@ class SectionPoint:
 
     @staticmethod
     def of(family: ProfiniteFamily, section, values: Mapping) -> "SectionPoint":
-        sec = section if isinstance(section, Section) else Section.of(family.poset, section)
+        sec = Section.of(family.poset, section)
         vals = {}
         for member in sec:
             if member not in values:
@@ -160,7 +160,7 @@ def thread_from_section(sp: SectionPoint, tol: float = 1e-9,
 
 
 def restrict_thread(t: Thread, section) -> SectionPoint:
-    sec = section if isinstance(section, Section) else Section.of(t.family.poset, section)
+    sec = Section.of(t.family.poset, section)
     return SectionPoint.of(t.family, sec, {m: t(m) for m in sec})
 
 
@@ -182,8 +182,7 @@ def is_inductive(t: Thread, candidate_sections: Iterable,
     poset = t.family.poset
     for section in candidate_sections:
         try:
-            sec = section if isinstance(section, Section) else Section.of(poset, section)
-            sp = restrict_thread(t, sec)
+            sp = restrict_thread(t, section)
             induced = thread_from_section(sp, tol=tol)
             # an index no member reaches raises Incomparable before t is read
             if all(residual(induced(idx), t(idx)) <= tol for idx in poset.elements):

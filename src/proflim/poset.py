@@ -40,14 +40,14 @@ def _default_key(x):
 @dataclass(frozen=True)
 class IndexPoset:
     """leq/join oracles over a finite element tuple; `below(I)` and
-    `above(I)`, when given, list the elements <= I and >= I without leq."""
+    `above(I)` list the elements <= I and >= I, in `elements` order."""
 
     leq: Callable[[Any, Any], bool]
     join: Callable[[Any, Any], Optional[Any]]
     elements: tuple
-    key: Callable[[Any], Any] = _default_key
-    below: Optional[Callable[[Any], tuple]] = field(default=None, repr=False, compare=False)
-    above: Optional[Callable[[Any], tuple]] = field(default=None, repr=False, compare=False)
+    below: Callable[[Any], tuple] = field(repr=False, compare=False)
+    above: Callable[[Any], tuple] = field(repr=False, compare=False)
+    key = staticmethod(_default_key)
 
     def lt(self, a, b) -> bool:
         return a != b and self.leq(a, b)
@@ -58,22 +58,11 @@ class IndexPoset:
     def sort(self, indices: Iterable) -> list:
         return sorted(indices, key=self.key)
 
-    def down(self, I) -> tuple:
-        """Every element J <= I, in `elements` order."""
-        return self._walk(self.below, I, lambda J: self.leq(J, I))
-
-    def up(self, I) -> tuple:
-        """Every element J >= I, in `elements` order."""
-        return self._walk(self.above, I, lambda J: self.leq(I, J))
-
     def reach(self, members: Iterable) -> tuple:
         """Every element comparable to some member, each once, in `elements`
         order."""
-        found = {J for m in members for side in (self.down(m), self.up(m)) for J in side}
+        found = {J for m in members for side in (self.below(m), self.above(m)) for J in side}
         return tuple(sorted(found, key=self._position.__getitem__))
-
-    def _walk(self, enum, I, keep) -> tuple:
-        return enum(I) if enum is not None else tuple(filter(keep, self.elements))
 
     @cached_property
     def _position(self) -> dict:
@@ -94,8 +83,10 @@ class Section:
 
     @staticmethod
     def of(poset: IndexPoset, members: Iterable) -> "Section":
-        """The antichain of the members; ComparableMembers names the first
-        comparable pair."""
+        """The antichain of the members, or `members` itself when it is a
+        Section; ComparableMembers names the first comparable pair."""
+        if isinstance(members, Section):
+            return members
         mem = tuple(poset.sort(set(members)))
         if not mem:
             raise EmptySection("a section must have at least one member")
@@ -132,9 +123,12 @@ def finite_poset(elements: Iterable, leq: Callable[[Any, Any], bool]) -> IndexPo
     """Finite poset from an explicit leq oracle; joins found by search.
 
     The join oracle returns the canonically smallest minimal upper bound,
-    or None when the pair has no upper bound at all.
+    or None when the pair has no upper bound at all.  The down- and up-set
+    of every element are tabulated from leq once, here.
     """
     els = tuple(elements)
+    below = {I: tuple(J for J in els if leq(J, I)) for I in els}
+    above = {I: tuple(J for J in els if leq(I, J)) for I in els}
 
     def join(a, b):
         uppers = [r for r in els if leq(a, r) and leq(b, r)]
@@ -144,7 +138,8 @@ def finite_poset(elements: Iterable, leq: Callable[[Any, Any], bool]) -> IndexPo
                    if not any(leq(v, u) and v != u for v in uppers)]
         return sorted(minimal, key=_default_key)[0]
 
-    return IndexPoset(leq=leq, join=join, elements=els)
+    return IndexPoset(leq=leq, join=join, elements=els,
+                      below=below.__getitem__, above=above.__getitem__)
 
 
 def subset_poset(pool: Iterable) -> IndexPoset:

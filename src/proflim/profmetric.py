@@ -17,9 +17,6 @@ from .limits import SectionPoint, Thread, thread_from_section
 from .maps import DimensionMismatch, residual
 from .report import VerificationReport
 
-METRIC_KINDS = ("euclidean", "discrete", "custom")
-
-
 def _phi(d: np.ndarray) -> np.ndarray:
     """d/(1+d) entrywise, with an infinite distance squashed to 1."""
     if (d < 0).any():
@@ -38,11 +35,13 @@ class LevelMetricFamily:
 
     family: ProfiniteFamily
     dist: Callable[[Any, np.ndarray, np.ndarray], float]
-    kind: str = "custom"
 
-    def __post_init__(self):
-        if self.kind not in METRIC_KINDS:
-            raise ValueError(f"unknown metric kind {self.kind!r}")
+    @property
+    def kind(self) -> str:
+        """The kind read from dist: "euclidean", "discrete" or "custom"."""
+        if self.dist is _euclidean:
+            return "euclidean"
+        return "discrete" if self.dist is _discrete else "custom"
 
     def __call__(self, J, x, y) -> float:
         return float(self.distances((J,), (np.asarray(x, float),),
@@ -86,14 +85,16 @@ def _euclidean(J, x, y) -> float:
     return float(_euclidean_batch((J,), (x,), (y,))[0])
 
 
+def _discrete(J, x, y) -> float:
+    return 0.0 if np.array_equal(x, y) else 1.0
+
+
 def euclidean_metrics(family: ProfiniteFamily) -> LevelMetricFamily:
-    return LevelMetricFamily(family, _euclidean, kind="euclidean")
+    return LevelMetricFamily(family, _euclidean)
 
 
 def discrete_metrics(family: ProfiniteFamily) -> LevelMetricFamily:
-    return LevelMetricFamily(
-        family, lambda J, x, y: 0.0 if np.array_equal(x, y) else 1.0,
-        kind="discrete")
+    return LevelMetricFamily(family, _discrete)
 
 
 def injection_isometry_check(m: LevelMetricFamily, pairs: Iterable[tuple],

@@ -365,7 +365,7 @@ class ProfiniteGroupAction:
     family: ProfiniteFamily
     generators: Callable[[Any], Sequence[np.ndarray]]
     act: Callable[[Any, np.ndarray, np.ndarray], np.ndarray]
-    restrict: Optional[Callable[[Any, Any, np.ndarray], np.ndarray]] = None
+    restrict: Callable[[Any, Any, np.ndarray], np.ndarray]
     name: str = ""
 
     def exp(self, xi: np.ndarray) -> np.ndarray:
@@ -400,9 +400,6 @@ def check_action_compat(action: ProfiniteGroupAction, pairs: Iterable[tuple],
                         samples: int = 10, tol: float = 1e-9,
                         rng: Optional[np.random.Generator] = None) -> VerificationReport:
     """proj(J,K) . act_K(g) = act_J(restrict(g)) . proj(J,K) on samples."""
-    if action.restrict is None:
-        raise ValueError(f"{action.name or 'action'} has no restrict map, "
-                         "so there is nothing to compare across levels")
     rng = rng or np.random.default_rng(0)
     fam = action.family
     gaps = []

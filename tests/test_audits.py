@@ -213,10 +213,3 @@ def test_audit_over_no_pairs_says_so():
     check = rep.checks[0]
     assert check.passed and check.max_residual == 0.0
     assert check.detail == "no pairs audited"
-
-
-def test_action_without_restrict_raises():
-    action = SYMPL["action"]
-    bare = pl.ProfiniteGroupAction(S, action.generators, action.act)
-    with pytest.raises(ValueError):
-        pl.check_action_compat(bare, S_PAIRS, samples=3)

@@ -456,6 +456,16 @@ def _without(path):
     return doc
 
 
+def _renamed(low, high):
+    """PAIR with its levels 1 <= 2 renamed low <= high in a finite poset."""
+    doc = json.loads(json.dumps(PAIR))
+    doc["poset"] = {"kind": "finite", "elements": [low, high], "leq": [[1, 1], [0, 1]]}
+    doc["levels"][0]["index"], doc["levels"][1]["index"] = low, high
+    doc["projections"][0].update({"from": high, "to": low})
+    doc["injections"][0].update({"from": low, "to": high})
+    return doc
+
+
 def _with_rows(rows):
     doc = json.loads(json.dumps(PAIR))
     doc["projections"][0]["payload"]["rows"] = rows
@@ -468,6 +478,12 @@ def _with_rows(rows):
     ("map-shape", r"projections\[0\]: declared 2->1, map has 3->1"),
     ("gapped-chain", "stored pairs do not connect 2 to 3"),
     ("measure-row", "weight 'abc' is not a number"),
+    ("measure-no-level", "--measure: index 99 is not a level of euclid"),
+    ("measure-word", "--measure: index 'foo' is not a level of euclid"),
+    ("finite-mixed-elements",
+     r"poset\.elements: \['a', 1\] have no common order: numbers, strings"),
+    ("finite-mixed-set", r"poset\.elements\[1\]: bad index .*: a set mixes numbers and strings"),
+    ("wiener-one-knot", "--times: the refinement check needs at least two knots, got 1"),
     ("wiener-times", "knot times must be distinct and positive"),
     ("wiener-nan-time", "--times: nan is not a finite time"),
     ("wiener-infinite-time", "--times: inf is not a finite time"),
@@ -501,8 +517,13 @@ def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message)
         return family_text(json.dumps(doc))
 
     distance = ["distance", "--family", "euclid", "--x", ORIGIN, "--y", ORIGIN]
+    named_distance = ["distance", "--family", "euclid", "--x", ORIGIN,
+                      "--y", '{"kind": "named", "name": "three_four"}']
     measure = tmp_path / "mu.csv"
     measure.write_text("1,abc\n")
+    no_level, word = tmp_path / "no-level.csv", tmp_path / "word.csv"
+    no_level.write_text("99,0.25\n")
+    word.write_text("foo,0.5\n")
     nan_measure, inf_tail = tmp_path / "nan.csv", tmp_path / "tail.csv"
     nan_measure.write_text("1,nan\n")
     inf_tail.write_text("1,0.5\ntail,inf\n")
@@ -512,6 +533,11 @@ def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message)
         "map-shape": lambda: family(_with_rows([[1.0, 0.0, 0.0]])),
         "gapped-chain": lambda: family(GAPPED_CHAIN),
         "measure-row": lambda: distance + ["--measure", str(measure)],
+        "measure-no-level": lambda: named_distance + ["--measure", str(no_level)],
+        "measure-word": lambda: named_distance + ["--measure", str(word)],
+        "finite-mixed-elements": lambda: family(_renamed("a", 1)),
+        "finite-mixed-set": lambda: family(_renamed("a", {"set": [1, "a"]})),
+        "wiener-one-knot": lambda: ["wiener", "--times", "0.5"],
         "wiener-times": lambda: ["wiener", "--times", "0.5,0.5"],
         "wiener-nan-time": lambda: ["wiener", "--times", "nan,0.5"],
         "wiener-infinite-time": lambda: ["wiener", "--times", "inf,0.5"],

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -26,8 +25,7 @@ def test_decoded_indices_key_memos_and_maps_by_value():
     fam = pl.wiener_family([0.25, 0.5, 0.75]).family
     key_calls = []
     canonical = fam.poset.key
-    fam.poset = dataclasses.replace(
-        fam.poset, key=lambda J: key_calls.append(J) or canonical(J))
+    object.__setattr__(fam.poset, "key", lambda J: key_calls.append(J) or canonical(J))
     a, b = pl.decode_index({"set": [0.5, 0.25]}), pl.decode_index({"set": [0.25, 0.5]})
     top = pl.decode_index({"set": [0.75, 0.25, 0.5]})
     calls = []

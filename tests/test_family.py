@@ -18,6 +18,24 @@ def test_gallery_axioms_all_exact(euclid, poly, matrix, cross, wiener,
         assert rep.worst().max_residual <= 1e-9
 
 
+def test_identity_check_reads_the_rules_own_block(rng):
+    """A rule whose block at its own level 2 is 2 I fails the identity
+    check, which names that level."""
+    base = pl.euclid_tower(4).family
+
+    def maps(src, levels):
+        return pl.fanout_map([pl.matrix_map(2.0 * np.eye(2)) if I == src == 2
+                              else base.transport(src, I) for I in levels])
+
+    fam = pl.ProfiniteFamily(base.poset, base.dim, maps, name="doubled")
+    assert np.array_equal(fam.proj(2, 2).matrix, 2.0 * np.eye(2))
+    assert fam.inj(2, 2) is fam.proj(2, 2)
+    checks = {c.name: c for c in pl.verify_family(fam, points_per_chain=20, rng=rng).checks}
+    assert not checks["identity"].passed and checks["identity"].max_residual > 0.0
+    assert checks["identity"].detail.startswith("worst level 2 ")
+    assert all(c.passed for name, c in checks.items() if name != "identity")
+
+
 def test_proj_inj_guards(euclid):
     fam = euclid.family
     with pytest.raises(pl.FamilyMismatch):

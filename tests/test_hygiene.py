@@ -1,5 +1,6 @@
-"""Source hygiene: every name a library module imports is used there, and
-max |a - b| is computed by maps.residual alone."""
+"""Source hygiene: every name a library module imports is used there, only
+sympy is imported inside a function, and max |a - b| is computed by
+maps.residual alone."""
 import ast
 from pathlib import Path
 
@@ -45,3 +46,21 @@ def test_max_abs_gaps_go_through_residual():
                for n, line in enumerate(path.read_text().splitlines(), 1)
                if "np.max(np.abs(" in line]
     assert not by_hand, f"max |.| computed by hand at {by_hand}; use maps.residual"
+
+
+def _modules(node):
+    """The modules an import statement loads ("" for `from . import x`)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return [node.module or ""]
+
+
+def test_function_level_imports_load_only_sympy():
+    """Every import inside a function loads sympy, which loads on the first
+    compile; any other module is imported at the top of its module."""
+    late = [f"{path.name}:{node.lineno}" for path in MODULES
+            for func in ast.walk(ast.parse(path.read_text()))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))
+            if any(m.split(".")[0] != "sympy" for m in _modules(node))]
+    assert not late, f"function-level imports of modules other than sympy at {late}"

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import pytest
@@ -85,6 +86,7 @@ def test_section_canonical_sorting_and_errors():
     assert "J" in s and len(s) == 2
     with pytest.raises(pl.EmptySection):
         pl.Section.of(p, [])
+    assert pl.Section.of(p, s) is s
 
 
 @pytest.mark.parametrize("poset, members, pair", [
@@ -126,7 +128,7 @@ def test_enumerate_sections_ordering_is_deterministic():
 @st.composite
 def finite_posets(draw):
     """A chain (repeats allowed), the subsets of 0-6 knots, the diamond, or a
-    random DAG order, which has no enumerators of its own."""
+    random DAG order, whose down- and up-sets finite_poset tabulates."""
     kind = draw(st.sampled_from(["chain", "subsets", "diamond", "dag"]))
     if kind == "chain":
         return pl.chain_poset(draw(st.lists(st.integers(-5, 20), min_size=1, max_size=8)))
@@ -143,10 +145,10 @@ def finite_posets(draw):
 def test_enumerators_match_brute_force_filters(p, data):
     els = p.elements
     for I in els:
-        assert p.down(I) == tuple(J for J in els if p.leq(J, I))
-        assert p.up(I) == tuple(J for J in els if p.leq(I, J))
+        assert p.below(I) == tuple(J for J in els if p.leq(J, I))
+        assert p.above(I) == tuple(J for J in els if p.leq(I, J))
         # the element objects themselves, so reprs in messages do not move
-        assert all(any(J is E for E in els) for J in p.down(I) + p.up(I))
+        assert all(any(J is E for E in els) for J in p.below(I) + p.above(I))
     members = data.draw(st.lists(st.sampled_from(els), min_size=1, max_size=3))
     # each element once, at its place in `elements`
     assert p.reach(members) == tuple(dict.fromkeys(
@@ -168,8 +170,20 @@ def test_subset_enumerators_ask_no_order_oracle():
                       join=base.join, elements=base.elements,
                       below=base.below, above=base.above)
     S = frozenset({2, 4})
-    assert p.down(S) == (frozenset(), frozenset({2}), frozenset({4}), S)
-    assert p.up(S) == (S, frozenset({1, 2, 4}), frozenset({2, 3, 4}), frozenset({1, 2, 3, 4}))
+    assert p.below(S) == (frozenset(), frozenset({2}), frozenset({4}), S)
+    assert p.above(S) == (S, frozenset({1, 2, 4}), frozenset({2, 3, 4}), frozenset({1, 2, 3, 4}))
     missed = set(p.elements) - set(p.reach([S, frozenset({1})]))
     assert missed == {frozenset({3}), frozenset({2, 3}), frozenset({3, 4})}
     assert calls == []
+
+
+def test_finite_posets_tabulate_their_down_and_up_sets():
+    """leq is asked at construction only; below, above and reach read the tables."""
+    calls, base = [], diamond()
+    p = pl.finite_poset(base.elements, lambda a, b: calls.append((a, b)) or base.leq(a, b))
+    built = len(calls)
+    assert p.below("L") == ("I", "J", "K", "L") and p.above("J") == ("J", "L")
+    assert p.reach(["J"]) == ("I", "J", "L")
+    assert len(calls) == built
+    assert [f.name for f in dataclasses.fields(pl.IndexPoset)] == [
+        "leq", "join", "elements", "below", "above"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -259,6 +260,9 @@ def test_injection_isometry(euclid, wiener, rng):
     assert not report.passed
 
 
-def test_metric_kind_guard(euclid):
-    with pytest.raises(ValueError):
-        pl.LevelMetricFamily(euclid.family, lambda J, x, y: 0.0, kind="banana")
+def test_metric_kind_is_read_from_dist(euclid):
+    fam = euclid.family
+    assert pl.euclidean_metrics(fam).kind == "euclidean"
+    assert pl.discrete_metrics(fam).kind == "discrete"
+    assert pl.LevelMetricFamily(fam, lambda J, x, y: 0.0).kind == "custom"
+    assert [f.name for f in dataclasses.fields(pl.LevelMetricFamily)] == ["family", "dist"]
