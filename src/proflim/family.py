@@ -8,7 +8,6 @@ and the injection cocycle.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
@@ -32,8 +31,9 @@ class ProfiniteFamily:
     listed level, stacked in order as one map; the listed levels are all
     comparable to `src`, and the block of `src` itself is the identity.
     `proj(J, K)` asks it for `maps(K, [J])`, `inj(K, J)` for `maps(J, [K])`,
-    J == K included, and `spread(m)` for `maps(m, poset.reach([m]))`; every
-    answer is shape-checked.  Produced maps are memoized; the family is
+    J == K included, and `spread(m)` for `maps(m, levels)` at the levels
+    `poset.reach([m])` numbers; every answer is shape-checked.  Produced
+    maps are memoized, the one stored first winning; the family is
     immutable.
     """
 
@@ -44,16 +44,15 @@ class ProfiniteFamily:
         self._maps = maps
         self.name = name
         self._cache: dict = {}
-        self._lock = threading.Lock()
 
     def dim(self, J) -> int:
         return int(self._level_dim(J))
 
-    def _ask(self, src, levels: Sequence, dims: Sequence[int]) -> DifferentiableMap:
+    def _ask(self, src, levels: Sequence, rows: int) -> DifferentiableMap:
         """The rule's answer maps(src, levels), refused with DimensionMismatch
-        unless it takes dim(src) to sum(dims)."""
+        unless it takes dim(src) to `rows`, the levels' total dimension."""
         mp = self._maps(src, levels)
-        want = self.dim(src), sum(dims)
+        want = self.dim(src), rows
         if (mp.domain_dim, mp.codomain_dim) != want:
             raise DimensionMismatch(f"maps({src!r}): declared {want[0]}->{want[1]}, "
                                     f"map has {mp.domain_dim}->{mp.codomain_dim}")
@@ -68,16 +67,13 @@ class ProfiniteFamily:
         rule's own block maps(J, [J]).
         """
         key = ("id", J) if J == K else (kind, J, K)
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
+        if key in self._cache:
+            return self._cache[key]
         if not self.poset.leq(J, K):
             pair = (J, K) if kind == "proj" else (K, J)
             raise FamilyMismatch(f"{kind} asked for a non-comparable pair {pair!r}")
         src, dst = (K, J) if kind == "proj" else (J, K)
-        value = self._ask(src, [dst], [self.dim(dst)])
-        with self._lock:
-            return self._cache.setdefault(key, value)
+        return self._cache.setdefault(key, self._ask(src, [dst], self.dim(dst)))
 
     def proj(self, J, K) -> DifferentiableMap:
         """The projection E_K -> E_J for J <= K."""
@@ -97,20 +93,24 @@ class ProfiniteFamily:
         return None
 
     def spread(self, member) -> tuple:
-        """(levels, cuts, map), built once: the levels `poset.reach([member])`,
-        the slice of the map's output that falls on each, and the rule's
-        answer `maps(member, levels)`; only this triple is cached."""
+        """(positions, (starts, stops), map), built once and read-only: the
+        positions `poset.reach([member])`, where each level's block of the
+        map's output starts and stops, by position (-1 at a level the member
+        does not reach), and the rule's answer `maps(member, levels)` at the
+        levels in position order; only this triple is cached."""
         key = ("spread", member)
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
-        levels = self.poset.reach([member])
-        dims = [self.dim(I) for I in levels]
-        stack = self._ask(member, levels, dims)
-        cuts = [slice(end - d, end) for d, end in zip(dims, accumulate(dims))]
-        value = levels, cuts, stack
-        with self._lock:
-            return self._cache.setdefault(key, value)
+        if key in self._cache:
+            return self._cache[key]
+        positions = self.poset.reach([member])
+        levels = [self.poset.elements[i] for i in positions.tolist()]
+        dims = np.fromiter(map(self._level_dim, levels), np.intp, len(levels))
+        stops = np.cumsum(dims)
+        stack = self._ask(member, levels, int(stops[-1]))
+        table = np.full((2, len(self.poset.elements)), -1, np.intp)
+        table[0, positions], table[1, positions] = stops - dims, stops
+        for arr in (positions, table):
+            arr.setflags(write=False)
+        return self._cache.setdefault(key, (positions, tuple(table), stack))
 
     def __repr__(self):
         return f"ProfiniteFamily({self.name or 'anonymous'})"
@@ -151,12 +151,11 @@ def sample_chains(poset: IndexPoset, rng: np.random.Generator,
     els = poset.elements
     chains = []
     for _ in range(count):
-        top = els[rng.integers(len(els))]
-        chain = [top]
+        chain = [int(rng.integers(len(els)))]
         for _ in range(length - 1):
-            lower = poset.below(chain[-1])
-            chain.append(lower[rng.integers(len(lower))])
-        chains.append(tuple(reversed(chain)))  # increasing
+            lower = poset.down(chain[-1])
+            chain.append(int(lower[rng.integers(len(lower))]))
+        chains.append(tuple(els[i] for i in reversed(chain)))  # increasing
     return chains
 
 
@@ -166,9 +165,9 @@ def sample_pairs(poset: IndexPoset, rng: np.random.Generator,
     els = poset.elements
     pairs = []
     for _ in range(count):
-        a = els[rng.integers(len(els))]
-        upper = poset.above(a)
-        pairs.append((a, upper[rng.integers(len(upper))]))
+        a = int(rng.integers(len(els)))
+        upper = poset.up(a)
+        pairs.append((els[a], els[upper[rng.integers(len(upper))]]))
     return pairs
 
 

@@ -19,7 +19,8 @@ from .family import ProfiniteFamily, ProfiniteMap
 from .limits import AlgebraicStructure, ScalarAction, Thread
 from .maps import (DifferentiableMap, DimensionMismatch, ScalarMap, fanout_map,
                    identity_map, matrix_map, scatter_map, selection_map)
-from .poset import IndexPoset, Section, chain_poset, finite_poset, subset_poset
+from .poset import (IndexPoset, Section, chain_poset, finite_poset, subset_masks,
+                    subset_poset)
 from .profmetric import IndexMeasure, euclidean_metrics
 from .symplectic import MomentumMap, ProfiniteGroupAction, canonical_omega
 
@@ -327,11 +328,15 @@ def knot_pool(times: Sequence[float]) -> tuple:
 def wiener_family(times: Optional[Sequence[float]] = None) -> GalleryFamily:
     pool = knot_pool(times) if times is not None else DYADIC_POOL
     poset = subset_poset(pool)
+    # has[i, c]: the level at position i holds pool time c
+    has = ((subset_masks(len(pool))[:, None] >> np.arange(len(pool))) & 1).astype(bool)
 
     def fanout(src, levels):
         # a row depends only on its target time and the source knots, so the
-        # stack of a member's transports is one interpolation matrix
-        return matrix_map(pl_weights([t for I in levels for t in sorted(I)], sorted(src)))
+        # stack of a member's transports is the source's interpolation matrix
+        # at every pool time, its rows gathered at each level's sorted knots
+        knots = np.nonzero(has.take(poset.positions(levels), axis=0))[1]
+        return matrix_map(pl_weights(pool, sorted(src)).take(knots, axis=0))
 
     fam = ProfiniteFamily(poset, len, fanout, name="wiener")
 

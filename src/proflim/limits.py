@@ -8,7 +8,6 @@ otherwise the data does not describe a limit point at all.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
@@ -26,7 +25,8 @@ class IllDefinedSection(Exception):
 
 
 class Incomparable(Exception):
-    """An index is comparable to no member of the section."""
+    """An index is no level a thread has a value at: no element of the poset,
+    or comparable to no member of the section."""
 
 
 class MorphismViolation(Exception):
@@ -42,34 +42,61 @@ class NotInvertible(Exception):
 
 
 class Thread:
-    """A lazily evaluated, memoized assignment index -> level point."""
+    """An assignment level -> level point, kept by the level's position in
+    `family.poset.elements`; an index that is no element raises Incomparable.
+
+    `table`, when given, is (flat, starts, stops): one read-only vector and,
+    by position, where each level's value starts and stops in it, -1 at a
+    level it does not hold.  A level it holds is read as a slice of it; any
+    other level is evaluated by `fn` once and memoized.
+    """
 
     def __init__(self, family: ProfiniteFamily, fn: Callable[[Any], np.ndarray],
-                 name: str = ""):
+                 name: str = "", table: Optional[tuple] = None):
         self.family = family
         self._fn = fn
         self.name = name
-        self._memo: dict = {}
-        self._lock = threading.Lock()
+        self._memo: dict = {}  # position -> read-only value
+        self._table = table
+
+    def _missing(self, J) -> Incomparable:
+        return Incomparable(f"index {J!r} is not a level of {self.family.name or 'the family'}")
 
     def value(self, J) -> np.ndarray:
-        with self._lock:
-            if J in self._memo:
-                return self._memo[J]
-        return self._store(J, self._fn(J))
+        try:
+            i = self.family.poset.position[J]
+        except KeyError:
+            raise self._missing(J) from None
+        if self._table is not None:
+            flat, starts, stops = self._table
+            if starts[i] >= 0:
+                return flat[starts[i]:stops[i]]
+        val = self._memo.get(i)
+        if val is None:
+            val = self._store(i, J, self._fn(J))
+        return val
 
-    def values(self, levels: Sequence) -> list:
-        """[self.value(J) for J in levels], reading the memo under one lock."""
-        with self._lock:
-            got = [self._memo.get(J) for J in levels]
-        for i, val in enumerate(got):
-            if val is None:
-                got[i] = self.value(levels[i])
-        return got
+    def flat(self, levels: Sequence) -> tuple:
+        """(values, sizes): the values at the levels concatenated into one
+        vector, and the size of each.  Levels the table holds are read by
+        one gather, others level by level."""
+        if self._table is not None:
+            flat, starts, stops = self._table
+            try:
+                pos = self.family.poset.positions(levels)
+            except KeyError as err:
+                raise self._missing(err.args[0]) from None
+            first = starts.take(pos)
+            sizes = stops.take(pos) - first
+            if np.minimum.reduce(first, initial=0) == 0:  # every level held
+                idx = np.repeat(first - sizes.cumsum() + sizes, sizes)
+                idx += np.arange(idx.size)
+                return flat.take(idx), sizes
+        return _joined([self.value(J) for J in levels])
 
-    def _store(self, J, val) -> np.ndarray:
-        """Memoize val at J (the memo is keyed by the index itself) as a
-        read-only copy; the value stored first wins."""
+    def _store(self, i: int, J, val) -> np.ndarray:
+        """Memoize val at position i as a read-only copy; the value stored
+        first wins."""
         val = as_point(val)
         if val.size != self.family.dim(J):
             raise DimensionMismatch(
@@ -77,13 +104,21 @@ class Thread:
                 f"{val.size}, expected {self.family.dim(J)}")
         val = val.copy()
         val.setflags(write=False)
-        with self._lock:
-            return self._memo.setdefault(J, val)
+        return self._memo.setdefault(i, val)
 
     __call__ = value
 
     def __repr__(self):
         return f"Thread({self.name or 'anonymous'})"
+
+
+_NONE = np.zeros(0)
+
+
+def _joined(values: Sequence) -> tuple:
+    """(values, sizes) of per-level arrays: one flat vector, and each size."""
+    return (np.concatenate([*values, _NONE], axis=None),
+            np.fromiter((np.size(a) for a in values), np.intp, len(values)))
 
 
 def thread_axpy(x: Thread, s: float, v) -> Thread:
@@ -130,33 +165,47 @@ def thread_from_section(sp: SectionPoint, tol: float = 1e-9,
                         check: bool = True) -> Thread:
     """The thread induced by a section point; `check` is ignored.
 
-    Member values are returned verbatim at their own index, so restricting
-    the thread back to the section is float-exact.  The members are compared
-    at every pairwise join, then at every element of `poset.reach(section)`,
-    and IllDefinedSection names the first disagreement.  Each value is
-    memoized as a read-only slice of one cached `family.spread` product per
-    member.  A level no member reaches raises Incomparable.
+    Each member's values at the levels it reaches are one product of its
+    cached `family.spread`, whose own block is the member's value verbatim,
+    so restricting the thread back to the section is float-exact.  The
+    thread reads every level as a slice of one read-only flat vector: a
+    single member's product with its spread's position-to-offset table, or
+    several members' products concatenated, each level read from the first
+    member that reaches it.  Several members are compared at every pairwise
+    join, then at every element of `poset.reach(section)`, and
+    IllDefinedSection names the first disagreement.  A level no member
+    reaches raises Incomparable.
     """
     def unreached(I):
         raise Incomparable(f"index {I!r} is comparable to no member of {sp.section}")
 
-    label = ",".join(repr(m) for m in sp.section)
-    thread = Thread(sp.family, unreached, name=f"sec[{label}]")
     poset = sp.family.poset
-    joins = dict.fromkeys(poset.require_join(a, b) for a, b in combinations(sp.section, 2))
-    cands: dict = {}
+    joins = [poset.require_join(a, b) for a, b in combinations(sp.section, 2)]
+    parts = []
     for member in sp.section:
-        levels, cuts, spread = sp.family.spread(member)
-        out = spread(sp.values[member])
-        out.setflags(write=False)
-        for I, cut in zip(levels, cuts):
-            cands.setdefault(I, []).append(sp.values[member] if I == member else out[cut])
-    if len(sp.section) > 1:  # a level one member alone reaches has nothing to compare
-        for I in dict.fromkeys((*joins, *poset.reach(sp.section))):
-            _agreed(I, cands[I], tol)
-    with thread._lock:
-        thread._memo.update((I, vals[0]) for I, vals in cands.items())
-    return thread
+        _, (starts, stops), spread = sp.family.spread(member)
+        flat = np.array(spread(sp.values[member]))  # a copy this thread owns
+        i = poset.position[member]
+        flat[starts[i]:stops[i]] = sp.values[member]
+        parts.append((flat, starts, stops))
+    flat, starts, stops = parts[0]
+    if len(parts) > 1:  # a level one member alone reaches has nothing to compare
+        named: dict = {}  # position -> the index a message names, joins first
+        for I in joins:
+            named.setdefault(poset.position[I], I)
+        for i in poset.reach(sp.section).tolist():
+            named.setdefault(i, poset.elements[i])
+        for i, I in named.items():
+            _agreed(I, [f[lo[i]:hi[i]] for f, lo, hi in parts if lo[i] >= 0], tol)
+        flat = np.concatenate([f for f, _, _ in parts])
+        starts, stops = np.full_like(starts, -1), np.full_like(stops, -1)
+        bases = np.cumsum([0] + [f.size for f, _, _ in parts])
+        for (_, lo, hi), base in reversed(list(zip(parts, bases))):
+            have = lo >= 0
+            starts[have], stops[have] = lo[have] + base, hi[have] + base
+    flat.setflags(write=False)
+    label = ",".join(repr(m) for m in sp.section)
+    return Thread(sp.family, unreached, name=f"sec[{label}]", table=(flat, starts, stops))
 
 
 def restrict_thread(t: Thread, section) -> SectionPoint:

@@ -3,14 +3,18 @@
 A poset is a finite tuple of elements with a `leq` oracle and a `join`
 oracle that produces an upper bound for any two indices (directedness).
 An infinite index set such as the naturals appears as a finite truncation.
+An element's number is its position in the tuple; down-sets, up-sets and
+reach are arrays of such numbers.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Any, Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 
 class JoinFailure(Exception):
@@ -39,14 +43,15 @@ def _default_key(x):
 
 @dataclass(frozen=True)
 class IndexPoset:
-    """leq/join oracles over a finite element tuple; `below(I)` and
-    `above(I)` list the elements <= I and >= I, in `elements` order."""
+    """leq/join oracles over a finite element tuple; `down(i)` and `up(i)`
+    are the positions of the elements <= and >= the element at position i,
+    ascending."""
 
     leq: Callable[[Any, Any], bool]
     join: Callable[[Any, Any], Optional[Any]]
     elements: tuple
-    below: Callable[[Any], tuple] = field(repr=False, compare=False)
-    above: Callable[[Any], tuple] = field(repr=False, compare=False)
+    down: Callable[[int], np.ndarray] = field(repr=False, compare=False)
+    up: Callable[[int], np.ndarray] = field(repr=False, compare=False)
     key = staticmethod(_default_key)
 
     def lt(self, a, b) -> bool:
@@ -58,15 +63,23 @@ class IndexPoset:
     def sort(self, indices: Iterable) -> list:
         return sorted(indices, key=self.key)
 
-    def reach(self, members: Iterable) -> tuple:
-        """Every element comparable to some member, each once, in `elements`
-        order."""
-        found = {J for m in members for side in (self.below(m), self.above(m)) for J in side}
-        return tuple(sorted(found, key=self._position.__getitem__))
-
     @cached_property
-    def _position(self) -> dict:
+    def position(self) -> dict:
+        """element -> its position in `elements` (the last one, for a repeat)."""
         return {J: i for i, J in enumerate(self.elements)}
+
+    def positions(self, indices: Iterable) -> np.ndarray:
+        """The positions of the indices, as one int array; a KeyError names
+        the first index that is no element."""
+        return np.fromiter(map(self.position.__getitem__, indices), np.intp)
+
+    def reach(self, members: Iterable) -> np.ndarray:
+        """The positions of the elements comparable to some member, ascending."""
+        hit = np.zeros(len(self.elements), bool)
+        for i in self.positions(members):
+            hit[self.down(i)] = True
+            hit[self.up(i)] = True
+        return np.flatnonzero(hit)
 
     def require_join(self, a, b):
         r = self.join(a, b)
@@ -115,20 +128,20 @@ def chain_poset(indices: Iterable[int]) -> IndexPoset:
     return IndexPoset(leq=lambda a, b: a <= b,
                       join=lambda a, b: max(a, b),
                       elements=els,
-                      below=lambda i: els[:bisect_right(els, i)],
-                      above=lambda i: els[bisect_left(els, i):])
+                      down=lambda i: np.arange(bisect_right(els, els[i])),
+                      up=lambda i: np.arange(bisect_left(els, els[i]), len(els)))
 
 
 def finite_poset(elements: Iterable, leq: Callable[[Any, Any], bool]) -> IndexPoset:
     """Finite poset from an explicit leq oracle; joins found by search.
 
     The join oracle returns the canonically smallest minimal upper bound,
-    or None when the pair has no upper bound at all.  The down- and up-set
-    of every element are tabulated from leq once, here.
+    or None when the pair has no upper bound at all.  The order is
+    tabulated from leq once, here: order[j, i] is leq(elements[j],
+    elements[i]), so a down-set is a column and an up-set a row.
     """
     els = tuple(elements)
-    below = {I: tuple(J for J in els if leq(J, I)) for I in els}
-    above = {I: tuple(J for J in els if leq(I, J)) for I in els}
+    order = np.array([[leq(a, b) for b in els] for a in els], bool).reshape(len(els), len(els))
 
     def join(a, b):
         uppers = [r for r in els if leq(a, r) and leq(b, r)]
@@ -139,17 +152,27 @@ def finite_poset(elements: Iterable, leq: Callable[[Any, Any], bool]) -> IndexPo
         return sorted(minimal, key=_default_key)[0]
 
     return IndexPoset(leq=leq, join=join, elements=els,
-                      below=below.__getitem__, above=above.__getitem__)
+                      down=lambda i: np.flatnonzero(order[:, i]),
+                      up=lambda i: np.flatnonzero(order[i]))
+
+
+@lru_cache(maxsize=None)
+def subset_masks(k: int) -> np.ndarray:
+    """The bitmask (bit i for item i) of every subset of k sorted items, in
+    subset_poset's element order: by size, then by `combinations`."""
+    masks = np.fromiter((sum(1 << i for i in c) for r in range(k + 1)
+                         for c in combinations(range(k), r)), np.int64, 1 << k)
+    masks.setflags(write=False)
+    return masks
 
 
 def subset_poset(pool: Iterable) -> IndexPoset:
     """The subsets of a finite pool ordered by inclusion.
 
     The elements are all subsets of the pool, the empty set included, by
-    size, then by `combinations` over the sorted pool.  The down-set of S
-    (the subsets of S) and its up-set (S joined with each subset of the
-    rest) are generated the same way, so they list the element objects in
-    element order.
+    size, then by `combinations` over the sorted pool.  The down- and up-set
+    of S are read from the elements' bitmasks: T <= S when T has no bit
+    outside S, and S <= T when T has every bit of S.
     """
     def leq(a, b):
         return frozenset(a) <= frozenset(b)
@@ -158,23 +181,17 @@ def subset_poset(pool: Iterable) -> IndexPoset:
         return frozenset(a) | frozenset(b)
 
     items = sorted(set(pool))
+    els = tuple(frozenset(sub) for r in range(len(items) + 1)
+                for sub in combinations(items, r))
+    masks = subset_masks(len(items))
 
-    def subsets(among):
-        return (frozenset(sub) for r in range(len(among) + 1)
-                for sub in combinations(among, r))
+    def down(i):
+        return np.flatnonzero((masks & ~masks[i]) == 0)
 
-    els = tuple(subsets(items))
-    canon = {S: S for S in els}
+    def up(i):
+        return np.flatnonzero((masks & masks[i]) == masks[i])
 
-    def below(S):
-        return tuple(canon[T] for T in subsets([t for t in items if t in S]))
-
-    def above(S):
-        S = frozenset(S)
-        rest = [t for t in items if t not in S]
-        return tuple(canon[S | R] for R in subsets(rest)) if S in canon else ()
-
-    return IndexPoset(leq=leq, join=join, elements=els, below=below, above=above)
+    return IndexPoset(leq=leq, join=join, elements=els, down=down, up=up)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +226,8 @@ def section_defect(poset: IndexPoset, members: Iterable) -> Optional[str]:
     defect = _comparable_pair(poset, mem)
     if defect is not None:
         return defect
-    reached = set(poset.reach(mem))
-    return next((f"no member reaches level {J!r}"
-                 for J in poset.elements if J not in reached), None)
+    missed = np.setdiff1d(np.arange(len(poset.elements)), poset.reach(mem))
+    return f"no member reaches level {poset.elements[missed[0]]!r}" if missed.size else None
 
 
 def is_section(poset: IndexPoset, members: Iterable) -> bool:
@@ -230,7 +246,7 @@ def enumerate_sections(poset: IndexPoset) -> list[Section]:
     found = []
 
     def grow(prefix, rest):
-        if prefix and len(poset.reach(prefix)) == len(poset._position):
+        if prefix and len(poset.reach(prefix)) == len(els):
             found.append(Section(tuple(prefix)))
         for i, cand in enumerate(rest):
             if all(not poset.comparable(cand, m) for m in prefix):

@@ -13,7 +13,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .family import ProfiniteFamily, sample_joint, strict_pairs
-from .limits import SectionPoint, Thread, thread_from_section
+from .limits import SectionPoint, Thread, _joined, thread_from_section
 from .maps import DimensionMismatch, residual
 from .report import VerificationReport
 
@@ -55,34 +55,36 @@ class LevelMetricFamily:
         of one included; other metrics call dist once per entry.
         """
         if self.dist is _euclidean:
-            return _euclidean_batch(levels, xs, ys)
+            return _euclidean_batch(levels, _joined(xs), _joined(ys))
         return np.array([self.dist(J, a, b) for J, a, b in zip(levels, xs, ys)],
                         dtype=float)
 
 
-_PAD = np.zeros(1)
-
-
-def _euclidean_batch(levels: Sequence, xs: Sequence, ys: Sequence) -> np.ndarray:
-    """The norms of xs[i] - ys[i]: one subtraction of the concatenated values
-    and one sum of squares per level at the level cuts."""
-    sizes = [a.size for a in xs]
-    if sizes != [b.size for b in ys]:
-        J, n, b = next((J, n, b) for J, n, b in zip(levels, sizes, ys) if b.size != n)
-        raise DimensionMismatch(f"level {J!r}: values of sizes {n} and {b.size}")
+def _euclidean_batch(levels: Sequence, x: tuple, y: tuple) -> np.ndarray:
+    """The norms of the level differences of two points read flat, each as
+    (values, sizes) from Thread.flat: one subtraction of the two vectors and
+    one sum of squares per level at the level cuts."""
+    (fx, nx), (fy, ny) = x, y
+    bad = nx != ny
+    if bad.any():
+        k = int(bad.argmax())
+        raise DimensionMismatch(f"level {levels[k]!r}: values of sizes {nx[k]} and {ny[k]}")
     # cut at each level's start and at a trailing zero, so the last level's
     # sum ends where its values do; an empty level's sum reads the next
     # level's first square, and is reset to 0
-    d = np.concatenate([*xs, _PAD], axis=None) - np.concatenate([*ys, _PAD], axis=None)
-    cuts = np.add.accumulate([0, *sizes])
-    sums = np.add.reduceat(d * d, cuts)[:-1]
-    sums[cuts[1:] == cuts[:-1]] = 0.0
+    d = np.zeros(fx.size + 1)
+    np.subtract(fx, fy, out=d[:-1])
+    d *= d
+    cuts = np.zeros(nx.size + 1, np.intp)
+    np.cumsum(nx, out=cuts[1:])
+    sums = np.add.reduceat(d, cuts)[:-1]
+    sums[nx == 0] = 0.0
     return np.sqrt(sums, out=sums)
 
 
 def _euclidean(J, x, y) -> float:
     """The euclidean level distance, as a batch of one level."""
-    return float(_euclidean_batch((J,), (x,), (y,))[0])
+    return float(_euclidean_batch((J,), _joined((x,)), _joined((y,)))[0])
 
 
 def _discrete(J, x, y) -> float:
@@ -115,20 +117,24 @@ def injection_isometry_check(m: LevelMetricFamily, pairs: Iterable[tuple],
     return report
 
 
-def _gather(point, levels: list) -> list:
-    """Level values of a thread, section point, or plain index->array callable;
-    a section point is read through one checked thread."""
-    if isinstance(point, SectionPoint):
-        point = thread_from_section(point)
+def _flat(point, levels: list) -> tuple:
+    """(values, sizes) of a thread or plain index->array callable at levels."""
     if isinstance(point, Thread):
-        return point.values(levels)
-    return [np.asarray(point(J), float) for J in levels]
+        return point.flat(levels)
+    return _joined([np.asarray(point(J), float) for J in levels])
 
 
 def _squashed(m: LevelMetricFamily, levels: list, x, y) -> np.ndarray:
     """phi of the distances between points x and y at levels, as one batch; a
-    NaN distance is a ValueError naming the first such level."""
-    d = m.distances(levels, _gather(x, levels), _gather(y, levels))
+    NaN distance is a ValueError naming the first such level.  A point is a
+    thread, a section point (read through one checked thread) or a plain
+    index->array callable; the euclidean kernel reads both points flat."""
+    x, y = (thread_from_section(p) if isinstance(p, SectionPoint) else p for p in (x, y))
+    if m.dist is _euclidean:
+        d = _euclidean_batch(levels, _flat(x, levels), _flat(y, levels))
+    else:
+        d = m.distances(levels, [np.asarray(x(J), float) for J in levels],
+                        [np.asarray(y(J), float) for J in levels])
     nan = np.isnan(d)
     if nan.any():
         i = int(nan.argmax())

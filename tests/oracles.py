@@ -270,12 +270,13 @@ def section_thread_levels(family, values, tol=1e-9):
 
 def section_disagreement(sp, tol=1e-9):
     """The IllDefinedSection message of a section point's first disagreement,
-    or None: the pairwise joins first, then poset.reach(section) in element
-    order, each level's candidates carried there one level at a time by
-    family.transport, in member order."""
+    or None: the pairwise joins first, then every element some member is
+    comparable to, in element order, each level's candidates carried there
+    one level at a time by family.transport, in member order."""
     family, poset = sp.family, sp.family.poset
     joins = [poset.require_join(a, b) for a, b in combinations(sp.section, 2)]
-    for I in dict.fromkeys((*joins, *poset.reach(sp.section))):
+    reached = (J for J in poset.elements if any(poset.comparable(J, m) for m in sp.section))
+    for I in dict.fromkeys((*joins, *reached)):
         cands = [sp.values[m] if m == I else family.transport(m, I)(sp.values[m])
                  for m in sp.section if poset.comparable(m, I)]
         for other in cands[1:]:

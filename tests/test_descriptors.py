@@ -19,9 +19,9 @@ def test_index_round_trip():
 
 
 def test_decoded_indices_key_memos_and_maps_by_value():
-    """Memos and the map cache key by the index itself: one frozenset in
-    two spellings is one entry, an int and a string are two, and no lookup
-    asks poset.key."""
+    """Memos key by the index's position, found by value, and the map cache
+    by the index itself: one frozenset in two spellings is one entry, an int
+    and a string are two, and no lookup asks poset.key."""
     fam = pl.wiener_family([0.25, 0.5, 0.75]).family
     key_calls = []
     canonical = fam.poset.key
@@ -30,7 +30,7 @@ def test_decoded_indices_key_memos_and_maps_by_value():
     top = pl.decode_index({"set": [0.75, 0.25, 0.5]})
     calls = []
     t = pl.Thread(fam, lambda J: calls.append(J) or np.zeros(len(J)))
-    assert t(a) is t(b) and len(calls) == 1 and list(t._memo) == [a]
+    assert t(a) is t(b) and len(calls) == 1 and list(t._memo) == [fam.poset.position[a]]
     assert fam.proj(a, top) is fam.proj(b, top) and fam.inj(top, a) is fam.inj(top, b)
     assert fam.proj(a, a) is fam.inj(b, b) and len(fam._cache) == 3
     assert key_calls == []

@@ -248,3 +248,26 @@ def test_pair_momentum_values_and_jacobians():
             assert f.base(x)[0] == -(x[2 * i] ** 2 + x[2 * i + 1] ** 2) / 2
             assert np.allclose(f.base.jacobian(x), pl.fd_jacobian(f.base, x, 1),
                                rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("times", [None, (0.3, 1.7, 0.05, 2.0, 0.9)], ids=["dyadic", "custom"])
+def test_wiener_fanout_is_the_scan_oracle_at_the_concatenated_targets(times):
+    """The rule's stack for a source and a list of levels is, byte for byte,
+    the scan oracle at every level's sorted knots in turn: for the empty
+    level, each singleton, the full pool and a few random sources, asked
+    for themselves, the empty level, the full pool, their comparable
+    singletons and everything they reach."""
+    fam = pl.wiener_family(times).family
+    els = fam.poset.elements
+    empty, full = els[0], els[-1]
+    singles = [S for S in els if len(S) == 1]
+    rng = np.random.default_rng(3)
+    picks = [els[i] for i in rng.choice(len(els), size=4, replace=False)]
+    for src in [empty, *singles, full, *picks]:
+        near = [S for S in singles if S <= src or src <= S]
+        for levels in ([src], [empty], [full], near, [els[i] for i in fam.poset.reach([src])]):
+            if not levels:
+                continue
+            want = pl_weights_scan([t for I in levels for t in sorted(I)], sorted(src))
+            got = fam._maps(src, levels).matrix
+            assert got.shape == want.shape and np.array_equal(got, want)

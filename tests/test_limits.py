@@ -30,10 +30,11 @@ def test_values_reads_the_memo_and_fills_the_misses(euclid):
     calls = []
     t = pl.Thread(euclid.family, lambda n: calls.append(n) or np.full(n, float(n)))
     first = t(3)
-    got = t.values([3, 1, 3, 2])
-    assert calls == [3, 1, 2] and got[0] is first and got[2] is first
-    assert [v.tolist() for v in got] == [[3.0] * 3, [1.0], [3.0] * 3, [2.0] * 2]
-    assert all(v is t(n) for v, n in zip(got, [3, 1, 3, 2]))
+    got, sizes = t.flat([3, 1, 3, 2])
+    assert calls == [3, 1, 2] and t(3) is first
+    assert got.tolist() == [3.0] * 3 + [1.0] + [3.0] * 3 + [2.0] * 2
+    assert sizes.tolist() == [3, 1, 3, 2]
+    assert all(t(n) is t(n) for n in (1, 2)) and len(calls) == 3
 
 
 def test_thread_values_read_only(euclid):
@@ -78,6 +79,39 @@ def test_thread_from_section_round_trip_is_exact(euclid):
     t = pl.thread_from_section(sp)
     back = pl.restrict_thread(t, sp.section)
     assert np.array_equal(back.values[3], vals)  # bitwise, not approx
+
+
+@pytest.fixture
+def euclid6():
+    g = pl.euclid_tower(6)
+    return g["metrics"], g["origin"]
+
+
+NOT_A_LEVEL = "^index 99 is not a level of euclid$"
+
+
+def test_a_thread_refuses_an_index_that_is_no_level(euclid6):
+    _, origin = euclid6
+    with pytest.raises(pl.Incomparable, match=NOT_A_LEVEL):
+        origin(99)
+    sec = pl.thread_from_section(pl.SectionPoint.of(origin.family, [2], {2: [1.0, 2.0]}))
+    with pytest.raises(pl.Incomparable, match=NOT_A_LEVEL):
+        sec(99)
+
+
+def test_d_mu_refuses_a_measure_on_an_index_that_is_no_level(euclid6):
+    metrics, origin = euclid6
+    with pytest.raises(pl.Incomparable, match=NOT_A_LEVEL):
+        pl.d_mu(metrics, pl.IndexMeasure({99: 1.0}), origin, origin)
+
+
+def test_d_inf_refuses_a_stage_with_an_index_that_is_no_level(euclid6):
+    metrics, origin = euclid6
+    with pytest.raises(pl.Incomparable, match=NOT_A_LEVEL):
+        pl.d_inf(metrics, origin, origin, [[99]])
+    sp = pl.SectionPoint.of(origin.family, [2], {2: [1.0, 2.0]})
+    with pytest.raises(pl.Incomparable, match=NOT_A_LEVEL):
+        pl.d_inf(metrics, sp, origin, [[1], [99]])
 
 
 def test_incomparable_extension_raises():
@@ -131,6 +165,17 @@ def test_section_thread_matches_brute_force_oracle(case):
                 t(J)
 
 
+def _held(t) -> dict:
+    """level -> value, at every level a section thread's flat table holds."""
+    flat, starts, stops = t._table
+    els = t.family.poset.elements
+    return {els[i]: flat[starts[i]:stops[i]] for i in np.flatnonzero(starts >= 0)}
+
+
+def _levels(fam, positions) -> list:
+    return [fam.poset.elements[i] for i in positions]
+
+
 def _count_work(monkeypatch, fam) -> list:
     """The (src, levels) of each call to fam's map rule from here on."""
     calls, rule = [], fam._maps
@@ -158,8 +203,8 @@ def test_extension_rule_runs_once_per_reachable_level(monkeypatch, case):
     x = pl.thread_from_section(sp)
     # the family's rule is asked once per member, for every level the
     # member reaches, and for no single pair
-    assert calls == [(m, fam.poset.reach([m])) for m in sp.section]
-    assert set(x._memo) == set(reachable) and len(x._memo) == len(reachable)
+    assert calls == [(m, _levels(fam, fam.poset.reach([m]))) for m in sp.section]
+    assert set(_held(x)) == set(reachable) and len(_held(x)) == len(reachable)
     calls.clear()
     pl.thread_from_section(sp)
     y = pl.Thread(fam, lambda J: np.zeros(fam.dim(J)))
@@ -167,7 +212,7 @@ def test_extension_rule_runs_once_per_reachable_level(monkeypatch, case):
     mu = pl.IndexMeasure({J: 1.0 / len(reachable) for J in reachable})
     pl.d_inf(metrics, x, y, [[J] for J in reachable])
     pl.d_mu(metrics, mu, x, y)
-    # a second thread reads the cached spreads, and the distances the memo
+    # a second thread reads the cached spreads, and the distances the table
     assert not calls
 
 
@@ -180,7 +225,7 @@ def test_check_memoizes_exactly_the_reachable_levels(case):
         with pytest.raises(pl.IllDefinedSection):
             pl.thread_from_section(sp)
         return
-    memo = pl.thread_from_section(sp)._memo
+    memo = _held(pl.thread_from_section(sp))
     assert len(memo) == len(want) and set(memo) == set(want)
     for val in memo.values():
         assert not val.flags.writeable
@@ -234,13 +279,13 @@ def test_probe_work_is_bounded_by_the_reachable_levels(monkeypatch, k):
         calls.clear()
         before = set(fam._cache)
         sp = pl.SectionPoint.of(fam, [S], {S: np.arange(float(k))})
-        memo = pl.thread_from_section(sp)._memo
+        memo = _held(pl.thread_from_section(sp))
         cached = set(fam._cache) - before
         assert len(memo) == reachable
         assert not leq_calls
         if cold:
             assert cached == {("spread", S)}
-            assert calls == [(S, fam.poset.reach([S]))]
+            assert calls == [(S, _levels(fam, fam.poset.reach([S])))]
             assert len(calls[0][1]) == reachable
         else:
             assert not cached and not calls
@@ -264,11 +309,16 @@ def _loaded_diamond() -> pl.ProfiniteFamily:
 
 def _assert_spreads_stack_their_transports(fam):
     for S in fam.poset.elements:
-        levels, cuts, spread = fam.spread(S)
+        positions, (starts, stops), spread = fam.spread(S)
+        levels = _levels(fam, positions)
         want = np.vstack([fam.transport(S, I).matrix for I in levels])
         assert spread.matrix.shape == want.shape
         assert spread.matrix.tobytes() == want.tobytes()
-        assert [c.stop - c.start for c in cuts] == [fam.dim(I) for I in levels]
+        # each level's block follows the last one's, in position order
+        dims = [fam.dim(I) for I in levels]
+        assert stops[positions].tolist() == np.cumsum(dims).tolist()
+        assert (stops - starts)[positions].tolist() == dims
+        assert (starts == -1).sum() == (stops == -1).sum() == len(fam.poset.elements) - len(levels)
         fam._cache.clear()  # keep the per-pair maps of one member at a time
 
 
@@ -317,14 +367,15 @@ def test_a_fanout_of_the_wrong_shape_names_the_member(extra):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_the_fanout_path_fills_the_memo_of_the_oracle(seed):
-    """thread_from_section through the Wiener fanout memoizes, level for
-    level and byte for byte, what the per-pair oracle induces."""
+    """thread_from_section through the Wiener fanout holds in its flat
+    table, level for level and byte for byte, what the per-pair oracle
+    induces."""
     rng = np.random.default_rng(seed)
     fam = pl.wiener_family([(i + 1) / 10 for i in range(10)]).family
     S = frozenset(rng.choice(np.arange(1, 11) / 10, size=rng.integers(1, 11),
                              replace=False).tolist())
     values = {S: rng.standard_normal(len(S))}
-    memo = pl.thread_from_section(pl.SectionPoint.of(fam, [S], values))._memo
+    memo = _held(pl.thread_from_section(pl.SectionPoint.of(fam, [S], values)))
     want = section_thread_levels(fam, values)
     assert set(memo) == set(want)
     for J, (val, agree) in want.items():
@@ -366,11 +417,12 @@ def test_a_non_linear_family_runs_through_the_section_check():
     x = np.array([0.3, -1.2, 0.5])
     t = pl.thread_from_section(pl.SectionPoint.of(fam, [3], {3: x}))
     want = section_thread_levels(fam, {3: x})
-    assert set(t._memo) == set(want)
+    assert set(_held(t)) == set(want)
     for J, (val, _) in want.items():
         assert t(J).tobytes() == val.tobytes()
     # the member's spread is one non-linear fanout of its transports
-    levels, _, spread = fam.spread(3)
+    positions, _, spread = fam.spread(3)
+    levels = _levels(fam, positions)
     assert not spread.is_linear
     assert np.array_equal(spread.jacobian(x),
                           np.vstack([fam.transport(3, J).jacobian(x) for J in levels]))

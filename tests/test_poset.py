@@ -144,21 +144,19 @@ def finite_posets(draw):
 @given(finite_posets(), st.data())
 def test_enumerators_match_brute_force_filters(p, data):
     els = p.elements
-    for I in els:
-        assert p.below(I) == tuple(J for J in els if p.leq(J, I))
-        assert p.above(I) == tuple(J for J in els if p.leq(I, J))
-        # the element objects themselves, so reprs in messages do not move
-        assert all(any(J is E for E in els) for J in p.below(I) + p.above(I))
+    for i, I in enumerate(els):
+        assert p.down(i).tolist() == [j for j, J in enumerate(els) if p.leq(J, I)]
+        assert p.up(i).tolist() == [j for j, J in enumerate(els) if p.leq(I, J)]
     members = data.draw(st.lists(st.sampled_from(els), min_size=1, max_size=3))
-    # each element once, at its place in `elements`
-    assert p.reach(members) == tuple(dict.fromkeys(
-        J for J in els if any(p.comparable(J, m) for m in members)))
+    # each position once, ascending
+    assert p.reach(members).tolist() == [
+        j for j, J in enumerate(els) if any(p.comparable(J, m) for m in members)]
 
 
 def test_repeated_elements_still_cover():
     """A chain listed with a repeat covers as its distinct elements do."""
     p = pl.chain_poset([2, 1, 1])
-    assert p.elements == (1, 1, 2) and p.reach([1]) == (1, 2)
+    assert p.elements == (1, 1, 2) and p.reach([1]).tolist() == [0, 1, 2]
     assert [s.members for s in pl.enumerate_sections(p)] == [(1,), (1,), (2,)]
     assert section_defect(p, [2]) is None and section_defect(p, [1, 1]) is not None
 
@@ -167,23 +165,40 @@ def test_subset_enumerators_ask_no_order_oracle():
     calls = []
     base = pl.subset_poset([1, 2, 3, 4])
     p = pl.IndexPoset(leq=lambda a, b: calls.append((a, b)) or base.leq(a, b),
-                      join=base.join, elements=base.elements,
-                      below=base.below, above=base.above)
+                      join=base.join, elements=base.elements, down=base.down, up=base.up)
     S = frozenset({2, 4})
-    assert p.below(S) == (frozenset(), frozenset({2}), frozenset({4}), S)
-    assert p.above(S) == (S, frozenset({1, 2, 4}), frozenset({2, 3, 4}), frozenset({1, 2, 3, 4}))
-    missed = set(p.elements) - set(p.reach([S, frozenset({1})]))
+    at = p.elements.__getitem__
+    assert [at(i) for i in p.down(p.position[S])] == [frozenset(), frozenset({2}),
+                                                      frozenset({4}), S]
+    assert [at(i) for i in p.up(p.position[S])] == [S, frozenset({1, 2, 4}),
+                                                    frozenset({2, 3, 4}), frozenset({1, 2, 3, 4})]
+    missed = set(p.elements) - {at(i) for i in p.reach([S, frozenset({1})])}
     assert missed == {frozenset({3}), frozenset({2, 3}), frozenset({3, 4})}
     assert calls == []
 
 
 def test_finite_posets_tabulate_their_down_and_up_sets():
-    """leq is asked at construction only; below, above and reach read the tables."""
+    """leq is asked at construction only; down, up and reach read the table."""
     calls, base = [], diamond()
     p = pl.finite_poset(base.elements, lambda a, b: calls.append((a, b)) or base.leq(a, b))
     built = len(calls)
-    assert p.below("L") == ("I", "J", "K", "L") and p.above("J") == ("J", "L")
-    assert p.reach(["J"]) == ("I", "J", "L")
+    assert p.elements == ("I", "J", "K", "L")
+    assert p.down(3).tolist() == [0, 1, 2, 3] and p.up(1).tolist() == [1, 3]
+    assert p.reach(["J"]).tolist() == [0, 1, 3]
     assert len(calls) == built
     assert [f.name for f in dataclasses.fields(pl.IndexPoset)] == [
-        "leq", "join", "elements", "below", "above"]
+        "leq", "join", "elements", "down", "up"]
+
+
+@given(st.integers(0, 10), st.data())
+def test_subset_reach_is_the_leq_scan(k, data):
+    """On 0-10 knots: random members, and each layer of equal-size subsets,
+    a section of several members once 0 < size < k."""
+    p = pl.subset_poset([(i + 1) / 8 for i in range(k)])
+    members = data.draw(st.lists(st.sampled_from(p.elements), min_size=1, max_size=3))
+    size = data.draw(st.integers(0, k))
+    layer = [S for S in p.elements if len(S) == size]
+    assert section_defect(p, layer) is None
+    for mem in (members, layer):
+        assert p.reach(mem).tolist() == [
+            j for j, J in enumerate(p.elements) if any(p.comparable(J, m) for m in mem)]
