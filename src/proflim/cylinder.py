@@ -19,7 +19,7 @@ from .family import FamilyMismatch, ProfiniteFamily
 from .limits import (Incomparable, SectionPoint, Thread, restrict_thread,
                      thread_from_section)
 from .maps import (DifferentiableMap, as_point, compose, fanout_map,
-                   linear_combination_map, selection_map)
+                   linear_combination_map, residual, selection_map)
 from .poset import JoinFailure, Section
 
 
@@ -72,14 +72,17 @@ def separate(x: Thread, y: Thread, witness_levels: Iterable,
 
     Returns None when every witnessed level agrees (the threads may still
     differ beyond the scan; separation is certified, non-separation is not).
+    A NaN gap is a ValueError naming the level, never agreement.
     """
     if x.family is not y.family:
         raise FamilyMismatch("threads live over different families")
     for J in witness_levels:
-        gap = np.abs(x(J) - y(J))
-        if gap.size and float(np.max(gap)) > tol:
-            coord = int(np.argmax(gap))
-            return coordinate_function(x.family, J, coord)
+        a, b = x(J), y(J)
+        gap = residual(a, b)
+        if math.isnan(gap):
+            raise ValueError(f"level {J!r}: the gap is nan, not a number")
+        if gap > tol:
+            return coordinate_function(x.family, J, int(np.argmax(np.abs(a - b))))
     return None
 
 

@@ -225,7 +225,10 @@ def map_from_entry(entry: dict, role: str, level_dim: Callable[[Any], int],
         raise DescriptorError(f"{path}: named-gallery maps resolve at the family level")
     src = _field(entry, "from", path, decode_index)
     dst = _field(entry, "to", path, decode_index)
-    n_src, n_dst = level_dim(src), level_dim(dst)
+    try:
+        n_src, n_dst = level_dim(src), level_dim(dst)
+    except DescriptorError as err:
+        raise DescriptorError(f"{path}: {err}") from None
     payload = _field(entry, "payload", path, default={})
     where = f"{path}.payload"
     if kind == "matrix":
@@ -316,7 +319,8 @@ def family_from_descriptor(doc: dict) -> ProfiniteFamily:
                         seen.add(lo)
                         frontier.append(path + [lo])
         raise DescriptorError(
-            f"{family_name or 'family'}: stored pairs do not connect {J!r} to {K!r}")
+            f"projections: stored pairs do not connect {J!r} to {K!r} "
+            f"in {family_name or 'the family'}")
 
     def transport(src, dst):
         """The stored map from src to dst, else the stored maps composed

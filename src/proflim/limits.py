@@ -67,6 +67,10 @@ class Thread:
             i = self.family.poset.position[J]
         except KeyError:
             raise self._missing(J) from None
+        return self._at(i, J)
+
+    def _at(self, i: int, J) -> np.ndarray:
+        """The value at level J, at position i."""
         if self._table is not None:
             flat, starts, stops = self._table
             if starts[i] >= 0:
@@ -80,19 +84,37 @@ class Thread:
         """(values, sizes): the values at the levels concatenated into one
         vector, and the size of each.  Levels the table holds are read by
         one gather, others level by level."""
-        if self._table is not None:
-            flat, starts, stops = self._table
-            try:
-                pos = self.family.poset.positions(levels)
-            except KeyError as err:
-                raise self._missing(err.args[0]) from None
-            first = starts.take(pos)
-            sizes = stops.take(pos) - first
-            if np.minimum.reduce(first, initial=0) == 0:  # every level held
-                idx = np.repeat(first - sizes.cumsum() + sizes, sizes)
-                idx += np.arange(idx.size)
-                return flat.take(idx), sizes
-        return _joined([self.value(J) for J in levels])
+        pos = self._positions(levels)
+        return self._flat(levels, pos, self._gather(pos))
+
+    def _positions(self, levels: Sequence) -> np.ndarray:
+        try:
+            return self.family.poset.positions(levels)
+        except KeyError as err:
+            raise self._missing(err.args[0]) from None
+
+    def _gather(self, pos: np.ndarray) -> Optional[tuple]:
+        """(index, sizes): where the values at positions pos lie in the
+        table's vector, and their sizes; None when the table does not hold
+        every one of them."""
+        if self._table is None:
+            return None
+        _, starts, stops = self._table
+        first = starts.take(pos)
+        if np.minimum.reduce(first, initial=0) < 0:
+            return None
+        sizes = stops.take(pos) - first
+        idx = np.repeat(first - sizes.cumsum() + sizes, sizes)
+        idx += np.arange(idx.size)
+        return idx, sizes
+
+    def _flat(self, levels: Sequence, pos: np.ndarray, gather: Optional[tuple]) -> tuple:
+        """flat(levels), given the levels' positions and, when the table
+        holds them all, their gather from _gather."""
+        if gather is not None:
+            idx, sizes = gather
+            return self._table[0].take(idx), sizes
+        return _joined([self._at(i, J) for i, J in zip(pos.tolist(), levels)])
 
     def _store(self, i: int, J, val) -> np.ndarray:
         """Memoize val at position i as a read-only copy; the value stored
@@ -119,6 +141,22 @@ def _joined(values: Sequence) -> tuple:
     """(values, sizes) of per-level arrays: one flat vector, and each size."""
     return (np.concatenate([*values, _NONE], axis=None),
             np.fromiter((np.size(a) for a in values), np.intp, len(values)))
+
+
+def _flat_pair(levels: Sequence, x, y) -> tuple:
+    """The (values, sizes) of points x and y at levels, each a thread or a
+    plain index->array callable.  Two threads over one poset look the levels
+    up once, and two threads read through one spread table (the same starts
+    and stops arrays) gather by one index."""
+    if isinstance(x, Thread) and isinstance(y, Thread) and x.family.poset is y.family.poset:
+        pos = x._positions(levels)
+        gather = x._gather(pos)
+        shared = (gather is not None and y._table is not None
+                  and y._table[1] is x._table[1] and y._table[2] is x._table[2])
+        return (x._flat(levels, pos, gather),
+                y._flat(levels, pos, gather if shared else y._gather(pos)))
+    return tuple(p.flat(levels) if isinstance(p, Thread)
+                 else _joined([np.asarray(p(J), float) for J in levels]) for p in (x, y))
 
 
 def thread_axpy(x: Thread, s: float, v) -> Thread:

@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .family import ProfiniteFamily, sample_joint, strict_pairs
-from .limits import SectionPoint, Thread, _joined, thread_from_section
+from .limits import SectionPoint, _flat_pair, _joined, thread_from_section
 from .maps import DimensionMismatch, residual
 from .report import VerificationReport
 
@@ -117,21 +117,15 @@ def injection_isometry_check(m: LevelMetricFamily, pairs: Iterable[tuple],
     return report
 
 
-def _flat(point, levels: list) -> tuple:
-    """(values, sizes) of a thread or plain index->array callable at levels."""
-    if isinstance(point, Thread):
-        return point.flat(levels)
-    return _joined([np.asarray(point(J), float) for J in levels])
-
-
 def _squashed(m: LevelMetricFamily, levels: list, x, y) -> np.ndarray:
     """phi of the distances between points x and y at levels, as one batch; a
     NaN distance is a ValueError naming the first such level.  A point is a
     thread, a section point (read through one checked thread) or a plain
-    index->array callable; the euclidean kernel reads both points flat."""
+    index->array callable; the euclidean kernel reads both points flat, two
+    threads through one position lookup."""
     x, y = (thread_from_section(p) if isinstance(p, SectionPoint) else p for p in (x, y))
     if m.dist is _euclidean:
-        d = _euclidean_batch(levels, _flat(x, levels), _flat(y, levels))
+        d = _euclidean_batch(levels, *_flat_pair(levels, x, y))
     else:
         d = m.distances(levels, [np.asarray(x(J), float) for J in levels],
                         [np.asarray(y(J), float) for J in levels])
@@ -194,11 +188,11 @@ def d_mu(m: LevelMetricFamily, mu: IndexMeasure, x, y):
     the support contribute at most the tail mass.  A NaN level distance is
     a ValueError naming the level, as in d_inf.
     """
-    support = {J: w for J, w in mu.weights.items() if w != 0.0}
-    total = 0.0
-    for w, p in zip(support.values(), _squashed(m, list(support), x, y).tolist()):
-        total += w * p
-    return total, mu.tail_mass
+    w = np.fromiter(mu.weights.values(), float, len(mu.weights))
+    keep = w != 0.0
+    p = _squashed(m, list(compress(mu.weights, keep)), x, y)
+    # cumsum adds left to right: the sum is the sequential one, in support order
+    return (float(np.cumsum(w[keep] * p)[-1]) if p.size else 0.0), mu.tail_mass
 
 
 def pseudo_metric_audit(dist_fn: Callable[[Any, Any], float], points: list,
@@ -217,7 +211,7 @@ def pseudo_metric_audit(dist_fn: Callable[[Any, Any], float], points: list,
             d[i, j] = dist_fn(points[i], points[j])
 
     report.add("d(x, x) = 0", residual(np.diag(d), 0.0), tol)
-    report.add("nonnegative", float(max(0.0, -d.min())) if n else 0.0, tol)
+    report.add("nonnegative", residual(np.minimum(d, 0.0), 0.0), tol)
     report.add("symmetric", residual(d, d.T), tol)
 
     excess = [d[a, b] - (max(d[a, c], d[c, b]) if check_ultrametric else d[a, c] + d[c, b])

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 
-from proflim import hamiltonian_field, pullback_inj
+from proflim import hamiltonian_field, pullback_inj, squash
 
 
 def powerset_sections(elements, leq):
@@ -333,3 +333,26 @@ def form_preservation_pointwise(omega, action, J, group_elements, rng):
         gap = g.T @ omega.matrix(J, action.act(J, g, x)) @ g - omega.matrix(J, x)
         gaps.append(np.max(np.abs(gap), initial=0.0))
     return float(np.max(gaps))
+
+
+def d_inf_history_loop(m, x, y, stages):
+    """d_inf's history one level at a time: the running max of
+    squash(m(J, x(J), y(J))) over each stage's levels not seen before."""
+    seen, sup, history = set(), 0.0, []
+    for stage in stages:
+        for J in stage:
+            if J not in seen:
+                seen.add(J)
+                sup = max(sup, squash(m(J, x(J), y(J))))
+        history.append(sup)
+    return history
+
+
+def d_mu_loop(m, mu, x, y):
+    """d_mu's value one level at a time: w * squash(m(J, x(J), y(J))) summed
+    left to right over the nonzero weights, in the measure's order."""
+    total = 0.0
+    for J, w in mu.weights.items():
+        if w != 0.0:
+            total += w * squash(m(J, x(J), y(J)))
+    return total

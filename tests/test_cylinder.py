@@ -44,6 +44,17 @@ def test_separate_returns_none_for_equal_threads(euclid):
     assert pl.separate(x, y, witness_levels=range(5)) is None
 
 
+def test_separate_refuses_a_nan_gap_naming_the_level():
+    g = pl.euclid_tower(4)
+    x = g["sequence_thread"](np.full(4, np.nan))
+    with pytest.raises(ValueError, match="^level 1: the gap is nan"):
+        pl.separate(x, g["origin"], witness_levels=range(5))
+    # a NaN after a level that tells the threads apart is never read
+    y = g["sequence_thread"](np.array([1.0, np.nan, np.nan, np.nan]))
+    f = pl.separate(y, g["origin"], witness_levels=range(5))
+    assert f.section.members == (1,)
+
+
 def test_level_function_below_uses_projection(euclid, rng):
     fam = euclid.family
     f = quadratic_on(fam, 3)

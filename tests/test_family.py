@@ -120,7 +120,8 @@ def test_a_gapped_stored_chain_names_the_pair_it_cannot_connect():
     assert fam.inj(4, 3).codomain_dim == 4
     for call in (lambda: fam.proj(1, 4), lambda: fam.inj(4, 1), lambda: fam.spread(3)):
         with pytest.raises(pl.DescriptorError,
-                           match=r"^adjacent: stored pairs do not connect (1|2) to (3|4)$"):
+                           match=r"^projections: stored pairs do not connect (1|2) to (3|4) "
+                                 r"in adjacent$"):
             call()
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import proflim as pl
+from oracles import d_inf_history_loop, d_mu_loop
 
 
 @given(st.floats(min_value=0.0, max_value=1e12))
@@ -190,6 +191,75 @@ def test_batched_distances_name_a_nan_and_squash_an_infinity(wiener_query):
     assert math.isclose(total, 62 / 63, rel_tol=1e-14)
 
 
+@pytest.fixture(scope="module")
+def wiener8_pairs():
+    """Pairs of points on the 8-knot Wiener family, by kind, each with the
+    levels both points answer at: two threads of one section (they share
+    one spread table), threads of two sections, a two-member section
+    thread, and a plain callable."""
+    g = pl.wiener_family()
+    fam, pool, rng = g.family, g["pool"], np.random.default_rng(5)
+
+    def thread(members, values):
+        return pl.thread_from_section(pl.SectionPoint.of(fam, members, values))
+
+    S, T = frozenset(pool[1::2]), frozenset(pool[3::4])  # T < S
+    x, y = (thread([S], {S: g["sample_path"](S, rng)}) for _ in range(2))
+    z = thread([T], {T: g["sample_path"](T, rng)})
+    # both members sample one path on C, so they agree wherever both reach
+    C, A, B = frozenset(pool[3:4]), frozenset(pool[1:4:2]), frozenset(pool[3:6:2])
+    coarse = thread([C], {C: g["sample_path"](C, rng)})
+    two = thread([A, B], {A: coarse(A), B: coarse(B)})
+
+    def plain(J):
+        return np.cos(np.asarray(sorted(J)))
+
+    def common(*members):
+        hit = np.arange(len(fam.poset.elements))
+        for m in members:
+            hit = np.intersect1d(hit, fam.poset.reach(m))
+        return [fam.poset.elements[i] for i in hit.tolist()]
+
+    return fam, {"one-section": (x, y, common([S])),
+                 "two-sections": (x, z, common([S], [T])),
+                 "two-members": (two, x, common([A, B], [S])),
+                 "callable": (x, plain, common([S]))}
+
+
+@pytest.mark.parametrize("metric", [pl.euclidean_metrics, pl.discrete_metrics])
+@pytest.mark.parametrize("kind", ["one-section", "two-sections", "two-members", "callable"])
+def test_distances_are_the_per_level_loop_bit_for_bit(wiener8_pairs, kind, metric):
+    fam, pairs = wiener8_pairs
+    x, y, levels = pairs[kind]
+    m = metric(fam)
+    assert len(levels) >= 20
+    if kind == "one-section":  # the shared-gather path
+        assert x._table[1] is y._table[1] and x._table[2] is y._table[2]
+    stages = [[J for J in levels if len(J) == n] for n in range(9)] + [levels[::-1]]
+    value, converged, history = pl.d_inf(m, x, y, stages)
+    loop = d_inf_history_loop(m, x, y, stages)
+    assert [h.hex() for h in history] == [h.hex() for h in loop]
+    assert value == history[-1] > 0.0 and converged
+    weights = {J: 0.0 if i % 3 == 1 else 0.5 ** len(J) for i, J in enumerate(levels)}
+    mu = pl.IndexMeasure(weights, tail_mass=0.125)
+    total, tail = pl.d_mu(m, mu, x, y)
+    assert total.hex() == d_mu_loop(m, mu, x, y).hex() and total > 0.0 and tail == 0.125
+    zeros = pl.IndexMeasure(dict.fromkeys(levels, 0.0), tail_mass=0.25)
+    assert pl.d_mu(m, zeros, x, y) == (0.0, 0.25)
+
+
+@pytest.mark.parametrize("kind", ["one-section", "two-sections", "two-members", "callable"])
+def test_distances_refuse_an_index_that_is_no_level_of_the_wiener_family(wiener8_pairs, kind):
+    fam, pairs = wiener8_pairs
+    x, y, levels = pairs[kind]
+    m, bad = pl.euclidean_metrics(fam), frozenset({0.3})
+    message = f"^index {re.escape(repr(bad))} is not a level of wiener$"
+    with pytest.raises(pl.Incomparable, match=message):
+        pl.d_inf(m, x, y, [levels[:3], [levels[3], bad]])
+    with pytest.raises(pl.Incomparable, match=message):
+        pl.d_mu(m, pl.IndexMeasure({levels[0]: 0.5, bad: 0.5}), x, y)
+
+
 def test_ultrametric_value_on_euclid_chain(euclid):
     # discrete level metrics + inverse-square weights: x = 0 and
     # y = (0,1,1,...) differ exactly from level 2 on, so
@@ -245,6 +315,16 @@ def test_pseudo_metric_audit_flags_pseudo_only():
     by_name = {c.name: c for c in report.checks}
     assert by_name["triangle inequality"].passed
     assert not by_name["positive on distinct points"].passed
+
+
+def test_pseudo_metric_audit_fails_a_nan_distance_as_negative():
+    report = pl.pseudo_metric_audit(
+        lambda a, b: math.nan if {a, b} == {0, 1} else float(a != b), [0, 1, 2])
+    nonnegative = next(c for c in report.checks if c.name == "nonnegative")
+    assert math.isnan(nonnegative.max_residual) and not nonnegative.passed
+    report = pl.pseudo_metric_audit(lambda a, b: abs(a - b), [0.0, 1.0, 3.0])
+    nonnegative = next(c for c in report.checks if c.name == "nonnegative")
+    assert np.float64(nonnegative.max_residual).tobytes() == np.float64(0.0).tobytes()
 
 
 def test_injection_isometry(euclid, wiener, rng):
