@@ -121,7 +121,7 @@ def symbolic_form(family: ProfiniteFamily, degree: int,
         syms, exprs = level_exprs(J)
         exprs = np.asarray(exprs, dtype=object)
         flat = [sympy.sympify(e) for e in exprs.ravel()]
-        return list(syms), exprs, sympy.lambdify(list(syms), flat, "numpy")
+        return list(syms), exprs, sympy.lambdify(list(syms), flat, modules=[np])
 
     @functools.cache
     def differentiated(J):
@@ -129,7 +129,7 @@ def symbolic_form(family: ProfiniteFamily, degree: int,
         partial = np.empty((family.dim(J),) + exprs.shape, dtype=object)
         for idx in np.ndindex(partial.shape):
             partial[idx] = sympy.diff(sympy.sympify(exprs[idx[1:]]), syms[idx[0]])
-        return syms, partial, sympy.lambdify(syms, list(partial.ravel()), "numpy")
+        return syms, partial, sympy.lambdify(syms, list(partial.ravel()), modules=[np])
 
     def evaluate(entry, x):
         syms, exprs, fn = entry

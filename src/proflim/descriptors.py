@@ -150,7 +150,7 @@ def poset_from_descriptor(doc: dict) -> IndexPoset:
     if kind == "finite":
         els = _field(doc, "elements", "poset",
                      lambda v: _sortable(_each(decode_index, v, "poset.elements")))
-        leq = _field(doc, "leq", "poset", lambda v: np.array(_list(v), dtype=bool))
+        leq = _field(doc, "leq", "poset", _leq_table)
         if leq.shape != (len(els), len(els)):
             raise DescriptorError(f"poset.leq: shape {leq.shape} does not match "
                                   f"{len(els)} elements")
@@ -159,6 +159,19 @@ def poset_from_descriptor(doc: dict) -> IndexPoset:
         pos = {e: i for i, e in enumerate(els)}
         return finite_poset(els, leq=lambda a, b: bool(leq[pos[a], pos[b]]))
     raise DescriptorError(f"poset.kind: unknown poset kind {kind!r}")
+
+
+def _leq_table(value) -> np.ndarray:
+    """poset.leq as a boolean array; each cell is true, false, 0 or 1."""
+    return np.array([_each(_truth, row, f"poset.leq[{i}]")
+                     for i, row in enumerate(_list(value))], dtype=bool)
+
+
+def _truth(value) -> bool:
+    """A leq cell: a JSON boolean, 0 or 1 ("x", 1.5 or null is not one)."""
+    if type(value) is bool or (type(value) is int and value in (0, 1)):
+        return bool(value)
+    raise ValueError(f"{value!r} is not true, false, 0 or 1")
 
 
 def _integer(value) -> int:

@@ -91,8 +91,8 @@ def compile_scalar(dim: int, text: str) -> tuple:
     table = {f"x{i}": syms[i] for i in range(dim)}
     expr = _sympify(text, table)
     grads = [sympy.diff(expr, s) for s in syms]
-    f = sympy.lambdify(syms, expr, modules="numpy")
-    g = sympy.lambdify(syms, grads, modules="numpy")
+    f = sympy.lambdify(syms, expr, modules=[np])
+    g = sympy.lambdify(syms, grads, modules=[np])
 
     def fn(x: np.ndarray) -> float:
         return float(f(*x))
@@ -103,7 +103,7 @@ def compile_scalar(dim: int, text: str) -> tuple:
     @functools.cache
     def hessian():  # abs leaves a DiracDelta at its kink; keep the smooth part
         return sympy.lambdify(syms, [[sympy.diff(d, s).replace(sympy.DiracDelta, lambda *_: 0)
-                                      for s in syms] for d in grads], modules="numpy")
+                                      for s in syms] for d in grads], modules=[np])
 
     return fn, DifferentiableMap(dim, dim, fn=lambda x: np.asarray(g(*x), dtype=float),
                                  jac=lambda x: hessian()(*x), name=f"grad {text}"), batch

@@ -151,9 +151,14 @@ class ScalarMap(DifferentiableMap):
         return y.reshape(-1, 1)
 
 
+def max_abs(a):
+    """max |a| over all entries in one reduction, 0.0 when empty; a NaN gives NaN."""
+    return np.maximum.reduce(np.abs(a), axis=None, initial=0.0)
+
+
 def residual(lhs, rhs) -> float:
     """max |lhs - rhs| over all entries, 0.0 when empty; a NaN gap gives NaN."""
-    return float(np.abs(np.subtract(lhs, rhs)).max(initial=0.0))
+    return float(max_abs(np.subtract(lhs, rhs)))
 
 
 def matrix_map(matrix, name: str = "") -> DifferentiableMap:

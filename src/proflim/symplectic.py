@@ -15,13 +15,16 @@ import numpy as np
 from .calculus import TameForm, exterior_derivative
 from .cylinder import CylindricalFunction, level_function, linear_combination
 from .family import ProfiniteFamily, sample_joint, sample_point, strict_pairs
-from .maps import FD_STEP, DifferentiableMap, ScalarMap, as_point, residual
+from .maps import (FD_STEP, DifferentiableMap, DimensionMismatch, ScalarMap, as_point, max_abs,
+                   residual)
 from .report import VerificationReport
 
 RANK_RTOL = 1e-10
 # momentum_verify's form-preservation certificate: tolerance and group elements
 SYMPLECTIC_TOL = 1e-8
 GROUP_ELEMENTS = 20
+# leapfrog steps kept as Python floats before they are copied into the state array
+_LEAPFROG_BLOCK = 1024
 # 1/k! for k = 0..15 in rows of four, for ProfiniteGroupAction.exp
 _TAYLOR = np.array([1.0 / math.factorial(k) for k in range(16)]).reshape(4, 4)
 
@@ -158,6 +161,11 @@ def level_gradient(H: CylindricalFunction, J) -> DifferentiableMap:
     return DifferentiableMap(lf.domain_dim, lf.domain_dim, fn=lambda x: lf.jacobian(x).ravel())
 
 
+def _gradient_mismatch(grad: DifferentiableMap, size: int) -> DimensionMismatch:
+    return DimensionMismatch(f"{grad.name or 'gradient'}: value has dim {size}, "
+                             f"expected {grad.domain_dim}")
+
+
 def hamiltonian_solver(omega: TameForm, H: CylindricalFunction, J) -> Callable:
     """point -> (Omega, grad H, X) with Omega^T X = grad H at level J; SingularForm
     when deficient.  The gradient is built once, and a constant form's matrix
@@ -180,6 +188,8 @@ def hamiltonian_solver(omega: TameForm, H: CylindricalFunction, J) -> Callable:
             fixed = mat if omega.is_constant else None
         grad = grad or level_gradient(H, J)
         g = grad.fn(point)
+        if len(g) != grad.domain_dim:
+            raise _gradient_mismatch(grad, len(g))
         return mat, g, np.linalg.solve(mat.T, g)
     return solve
 
@@ -242,23 +252,41 @@ class Trajectory:
                      f"{float(self.energies[k])!r}\n")
 
 
-def _leapfrog(grad: Callable, x0: np.ndarray, dt: float, steps: int) -> np.ndarray:
+def _leapfrog(grad: DifferentiableMap, x0: np.ndarray, dt: float, steps: int) -> np.ndarray:
     # kick-drift-kick on interleaved (q, p) pairs; assumes separable H.  The
     # closing half kick moves p alone and dH/dq reads q alone, so its gradient
     # opens the next step (FSAL): two gradients per step, one before the loop.
-    # q and p are strided views of x, so each kick and drift updates x in place
-    states = np.empty((steps + 1, x0.size))
+    # The state is a list of Python floats, whose * and - round as numpy's do
+    # and never raise, so each kick and drift is a loop over the pairs; the
+    # gradient still takes an array and is read back as a list.  States are
+    # copied into the array one block of steps at a time, so a long run holds
+    # one block of Python floats (32 bytes each, against numpy's 8).
+    fn, dim, half = grad.fn, x0.size, 0.5 * dt
+    pairs = range(0, dim, 2)
+    states = np.empty((steps + 1, dim))
     states[0] = x0
-    x = x0.copy()
-    q, p = x[0::2], x[1::2]
-    g = grad(x)
-    for k in range(steps):
-        p -= 0.5 * dt * g[0::2]                  # half kick: dp = -dH/dq
-        g = grad(x)
-        q += dt * g[1::2]                        # drift: dq = +dH/dp
-        g = grad(x)
-        p -= 0.5 * dt * g[0::2]                  # half kick
-        states[k + 1] = x
+    x = x0.tolist()
+    g = fn(np.array(x)).tolist()
+    if len(g) != dim:
+        raise _gradient_mismatch(grad, len(g))
+    for start in range(1, steps + 1, _LEAPFROG_BLOCK):
+        stop = min(start + _LEAPFROG_BLOCK, steps + 1)
+        block = []
+        for _ in range(start, stop):
+            for i in pairs:
+                x[i + 1] -= half * g[i]          # half kick: dp = -dH/dq
+            g = fn(np.array(x)).tolist()
+            if len(g) != dim:
+                raise _gradient_mismatch(grad, len(g))
+            for i in pairs:
+                x[i] += dt * g[i + 1]            # drift: dq = +dH/dp
+            g = fn(np.array(x)).tolist()
+            if len(g) != dim:
+                raise _gradient_mismatch(grad, len(g))
+            for i in pairs:
+                x[i + 1] -= half * g[i]          # half kick
+            block += x
+        states[start:stop] = np.array(block).reshape(stop - start, dim)
     return states
 
 
@@ -268,7 +296,7 @@ def _implicit_midpoint(solve: Callable, hessian: Callable, x0: np.ndarray, X0: n
     # from the caller's own check at x0; Newton's matrix I - dt/2 Omega^-T
     # Hess H takes its Omega from the same solve, so the form is read once
     # per iterate
-    dim = x0.size
+    dim, half, eye = x0.size, 0.5 * dt, np.eye(x0.size)
     states = np.empty((steps + 1, dim))
     states[0] = x0
     x = x0.copy()
@@ -279,10 +307,10 @@ def _implicit_midpoint(solve: Callable, hessian: Callable, x0: np.ndarray, X0: n
             mid = 0.5 * (x + y)
             mat, _, X = solve(mid)
             G = y - x - dt * X
-            if residual(G, 0.0) <= 1e-12 * (1.0 + residual(y, 0.0)):
+            if max_abs(G) <= 1e-12 * (1.0 + max_abs(y)):  # NaN never converges
                 converged = True
                 break
-            JG = np.eye(dim) - 0.5 * dt * np.linalg.solve(mat.T, hessian(mid))
+            JG = eye - half * np.linalg.solve(mat.T, hessian(mid))
             y = y - np.linalg.solve(JG, G)
         if not converged:
             raise NonconvergentSolve(f"implicit midpoint stalled at step {k}")
@@ -301,14 +329,18 @@ def flow(omega: TameForm, H: CylindricalFunction, J, x0, dt: float, steps: int,
     expression H and an FD one otherwise.  Separability is probed at x0 only:
     an H whose FD Hessian there is not finite or has a mixed q-p entry above
     1e-8 * max(1, max |Hessian|) is refused, which catches a coupled H but
-    does not prove that H is separable.  A non-finite dt or x0, or an H or
-    gradient that is not finite at x0, is a ValueError; a degenerate form at
-    x0 (or, for a non-constant form, at a midpoint) is a SingularForm; a run
-    that reaches a non-finite state or energy is a NonconvergentSolve.
+    does not prove that H is separable.  A non-finite dt or x0, negative
+    steps, or an H or gradient that is not finite at x0, is a ValueError; a
+    gradient value of the wrong length, at x0 or later, is a
+    DimensionMismatch; a degenerate form at x0 (or, for a non-constant form,
+    at a midpoint) is a SingularForm; a run that reaches a non-finite state
+    or energy is a NonconvergentSolve.
     """
     x0 = as_point(x0).copy()
     if not (math.isfinite(dt) and np.isfinite(x0).all()):
         raise ValueError(f"flow needs a finite dt and x0, got dt={dt!r}, x0={x0.tolist()}")
+    if steps < 0:
+        raise ValueError(f"flow needs steps >= 0, got {steps!r}")
     dim = x0.size
     solve = hamiltonian_solver(omega, H, J)
     lf = level_function(H, J)
@@ -337,7 +369,7 @@ def flow(omega: TameForm, H: CylindricalFunction, J, x0, dt: float, steps: int,
                          f"H={float(h0[0])!r}, gradient={g0.tolist()}")
     with np.errstate(all="ignore"):  # a diverging run is refused below, not warned about
         if scheme == "leapfrog":
-            states = _leapfrog(grad.fn, x0, dt, steps)
+            states = _leapfrog(grad, x0, dt, steps)
         else:
             states = _implicit_midpoint(solve, grad.jacobian, x0, X0, dt, steps,
                                         newton_iters)

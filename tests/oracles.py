@@ -4,7 +4,8 @@ from itertools import combinations
 
 import numpy as np
 
-from proflim import hamiltonian_field, pullback_inj, squash
+from proflim import NonconvergentSolve, hamiltonian_field, pullback_inj, squash
+from proflim.maps import residual
 
 
 def powerset_sections(elements, leq):
@@ -93,6 +94,33 @@ def leapfrog_three_gradients(grad, x0, dt, steps):
         x[q_idx] += dt * g[p_idx]
         g = grad(x)
         x[p_idx] -= 0.5 * dt * g[q_idx]
+        states[k + 1] = x
+    return states
+
+
+def implicit_midpoint_arrays(solve, hessian, x0, X0, dt, steps, newton_iters=50):
+    """Implicit midpoint as the library wrote it before its bookkeeping was
+    hoisted: np.eye and 0.5 * dt rebuilt per iterate and each convergence
+    maximum taken as residual(., 0.0)."""
+    dim = x0.size
+    states = np.empty((steps + 1, dim))
+    states[0] = x0
+    x = x0.copy()
+    for k in range(steps):
+        y = x + dt * (solve(x)[2] if k else X0)
+        converged = False
+        for _ in range(newton_iters):
+            mid = 0.5 * (x + y)
+            mat, _, X = solve(mid)
+            G = y - x - dt * X
+            if residual(G, 0.0) <= 1e-12 * (1.0 + residual(y, 0.0)):
+                converged = True
+                break
+            JG = np.eye(dim) - 0.5 * dt * np.linalg.solve(mat.T, hessian(mid))
+            y = y - np.linalg.solve(JG, G)
+        if not converged:
+            raise NonconvergentSolve(f"implicit midpoint stalled at step {k}")
+        x = y
         states[k + 1] = x
     return states
 

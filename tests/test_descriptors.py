@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import proflim as pl
+import proflim.cli as cli
 from towers import cover_family, pair_family
 
 
@@ -108,6 +109,32 @@ def test_finite_poset_descriptor_must_be_a_directed_order(leq, message):
         pl.family_from_descriptor({
             "poset": doc, "levels": [{"index": e, "dim": 0} for e in doc["elements"]],
             "projections": [], "injections": []})
+
+
+@pytest.mark.parametrize("cell", ["x", 1.5, {"a": 1}, None, "", {}, 2, -1, 1.0, [1]],
+                         ids=["string", "fraction", "object", "null", "empty-string",
+                              "empty-object", "two", "minus-one", "float-one", "list"])
+def test_finite_poset_descriptor_leq_cells_are_booleans_or_bits(cell):
+    doc = {"kind": "finite", "elements": ["a", "b"], "leq": [[True, cell], [0, 1]]}
+    with pytest.raises(pl.DescriptorError,
+                       match=rf"^poset\.leq\[0\]\[1\]: .* is not true, false, 0 or 1$"):
+        pl.poset_from_descriptor(doc)
+
+
+@pytest.mark.parametrize("yes, no", [(True, False), (1, 0)], ids=["booleans", "bits"])
+def test_finite_poset_descriptor_reads_booleans_and_bits_alike(yes, no):
+    poset = pl.poset_from_descriptor({"kind": "finite", "elements": ["a", "b"],
+                                      "leq": [[yes, yes], [no, yes]]})
+    assert (poset.leq("a", "b"), poset.leq("b", "a")) == (True, False)
+
+
+def test_verify_refuses_a_leq_cell_that_is_not_a_boolean(tmp_path, capsys):
+    doc = pl.family_to_descriptor(pl.cross_family().family)
+    doc["poset"]["leq"][0][1] = "x"
+    path = tmp_path / "cross.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--family", str(path)]) == 2
+    assert "poset.leq[0][1]: 'x' is not true, false, 0 or 1" in capsys.readouterr().err
 
 
 def test_finite_poset_descriptor_lists_each_element_once():

@@ -1,5 +1,8 @@
+import inspect
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -127,3 +130,44 @@ def test_expression_reference_errors(euclid):
         pl.cylindrical_from_expression(euclid.family, [3], "level:3:7")
     with pytest.raises(pl.ExpressionError):
         pl.cylindrical_from_expression(euclid.family, [3], "level:3:0; import os")
+
+
+EVERY_FUNCTION = ("sin(x0)*cos(x1) + tan(x2) + exp(x0) + log(sqr(x1) + 1)"
+                  " + sqrt(sqr(x2) + 1) + tanh(x0) + abs(x1) + pi")
+
+
+def test_compiling_loads_no_optional_numpy_submodule():
+    code = ("import sys\n"
+            "import proflim as pl\n"
+            "import numpy as np\n"
+            f"fn, grad, batch = pl.compile_scalar(3, {EVERY_FUNCTION!r})\n"
+            "x = np.array([0.3, -0.7, 1.1])\n"
+            "fn(x), grad(x), grad.jacobian(x), batch(x[None, :])\n"
+            "loaded = [m for m in ('numpy.f2py', 'numpy.testing') if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_lambdify_on_the_numpy_module_matches_the_numpy_string(monkeypatch):
+    # compiling hands sympy the numpy module; the string "numpy" would run
+    # `from numpy import *`, but must give the same code and the same bits
+    import sympy
+    real_lambdify, compiled = sympy.lambdify, []
+
+    def recording(args, expr, modules):
+        fn = real_lambdify(args, expr, modules=modules)
+        compiled.append((fn, real_lambdify(args, expr, modules="numpy")))
+        return fn
+
+    monkeypatch.setattr(sympy, "lambdify", recording)
+    _, grad, _ = pl.compile_scalar(3, EVERY_FUNCTION)
+    grad.jacobian(np.zeros(3))                       # the Hessian compiles on request
+    assert len(compiled) == 3                        # value, gradient, Hessian
+    points = np.random.default_rng(5).uniform(-2.0, 2.0, (300, 3))
+    for got, want in compiled:
+        assert inspect.getsource(got) == inspect.getsource(want)
+        for name in got.__code__.co_names:
+            assert got.__globals__[name] is want.__globals__[name], name
+        for x in points:
+            assert np.asarray(got(*x)).tobytes() == np.asarray(want(*x)).tobytes()

@@ -7,7 +7,7 @@ import pytest
 import proflim as pl
 import proflim.maps as maps_module
 import proflim.symplectic as symplectic_module
-from oracles import leapfrog_three_gradients, oscillator_exact
+from oracles import implicit_midpoint_arrays, leapfrog_three_gradients, oscillator_exact
 
 SEPARABLE_QUARTIC = ("(sqr(x1) + sqr(x3) + sqr(x5))/2 + (sqr(x0) + sqr(x2) + sqr(x4))/2"
                      " + (sqr(sqr(x0)) + sqr(sqr(x2)) + sqr(sqr(x4)))/8")
@@ -163,6 +163,14 @@ def test_flow_refuses_non_finite_dt_and_x0(symplectic, scheme, dt, x0):
     with pytest.raises(ValueError, match="finite dt and x0"):
         pl.flow(symplectic["omega"], symplectic["hamiltonian_at"](1), 1, np.array(x0),
                 dt=dt, steps=3, scheme=scheme)
+
+
+@pytest.mark.parametrize("scheme", ["leapfrog", "implicit-midpoint"])
+@pytest.mark.parametrize("steps", [-1, -3])
+def test_flow_refuses_negative_steps(symplectic, scheme, steps):
+    with pytest.raises(ValueError, match=rf"^flow needs steps >= 0, got {steps}$"):
+        pl.flow(symplectic["omega"], symplectic["hamiltonian_at"](1), 1, np.array([1.0, 0.0]),
+                dt=1e-2, steps=steps, scheme=scheme)
 
 
 @pytest.mark.parametrize("expr, x0, dt, step", [
@@ -355,13 +363,16 @@ def _leapfrog_hamiltonians(symplectic):
 
 def test_leapfrog_reuses_the_closing_gradient_bit_for_bit(symplectic):
     rng = np.random.default_rng(11)
-    for level, H in _leapfrog_hamiltonians(symplectic):
-        x0 = rng.uniform(-1.0, 1.0, symplectic.family.dim(level))
-        traj = pl.flow(symplectic["omega"], H, level, x0, dt=1e-2, steps=300)
-        want = leapfrog_three_gradients(lambda x: H.base.jacobian(x).ravel(), x0, 1e-2, 300)
-        assert traj.states.tobytes() == want.tobytes()
-        # flow evaluates its energies in one batch, as rows does
-        assert traj.energies.tobytes() == H.base.rows(want)[:, 0].tobytes()
+    # one block of Python-float states, then three with a partial last one
+    for steps in (300, 2 * symplectic_module._LEAPFROG_BLOCK + 1):
+        for level, H in _leapfrog_hamiltonians(symplectic):
+            x0 = rng.uniform(-1.0, 1.0, symplectic.family.dim(level))
+            traj = pl.flow(symplectic["omega"], H, level, x0, dt=1e-2, steps=steps)
+            want = leapfrog_three_gradients(lambda x: H.base.jacobian(x).ravel(), x0, 1e-2,
+                                            steps)
+            assert traj.states.tobytes() == want.tobytes()
+            # flow evaluates its energies in one batch, as rows does
+            assert traj.energies.tobytes() == H.base.rows(want)[:, 0].tobytes()
 
 
 @pytest.mark.parametrize("steps", [0, 1, 40])
@@ -445,7 +456,7 @@ def test_newton_iterates_take_fd_gradients_only_without_an_analytic_hessian(
 
 
 def test_a_gradient_is_a_fresh_array(symplectic):
-    # FSAL reuses g after x has moved, so a gradient may not return a view of x
+    # ScalarMap's contract: a gradient value is a fresh array, never a view of x
     for level, H in _leapfrog_hamiltonians(symplectic):
         x = np.linspace(-0.5, 0.5, symplectic.family.dim(level))
         assert not np.shares_memory(H.base.gradient.fn(x), x)
@@ -669,3 +680,72 @@ def test_momentum_verify_reads_a_constant_form_once_for_every_element(symplectic
     twin_comps = _count(monkeypatch, twin, "comps")
     pl.momentum_verify(twin, action, mu, [1.0, 0.0, 0.0, 0.0, 0.0], 3, samples=10)
     assert len(twin_comps) == 2 * symplectic_module.GROUP_ELEMENTS + 10
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_implicit_midpoint_matches_the_array_oracle_bit_for_bit(symplectic, seed):
+    omega = symplectic["omega"]
+    H = pl.cylindrical_from_expression(symplectic.family, [2], COUPLED_QUARTIC)
+    x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, 4)
+    traj = pl.flow(omega, H, 2, x0, dt=1e-2, steps=300, scheme="implicit-midpoint")
+    solve = symplectic_module.hamiltonian_solver(omega, H, 2)
+    want = implicit_midpoint_arrays(solve, symplectic_module.level_gradient(H, 2).jacobian, x0,
+                                    solve(x0)[2], 1e-2, 300)
+    assert traj.states.tobytes() == want.tobytes()
+
+
+def test_implicit_midpoint_on_a_stretched_form_matches_the_array_oracle(symplectic):
+    omega = _stretched_omega(symplectic.family)
+    H = symplectic["hamiltonian_at"](1)
+    x0 = np.array([0.8, -0.3])
+    traj = pl.flow(omega, H, 1, x0, dt=1e-2, steps=60, scheme="implicit-midpoint")
+    solve = symplectic_module.hamiltonian_solver(omega, H, 1)
+    want = implicit_midpoint_arrays(solve, symplectic_module.level_gradient(H, 1).jacobian, x0,
+                                    solve(x0)[2], 1e-2, 60)
+    assert traj.states.tobytes() == want.tobytes()
+
+
+def test_implicit_midpoint_stalls_at_the_oracles_step(symplectic):
+    H = pl.cylindrical_from_expression(symplectic.family, [1], "exp(x0) + sqr(x1)/2")
+    solve = symplectic_module.hamiltonian_solver(symplectic["omega"], H, 1)
+    x0 = np.array([-1.0, 1.0])
+    args = (solve, symplectic_module.level_gradient(H, 1).jacobian, x0, solve(x0)[2], 0.3, 100, 3)
+    with pytest.raises(pl.NonconvergentSolve) as want:
+        implicit_midpoint_arrays(*args)
+    with pytest.raises(pl.NonconvergentSolve) as got:
+        symplectic_module._implicit_midpoint(*args)
+    assert str(got.value) == str(want.value) == "implicit midpoint stalled at step 4"
+
+
+def _lopsided_oscillator(family, length):
+    """The oscillator at level 2 whose gradient has `length` entries once
+    x0 passes 0.5, and the right four before."""
+    def gradient(x):
+        return np.resize(x, length) if x[0] > 0.5 else x.copy()
+
+    grad = pl.DifferentiableMap(4, 4, fn=gradient, name="lopsided")
+    base = pl.ScalarMap(grad, lambda x: np.array([0.5 * float(x @ x)]), name="H")
+    return pl.CylindricalFunction(family, pl.Section.of(family.poset, [2]), base)
+
+
+@pytest.mark.parametrize("length", [3, 5], ids=["short", "long"])
+@pytest.mark.parametrize("start, frame", [(0.9, "solve"), (0.0, "_leapfrog")],
+                         ids=["at-x0", "in-the-loop"])
+def test_leapfrog_refuses_a_gradient_of_the_wrong_length(symplectic, length, start, frame):
+    H = _lopsided_oscillator(symplectic.family, length)
+    x0 = np.array([start, 1.0, 0.0, 1.0])
+    with pytest.raises(pl.DimensionMismatch,
+                       match=rf"^lopsided: value has dim {length}, expected 4$") as err:
+        pl.flow(symplectic["omega"], H, 2, x0, dt=1e-2, steps=100)
+    assert err.traceback[-1].name == frame
+
+
+@pytest.mark.parametrize("length", [3, 5], ids=["short", "long"])
+@pytest.mark.parametrize("start", [0.9, 0.0], ids=["at-x0", "in-the-loop"])
+def test_implicit_midpoint_refuses_a_gradient_of_the_wrong_length(symplectic, length, start):
+    H = _lopsided_oscillator(symplectic.family, length)
+    x0 = np.array([start, 1.0, 0.0, 1.0])
+    with pytest.raises(pl.DimensionMismatch,
+                       match=rf"^lopsided: value has dim {length}, expected 4$"):
+        pl.flow(symplectic["omega"], H, 2, x0, dt=1e-2, steps=100,
+                scheme="implicit-midpoint")
