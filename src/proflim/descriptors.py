@@ -297,6 +297,9 @@ def family_from_descriptor(doc: dict) -> ProfiniteFamily:
         if J not in members:
             raise DescriptorError(f"levels[{i}].index: {J!r} is not an element of the poset")
         dims[J] = _field(lv, "dim", f"levels[{i}]", _dimension)
+    undeclared = next((J for J in poset.elements if J not in dims), None)
+    if undeclared is not None:  # the family's vector layout needs every dimension
+        raise DescriptorError(f"levels: no entry declares the dimension of level {undeclared!r}")
 
     def level_dim(J):
         if J not in dims:

@@ -9,6 +9,7 @@ and the injection cocycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -35,6 +36,8 @@ class ProfiniteFamily:
     `poset.reach([m])` numbers; every answer is shape-checked.  Produced
     maps are memoized, the one stored first winning; the family is
     immutable.
+    A point of the limit is one vector in the layout `offsets`: the level
+    at position i holds the block `offsets[i]:offsets[i + 1]`.
     """
 
     def __init__(self, poset: IndexPoset, level_dim: Callable[[Any], int],
@@ -92,25 +95,40 @@ class ProfiniteFamily:
             return self.inj(dst, src)
         return None
 
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Where each level's block starts in the layout, by position, and
+        the layout's size last; read-only, computed once."""
+        els = self.poset.elements
+        off = np.concatenate(([0], np.fromiter(map(self._level_dim, els), np.intp, len(els))))
+        np.cumsum(off, out=off)
+        off.setflags(write=False)
+        return off
+
+    def gather(self, positions: np.ndarray) -> tuple:
+        """(index, sizes): the layout slots of the blocks of the levels at
+        `positions`, concatenated in that order, and each block's size."""
+        ends = self.offsets[1:].take(positions)
+        sizes = ends - self.offsets.take(positions)
+        index = np.repeat(ends - sizes.cumsum(), sizes)
+        index += np.arange(index.size)
+        return index, sizes
+
     def spread(self, member) -> tuple:
-        """(positions, (starts, stops), map), built once and read-only: the
-        positions `poset.reach([member])`, where each level's block of the
-        map's output starts and stops, by position (-1 at a level the member
-        does not reach), and the rule's answer `maps(member, levels)` at the
-        levels in position order; only this triple is cached."""
+        """(positions, slots, map), built once and read-only: the positions
+        `poset.reach([member])`, the rule's answer `maps(member, levels)` at
+        the levels in position order, and the layout slot of each row of its
+        output; only this triple is cached."""
         key = ("spread", member)
         if key in self._cache:
             return self._cache[key]
         positions = self.poset.reach([member])
-        levels = [self.poset.elements[i] for i in positions.tolist()]
-        dims = np.fromiter(map(self._level_dim, levels), np.intp, len(levels))
-        stops = np.cumsum(dims)
-        stack = self._ask(member, levels, int(stops[-1]))
-        table = np.full((2, len(self.poset.elements)), -1, np.intp)
-        table[0, positions], table[1, positions] = stops - dims, stops
-        for arr in (positions, table):
+        slots, _ = self.gather(positions)
+        stack = self._ask(member, [self.poset.elements[i] for i in positions.tolist()],
+                          slots.size)
+        for arr in (positions, slots):
             arr.setflags(write=False)
-        return self._cache.setdefault(key, (positions, tuple(table), stack))
+        return self._cache.setdefault(key, (positions, slots, stack))
 
     def __repr__(self):
         return f"ProfiniteFamily({self.name or 'anonymous'})"

@@ -42,50 +42,26 @@ class NotInvertible(Exception):
 
 
 class Thread:
-    """An assignment level -> level point, kept by the level's position in
-    `family.poset.elements`; an index that is no element raises Incomparable.
-
-    `table`, when given, is (flat, starts, stops): one read-only vector and,
-    by position, where each level's value starts and stops in it, -1 at a
-    level it does not hold.  A level it holds is read as a slice of it; any
-    other level is evaluated by `fn` once and memoized.
+    """An assignment level -> level point, held as one float vector in its
+    family's layout: the value at the level at position i is the read-only
+    block `family.offsets[i]:family.offsets[i + 1]`.  A level the vector does
+    not hold yet is evaluated by `fn` once, dimension-checked and stored,
+    the value stored first winning; an index that is no element of
+    `family.poset` raises Incomparable.
     """
 
     def __init__(self, family: ProfiniteFamily, fn: Callable[[Any], np.ndarray],
-                 name: str = "", table: Optional[tuple] = None):
+                 name: str = ""):
         self.family = family
         self._fn = fn
         self.name = name
-        self._memo: dict = {}  # position -> read-only value
-        self._table = table
+        self._vec = np.empty(family.offsets[-1])
+        self._held = np.zeros(family.offsets.size - 1, bool)  # by position
+        self._read = self._vec.view()  # the values handed out, read-only
+        self._read.setflags(write=False)
 
     def _missing(self, J) -> Incomparable:
         return Incomparable(f"index {J!r} is not a level of {self.family.name or 'the family'}")
-
-    def value(self, J) -> np.ndarray:
-        try:
-            i = self.family.poset.position[J]
-        except KeyError:
-            raise self._missing(J) from None
-        return self._at(i, J)
-
-    def _at(self, i: int, J) -> np.ndarray:
-        """The value at level J, at position i."""
-        if self._table is not None:
-            flat, starts, stops = self._table
-            if starts[i] >= 0:
-                return flat[starts[i]:stops[i]]
-        val = self._memo.get(i)
-        if val is None:
-            val = self._store(i, J, self._fn(J))
-        return val
-
-    def flat(self, levels: Sequence) -> tuple:
-        """(values, sizes): the values at the levels concatenated into one
-        vector, and the size of each.  Levels the table holds are read by
-        one gather, others level by level."""
-        pos = self._positions(levels)
-        return self._flat(levels, pos, self._gather(pos))
 
     def _positions(self, levels: Sequence) -> np.ndarray:
         try:
@@ -93,70 +69,57 @@ class Thread:
         except KeyError as err:
             raise self._missing(err.args[0]) from None
 
-    def _gather(self, pos: np.ndarray) -> Optional[tuple]:
-        """(index, sizes): where the values at positions pos lie in the
-        table's vector, and their sizes; None when the table does not hold
-        every one of them."""
-        if self._table is None:
-            return None
-        _, starts, stops = self._table
-        first = starts.take(pos)
-        if np.minimum.reduce(first, initial=0) < 0:
-            return None
-        sizes = stops.take(pos) - first
-        idx = np.repeat(first - sizes.cumsum() + sizes, sizes)
-        idx += np.arange(idx.size)
-        return idx, sizes
-
-    def _flat(self, levels: Sequence, pos: np.ndarray, gather: Optional[tuple]) -> tuple:
-        """flat(levels), given the levels' positions and, when the table
-        holds them all, their gather from _gather."""
-        if gather is not None:
-            idx, sizes = gather
-            return self._table[0].take(idx), sizes
-        return _joined([self._at(i, J) for i, J in zip(pos.tolist(), levels)])
-
-    def _store(self, i: int, J, val) -> np.ndarray:
-        """Memoize val at position i as a read-only copy; the value stored
-        first wins."""
-        val = as_point(val)
-        if val.size != self.family.dim(J):
-            raise DimensionMismatch(
-                f"thread {self.name or 'anonymous'}: value at {J!r} has dim "
-                f"{val.size}, expected {self.family.dim(J)}")
-        val = val.copy()
-        val.setflags(write=False)
-        return self._memo.setdefault(i, val)
+    def value(self, J) -> np.ndarray:
+        try:
+            i = self.family.poset.position[J]
+        except KeyError:
+            raise self._missing(J) from None
+        if not self._held[i]:
+            self._fill(i, J)
+        off = self.family.offsets
+        return self._read[off[i]:off[i + 1]]
 
     __call__ = value
+
+    def flat(self, levels: Sequence) -> tuple:
+        """(values, sizes): the values at the levels concatenated into one
+        vector, read by one gather, and the size of each."""
+        pos = self._positions(levels)
+        index, sizes = self.family.gather(pos)
+        return self._take(levels, pos, index), sizes
+
+    def _take(self, levels: Sequence, pos: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """The layout at `index`, the slots of the levels at positions pos,
+        once every one of them is held."""
+        held = self._held.take(pos)
+        if np.count_nonzero(held) < held.size:
+            for k in np.flatnonzero(~held).tolist():
+                if not self._held[pos[k]]:  # a level listed twice is filled once
+                    self._fill(int(pos[k]), levels[k])
+        return self._vec.take(index)
+
+    def _fill(self, i: int, J) -> None:
+        """Store fn(J) at position i, unless a value is stored there first."""
+        val = np.asarray(self._fn(J), float).ravel()
+        lo, hi = self.family.offsets[i:i + 2].tolist()
+        if val.size != hi - lo:
+            raise DimensionMismatch(
+                f"thread {self.name or 'anonymous'}: value at {J!r} has dim "
+                f"{val.size}, expected {hi - lo}")
+        if not self._held[i]:
+            self._vec[lo:hi] = val
+            self._held[i] = True
 
     def __repr__(self):
         return f"Thread({self.name or 'anonymous'})"
 
 
-_NONE = np.zeros(0)
-
-
-def _joined(values: Sequence) -> tuple:
-    """(values, sizes) of per-level arrays: one flat vector, and each size."""
-    return (np.concatenate([*values, _NONE], axis=None),
-            np.fromiter((np.size(a) for a in values), np.intp, len(values)))
-
-
-def _flat_pair(levels: Sequence, x, y) -> tuple:
-    """The (values, sizes) of points x and y at levels, each a thread or a
-    plain index->array callable.  Two threads over one poset look the levels
-    up once, and two threads read through one spread table (the same starts
-    and stops arrays) gather by one index."""
-    if isinstance(x, Thread) and isinstance(y, Thread) and x.family.poset is y.family.poset:
-        pos = x._positions(levels)
-        gather = x._gather(pos)
-        shared = (gather is not None and y._table is not None
-                  and y._table[1] is x._table[1] and y._table[2] is x._table[2])
-        return (x._flat(levels, pos, gather),
-                y._flat(levels, pos, gather if shared else y._gather(pos)))
-    return tuple(p.flat(levels) if isinstance(p, Thread)
-                 else _joined([np.asarray(p(J), float) for J in levels]) for p in (x, y))
+def _flat_pair(levels: Sequence, x: Thread, y: Thread) -> tuple:
+    """The (values, sizes) of threads x and y of one family at levels: one
+    position lookup and one gather index for both."""
+    pos = x._positions(levels)
+    index, sizes = x.family.gather(pos)
+    return (x._take(levels, pos, index), sizes), (y._take(levels, pos, index), sizes)
 
 
 def thread_axpy(x: Thread, s: float, v) -> Thread:
@@ -204,29 +167,30 @@ def thread_from_section(sp: SectionPoint, tol: float = 1e-9,
     """The thread induced by a section point; `check` is ignored.
 
     Each member's values at the levels it reaches are one product of its
-    cached `family.spread`, whose own block is the member's value verbatim,
-    so restricting the thread back to the section is float-exact.  The
-    thread reads every level as a slice of one read-only flat vector: a
-    single member's product with its spread's position-to-offset table, or
-    several members' products concatenated, each level read from the first
-    member that reaches it.  Several members are compared at every pairwise
-    join, then at every element of `poset.reach(section)`, and
-    IllDefinedSection names the first disagreement.  A level no member
-    reaches raises Incomparable.
+    cached `family.spread`, written at the spread's slots, and its own
+    block is the member's value verbatim, so restricting the thread back
+    to the section is float-exact.  Several members are compared at every
+    pairwise join, then at every element of `poset.reach(section)`, and
+    IllDefinedSection names the first disagreement; a later member fills
+    only the levels no earlier one reaches.  A level no member reaches
+    raises Incomparable.
     """
     def unreached(I):
         raise Incomparable(f"index {I!r} is comparable to no member of {sp.section}")
 
-    poset = sp.family.poset
+    fam, poset = sp.family, sp.family.poset
     joins = [poset.require_join(a, b) for a, b in combinations(sp.section, 2)]
+    label = ",".join(repr(m) for m in sp.section)
     parts = []
     for member in sp.section:
-        _, (starts, stops), spread = sp.family.spread(member)
-        flat = np.array(spread(sp.values[member]))  # a copy this thread owns
+        t = Thread(fam, unreached, name=f"sec[{label}]")
+        positions, slots, spread = fam.spread(member)
+        t._vec[slots] = spread(sp.values[member])
         i = poset.position[member]
-        flat[starts[i]:stops[i]] = sp.values[member]
-        parts.append((flat, starts, stops))
-    flat, starts, stops = parts[0]
+        t._vec[fam.offsets[i]:fam.offsets[i + 1]] = sp.values[member]
+        t._held[positions] = True
+        parts.append(t)
+    t = parts[0]
     if len(parts) > 1:  # a level one member alone reaches has nothing to compare
         named: dict = {}  # position -> the index a message names, joins first
         for I in joins:
@@ -234,16 +198,12 @@ def thread_from_section(sp: SectionPoint, tol: float = 1e-9,
         for i in poset.reach(sp.section).tolist():
             named.setdefault(i, poset.elements[i])
         for i, I in named.items():
-            _agreed(I, [f[lo[i]:hi[i]] for f, lo, hi in parts if lo[i] >= 0], tol)
-        flat = np.concatenate([f for f, _, _ in parts])
-        starts, stops = np.full_like(starts, -1), np.full_like(stops, -1)
-        bases = np.cumsum([0] + [f.size for f, _, _ in parts])
-        for (_, lo, hi), base in reversed(list(zip(parts, bases))):
-            have = lo >= 0
-            starts[have], stops[have] = lo[have] + base, hi[have] + base
-    flat.setflags(write=False)
-    label = ",".join(repr(m) for m in sp.section)
-    return Thread(sp.family, unreached, name=f"sec[{label}]", table=(flat, starts, stops))
+            _agreed(I, [p(I) for p in parts if p._held[i]], tol)
+        for p in parts[1:]:
+            index, _ = fam.gather(np.flatnonzero(p._held & ~t._held))
+            t._vec[index] = p._vec[index]
+            t._held |= p._held
+    return t
 
 
 def restrict_thread(t: Thread, section) -> SectionPoint:

@@ -12,8 +12,8 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .family import ProfiniteFamily, sample_joint, strict_pairs
-from .limits import SectionPoint, _flat_pair, _joined, thread_from_section
+from .family import FamilyMismatch, ProfiniteFamily, sample_joint, strict_pairs
+from .limits import SectionPoint, Thread, _flat_pair, thread_from_section
 from .maps import DimensionMismatch, residual
 from .report import VerificationReport
 
@@ -60,14 +60,20 @@ class LevelMetricFamily:
                         dtype=float)
 
 
+def _joined(values: Sequence) -> tuple:
+    """(values, sizes) of per-level arrays: one flat vector, and each size."""
+    return (np.concatenate([np.zeros(0), *values], axis=None),
+            np.fromiter((np.size(a) for a in values), np.intp, len(values)))
+
+
 def _euclidean_batch(levels: Sequence, x: tuple, y: tuple) -> np.ndarray:
     """The norms of the level differences of two points read flat, each as
-    (values, sizes) from Thread.flat: one subtraction of the two vectors and
-    one sum of squares per level at the level cuts."""
+    (values, sizes): one subtraction of the two vectors and one sum of
+    squares per level at the level cuts.  Sizes that differ at a level are a
+    DimensionMismatch; one sizes array read by both points is not compared."""
     (fx, nx), (fy, ny) = x, y
-    bad = nx != ny
-    if bad.any():
-        k = int(bad.argmax())
+    if nx is not ny and (nx != ny).any():
+        k = int((nx != ny).argmax())
         raise DimensionMismatch(f"level {levels[k]!r}: values of sizes {nx[k]} and {ny[k]}")
     # cut at each level's start and at a trailing zero, so the last level's
     # sum ends where its values do; an empty level's sum reads the next
@@ -117,18 +123,30 @@ def injection_isometry_check(m: LevelMetricFamily, pairs: Iterable[tuple],
     return report
 
 
+def _thread(m: LevelMetricFamily, p) -> Thread:
+    """The point p as a thread of m's family: a section point its checked
+    thread, a plain callable or a thread of another family over m's poset one
+    that is dimension-checked; a thread over another poset is FamilyMismatch."""
+    if isinstance(p, SectionPoint):
+        p = thread_from_section(p)
+    if isinstance(p, Thread) and p.family.poset is not m.family.poset:
+        raise FamilyMismatch(f"thread {p.name or 'anonymous'} does not live over the "
+                             f"poset of {m.family.name or 'the metric family'}")
+    return p if isinstance(p, Thread) and p.family is m.family else Thread(m.family, p)
+
+
 def _squashed(m: LevelMetricFamily, levels: list, x, y) -> np.ndarray:
     """phi of the distances between points x and y at levels, as one batch; a
-    NaN distance is a ValueError naming the first such level.  A point is a
-    thread, a section point (read through one checked thread) or a plain
-    index->array callable; the euclidean kernel reads both points flat, two
-    threads through one position lookup."""
-    x, y = (thread_from_section(p) if isinstance(p, SectionPoint) else p for p in (x, y))
+    NaN distance is a ValueError naming the first such level.  Both points
+    are read as threads of m's family, through one position lookup and one
+    gather index."""
+    (fx, sizes), (fy, _) = _flat_pair(levels, _thread(m, x), _thread(m, y))
     if m.dist is _euclidean:
-        d = _euclidean_batch(levels, *_flat_pair(levels, x, y))
+        d = _euclidean_batch(levels, (fx, sizes), (fy, sizes))
     else:
-        d = m.distances(levels, [np.asarray(x(J), float) for J in levels],
-                        [np.asarray(y(J), float) for J in levels])
+        ends = sizes.cumsum().tolist()
+        cuts = list(zip([0] + ends, ends))
+        d = m.distances(levels, [fx[a:b] for a, b in cuts], [fy[a:b] for a, b in cuts])
     nan = np.isnan(d)
     if nan.any():
         i = int(nan.argmax())
@@ -153,7 +171,7 @@ def d_inf(m: LevelMetricFamily, x, y, level_sets: Iterable[Iterable],
     for stage in level_sets:
         seen.update(dict.fromkeys(stage))
         ends.append(len(seen))
-    if not ends:
+    if not seen:
         raise ValueError("no levels supplied")
     # running[k] is the sup over the first k levels, and 0 before any
     running = np.maximum.accumulate(np.concatenate(([0.0], _squashed(m, list(seen), x, y))))

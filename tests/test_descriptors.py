@@ -20,9 +20,9 @@ def test_index_round_trip():
 
 
 def test_decoded_indices_key_memos_and_maps_by_value():
-    """Memos key by the index's position, found by value, and the map cache
-    by the index itself: one frozenset in two spellings is one entry, an int
-    and a string are two, and no lookup asks poset.key."""
+    """Threads hold a value by the index's position, found by value, and the
+    map cache by the index itself: one frozenset in two spellings is one
+    entry, an int and a string are two, and no lookup asks poset.key."""
     fam = pl.wiener_family([0.25, 0.5, 0.75]).family
     key_calls = []
     canonical = fam.poset.key
@@ -31,7 +31,7 @@ def test_decoded_indices_key_memos_and_maps_by_value():
     top = pl.decode_index({"set": [0.75, 0.25, 0.5]})
     calls = []
     t = pl.Thread(fam, lambda J: calls.append(J) or np.zeros(len(J)))
-    assert t(a) is t(b) and len(calls) == 1 and list(t._memo) == [fam.poset.position[a]]
+    assert t(a).tobytes() == t(b).tobytes() and calls == [a]
     assert fam.proj(a, top) is fam.proj(b, top) and fam.inj(top, a) is fam.inj(top, b)
     assert fam.proj(a, a) is fam.inj(b, b) and len(fam._cache) == 3
     assert key_calls == []
@@ -43,8 +43,11 @@ def test_decoded_indices_key_memos_and_maps_by_value():
         pl.finite_poset([one, word, two], lambda x, y: rank[x] <= rank[y]), dims.get,
         lambda J, K: pl.selection_map(dims[K], range(dims[J])),
         lambda K, J: pl.scatter_map(dims[K], range(dims[J])))
-    t = pl.Thread(chain, lambda J: np.ones(dims[J]))
-    assert [t(J).size for J in (one, word, two)] == [1, 2, 3] and len(t._memo) == 3
+    calls = []
+    t = pl.Thread(chain, lambda J: calls.append(J) or np.ones(dims[J]))
+    for _ in range(2):
+        assert [t(J).size for J in (one, word, two)] == [1, 2, 3]
+    assert calls == [one, word, two]
     assert chain.proj(one, two).codomain_dim == 1 and chain.proj(word, two).codomain_dim == 2
     assert len(chain._cache) == 2
 
@@ -67,8 +70,9 @@ def test_decoded_indices_key_memos_and_maps_by_value():
     assert loaded.dim(top) == loaded.dim(also_top) == 2
     assert loaded.proj(half, top) is loaded.proj(half, also_top)
     assert np.array_equal(loaded.inj(also_top, half)(np.array([3.0])), [3.0, 0.0])
-    t = pl.Thread(loaded, lambda J: np.ones(len(J)))
-    assert t(top) is t(also_top) and len(t._memo) == 1
+    calls = []
+    t = pl.Thread(loaded, lambda J: calls.append(J) or np.ones(len(J)))
+    assert t(top).tobytes() == t(also_top).tobytes() and calls == [top]
     assert np.array_equal(form.comps(also_top, np.array([2.0, 3.0])), [2.0, 3.0])
     with pytest.raises(pl.DescriptorError, match="no declared dimension"):
         loaded.dim((0.5, 1.0))  # a tuple is not the level {0.5, 1.0}
@@ -135,6 +139,23 @@ def test_verify_refuses_a_leq_cell_that_is_not_a_boolean(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main(["verify", "--family", str(path)]) == 2
     assert "poset.leq[0][1]: 'x' is not true, false, 0 or 1" in capsys.readouterr().err
+
+
+def test_verify_and_distance_refuse_a_level_with_no_declared_dimension(tmp_path, capsys):
+    assert cli.main(["gallery", "export", "euclid"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for field in ("levels", "projections", "injections"):
+        doc[field] = [e for e in doc[field]
+                      if 4 not in (e.get("index"), e.get("from"), e.get("to"))]
+    path = tmp_path / "euclid.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["verify", "--family", str(path)],
+                 ["distance", "--family", str(path), "--levels", "3",
+                  "--x", '{"kind": "sequence", "values": [1, 2, 3, 4, 5, 6]}',
+                  "--y", '{"kind": "sequence", "values": [0, 0, 0, 0, 0, 0]}']):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: levels: no entry declares the dimension of level 4\n")
 
 
 def test_finite_poset_descriptor_lists_each_element_once():
@@ -252,13 +273,13 @@ def test_family_descriptor_errors(euclid):
             "levels": [{"index": 1, "dim": 1}, {"index": 2, "dim": 2}],
             "projections": [{"from": 2, "to": 1, "kind": "warp", "payload": {}}],
             "injections": []})
-    # missing dimension declaration surfaces on use
-    fam = pl.family_from_descriptor({
-        "poset": {"kind": "chain", "elements": [1, 2]},
-        "levels": [{"index": 1, "dim": 1}],
-        "projections": [], "injections": []})
-    with pytest.raises(pl.DescriptorError):
-        fam.dim(2)
+    # a level with no declared dimension is refused at load
+    with pytest.raises(pl.DescriptorError,
+                       match=r"^levels: no entry declares the dimension of level 2$"):
+        pl.family_from_descriptor({
+            "poset": {"kind": "chain", "elements": [1, 2]},
+            "levels": [{"index": 1, "dim": 1}],
+            "projections": [], "injections": []})
     with pytest.raises(pl.DescriptorError,
                        match=r"^map: named-gallery maps resolve at the family level$"):
         pl.map_from_entry({"kind": "named-gallery", "payload": {"family": "euclid"}},
@@ -478,6 +499,8 @@ def _edited(**changes):
     (_edited(levels="all"), r"^levels: expected a list"),
     (_edited(levels__0__index=7), r"levels\[0\]\.index: 7 is not an element"),
     (_edited(levels__1__dim=-2), r"levels\[1\]\.dim: a dimension cannot be negative"),
+    (_edited(levels=[{"index": 2, "dim": 2}]),
+     r"^levels: no entry declares the dimension of level 1$"),
     (_edited(projections__0__to={"set": [[1]]}), r"projections\[0\]\.to: bad index"),
     (_edited(projections__0__payload__rows=[[1.0, "x"]]), r"projections\[0\]\.payload\.rows"),
     (_edited(projections__0__payload__rows=[[[1.0, 0.0]]]), r"rows: expected a list of rows"),
@@ -515,10 +538,10 @@ def _edited(**changes):
      r"^injections\[0\]\.payload\.targets: -0\.25 is a negative time$"),
 ], ids=["not-an-object", "no-poset", "chain-element", "chain-repeat", "chain-fraction",
         "chain-truncated-repeat", "chain-infinity", "chain-bool", "chain-float", "levels-type",
-        "level-index", "negative-dim", "bad-index", "non-numeric-row", "three-dim-rows",
-        "injection-shape", "projection-upward", "truncation-range", "missing-injection",
-        "unknown-gallery", "gallery-kwargs", "nan-row", "nan-element", "nan-level-index",
-        "nan-pool-entry", "leq-shape", "pl-zero-knot", "pl-repeated-knot",
+        "level-index", "negative-dim", "undeclared-level", "bad-index", "non-numeric-row",
+        "three-dim-rows", "injection-shape", "projection-upward", "truncation-range",
+        "missing-injection", "unknown-gallery", "gallery-kwargs", "nan-row", "nan-element",
+        "nan-level-index", "nan-pool-entry", "leq-shape", "pl-zero-knot", "pl-repeated-knot",
         "pl-negative-target"])
 def test_malformed_family_descriptors_name_the_field(doc, message):
     with pytest.raises(pl.DescriptorError, match=message):

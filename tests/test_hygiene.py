@@ -1,6 +1,6 @@
 """Source hygiene: every name a library module imports is used there, only
-sympy is imported inside a function, and max |a - b| is computed by
-maps.residual alone."""
+sympy is imported inside a function, max |a - b| is computed by
+maps.residual alone, and only limits.py touches a thread's storage."""
 import ast
 from pathlib import Path
 
@@ -64,3 +64,16 @@ def test_function_level_imports_load_only_sympy():
             for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))
             if any(m.split(".")[0] != "sympy" for m in _modules(node))]
     assert not late, f"function-level imports of modules other than sympy at {late}"
+
+
+THREAD_STORAGE = {"_vec", "_held", "_read"}  # a Thread's vector, held mask and read-only view
+
+
+def test_only_limits_touches_a_threads_storage():
+    """A thread's vector and held mask are read and written in limits.py
+    alone; every other module reads a thread through its methods, so the
+    layout stays behind the family and limits."""
+    touches = [f"{path.name}:{node.lineno}" for path in MODULES if path.name != "limits.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr in THREAD_STORAGE]
+    assert not touches, f"a thread's storage is touched outside limits.py at {touches}"

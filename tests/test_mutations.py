@@ -1,8 +1,9 @@
 """Seeded single-field mutations of exported family descriptors, each run
-through `proflim verify --family FILE`.
+through `proflim verify --family FILE`, and of section-point thread
+documents, each run through `proflim distance --x`.
 
 A run may exit 0, exit 1 with a failed check, or exit 2 with an `error:`
-line that names a field of the descriptor; no exception may escape `main`.
+line that names a field of the document; no exception may escape `main`.
 The sample is fixed by its seed and sized to keep the suite fast.
 """
 import copy
@@ -18,7 +19,7 @@ import proflim.cli as cli
 # types, edge numbers, empty and nested containers, and an encoded set
 REPLACEMENTS = [None, -1, 0, 2, 1.5, True, "x", [], {}, [[1.0]], {"set": [1]}]
 DELETE = object()
-SAMPLES = 200  # mutations per descriptor, about 3 ms each
+SAMPLES = 200  # mutations per document at most, about 3 ms each
 SEED = 0
 # a field path such as `levels[2].dim` or `poset.leq[1][0]`, first in the message
 FIELD = re.compile(r"^error: ([a-z_]+)(\[\d+\]|\.[a-z_]+)*[:,\s]")
@@ -51,24 +52,67 @@ def _label(path, value) -> str:
     return f"{where} = {'<deleted>' if value is DELETE else json.dumps(value)}"
 
 
-@pytest.mark.parametrize("name", ["cross", "euclid"])
-def test_mutated_descriptors_exit_by_the_contract(name, tmp_path, capsys):
-    assert cli.main(["gallery", "export", name]) == 0
-    doc = json.loads(capsys.readouterr().out)
+def _sweep(doc, run, capsys, contract) -> set:
+    """Run `run(mutated)` on a seeded sample of single-field mutations of
+    doc; assert that each exit is one `contract(code, err_text)` allows,
+    and return the exit codes seen.  Standard output is dropped."""
     cases = [(p, v) for p in _paths(doc) for v in REPLACEMENTS + [DELETE]]
-    path = tmp_path / "family.json"
     broken, seen = [], set()
-    for where, value in random.Random(SEED).sample(cases, SAMPLES):
-        path.write_text(json.dumps(_mutated(doc, where, value)))
+    for where, value in random.Random(SEED).sample(cases, min(SAMPLES, len(cases))):
         try:
-            code, escaped = cli.main(["verify", "--family", str(path)]), ""
+            code, escaped = run(_mutated(doc, where, value)), ""
         except Exception as err:  # anything escaping main breaks the contract
             code, escaped = None, f"{type(err).__name__}: {err}"
         err_text = capsys.readouterr().err + escaped
         seen.add(code)
-        ok = (code == 0 or (code == 1 and re.search(r"^FAIL", err_text, re.M))
-              or (code == 2 and (m := FIELD.match(err_text)) and m[1] in doc))
-        if not ok:
+        if not contract(code, err_text):
             broken.append(f"{_label(where, value)}: exit {code}, {err_text.strip()[:200]}")
     assert not broken, "\n".join(broken)
-    assert seen == {0, 1, 2}  # the sample reaches every outcome
+    return seen
+
+
+@pytest.mark.parametrize("name", ["cross", "euclid", "matrix"])
+def test_mutated_descriptors_exit_by_the_contract(name, tmp_path, capsys):
+    assert cli.main(["gallery", "export", name]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    path = tmp_path / "family.json"
+
+    def run(mutated):
+        path.write_text(json.dumps(mutated))
+        return cli.main(["verify", "--family", str(path)])
+
+    def contract(code, err_text):
+        return (code == 0 or (code == 1 and re.search(r"^FAIL", err_text, re.M))
+                or (code == 2 and (m := FIELD.match(err_text)) and m[1] in doc))
+
+    assert _sweep(doc, run, capsys, contract) == {0, 1, 2}  # the sample reaches every outcome
+
+
+# a valid section-point thread document per family: one member of euclid, the
+# top level of the Wiener family (its 8 knots), and cross's middle pair, which
+# agree only at zero
+WIENER_TOP = [k / 8 for k in range(1, 9)]
+SECTION_POINTS = {
+    "euclid": {"kind": "section-point", "section": [5],
+               "values": [[5, [0.5, -1.0, 2.0, 0.0, 3.5]]]},
+    "cross": {"kind": "section-point", "section": ["J", "K"],
+              "values": [["J", [0.0]], ["K", [0.0]]]},
+    "wiener": {"kind": "section-point", "section": [{"set": WIENER_TOP}],
+               "values": [[{"set": WIENER_TOP}, [0.5, -0.25, 1.0, 2.0, 0.0, 1.5, -1.0, 0.25]]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_POINTS))
+def test_mutated_section_point_threads_exit_by_the_contract(name, capsys):
+    """`distance --x` on a mutated section point exits 0, or 2 with an
+    `error: thread` line; the distance itself never fails a check."""
+    doc = SECTION_POINTS[name]
+    y = json.dumps(doc)
+
+    def run(mutated):
+        return cli.main(["distance", "--family", name, "--x", json.dumps(mutated), "--y", y])
+
+    def contract(code, err_text):
+        return code == 0 or (code == 2 and (m := FIELD.match(err_text)) and m[1] == "thread")
+
+    assert _sweep(doc, run, capsys, contract) == {0, 2}

@@ -76,8 +76,39 @@ def test_d_inf_euclid_example(euclid):
 
 
 def test_d_inf_no_levels_raises(euclid):
-    with pytest.raises(ValueError):
-        pl.d_inf(euclid["metrics"], euclid["origin"], euclid["three_four"], [])
+    """No stages, or stages that name no level, are refused, never a
+    converged 0."""
+    for stages in ([], [[]], [[], []]):
+        with pytest.raises(ValueError, match="^no levels supplied$"):
+            pl.d_inf(euclid["metrics"], euclid["origin"], euclid["three_four"], stages)
+
+
+def test_distances_refuse_threads_over_another_poset():
+    """A thread of a six-level tower answers at level 5, which is no level of
+    the four-level tower the metric measures: its family is refused, not read."""
+    six, m = pl.euclid_tower(6), pl.euclid_tower(4)["metrics"]
+    x, y = six["origin"], six["three_four"]
+    message = "^thread origin does not live over the poset of euclid$"
+    with pytest.raises(pl.FamilyMismatch, match=message):
+        pl.d_inf(m, x, y, [[1], [2], [5]])
+    with pytest.raises(pl.FamilyMismatch, match=message):
+        pl.d_mu(m, pl.IndexMeasure({1: 0.5, 2: 0.5}), x, y)
+    sp = pl.SectionPoint.of(six.family, [2], {2: [3.0, 4.0]})
+    with pytest.raises(pl.FamilyMismatch, match=r"^thread sec\[2\] does not live over the poset"):
+        pl.d_inf(m, sp, pl.euclid_tower(4)["origin"], [[1], [2]])
+
+
+def test_a_thread_of_another_family_over_the_poset_is_read_as_a_callable(euclid):
+    """A thread of a second family over the metric's poset is read through
+    its values, each checked against the metric family's dimension."""
+    fam, m = euclid.family, euclid["metrics"]
+    twin = pl.ProfiniteFamily(fam.poset, fam.dim, fam._maps)
+    x = pl.Thread(twin, lambda n: np.arange(float(n)))
+    want = pl.d_inf(m, pl.Thread(fam, lambda n: np.arange(float(n))), euclid["origin"], [[2], [3]])
+    assert pl.d_inf(m, x, euclid["origin"], [[2], [3]]) == want
+    doubled = pl.Thread(pl.tangent_family(fam), lambda n: np.zeros(2 * n), name="tangent")
+    with pytest.raises(pl.DimensionMismatch, match="^thread anonymous: value at 2 has dim 4, "):
+        pl.d_inf(m, doubled, euclid["origin"], [[2]])
 
 
 def test_d_inf_accepts_section_points_and_callables(euclid):
@@ -131,7 +162,9 @@ def test_an_infinite_level_distance_squashes_to_one(euclid):
 def test_level_values_that_differ_in_size_are_refused(euclid):
     # a broadcast would read (0) - (1, 1) as two differences of one
     fam, m = euclid.family, euclid["metrics"]
-    with pytest.raises(pl.DimensionMismatch, match="^level 2: values of sizes 1 and 2"):
+    # a plain callable is read as a thread of the metric's family
+    with pytest.raises(pl.DimensionMismatch,
+                       match="^thread anonymous: value at 2 has dim 1, expected 2$"):
         pl.d_inf(m, lambda J: np.zeros(1), lambda J: np.ones(fam.dim(J)), [[1], [2], [3]])
     with pytest.raises(pl.DimensionMismatch, match="^level 3: values of sizes 2 and 3"):
         m(3, np.zeros(2), np.zeros(3))
@@ -194,9 +227,8 @@ def test_batched_distances_name_a_nan_and_squash_an_infinity(wiener_query):
 @pytest.fixture(scope="module")
 def wiener8_pairs():
     """Pairs of points on the 8-knot Wiener family, by kind, each with the
-    levels both points answer at: two threads of one section (they share
-    one spread table), threads of two sections, a two-member section
-    thread, and a plain callable."""
+    levels both points answer at: two threads of one section, threads of
+    two sections, a two-member section thread, and a plain callable."""
     g = pl.wiener_family()
     fam, pool, rng = g.family, g["pool"], np.random.default_rng(5)
 
@@ -233,8 +265,6 @@ def test_distances_are_the_per_level_loop_bit_for_bit(wiener8_pairs, kind, metri
     x, y, levels = pairs[kind]
     m = metric(fam)
     assert len(levels) >= 20
-    if kind == "one-section":  # the shared-gather path
-        assert x._table[1] is y._table[1] and x._table[2] is y._table[2]
     stages = [[J for J in levels if len(J) == n] for n in range(9)] + [levels[::-1]]
     value, converged, history = pl.d_inf(m, x, y, stages)
     loop = d_inf_history_loop(m, x, y, stages)
