@@ -15,6 +15,7 @@ from typing import Any, Callable, Iterable, Optional
 import numpy as np
 
 from .cylinder import CylindricalFunction, differential, pair_with_direction
+from .expr import evaluator
 from .family import ProfiniteFamily, sample_point, strict_pairs
 from .limits import Thread, thread_axpy
 from .maps import FD_STEP, as_point, fd_jacobian, residual
@@ -113,6 +114,8 @@ def symbolic_form(family: ProfiniteFamily, degree: int,
     derivatives of polynomial payloads are exact (d o d vanishes to the
     last bit).  Each level is compiled once and differentiated once: one
     partial tensor P[j, i1..ir] feeds both the symbolic d and `partials`.
+    Components and partials compute through `expr.evaluator`, with numpy's
+    values, on Python floats where its rule allows.
     """
     import sympy
 
@@ -121,7 +124,7 @@ def symbolic_form(family: ProfiniteFamily, degree: int,
         syms, exprs = level_exprs(J)
         exprs = np.asarray(exprs, dtype=object)
         flat = [sympy.sympify(e) for e in exprs.ravel()]
-        return list(syms), exprs, sympy.lambdify(list(syms), flat, modules=[np])
+        return list(syms), exprs, evaluator(list(syms), flat)[1]
 
     @functools.cache
     def differentiated(J):
@@ -129,12 +132,11 @@ def symbolic_form(family: ProfiniteFamily, degree: int,
         partial = np.empty((family.dim(J),) + exprs.shape, dtype=object)
         for idx in np.ndindex(partial.shape):
             partial[idx] = sympy.diff(sympy.sympify(exprs[idx[1:]]), syms[idx[0]])
-        return syms, partial, sympy.lambdify(syms, list(partial.ravel()), modules=[np])
+        return syms, partial, evaluator(syms, list(partial.ravel()))[1]
 
     def evaluate(entry, x):
-        syms, exprs, fn = entry
-        vals = fn(*x) if syms else fn()
-        return np.asarray(vals, dtype=float).reshape(exprs.shape)
+        _, exprs, fn = entry
+        return np.asarray(fn(x), dtype=float).reshape(exprs.shape)
 
     def d_exprs(J):
         syms, partial, _ = differentiated(J)

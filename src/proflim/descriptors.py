@@ -431,10 +431,21 @@ def dump_family(family: ProfiniteFamily, path) -> None:
 
 
 def _level_of(family: ProfiniteFamily, J, path: str):
-    """J, refused unless it is an element of the family's poset."""
-    if J not in family.poset.elements:
+    """The poset's own element that J names.  J must equal it atom by atom,
+    each atom of the element's own type, except that an integer may name a
+    whole float (JSON may write 1.0 as 1): true or 1.0 does not name level 1."""
+    poset = family.poset
+    i = poset.position.get(J)
+    own = None if i is None else poset.elements[i]
+    if isinstance(own, frozenset):
+        match = {e: e for e in own}
+        pairs = [(a, match[a]) for a in J]
+    else:
+        pairs = [(J, own)]
+    if own is None or not all(type(a) is type(e) or (type(a) is int and type(e) is float)
+                              for a, e in pairs):
         raise DescriptorError(f"{path}: {J!r} is not a level of {family.name or 'the family'}")
-    return J
+    return own
 
 
 def thread_from_descriptor(gallery_or_family, doc: dict) -> Thread:

@@ -5,7 +5,10 @@ exp, log, sqrt, tanh, abs and sqr, the constant pi, local coordinates x0,
 x1, ..., and cross-level references
 "level:<index>:<coord>" resolved against a member antichain.  Expressions
 compile through sympy, so gradients are analytic; sympy is imported on the
-first compile, not with the package.
+first compile, not with the package.  Compiled code runs on Python floats,
+whose arithmetic rounds as numpy's float64 scalars do; where Python would
+raise, numpy's inf or nan is taken instead, and code with a non-integer
+power runs on numpy scalars throughout (see `evaluator`).
 """
 from __future__ import annotations
 
@@ -76,11 +79,45 @@ def _sympify(text: str, symbols: dict) -> "sympy.Expr":
     return expr
 
 
+def evaluator(syms: Sequence, exprs: list) -> tuple:
+    """`exprs`, sympy expressions in `syms`, compiled once into two functions
+    to the list of their values, each bit for bit numpy's: `on_floats` takes
+    the coordinates as a list of Python floats (or one float array per
+    coordinate, for a batch), and `at` takes a point as an array or sequence.
+
+    Python's float + - * / and ** round as numpy's float64 scalars do, at a
+    fraction of the cost, but raise (ZeroDivisionError, OverflowError) where
+    numpy returns inf or nan: such a call runs again on numpy scalars.
+    Python's ** returns a complex where numpy returns nan (a negative base, a
+    non-integer exponent), which abs could turn into a plausible real, so code
+    with a power whose exponent is not an integer literal, or with an
+    imaginary constant, runs on numpy scalars throughout.
+    """
+    import sympy
+    code = sympy.lambdify(syms, exprs, modules=[np])
+    if any(e.has(sympy.I) or not all(p.exp.is_Integer for p in e.atoms(sympy.Pow))
+           for e in exprs):
+        def on_numpy(xs):
+            return code(*np.asarray(xs, dtype=float))
+        return on_numpy, on_numpy
+
+    def on_floats(xs):
+        try:
+            return code(*xs)
+        except ArithmeticError:
+            return code(*np.array(xs, dtype=float))
+    return on_floats, lambda x: on_floats(np.asarray(x, dtype=float).tolist())
+
+
 def compile_scalar(dim: int, text: str) -> tuple:
     """(fn, grad, batch) for an expression in local coordinates x0..x{dim-1}:
     fn is the value at one point, grad an R^dim -> R^dim map whose Jacobian,
-    the Hessian, is lambdified on its first request, and batch the n values
-    at the rows of an (n, dim) array in one call."""
+    the Hessian, is compiled on its first request, and batch the n values at
+    the rows of an (n, dim) array in one call.  The value, the gradient and
+    the Hessian are each one `evaluator`, so they compute on Python floats
+    where the rule allows and give numpy's values; `grad.on_floats` is the
+    gradient's list evaluator, for callers that hold the point as a list of
+    Python floats."""
     _guard(text)
     if _REF.search(text):
         raise ExpressionError("level references need a member antichain; "
@@ -91,22 +128,24 @@ def compile_scalar(dim: int, text: str) -> tuple:
     table = {f"x{i}": syms[i] for i in range(dim)}
     expr = _sympify(text, table)
     grads = [sympy.diff(expr, s) for s in syms]
-    f = sympy.lambdify(syms, expr, modules=[np])
-    g = sympy.lambdify(syms, grads, modules=[np])
+    value, value_at = evaluator(syms, [expr])
+    gradient, gradient_at = evaluator(syms, grads)
 
     def fn(x: np.ndarray) -> float:
-        return float(f(*x))
+        return float(value_at(x)[0])
 
     def batch(X: np.ndarray) -> np.ndarray:  # a constant expression gives one scalar
-        return np.full(X.shape[:1], f(*X.T), dtype=float)
+        return np.full(X.shape[:1], value(X.T)[0], dtype=float)
 
     @functools.cache
-    def hessian():  # abs leaves a DiracDelta at its kink; keep the smooth part
-        return sympy.lambdify(syms, [[sympy.diff(d, s).replace(sympy.DiracDelta, lambda *_: 0)
-                                      for s in syms] for d in grads], modules=[np])
+    def hessian_at():  # abs leaves a DiracDelta at its kink; keep the smooth part
+        return evaluator(syms, [sympy.diff(d, s).replace(sympy.DiracDelta, lambda *_: 0)
+                                for d in grads for s in syms])[1]
 
-    return fn, DifferentiableMap(dim, dim, fn=lambda x: np.asarray(g(*x), dtype=float),
-                                 jac=lambda x: hessian()(*x), name=f"grad {text}"), batch
+    grad = DifferentiableMap(dim, dim, fn=lambda x: np.array(gradient_at(x), dtype=float),
+                             jac=lambda x: hessian_at()(x), name=f"grad {text}")
+    grad.on_floats = gradient
+    return fn, grad, batch
 
 
 def cylindrical_from_expression(family: ProfiniteFamily, members: Sequence,

@@ -45,8 +45,11 @@ class DifferentiableMap:
 
     Give exactly one of `fn` and `matrix`: a linear map is its matrix and
     nothing else.  Compositions stay linear when both factors are, which
-    keeps tower algebra exact.
+    keeps tower algebra exact.  `on_floats`, when set, is `fn` on a list of
+    Python floats returning a list, for callers that keep their point as one.
     """
+
+    on_floats: Optional[Callable[[list], list]] = None
 
     def __init__(self, domain_dim: int, codomain_dim: int,
                  fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,

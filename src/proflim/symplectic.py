@@ -257,16 +257,18 @@ def _leapfrog(grad: DifferentiableMap, x0: np.ndarray, dt: float, steps: int) ->
     # closing half kick moves p alone and dH/dq reads q alone, so its gradient
     # opens the next step (FSAL): two gradients per step, one before the loop.
     # The state is a list of Python floats, whose * and - round as numpy's do
-    # and never raise, so each kick and drift is a loop over the pairs; the
-    # gradient still takes an array and is read back as a list.  States are
-    # copied into the array one block of steps at a time, so a long run holds
-    # one block of Python floats (32 bytes each, against numpy's 8).
+    # and never raise, so each kick and drift is a loop over the pairs, and
+    # a gradient with a list evaluator (an expression H) takes the list as it
+    # is; any other gradient takes an array and is read back as a list.
+    # States are copied into the array one block of steps at a time, so a
+    # long run holds one block of Python floats (32 bytes each, against 8).
     fn, dim, half = grad.fn, x0.size, 0.5 * dt
+    gradient = grad.on_floats or (lambda xs: fn(np.array(xs)).tolist())
     pairs = range(0, dim, 2)
     states = np.empty((steps + 1, dim))
     states[0] = x0
     x = x0.tolist()
-    g = fn(np.array(x)).tolist()
+    g = gradient(x)
     if len(g) != dim:
         raise _gradient_mismatch(grad, len(g))
     for start in range(1, steps + 1, _LEAPFROG_BLOCK):
@@ -275,12 +277,12 @@ def _leapfrog(grad: DifferentiableMap, x0: np.ndarray, dt: float, steps: int) ->
         for _ in range(start, stop):
             for i in pairs:
                 x[i + 1] -= half * g[i]          # half kick: dp = -dH/dq
-            g = fn(np.array(x)).tolist()
+            g = gradient(x)
             if len(g) != dim:
                 raise _gradient_mismatch(grad, len(g))
             for i in pairs:
                 x[i] += dt * g[i + 1]            # drift: dq = +dH/dp
-            g = fn(np.array(x)).tolist()
+            g = gradient(x)
             if len(g) != dim:
                 raise _gradient_mismatch(grad, len(g))
             for i in pairs:

@@ -249,3 +249,21 @@ def test_symbolic_partials_differentiate_once(euclid, rng, monkeypatch):
     monkeypatch.setattr(sympy, "diff", lambda *a, **k: calls.append(a) or real_diff(*a, **k))
     form.partials(3, rng.standard_normal(3))
     assert calls == []
+
+
+def test_symbolic_form_takes_numpys_nan_whatever_its_symbols_assume(euclid):
+    # the caller's symbols may claim positive=True; at a negative point a
+    # fractional power is still numpy's nan, not Python's complex
+    fam = euclid.family
+
+    def exprs(J):
+        syms = sympy.symbols(f"x0:{fam.dim(J)}", positive=True)
+        row = [sympy.Integer(0)] * fam.dim(J)
+        row[0] = syms[0] ** sympy.Rational(3, 2)
+        return syms, np.array(row, dtype=object)
+
+    form = pl.symbolic_form(fam, 1, exprs)
+    x = -np.arange(1.0, fam.dim(3) + 1.0)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(form.comps(3, x)[0])
+        assert np.isnan(form.partials(3, x)[0, 0])

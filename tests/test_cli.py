@@ -503,6 +503,8 @@ def _with_rows(rows):
     ("measure-nan", "line 1: weight 'nan' is not a finite number >= 0"),
     ("measure-tail-inf", "line 2: weight 'inf' is not a finite number >= 0"),
     ("section-inf-entry", r"thread\.section\[0\]: inf is not a finite number"),
+    ("section-true-member", r"thread\.section: True is not a level of euclid"),
+    ("section-float-member", r"thread\.section: 1\.0 is not a level of euclid"),
     ("flow-infinite-constant", r"non-finite constants in '1/0 \+ sqr\(x1\)': \['zoo'\]"),
     ("family-pl-zero-knot",
      r"injections\[0\]\.payload\.knots: knot times must be distinct and positive"),
@@ -571,6 +573,13 @@ def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message)
         "section-inf-entry": lambda: ["distance", "--family", "euclid", "--y", ORIGIN, "--x",
                                       '{"kind": "section-point", "section": [1e999], '
                                       '"values": [[1e999, [0.0]]]}'],
+        # a member that only compares equal to level 1, under a value key that matches it
+        "section-true-member": lambda: ["distance", "--family", "euclid", "--y", ORIGIN, "--x",
+                                        '{"kind": "section-point", "section": [true], '
+                                        '"values": [[true, [1.0]]]}'],
+        "section-float-member": lambda: ["distance", "--family", "euclid", "--y", ORIGIN, "--x",
+                                         '{"kind": "section-point", "section": [1.0], '
+                                         '"values": [[1.0, [1.0]]]}'],
         "flow-infinite-constant": lambda: ["flow", "--family", "symplectic", "--level", "1",
                                            "--H", "1/0 + sqr(x1)", "--x0", "0,1"],
         # a knot at time 0 would divide by the zero gap to the (0, 0) anchor

@@ -580,23 +580,45 @@ def test_unconnected_levels_are_a_descriptor_error_on_use():
     ({"kind": "section-point", "section": [2], "values": []}, r"missing value for member 2"),
     ({"kind": "section-point", "section": ["a"], "values": []},
      r"thread\.section: 'a' is not a level of euclid"),
+    # a member that only compares equal to level 1, under a value key that matches it
+    ({"kind": "section-point", "section": [True], "values": [[True, [1.0]]]},
+     r"^thread\.section: True is not a level of euclid$"),
+    ({"kind": "section-point", "section": [1.0], "values": [[1.0, [1.0]]]},
+     r"^thread\.section: 1\.0 is not a level of euclid$"),
     ({"kind": "section-point", "section": [2], "values": [[2]]}, r"thread\.values"),
     ({"kind": "sequence", "values": [[1.0]]}, r"thread\.values"),
     ({"kind": "named"}, r"thread\.name: missing field"),
     ({"kind": "section-point", "section": [1, 2], "values": [[1, [1.0]], [2, [1.0, 0.0]]]},
      r"thread\.section: not a section: members 1 and 2 are comparable"),
-], ids=["dimension", "missing-value", "not-a-level", "value-pair", "nested-values", "no-name",
-        "comparable-members"])
+], ids=["dimension", "missing-value", "not-a-level", "true-member", "float-member",
+        "value-pair", "nested-values", "no-name", "comparable-members"])
 def test_malformed_thread_descriptors_name_the_field(doc, message):
     with pytest.raises(pl.DescriptorError, match=message):
         pl.thread_from_descriptor(pl.euclid_tower(4), doc)
 
 
+def test_a_whole_knot_time_may_be_written_as_an_integer_but_not_as_true():
+    wiener = pl.build_gallery("wiener")
+    top = [0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875]
+
+    def section_point(last):
+        member = {"set": top + [last]}
+        return {"kind": "section-point", "section": [member], "values": [[member, [1.0] * 8]]}
+
+    by_int = pl.thread_from_descriptor(wiener, section_point(1))
+    by_float = pl.thread_from_descriptor(wiener, section_point(1.0))
+    assert by_int.value(frozenset({1.0})).tobytes() == by_float.value(frozenset({1.0})).tobytes()
+    with pytest.raises(pl.DescriptorError, match=r"^thread\.section: frozenset\(.*\) is not a level"):
+        pl.thread_from_descriptor(wiener, section_point(True))
+
+
 def test_malformed_form_descriptors_name_the_field():
     euclid = pl.euclid_tower(4)
-    with pytest.raises(pl.DescriptorError, match=r"form\.levels\[0\]\.index: 'a' is not a level"):
-        pl.form_from_descriptor(euclid, {"kind": "expressions", "degree": 1,
-                                         "levels": [{"index": "a", "comps": ["x0"]}]})
+    for index in ("a", 1.0):
+        with pytest.raises(pl.DescriptorError,
+                           match=rf"form\.levels\[0\]\.index: {index!r} is not a level"):
+            pl.form_from_descriptor(euclid, {"kind": "expressions", "degree": 1,
+                                             "levels": [{"index": index, "comps": ["x0"]}]})
     with pytest.raises(pl.DescriptorError, match=r"form\.degree: missing field"):
         pl.form_from_descriptor(euclid, {"kind": "expressions", "levels": []})
     with pytest.raises(pl.DescriptorError, match=r"form: no gallery family named"):

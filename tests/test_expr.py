@@ -171,3 +171,78 @@ def test_lambdify_on_the_numpy_module_matches_the_numpy_string(monkeypatch):
             assert got.__globals__[name] is want.__globals__[name], name
         for x in points:
             assert np.asarray(got(*x)).tobytes() == np.asarray(want(*x)).tobytes()
+
+
+# every grammar function, /, and ** with integer and fractional exponents
+FALLBACK_CASES = [
+    (3, EVERY_FUNCTION),
+    (2, "1/x0 + x1/(x0 - 1)"),
+    (2, "x0**-3 + x0**-2 + x0**-1 + x1**2 + x1**3 + x1**4 + x1**5"),
+    (2, "x0**0.5 + x0**(1/3) + x1**1.5 + x1**2.5"),
+    (2, "(sqr(x0) + 1)**0.5 + (sqr(x1) + 1)**(1/3) + (sqr(x0) + 2)**1.5 + exp(x1)**2.5"),
+    (2, "exp(x0*x1) + x0**3 - sqrt(x1) * log(x1)"),
+]
+# where Python raises or goes complex and numpy gives inf or nan: 1/x0 and
+# x0**-2 at 0, x0**3 at 1e200, x0**1.5 at -2; then the non-finite points
+SPECIAL = [0.0, -0.0, 1e200, -1e200, -2.0, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("dim, text", FALLBACK_CASES,
+                         ids=["every-function", "division", "integer-powers",
+                              "fractional-powers", "fractional-powers-of-sums",
+                              "overflow-and-roots"])
+def test_float_evaluation_gives_numpy_scalar_values_bit_for_bit(monkeypatch, dim, text):
+    # the value, gradient and Hessian run on Python floats where the rule
+    # allows; each must equal its compiled code run on numpy float64 scalars,
+    # inf and nan included
+    import sympy
+    real_lambdify, code = sympy.lambdify, []
+    monkeypatch.setattr(sympy, "lambdify",
+                        lambda *a, **k: code.append(real_lambdify(*a, **k)) or code[-1])
+    fn, grad, _ = pl.compile_scalar(dim, text)
+    grad.jacobian(np.full(dim, 0.5))                 # the Hessian compiles on request
+    value, gradient, hessian = code
+    rng = np.random.default_rng(17)
+    points = [*rng.uniform(-3.0, 3.0, (50, dim))]
+    for s in SPECIAL:
+        points.append(np.full(dim, s))
+        for i in range(dim):
+            x = rng.uniform(-3.0, 3.0, dim)
+            x[i] = s
+            points.append(x)
+    with np.errstate(all="ignore"):
+        for x in points:
+            def numpy_scalars(c):
+                return np.asarray(c(*x), dtype=float).tobytes()
+
+            assert np.float64(fn(x)).tobytes() == numpy_scalars(value), x
+            assert grad.fn(x).tobytes() == numpy_scalars(gradient), x
+            assert np.array(grad.on_floats(x.tolist()), dtype=float).tobytes() == \
+                numpy_scalars(gradient), x
+            assert grad.jacobian(x).tobytes() == numpy_scalars(hessian), x
+
+
+def test_where_python_raises_or_goes_complex_the_value_is_numpys_inf_or_nan():
+    with np.errstate(all="ignore"):
+        assert pl.compile_scalar(1, "1/x0")[0](np.zeros(1)) == math.inf
+        assert pl.compile_scalar(1, "x0**-2")[0](np.zeros(1)) == math.inf
+        assert pl.compile_scalar(1, "x0**3")[0](np.array([1e200])) == math.inf
+        assert math.isnan(pl.compile_scalar(1, "x0**1.5")[0](np.array([-2.0])))
+        # Python's (-2.0)**1.5 is a complex, and abs of it a finite real
+        fn, grad, _ = pl.compile_scalar(1, "abs(x0**1.5)")
+        assert math.isnan(fn(np.array([-2.0])))
+        assert np.isnan(grad(np.array([-2.0]))).all()
+
+
+def test_a_point_may_be_a_list_or_an_int_array():
+    # the value, the gradient and the Hessian coerce their point to floats
+    # once, as compiled code on Python ints would compute exactly and round
+    # otherwise (or overflow in float() outside the fallback)
+    for text in ("x0**700 + x0*x1/3", "sqrt(x1) + x0**700"):
+        fn, grad, _ = pl.compile_scalar(2, text)
+        want = np.array([3.0, 2.0])
+        with np.errstate(over="ignore"):
+            for x in ([3, 2], (3, 2), np.array([3, 2])):
+                assert fn(x) == fn(want) == math.inf
+                assert grad.fn(x).tobytes() == grad.fn(want).tobytes()
+                assert grad.jacobian(x).tobytes() == grad.jacobian(want).tobytes()

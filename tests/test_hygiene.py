@@ -1,6 +1,7 @@
 """Source hygiene: every name a library module imports is used there, only
 sympy is imported inside a function, max |a - b| is computed by
-maps.residual alone, and only limits.py touches a thread's storage."""
+maps.residual alone, only limits.py touches a thread's storage, and only
+expr.py compiles sympy code."""
 import ast
 from pathlib import Path
 
@@ -77,3 +78,15 @@ def test_only_limits_touches_a_threads_storage():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr in THREAD_STORAGE]
     assert not touches, f"a thread's storage is touched outside limits.py at {touches}"
+
+
+def test_only_expr_names_lambdify():
+    """Compiled sympy code runs through expr.evaluator, which lambdifies once
+    and evaluates on Python floats with numpy's values; a lambdify anywhere
+    else would evaluate by another rule."""
+    named = [f"{path.name}:{node.lineno}" for path in MODULES if path.name != "expr.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Attribute) and node.attr == "lambdify")
+             or (isinstance(node, ast.Name) and node.id == "lambdify")
+             or (isinstance(node, ast.alias) and node.name == "lambdify")]
+    assert not named, f"lambdify is named outside expr.py at {named}"

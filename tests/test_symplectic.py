@@ -383,22 +383,30 @@ def test_leapfrog_takes_two_gradients_per_step(symplectic, monkeypatch, steps):
     def counted(*args, **kwargs):
         before = len(calls)
         out = real_leapfrog(*args, **kwargs)
-        inside.append(len(calls) - before)
+        inside.append(calls[before:])
         return out
 
     monkeypatch.setattr(symplectic_module, "_leapfrog", counted)
+    used = []
     for level, H in _leapfrog_hamiltonians(symplectic):
         calls.clear()
         inside.clear()
-        gradient = H.base.gradient.fn
-        monkeypatch.setattr(H.base.gradient, "fn",
-                            lambda x, _g=gradient: calls.append(1) or _g(x))
+        # a gradient evaluates through its array fn or its list evaluator, and
+        # the leapfrog calls the list evaluator when there is one
+        gradient = H.base.gradient
+        used.append("on_floats" if gradient.on_floats is not None else "fn")
+        for attr in ("fn", "on_floats"):
+            real = getattr(gradient, attr)
+            if real is not None:
+                monkeypatch.setattr(gradient, attr,
+                                    lambda x, _g=real, _a=attr: calls.append(_a) or _g(x))
         dim = symplectic.family.dim(level)
         pl.flow(symplectic["omega"], H, level, np.linspace(-0.5, 0.5, dim),
                 dt=1e-2, steps=steps)
-        assert inside == [2 * steps + 1]
+        assert inside == [[used[-1]] * (2 * steps + 1)]
         # the separability probe's FD Hessian and the finite check at x0 come on top
         assert len(calls) == 2 * steps + 1 + 2 * dim + 1
+    assert used == ["fn", "on_floats"]            # the oscillator, then the expression H
 
 
 def test_hessian_is_lambdified_on_the_first_implicit_flow_only(symplectic, monkeypatch):
