@@ -48,7 +48,7 @@ from .gallery import (GalleryFamily, build_gallery, gallery_names,
                       matrix_tower, odd_symplectic_tower, pairing, pl_path,
                       pl_weights, poly_tower, sequence_thread,
                       symplectic_even_tower, wiener_family)
-from .expr import ExpressionError, compile_scalar, cylindrical_from_expression
+from .expr import ExpressionError, cylindrical_from_expression
 from .descriptors import (MAP_KINDS, SCHEMA_VERSION, DescriptorError,
                           decode_index, encode_index, family_from_descriptor,
                           family_to_descriptor, form_from_descriptor,

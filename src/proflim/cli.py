@@ -36,7 +36,7 @@ from .profmetric import d_inf, d_mu, discrete_metrics, euclidean_metrics
 from .report import VerificationReport
 from .symplectic import (NonconvergentSolve, NonSymplecticAction, SingularForm,
                          SymplecticStructure, flow, hamiltonian_compat_check,
-                         hamiltonian_solver, is_projectively_nondegenerate,
+                         hamiltonian_identity_residual, is_projectively_nondegenerate,
                          momentum_verify)
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -215,12 +215,6 @@ def cmd_flow(ns: argparse.Namespace) -> int:
         raise UsageError("flow needs a family with a symplectic form "
                          "(gallery: symplectic_even_tower)")
     level = checked_level(fam, ns.level)
-
-    if ns.hamiltonian == "oscillator" and "hamiltonian_at" in g.extras:
-        H = g.extras["hamiltonian_at"](level)
-    else:
-        H = cylindrical_from_expression(fam, [level], ns.hamiltonian)
-
     dim = fam.dim(level)
     x0 = np.array(ns.x0 or ([1.0] + [0.0] * (dim - 1)), dtype=float)
     if x0.size != dim:
@@ -230,9 +224,15 @@ def cmd_flow(ns: argparse.Namespace) -> int:
             raise UsageError(f"{flag} must be finite, got {','.join(map(str, value))}")
 
     try:
+        if ns.hamiltonian == "oscillator" and "hamiltonian_at" in g.extras:
+            H = g.extras["hamiltonian_at"](level)
+        else:
+            H = cylindrical_from_expression(fam, [level], ns.hamiltonian)
         traj = flow(omega, H, level, x0, dt=ns.dt, steps=ns.steps, scheme=ns.scheme)
     except np.linalg.LinAlgError:
         raise  # a solve failing along the path is not bad input
+    except ExpressionError as err:  # H does not parse, or its Newton Hessian does not compile
+        raise UsageError(f"--H: {err}") from None
     except ValueError as err:  # SchemeMismatch, or H not finite at x0
         raise UsageError(str(err)) from None
 
@@ -340,11 +340,10 @@ def cmd_symplectic(ns: argparse.Namespace) -> int:
                detail=json.dumps({str(k): v for k, v in sorted(profile.items())},
                                  sort_keys=True))
 
-    solve = hamiltonian_solver(omega, g.extras["hamiltonian_at"](level), level)
-    X = sample_point(fam.dim(level), rng, few)
+    H = g.extras["hamiltonian_at"](level)
     report.add_worst("hamiltonian defining identity",
-                     [(i, residual(mat.T @ v, grad))
-                      for i, (mat, grad, v) in enumerate(map(solve, X))],
+                     [(i, hamiltonian_identity_residual(omega, H, level, x))
+                      for i, x in enumerate(sample_point(fam.dim(level), rng, few))],
                      ns.ham_tol, what="sample")
 
     top = g.extras["hamiltonian_at"](ns.pairs)

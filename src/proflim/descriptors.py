@@ -19,8 +19,8 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .calculus import TameForm
-from .expr import ExpressionError, compile_scalar, parse_index_token
+from .calculus import TameForm, symbolic_form
+from .expr import ExpressionError, parse_expressions, parse_index_token
 from .family import ProfiniteFamily
 from .gallery import GalleryFamily, build_gallery, gallery_key, knot_pool, pl_weights
 from .limits import IllDefinedSection, SectionPoint, Thread, thread_from_section
@@ -448,6 +448,21 @@ def _level_of(family: ProfiniteFamily, J, path: str):
     return own
 
 
+def _member_values(family: ProfiniteFamily, section: list, value) -> dict:
+    """thread.values as {member: value}: each key names a member of the
+    section, as `_level_of` reads it, and no member twice."""
+    out = {}
+    for i, (index, x) in enumerate(_list(value)):
+        where = f"thread.values[{i}]"
+        J = _level_of(family, decode_index(index), where)
+        if J not in section:
+            raise DescriptorError(f"{where}: {J!r} is not a member of thread.section")
+        if J in out:
+            raise DescriptorError(f"{where}: a second value for member {J!r}")
+        out[J] = np.asarray(_floats(x), dtype=float)
+    return out
+
+
 def thread_from_descriptor(gallery_or_family, doc: dict) -> Thread:
     """Thread descriptors: {"kind": "sequence"|"named"|"section-point", ...}.
 
@@ -485,8 +500,7 @@ def thread_from_descriptor(gallery_or_family, doc: dict) -> Thread:
         section = _field(doc, "section", "thread", lambda v: [
             _level_of(family, J, "thread.section")
             for J in _each(decode_index, v, "thread.section")])
-        values = _field(doc, "values", "thread", lambda v: {
-            decode_index(idx): np.asarray(_floats(x), dtype=float) for idx, x in _list(v)})
+        values = _field(doc, "values", "thread", lambda v: _member_values(family, section, v))
         try:
             sp = SectionPoint.of(family, section, values)
         except ComparableMembers as err:
@@ -526,7 +540,7 @@ def form_from_descriptor(family_or_gallery, doc: dict) -> TameForm:
 
     family = getattr(family_or_gallery, "family", family_or_gallery)
     degree = _field(doc, "degree", "form", _dimension)
-    compiled: dict = {}
+    parsed: dict = {}
     for i, lv in enumerate(_field(doc, "levels", "form", _list)):
         where = f"form.levels[{i}]"
         J = _level_of(family, _field(lv, "index", where, decode_index), f"{where}.index")
@@ -536,23 +550,16 @@ def form_from_descriptor(family_or_gallery, doc: dict) -> TameForm:
             raise DescriptorError(
                 f"{where}.comps: components at {J!r} have shape {arr.shape}, "
                 f"expected {(dim,) * degree}")
-        fns = np.empty(arr.shape, dtype=object)
-        for idx in np.ndindex(arr.shape):
-            fns[idx] = compile_scalar(dim, str(arr[idx]))[0]
-        compiled[J] = (dim, fns)
+        syms, exprs = parse_expressions(dim, [str(e) for e in arr.flat])
+        parsed[J] = syms, np.array(exprs, dtype=object).reshape(arr.shape)
 
-    def comps(J, x):
-        try:
-            dim, fns = compiled[J]
-        except KeyError:
-            raise ExpressionError(f"no components declared at level {J!r}") from None
-        out = np.zeros(fns.shape)
-        for idx in np.ndindex(fns.shape):
-            out[idx] = fns[idx](x)
-        return out
+    def level_exprs(J):
+        if J not in parsed:
+            raise ExpressionError(f"no components declared at level {J!r}")
+        return parsed[J]
 
-    return TameForm(family, degree, comps, name=_field(doc, "name", "form", str,
-                                                       default="expr-form"))
+    return symbolic_form(family, degree, level_exprs,
+                         name=_field(doc, "name", "form", str, default="expr-form"))
 
 
 # ---------------------------------------------------------------------------

@@ -47,38 +47,6 @@ def _guard(text: str) -> None:
         raise ExpressionError("double underscores are not allowed")
 
 
-def _sympify(text: str, symbols: dict) -> "sympy.Expr":
-    import sympy
-    from sympy.core.function import AppliedUndef
-    local = {
-        "sin": sympy.sin, "cos": sympy.cos, "tan": sympy.tan,
-        "exp": sympy.exp, "log": sympy.log, "sqrt": sympy.sqrt,
-        "tanh": sympy.tanh, "abs": sympy.Abs,
-        "sqr": lambda u: u ** 2,
-        "pi": sympy.pi,
-    }
-    local.update(symbols)
-    try:
-        expr = sympy.sympify(text, locals=local, convert_xor=False)
-    except (sympy.SympifyError, SyntaxError, TypeError) as err:
-        raise ExpressionError(f"cannot parse {text!r}: {err}") from err
-    if not isinstance(expr, sympy.Expr):  # "None", "True": Python and logic constants
-        raise ExpressionError(f"{text!r} is not a numeric expression")
-    free = {str(s) for s in expr.free_symbols}
-    unknown = free - set(symbols)
-    if unknown:
-        raise ExpressionError(f"unknown names in {text!r}: {sorted(unknown)}")
-    undef = {type(f).__name__ for f in expr.atoms(AppliedUndef)}
-    if undef:
-        raise ExpressionError(f"unknown functions in {text!r}: {sorted(undef)}")
-    # 1/0 and log(0) parse to zoo, 0/0 to nan; none is a number to compute with
-    non_finite = {str(a) for a in expr.atoms()
-                  if a in (sympy.nan, sympy.zoo, sympy.oo, -sympy.oo)}
-    if non_finite:
-        raise ExpressionError(f"non-finite constants in {text!r}: {sorted(non_finite)}")
-    return expr
-
-
 def evaluator(syms: Sequence, exprs: list) -> tuple:
     """`exprs`, sympy expressions in `syms`, compiled once into two functions
     to the list of their values, each bit for bit numpy's: `on_floats` takes
@@ -94,7 +62,11 @@ def evaluator(syms: Sequence, exprs: list) -> tuple:
     imaginary constant, runs on numpy scalars throughout.
     """
     import sympy
-    code = sympy.lambdify(syms, exprs, modules=[np])
+    try:
+        code = sympy.lambdify(syms, exprs, modules=[np])
+    except ValueError as err:  # the printer refuses, e.g. an unevaluated Derivative
+        bad = next((e for e in exprs if e.has(sympy.Derivative)), exprs[0])
+        raise ExpressionError(f"cannot compile {bad}: {err}") from None
     if any(e.has(sympy.I) or not all(p.exp.is_Integer for p in e.atoms(sympy.Pow))
            for e in exprs):
         def on_numpy(xs):
@@ -109,6 +81,49 @@ def evaluator(syms: Sequence, exprs: list) -> tuple:
     return on_floats, lambda x: on_floats(np.asarray(x, dtype=float).tolist())
 
 
+def parse_expressions(dim: int, texts: Sequence[str]) -> tuple:
+    """(symbols, expressions): each text over local coordinates x0..x{dim-1}
+    as a sympy expression in real symbols; ExpressionError when a text is
+    malformed, disallowed or holds a level reference."""
+    import sympy
+    from sympy.core.function import AppliedUndef
+    # real symbols keep derivatives of abs/sqrt printable for lambdify
+    syms = sympy.symbols(f"x0:{dim}", real=True)
+    local = {
+        "sin": sympy.sin, "cos": sympy.cos, "tan": sympy.tan,
+        "exp": sympy.exp, "log": sympy.log, "sqrt": sympy.sqrt,
+        "tanh": sympy.tanh, "abs": sympy.Abs,
+        "sqr": lambda u: u ** 2,
+        "pi": sympy.pi,
+        **{str(s): s for s in syms},
+    }
+    exprs = []
+    for text in texts:
+        _guard(text)
+        if _REF.search(text):
+            raise ExpressionError("level references need a member antichain; "
+                                  "use cylindrical_from_expression")
+        try:
+            expr = sympy.sympify(text, locals=local, convert_xor=False)
+        except (sympy.SympifyError, SyntaxError, TypeError) as err:
+            raise ExpressionError(f"cannot parse {text!r}: {err}") from err
+        if not isinstance(expr, sympy.Expr):  # "None", "True": Python and logic constants
+            raise ExpressionError(f"{text!r} is not a numeric expression")
+        unknown = sorted(str(s) for s in expr.free_symbols - set(syms))
+        if unknown:
+            raise ExpressionError(f"unknown names in {text!r}: {unknown}")
+        undef = {type(f).__name__ for f in expr.atoms(AppliedUndef)}
+        if undef:
+            raise ExpressionError(f"unknown functions in {text!r}: {sorted(undef)}")
+        # 1/0 and log(0) parse to zoo, 0/0 to nan; none is a number to compute with
+        non_finite = {str(a) for a in expr.atoms()
+                      if a in (sympy.nan, sympy.zoo, sympy.oo, -sympy.oo)}
+        if non_finite:
+            raise ExpressionError(f"non-finite constants in {text!r}: {sorted(non_finite)}")
+        exprs.append(expr)
+    return syms, exprs
+
+
 def compile_scalar(dim: int, text: str) -> tuple:
     """(fn, grad, batch) for an expression in local coordinates x0..x{dim-1}:
     fn is the value at one point, grad an R^dim -> R^dim map whose Jacobian,
@@ -118,15 +133,8 @@ def compile_scalar(dim: int, text: str) -> tuple:
     where the rule allows and give numpy's values; `grad.on_floats` is the
     gradient's list evaluator, for callers that hold the point as a list of
     Python floats."""
-    _guard(text)
-    if _REF.search(text):
-        raise ExpressionError("level references need a member antichain; "
-                              "use cylindrical_from_expression")
     import sympy
-    # real symbols keep derivatives of abs/sqrt printable for lambdify
-    syms = sympy.symbols(f"x0:{dim}", real=True)
-    table = {f"x{i}": syms[i] for i in range(dim)}
-    expr = _sympify(text, table)
+    syms, (expr,) = parse_expressions(dim, [text])
     grads = [sympy.diff(expr, s) for s in syms]
     value, value_at = evaluator(syms, [expr])
     gradient, gradient_at = evaluator(syms, grads)
@@ -139,8 +147,11 @@ def compile_scalar(dim: int, text: str) -> tuple:
 
     @functools.cache
     def hessian_at():  # abs leaves a DiracDelta at its kink; keep the smooth part
-        return evaluator(syms, [sympy.diff(d, s).replace(sympy.DiracDelta, lambda *_: 0)
-                                for d in grads for s in syms])[1]
+        try:
+            return evaluator(syms, [sympy.diff(d, s).replace(sympy.DiracDelta, lambda *_: 0)
+                                    for d in grads for s in syms])[1]
+        except ExpressionError as err:
+            raise ExpressionError(f"Hessian of {text!r}: {err}") from None
 
     grad = DifferentiableMap(dim, dim, fn=lambda x: np.array(gradient_at(x), dtype=float),
                              jac=lambda x: hessian_at()(x), name=f"grad {text}")

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .calculus import TameForm, exterior_derivative
+from .calculus import TameForm, exterior_derivative, pull_components
 from .cylinder import CylindricalFunction, level_function, linear_combination
 from .family import ProfiniteFamily, sample_joint, sample_point, strict_pairs
 from .maps import (FD_STEP, DifferentiableMap, DimensionMismatch, ScalarMap, as_point, max_abs,
@@ -81,38 +81,34 @@ class SymplecticStructure:
         if omega.degree != 2:
             raise ValueError("a symplectic candidate must be a 2-form")
         rng = rng or np.random.default_rng(0)
-        fam = omega.family
         d_omega = exterior_derivative(omega)
         closed, profile = [], {}
-        for J in levels:
-            dim = fam.dim(J)
-            ranks = set()
-            X = sample_point(dim, rng, samples)
-            X = X[:1] if omega.is_constant else X  # one read stands for every sample
+        for J, dim, X, mats in _level_reads(omega, levels, samples, rng):
             closed.append(residual([d_omega.comps(J, x) for x in X], 0.0))
-            for x in X:
-                mat = omega.matrix(J, x)
-                if not residual(mat, -mat.T) <= tol:
-                    raise SingularForm(f"components at {J!r} are not antisymmetric")
-                ranks.add(level_rank(mat))
-            profile[J] = {"dim": dim, "rank": max(ranks) if ranks else 0,
-                          "constant": len(ranks) <= 1}
+            if not all(residual(mat, -mat.T) <= tol for mat in mats):
+                raise SingularForm(f"components at {J!r} are not antisymmetric")
+            ranks = {level_rank(mat) for mat in mats}
+            profile[J] = {"dim": dim, "rank": max(ranks, default=0), "constant": len(ranks) <= 1}
         return SymplecticStructure(omega, residual(closed, 0.0), profile, tol)
+
+
+def _level_reads(omega: TameForm, levels: Iterable, samples: int,
+                 rng: np.random.Generator) -> Iterator[tuple]:
+    """(J, dim, points, matrices) per level: `samples` points drawn per level;
+    a constant form is read at the first alone, which stands for every sample."""
+    for J in levels:
+        dim = omega.family.dim(J)
+        X = sample_point(dim, rng, samples)[:1 if omega.is_constant else None]
+        yield J, dim, X, [omega.matrix(J, x) for x in X]
 
 
 def is_projectively_nondegenerate(omega: TameForm, levels: Iterable, samples: int = 10,
                                   rng: Optional[np.random.Generator] = None):
     """Full rank at every listed level, with the per-level rank report."""
     rng = rng or np.random.default_rng(0)
-    fam, constant = omega.family, omega.is_constant
-    profile = {}
-    verdict = True
-    for J in levels:
-        dim = fam.dim(J)
-        rank = dim
-        X = sample_point(dim, rng, samples)
-        for x in (X[:1] if constant else X):
-            rank = min(rank, level_rank(omega.matrix(J, x)))
+    profile, verdict = {}, True
+    for J, dim, _, mats in _level_reads(omega, levels, samples, rng):
+        rank = min([dim] + [level_rank(mat) for mat in mats])
         profile[J] = {"dim": dim, "rank": rank, "full": rank == dim}
         verdict = verdict and rank == dim
     return verdict, profile
@@ -480,7 +476,7 @@ def momentum_verify(omega: TameForm, action: ProfiniteGroupAction, mu: MomentumM
     # linear action: Dphi_g = g; a constant form is read once, at the first point
     form_at = ((lambda x, mat=omega.matrix(J, X[0]): mat) if omega.is_constant
                else (lambda x: omega.matrix(J, x)))
-    preserve = [(i, residual(g.T @ form_at(action.act(J, g, x)) @ g, form_at(x)))
+    preserve = [(i, residual(pull_components(form_at(action.act(J, g, x)), g), form_at(x)))
                 for i, (g, x) in enumerate(zip(gs, X))]
     report = VerificationReport("momentum map")
     form_check = report.add_worst("action preserves the form", preserve, SYMPLECTIC_TOL,

@@ -182,6 +182,50 @@ def test_metric_check_hermitian(symplectic, rng):
     assert "complex-structure invariance" in names
 
 
+def test_metric_check_decomposes_each_gram_once(euclid, rng, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    fam = euclid.family
+    for symmetry in ("riemannian", "pseudo-riemannian"):
+        calls.clear()
+        g = pl.CompatibleMetric(fam, symmetry, gram=lambda J, x: np.eye(fam.dim(J)))
+        pl.metric_check(g, [(1, 2), (2, 4)], samples=5, rng=rng)
+        assert sorted(calls) == [(d, d) for d in (1, 2, 4) for _ in range(5)]  # 5 Grams a level
+
+
+def _general_injection_family(rng, low=10, high=20):
+    """Two levels tied by a dense random injection and its pseudo-inverse."""
+    inj = rng.standard_normal((high, low))
+    return pl.family_from_descriptor({
+        "poset": {"kind": "chain", "elements": [1, 2]},
+        "levels": [{"index": 1, "dim": low}, {"index": 2, "dim": high}],
+        "projections": [{"from": 2, "to": 1, "kind": "matrix",
+                         "payload": {"rows": np.linalg.pinv(inj).tolist()}}],
+        "injections": [{"from": 1, "to": 2, "kind": "matrix",
+                        "payload": {"rows": inj.tolist()}}]})
+
+
+def test_metric_compatibility_is_check_tame_on_the_gram_form():
+    fam = _general_injection_family(np.random.default_rng(1))
+    G = fam.inj(2, 1).matrix
+
+    def top(y):
+        s = np.sin(y)
+        return np.diag(1.0 + y * y) + 0.3 * np.outer(s, s)
+
+    def gram(J, x):  # compatible up to rounding: level 1 holds the pullback of level 2
+        return top(x) if J == 2 else np.einsum("ai,ab,bj->ij", G, top(G @ x), G)
+
+    metric = pl.CompatibleMetric(fam, "riemannian", gram, name="bumpy")
+    for seed in range(3):
+        compat = pl.metric_check(metric, [(1, 2), (2, 2)], samples=5,
+                                 rng=np.random.default_rng(seed)).checks[0]
+        tame = pl.check_tame(pl.TameForm(fam, 2, gram), [(1, 2), (2, 2)], samples=5,
+                             rng=np.random.default_rng(seed)).checks[0]
+        assert compat == tame and compat.max_residual < 1e-9
+
+
 def test_metric_constructor_guards(euclid):
     with pytest.raises(ValueError):
         pl.CompatibleMetric(euclid.family, "riemann-ish", gram=lambda J, x: np.eye(2))

@@ -386,11 +386,11 @@ def test_sympy_loads_only_when_an_expression_is_compiled(tmp_path):
 
 
 def test_malformed_expression_raises_expression_error_in_a_fresh_interpreter():
-    _run_fresh("import proflim as pl\n"
+    _run_fresh("from proflim.expr import ExpressionError, compile_scalar\n"
                "for text in ['x0 +* 2', 'mystery(x0)', 'x5 + 1', '__class__']:\n"
                "    try:\n"
-               "        pl.compile_scalar(1, text)\n"
-               "    except pl.ExpressionError:\n"
+               "        compile_scalar(1, text)\n"
+               "    except ExpressionError:\n"
                "        continue\n"
                "    raise AssertionError(f'{text!r} compiled')\n")
 
@@ -506,6 +506,11 @@ def _with_rows(rows):
     ("section-true-member", r"thread\.section: True is not a level of euclid"),
     ("section-float-member", r"thread\.section: 1\.0 is not a level of euclid"),
     ("flow-infinite-constant", r"non-finite constants in '1/0 \+ sqr\(x1\)': \['zoo'\]"),
+    # the gradient of abs of a power holds sign(x0**1.5), whose derivative stays unevaluated
+    ("flow-uncompilable-hessian",
+     r"^error: --H: Hessian of 'abs\(x0\*\*1\.5\) \+ sqr\(x1\)': cannot compile .*Derivative"),
+    ("section-value-no-level", r"thread\.values\[1\]: 99 is not a level of euclid"),
+    ("section-value-true-key", r"thread\.values\[0\]: True is not a level of euclid"),
     ("family-pl-zero-knot",
      r"injections\[0\]\.payload\.knots: knot times must be distinct and positive"),
 ])
@@ -582,6 +587,15 @@ def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message)
                                          '"values": [[1.0, [1.0]]]}'],
         "flow-infinite-constant": lambda: ["flow", "--family", "symplectic", "--level", "1",
                                            "--H", "1/0 + sqr(x1)", "--x0", "0,1"],
+        "flow-uncompilable-hessian": lambda: ["flow", "--family", "symplectic", "--level", "1",
+                                              "--H", "abs(x0**1.5) + sqr(x1)", "--x0", "0.5,1",
+                                              "--scheme", "implicit-midpoint", "--steps", "3"],
+        "section-value-no-level": lambda: ["distance", "--family", "euclid", "--y", ORIGIN, "--x",
+                                           '{"kind": "section-point", "section": [1], '
+                                           '"values": [[1, [1.0]], [99, [2.0]]]}'],
+        "section-value-true-key": lambda: ["distance", "--family", "euclid", "--y", ORIGIN, "--x",
+                                           '{"kind": "section-point", "section": [1], '
+                                           '"values": [[true, [1.0]]]}'],
         # a knot at time 0 would divide by the zero gap to the (0, 0) anchor
         "family-pl-zero-knot": lambda: family({**PAIR, "injections": [
             {"from": 1, "to": 2, "kind": "pl-interpolation",

@@ -344,6 +344,28 @@ def test_form_descriptors(euclid, symplectic, rng):
         pl.form_from_descriptor(euclid.family, {"kind": "what"})
 
 
+def test_a_loaded_expression_form_is_symbolic_with_exact_partials(euclid):
+    form = pl.form_from_descriptor(euclid.family, {
+        "kind": "expressions", "degree": 1,
+        "levels": [{"index": 2, "comps": ["x0*x1", "sin(x0)"]}]})
+    assert form.kind == "symbolic" and pl.exterior_derivative(form).kind == "symbolic"
+    x = np.array([0.1, 1.0 / 3.0])
+    P = form.partials(2, x)  # P[j, i] = d comps_i / dx_j
+    assert P[0, 0] == x[1] and P[1, 0] == x[0] and P[1, 1] == 0.0
+    assert P[0, 1] == np.cos(x[0])
+    assert not pl.exterior_derivative(pl.exterior_derivative(form)).comps(2, x).any()
+
+
+def test_a_loaded_form_whose_partials_do_not_compile_is_an_expression_error(euclid):
+    form = pl.form_from_descriptor(euclid.family, {
+        "kind": "expressions", "degree": 0,
+        "levels": [{"index": 2, "comps": "abs(x0**1.5) + sqr(x1)"}]})
+    d = pl.exterior_derivative(form)
+    assert d.comps(2, np.array([0.5, 1.0]))[1] == 2.0  # the first derivatives compile
+    with pytest.raises(pl.ExpressionError, match=r"^cannot compile .*Derivative\(sign"):
+        d.partials(2, np.array([0.5, 1.0]))
+
+
 def test_named_gallery_form_builds_the_gallery_it_names(euclid, symplectic):
     doc = {"kind": "named-gallery", "family": "symplectic", "extra": "omega"}
     built = pl.form_from_descriptor(euclid, doc)
@@ -590,8 +612,21 @@ def test_unconnected_levels_are_a_descriptor_error_on_use():
     ({"kind": "named"}, r"thread\.name: missing field"),
     ({"kind": "section-point", "section": [1, 2], "values": [[1, [1.0]], [2, [1.0, 0.0]]]},
      r"thread\.section: not a section: members 1 and 2 are comparable"),
+    # every value key is a member, read as the section's members are, and given once
+    ({"kind": "section-point", "section": [1], "values": [[1, [1.0]], [99, [2.0]]]},
+     r"^thread\.values\[1\]: 99 is not a level of euclid$"),
+    ({"kind": "section-point", "section": [1], "values": [[True, [1.0]]]},
+     r"^thread\.values\[0\]: True is not a level of euclid$"),
+    ({"kind": "section-point", "section": [1], "values": [[1.0, [1.0]]]},
+     r"^thread\.values\[0\]: 1\.0 is not a level of euclid$"),
+    ({"kind": "section-point", "section": [2], "values": [[1, [1.0]], [2, [1.0, 0.0]]]},
+     r"^thread\.values\[0\]: 1 is not a member of thread\.section$"),
+    ({"kind": "section-point", "section": [1], "values": [[1, [1.0]], [1, [2.0]]]},
+     r"^thread\.values\[1\]: a second value for member 1$"),
 ], ids=["dimension", "missing-value", "not-a-level", "true-member", "float-member",
-        "value-pair", "nested-values", "no-name", "comparable-members"])
+        "value-pair", "nested-values", "no-name", "comparable-members",
+        "value-not-a-level", "value-true-key", "value-float-key", "value-not-a-member",
+        "value-twice"])
 def test_malformed_thread_descriptors_name_the_field(doc, message):
     with pytest.raises(pl.DescriptorError, match=message):
         pl.thread_from_descriptor(pl.euclid_tower(4), doc)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "proflim"
-MAX_EXPORTS = 157
+MAX_EXPORTS = 156
 
 # exported without a user in src/, benchmarks/, the README or the gate
 DELIBERATE_API = {

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import proflim as pl
-from proflim.expr import parse_index_token
+from proflim.expr import compile_scalar, parse_index_token
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -22,23 +22,23 @@ def fd_grad(fn, x, h=1e-6):
 
 
 def test_arithmetic_and_value():
-    fn, grad, _ = pl.compile_scalar(2, "x0*x1 + 2")
+    fn, grad, _ = compile_scalar(2, "x0*x1 + 2")
     assert fn(np.array([3.0, 4.0])) == 14.0
     assert np.array_equal(grad(np.array([3.0, 4.0])), [4.0, 3.0])
 
 
 def test_functions_and_constants():
-    fn, _, _ = pl.compile_scalar(1, "sqr(x0) + pi")
+    fn, _, _ = compile_scalar(1, "sqr(x0) + pi")
     assert fn(np.array([2.0])) == pytest.approx(4.0 + math.pi)
-    fn2, _, _ = pl.compile_scalar(1, "exp(log(x0))")
+    fn2, _, _ = compile_scalar(1, "exp(log(x0))")
     assert fn2(np.array([5.0])) == pytest.approx(5.0)
-    fn3, _, _ = pl.compile_scalar(2, "tanh(x0) * sqrt(x1) - abs(x0)")
+    fn3, _, _ = compile_scalar(2, "tanh(x0) * sqrt(x1) - abs(x0)")
     x = np.array([0.4, 9.0])
     assert fn3(x) == pytest.approx(math.tanh(0.4) * 3.0 - 0.4)
 
 
 def test_analytic_gradient_matches_fd(rng):
-    fn, grad, _ = pl.compile_scalar(3, "sin(x0)*x1 + exp(x2/3) - x0*x2")
+    fn, grad, _ = compile_scalar(3, "sin(x0)*x1 + exp(x2/3) - x0*x2")
     for _ in range(10):
         x = rng.standard_normal(3)
         assert np.max(np.abs(grad(x) - fd_grad(fn, x))) < 1e-6
@@ -53,7 +53,7 @@ def test_analytic_gradient_matches_fd(rng):
 ])
 def test_analytic_hessian_matches_fd(rng, dim, text, signed):
     # signed: x0 may be negative (away from the kink of abs)
-    _, grad, _ = pl.compile_scalar(dim, text)
+    _, grad, _ = compile_scalar(dim, text)
     for _ in range(10):
         x = rng.uniform(0.2, 2.0, dim)
         if signed:
@@ -63,23 +63,23 @@ def test_analytic_hessian_matches_fd(rng, dim, text, signed):
 
 def test_guard_rejections():
     with pytest.raises(pl.ExpressionError):
-        pl.compile_scalar(1, "__class__")
+        compile_scalar(1, "__class__")
     with pytest.raises(pl.ExpressionError):
-        pl.compile_scalar(1, "x0 @ x0")
+        compile_scalar(1, "x0 @ x0")
     with pytest.raises(pl.ExpressionError):
-        pl.compile_scalar(1, "mystery(x0)")
+        compile_scalar(1, "mystery(x0)")
     with pytest.raises(pl.ExpressionError):
-        pl.compile_scalar(2, "x5 + 1")  # out of range for dim 2
+        compile_scalar(2, "x5 + 1")  # out of range for dim 2
     with pytest.raises(pl.ExpressionError):
-        pl.compile_scalar(1, "x0 +* 2")
+        compile_scalar(1, "x0 +* 2")
     with pytest.raises(pl.ExpressionError):
-        pl.compile_scalar(2, "level:2:0 + x0")  # refs need an antichain
+        compile_scalar(2, "level:2:0 + x0")  # refs need an antichain
 
 
 @pytest.mark.parametrize("text", ["None", "True"])
 def test_non_numeric_expressions_are_expression_errors(text):
     with pytest.raises(pl.ExpressionError, match="not a numeric expression"):
-        pl.compile_scalar(1, text)
+        compile_scalar(1, text)
 
 
 @pytest.mark.parametrize("text, constant", [
@@ -89,7 +89,7 @@ def test_non_numeric_expressions_are_expression_errors(text):
 def test_non_finite_constants_are_expression_errors(text, constant):
     with pytest.raises(pl.ExpressionError,
                        match=rf"^non-finite constants in .*: \['{re.escape(constant)}'\]$"):
-        pl.compile_scalar(1, text)
+        compile_scalar(1, text)
 
 
 def test_parse_index_token():
@@ -138,9 +138,9 @@ EVERY_FUNCTION = ("sin(x0)*cos(x1) + tan(x2) + exp(x0) + log(sqr(x1) + 1)"
 
 def test_compiling_loads_no_optional_numpy_submodule():
     code = ("import sys\n"
-            "import proflim as pl\n"
             "import numpy as np\n"
-            f"fn, grad, batch = pl.compile_scalar(3, {EVERY_FUNCTION!r})\n"
+            "from proflim.expr import compile_scalar\n"
+            f"fn, grad, batch = compile_scalar(3, {EVERY_FUNCTION!r})\n"
             "x = np.array([0.3, -0.7, 1.1])\n"
             "fn(x), grad(x), grad.jacobian(x), batch(x[None, :])\n"
             "loaded = [m for m in ('numpy.f2py', 'numpy.testing') if m in sys.modules]\n"
@@ -161,7 +161,7 @@ def test_lambdify_on_the_numpy_module_matches_the_numpy_string(monkeypatch):
         return fn
 
     monkeypatch.setattr(sympy, "lambdify", recording)
-    _, grad, _ = pl.compile_scalar(3, EVERY_FUNCTION)
+    _, grad, _ = compile_scalar(3, EVERY_FUNCTION)
     grad.jacobian(np.zeros(3))                       # the Hessian compiles on request
     assert len(compiled) == 3                        # value, gradient, Hessian
     points = np.random.default_rng(5).uniform(-2.0, 2.0, (300, 3))
@@ -199,7 +199,7 @@ def test_float_evaluation_gives_numpy_scalar_values_bit_for_bit(monkeypatch, dim
     real_lambdify, code = sympy.lambdify, []
     monkeypatch.setattr(sympy, "lambdify",
                         lambda *a, **k: code.append(real_lambdify(*a, **k)) or code[-1])
-    fn, grad, _ = pl.compile_scalar(dim, text)
+    fn, grad, _ = compile_scalar(dim, text)
     grad.jacobian(np.full(dim, 0.5))                 # the Hessian compiles on request
     value, gradient, hessian = code
     rng = np.random.default_rng(17)
@@ -224,12 +224,12 @@ def test_float_evaluation_gives_numpy_scalar_values_bit_for_bit(monkeypatch, dim
 
 def test_where_python_raises_or_goes_complex_the_value_is_numpys_inf_or_nan():
     with np.errstate(all="ignore"):
-        assert pl.compile_scalar(1, "1/x0")[0](np.zeros(1)) == math.inf
-        assert pl.compile_scalar(1, "x0**-2")[0](np.zeros(1)) == math.inf
-        assert pl.compile_scalar(1, "x0**3")[0](np.array([1e200])) == math.inf
-        assert math.isnan(pl.compile_scalar(1, "x0**1.5")[0](np.array([-2.0])))
+        assert compile_scalar(1, "1/x0")[0](np.zeros(1)) == math.inf
+        assert compile_scalar(1, "x0**-2")[0](np.zeros(1)) == math.inf
+        assert compile_scalar(1, "x0**3")[0](np.array([1e200])) == math.inf
+        assert math.isnan(compile_scalar(1, "x0**1.5")[0](np.array([-2.0])))
         # Python's (-2.0)**1.5 is a complex, and abs of it a finite real
-        fn, grad, _ = pl.compile_scalar(1, "abs(x0**1.5)")
+        fn, grad, _ = compile_scalar(1, "abs(x0**1.5)")
         assert math.isnan(fn(np.array([-2.0])))
         assert np.isnan(grad(np.array([-2.0]))).all()
 
@@ -239,10 +239,20 @@ def test_a_point_may_be_a_list_or_an_int_array():
     # once, as compiled code on Python ints would compute exactly and round
     # otherwise (or overflow in float() outside the fallback)
     for text in ("x0**700 + x0*x1/3", "sqrt(x1) + x0**700"):
-        fn, grad, _ = pl.compile_scalar(2, text)
+        fn, grad, _ = compile_scalar(2, text)
         want = np.array([3.0, 2.0])
         with np.errstate(over="ignore"):
             for x in ([3, 2], (3, 2), np.array([3, 2])):
                 assert fn(x) == fn(want) == math.inf
                 assert grad.fn(x).tobytes() == grad.fn(want).tobytes()
                 assert grad.jacobian(x).tobytes() == grad.jacobian(want).tobytes()
+
+
+def test_an_uncompilable_hessian_is_an_expression_error_naming_it():
+    # the gradient of abs of a power holds sign(x0**1.5), whose derivative stays unevaluated
+    fn, grad, _ = compile_scalar(2, "abs(x0**1.5) + sqr(x1)")
+    x = np.array([0.5, 1.0])
+    assert fn(x) == 0.5 ** 1.5 + 1.0 and grad(x)[1] == 2.0
+    with pytest.raises(pl.ExpressionError, match=r"^Hessian of 'abs\(x0\*\*1\.5\) \+ sqr\(x1\)': "
+                                                 r"cannot compile .*Derivative\(sign"):
+        grad.jacobian(x)

@@ -1,8 +1,10 @@
 """Source hygiene: every name a library module imports is used there, only
 sympy is imported inside a function, max |a - b| is computed by
-maps.residual alone, only limits.py touches a thread's storage, and only
-expr.py compiles sympy code."""
+maps.residual alone, only limits.py touches a thread's storage, only
+expr.py compiles sympy code, descriptors.py compiles through symbolic_form,
+and every pullback goes through calculus.pull_components."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -80,13 +82,37 @@ def test_only_limits_touches_a_threads_storage():
     assert not touches, f"a thread's storage is touched outside limits.py at {touches}"
 
 
+def _naming(path, names):
+    """path:line of each name, attribute or imported alias in `names`."""
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.alias) and node.name in names)]
+
+
 def test_only_expr_names_lambdify():
     """Compiled sympy code runs through expr.evaluator, which lambdifies once
     and evaluates on Python floats with numpy's values; a lambdify anywhere
     else would evaluate by another rule."""
-    named = [f"{path.name}:{node.lineno}" for path in MODULES if path.name != "expr.py"
-             for node in ast.walk(ast.parse(path.read_text()))
-             if (isinstance(node, ast.Attribute) and node.attr == "lambdify")
-             or (isinstance(node, ast.Name) and node.id == "lambdify")
-             or (isinstance(node, ast.alias) and node.name == "lambdify")]
+    named = [at for path in MODULES if path.name != "expr.py"
+             for at in _naming(path, {"lambdify"})]
     assert not named, f"lambdify is named outside expr.py at {named}"
+
+
+def test_descriptors_compile_expressions_only_through_symbolic_form():
+    """A loaded expression form is a calculus.symbolic_form: descriptors.py
+    parses its entries and compiles nothing itself, so the form has one
+    evaluator per level and exact partials."""
+    named = _naming(SRC / "descriptors.py", {"compile_scalar", "evaluator",
+                                             "cylindrical_from_expression"})
+    assert not named, f"descriptors.py compiles an expression at {named}"
+
+
+def test_pullbacks_go_through_pull_components():
+    """A form's pullback along a Jacobian is calculus.pull_components; a
+    `jac.T @ M @ jac` written out in calculus.py or symplectic.py would be a
+    second implementation of it, rounding its own way."""
+    by_hand = [f"{name}:{n}" for name in ("calculus.py", "symplectic.py")
+               for n, line in enumerate((SRC / name).read_text().splitlines(), 1)
+               if re.search(r"\.T\s*@.*@", line)]
+    assert not by_hand, f"a pullback is written out by hand at {by_hand}"
