@@ -246,9 +246,7 @@ def metric_check(metric: CompatibleMetric, pairs: Iterable[tuple], samples: int 
     pairs = list(pairs)
     report = VerificationReport(f"metric: {metric.name or metric.symmetry}",
                                 check_tame(metric.form, pairs, samples, tol, rng).checks)
-    # a listed (J, J) adds level J: leq is reflexive and was asked already
-    levels = sorted({J for _, I, K in strict_pairs(fam.poset, pairs) for J in (I, K)}
-                    | {I for I, K in pairs if I == K}, key=key)
+    levels = sorted({J for I, K in pairs if fam.poset.leq(I, K) for J in (I, K)}, key=key)
 
     sym, cstr, eigs = [], [], []
     for J in levels:
@@ -258,7 +256,7 @@ def metric_check(metric: CompatibleMetric, pairs: Iterable[tuple], samples: int 
         cs = metric.complex_structure(J) if metric.complex_structure else None
         grams = [metric.matrix(J, x) for x in sample_point(d, rng, samples)]
         sym.append((key(J), residual(grams, [g.T for g in grams])))
-        eigs += [np.linalg.eigvalsh(g) for g in grams]
+        eigs.append((key(J), [np.linalg.eigvalsh(g) for g in grams]))
         if cs is not None:
             # cs @ cs = -1 once per level, then cs^T g cs = g at every sample
             cstr.append((key(J), residual([cs @ cs] + [pull_components(g, cs) for g in grams],
@@ -266,14 +264,13 @@ def metric_check(metric: CompatibleMetric, pairs: Iterable[tuple], samples: int 
 
     report.add_worst("gram symmetry", sym, tol, what="level")
     if metric.symmetry in ("riemannian", "hermitian"):
-        min_eig = min([np.inf] + [float(np.min(eig)) for eig in eigs])
+        min_eig = min([np.inf] + [float(np.min(eig)) for _, level in eigs for eig in level])
         shortfall = 0.0 if (np.isinf(min_eig) or min_eig > 0) else abs(min_eig) + 1e-300
         report.add("positive-definite", shortfall, 0.0,
                    detail="" if np.isinf(min_eig) else f"smallest eigenvalue {min_eig:.3e}")
-    else:
-        signatures = {_signature(eig) for eig in eigs}
-        report.add("constant signature", 0.0 if len(signatures) <= 1 else 1.0, 0.5,
-                   detail=f"signatures {sorted(signatures)!r}")
+    else:  # the signature is constant in x at each level, not across levels
+        report.add_worst("constant signature", [(J, float(len(set(map(_signature, level))) > 1))
+                                                for J, level in eigs], 0.5, what="level")
     if "hermitian" in metric.symmetry:
         report.add_worst("complex-structure invariance", cstr, tol, what="level")
     return report

@@ -284,10 +284,19 @@ def family_from_descriptor(doc: dict) -> ProfiniteFamily:
         raise DescriptorError(f"schema_version: unsupported {version!r}")
     entries = {"projections": _field(doc, "projections", "", _list, default=[]),
                "injections": _field(doc, "injections", "", _list, default=[])}
-    named = [e for es in entries.values() for e in es
-             if isinstance(e, dict) and e.get("kind") == "named-gallery"]
-    if named:
-        return _named_gallery(named[0].get("payload", {}), "named-gallery payload").family
+    refs = [(f"{name}[{i}]", e) for name, es in entries.items() for i, e in enumerate(es)]
+    named = [e for _, e in refs if isinstance(e, dict) and e.get("kind") == "named-gallery"]
+    if named:  # every map is that one reference; a declared poset or levels is the gallery's
+        payload = named[0].get("payload", {})
+        for path, e in refs:
+            if (_field(e, "kind", path), _field(e, "payload", path, default={})) != (
+                    "named-gallery", payload):
+                raise DescriptorError(f"{path}: not the family's one named-gallery reference")
+        fam = _named_gallery(payload, "named-gallery payload").family
+        for key, own in (("poset", poset_to_descriptor(fam.poset)), ("levels", _levels(fam))):
+            if json.dumps(doc.get(key, own), sort_keys=True) != json.dumps(own, sort_keys=True):
+                raise DescriptorError(f"{key}: does not describe gallery {payload['family']!r}")
+        return fam
 
     poset = poset_from_descriptor(_field(doc, "poset", ""))
     members = set(poset.elements)
@@ -380,27 +389,28 @@ def family_to_descriptor(family: ProfiniteFamily, name: Optional[str] = None) ->
                             "kind": "matrix", "payload": {"rows": pr.matrix.tolist()}})
         injections.append({"from": encode_index(J), "to": encode_index(K),
                            "kind": "matrix", "payload": {"rows": ij.matrix.tolist()}})
-    levels = [{"index": encode_index(J), "dim": family.dim(J)}
-              for J in poset.sort(poset.elements)]
     return {"schema_version": SCHEMA_VERSION,
             "name": name if name is not None else (family.name or "family"),
             "poset": poset_to_descriptor(poset),
-            "levels": levels,
+            "levels": _levels(family),
             "projections": projections,
             "injections": injections}
 
 
 def gallery_reference_descriptor(name: str, kwargs: Optional[dict] = None) -> dict:
     """A descriptor that defers every map to a named gallery builder."""
-    g = build_gallery(name, **(kwargs or {}))
-    fam = g.family
-    levels = [{"index": encode_index(J), "dim": fam.dim(J)}
-              for J in fam.poset.sort(fam.poset.elements)]
+    fam = build_gallery(name, **(kwargs or {})).family
     ref = {"kind": "named-gallery", "from": None, "to": None,
            "payload": {"family": name, "kwargs": kwargs or {}}}
     return {"schema_version": SCHEMA_VERSION, "name": name,
-            "poset": poset_to_descriptor(fam.poset), "levels": levels,
+            "poset": poset_to_descriptor(fam.poset), "levels": _levels(fam),
             "projections": [ref], "injections": [ref]}
+
+
+def _levels(family: ProfiniteFamily) -> list:
+    """The descriptor's "levels" list: every level in the poset's order."""
+    return [{"index": encode_index(J), "dim": family.dim(J)}
+            for J in family.poset.sort(family.poset.elements)]
 
 
 def _refuse_constant(token: str):

@@ -256,22 +256,13 @@ def pl_weights(targets: Sequence[float], knots: Sequence[float]) -> np.ndarray:
     the knot values at the target times; constant past the last knot.
     A target or knot before the anchor, a NaN or an infinity raises ValueError."""
     knots = sorted(knots)
-    W = np.zeros((len(targets), len(knots)))
-    bad = next((k for k in knots if not 0 <= k < math.inf), None)  # a NaN too
+    bad = next((t for t in (*knots, *targets) if not 0 <= t < math.inf), None)  # a NaN too
     if bad is not None:
         raise _time_error(bad)
-    last = knots[-1] if knots else math.inf  # with no knots, a row is only checked
-    for r, t in enumerate(targets):
-        if t > last:
-            if t == math.inf:
-                raise _time_error(t)
+    W = np.zeros((len(targets), len(knots)))
+    for r, t in enumerate(targets if knots else ()):  # with no knots, every row is zero
+        if t > knots[-1]:
             W[r, -1] = 1.0
-            continue
-        if not t >= 0:  # a NaN too
-            raise _time_error(t)
-        if not knots:
-            if t == math.inf:
-                raise _time_error(t)
             continue
         c = bisect_left(knots, t)  # the first knot at or after t
         if knots[c] == t:

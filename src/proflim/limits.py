@@ -265,10 +265,13 @@ class ScalarAction:
     name: str = ""
 
 
-def _check_morphism(family: ProfiniteFamily, pairs: Sequence[tuple],
-                    level_op: Callable[[Any], np.ndarray], tol: float, what: str) -> None:
-    """Raise MorphismViolation unless proj(J, K) carries level_op(K) to
-    level_op(J) on every comparable pair; a NaN residual violates."""
+def _lift(family: ProfiniteFamily, level_op: Callable[[Any], np.ndarray],
+          pairs: Optional[Iterable[tuple]], tol: float, rng: Optional[np.random.Generator],
+          what: str, name: str) -> Thread:
+    """The thread J -> level_op(J) once proj(J, K) carries level_op(K) to level_op(J) on
+    every comparable pair, sampled if none are given; else MorphismViolation (NaN too)."""
+    if pairs is None:
+        pairs = sample_pairs(family.poset, rng or np.random.default_rng(0))
     for J, K in pairs:
         if family.poset.leq(J, K) and J != K:
             gap = residual(family.proj(J, K)(level_op(K)), level_op(J))
@@ -276,6 +279,7 @@ def _check_morphism(family: ProfiniteFamily, pairs: Sequence[tuple],
                 raise MorphismViolation(
                     f"{what} is not projection-compatible at pair ({J!r}, {K!r}): "
                     f"residual {gap:.3e}")
+    return Thread(family, level_op, name=name)
 
 
 def lift_binary(structure: AlgebraicStructure, x: Thread, y: Thread,
@@ -290,12 +294,8 @@ def lift_binary(structure: AlgebraicStructure, x: Thread, y: Thread,
     """
     if x.family is not structure.family or y.family is not structure.family:
         raise Incomparable("operands must live in the structure's family")
-    rng = rng or np.random.default_rng(0)
-    pairs = list(pairs) if pairs is not None else sample_pairs(structure.family.poset, rng)
-    _check_morphism(structure.family, pairs, lambda J: structure.op(J, x(J), y(J)),
-                    tol, structure.name or "op")
-    return Thread(structure.family, lambda J: structure.op(J, x(J), y(J)),
-                  name=f"({x.name}){structure.name or 'op'}({y.name})")
+    return _lift(structure.family, lambda J: structure.op(J, x(J), y(J)), pairs, tol, rng,
+                 structure.name or "op", f"({x.name}){structure.name or 'op'}({y.name})")
 
 
 def lift_inverse(structure: AlgebraicStructure, x: Thread,
@@ -329,9 +329,5 @@ def lift_scalar_action(action: ScalarAction, r: Thread, x: Thread,
     """Lift r . x level-wise, checking compatibility on both families."""
     if r.family is not action.ring or x.family is not action.module:
         raise Incomparable("operands must live in the ring/module families")
-    rng = rng or np.random.default_rng(0)
-    pairs = list(pairs) if pairs is not None else sample_pairs(action.module.poset, rng)
-    _check_morphism(action.module, pairs, lambda J: action.act(J, r(J), x(J)),
-                    tol, action.name or "scalar action")
-    return Thread(action.module, lambda J: action.act(J, r(J), x(J)),
-                  name=f"({r.name}).({x.name})")
+    return _lift(action.module, lambda J: action.act(J, r(J), x(J)), pairs, tol, rng,
+                 action.name or "scalar action", f"({r.name}).({x.name})")

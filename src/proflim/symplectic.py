@@ -23,6 +23,7 @@ RANK_RTOL = 1e-10
 # momentum_verify's form-preservation certificate: tolerance and group elements
 SYMPLECTIC_TOL = 1e-8
 GROUP_ELEMENTS = 20
+SCHEMES = ("leapfrog", "implicit-midpoint")  # flow's integrators, the default first
 # leapfrog steps kept as Python floats before they are copied into the state array
 _LEAPFROG_BLOCK = 1024
 # 1/k! for k = 0..15 in rows of four, for ProfiniteGroupAction.exp
@@ -53,10 +54,7 @@ def level_rank(matrix: np.ndarray) -> int:
     if matrix.size == 0:
         return 0
     sv = np.linalg.svd(matrix, compute_uv=False)
-    top = float(sv[0])
-    if top == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_RTOL * top))
+    return int(np.sum(sv > RANK_RTOL * sv[0]))  # a zero matrix has none
 
 
 @dataclass
@@ -106,12 +104,11 @@ def is_projectively_nondegenerate(omega: TameForm, levels: Iterable, samples: in
                                   rng: Optional[np.random.Generator] = None):
     """Full rank at every listed level, with the per-level rank report."""
     rng = rng or np.random.default_rng(0)
-    profile, verdict = {}, True
+    profile = {}
     for J, dim, _, mats in _level_reads(omega, levels, samples, rng):
         rank = min([dim] + [level_rank(mat) for mat in mats])
         profile[J] = {"dim": dim, "rank": rank, "full": rank == dim}
-        verdict = verdict and rank == dim
-    return verdict, profile
+    return all(info["full"] for info in profile.values()), profile
 
 
 def is_weakly_nondegenerate(omega: TameForm, u, I, search_levels: Iterable,
@@ -175,8 +172,6 @@ def hamiltonian_solver(omega: TameForm, H: CylindricalFunction, J) -> Callable:
         mat = fixed
         if mat is None:
             mat = omega.matrix(J, point)
-            if mat.shape[0] == 0:
-                return mat, np.zeros(0), np.zeros(0)
             rank = level_rank(mat)
             if rank < mat.shape[0]:
                 raise SingularForm(f"form is degenerate at level {J!r} "
@@ -360,7 +355,7 @@ def flow(omega: TameForm, H: CylindricalFunction, J, x0, dt: float, steps: int,
                 and residual(hess[1::2, 0::2], 0.0) <= scale):
             raise SchemeMismatch("leapfrog needs a separable H, but the Hessian couples "
                                  "q and p at x0; use scheme='implicit-midpoint'")
-    elif scheme != "implicit-midpoint":
+    elif scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if not (np.isfinite(h0).all() and np.isfinite(g0).all()):
         raise ValueError(f"flow needs H and its gradient finite at x0, got "
@@ -423,7 +418,19 @@ class ProfiniteGroupAction:
         gens = list(self.generators(J))
         if len(coeffs) != len(gens):
             raise ValueError(f"{len(coeffs)} coefficients for {len(gens)} generators")
-        return sum(c * g for c, g in zip(coeffs, gens))
+        return _span(coeffs, gens)
+
+
+def _span(coeffs: Sequence[float], gens: Sequence[np.ndarray]) -> np.ndarray:
+    return sum(c * g for c, g in zip(coeffs, gens))
+
+
+def _sampled_elements(action: ProfiniteGroupAction, J, count: int, dim: int,
+                      rng: np.random.Generator) -> tuple:
+    """`count` elements exp(sum_i c_i g_i) of level J, drawn with `count` points of R^dim."""
+    gens = list(action.generators(J))
+    C, X = sample_joint(rng, count, len(gens), dim)
+    return [action.exp(_span(row, gens)) for row in C], X
 
 
 def check_action_compat(action: ProfiniteGroupAction, pairs: Iterable[tuple],
@@ -435,9 +442,7 @@ def check_action_compat(action: ProfiniteGroupAction, pairs: Iterable[tuple],
     gaps = []
     for pair, J, K in strict_pairs(fam.poset, pairs):
         pr = fam.proj(J, K)
-        gens = list(action.generators(K))
-        C, X = sample_joint(rng, samples, len(gens), fam.dim(K))
-        gs = [action.exp(sum(c * g for c, g in zip(row, gens))) for row in C]
+        gs, X = _sampled_elements(action, K, samples, fam.dim(K), rng)
         gaps.append((pair,
                      residual([pr(action.act(K, g, x)) for g, x in zip(gs, X)],
                               [action.act(J, action.restrict(J, K, g), pr(x))
@@ -470,9 +475,7 @@ def momentum_verify(omega: TameForm, action: ProfiniteGroupAction, mu: MomentumM
     """
     rng = rng or np.random.default_rng(0)
     dim = omega.family.dim(J)
-    gens = list(action.generators(J))
-    C, X = sample_joint(rng, GROUP_ELEMENTS, len(gens), dim)
-    gs = [action.exp(sum(c * g for c, g in zip(row, gens))) for row in C]
+    gs, X = _sampled_elements(action, J, GROUP_ELEMENTS, dim, rng)
     # linear action: Dphi_g = g; a constant form is read once, at the first point
     form_at = ((lambda x, mat=omega.matrix(J, X[0]): mat) if omega.is_constant
                else (lambda x: omega.matrix(J, x)))

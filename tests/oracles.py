@@ -1,5 +1,7 @@
 """Independent brute-force oracles the structured implementations are
 tested against.  Everything here favors obviousness over speed."""
+import math
+from bisect import bisect_left
 from itertools import combinations
 
 import numpy as np
@@ -159,6 +161,45 @@ def pl_weights_scan(targets, knots):
                 if lo_col is not None:
                     W[r, lo_col] = 1.0 - frac
                 break
+    return W
+
+
+def _time_error(t):
+    return ValueError(f"{t} is a negative time" if math.isfinite(t) else f"{t} is not a finite time")
+
+
+def pl_weights_branching(targets, knots):
+    """The interpolation matrix as gallery.pl_weights computed it when it
+    checked each time where its row loop met it: the knots up front, then
+    each target in its own branch (past the last knot, before the anchor,
+    with no knots).  Kept verbatim to pin the up-front check bit for bit."""
+    knots = sorted(knots)
+    W = np.zeros((len(targets), len(knots)))
+    bad = next((k for k in knots if not 0 <= k < math.inf), None)  # a NaN too
+    if bad is not None:
+        raise _time_error(bad)
+    last = knots[-1] if knots else math.inf  # with no knots, a row is only checked
+    for r, t in enumerate(targets):
+        if t > last:
+            if t == math.inf:
+                raise _time_error(t)
+            W[r, -1] = 1.0
+            continue
+        if not t >= 0:  # a NaN too
+            raise _time_error(t)
+        if not knots:
+            if t == math.inf:
+                raise _time_error(t)
+            continue
+        c = bisect_left(knots, t)  # the first knot at or after t
+        if knots[c] == t:
+            W[r, c] = 1.0
+            continue
+        lo = knots[c - 1] if c else 0.0  # before the first knot, the anchor
+        frac = (t - lo) / (knots[c] - lo)
+        W[r, c] = frac
+        if c:
+            W[r, c - 1] = 1.0 - frac
     return W
 
 

@@ -154,11 +154,21 @@ def test_metric_check_pseudo_signature(euclid, rng):
         d = euclid.family.dim(J)
         return np.diag([1.0 if i % 2 == 0 else -1.0 for i in range(d)])
     g = pl.CompatibleMetric(euclid.family, "pseudo-riemannian", gram=gram)
-    # one level: signature is constant, check passes
     assert pl.metric_check(g, [(4, 4)], samples=3, rng=rng).passed
-    # two levels of different dimension: signatures differ and are reported
-    report = pl.metric_check(g, [(2, 4)], samples=3, rng=rng)
-    assert not report.passed
+    # levels of different dimension have different signatures; each is
+    # constant in x, so the compatible tower passes
+    assert pl.metric_check(g, [(2, 4)], samples=3, rng=rng).passed
+
+    def flipping(J, x):  # level 4's last entry takes the sign of x0
+        out = gram(J, x)
+        if J == 4:
+            out[3, 3] = np.sign(x[0])
+        return out
+    report = pl.metric_check(pl.CompatibleMetric(euclid.family, "pseudo-riemannian",
+                                                 gram=flipping), [(2, 4)], samples=20, rng=rng)
+    checks = {c.name: c for c in report.checks}
+    assert checks["injection-pullback compatibility"].passed
+    assert not report.passed and checks["constant signature"].detail == "worst level 4 of 2 levels"
 
 
 def test_metric_check_hermitian(symplectic, rng):

@@ -225,6 +225,15 @@ def test_symplectic_audit_passes(capsys):
     assert "momentum map" in titles
 
 
+def test_symplectic_reports_an_action_that_breaks_the_form_as_fail(capsys, monkeypatch):
+    def breaking(*args, **kwargs):
+        raise pl.NonSymplecticAction("action does not preserve the form: residual 1.000e+00")
+    monkeypatch.setattr(cli, "momentum_verify", breaking)
+    code, out, err = run(capsys, "symplectic", "--pairs", "2", "--samples", "10")
+    assert (code, out) == (1, "")
+    assert err == "FAIL: action does not preserve the form: residual 1.000e+00\n"
+
+
 def test_gallery_list_describe_export(capsys):
     code, out, _ = run(capsys, "gallery", "list")
     assert code == 0

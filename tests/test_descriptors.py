@@ -264,6 +264,51 @@ def test_named_gallery_descriptor_round_trip(tmp_path, rng):
     assert pl.verify_family(fam, points_per_chain=3, rng=rng).passed
 
 
+EUCLID_REF = {"kind": "named-gallery", "payload": {"family": "euclid"}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    # a stray matrix beside the reference used to be dropped, and euclid audited
+    ({"name": "x", "poset": {"kind": "chain", "elements": [1, 2]},
+      "levels": [{"index": 1, "dim": 5}],
+      "projections": [EUCLID_REF, {"kind": "matrix", "from": 2, "to": 1,
+                                   "payload": {"rows": [[1, 0]]}}]},
+     r"^projections\[1\]: not the family's one named-gallery reference$"),
+    ({"projections": [EUCLID_REF], "injections": [{"kind": "named-gallery",
+                                                   "payload": {"family": "poly"}}]},
+     r"^injections\[0\]: not the family's one named-gallery reference$"),
+    ({"projections": [EUCLID_REF, "euclid"]}, r"^projections\[1\]: expected a JSON object"),
+    ({"projections": [EUCLID_REF], "poset": {"kind": "chain", "elements": [1, 2]}},
+     r"^poset: does not describe gallery 'euclid'$"),
+    ({"projections": [EUCLID_REF], "levels": [{"index": 1, "dim": 5}]},
+     r"^levels: does not describe gallery 'euclid'$"),
+    # JSON's true is not the level 1 it compares equal to in Python
+    ({"projections": [EUCLID_REF],
+      "levels": [{"index": True if n == 1 else n, "dim": n} for n in range(7)]},
+     r"^levels: does not describe gallery 'euclid'$"),
+], ids=["stray-matrix", "two-galleries", "non-object-entry", "other-poset", "other-levels",
+        "level-true"])
+def test_named_gallery_documents_hold_nothing_else(doc, message, capsys, tmp_path):
+    with pytest.raises(pl.DescriptorError, match=message):
+        pl.family_from_descriptor(doc)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--family", str(path), "--samples", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["euclid", "wiener", "symplectic", "odd-symplectic"])
+def test_named_gallery_references_load_as_their_gallery(name):
+    want = pl.build_gallery(name).family
+    full = json.loads(json.dumps(pl.gallery_reference_descriptor(name)))
+    bare = {"projections": full["projections"][:1]}  # the README's projections-only form
+    for doc in (full, bare):
+        fam = pl.family_from_descriptor(doc)
+        assert list(fam.poset.elements) == list(want.poset.elements)
+        assert [fam.dim(J) for J in fam.poset.elements] == [want.dim(J) for J in
+                                                            want.poset.elements]
+
+
 def test_family_descriptor_errors(euclid):
     with pytest.raises(pl.DescriptorError):
         pl.family_from_descriptor({"schema_version": 99, "poset": {}, "levels": []})

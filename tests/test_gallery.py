@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import proflim as pl
 from proflim.gallery import DYADIC_POOL
-from oracles import pl_interp_anchor, pl_weights_scan
+from oracles import pl_interp_anchor, pl_weights_branching, pl_weights_scan
 
 
 def test_registry_names_and_errors():
@@ -161,6 +161,38 @@ def test_pl_weights_matches_the_scanning_oracle_bit_for_bit(case):
     targets, knots = case
     W, want = pl.pl_weights(targets, knots), pl_weights_scan(targets, knots)
     assert W.shape == want.shape and W.tobytes() == want.tobytes()
+
+
+def _weights_or_error(fn, targets, knots):
+    try:
+        return fn(targets, knots).tobytes()
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def test_pl_weights_checks_every_time_once_bit_for_bit():
+    """pl_weights against its old form, which checked each time in the branch
+    that met it: random knot sets (empty, with a knot at 0.0, with a repeated
+    knot), targets at 0, on, between and past the knots, and the error text of
+    bad times in every position."""
+    rng = np.random.default_rng(32)
+    for _ in range(1500):
+        knots = rng.choice(TEN_KNOTS, size=rng.integers(0, 6), replace=False).tolist()
+        knots += [0.0] * (rng.random() < 0.2) + knots[:1] * (rng.random() < 0.1)
+        grid = sorted({0.0, *knots})
+        targets = [0.0, *knots, *((a + b) / 2 for a, b in zip(grid, grid[1:])),
+                   *rng.uniform(0.0, 1.5, 5).tolist()]
+        rng.shuffle(targets)
+        assert (_weights_or_error(pl.pl_weights, targets, knots)
+                == _weights_or_error(pl_weights_branching, targets, knots))
+    nan, inf = math.nan, math.inf
+    for targets, knots in [([-0.25], [0.5]), ([0.5, -1e-300], []), ([0.5], [-1.0, 1.0]),
+                           ([nan], [0.5]), ([inf], []), ([-inf], []), ([2.0, inf], [0.5]),
+                           ([0.25, -inf], [0.5]), ([0.5], [0.25, nan, 1.0]),
+                           ([-1.0, nan], [0.5, -2.0]), ([inf, -1.0], [0.5]), ([nan], [])]:
+        got = _weights_or_error(pl.pl_weights, targets, knots)
+        assert got.startswith("ValueError: ")
+        assert got == _weights_or_error(pl_weights_branching, targets, knots)
 
 
 @given(st.floats(min_value=0.01, max_value=0.99), st.floats(-3, 3))

@@ -1,8 +1,9 @@
-"""Source hygiene: every name a library module imports is used there, only
-sympy is imported inside a function, max |a - b| is computed by
-maps.residual alone, only limits.py touches a thread's storage, only
-expr.py compiles sympy code, descriptors.py compiles through symbolic_form,
-and every pullback goes through calculus.pull_components."""
+"""Source hygiene: src/ stays within its line budget, every name a library
+module imports is used there, only sympy is imported inside a function,
+max |a - b| is computed by maps.residual alone, only limits.py touches a
+thread's storage, only expr.py compiles sympy code, descriptors.py compiles
+through symbolic_form, and every pullback goes through
+calculus.pull_components."""
 import ast
 import re
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "proflim"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# `wc -l src/proflim/*.py`; a change that grows src/ raises it and says why
+MAX_SRC_LINES = 4347
 
 
 def _imported(tree):
@@ -116,3 +119,9 @@ def test_pullbacks_go_through_pull_components():
                for n, line in enumerate((SRC / name).read_text().splitlines(), 1)
                if re.search(r"\.T\s*@.*@", line)]
     assert not by_hand, f"a pullback is written out by hand at {by_hand}"
+
+
+def test_src_line_budget():
+    """src/ may shrink but not grow past its budget unnoticed."""
+    count = sum(path.read_text().count("\n") for path in SRC.glob("*.py"))
+    assert count <= MAX_SRC_LINES, f"src/proflim has {count} lines, budget {MAX_SRC_LINES}"

@@ -116,3 +116,30 @@ def test_mutated_section_point_threads_exit_by_the_contract(name, capsys):
         return code == 0 or (code == 2 and (m := FIELD.match(err_text)) and m[1] == "thread")
 
     assert _sweep(doc, run, capsys, contract) == {0, 2}
+
+
+# a valid `--form` document per family: an expressions 1-form on euclid that
+# declares every level (with fewer, check_tame meets an undeclared level and
+# every mutation exits 2), and the symplectic gallery's own omega
+FORMS = {
+    "euclid": {"kind": "expressions", "degree": 1,
+               "levels": [{"index": n, "comps": [f"x{i}*x{i}" for i in range(n)]}
+                          for n in range(7)]},
+    "symplectic": {"kind": "named-gallery", "family": "symplectic", "extra": "omega"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_mutated_forms_exit_by_the_contract(name, capsys):
+    """`verify --form` on a mutated form document exits 0, 1 with a `FAIL`
+    line, or 2 with an `error:` line."""
+    def run(mutated):
+        return cli.main(["verify", "--family", name, "--samples", "10",
+                         "--form", json.dumps(mutated)])
+
+    def contract(code, err_text):
+        return (code == 0 or (code == 1 and re.search(r"^FAIL", err_text, re.M))
+                or (code == 2 and err_text.startswith("error: ")))
+
+    assert _sweep(FORMS[name], run, capsys, contract) == {"euclid": {0, 1, 2},
+                                                          "symplectic": {0, 2}}[name]

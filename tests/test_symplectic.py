@@ -113,6 +113,27 @@ def test_hamiltonian_field_degenerate_raises(odd_tower):
         pl.hamiltonian_field(odd_tower["omega"], H, 1, np.array([1.0]))
 
 
+def test_level_rank_of_a_zero_matrix_is_zero():
+    for shape in ((0, 0), (1, 1), (3, 3), (2, 4)):
+        assert pl.level_rank(np.zeros(shape)) == 0
+    assert pl.level_rank(np.diag([1.0, 0.0, 1e-12])) == 1  # below RANK_RTOL of the largest
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_fields_and_flows_at_a_dim_zero_level(euclid, constant):
+    """Level 0 of euclid has dimension 0: the general solve answers there."""
+    fam = euclid.family
+    omega = (pl.constant_form(fam, 2, lambda J: pl.canonical_omega(fam.dim(J))) if constant
+             else pl.TameForm(fam, 2, lambda J, x: pl.canonical_omega(fam.dim(J))))
+    H = pl.cylindrical_from_expression(fam, [0], "2.5")
+    field = pl.hamiltonian_field(omega, H, 0, np.zeros(0))
+    assert field.shape == (0,)
+    assert pl.hamiltonian_identity_residual(omega, H, 0, []) == 0.0
+    traj = pl.flow(omega, H, 0, [], dt=0.1, steps=3, scheme="implicit-midpoint")
+    assert traj.states.shape == (4, 0)
+    assert traj.energies.tolist() == [2.5] * 4 and traj.energy_drift() == 0.0
+
+
 def test_hamiltonian_compat_across_levels(symplectic, rng):
     omega = symplectic["omega"]
     H = symplectic["hamiltonian"]  # lives at level 1, readable from every level
