@@ -94,7 +94,8 @@ def _floats(value) -> list:
 
 
 def _dimension(value) -> int:
-    dim = int(value)
+    """A dimension or a degree: a JSON integer, never truncated or parsed."""
+    dim = _integer(value)
     if dim < 0:
         raise ValueError(f"a dimension cannot be negative, got {dim}")
     return dim
@@ -175,7 +176,7 @@ def _truth(value) -> bool:
 
 
 def _integer(value) -> int:
-    """A chain element: a JSON integer (a bool or 1.5 is not one)."""
+    """A chain element or a dimension: a JSON integer (a bool, 2.0 or "1" is not one)."""
     if type(value) is not int:
         raise ValueError(f"{value!r} is not an integer")
     return value

@@ -279,12 +279,15 @@ def pl_weights(targets: Sequence[float], knots: Sequence[float]) -> np.ndarray:
 def pl_path(times: Sequence[float], values: np.ndarray) -> Callable[[float], float]:
     """The path itself: anchored at (0, 0), through (times[i], values[i]) in
     any order of the times, linear between knots, constant after the last
-    one; a negative or non-finite time or knot raises ValueError."""
+    one; a repeated time, or a negative or non-finite time or knot, raises
+    ValueError."""
     values = np.asarray(values, float)
     if values.shape != (len(times),):
         raise DimensionMismatch(f"{values.size} values for {len(times)} times")
     order = np.argsort(times, kind="stable")
     knots = np.asarray(times, float)[order].tolist()
+    if len(set(knots)) < len(knots):
+        raise ValueError(f"path times must be distinct, got {knots}")
     values = values[order]
 
     def gamma(t: float) -> float:
@@ -367,6 +370,9 @@ def oscillator_energy(family: ProfiniteFamily, level,
     base = ScalarMap(DifferentiableMap(dim, dim, fn=lambda x: x.copy(), name=f"grad {name}"),
                      lambda x: np.array([0.5 * float(x @ x)]), name=name,
                      batch=lambda X: 0.5 * np.vecdot(X, X))
+    # the gradient is a copy of x, so on the leapfrog's float list it is a
+    # fresh list: the leapfrog kicks x in place after it reads the gradient
+    base.gradient.on_floats = list
     return CylindricalFunction(family, sec, base, name=name)
 
 

@@ -1,7 +1,9 @@
 """Presymplectic towers, Hamiltonian fields, flows, and momentum maps.
 
 Component arrays contract first slot first, so the field of a Hamiltonian
-H solves Omega^T X = grad H at each level (LU with partial pivoting).  Rank
+H solves Omega^T X = grad H at each level (LU with partial pivoting).  The
+solves call numpy's LAPACK gufunc under np.linalg.solve's error state, so
+they give its bits and its LinAlgError without its per-call wrapper.  Rank
 decisions use singular values relative to the largest one.
 """
 from __future__ import annotations
@@ -11,6 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .calculus import TameForm, exterior_derivative, pull_components
 from .cylinder import CylindricalFunction, level_function, linear_combination
@@ -48,6 +51,19 @@ class NonSymplecticAction(Exception):
 
 class ZeroVector(Exception):
     """A nondegeneracy probe needs a nonzero vector."""
+
+
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for float arrays, bit for bit and with its
+    LinAlgError on a singular `a`, whatever error state the caller set."""
+    gufunc = _umath_linalg.solve1 if np.ndim(b) == 1 else _umath_linalg.solve
+    with np.errstate(call=_raise_singular, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        return gufunc(a, b, signature="dd->d")
 
 
 def level_rank(matrix: np.ndarray) -> int:
@@ -181,7 +197,7 @@ def hamiltonian_solver(omega: TameForm, H: CylindricalFunction, J) -> Callable:
         g = grad.fn(point)
         if len(g) != grad.domain_dim:
             raise _gradient_mismatch(grad, len(g))
-        return mat, g, np.linalg.solve(mat.T, g)
+        return mat, g, _solve(mat.T, g)
     return solve
 
 
@@ -303,8 +319,12 @@ def _implicit_midpoint(solve: Callable, hessian: Callable, x0: np.ndarray, X0: n
             if max_abs(G) <= 1e-12 * (1.0 + max_abs(y)):  # NaN never converges
                 converged = True
                 break
-            JG = eye - half * np.linalg.solve(mat.T, hessian(mid))
-            y = y - np.linalg.solve(JG, G)
+            JG = eye - half * _solve(mat.T, hessian(mid))
+            try:
+                y = y - _solve(JG, G)
+            except LinAlgError:
+                raise NonconvergentSolve(
+                    f"implicit midpoint: Newton matrix singular at step {k}") from None
         if not converged:
             raise NonconvergentSolve(f"implicit midpoint stalled at step {k}")
         x = y
@@ -326,8 +346,8 @@ def flow(omega: TameForm, H: CylindricalFunction, J, x0, dt: float, steps: int,
     steps, or an H or gradient that is not finite at x0, is a ValueError; a
     gradient value of the wrong length, at x0 or later, is a
     DimensionMismatch; a degenerate form at x0 (or, for a non-constant form,
-    at a midpoint) is a SingularForm; a run that reaches a non-finite state
-    or energy is a NonconvergentSolve.
+    at a midpoint) is a SingularForm; a singular Newton matrix, or a run that
+    reaches a non-finite state or energy, is a NonconvergentSolve.
     """
     x0 = as_point(x0).copy()
     if not (math.isfinite(dt) and np.isfinite(x0).all()):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -566,6 +567,10 @@ def _edited(**changes):
     (_edited(levels="all"), r"^levels: expected a list"),
     (_edited(levels__0__index=7), r"levels\[0\]\.index: 7 is not an element"),
     (_edited(levels__1__dim=-2), r"levels\[1\]\.dim: a dimension cannot be negative"),
+    (_edited(levels__1__dim=2.5), r"^levels\[1\]\.dim: 2\.5 is not an integer$"),
+    (_edited(levels__1__dim=2.0), r"^levels\[1\]\.dim: 2\.0 is not an integer$"),
+    (_edited(levels__1__dim="2"), r"^levels\[1\]\.dim: '2' is not an integer$"),
+    (_edited(levels__0__dim=True), r"^levels\[0\]\.dim: True is not an integer$"),
     (_edited(levels=[{"index": 2, "dim": 2}]),
      r"^levels: no entry declares the dimension of level 1$"),
     (_edited(projections__0__to={"set": [[1]]}), r"projections\[0\]\.to: bad index"),
@@ -605,7 +610,8 @@ def _edited(**changes):
      r"^injections\[0\]\.payload\.targets: -0\.25 is a negative time$"),
 ], ids=["not-an-object", "no-poset", "chain-element", "chain-repeat", "chain-fraction",
         "chain-truncated-repeat", "chain-infinity", "chain-bool", "chain-float", "levels-type",
-        "level-index", "negative-dim", "undeclared-level", "bad-index", "non-numeric-row",
+        "level-index", "negative-dim", "fraction-dim", "float-dim", "string-dim", "bool-dim",
+        "undeclared-level", "bad-index", "non-numeric-row",
         "three-dim-rows", "injection-shape", "projection-upward", "truncation-range",
         "missing-injection", "unknown-gallery", "gallery-kwargs", "nan-row", "nan-element",
         "nan-level-index", "nan-pool-entry", "leq-shape", "pl-zero-knot", "pl-repeated-knot",
@@ -613,6 +619,21 @@ def _edited(**changes):
 def test_malformed_family_descriptors_name_the_field(doc, message):
     with pytest.raises(pl.DescriptorError, match=message):
         pl.family_from_descriptor(doc)
+
+
+@pytest.mark.parametrize("field, value", [("dim", 2.5), ("dim", "2"), ("degree", True),
+                                          ("degree", 1.0)])
+def test_verify_exits_two_on_a_dimension_or_degree_that_is_not_an_integer(
+        tmp_path, capsys, field, value):
+    family, form = tmp_path / "family.json", {"kind": "expressions", "degree": 1,
+                                              "levels": [{"index": 1, "comps": ["x0"]}]}
+    family.write_text(json.dumps(_edited(levels__1__dim=value) if field == "dim" else PAIR))
+    if field == "degree":
+        form["degree"] = value
+    code = cli.main(["verify", "--family", str(family), "--form", json.dumps(form)])
+    where = "levels[1].dim" if field == "dim" else "form.degree"
+    assert (code, capsys.readouterr().err) == (
+        2, f"error: {where}: {value!r} is not an integer\n")
 
 
 @pytest.mark.parametrize("value, token", [(float("nan"), "NaN"), (float("inf"), "Infinity"),
@@ -701,6 +722,12 @@ def test_malformed_form_descriptors_name_the_field():
                                              "levels": [{"index": index, "comps": ["x0"]}]})
     with pytest.raises(pl.DescriptorError, match=r"form\.degree: missing field"):
         pl.form_from_descriptor(euclid, {"kind": "expressions", "levels": []})
+    # a degree is a JSON integer: 1.5, "1" or true is refused, not read as 1
+    for degree in (1.5, 1.0, "1", True):
+        with pytest.raises(pl.DescriptorError,
+                           match=rf"^form\.degree: {re.escape(repr(degree))} is not an integer$"):
+            pl.form_from_descriptor(euclid, {"kind": "expressions", "degree": degree,
+                                             "levels": [{"index": 1, "comps": ["x0"]}]})
     with pytest.raises(pl.DescriptorError, match=r"form: no gallery family named"):
         pl.form_from_descriptor(euclid, {"kind": "named-gallery", "family": "klein"})
 

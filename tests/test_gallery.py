@@ -121,6 +121,15 @@ def test_pl_path_pairs_each_value_with_its_own_time():
             pl.pl_path([1.0, 0.5], values)
 
 
+@pytest.mark.parametrize("times", [[0.5, 0.5], [1.0, 0.5, 1.0], [0.0, -0.0]],
+                         ids=["pair", "apart", "signed-zero"])
+def test_pl_path_refuses_a_repeated_time(times):
+    """Two values at one time would make the path jump there; knot_pool
+    refuses a repeated knot the same way."""
+    with pytest.raises(ValueError, match=r"^path times must be distinct, got \["):
+        pl.pl_path(times, [float(v) for v in range(len(times))])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_times_are_refused(bad):
     """A NaN or an infinity is refused as a target, with knots or without,

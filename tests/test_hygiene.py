@@ -2,8 +2,9 @@
 module imports is used there, only sympy is imported inside a function,
 max |a - b| is computed by maps.residual alone, only limits.py touches a
 thread's storage, only expr.py compiles sympy code, descriptors.py compiles
-through symbolic_form, and every pullback goes through
-calculus.pull_components."""
+through symbolic_form, every pullback goes through
+calculus.pull_components, and only symplectic.py calls numpy's LAPACK
+solve gufunc, through its _solve."""
 import ast
 import re
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "proflim"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # `wc -l src/proflim/*.py`; a change that grows src/ raises it and says why
-MAX_SRC_LINES = 4347
+MAX_SRC_LINES = 4374
 
 
 def _imported(tree):
@@ -119,6 +120,20 @@ def test_pullbacks_go_through_pull_components():
                for n, line in enumerate((SRC / name).read_text().splitlines(), 1)
                if re.search(r"\.T\s*@.*@", line)]
     assert not by_hand, f"a pullback is written out by hand at {by_hand}"
+
+
+def test_only_symplectic_names_the_lapack_gufunc():
+    """symplectic._solve calls numpy.linalg._umath_linalg under np.linalg.solve's
+    error state; a second caller of the private module, or an np.linalg.solve
+    left in symplectic.py, would be a second rule for the same solve."""
+    named = [at for path in MODULES if path.name != "symplectic.py"
+             for at in _naming(path, {"_umath_linalg"})]
+    assert not named, f"_umath_linalg is named outside symplectic.py at {named}"
+    tree = ast.parse((SRC / "symplectic.py").read_text())
+    wrapped = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "solve"
+               and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"]
+    assert not wrapped, f"symplectic.py calls np.linalg.solve at lines {wrapped}"
 
 
 def test_src_line_budget():

@@ -113,6 +113,42 @@ def test_hamiltonian_field_degenerate_raises(odd_tower):
         pl.hamiltonian_field(odd_tower["omega"], H, 1, np.array([1.0]))
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_solve_is_numpys_solve_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(1000):
+        a = rng.standard_normal((n, n))
+        for b in (rng.standard_normal(n), rng.standard_normal((n, n))):
+            got, want = symplectic_module._solve(a, b), np.linalg.solve(a, b)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("quiet", [False, True], ids=["errstate-warn", "errstate-ignore"])
+@pytest.mark.parametrize("rhs", [(2,), (2, 2)], ids=["vector", "matrix"])
+def test_solve_raises_on_a_singular_matrix_rather_than_warn(quiet, rhs):
+    """np.linalg.solve's LinAlgError, not a RuntimeWarning, whatever error
+    state the caller set, and the caller's error state is left as it was."""
+    with warnings.catch_warnings(), np.errstate(all="ignore" if quiet else "warn"):
+        warnings.simplefilter("error")
+        before = np.geterr()
+        for a in (np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]])):
+            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                symplectic_module._solve(a, np.ones(rhs))
+        assert np.geterr() == before
+
+
+def test_a_singular_newton_matrix_is_a_nonconvergent_solve():
+    """I - dt/2 Omega^-T Hess H is singular for this H at dt = 1: the flow
+    fails as a Newton solve that cannot go on, not as a LinAlgError."""
+    g = pl.symplectic_even_tower(3)
+    H = pl.cylindrical_from_expression(g.family, [1], "sqr(x0)/2 - 2*sqr(x1)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pl.NonconvergentSolve,
+                           match=r"^implicit midpoint: Newton matrix singular at step 0$"):
+            pl.flow(g["omega"], H, 1, [1.0, 0.5], dt=1.0, steps=1, scheme="implicit-midpoint")
+
+
 def test_level_rank_of_a_zero_matrix_is_zero():
     for shape in ((0, 0), (1, 1), (3, 3), (2, 4)):
         assert pl.level_rank(np.zeros(shape)) == 0
@@ -377,9 +413,19 @@ def test_leapfrog_refuses_coupled_hamiltonian(symplectic):
     assert traj.energy_drift() < 1e-10
 
 
+def _array_oscillator(family, level):
+    """The oscillator at a level, its gradient a plain array map with no list
+    evaluator, so the leapfrog evaluates it on an array and reads it back."""
+    dim = family.dim(level)
+    grad = pl.DifferentiableMap(dim, dim, fn=lambda x: x.copy(), name="array gradient")
+    base = pl.ScalarMap(grad, lambda x: np.array([0.5 * float(x @ x)]), name="H")
+    return pl.CylindricalFunction(family, pl.Section.of(family.poset, [level]), base)
+
+
 def _leapfrog_hamiltonians(symplectic):
     return [(2, symplectic["hamiltonian_at"](2)),
-            (3, pl.cylindrical_from_expression(symplectic.family, [3], SEPARABLE_QUARTIC))]
+            (3, pl.cylindrical_from_expression(symplectic.family, [3], SEPARABLE_QUARTIC)),
+            (1, _array_oscillator(symplectic.family, 1))]
 
 
 def test_leapfrog_reuses_the_closing_gradient_bit_for_bit(symplectic):
@@ -427,7 +473,9 @@ def test_leapfrog_takes_two_gradients_per_step(symplectic, monkeypatch, steps):
         assert inside == [[used[-1]] * (2 * steps + 1)]
         # the separability probe's FD Hessian and the finite check at x0 come on top
         assert len(calls) == 2 * steps + 1 + 2 * dim + 1
-    assert used == ["fn", "on_floats"]            # the oscillator, then the expression H
+    # the gallery oscillator and the expression H take the list; the array
+    # oscillator keeps the leapfrog's array fallback counted
+    assert used == ["on_floats", "on_floats", "fn"]
 
 
 def test_hessian_is_lambdified_on_the_first_implicit_flow_only(symplectic, monkeypatch):
@@ -485,10 +533,15 @@ def test_newton_iterates_take_fd_gradients_only_without_an_analytic_hessian(
 
 
 def test_a_gradient_is_a_fresh_array(symplectic):
-    # ScalarMap's contract: a gradient value is a fresh array, never a view of x
+    # ScalarMap's contract: a gradient value is a fresh array, never a view of
+    # x, and a list evaluator's value a fresh list, since the leapfrog kicks
+    # its state list in place after it reads the gradient
     for level, H in _leapfrog_hamiltonians(symplectic):
         x = np.linspace(-0.5, 0.5, symplectic.family.dim(level))
         assert not np.shares_memory(H.base.gradient.fn(x), x)
+        if H.base.gradient.on_floats is not None:
+            xs = x.tolist()
+            assert H.base.gradient.on_floats(xs) is not xs
 
 
 def test_level_function_of_its_own_level_is_the_base(symplectic):
