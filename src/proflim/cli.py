@@ -32,7 +32,7 @@ from .gallery import (GALLERY_BUILDERS, build_gallery, gallery_key, gallery_name
 from .limits import Thread
 from .maps import residual
 from .poset import Section
-from .profmetric import d_inf, d_mu, discrete_metrics, euclidean_metrics
+from .profmetric import METRICS, LevelMetricFamily, d_inf, d_mu
 from .report import VerificationReport
 from .symplectic import (SCHEMES, NonconvergentSolve, NonSymplecticAction, SingularForm,
                          SymplecticStructure, flow, hamiltonian_compat_check,
@@ -185,7 +185,7 @@ def cmd_distance(ns: argparse.Namespace) -> int:
         raise UsageError("distance needs a nonempty poset")
     x = thread_from_descriptor(g or fam, ns.x)
     y = thread_from_descriptor(g or fam, ns.y)
-    metrics = {"euclidean": euclidean_metrics, "discrete": discrete_metrics}[ns.metric](fam)
+    metrics = LevelMetricFamily(fam, METRICS[ns.metric])
 
     els = fam.poset.sort(fam.poset.elements)[:ns.levels]
     value, converged, history = d_inf(metrics, x, y, [[J] for J in els], tol=ns.tol)
@@ -193,7 +193,7 @@ def cmd_distance(ns: argparse.Namespace) -> int:
     doc = {"command": "distance", "family": ns.family,
            "metric": ns.metric, "d_inf": value, "converged": converged,
            "history": history,
-           "levels_used": [sorted(J) if isinstance(J, frozenset) else J for J in els]}
+           "levels_used": [fam.poset.key(J) for J in els]}
     if ns.measure:
         try:
             mu = load_measure_csv(ns.measure)
@@ -284,13 +284,14 @@ def cmd_wiener(ns: argparse.Namespace) -> int:
     report.add_worst("pl-injection cocycle and retraction", triples, ns.cocycle_tol,
                      what="triple")
 
-    # pairing formula versus direct summation
+    # the pairing through gamma versus a sum over the sampled values: each t
+    # in alpha is a knot, so this certifies that gamma passes through its knots
     S = frozenset(pool)
     values = g.extras["sample_path"](S, rng)
     gamma = g.extras["pl_path"](S, values)
     alpha = [(pool[int(rng.integers(len(pool)))], float(rng.standard_normal()))
              for _ in range(5)]
-    direct = sum(c * gamma(t) for t, c in alpha)
+    direct = sum(c * values[pool.index(t)] for t, c in alpha)
     report.add("pairing equals direct summation", abs(pairing(alpha, gamma) - direct), 0.0)
 
     # sampler marginal variance ~ t
@@ -372,8 +373,8 @@ def cmd_gallery(ns: argparse.Namespace) -> int:
     if ns.action == "describe":
         doc = {"command": "gallery describe", "name": g.name,
                "description": g.description,
-               "levels": [{"index": sorted(J) if isinstance(J, frozenset) else J,
-                           "dim": fam.dim(J)} for J in fam.poset.sort(fam.poset.elements)],
+               "levels": [{"index": fam.poset.key(J), "dim": fam.dim(J)}
+                          for J in fam.poset.sort(fam.poset.elements)],
                "extras": sorted(g.extras)}
     elif g.name in ("wiener", "symplectic", "odd-symplectic"):
         doc = gallery_reference_descriptor(g.name)
@@ -423,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "pseudo-distances between threads")
     sp.add_argument("--x", type=json_doc, required=True, help="thread descriptor (JSON or path)")
     sp.add_argument("--y", type=json_doc, required=True, help="thread descriptor (JSON or path)")
-    sp.add_argument("--metric", choices=("euclidean", "discrete"), default="euclidean")
+    sp.add_argument("--metric", choices=METRICS, default="euclidean")
     sp.add_argument("--levels", type=positive_int, help="level budget")
     sp.add_argument("--measure", help="weights CSV (index,weight)")
 

@@ -127,9 +127,8 @@ def decode_index(obj) -> Any:
 
 def poset_to_descriptor(poset: IndexPoset) -> dict:
     els = list(poset.elements)
-    if all(isinstance(e, frozenset) for e in els) and els:
-        pool = sorted(set().union(*els))
-        return {"kind": "subsets", "pool": pool}
+    if els and all(isinstance(e, frozenset) for e in els) and _is_subset_poset(poset):
+        return {"kind": "subsets", "pool": sorted(set().union(*els))}
     if all(isinstance(e, int) for e in els):
         chain = all(poset.leq(a, b) == (a <= b)
                     for a in els for b in els)
@@ -138,6 +137,17 @@ def poset_to_descriptor(poset: IndexPoset) -> dict:
     matrix = [[bool(poset.leq(a, b)) for b in els] for a in els]
     return {"kind": "finite", "elements": [encode_index(e) for e in els],
             "leq": matrix}
+
+
+def _is_subset_poset(poset: IndexPoset) -> bool:
+    """The poset is subset_poset of its elements' union: the same elements in
+    the same order, each with the same down-set."""
+    try:
+        ref = subset_poset(frozenset().union(*poset.elements))
+    except TypeError:  # a pool that does not sort
+        return False
+    return ref.elements == tuple(poset.elements) and all(
+        np.array_equal(poset.down(i), ref.down(i)) for i in range(len(ref.elements)))
 
 
 def poset_from_descriptor(doc: dict) -> IndexPoset:

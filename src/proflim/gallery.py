@@ -177,11 +177,6 @@ def _corner_indices(J: int, K: int) -> list:
     return [r * K + c for r in range(J) for c in range(J)]
 
 
-def matrix_thread(family: ProfiniteFamily, block_fn: Callable[[int], np.ndarray],
-                  name: str = "") -> Thread:
-    return Thread(family, lambda n: np.asarray(block_fn(n), float).ravel(), name=name)
-
-
 def matrix_tower(max_n: int = 4) -> GalleryFamily:
     fam = _coordinate_family(chain_poset(range(1, max_n + 1)), lambda n: n * n, "matrix",
                              coords=_corner_indices)
@@ -195,8 +190,8 @@ def matrix_tower(max_n: int = 4) -> GalleryFamily:
         # truncation is exact on this thread
         return np.diag(np.exp(np.arange(1, n + 1, dtype=float) ** 2))
 
-    laplacian_exp = matrix_thread(fam, laplacian_block, name="laplacian-exp")
-    identity = matrix_thread(fam, np.eye, name="identity")
+    laplacian_exp = Thread(fam, laplacian_block, name="laplacian-exp")
+    identity = Thread(fam, np.eye, name="identity")
     mul = AlgebraicStructure(
         fam,
         op=lambda J, a, b: (as_block(J, a) @ as_block(J, b)).ravel(),
@@ -210,7 +205,7 @@ def matrix_tower(max_n: int = 4) -> GalleryFamily:
             "laplacian_exp": laplacian_exp,
             "identity": identity,
             "mul": mul,
-            "matrix_thread": lambda f, name="": matrix_thread(fam, f, name),
+            "matrix_thread": lambda f, name="": Thread(fam, f, name),
             "as_block": as_block,
         })
 
@@ -334,16 +329,13 @@ def wiener_family(times: Optional[Sequence[float]] = None) -> GalleryFamily:
 
     fam = ProfiniteFamily(poset, len, fanout, name="wiener")
 
-    def sample_path(S, rng):
-        return brownian_sample(sorted(S), rng)
-
     return GalleryFamily(
         "wiener", fam,
         "finite time-grid path spaces, injections by linear interpolation",
         extras={
             "pool": pool,
             "full_index": frozenset(pool),
-            "sample_path": sample_path,
+            "sample_path": brownian_sample,
             "pl_path": lambda S, v: pl_path(sorted(S), v),
             "pairing": pairing,
         })

@@ -202,8 +202,8 @@ def compose(outer: DifferentiableMap, inner: DifferentiableMap,
         return matrix_map(outer.matrix @ inner.matrix, name=name)
 
     def jac(x):
-        mid = inner(x)
-        return outer.jacobian(mid) @ inner.jacobian(x)
+        outer_jac = outer.matrix if outer.is_linear else outer.jacobian(inner(x))
+        return outer_jac @ inner.jacobian(x)
 
     return DifferentiableMap(inner.domain_dim, outer.codomain_dim,
                              lambda x: outer(inner(x)), jac=jac, name=name)
@@ -232,18 +232,10 @@ def fanout_map(maps: Sequence[DifferentiableMap], name: str = "") -> Differentia
 
 def linear_combination_map(maps: Sequence[DifferentiableMap],
                            coeffs: Sequence[float], name: str = "") -> DifferentiableMap:
-    """x -> sum_i c_i m_i(x) for maps sharing domain and codomain."""
+    """x -> sum_i c_i m_i(x) for maps sharing domain and codomain: the matrix
+    [c_1 I ... c_k I] after the fanout of the maps."""
     maps = list(maps)
-    coeffs = [float(c) for c in coeffs]
-    dom, cod = maps[0].domain_dim, maps[0].codomain_dim
-    if all(m.is_linear for m in maps):
-        total = sum(c * m.matrix for c, m in zip(coeffs, maps))
-        return matrix_map(total, name=name)
-
-    def fn(x):
-        return sum(c * m(x) for c, m in zip(coeffs, maps))
-
-    def jac(x):
-        return sum(c * m.jacobian(x) for c, m in zip(coeffs, maps))
-
-    return DifferentiableMap(dom, cod, fn, jac=jac, name=name)
+    cods = [m.codomain_dim for m in maps]
+    if len(coeffs) != len(maps) or len(set(cods)) != 1:
+        raise DimensionMismatch(f"{len(coeffs)} coefficients for maps of codomains {cods}")
+    return compose(matrix_map(np.kron([coeffs], np.eye(cods[0]))), fanout_map(maps), name=name)

@@ -38,10 +38,8 @@ class LevelMetricFamily:
 
     @property
     def kind(self) -> str:
-        """The kind read from dist: "euclidean", "discrete" or "custom"."""
-        if self.dist is _euclidean:
-            return "euclidean"
-        return "discrete" if self.dist is _discrete else "custom"
+        """dist's name in METRICS, or "custom" for any other dist."""
+        return next((k for k, d in METRICS.items() if d is self.dist), "custom")
 
     def __call__(self, J, x, y) -> float:
         return float(self.distances((J,), (np.asarray(x, float),),
@@ -95,6 +93,9 @@ def _euclidean(J, x, y) -> float:
 
 def _discrete(J, x, y) -> float:
     return 0.0 if np.array_equal(x, y) else 1.0
+
+
+METRICS = {"euclidean": _euclidean, "discrete": _discrete}
 
 
 def euclidean_metrics(family: ProfiniteFamily) -> LevelMetricFamily:

@@ -771,3 +771,30 @@ def test_reports_are_strict_json(capsys):
                  ["gallery", "describe", "cross"], ["gallery", "export", "euclid"]):
         code, out, _ = run(capsys, *argv)
         assert code == 0 and _strict_json(out)["schema_version"] == 1
+
+
+def test_distance_metrics_are_the_metric_table():
+    from proflim.profmetric import METRICS
+    (metric,) = [a for a in _subparsers()["distance"]._actions if "--metric" in a.option_strings]
+    assert list(metric.choices) == list(METRICS) == ["euclidean", "discrete"]
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe1,0.5\n"], ids=["missing", "not-utf8"])
+def test_distance_exits_two_on_an_unreadable_measure(capsys, tmp_path, content):
+    path = tmp_path / "mu.csv"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = run(capsys, "distance", "--family", "euclid", "--x", ORIGIN, "--y", ORIGIN,
+                         "--measure", str(path))
+    assert (code, out) == (2, "") and "cannot read --measure" in err
+
+
+def test_the_wiener_pairing_check_fails_on_a_path_off_its_knots(capsys, monkeypatch):
+    """The pairing through the PL path is compared with the sampled values at
+    the knots, so a path that misses its knots fails the check."""
+    real = pl.gallery.pl_path
+    monkeypatch.setattr(pl.gallery, "pl_path",
+                        lambda times, values: (lambda t, _g=real(times, values): _g(t) + 0.25))
+    code, out, _ = run(capsys, "wiener", "--samples", "200", "--seed", "0")
+    checks = {c["name"]: c for r in json.loads(out)["reports"] for c in r["checks"]}
+    assert code == 1 and checks["pairing equals direct summation"]["passed"] is False

@@ -151,3 +151,16 @@ def test_product_jacobian(euclid, rng):
     assert np.isclose(h(t), 12.0)
     grad = pl.differential(h, t)
     assert np.allclose(grad, [4.0, 3.0])
+
+
+def test_cylindrical_functions_check_their_base_and_families(euclid, poly):
+    fam = euclid.family
+    sec = pl.Section.of(fam.poset, [2])
+    for base in (pl.identity_map(2), pl.matrix_map(np.ones((1, 3)))):
+        with pytest.raises(pl.FamilyMismatch, match="base must map R\\^2 -> R"):
+            pl.CylindricalFunction(fam, sec, base)
+    f = quadratic_on(fam, 2)
+    with pytest.raises(pl.FamilyMismatch, match="thread lives over a different family"):
+        f(poly["exp_series"])
+    with pytest.raises(pl.FamilyMismatch, match="threads live over different families"):
+        pl.separate(euclid["origin"], poly["exp_series"], [1])

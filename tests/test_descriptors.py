@@ -737,3 +737,42 @@ def test_measure_csv_names_the_bad_line(tmp_path):
     path.write_text("index,weight\n1,0.5\n2,abc\n")
     with pytest.raises(pl.DescriptorError, match=r"line 3: weight 'abc' is not a number"):
         pl.load_measure_csv(path)
+
+
+SET_CHAIN = [frozenset({1}), frozenset({1, 2})]
+
+
+def test_a_poset_of_sets_other_than_all_subsets_round_trips_as_finite(tmp_path):
+    poset = pl.finite_poset(SET_CHAIN, leq=lambda a, b: a <= b)
+    doc = json.loads(json.dumps(pl.poset_to_descriptor(poset)))
+    assert doc["kind"] == "finite"
+    back = pl.poset_from_descriptor(doc)
+    assert back.elements == poset.elements
+    assert [[back.leq(a, b) for b in SET_CHAIN] for a in SET_CHAIN] == [[True, True],
+                                                                     [False, True]]
+    lo, hi = SET_CHAIN
+    fam = cover_family(poset, {lo: 1, hi: 2}.__getitem__,
+                       {(lo, hi): (pl.matrix_map([[1.0, 0.0]]), pl.matrix_map([[1.0], [0.0]]))},
+                       name="sets")
+    path = tmp_path / "sets.json"
+    pl.dump_family(fam, path)
+    loaded = pl.load_family(path)
+    assert loaded.poset.elements == poset.elements
+    assert [loaded.dim(J) for J in SET_CHAIN] == [1, 2]
+    assert np.array_equal(loaded.proj(lo, hi).matrix, [[1.0, 0.0]])
+    assert np.array_equal(loaded.inj(hi, lo).matrix, [[1.0], [0.0]])
+
+
+def test_only_a_subset_poset_in_its_own_order_exports_as_subsets():
+    subsets = pl.subset_poset([2, 1])
+    assert pl.poset_to_descriptor(subsets) == {"kind": "subsets", "pool": [1, 2]}
+    # the same elements in another order, and the same order under another leq
+    reordered = pl.finite_poset(subsets.elements[::-1], leq=subsets.leq)
+    flat = pl.finite_poset(subsets.elements, leq=lambda a, b: a == b or len(b) == 2)
+    # a pool that does not sort: 1 and "a" have no common order
+    unsorted = pl.finite_poset([frozenset({1}), frozenset({"a"})], leq=lambda a, b: a == b)
+    for poset in (reordered, flat, unsorted):
+        assert pl.poset_to_descriptor(poset)["kind"] == "finite"
+    back = pl.poset_from_descriptor(json.loads(json.dumps(pl.poset_to_descriptor(flat))))
+    assert not back.leq(frozenset({1}), frozenset({2}))
+    assert back.leq(frozenset(), frozenset({1, 2}))

@@ -331,3 +331,19 @@ def test_audits_name_their_worst_witness(euclid, rng):
         "gap", [((1, 2), 0.5), ((2, 3), math.nan), ((3, 4), 1.0)], 1e-9)
     assert math.isnan(check.max_residual) and not check.passed
     assert check.detail == "worst pair (2, 3) of 3 pairs"
+
+
+def test_profinite_map_checks_skip_pairs_out_of_order(cross, rng):
+    swap = cross["swap"]
+    # J and K are incomparable, and L is above I: neither pair is audited
+    rep = pl.check_profinite_map(swap, [("J", "K"), ("L", "I"), ("I", "L")], rng=rng)
+    assert rep.passed
+    assert [c.detail for c in rep.checks] == ["worst pair ('I', 'L') of 1 pairs"] * 2
+
+
+def test_a_map_whose_inverse_misses_an_index_is_no_diffeomorphism(cross, rng):
+    swap, fam = cross["swap"], cross.family
+    # swap's level maps on the identity of indices, which sends swap("J") = "K" to "K"
+    g = pl.ProfiniteMap(fam, fam, lambda J: J, swap.level_map)
+    assert not pl.is_profinite_diffeomorphism(swap, g, ["J"], rng=rng)
+    assert pl.is_profinite_diffeomorphism(swap, g, ["I", "L"], rng=rng)

@@ -14,7 +14,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "proflim"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # `wc -l src/proflim/*.py`; a change that grows src/ raises it and says why
-MAX_SRC_LINES = 4374
+MAX_SRC_LINES = 4370
 
 
 def _imported(tree):

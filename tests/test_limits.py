@@ -558,3 +558,17 @@ def test_lift_checks_name_no_pairs(matrix, poly, rng, monkeypatch):
 def test_lift_binary_wrong_family_rejected(poly, euclid):
     with pytest.raises(pl.Incomparable):
         pl.lift_binary(poly["add"], euclid["origin"], euclid["origin"])
+
+
+@pytest.mark.parametrize("missing", ["inverse", "neutral"])
+def test_lift_inverse_needs_both_oracles(matrix, missing):
+    structure = dataclasses.replace(matrix["mul"], **{missing: None})
+    with pytest.raises(pl.NotInvertible, match="structure has no inverse/neutral oracles"):
+        pl.lift_inverse(structure, matrix["laplacian_exp"], pairs=[(1, 2)])
+
+
+def test_lift_scalar_action_wrong_family_rejected(poly, euclid):
+    exp, r = poly["exp_series"], poly["scalar_thread"](2.5)
+    for ring_thread, module_thread in ((exp, exp), (r, euclid["origin"])):
+        with pytest.raises(pl.Incomparable, match="ring/module families"):
+            pl.lift_scalar_action(poly["scale"], ring_thread, module_thread)

@@ -169,3 +169,73 @@ def test_a_batch_of_the_wrong_length_is_a_dimension_mismatch():
     loop = pl.ScalarMap(grad, short.fn)
     assert loop.batch is None
     assert np.array_equal(loop.rows(np.ones((3, 2))), np.ones((3, 1)))
+
+
+def _square(dim: int) -> pl.DifferentiableMap:
+    """x -> x * x entrywise, with its analytic Jacobian."""
+    return pl.DifferentiableMap(dim, dim, fn=lambda x: x * x, jac=lambda x: np.diag(2.0 * x),
+                                name="square")
+
+
+def test_a_linear_combination_is_the_coefficient_matrix_after_the_fanout():
+    rng = np.random.default_rng(3)
+    A, B = rng.standard_normal((2, 3, 4))
+    coeffs = [2.0, -0.5]
+    lin = pl.linear_combination_map([pl.matrix_map(A), pl.matrix_map(B)], coeffs, name="ab")
+    assert lin.is_linear and lin.name == "ab"
+    # one matrix product, so within an ulp of the scaled sum
+    assert np.allclose(lin.matrix, 2.0 * A - 0.5 * B, rtol=4e-16, atol=4e-16)
+    assert np.array_equal(lin.matrix, np.hstack([2.0 * np.eye(3), -0.5 * np.eye(3)])
+                          @ np.vstack([A, B]))
+    sq, sel = _square(4), pl.selection_map(4, [3, 0, 1, 1])
+    mixed = pl.linear_combination_map([sq, sel], [3.0, 1.0], name="mixed")
+    x = rng.standard_normal(4)
+    assert not mixed.is_linear and mixed.name == "mixed"
+    assert np.allclose(mixed(x), 3.0 * x * x + x[[3, 0, 1, 1]], rtol=1e-15, atol=1e-15)
+    assert np.allclose(mixed.jacobian(x), 3.0 * np.diag(2.0 * x) + sel.matrix,
+                       rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("maps, coeffs", [
+    ([pl.identity_map(2)], [1.0, 2.0]),
+    ([pl.identity_map(2), pl.identity_map(2)], [1.0]),
+    ([pl.identity_map(2)], []),
+    ([], []),
+    ([pl.identity_map(2), pl.matrix_map(np.ones((1, 2)))], [1.0, 1.0]),
+    # codomains 2, 1, 3 sum to three times the first one
+    ([pl.matrix_map(np.ones((n, 2))) for n in (2, 1, 3)], [1.0, 1.0, 1.0]),
+], ids=["more-coefficients", "fewer-coefficients", "no-coefficients", "no-maps",
+        "two-codomains", "codomains-summing-to-k-times-the-first"])
+def test_a_linear_combination_needs_one_coefficient_per_map_and_one_codomain(maps, coeffs):
+    with pytest.raises(pl.DimensionMismatch, match="coefficients for maps of codomains"):
+        pl.linear_combination_map(maps, coeffs)
+
+
+def test_a_linear_outer_jacobian_is_its_matrix_without_evaluating_the_inner_map():
+    calls = []
+    sq = _square(3)
+    inner = pl.DifferentiableMap(3, 3, fn=lambda x: calls.append(1) or sq.fn(x),
+                                 jac=sq.jacobian)
+    outer = pl.matrix_map(np.arange(6.0).reshape(2, 3))
+    x = np.array([0.5, -1.0, 2.0])
+    jac = pl.compose(outer, inner).jacobian(x)
+    assert calls == []
+    assert np.array_equal(jac, outer.jacobian(inner(x)) @ inner.jacobian(x))
+    # a smooth outer map is differentiated at inner(x)
+    smooth = pl.compose(_square(3), inner)
+    calls.clear()
+    assert np.array_equal(smooth.jacobian(x), np.diag(2.0 * sq(x)) @ sq.jacobian(x))
+    assert calls == [1]
+
+
+def test_map_constructors_check_their_shapes():
+    assert np.array_equal(pl.as_point(2.5), [2.5])
+    assert pl.as_point(np.float64(-1.0)).shape == (1,)
+    with pytest.raises(pl.DimensionMismatch, match=r"matrix shape \(3, 3\) vs declared \(2, 2\)"):
+        pl.DifferentiableMap(2, 2, matrix=np.eye(3))
+    with pytest.raises(pl.DimensionMismatch, match="cannot compose"):
+        pl.compose(pl.identity_map(2), pl.identity_map(3))
+    with pytest.raises(pl.DimensionMismatch, match="fanout of no maps"):
+        pl.fanout_map([])
+    with pytest.raises(pl.DimensionMismatch, match="fanout maps must share a domain"):
+        pl.fanout_map([pl.identity_map(2), pl.identity_map(3)])

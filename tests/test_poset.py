@@ -202,3 +202,17 @@ def test_subset_reach_is_the_leq_scan(k, data):
     for mem in (members, layer):
         assert p.reach(mem).tolist() == [
             j for j, J in enumerate(p.elements) if any(p.comparable(J, m) for m in mem)]
+
+
+def test_a_join_oracle_below_its_pair_is_not_directed():
+    p = diamond()
+    # joins J and K to I, which lies below both
+    low = dataclasses.replace(p, join=lambda a, b: "I" if {a, b} == {"J", "K"} else p.join(a, b))
+    assert pl.is_directed(p, ["J", "K"])
+    assert not pl.is_directed(low, ["J", "K"])
+    assert pl.is_directed(low, ["I", "J", "L"])
+
+
+def test_no_members_are_no_section():
+    with pytest.raises(pl.EmptySection, match="at least one member"):
+        section_defect(diamond(), [])

@@ -831,3 +831,20 @@ def test_implicit_midpoint_refuses_a_gradient_of_the_wrong_length(symplectic, le
                        match=rf"^lopsided: value has dim {length}, expected 4$"):
         pl.flow(symplectic["omega"], H, 2, x0, dt=1e-2, steps=100,
                 scheme="implicit-midpoint")
+
+
+@pytest.mark.parametrize("bad_call", [1, 2], ids=["at-x0", "after-the-first-half-kick"])
+def test_leapfrog_refuses_a_list_gradient_of_the_wrong_length(bad_call):
+    """The list evaluator's length is checked after every call: the one at
+    x0 and the one after the first half kick included."""
+    calls = []
+
+    def on_floats(xs):
+        calls.append(1)
+        return list(xs) if len(calls) < bad_call else list(xs[:1])
+
+    grad = pl.DifferentiableMap(2, 2, fn=lambda x: x.copy(), name="listy")
+    grad.on_floats = on_floats
+    with pytest.raises(pl.DimensionMismatch, match=r"^listy: value has dim 1, expected 2$"):
+        symplectic_module._leapfrog(grad, np.array([1.0, 1.0]), 1e-2, 10)
+    assert len(calls) == bad_call
