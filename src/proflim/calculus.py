@@ -16,7 +16,7 @@ import numpy as np
 
 from .cylinder import CylindricalFunction, differential, pair_with_direction
 from .expr import evaluator
-from .family import ProfiniteFamily, sample_point, strict_pairs
+from .family import ProfiniteFamily, audit_pairs, sample_point
 from .limits import Thread, thread_axpy
 from .maps import FD_STEP, as_point, fd_jacobian, residual
 from .report import VerificationReport
@@ -181,19 +181,16 @@ def pulled_level_field(form: TameForm, I, K) -> Callable[[np.ndarray], np.ndarra
 def check_tame(form: TameForm, pairs: Iterable[tuple], samples: int = 20,
                tol: float = 1e-9, rng: Optional[np.random.Generator] = None) -> VerificationReport:
     """Injection-pullback compatibility residual over sampled pairs."""
-    rng = rng or np.random.default_rng(0)
-    fam = form.family
-    gaps = []
-    for pair, I, K in strict_pairs(fam.poset, pairs):
+    fam, rng = form.family, rng or np.random.default_rng(0)
+
+    def gaps(I, K):
         X = sample_point(fam.dim(I), rng, samples)
         # a constant form pulled back along a linear map is x-independent too
         if form.is_constant and fam.inj(K, I).is_linear:
             X = X[:1]
-        gaps.append((pair, residual([pullback_inj(form, I, K, x) for x in X],
-                                    [form.comps(I, x) for x in X])))
-    report = VerificationReport(f"tame form: {form.name or 'anonymous'}")
-    report.add_worst("injection-pullback compatibility", gaps, tol)
-    return report
+        return (residual([pullback_inj(form, I, K, x) for x in X], [form.comps(I, x) for x in X]),)
+    return audit_pairs(f"tame form: {form.name or 'anonymous'}", fam.poset, pairs, tol, gaps,
+                       "injection-pullback compatibility")
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +296,11 @@ class TangentThread:
 def check_tangent_thread(v: TangentThread, pairs: Iterable[tuple],
                          tol: float = 1e-9) -> VerificationReport:
     fam = v.base.family
-    gaps = [(pair, residual(v.direction(J), fam.proj(J, K).jacobian(v.base(K)) @ v.direction(K)))
-            for pair, J, K in strict_pairs(fam.poset, pairs)]
-    report = VerificationReport("tangent thread compatibility")
-    report.add_worst("pushed-projection compatibility", gaps, tol)
-    return report
+    return audit_pairs(
+        "tangent thread compatibility", fam.poset, pairs, tol,
+        lambda J, K: (residual(v.direction(J),
+                               fam.proj(J, K).jacobian(v.base(K)) @ v.direction(K)),),
+        "pushed-projection compatibility")
 
 
 def tangent_duality_check(f: CylindricalFunction, v: TangentThread) -> float:

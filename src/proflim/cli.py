@@ -24,7 +24,7 @@ from .cylinder import reexpress
 from .descriptors import (DescriptorError, SCHEMA_VERSION, family_from_descriptor,
                           family_to_descriptor, form_from_descriptor,
                           gallery_reference_descriptor, load_measure_csv, read_json,
-                          thread_from_descriptor)
+                          thread_from_descriptor, write_json)
 from .expr import ExpressionError, cylindrical_from_expression
 from .family import sample_pairs, sample_point, verify_family
 from .gallery import (GALLERY_BUILDERS, build_gallery, gallery_key, gallery_names,
@@ -92,8 +92,7 @@ def emit(text: str, out: Optional[str]) -> None:
 
 
 def report_json(doc: dict) -> str:
-    return json.dumps({"schema_version": SCHEMA_VERSION, **doc}, sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+    return write_json({"schema_version": SCHEMA_VERSION, **doc})
 
 
 def resolve_gallery(name: str, max_level: Optional[int] = None):

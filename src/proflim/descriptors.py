@@ -103,7 +103,10 @@ def _dimension(value) -> int:
 
 def encode_index(J) -> Any:
     if isinstance(J, frozenset):
-        return {"set": sorted(J)}
+        try:
+            return {"set": sorted(J)}
+        except TypeError:  # members that do not sort, which decode_index refuses too
+            raise DescriptorError(f"index {J!r}: its members do not sort") from None
     if isinstance(J, (int, float, str)):
         return J
     raise DescriptorError(f"index {J!r} has no JSON encoding")
@@ -387,6 +390,7 @@ def family_to_descriptor(family: ProfiniteFamily, name: Optional[str] = None) ->
     a non-cover pair exports only the covers, which its loader composes
     back."""
     poset = family.poset
+    poset_doc = poset_to_descriptor(poset)  # first: it refuses an index with no encoding
     els = poset.sort(poset.elements)
     pairs = [(a, b) for a in els for b in els
              if poset.lt(a, b) and not any(poset.lt(a, c) and poset.lt(c, b) for c in els)]
@@ -396,13 +400,16 @@ def family_to_descriptor(family: ProfiniteFamily, name: Optional[str] = None) ->
         if not (pr.is_linear and ij.is_linear):
             raise DescriptorError(f"pair ({J!r}, {K!r}) is not linear; "
                                   "export needs explicit matrices")
+        if not (np.isfinite(pr.matrix).all() and np.isfinite(ij.matrix).all()):
+            raise DescriptorError(f"pair ({J!r}, {K!r}) has a non-finite matrix entry; "
+                                  "export writes strict JSON")
         projections.append({"from": encode_index(K), "to": encode_index(J),
                             "kind": "matrix", "payload": {"rows": pr.matrix.tolist()}})
         injections.append({"from": encode_index(J), "to": encode_index(K),
                            "kind": "matrix", "payload": {"rows": ij.matrix.tolist()}})
     return {"schema_version": SCHEMA_VERSION,
             "name": name if name is not None else (family.name or "family"),
-            "poset": poset_to_descriptor(poset),
+            "poset": poset_doc,
             "levels": _levels(family),
             "projections": projections,
             "injections": injections}
@@ -434,6 +441,12 @@ def read_json(text: str):
     return json.loads(text, parse_constant=_refuse_constant)
 
 
+def write_json(doc) -> str:
+    """Strict JSON text with sorted keys, indented by 2 and ending in a
+    newline; a NaN or an infinity is a ValueError."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def load_family(path) -> ProfiniteFamily:
     """The family of a descriptor file, read as strict JSON."""
     with open(path, "r") as fh:
@@ -441,10 +454,10 @@ def load_family(path) -> ProfiniteFamily:
 
 
 def dump_family(family: ProfiniteFamily, path) -> None:
-    doc = family_to_descriptor(family)
+    """Write the family's descriptor; a family that does not export leaves no file."""
+    text = write_json(family_to_descriptor(family))
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +602,8 @@ def form_from_descriptor(family_or_gallery, doc: dict) -> TameForm:
 
 def load_measure_csv(path) -> IndexMeasure:
     """CSV rows `index,weight`; an optional `tail,<mass>` row bounds the
-    mass of unlisted indices."""
-    weights, tail = {}, 0.0
+    mass of unlisted indices; a second row for an index or the tail is refused."""
+    weights = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
@@ -609,8 +622,9 @@ def load_measure_csv(path) -> IndexMeasure:
             if not 0.0 <= value < np.inf:  # NaN included
                 raise DescriptorError(f"{path} line {reader.line_num}: weight {row[1]!r} "
                                       "is not a finite number >= 0")
-            if head == "tail":
-                tail = value
-            else:
-                weights[parse_index_token(head)] = value
+            J = parse_index_token(head)  # "tail" stays the string "tail"
+            if J in weights:
+                raise DescriptorError(f"{path} line {reader.line_num}: a second row for {J!r}")
+            weights[J] = value
+    tail = weights.pop("tail", 0.0)
     return IndexMeasure(weights, tail_mass=tail)

@@ -33,11 +33,9 @@ _ALLOWED = re.compile(r"^[A-Za-z0-9_+\-*/().,:\s]*$")
 
 
 def parse_index_token(token: str):
-    """Index tokens in references: integers when they look like one."""
-    try:
-        return int(token)
-    except ValueError:
-        return token
+    """An index token in a reference or a measure row: the integer it spells
+    when it is ASCII decimal digits, `-?[0-9]+`, else the token itself."""
+    return int(token) if re.fullmatch(r"-?[0-9]+", token) else token
 
 
 def _guard(text: str) -> None:

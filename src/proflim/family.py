@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -155,12 +155,17 @@ def sample_joint(rng: np.random.Generator, count: int, *dims: int) -> list[np.nd
     return [X[:, end - d:end] for d, end in zip(dims, accumulate(dims))]
 
 
-def strict_pairs(poset: IndexPoset, pairs: Iterable[tuple]) -> Iterator[tuple]:
-    """(witness, J, K) for each listed pair with J < K, in order; the witness
-    (key(J), key(K)) names the pair in a report."""
-    for J, K in pairs:
-        if poset.leq(J, K) and J != K:
-            yield (poset.key(J), poset.key(K)), J, K
+def audit_pairs(title: str, poset: IndexPoset, pairs: Iterable[tuple], tol: float,
+                gaps: Callable[[Any, Any], tuple], *names: str) -> VerificationReport:
+    """The report `title` over the listed pairs with J < K, in order: `gaps(J, K)`
+    runs once per pair and returns one residual per check name, and each name
+    becomes one check naming its worst pair (key(J), key(K))."""
+    rows = [((poset.key(J), poset.key(K)), gaps(J, K))
+            for J, K in pairs if poset.leq(J, K) and J != K]
+    report = VerificationReport(title)
+    for i, name in enumerate(names):
+        report.add_worst(name, [(pair, res[i]) for pair, res in rows], tol)
+    return report
 
 
 def sample_chains(poset: IndexPoset, rng: np.random.Generator,
@@ -379,16 +384,12 @@ def verify_fibration(data: FibrationData, pairs: Iterable[tuple],
                      samples: int = 20, tol: float = 1e-9,
                      rng: Optional[np.random.Generator] = None) -> VerificationReport:
     """Bundle projections must intertwine both projections and injections."""
-    rng = rng or np.random.default_rng(0)
-    via_proj, via_inj = [], []
-    for pair, J, K in strict_pairs(data.total.poset, pairs):
+    total, base, rng = data.total, data.base, rng or np.random.default_rng(0)
+
+    def gaps(J, K):
         pJ, pK = data.bundle_proj(J), data.bundle_proj(K)
-        X, Y = sample_joint(rng, samples, data.total.dim(K), data.total.dim(J))
-        via_proj.append((pair, residual(pJ.rows(data.total.proj(J, K).rows(X)),
-                                          data.base.proj(J, K).rows(pK.rows(X)))))
-        via_inj.append((pair, residual(pK.rows(data.total.inj(K, J).rows(Y)),
-                                         data.base.inj(K, J).rows(pJ.rows(Y)))))
-    report = VerificationReport(f"fibration: {data.name or 'anonymous'}")
-    report.add_worst("bundle-projection vs projections", via_proj, tol)
-    report.add_worst("bundle-projection vs injections", via_inj, tol)
-    return report
+        X, Y = sample_joint(rng, samples, total.dim(K), total.dim(J))
+        return (residual(pJ.rows(total.proj(J, K).rows(X)), base.proj(J, K).rows(pK.rows(X))),
+                residual(pK.rows(total.inj(K, J).rows(Y)), base.inj(K, J).rows(pJ.rows(Y))))
+    return audit_pairs(f"fibration: {data.name or 'anonymous'}", total.poset, pairs, tol, gaps,
+                       "bundle-projection vs projections", "bundle-projection vs injections")

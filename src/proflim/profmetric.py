@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations, compress, pairwise
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .family import FamilyMismatch, ProfiniteFamily, sample_joint, strict_pairs
+from .family import FamilyMismatch, ProfiniteFamily, audit_pairs, sample_joint
 from .limits import SectionPoint, Thread, _flat_pair, thread_from_section
 from .maps import DimensionMismatch, residual
 from .report import VerificationReport
@@ -46,16 +46,18 @@ class LevelMetricFamily:
                                     (np.asarray(y, float),))[0])
 
     def distances(self, levels: Sequence, xs: Sequence, ys: Sequence) -> np.ndarray:
-        """dist(levels[i], xs[i], ys[i]) for every i, the values as arrays.
+        """dist(levels[i], xs[i], ys[i]) for every i, the values as arrays."""
+        return self._flat(levels, _joined(xs), _joined(ys))
 
-        The euclidean metric runs them as one batch of its kernel, so a
-        level's distance is the same number in every batch, __call__'s batch
-        of one included; other metrics call dist once per entry.
-        """
+    def _flat(self, levels: Sequence, x: tuple, y: tuple) -> np.ndarray:
+        """dist at each level between two points read flat, each as (values,
+        sizes).  The euclidean metric runs them as one batch of its kernel, so
+        a level's distance is the same number in every batch, __call__'s batch
+        of one included; other metrics call dist once per level slice."""
         if self.dist is _euclidean:
-            return _euclidean_batch(levels, _joined(xs), _joined(ys))
-        return np.array([self.dist(J, a, b) for J, a, b in zip(levels, xs, ys)],
-                        dtype=float)
+            return _euclidean_batch(levels, x, y)
+        xs, ys = ([v[a:b] for a, b in pairwise([0, *n.cumsum().tolist()])] for v, n in (x, y))
+        return np.array([self.dist(J, a, b) for J, a, b in zip(levels, xs, ys)], dtype=float)
 
 
 def _joined(values: Sequence) -> tuple:
@@ -111,17 +113,15 @@ def injection_isometry_check(m: LevelMetricFamily, pairs: Iterable[tuple],
                              rng: Optional[np.random.Generator] = None
                              ) -> VerificationReport:
     """Whether injections preserve level distances on sampled pairs."""
-    rng = rng or np.random.default_rng(0)
-    fam = m.family
-    gaps = []
-    for pair, J, K in strict_pairs(fam.poset, pairs):
+    fam, rng = m.family, rng or np.random.default_rng(0)
+
+    def gaps(J, K):
         inj = fam.inj(K, J)
         X, Y = sample_joint(rng, samples, fam.dim(J), fam.dim(J))
-        gaps.append((pair, residual(m.distances([K] * samples, inj.rows(X), inj.rows(Y)),
-                                    m.distances([J] * samples, X, Y))))
-    report = VerificationReport(f"injection isometry ({m.kind})")
-    report.add_worst("dist(inj x, inj y) = dist(x, y)", gaps, tol)
-    return report
+        return (residual(m.distances([K] * samples, inj.rows(X), inj.rows(Y)),
+                         m.distances([J] * samples, X, Y)),)
+    return audit_pairs(f"injection isometry ({m.kind})", fam.poset, pairs, tol, gaps,
+                       "dist(inj x, inj y) = dist(x, y)")
 
 
 def _thread(m: LevelMetricFamily, p) -> Thread:
@@ -141,13 +141,7 @@ def _squashed(m: LevelMetricFamily, levels: list, x, y) -> np.ndarray:
     NaN distance is a ValueError naming the first such level.  Both points
     are read as threads of m's family, through one position lookup and one
     gather index."""
-    (fx, sizes), (fy, _) = _flat_pair(levels, _thread(m, x), _thread(m, y))
-    if m.dist is _euclidean:
-        d = _euclidean_batch(levels, (fx, sizes), (fy, sizes))
-    else:
-        ends = sizes.cumsum().tolist()
-        cuts = list(zip([0] + ends, ends))
-        d = m.distances(levels, [fx[a:b] for a, b in cuts], [fy[a:b] for a, b in cuts])
+    d = m._flat(levels, *_flat_pair(levels, _thread(m, x), _thread(m, y)))
     nan = np.isnan(d)
     if nan.any():
         i = int(nan.argmax())

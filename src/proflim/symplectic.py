@@ -8,6 +8,7 @@ decisions use singular values relative to the largest one.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
@@ -17,7 +18,7 @@ from numpy.linalg import LinAlgError, _umath_linalg
 
 from .calculus import TameForm, exterior_derivative, pull_components
 from .cylinder import CylindricalFunction, level_function, linear_combination
-from .family import ProfiniteFamily, sample_joint, sample_point, strict_pairs
+from .family import ProfiniteFamily, audit_pairs, sample_joint, sample_point
 from .maps import (FD_STEP, DifferentiableMap, DimensionMismatch, ScalarMap, as_point, max_abs,
                    residual)
 from .report import VerificationReport
@@ -216,19 +217,16 @@ def hamiltonian_compat_check(omega: TameForm, H: CylindricalFunction, pairs: Ite
                              samples: int = 20, tol: float = 1e-10,
                              rng: Optional[np.random.Generator] = None) -> VerificationReport:
     """Pushed fields agree: Dproj(J,K) X_K = X_J at projected points."""
-    rng = rng or np.random.default_rng(0)
-    fam = omega.family
-    strict = list(strict_pairs(fam.poset, pairs))
-    solve = {L: hamiltonian_solver(omega, H, L) for _, J, K in strict for L in (J, K)}
-    gaps = []
-    for pair, J, K in strict:
-        pr = fam.proj(J, K)
+    fam, rng = omega.family, rng or np.random.default_rng(0)
+    solver = functools.cache(lambda L: hamiltonian_solver(omega, H, L))  # one per level
+
+    def gaps(J, K):
+        pr, solve_J, solve_K = fam.proj(J, K), solver(J), solver(K)
         X = sample_point(fam.dim(K), rng, samples)
-        gaps.append((pair, residual([pr.jacobian(x) @ solve[K](x)[2] for x in X],
-                                    [solve[J](pr(x))[2] for x in X])))
-    report = VerificationReport("hamiltonian projection compatibility")
-    report.add_worst("Dproj . X_K = X_J", gaps, tol)
-    return report
+        return (residual([pr.jacobian(x) @ solve_K(x)[2] for x in X],
+                         [solve_J(pr(x))[2] for x in X]),)
+    return audit_pairs("hamiltonian projection compatibility", fam.poset, pairs, tol, gaps,
+                       "Dproj . X_K = X_J")
 
 
 def canonical_omega(dim: int) -> np.ndarray:
@@ -457,19 +455,15 @@ def check_action_compat(action: ProfiniteGroupAction, pairs: Iterable[tuple],
                         samples: int = 10, tol: float = 1e-9,
                         rng: Optional[np.random.Generator] = None) -> VerificationReport:
     """proj(J,K) . act_K(g) = act_J(restrict(g)) . proj(J,K) on samples."""
-    rng = rng or np.random.default_rng(0)
-    fam = action.family
-    gaps = []
-    for pair, J, K in strict_pairs(fam.poset, pairs):
+    fam, rng = action.family, rng or np.random.default_rng(0)
+
+    def gaps(J, K):
         pr = fam.proj(J, K)
         gs, X = _sampled_elements(action, K, samples, fam.dim(K), rng)
-        gaps.append((pair,
-                     residual([pr(action.act(K, g, x)) for g, x in zip(gs, X)],
-                              [action.act(J, action.restrict(J, K, g), pr(x))
-                               for g, x in zip(gs, X)])))
-    report = VerificationReport(f"group action compatibility: {action.name or 'anonymous'}")
-    report.add_worst("projections intertwine the action", gaps, tol)
-    return report
+        return (residual([pr(action.act(K, g, x)) for g, x in zip(gs, X)],
+                         [action.act(J, action.restrict(J, K, g), pr(x)) for g, x in zip(gs, X)]),)
+    return audit_pairs(f"group action compatibility: {action.name or 'anonymous'}", fam.poset,
+                       pairs, tol, gaps, "projections intertwine the action")
 
 
 @dataclass

@@ -209,7 +209,33 @@ def test_momentum_form_check_matches_pointwise_oracle():
 
 
 def test_audit_over_no_pairs_says_so():
+    """The pairwise audits visit only the listed pairs with J < K: given equal
+    and reversed pairs, every check audits nothing and no sample is drawn."""
     rep = pl.check_tame(SYMPL["omega"], [(1, 1), (2, 2)], samples=3)
     check = rep.checks[0]
     assert check.passed and check.max_residual == 0.0
     assert check.detail == "no pairs audited"
+    e_pairs, s_pairs = [(1, 1), (3, 1), (4, 2)], [(1, 1), (2, 2), (3, 1), (2, 1)]
+    fibration = pl.FibrationData(pl.tangent_family(E), E,
+                                 lambda J: pl.DifferentiableMap(2 * J, J, lambda xv: xv[:J]))
+    audits = {
+        "check_tame": lambda rng: pl.check_tame(SYMPL["omega"], s_pairs, samples=3, rng=rng),
+        "check_tangent_thread": lambda rng: pl.check_tangent_thread(
+            pl.TangentThread(EUCLID["origin"], lambda J: np.zeros(J)), e_pairs),
+        "injection_isometry_check": lambda rng: pl.injection_isometry_check(
+            pl.euclidean_metrics(E), e_pairs, samples=3, rng=rng),
+        "verify_fibration": lambda rng: pl.verify_fibration(fibration, e_pairs, samples=3,
+                                                            rng=rng),
+        "hamiltonian_compat_check": lambda rng: pl.hamiltonian_compat_check(
+            SYMPL["omega"], SYMPL["hamiltonian_at"](3), s_pairs, samples=3, rng=rng),
+        "check_action_compat": lambda rng: pl.check_action_compat(
+            SYMPL["action"], s_pairs, samples=3, rng=rng),
+    }
+    for name, audit in audits.items():
+        rng, ref = _seeded_pair()
+        report = audit(rng)
+        assert len(report.checks) == (2 if name == "verify_fibration" else 1), name
+        for check in report.checks:
+            assert check.passed and check.max_residual == 0.0, name
+            assert check.detail == "no pairs audited", name
+        assert rng.standard_normal() == ref.standard_normal(), name

@@ -1,5 +1,7 @@
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -487,16 +489,29 @@ def test_readme_descriptor_examples_load_as_written(tmp_path):
     assert len(examples) == 11
 
 
+# five labels in the poset's key order, so the export lists the covers in the
+# order the family stores them and both compose a non-cover pair along one chain
+FINITE_LABELS = {
+    "string": st.just([f"e{i}" for i in range(5)]),
+    "float": st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=5,
+                      max_size=5, unique=True).map(sorted),
+    "set": st.lists(st.frozensets(st.integers(-3, 3), max_size=3), min_size=5, max_size=5,
+                    unique=True).map(lambda sets: sorted(sets, key=sorted)),
+}
+
+
 @st.composite
 def linear_families(draw):
     """A chain or a finite directed poset of up to five levels, with random
-    matrices stored on the covering pairs and composed along them elsewhere."""
+    matrices stored on the covering pairs and composed along them elsewhere;
+    a finite poset's indices are strings, floats or sets of integers."""
     n = draw(st.integers(1, 5))
-    if draw(st.booleans()):
+    labels = draw(st.sampled_from(["chain", *FINITE_LABELS]))
+    if labels == "chain":
         els = sorted(draw(st.sets(st.integers(-5, 20), min_size=n, max_size=n)))
         poset = pl.chain_poset(els)
     else:
-        els = [f"e{i}" for i in range(n)]
+        els = draw(FINITE_LABELS[labels])[:n]
         leq = np.eye(n, dtype=bool)
         leq[:, -1] = True  # a top element makes the order directed
         for i in range(n):
@@ -518,6 +533,11 @@ def linear_families(draw):
 
 @given(linear_families())
 def test_family_descriptor_round_trip(family):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+        pl.dump_family(family, first)
+        pl.dump_family(pl.load_family(first), second)
+        assert second.read_bytes() == first.read_bytes()
     doc = json.loads(json.dumps(pl.family_to_descriptor(family)))
     back = pl.family_from_descriptor(doc)
     els = list(family.poset.elements)
@@ -776,3 +796,72 @@ def test_only_a_subset_poset_in_its_own_order_exports_as_subsets():
     back = pl.poset_from_descriptor(json.loads(json.dumps(pl.poset_to_descriptor(flat))))
     assert not back.leq(frozenset({1}), frozenset({2}))
     assert back.leq(frozenset(), frozenset({1, 2}))
+
+
+def test_an_index_whose_members_do_not_sort_is_a_descriptor_error():
+    """No order sorts 1 and "a", and decode_index refuses a set that mixes
+    numbers and strings, so export names the index instead of a TypeError."""
+    mixed = [frozenset({1}), frozenset({"a"}), frozenset({1, "a"})]
+    poset = pl.finite_poset(mixed, leq=lambda a, b: a <= b)
+    fam = pl.ProfiniteFamily(poset, lambda J: 1,
+                             lambda src, levels: pl.fanout_map([pl.identity_map(1)] * len(levels)))
+    for export in (lambda: pl.poset_to_descriptor(poset), lambda: pl.family_to_descriptor(fam)):
+        with pytest.raises(pl.DescriptorError, match=r"^index frozenset\(.*\): its members do not sort"):
+            export()
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("role", ["proj", "inj"])
+def test_export_refuses_a_non_finite_matrix_entry_and_dump_writes_no_file(tmp_path, role, entry):
+    """Strict JSON has no NaN or infinity, and load_family refuses the tokens,
+    so the export names the pair and dump_family leaves no file behind."""
+    bad = pl.matrix_map([[entry]])
+    maps = {(1, 2): (bad, pl.identity_map(1)) if role == "proj" else (pl.identity_map(1), bad)}
+    fam = cover_family(pl.chain_poset([1, 2]), lambda J: 1, maps, name="bad")
+    with pytest.raises(pl.DescriptorError, match=r"^pair \(1, 2\) has a non-finite matrix entry"):
+        pl.family_to_descriptor(fam)
+    path = tmp_path / "bad.json"
+    with pytest.raises(pl.DescriptorError):
+        pl.dump_family(fam, path)
+    assert not path.exists()
+
+
+def test_write_json_is_the_one_strict_writer(tmp_path, euclid):
+    from proflim.descriptors import write_json
+    assert write_json({"b": [1.5], "a": {"d": 1, "c": None}}) == (
+        '{\n  "a": {\n    "c": null,\n    "d": 1\n  },\n  "b": [\n    1.5\n  ]\n}\n')
+    with pytest.raises(ValueError):
+        write_json({"x": float("nan")})
+    path = tmp_path / "euclid.json"
+    pl.dump_family(euclid.family, path)
+    assert path.read_text() == write_json(pl.family_to_descriptor(euclid.family))
+    assert cli.report_json({"a": 1}) == write_json({"schema_version": pl.SCHEMA_VERSION, "a": 1})
+
+
+@pytest.mark.parametrize("rows, line, again", [
+    ("index,weight\n1,0.5\n1,0.25\n", 3, "1"),
+    ("1,0.5\n01,0.25\n", 2, "1"),
+    ("1,0.5\n-2,0.1\n-02,0.1\n", 3, "-2"),
+    ("J,0.5\n2,0.25\nJ,0.5\n", 3, "'J'"),
+    ("1,0.5\ntail,0.1\n2,0.25\ntail,0.2\n", 4, "'tail'"),
+])
+def test_measure_csv_refuses_a_second_row_for_one_index(tmp_path, rows, line, again):
+    path = tmp_path / "mu.csv"
+    path.write_text(rows)
+    with pytest.raises(pl.DescriptorError, match=rf"line {line}: a second row for {again}$"):
+        pl.load_measure_csv(path)
+
+
+def test_measure_csv_reads_an_integer_index_only_in_ascii_digits(tmp_path):
+    path = tmp_path / "mu.csv"
+    path.write_text("1_0,0.5\n\u0661,0.25\n+1,0.125\n-3,0.0625\n", encoding="utf-8")
+    assert pl.load_measure_csv(path).weights == {"1_0": 0.5, "\u0661": 0.25, "+1": 0.125, -3: 0.0625}
+
+
+def test_distance_exits_two_on_a_repeated_measure_row(tmp_path, capsys):
+    path = tmp_path / "mu.csv"
+    path.write_text("index,weight\n1,0.5\n1,0.25\ntail,0.1\ntail,0.2\n")
+    code = cli.main(["distance", "--family", "euclid", "--x", '{"kind": "named", "name": "origin"}',
+                     "--y", '{"kind": "named", "name": "three_four"}', "--measure", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err.startswith("error: ") and "line 3: a second row for 1" in err

@@ -97,6 +97,21 @@ def test_parse_index_token():
     assert parse_index_token("J") == "J"
 
 
+@pytest.mark.parametrize("token, index", [
+    ("10", 10), ("-3", -3), ("007", 7), ("1_0", "1_0"), ("+1", "+1"), (" 1", " 1"),
+    ("\u0661", "\u0661"), ("1.0", "1.0"), ("", ""),
+])
+def test_an_index_token_is_an_integer_only_in_ascii_decimal_digits(token, index):
+    """`int` would read "1_0" as 10 and an Arabic-Indic one as 1."""
+    got = parse_index_token(token)
+    assert got == index and type(got) is type(index)
+
+
+def test_a_level_reference_with_an_underscore_names_no_integer_level(euclid):
+    with pytest.raises(pl.ExpressionError, match=r"level '1_0' is not a member"):
+        pl.cylindrical_from_expression(euclid.family, [10], "level:1_0:0")
+
+
 def test_cylindrical_from_expression(euclid, rng):
     f = pl.cylindrical_from_expression(
         euclid.family, [3], "level:3:1 + sin(level:3:2)")

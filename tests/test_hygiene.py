@@ -3,8 +3,9 @@ module imports is used there, only sympy is imported inside a function,
 max |a - b| is computed by maps.residual alone, only limits.py touches a
 thread's storage, only expr.py compiles sympy code, descriptors.py compiles
 through symbolic_form, every pullback goes through
-calculus.pull_components, and only symplectic.py calls numpy's LAPACK
-solve gufunc, through its _solve."""
+calculus.pull_components, only symplectic.py calls numpy's LAPACK
+solve gufunc, through its _solve, and the pairwise audits report through
+family.audit_pairs."""
 import ast
 import re
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "proflim"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # `wc -l src/proflim/*.py`; a change that grows src/ raises it and says why
-MAX_SRC_LINES = 4370
+MAX_SRC_LINES = 4367
 
 
 def _imported(tree):
@@ -134,6 +135,36 @@ def test_only_symplectic_names_the_lapack_gufunc():
                if isinstance(node, ast.Attribute) and node.attr == "solve"
                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"]
     assert not wrapped, f"symplectic.py calls np.linalg.solve at lines {wrapped}"
+
+
+# the pairwise audits, by module: each keeps its draw and residual in a
+# local `gaps` and hands them to family.audit_pairs
+PAIR_AUDITS = {"calculus.py": {"check_tame", "check_tangent_thread"},
+               "family.py": {"verify_fibration"},
+               "profmetric.py": {"injection_isometry_check"},
+               "symplectic.py": {"hamiltonian_compat_check", "check_action_compat"}}
+
+
+def _called(func):
+    """The names and attributes that func's body calls."""
+    return {getattr(node.func, "attr", getattr(node.func, "id", None))
+            for node in ast.walk(func) if isinstance(node, ast.Call)}
+
+
+def test_pairwise_audits_report_only_through_audit_pairs():
+    """The walk over pairs with J < K, the witness names and the report of
+    each pairwise audit are family.audit_pairs'; an audit that builds its
+    own VerificationReport or calls add_worst walks the pairs a second way."""
+    found, by_hand = set(), []
+    for name, audits in PAIR_AUDITS.items():
+        for func in ast.walk(ast.parse((SRC / name).read_text())):
+            if isinstance(func, ast.FunctionDef) and func.name in audits:
+                found.add(func.name)
+                calls = _called(func)
+                if "audit_pairs" not in calls or calls & {"VerificationReport", "add_worst"}:
+                    by_hand.append(f"{name}:{func.name}")
+    assert found == set().union(*PAIR_AUDITS.values())
+    assert not by_hand, f"pairwise audits that report by hand: {by_hand}"
 
 
 def test_src_line_budget():

@@ -1,6 +1,7 @@
 """Seeded single-field mutations of exported family descriptors, each run
-through `proflim verify --family FILE`, and of section-point thread
-documents, each run through `proflim distance --x`.
+through `proflim verify --family FILE`, of section-point thread
+documents, each run through `proflim distance --x`, and of measure CSV
+rows, each run through `proflim distance --measure FILE`.
 
 A run may exit 0, exit 1 with a failed check, or exit 2 with an `error:`
 line that names a field of the document; no exception may escape `main`.
@@ -52,11 +53,11 @@ def _label(path, value) -> str:
     return f"{where} = {'<deleted>' if value is DELETE else json.dumps(value)}"
 
 
-def _sweep(doc, run, capsys, contract) -> set:
+def _sweep(doc, run, capsys, contract, replacements=REPLACEMENTS) -> set:
     """Run `run(mutated)` on a seeded sample of single-field mutations of
     doc; assert that each exit is one `contract(code, err_text)` allows,
     and return the exit codes seen.  Standard output is dropped."""
-    cases = [(p, v) for p in _paths(doc) for v in REPLACEMENTS + [DELETE]]
+    cases = [(p, v) for p in _paths(doc) for v in replacements + [DELETE]]
     broken, seen = [], set()
     for where, value in random.Random(SEED).sample(cases, min(SAMPLES, len(cases))):
         try:
@@ -143,3 +144,32 @@ def test_mutated_forms_exit_by_the_contract(name, capsys):
 
     assert _sweep(FORMS[name], run, capsys, contract) == {"euclid": {0, 1, 2},
                                                           "symplectic": {0, 2}}[name]
+
+
+# a valid measure for euclid as CSV rows, each a list of fields, and the
+# tokens a mutation puts in place of a field or a whole row: repeats of an
+# index or of the tail, integers spelled otherwise, edge numbers, quotes,
+# comments and rows of the wrong width
+MEASURE = [["index", "weight"], ["# weights"], ["1", "0.5"], ["2", "0.25"], ["tail", "0.125"]]
+CSV_TOKENS = ["", " ", "1", "01", "-1", "+1", "1_0", "\u0661", "1.0", "99", "tail", "index",
+              "J", "#", "0", "-0.5", "nan", "inf", "1e999", "0x1", '"', '"1,2"', "1,0.5,3",
+              "\u00e9,1"]
+
+
+def test_mutated_measure_rows_exit_by_the_contract(tmp_path, capsys):
+    """`distance --measure` on a mutated CSV exits 0, or 2 with an `error:`
+    line; no row, repeated or malformed, lets an exception escape."""
+    path = tmp_path / "mu.csv"
+
+    def run(mutated):
+        path.write_text("".join((row if isinstance(row, str) else ",".join(row)) + "\n"
+                                for row in mutated), encoding="utf-8")
+        return cli.main(["distance", "--family", "euclid", "--x", '{"kind": "named", "name": '
+                         '"origin"}', "--y", '{"kind": "named", "name": "three_four"}',
+                         "--measure", str(path)])
+
+    def contract(code, err_text):
+        return (code == 0 or (code == 2 and err_text.startswith("error: ")
+                              and "Traceback" not in err_text))
+
+    assert _sweep(MEASURE, run, capsys, contract, CSV_TOKENS) == {0, 2}
