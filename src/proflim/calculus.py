@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable, Optional
 import numpy as np
 
 from .cylinder import CylindricalFunction, differential, pair_with_direction
-from .expr import evaluator
+from .expr import derivative, evaluator, node, parse_expressions
 from .family import ProfiniteFamily, audit_pairs, sample_point
 from .limits import Thread, thread_axpy
 from .maps import FD_STEP, as_point, fd_jacobian, residual
@@ -102,45 +102,52 @@ def constant_form(family: ProfiniteFamily, degree: int,
 
 
 def symbolic_form(family: ProfiniteFamily, degree: int,
-                  level_exprs: Callable[[Any], tuple], name: str = "") -> TameForm:
-    """Components given per level as sympy expressions in the coordinates.
+                  level_comps: Callable[[Any], np.ndarray], name: str = "") -> TameForm:
+    """Components given per level as expressions in the coordinates.
 
-    level_exprs(J) returns (symbols, object-array of expressions).  The
-    exterior derivative of a symbolic form is symbolic again, so repeated
-    derivatives of polynomial payloads are exact (d o d vanishes to the
-    last bit).  Each level is compiled once and differentiated once: one
-    partial tensor P[j, i1..ir] feeds both the symbolic d and `partials`.
-    Components and partials compute through `expr.evaluator`, with numpy's
-    values, on Python floats where its rule allows.
+    level_comps(J) returns the component array.  Each entry is a tree from
+    `expr.parse_expressions`, anything whose str() is in its grammar, or an
+    integer combination {(tree, sorted multi-index): coefficient} of partial
+    derivatives of trees, as the payload of d holds them: so d of a symbolic
+    form is symbolic again, and d o d cancels to the empty combination,
+    exactly 0.  Each level compiles once into one `expr.evaluator` for the
+    components and once into one for the partial tensor P[j, i1..ir].
     """
-    import sympy
+    @functools.cache
+    def combinations(J):
+        def combination(e):
+            if not isinstance(e, (tuple, dict)):
+                e = parse_expressions(family.dim(J), [str(e)])[0]
+            return e if isinstance(e, dict) else {(e, ()): 1}
+        return np.vectorize(combination, otypes=[object])(np.asarray(level_comps(J), dtype=object))
+
+    def tree(combination, extra):
+        out = 0.0
+        for (entry, index), c in combination.items():
+            out = node("+", out, node("*", float(c), derivative(entry, index + extra)))
+        return out
 
     @functools.cache
-    def compiled(J):
-        syms, exprs = level_exprs(J)
-        exprs = np.asarray(exprs, dtype=object)
-        return list(syms), exprs, evaluator(list(syms), [sympy.sympify(e) for e in exprs.flat])[1]
+    def compiled(J, partials: bool):
+        combos = combinations(J)
+        extras = [(j,) for j in range(family.dim(J))] if partials else [()]
+        fn = evaluator(family.dim(J), [tree(c, e) for e in extras for c in combos.flat])[1]
+        return lambda x: np.asarray(fn(x), dtype=float).reshape((len(extras),) + combos.shape)
 
-    @functools.cache
-    def differentiated(J):
-        syms, exprs, _ = compiled(J)
-        partial = np.empty((family.dim(J),) + exprs.shape, dtype=object)
-        for idx in np.ndindex(partial.shape):
-            partial[idx] = sympy.diff(sympy.sympify(exprs[idx[1:]]), syms[idx[0]])
-        return syms, partial, evaluator(syms, list(partial.ravel()))[1]
+    def d_combinations(J):  # (dC)[a0..ar] = sum_k (-1)^k d_{a_k} C[a0..^a_k..ar]
+        combos, out = combinations(J), np.empty((family.dim(J),) * (degree + 1), dtype=object)
+        for idx in np.ndindex(out.shape):
+            total = {}
+            for k, j in enumerate(idx):
+                for (entry, index), c in combos[idx[:k] + idx[k + 1:]].items():
+                    key = (entry, tuple(sorted(index + (j,))))
+                    total[key] = total.get(key, 0) + (-1) ** k * c
+            out[idx] = {key: c for key, c in total.items() if c}
+        return out
 
-    def evaluate(entry, x):
-        _, exprs, fn = entry
-        return np.asarray(fn(x), dtype=float).reshape(exprs.shape)
-
-    def d_exprs(J):
-        syms, partial, _ = differentiated(J)
-        return syms, np.vectorize(sympy.expand, otypes=[object])(alternating_sum(partial))
-
-    return TameForm(family, degree,
-                    comps=lambda J, x: evaluate(compiled(J), x),
-                    dcomps=lambda J, x: evaluate(differentiated(J), x),
-                    kind="symbolic", payload=d_exprs, name=name)
+    return TameForm(family, degree, comps=lambda J, x: compiled(J, False)(x)[0],
+                    dcomps=lambda J, x: compiled(J, True)(x),
+                    kind="symbolic", payload=d_combinations, name=name)
 
 
 def exterior_derivative(form: TameForm) -> TameForm:
@@ -243,7 +250,7 @@ def metric_check(metric: CompatibleMetric, pairs: Iterable[tuple], samples: int 
     pairs = list(pairs)
     report = VerificationReport(f"metric: {metric.name or metric.symmetry}",
                                 check_tame(metric.form, pairs, samples, tol, rng).checks)
-    levels = sorted({J for I, K in pairs if fam.poset.leq(I, K) for J in (I, K)}, key=key)
+    levels = fam.poset.sort({J for I, K in pairs if fam.poset.leq(I, K) for J in (I, K)})
 
     sym, cstr, eigs = [], [], []
     for J in levels:

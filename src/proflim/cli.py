@@ -230,7 +230,7 @@ def cmd_flow(ns: argparse.Namespace) -> int:
         traj = flow(omega, H, level, x0, dt=ns.dt, steps=ns.steps, scheme=ns.scheme)
     except np.linalg.LinAlgError:
         raise  # a solve failing along the path is not bad input
-    except ExpressionError as err:  # H does not parse, or its Newton Hessian does not compile
+    except ExpressionError as err:  # H does not parse
         raise UsageError(f"--H: {err}") from None
     except ValueError as err:  # SchemeMismatch, or H not finite at x0
         raise UsageError(str(err)) from None

@@ -584,15 +584,15 @@ def form_from_descriptor(family_or_gallery, doc: dict) -> TameForm:
             raise DescriptorError(
                 f"{where}.comps: components at {J!r} have shape {arr.shape}, "
                 f"expected {(dim,) * degree}")
-        syms, exprs = parse_expressions(dim, [str(e) for e in arr.flat])
-        parsed[J] = syms, np.array(exprs, dtype=object).reshape(arr.shape)
+        trees = parse_expressions(dim, [str(e) for e in arr.flat])
+        parsed[J] = np.fromiter(trees, dtype=object, count=arr.size).reshape(arr.shape)
 
-    def level_exprs(J):
+    def level_comps(J):
         if J not in parsed:
             raise ExpressionError(f"no components declared at level {J!r}")
         return parsed[J]
 
-    return symbolic_form(family, degree, level_exprs,
+    return symbolic_form(family, degree, level_comps,
                          name=_field(doc, "name", "form", str, default="expr-form"))
 
 

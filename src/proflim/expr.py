@@ -3,17 +3,20 @@
 Grammar: numbers, + - * / ** and parentheses, the functions sin, cos, tan,
 exp, log, sqrt, tanh, abs and sqr, the constant pi, local coordinates x0,
 x1, ..., and cross-level references
-"level:<index>:<coord>" resolved against a member antichain.  Expressions
-compile through sympy, so gradients are analytic; sympy is imported on the
-first compile, not with the package.  Compiled code runs on Python floats,
-whose arithmetic rounds as numpy's float64 scalars do; where Python would
-raise, numpy's inf or nan is taken instead, and code with a non-integer
-power runs on numpy scalars throughout (see `evaluator`).
+"level:<index>:<coord>" resolved against a member antichain.  With its
+references resolved, a text is a Python expression that `ast` parses,
+through a node whitelist, into a tree: a float, a name "x<k>", or a tuple
+(op, *args).  `derivative` differentiates trees, and `evaluator` compiles
+them into code over numpy's functions that gives numpy's values, on Python
+floats where it can; no user text is evaluated.
 """
 from __future__ import annotations
 
+import ast
 import functools
+import math
 import re
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +32,16 @@ class ExpressionError(ValueError):
 
 
 _REF = re.compile(r"level:([^:\s()+\-*/,]+):([0-9]+)")
-_ALLOWED = re.compile(r"^[A-Za-z0-9_+\-*/().,:\s]*$")
+_FUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "log": np.log,
+          "sqrt": np.sqrt, "tanh": np.tanh, "abs": np.absolute, "sign": np.sign}
+_GRAMMAR = set(_FUNCS) - {"sign"} | {"sqr"}  # sign is abs', not a grammar name
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**"}
+_AST_OP = {op: kind for kind, op in _BINARY.items()}
+_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "**": np.power,
+        **_FUNCS}
+# the deepest tree a text may parse to: a Hessian's tree nests up to four
+# times deeper, and differentiating and compiling it recurse once per level
+_MAX_DEPTH = 100
 
 
 def parse_index_token(token: str):
@@ -38,15 +50,172 @@ def parse_index_token(token: str):
     return int(token) if re.fullmatch(r"-?[0-9]+", token) else token
 
 
-def _guard(text: str) -> None:
-    if not _ALLOWED.match(text):
-        raise ExpressionError(f"disallowed characters in {text!r}")
-    if "__" in text:
-        raise ExpressionError("double underscores are not allowed")
+def _integer(tree) -> bool:
+    return isinstance(tree, float) and tree.is_integer()
 
 
-def evaluator(syms: Sequence, exprs: list) -> tuple:
-    """`exprs`, sympy expressions in `syms`, compiled once into two functions
+def _factors(tree) -> list:
+    """The factors of a product, in order; [tree] for anything else."""
+    return (_factors(tree[1]) + _factors(tree[2]) if isinstance(tree, tuple) and tree[0] == "*"
+            else [tree])
+
+
+def node(op: str, *args):
+    """The tree of `op` on `args`: constants fold in float64 as numpy computes
+    them; 0/u, u+0, u-0, 0-u, u**0 and u**1 simplify; a product's constant
+    factors fold into one in front (none for 1, 0 for 0) and the powers of
+    each base add up, u*u being u**2; u/c is (1/c)*u."""
+    if all(isinstance(a, float) for a in args):
+        with np.errstate(all="ignore"):
+            return float(_OPS[op](*args))
+    a, b = args[0], args[-1]
+    if op == "*":  # c * u1**p1 * u2**p2 * ..., left to right, each base u once
+        c, powers = 1.0, {}
+        for f in _factors(a) + _factors(b):
+            if isinstance(f, float):
+                c = node("*", c, f)
+            else:
+                u, p = (f[1], f[2]) if f[0] == "**" and isinstance(f[2], float) else (f, 1.0)
+                powers[u] = node("+", powers.get(u, 0.0), p)
+        factors = ([] if c == 1 else [c]) + [f for u, p in powers.items()
+                                             if (f := node("**", u, p)) != 1.0]
+        return 0.0 if c == 0 else functools.reduce(lambda u, v: ("*", u, v), factors or [1.0])
+    if op == "/" and (isinstance(b, float) or a == 0):
+        return 0.0 if a == 0 else node("*", node("/", 1.0, b), a)
+    if op in ("+", "-") and (a == 0 or b == 0):
+        return a if b == 0 else b if op == "+" else node("*", -1.0, b)
+    if op == "**" and (b == 0 or b == 1):
+        return 1.0 if b == 0 else a
+    return (op, *args)
+
+
+def _non_finite(tree) -> bool:
+    return (not math.isfinite(tree) if isinstance(tree, float)
+            else isinstance(tree, tuple) and any(map(_non_finite, tree[1:])))
+
+
+def parse_expressions(dim: int, texts: Sequence[str]) -> list:
+    """One tree per text over local coordinates x0..x{dim-1}; ExpressionError
+    when a text does not parse, nests too deeply, leaves the grammar, names an
+    unknown coordinate or function, folds to a non-finite constant (each such
+    subexpression named as written) or holds a level reference."""
+    return [_parse(dim, text) for text in texts]
+
+
+def _parse(dim: int, text: str):
+    if _REF.search(text):
+        raise ExpressionError("level references need a member antichain; "
+                              "use cylindrical_from_expression")
+    source, bad, too_deep = text.strip(), [], f"cannot parse {text!r}: nested too deeply"
+
+    def build(n, depth):
+        if depth > _MAX_DEPTH:
+            raise ExpressionError(too_deep)
+        children = ([n.left, n.right] if isinstance(n, ast.BinOp) else [n.operand]
+                    if isinstance(n, ast.UnaryOp) else n.args if isinstance(n, ast.Call) else [])
+        args, kind = [build(c, depth + 1) for c in children], type(getattr(n, "op", n))
+        if isinstance(n, ast.Constant) and type(n.value) in (int, float):
+            tree = math.inf if abs(n.value) > sys.float_info.max else float(n.value)
+        elif isinstance(n, ast.Constant):
+            raise ExpressionError(f"complex constant in {text!r}: {n.value!r}"
+                                  if type(n.value) is complex
+                                  else f"{text!r} is not a numeric expression")
+        elif isinstance(n, ast.Name):
+            tree = math.pi if n.id == "pi" else n.id
+        elif kind in _BINARY or kind in (ast.UAdd, ast.USub):
+            tree = node(_BINARY[kind], *args) if kind in _BINARY else node(
+                "*", 1.0 if kind is ast.UAdd else -1.0, *args)
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and len(args) == 1 \
+                and not n.keywords:
+            tree = node("**", *args, 2.0) if n.func.id == "sqr" else node(n.func.id, *args)
+        else:
+            raise ExpressionError(f"{kind.__name__} is not in the grammar: "
+                                  f"{ast.get_source_segment(source, n)!r} in {text!r}")
+        if _non_finite(tree) and not any(map(_non_finite, args)):
+            bad.append(ast.get_source_segment(source, n))
+        return tree
+
+    try:
+        root = ast.parse(source, mode="eval").body
+    except (SyntaxError, ValueError) as err:  # ValueError: a null character
+        raise ExpressionError(f"cannot parse {text!r}: {getattr(err, 'msg', err)}") from None
+    except (RecursionError, MemoryError):  # the parser's own nesting limits
+        raise ExpressionError(too_deep) from None
+    calls = [n.func for n in ast.walk(root) if isinstance(n, ast.Call)]
+    names = {n.id for n in ast.walk(root) if isinstance(n, ast.Name) and n not in calls}
+    for what, unknown in (("names", names - {"pi", *(f"x{k}" for k in range(dim))}),
+                          ("functions", {f.id for f in calls if isinstance(f, ast.Name)}
+                           - _GRAMMAR)):
+        if unknown:
+            raise ExpressionError(f"unknown {what} in {text!r}: {sorted(unknown)}")
+    tree = build(root, 0)
+    if bad:
+        raise ExpressionError(f"non-finite constants in {text!r}: {sorted(set(bad))}")
+    return tree
+
+
+def derivative(tree, index: Sequence[int]):
+    """The partial derivative of `tree` by the coordinates in `index`, taken
+    in sorted order and memoised, so mixed partials taken in either order are
+    one tree.  abs differentiates to sign and sign to 0, the smooth part."""
+    index = tuple(sorted(index))
+    return _partial(derivative(tree, index[:-1]), index[-1]) if index else tree
+
+
+@functools.cache
+def _partial(tree, i: int):
+    if not isinstance(tree, tuple):
+        return float(tree == f"x{i}")
+    op, a, *b = tree
+    da = _partial(a, i)
+    if not b:  # f(a): f'(a) * da
+        return node("*", {
+            "sin": lambda: node("cos", a), "cos": lambda: node("*", -1.0, node("sin", a)),
+            "tan": lambda: node("+", 1.0, node("**", tree, 2.0)), "exp": lambda: tree,
+            "log": lambda: node("/", 1.0, a), "sqrt": lambda: node("/", 0.5, tree),
+            "tanh": lambda: node("-", 1.0, node("**", tree, 2.0)),
+            "abs": lambda: node("sign", a), "sign": lambda: 0.0}[op](), da)
+    b, db = b[0], _partial(b[0], i)
+    if op in ("+", "-"):
+        return node(op, da, db)
+    if op == "*":
+        return node("+", node("*", da, b), node("*", a, db))
+    if op == "/":
+        return node("-", node("/", da, b), node("/", node("*", a, db), node("**", b, 2.0)))
+    if op == "**" and isinstance(b, float):
+        return node("*", node("*", b, node("**", a, b - 1.0)), da)
+    return node("*", tree, node("+", node("*", db, node("log", a)),
+                                node("/", node("*", b, da), a)))
+
+
+def _python(tree) -> ast.expr:
+    """The Python expression node of a tree, grouped as the tree is, so that
+    it rounds as the tree does; an integer exponent is an int literal."""
+    if not isinstance(tree, tuple):
+        return ast.Name(tree, ast.Load()) if isinstance(tree, str) else ast.Constant(tree)
+    if len(tree) == 2:
+        return ast.Call(ast.Name(tree[0], ast.Load()), [_python(tree[1])], [])
+    op, a, b = tree
+    b = ast.Constant(int(b)) if op == "**" and _integer(b) else _python(b)
+    return ast.BinOp(_python(a), _AST_OP[op](), b)
+
+
+def _fractional_power(tree) -> bool:
+    """Whether some power in tree has an exponent that is not an integer constant."""
+    return isinstance(tree, tuple) and ((tree[0] == "**" and not _integer(tree[2]))
+                                        or any(map(_fractional_power, tree[1:])))
+
+
+def _compile(dim: int, trees: list):
+    """`lambda x0, ..., x{dim-1}: [tree, ...]` over numpy's functions, compiled
+    once from its syntax tree."""
+    code = ast.parse(f"lambda {', '.join(f'x{k}' for k in range(dim))}: []", mode="eval")
+    code.body.body.elts = [_python(t) for t in trees]
+    return eval(compile(ast.fix_missing_locations(code), "<expression>", "eval"), dict(_FUNCS))
+
+
+def evaluator(dim: int, trees: list) -> tuple:
+    """`trees`, in coordinates x0..x{dim-1}, compiled once into two functions
     to the list of their values, each bit for bit numpy's: `on_floats` takes
     the coordinates as a list of Python floats (or one float array per
     coordinate, for a batch), and `at` takes a point as an array or sequence.
@@ -56,17 +225,11 @@ def evaluator(syms: Sequence, exprs: list) -> tuple:
     numpy returns inf or nan: such a call runs again on numpy scalars.
     Python's ** returns a complex where numpy returns nan (a negative base, a
     non-integer exponent), which abs could turn into a plausible real, so code
-    with a power whose exponent is not an integer literal, or with an
-    imaginary constant, runs on numpy scalars throughout.
+    with a power whose exponent is not an integer constant runs on numpy
+    scalars throughout.
     """
-    import sympy
-    try:
-        code = sympy.lambdify(syms, exprs, modules=[np])
-    except ValueError as err:  # the printer refuses, e.g. an unevaluated Derivative
-        bad = next((e for e in exprs if e.has(sympy.Derivative)), exprs[0])
-        raise ExpressionError(f"cannot compile {bad}: {err}") from None
-    if any(e.has(sympy.I) or not all(p.exp.is_Integer for p in e.atoms(sympy.Pow))
-           for e in exprs):
+    code = _compile(dim, trees)
+    if any(map(_fractional_power, trees)):
         def on_numpy(xs):
             return code(*np.asarray(xs, dtype=float))
         return on_numpy, on_numpy
@@ -79,49 +242,6 @@ def evaluator(syms: Sequence, exprs: list) -> tuple:
     return on_floats, lambda x: on_floats(np.asarray(x, dtype=float).tolist())
 
 
-def parse_expressions(dim: int, texts: Sequence[str]) -> tuple:
-    """(symbols, expressions): each text over local coordinates x0..x{dim-1}
-    as a sympy expression in real symbols; ExpressionError when a text is
-    malformed, disallowed or holds a level reference."""
-    import sympy
-    from sympy.core.function import AppliedUndef
-    # real symbols keep derivatives of abs/sqrt printable for lambdify
-    syms = sympy.symbols(f"x0:{dim}", real=True)
-    local = {
-        "sin": sympy.sin, "cos": sympy.cos, "tan": sympy.tan,
-        "exp": sympy.exp, "log": sympy.log, "sqrt": sympy.sqrt,
-        "tanh": sympy.tanh, "abs": sympy.Abs,
-        "sqr": lambda u: u ** 2,
-        "pi": sympy.pi,
-        **{str(s): s for s in syms},
-    }
-    exprs = []
-    for text in texts:
-        _guard(text)
-        if _REF.search(text):
-            raise ExpressionError("level references need a member antichain; "
-                                  "use cylindrical_from_expression")
-        try:
-            expr = sympy.sympify(text, locals=local, convert_xor=False)
-        except (sympy.SympifyError, SyntaxError, TypeError) as err:
-            raise ExpressionError(f"cannot parse {text!r}: {err}") from err
-        if not isinstance(expr, sympy.Expr):  # "None", "True": Python and logic constants
-            raise ExpressionError(f"{text!r} is not a numeric expression")
-        unknown = sorted(str(s) for s in expr.free_symbols - set(syms))
-        if unknown:
-            raise ExpressionError(f"unknown names in {text!r}: {unknown}")
-        undef = {type(f).__name__ for f in expr.atoms(AppliedUndef)}
-        if undef:
-            raise ExpressionError(f"unknown functions in {text!r}: {sorted(undef)}")
-        # 1/0 and log(0) parse to zoo, 0/0 to nan; none is a number to compute with
-        non_finite = {str(a) for a in expr.atoms()
-                      if a in (sympy.nan, sympy.zoo, sympy.oo, -sympy.oo)}
-        if non_finite:
-            raise ExpressionError(f"non-finite constants in {text!r}: {sorted(non_finite)}")
-        exprs.append(expr)
-    return syms, exprs
-
-
 def compile_scalar(dim: int, text: str) -> tuple:
     """(fn, grad, batch) for an expression in local coordinates x0..x{dim-1}:
     fn is the value at one point, grad an R^dim -> R^dim map whose Jacobian,
@@ -131,11 +251,9 @@ def compile_scalar(dim: int, text: str) -> tuple:
     where the rule allows and give numpy's values; `grad.on_floats` is the
     gradient's list evaluator, for callers that hold the point as a list of
     Python floats."""
-    import sympy
-    syms, (expr,) = parse_expressions(dim, [text])
-    grads = [sympy.diff(expr, s) for s in syms]
-    value, value_at = evaluator(syms, [expr])
-    gradient, gradient_at = evaluator(syms, grads)
+    (tree,) = parse_expressions(dim, [text])
+    value, value_at = evaluator(dim, [tree])
+    gradient, gradient_at = evaluator(dim, [derivative(tree, [i]) for i in range(dim)])
 
     def fn(x: np.ndarray) -> float:
         return float(value_at(x)[0])
@@ -144,12 +262,8 @@ def compile_scalar(dim: int, text: str) -> tuple:
         return np.full(X.shape[:1], value(X.T)[0], dtype=float)
 
     @functools.cache
-    def hessian_at():  # abs leaves a DiracDelta at its kink; keep the smooth part
-        try:
-            return evaluator(syms, [sympy.diff(d, s).replace(sympy.DiracDelta, lambda *_: 0)
-                                    for d in grads for s in syms])[1]
-        except ExpressionError as err:
-            raise ExpressionError(f"Hessian of {text!r}: {err}") from None
+    def hessian_at():
+        return evaluator(dim, [derivative(tree, [i, j]) for i in range(dim) for j in range(dim)])[1]
 
     grad = DifferentiableMap(dim, dim, fn=lambda x: np.array(gradient_at(x), dtype=float),
                              jac=lambda x: hessian_at()(x), name=f"grad {text}")
@@ -165,7 +279,6 @@ def cylindrical_from_expression(family: ProfiniteFamily, members: Sequence,
     Local names x0, x1, ... address the gathered member coordinates in
     order; "level:J:c" addresses coordinate c of member level J.
     """
-    _guard(text)
     section = Section.of(family.poset, members)
     offsets, total = {}, 0
     for m in section:

@@ -36,9 +36,21 @@ class ComparableMembers(ValueError):
 def _default_key(x):
     # total order on index identifiers, independent of leq, for canonical
     # sorting and witness names
-    if isinstance(x, frozenset):
-        return tuple(sorted(x))
-    return x
+    return tuple(_ordered(x)) if isinstance(x, frozenset) else x
+
+
+def _ordered(items: Iterable, key: Callable = lambda x: x) -> list:
+    """sorted(items, key=key); when the keys do not compare (1 and "a"), they
+    order by (type name, value) instead, so that every index set sorts."""
+    items = list(items)
+    try:
+        return sorted(items, key=key)
+    except TypeError:
+        return sorted(items, key=lambda x: _typed(key(x)))
+
+
+def _typed(k):
+    return type(k).__name__, tuple(map(_typed, k)) if isinstance(k, tuple) else k
 
 
 @dataclass(frozen=True)
@@ -61,7 +73,7 @@ class IndexPoset:
         return self.leq(a, b) or self.leq(b, a)
 
     def sort(self, indices: Iterable) -> list:
-        return sorted(indices, key=self.key)
+        return _ordered(indices, self.key)
 
     @cached_property
     def position(self) -> dict:
@@ -149,7 +161,7 @@ def finite_poset(elements: Iterable, leq: Callable[[Any, Any], bool]) -> IndexPo
             return None
         minimal = [u for u in uppers
                    if not any(leq(v, u) and v != u for v in uppers)]
-        return sorted(minimal, key=_default_key)[0]
+        return _ordered(minimal, _default_key)[0]
 
     return IndexPoset(leq=leq, join=join, elements=els,
                       down=lambda i: np.flatnonzero(order[:, i]),
@@ -253,5 +265,4 @@ def enumerate_sections(poset: IndexPoset) -> list[Section]:
                 grow(prefix + [cand], rest[i + 1:])
 
     grow([], els)
-    found.sort(key=lambda s: (len(s.members), tuple(poset.key(m) for m in s.members)))
-    return found
+    return _ordered(found, lambda s: (len(s.members), tuple(map(poset.key, s.members))))

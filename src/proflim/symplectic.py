@@ -17,10 +17,10 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .calculus import TameForm, exterior_derivative, pull_components
-from .cylinder import CylindricalFunction, level_function, linear_combination
+from .cylinder import CylindricalFunction, _refined_bases, level_function
 from .family import ProfiniteFamily, audit_pairs, sample_joint, sample_point
-from .maps import (FD_STEP, DifferentiableMap, DimensionMismatch, ScalarMap, as_point, max_abs,
-                   residual)
+from .maps import (FD_STEP, DifferentiableMap, DimensionMismatch, ScalarMap, as_point,
+                   linear_combination_map, max_abs, residual)
 from .report import VerificationReport
 
 RANK_RTOL = 1e-10
@@ -473,9 +473,13 @@ class MomentumMap:
     action: ProfiniteGroupAction
     functions: Sequence[CylindricalFunction]
 
+    def __post_init__(self):  # one common refinement, shared by every `of`
+        self._refined = _refined_bases(list(self.functions))
+
     def of(self, coeffs: Sequence[float]) -> CylindricalFunction:
-        return linear_combination(list(self.functions), list(coeffs),
-                                  name="momentum")
+        fam, sec, bases = self._refined
+        base = linear_combination_map(bases, list(coeffs), name="momentum")
+        return CylindricalFunction(fam, sec, base, name="momentum")
 
 
 def momentum_verify(omega: TameForm, action: ProfiniteGroupAction, mu: MomentumMap,

@@ -170,7 +170,7 @@ def test_criterion_05_calculus(euclid, symplectic, odd_tower):
         syms = sympy.symbols(f"x0:{dim}")
         row = [sympy.Integer(0)] * dim
         row[0], row[1], row[2] = syms[1] ** 2, syms[0] * syms[2], syms[2] ** 2
-        return syms, np.array(row, dtype=object)
+        return np.array(row, dtype=object)
 
     sym_form = pl.symbolic_form(fam, 1, exprs)
     dd = pl.exterior_derivative(pl.exterior_derivative(sym_form))

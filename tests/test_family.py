@@ -5,7 +5,7 @@ import pytest
 
 import proflim as pl
 from oracles import commuting_squares_pointwise, family_axioms_pointwise
-from towers import pair_family
+from towers import cover_family, pair_family
 
 ORACLE_SEED = 7
 
@@ -347,3 +347,19 @@ def test_a_map_whose_inverse_misses_an_index_is_no_diffeomorphism(cross, rng):
     g = pl.ProfiniteMap(fam, fam, lambda J: J, swap.level_map)
     assert not pl.is_profinite_diffeomorphism(swap, g, ["J"], rng=rng)
     assert pl.is_profinite_diffeomorphism(swap, g, ["I", "L"], rng=rng)
+
+
+def test_a_set_index_mixing_member_types_sorts_and_names_its_witnesses():
+    # 1 and "a" do not compare: members, then indices, order by (type name, value)
+    one, word, both = frozenset({1}), frozenset({"a"}), frozenset({1, "a"})
+    poset = pl.finite_poset([both, word, one], leq=lambda a, b: a <= b)
+    assert poset.sort(poset.elements) == [one, both, word]
+    assert poset.key(both) == (1, "a")
+    fam = cover_family(poset, {one: 1, word: 1, both: 2}.__getitem__,
+                       {(one, both): (pl.matrix_map([[1.0, 0.0]]), pl.matrix_map([[1.0], [0.0]])),
+                        (word, both): (pl.matrix_map([[0.0, 1.0]]), pl.matrix_map([[0.0], [1.0]]))})
+    assert pl.verify_family(fam).passed
+    report = pl.injection_isometry_check(pl.euclidean_metrics(fam), [(one, both), (word, both)])
+    assert report.passed
+    assert report.checks[0].detail in ("worst pair ((1,), (1, 'a')) of 2 pairs",
+                                       "worst pair (('a',), (1, 'a')) of 2 pairs")

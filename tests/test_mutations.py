@@ -1,20 +1,30 @@
 """Seeded single-field mutations of exported family descriptors, each run
 through `proflim verify --family FILE`, of section-point thread
-documents, each run through `proflim distance --x`, and of measure CSV
-rows, each run through `proflim distance --measure FILE`.
+documents, each run through `proflim distance --x`, of measure CSV
+rows, each run through `proflim distance --measure FILE`, and
+one-character mutations of the benchmark's expressions, each compiled and
+run through `proflim flow --H`.
 
 A run may exit 0, exit 1 with a failed check, or exit 2 with an `error:`
 line that names a field of the document; no exception may escape `main`.
 The sample is fixed by its seed and sized to keep the suite fast.
 """
 import copy
+import importlib.util
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 import proflim.cli as cli
+from proflim.expr import ExpressionError, compile_scalar
+
+_spec = importlib.util.spec_from_file_location(
+    "benchmark_workloads", Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 # each mutation replaces one value by one of these, or deletes it: wrong
 # types, edge numbers, empty and nested containers, and an encoded set
@@ -173,3 +183,49 @@ def test_mutated_measure_rows_exit_by_the_contract(tmp_path, capsys):
                               and "Traceback" not in err_text))
 
     assert _sweep(MEASURE, run, capsys, contract, CSV_TOKENS) == {0, 2}
+
+
+# the benchmark's expressions, each at the symplectic level whose dimension
+# it reads, and the characters a mutation inserts: digits, operators,
+# brackets, the coordinate letter and the letters of the grammar's names
+EXPRESSIONS = [(3, workloads.SEPARABLE_H), (2, workloads.NONSEPARABLE_H), (1, workloads.CYL_EXPR)]
+GRAMMAR_CHARS = "0123456789+-*/(). ,xsinco" "tanexplgqrhbp"
+EXPRESSION_SAMPLES = 100  # mutations per expression, about 2 ms each
+
+
+def _mutated_expressions():
+    """(level, text) for seeded one-character insertions, deletions and
+    swaps of adjacent characters in each benchmark expression."""
+    rng = random.Random(SEED)
+    for level, text in EXPRESSIONS:
+        for _ in range(EXPRESSION_SAMPLES):
+            i = rng.randrange(len(text) - 1)
+            yield level, rng.choice([text[:i] + rng.choice(GRAMMAR_CHARS) + text[i:],
+                                     text[:i] + text[i + 1:],
+                                     text[:i] + text[i + 1] + text[i] + text[i + 2:]])
+
+
+def test_mutated_expressions_compile_or_refuse_and_flow_by_the_contract(capsys):
+    """A mutated expression compiles or raises ExpressionError, and
+    `flow --H` on it exits 0, 1 with a `FAIL` line, or 2 with an `error:`
+    line; nothing escapes `main`."""
+    broken, seen = [], set()
+    for level, text in _mutated_expressions():
+        try:
+            compile_scalar(2 * level, text)
+        except ExpressionError:
+            pass
+        except Exception as err:
+            broken.append(f"compile {text!r}: {type(err).__name__}: {err}")
+        try:
+            code, escaped = cli.main(["flow", "--family", "symplectic", "--level", str(level),
+                                      "--H", text, "--steps", "3"]), ""
+        except Exception as err:
+            code, escaped = None, f"{type(err).__name__}: {err}"
+        err_text = capsys.readouterr().err + escaped
+        seen.add(code)
+        if not (code == 0 or (code == 1 and re.search(r"^FAIL", err_text, re.M))
+                or (code == 2 and err_text.startswith("error: "))):
+            broken.append(f"flow --H {text!r}: exit {code}, {err_text.strip()[:200]}")
+    assert not broken, "\n".join(broken)
+    assert {0, 2} <= seen

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import proflim as pl
+import proflim.expr as expr_module
 import proflim.maps as maps_module
 import proflim.symplectic as symplectic_module
 from oracles import implicit_midpoint_arrays, leapfrog_three_gradients, oscillator_exact
@@ -345,6 +346,24 @@ def test_momentum_map_verifies(symplectic, rng):
     assert mixed.passed
 
 
+def test_momentum_map_refines_once_and_combines_bit_for_bit(symplectic, rng, monkeypatch):
+    omega, action, functions = symplectic["omega"], symplectic["action"], symplectic["momentum"].functions
+    calls, real = [], symplectic_module._refined_bases
+    monkeypatch.setattr(symplectic_module, "_refined_bases",
+                        lambda fs: calls.append(1) or real(fs))
+    mu = pl.MomentumMap(action, functions)
+    coeffs = [0.5, -2.0, 0.0, 1.0, 0.0]
+    for _ in range(5):
+        assert pl.momentum_verify(omega, action, mu, coeffs, 3, samples=3, rng=rng).passed
+    assert len(calls) == 1
+    want = pl.linear_combination(list(functions), coeffs)
+    x = rng.standard_normal(want.base.domain_dim)
+    got = mu.of(coeffs)
+    assert got.section == want.section
+    assert got.base(x).tobytes() == want.base(x).tobytes()
+    assert got.base.jacobian(x).tobytes() == want.base.jacobian(x).tobytes()
+
+
 def test_momentum_sign_flip_is_caught(symplectic, rng):
     omega, action, mu = symplectic["omega"], symplectic["action"], symplectic["momentum"]
     flipped = pl.MomentumMap(action, [pl.linear_combination([f], [-1.0])
@@ -479,11 +498,9 @@ def test_leapfrog_takes_two_gradients_per_step(symplectic, monkeypatch, steps):
 
 
 def test_hessian_is_lambdified_on_the_first_implicit_flow_only(symplectic, monkeypatch):
-    import sympy
     calls = []
-    real_lambdify = sympy.lambdify
-    monkeypatch.setattr(sympy, "lambdify",
-                        lambda *a, **k: calls.append(1) or real_lambdify(*a, **k))
+    real_compile = expr_module._compile
+    monkeypatch.setattr(expr_module, "_compile", lambda *a: calls.append(1) or real_compile(*a))
     omega, fam = symplectic["omega"], symplectic.family
     separable = pl.cylindrical_from_expression(fam, [3], SEPARABLE_QUARTIC)
     assert len(calls) == 2                                  # value and gradient
@@ -561,7 +578,7 @@ def _stretched_omega(family):
         comps = np.array(pl.canonical_omega(dim), dtype=object)
         comps[0, 1] = 1 + syms[0] ** 2
         comps[1, 0] = -(1 + syms[0] ** 2)
-        return syms, comps
+        return comps
 
     return pl.symbolic_form(family, 2, exprs, name="stretched")
 
