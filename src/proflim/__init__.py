@@ -14,7 +14,7 @@ from .report import AxiomCheck, VerificationReport
 from .family import (FamilyMismatch, FibrationData, ProfiniteFamily,
                      ProfiniteMap, check_profinite_map,
                      compose_profinite_maps, cotangent_maps,
-                     is_profinite_diffeomorphism, sample_chains, sample_pairs,
+                     is_profinite_diffeomorphism, sample_chains,
                      sample_point, tangent_family, verify_family,
                      verify_fibration)
 from .limits import (AlgebraicStructure, IllDefinedSection, Incomparable,

@@ -26,7 +26,7 @@ from .descriptors import (DescriptorError, SCHEMA_VERSION, family_from_descripto
                           gallery_reference_descriptor, load_measure_csv, read_json,
                           thread_from_descriptor, write_json)
 from .expr import ExpressionError, cylindrical_from_expression
-from .family import sample_pairs, sample_point, verify_family
+from .family import sample_chains, sample_point, verify_family
 from .gallery import (GALLERY_BUILDERS, build_gallery, gallery_key, gallery_names,
                       pairing)
 from .limits import Thread
@@ -54,6 +54,16 @@ def positive_int(text: str) -> int:
     if not text.strip().isdecimal() or int(text) < 1:
         raise UsageError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def tolerance(text: str) -> float:
+    """A finite number >= 0, -0 read as 0; nan compares false."""
+    try:
+        if 0 <= float(text) < np.inf:
+            return abs(float(text))
+    except ValueError:
+        pass
+    raise UsageError(f"expected a finite number >= 0, got {text!r}")
 
 
 def float_list(text: str) -> List[float]:
@@ -158,7 +168,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     rng = np.random.default_rng(ns.seed)
     reports = [verify_family(fam, points_per_chain=ns.samples, tol=ns.tol, rng=rng)]
 
-    pairs = sample_pairs(fam.poset, rng)
+    pairs = sample_chains(fam.poset, rng, 12, 2)
     if ns.form is not None:
         form = form_from_descriptor(g or fam, ns.form)
         if form.family is not fam and (g is not None or not _same_levels(form.family, fam)):
@@ -264,22 +274,16 @@ def cmd_wiener(ns: argparse.Namespace) -> int:
 
     report = VerificationReport("wiener experiments")
 
-    # structural: retraction and PL cocycle on random inclusion triples
+    # structural: retraction and PL cocycle on sampled chains T <= S <= U
     key = fam.poset.key
     triples = []
-    for _ in range(ns.triples):
-        picks = [frozenset(t for t in pool if rng.random() < 0.5) for _ in range(3)]
-        T = min(picks, key=len)
-        S = T | picks[1]
-        U = S | picks[2]
+    for T, S, U in sample_chains(fam.poset, rng, ns.triples, 3):
         if not T or T == U:
             continue
         x = rng.standard_normal(len(T))
-        via = fam.inj(U, S)(fam.inj(S, T)(x))
-        direct = fam.inj(U, T)(x)
-        back = fam.proj(T, U)(direct)
-        triples.append(((key(T), key(S), key(U)),
-                        residual(np.concatenate([via, back]), np.concatenate([direct, x]))))
+        direct = fam.inj(U, T)(x)  # against inj(U, S) inj(S, T), and proj(T, U) back to x
+        via = np.concatenate([fam.inj(U, S)(fam.inj(S, T)(x)), fam.proj(T, U)(direct)])
+        triples.append(((key(T), key(S), key(U)), residual(via, np.concatenate([direct, x]))))
     report.add_worst("pl-injection cocycle and retraction", triples, ns.cocycle_tol,
                      what="triple")
 
@@ -400,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     seed = option("--seed", type=int, default=0)
     samples = option("--samples", type=positive_int, default=100)
-    tol = option("--tol", type=float, default=1e-9)
+    tol = option("--tol", type=tolerance, default=1e-9)
     out = option("--out", help="output path (PROFLIM_OUT_DIR resolves relative paths)")
     family = option("--family", required=True, help="gallery name or descriptor JSON path")
     family.add_argument("--max-level", type=positive_int, help="tower size of a gallery family")
@@ -417,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("verify", cmd_verify, [family, seed, samples, tol, out],
                  "audit family and form axioms")
     sp.add_argument("--form", type=json_doc, help="form descriptor JSON path")
-    sp.add_argument("--tame-tol", type=float, help="tame-form tolerance (default --tol)")
+    sp.add_argument("--tame-tol", type=tolerance, help="tame-form tolerance (default --tol)")
 
     sp = command("distance", cmd_distance, [family, tol, out],
                  "pseudo-distances between threads")
@@ -441,15 +445,15 @@ def build_parser() -> argparse.ArgumentParser:
                  "path-space sampling and refinement audits")
     sp.add_argument("--times", type=float_list, help="comma-separated knot pool")
     sp.add_argument("--triples", type=positive_int, default=20)
-    sp.add_argument("--var-tol", type=float, default=0.05)
-    sp.add_argument("--cocycle-tol", type=float, default=1e-12)
+    sp.add_argument("--var-tol", type=tolerance, default=0.05)
+    sp.add_argument("--cocycle-tol", type=tolerance, default=1e-12)
 
     sp = command("symplectic", cmd_symplectic, [seed, samples, tol, out],
                  "nondegeneracy, Hamiltonian, momentum")
     sp.add_argument("--pairs", type=positive_int, default=3)
     sp.add_argument("--level", type=int, help="Hamiltonian level (default min(2, pairs))")
-    sp.add_argument("--ham-tol", type=float, default=1e-10)
-    sp.add_argument("--momentum-tol", type=float, default=1e-6)
+    sp.add_argument("--ham-tol", type=tolerance, default=1e-10)
+    sp.add_argument("--momentum-tol", type=tolerance, default=1e-6)
 
     sp = command("gallery", cmd_gallery, [out], "list, describe, or export families")
     sp.add_argument("action", choices=("list", "describe", "export"))

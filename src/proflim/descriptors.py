@@ -268,7 +268,7 @@ def map_from_entry(entry: dict, role: str, level_dim: Callable[[Any], int],
         mp = matrix_map(rows)
     elif kind == "truncation":
         full = n_src if role == "proj" else n_dst
-        indices = _field(payload, "indices", where, lambda v: [int(i) for i in _list(v)])
+        indices = _field(payload, "indices", where, lambda v: _each(_integer, v, f"{where}.indices"))
         if not all(0 <= i < full for i in indices):
             raise DescriptorError(f"{where}.indices: {indices} are not coordinates of R^{full}")
         mp = selection_map(full, indices) if role == "proj" else scatter_map(full, indices)

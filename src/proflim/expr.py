@@ -188,29 +188,43 @@ def _partial(tree, i: int):
                                 node("/", node("*", b, da), a)))
 
 
-def _python(tree) -> ast.expr:
-    """The Python expression node of a tree, grouped as the tree is, so that
-    it rounds as the tree does; an integer exponent is an int literal."""
-    if not isinstance(tree, tuple):
-        return ast.Name(tree, ast.Load()) if isinstance(tree, str) else ast.Constant(tree)
-    if len(tree) == 2:
-        return ast.Call(ast.Name(tree[0], ast.Load()), [_python(tree[1])], [])
-    op, a, b = tree
-    b = ast.Constant(int(b)) if op == "**" and _integer(b) else _python(b)
-    return ast.BinOp(_python(a), _AST_OP[op](), b)
+def _walk(trees) -> tuple:
+    """(shared, fractional): the ids of the nodes reached more than once, each
+    walked once by identity, and whether some power's exponent is not an integer."""
+    seen, shared, todo, fractional = set(), set(), list(trees), False
+    while todo:
+        tree = todo.pop()
+        if id(tree) in seen:  # seen holds the ids of live tuples only
+            shared.add(id(tree))
+        elif isinstance(tree, tuple):
+            seen.add(id(tree))
+            fractional |= tree[0] == "**" and not _integer(tree[2])
+            todo.extend(tree[1:])
+    return shared, fractional
 
 
-def _fractional_power(tree) -> bool:
-    """Whether some power in tree has an exponent that is not an integer constant."""
-    return isinstance(tree, tuple) and ((tree[0] == "**" and not _integer(tree[2]))
-                                        or any(map(_fractional_power, tree[1:])))
+def _compile(dim: int, trees: list, shared: set):
+    """`lambda x0, ..., x{dim-1}: [tree, ...]` over numpy's functions, compiled once
+    from its syntax tree: each tree grouped as it is, so it rounds as it does, an integer
+    exponent an int literal, a node in `shared` a local assigned where first evaluated."""
+    named: dict = {}
 
+    def python(tree) -> ast.expr:
+        if id(tree) in named:
+            return ast.Name(named[id(tree)], ast.Load())
+        if not isinstance(tree, tuple):
+            return ast.Name(tree, ast.Load()) if isinstance(tree, str) else ast.Constant(tree)
+        op, args = tree[0], [ast.Constant(int(a)) if k and tree[0] == "**" and _integer(a)
+                             else python(a) for k, a in enumerate(tree[1:])]
+        expr = (ast.BinOp(args[0], _AST_OP[op](), args[1]) if args[1:]
+                else ast.Call(ast.Name(op, ast.Load()), args, []))
+        if id(tree) not in shared:
+            return expr
+        named[id(tree)] = f"_{len(named)}"
+        return ast.NamedExpr(ast.Name(named[id(tree)], ast.Store()), expr)
 
-def _compile(dim: int, trees: list):
-    """`lambda x0, ..., x{dim-1}: [tree, ...]` over numpy's functions, compiled
-    once from its syntax tree."""
     code = ast.parse(f"lambda {', '.join(f'x{k}' for k in range(dim))}: []", mode="eval")
-    code.body.body.elts = [_python(t) for t in trees]
+    code.body.body.elts = [python(t) for t in trees]
     return eval(compile(ast.fix_missing_locations(code), "<expression>", "eval"), dict(_FUNCS))
 
 
@@ -228,8 +242,9 @@ def evaluator(dim: int, trees: list) -> tuple:
     with a power whose exponent is not an integer constant runs on numpy
     scalars throughout.
     """
-    code = _compile(dim, trees)
-    if any(map(_fractional_power, trees)):
+    shared, fractional = _walk(trees)
+    code = _compile(dim, trees, shared)
+    if fractional:
         def on_numpy(xs):
             return code(*np.asarray(xs, dtype=float))
         return on_numpy, on_numpy

@@ -14,7 +14,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .family import ProfiniteFamily, sample_pairs
+from .family import ProfiniteFamily, audit_pairs, sample_chains
 from .maps import DimensionMismatch, as_point, residual
 from .poset import ComparableMembers, Section
 from .report import VerificationReport
@@ -212,13 +212,11 @@ def restrict_thread(t: Thread, section) -> SectionPoint:
 
 
 def check_thread(t: Thread, pairs: Iterable[tuple], tol: float = 1e-9) -> VerificationReport:
-    """Consistency residual max |t(J) - proj(J, K)(t(K))| over the pairs."""
-    fam, key = t.family, t.family.poset.key
-    gaps = [((key(J), key(K)), residual(t(J), fam.proj(J, K)(t(K))))
-            for J, K in pairs if fam.poset.leq(J, K)]
-    report = VerificationReport(f"thread consistency: {t.name or 'anonymous'}")
-    report.add_worst("projection consistency", gaps, tol)
-    return report
+    """Consistency residual max |t(J) - proj(J, K)(t(K))| over the listed pairs."""
+    fam = t.family
+    return audit_pairs(f"thread consistency: {t.name or 'anonymous'}", fam.poset, pairs, tol,
+                       lambda J, K: (residual(t(J), fam.proj(J, K)(t(K))),),
+                       "projection consistency")
 
 
 def is_inductive(t: Thread, candidate_sections: Iterable,
@@ -271,7 +269,7 @@ def _lift(family: ProfiniteFamily, level_op: Callable[[Any], np.ndarray],
     """The thread J -> level_op(J) once proj(J, K) carries level_op(K) to level_op(J) on
     every comparable pair, sampled if none are given; else MorphismViolation (NaN too)."""
     if pairs is None:
-        pairs = sample_pairs(family.poset, rng or np.random.default_rng(0))
+        pairs = sample_chains(family.poset, rng or np.random.default_rng(0), 12, 2)
     for J, K in pairs:
         if family.poset.leq(J, K) and J != K:
             gap = residual(family.proj(J, K)(level_op(K)), level_op(J))
@@ -305,7 +303,7 @@ def lift_inverse(structure: AlgebraicStructure, x: Thread,
     if structure.inverse is None or structure.neutral is None:
         raise NotInvertible(None, "structure has no inverse/neutral oracles")
     rng = rng or np.random.default_rng(0)
-    pairs = list(pairs) if pairs is not None else sample_pairs(structure.family.poset, rng)
+    pairs = sample_chains(structure.family.poset, rng, 12, 2) if pairs is None else list(pairs)
 
     def invert(J):
         try:

@@ -238,7 +238,7 @@ def commuting_squares_pointwise(f, pairs, samples, rng):
     """Max commuting-square residual of a profinite map, one point at a time."""
     gaps = [0.0]
     for J, K in pairs:
-        if not f.source.poset.leq(J, K):
+        if not f.source.poset.leq(J, K) or J == K:
             continue
         if not f.target.poset.leq(f.index_map(J), f.index_map(K)):
             continue

@@ -128,7 +128,7 @@ def _assert_matches_pointwise(audit, pointwise):
 
 
 def _pairs(fam):
-    return pl.sample_pairs(fam.poset, np.random.default_rng(ORACLE_SEED))
+    return pl.sample_chains(fam.poset, np.random.default_rng(ORACLE_SEED), 12, 2)
 
 
 @pytest.mark.parametrize("name", pl.gallery_names())

@@ -7,10 +7,12 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import proflim as pl
 import proflim.cli as cli
@@ -21,6 +23,34 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@st.composite
+def orthogonal_chains(draw):
+    """A chain 1 < ... < n of 2-5 levels with nondecreasing dims <= 4 and one
+    orthogonal Q_k per level, as a descriptor storing matrices on the covers
+    only: proj(k, k+1) = Q_k [I 0] Q_{k+1}^T and inj(k+1, k) its transpose."""
+    dims = sorted(draw(st.lists(st.integers(0, 4), min_size=2, max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    qs = [np.linalg.qr(rng.standard_normal((d, d)))[0] for d in dims]
+    projs = [q @ np.eye(len(q), len(q_up)) @ q_up.T for q, q_up in zip(qs, qs[1:])]
+    return {"schema_version": 1, "name": "orthogonal",
+            "poset": {"kind": "chain", "elements": list(range(1, len(dims) + 1))},
+            "levels": [{"index": k, "dim": d} for k, d in enumerate(dims, 1)],
+            "projections": [{"from": k + 1, "to": k, "kind": "matrix",
+                             "payload": {"rows": p.tolist()}} for k, p in enumerate(projs, 1)],
+            "injections": [{"from": k, "to": k + 1, "kind": "matrix",
+                            "payload": {"rows": p.T.tolist()}} for k, p in enumerate(projs, 1)]}
+
+
+@given(orthogonal_chains())
+def test_verify_passes_a_family_that_satisfies_the_axioms(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        family, out = pathlib.Path(tmp, "family.json"), pathlib.Path(tmp, "report.json")
+        family.write_text(json.dumps(doc))
+        assert cli.main(["verify", "--family", str(family), "--samples", "10",
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["passed"] is True
 
 
 def test_verify_gallery_exit_zero(capsys):
@@ -525,6 +555,16 @@ def _with_rows(rows):
     ("section-value-true-key", r"thread\.values\[0\]: True is not a level of euclid"),
     ("family-pl-zero-knot",
      r"injections\[0\]\.payload\.knots: knot times must be distinct and positive"),
+    ("verify-nan-tol", "argument --tol: expected a finite number >= 0, got 'nan'"),
+    ("verify-negative-tol", "argument --tol: expected a finite number >= 0, got '-1'"),
+    ("verify-word-tame-tol", "argument --tame-tol: expected a finite number >= 0, got 'abc'"),
+    ("distance-nan-tol", "argument --tol: expected a finite number >= 0, got 'nan'"),
+    ("wiener-infinite-cocycle-tol",
+     "argument --cocycle-tol: expected a finite number >= 0, got 'inf'"),
+    ("wiener-negative-var-tol", "argument --var-tol: expected a finite number >= 0, got '-0.1'"),
+    ("symplectic-nan-ham-tol", "argument --ham-tol: expected a finite number >= 0, got 'nan'"),
+    ("symplectic-infinite-momentum-tol",
+     "argument --momentum-tol: expected a finite number >= 0, got '-inf'"),
 ])
 def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message):
     def family_text(text):
@@ -609,6 +649,14 @@ def test_input_errors_exit_two_naming_the_input(capsys, tmp_path, case, message)
         "family-pl-zero-knot": lambda: family({**PAIR, "injections": [
             {"from": 1, "to": 2, "kind": "pl-interpolation",
              "payload": {"knots": [0.0], "targets": [-0.1]}}]}),
+        "verify-nan-tol": lambda: ["verify", "--family", "euclid", "--tol", "nan"],
+        "verify-negative-tol": lambda: ["verify", "--family", "euclid", "--tol", "-1"],
+        "verify-word-tame-tol": lambda: ["verify", "--family", "euclid", "--tame-tol", "abc"],
+        "distance-nan-tol": lambda: distance + ["--tol", "nan"],
+        "wiener-infinite-cocycle-tol": lambda: ["wiener", "--cocycle-tol", "inf"],
+        "wiener-negative-var-tol": lambda: ["wiener", "--var-tol", "-0.1"],
+        "symplectic-nan-ham-tol": lambda: ["symplectic", "--ham-tol", "nan"],
+        "symplectic-infinite-momentum-tol": lambda: ["symplectic", "--momentum-tol=-inf"],
     }[case]()
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

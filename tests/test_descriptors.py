@@ -604,6 +604,14 @@ def _edited(**changes):
      r"projections\[0\]: 1 -> 2 runs against the order"),
     (_edited(projections__0__kind="truncation", projections__0__payload={"indices": [2]}),
      r"projections\[0\]\.payload\.indices: \[2\] are not coordinates of R\^2"),
+    (_edited(projections__0__kind="truncation", projections__0__payload={"indices": [0.7]}),
+     r"^projections\[0\]\.payload\.indices\[0\]: 0\.7 is not an integer$"),
+    (_edited(projections__0__kind="truncation", projections__0__payload={"indices": ["1"]}),
+     r"^projections\[0\]\.payload\.indices\[0\]: '1' is not an integer$"),
+    (_edited(injections__0__kind="truncation", injections__0__payload={"indices": [0, True]}),
+     r"^injections\[0\]\.payload\.indices\[1\]: True is not an integer$"),
+    (_edited(projections__0__kind="truncation", projections__0__payload={"indices": 0}),
+     r"^projections\[0\]\.payload\.indices: expected a list, got 0$"),
     (_edited(injections=[]), r"injections: none from 1 to 2, where a projection is stored"),
     ({"projections": [{"kind": "named-gallery", "payload": {"family": "klein"}}]},
      r"payload: no gallery family named 'klein'"),
@@ -634,6 +642,7 @@ def _edited(**changes):
         "level-index", "negative-dim", "fraction-dim", "float-dim", "string-dim", "bool-dim",
         "undeclared-level", "bad-index", "non-numeric-row",
         "three-dim-rows", "injection-shape", "projection-upward", "truncation-range",
+        "truncation-fraction", "truncation-string", "truncation-bool", "truncation-not-a-list",
         "missing-injection", "unknown-gallery", "gallery-kwargs", "nan-row", "nan-element",
         "nan-level-index", "nan-pool-entry", "leq-shape", "pl-zero-knot", "pl-repeated-knot",
         "pl-negative-target"])

@@ -291,6 +291,29 @@ def test_mixed_partials_are_one_tree():
     assert np.array_equal(H, H.T)
 
 
+def test_a_shared_node_is_compiled_once_and_gives_the_same_bits():
+    # the Hessian of sin nested n deep shares each inner sin between its
+    # terms: written out in full its code grows as n**3; with each shared
+    # node named once it grows as the tree's n**2 distinct nodes
+    sizes = []
+    for n in (10, 20):
+        (tree,) = parse_expressions(1, ["sin(" * n + "x0" + ")" * n])
+        trees = [derivative(tree, [0, 0])]
+        shared, fractional = expr_module._walk(trees)
+        assert shared and not fractional
+        named, inline = expr_module._compile(1, trees, shared), expr_module._compile(1, trees, set())
+        for x in np.linspace(-3.0, 3.0, 13):
+            assert np.array(named(x)).tobytes() == np.array(inline(x)).tobytes()
+        sizes.append(len(named.__code__.co_code))
+    assert sizes[1] < 5 * sizes[0]
+
+
+def test_benchmark_expressions_share_no_node_in_their_gradients():
+    for dim, text in _benchmark_expressions():
+        (tree,) = parse_expressions(dim, [text])
+        assert expr_module._walk([derivative(tree, [i]) for i in range(dim)]) == (set(), False)
+
+
 def _benchmark_expressions():
     spec = importlib.util.spec_from_file_location(
         "benchmark_workloads", Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py")

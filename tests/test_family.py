@@ -212,7 +212,7 @@ def test_sample_chains_increasing(euclid, rng):
     for chain in pl.sample_chains(poset, rng, count=10, length=3):
         for a, b in zip(chain, chain[1:]):
             assert poset.leq(a, b)
-    assert all(poset.leq(a, b) for a, b in pl.sample_pairs(poset, rng, count=20))
+    assert all(poset.leq(a, b) for a, b in pl.sample_chains(poset, rng, 20, 2))
 
 
 def _padded_family() -> pl.ProfiniteFamily:
@@ -252,7 +252,7 @@ def _assert_matches_pointwise(family, points=20):
 
 
 def _assert_squares_match_pointwise(f, samples=5):
-    pairs = pl.sample_pairs(f.source.poset, np.random.default_rng(ORACLE_SEED))
+    pairs = pl.sample_chains(f.source.poset, np.random.default_rng(ORACLE_SEED), 12, 2)
     rng, ref = np.random.default_rng(ORACLE_SEED), np.random.default_rng(ORACLE_SEED)
     rep = pl.check_profinite_map(f, pairs, samples=samples, rng=rng)
     assert rep.checks[1].max_residual == commuting_squares_pointwise(f, pairs, samples, ref)

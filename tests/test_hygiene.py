@@ -15,7 +15,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "proflim"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # `wc -l src/proflim/*.py`; a change that grows src/ raises it and says why
-MAX_SRC_LINES = 4502
+MAX_SRC_LINES = 4500
 
 
 def _imported(tree):
@@ -140,7 +140,8 @@ def test_only_symplectic_names_the_lapack_gufunc():
 # the pairwise audits, by module: each keeps its draw and residual in a
 # local `gaps` and hands them to family.audit_pairs
 PAIR_AUDITS = {"calculus.py": {"check_tame", "check_tangent_thread"},
-               "family.py": {"verify_fibration"},
+               "family.py": {"verify_fibration", "check_profinite_map"},
+               "limits.py": {"check_thread"},
                "profmetric.py": {"injection_isometry_check"},
                "symplectic.py": {"hamiltonian_compat_check", "check_action_compat"}}
 

@@ -1,6 +1,7 @@
 import dataclasses
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -139,6 +140,13 @@ def finite_posets(draw):
         return pl.cross_family().family.poset
     n, leq = draw(dag_orders(8))
     return pl.finite_poset(range(n), leq)
+
+
+@given(finite_posets(), st.integers(0, 2 ** 32 - 1), st.integers(1, 20))
+def test_sampled_pairs_are_comparable(p, seed, count):
+    pairs = pl.sample_chains(p, np.random.default_rng(seed), count, 2)
+    assert len(pairs) == count
+    assert all(J in p.elements and p.leq(J, K) for J, K in pairs)
 
 
 @given(finite_posets(), st.data())
