@@ -22,16 +22,18 @@ from .maps import FD_STEP, as_point, fd_jacobian, residual
 from .report import VerificationReport
 
 
-def pull_components(comps: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """Contract every slot of an r-form component array with a Jacobian.
-
-    (pullback)_{a1..ar} = comps_{b1..br} * prod_k jac[b_k, a_k]; contracting
-    the leading axis r times leaves the new axes in the original order.
-    """
-    out = np.asarray(comps, dtype=float)
-    for _ in range(out.ndim):
-        out = np.tensordot(out, jac, axes=([0], [0]))
-    return out
+def pull_components(comps: np.ndarray, jac: np.ndarray, degree: Optional[int] = None) -> np.ndarray:
+    """Contract every slot of an r-form component array with a Jacobian:
+    (pullback)_{a1..ar} = comps_{b1..br} * prod_k jac[b_k, a_k].  Given a degree,
+    the axes before the last `degree` stack samples, which share jac or take one
+    each from a (n, dim_K, dim_I) stack.  Each slot is one matmul of a transposed
+    view, as tensordot made it, so each sample gets the one-point call's bits."""
+    out, jac = np.asarray(comps, dtype=float), np.asarray(jac, dtype=float)
+    r = out.ndim if degree is None else degree
+    stack, (b, a) = out.shape[:out.ndim - r], jac.shape[-2:]
+    for k in range(r):  # columns: the next slot; rows: the b^(r-1-k) a^k entries of the others
+        out = out.reshape(stack + (b, b ** (r - 1 - k) * a ** k)).swapaxes(-1, -2) @ jac
+    return out.reshape(stack + (a,) * r)
 
 
 def alternating_sum(partials: np.ndarray) -> np.ndarray:
@@ -164,20 +166,25 @@ def exterior_derivative(form: TameForm) -> TameForm:
                     kind="generic", name=f"d{form.name}")
 
 
+def _pulled(form: TameForm, L, f, X: np.ndarray) -> np.ndarray:
+    """The level-L field pulled back along the map f at each row of X, as one
+    stack: one pull_components call, with one Jacobian when f is linear."""
+    n, dims = len(X), (f.codomain_dim, f.domain_dim)
+    comps = np.array([form.comps(L, f(x)) for x in X]).reshape((n,) + dims[:1] * form.degree)
+    jac = f.matrix if f.is_linear else np.array([f.jacobian(x) for x in X]).reshape((n,) + dims)
+    return pull_components(comps, jac, form.degree)
+
+
 def pullback_inj(form: TameForm, I, K, point) -> np.ndarray:
     """Components at level I of the injection pullback of the level-K field,
     evaluated at a point of E_I."""
-    point = as_point(point)
-    inj = form.family.inj(K, I)
-    return pull_components(form.comps(K, inj(point)), inj.jacobian(point))
+    return _pulled(form, K, form.family.inj(K, I), as_point(point)[None])[0]
 
 
 def pushforward_proj(form: TameForm, I, K, point_at_K) -> np.ndarray:
     """Components at level K of the projection pullback of the level-I field
     (the canonical embedding of lower-level forms into higher levels)."""
-    point_at_K = as_point(point_at_K)
-    pr = form.family.proj(I, K)
-    return pull_components(form.comps(I, pr(point_at_K)), pr.jacobian(point_at_K))
+    return _pulled(form, I, form.family.proj(I, K), as_point(point_at_K)[None])[0]
 
 
 def pulled_level_field(form: TameForm, I, K) -> Callable[[np.ndarray], np.ndarray]:
@@ -195,7 +202,7 @@ def check_tame(form: TameForm, pairs: Iterable[tuple], samples: int = 20,
         # a constant form pulled back along a linear map is x-independent too
         if form.is_constant and fam.inj(K, I).is_linear:
             X = X[:1]
-        return (residual([pullback_inj(form, I, K, x) for x in X], [form.comps(I, x) for x in X]),)
+        return (residual(_pulled(form, K, fam.inj(K, I), X), [form.comps(I, x) for x in X]),)
     return audit_pairs(f"tame form: {form.name or 'anonymous'}", fam.poset, pairs, tol, gaps,
                        "injection-pullback compatibility")
 
@@ -258,13 +265,13 @@ def metric_check(metric: CompatibleMetric, pairs: Iterable[tuple], samples: int 
         if d == 0:
             continue
         cs = metric.complex_structure(J) if metric.complex_structure else None
-        grams = [metric.matrix(J, x) for x in sample_point(d, rng, samples)]
-        sym.append((key(J), residual(grams, [g.T for g in grams])))
+        grams = np.reshape([metric.matrix(J, x) for x in sample_point(d, rng, samples)], (-1, d, d))
+        sym.append((key(J), residual(grams, grams.transpose(0, 2, 1))))
         eigs.append((key(J), [np.linalg.eigvalsh(g) for g in grams]))
         if cs is not None:
-            # cs @ cs = -1 once per level, then cs^T g cs = g at every sample
-            cstr.append((key(J), residual([cs @ cs] + [pull_components(g, cs) for g in grams],
-                                          [-np.eye(d)] + grams)))
+            # cs @ cs = -1 once per level, then cs^T g cs = g at every sample, as one stack
+            cstr.append((key(J), residual([cs @ cs, *pull_components(grams, cs, 2)],
+                                          [-np.eye(d), *grams])))
 
     report.add_worst("gram symmetry", sym, tol, what="level")
     if metric.symmetry in ("riemannian", "hermitian"):

@@ -140,9 +140,7 @@ def is_weakly_nondegenerate(omega: TameForm, u, I, search_levels: Iterable,
     u = as_point(u)
     if residual(u, 0.0) == 0.0:
         raise ZeroVector("weak nondegeneracy asks about a nonzero vector")
-    if base_point is None:
-        base_point = np.zeros(fam.dim(I))
-    base_point = as_point(base_point)
+    base_point = np.zeros(fam.dim(I)) if base_point is None else as_point(base_point)
     for J in search_levels:
         if not fam.poset.leq(I, J):
             continue
@@ -412,35 +410,32 @@ class ProfiniteGroupAction:
     name: str = ""
 
     def exp(self, xi: np.ndarray) -> np.ndarray:
-        """Matrix exponential by scaling and squaring.
+        """Matrix exponential by scaling and squaring, of one matrix or of a
+        (..., d, d) stack, each element with its own scaling exponent s.
 
         a = xi / 2^s has 1-norm at most 1/2, where the Taylor polynomial of
         degree 15 truncates below 1e-17 relative; it is summed in powers of
-        a^4 (Paterson-Stockmeyer) and squared s times.
-        """
+        a^4 (Paterson-Stockmeyer) and squared s times: each element of a stack
+        gets the bits of its own exponential."""
         xi = np.asarray(xi, dtype=float)
-        s = max(0, int(np.frexp(np.abs(xi).sum(axis=0).max(initial=0.0))[1]) + 1)
-        a = xi / 2.0 ** s
-        a2 = a @ a
-        powers = np.stack([np.eye(len(a)), a, a2, a2 @ a])
+        s = np.maximum(0, np.frexp(np.abs(xi).sum(axis=-2).max(axis=-1, initial=0.0))[1] + 1)
+        a = xi / np.ldexp(1.0, s)[..., None, None]
+        a2, d = a @ a, xi.shape[-1]
+        powers = np.stack([np.broadcast_to(np.eye(d), a.shape), a, a2, a2 @ a], axis=-3)
         # block i is sum_j a^j / (4i + j)!, so the polynomial is sum_i block_i a^(4i)
-        blocks = (_TAYLOR @ powers.reshape(4, -1)).reshape(powers.shape)
-        out, a4 = blocks[3], a2 @ a2
-        for block in blocks[2::-1]:
-            out = out @ a4 + block
-        for _ in range(s):
-            out = out @ out
+        blocks = (_TAYLOR @ powers.reshape(powers.shape[:-2] + (d * d,))).reshape(powers.shape)
+        out, a4 = blocks[..., 3, :, :], a2 @ a2
+        for i in (2, 1, 0):
+            out = out @ a4 + blocks[..., i, :, :]
+        for k in range(s.max(initial=0)):
+            out[s > k] = out[s > k] @ out[s > k]
         return out
 
     def algebra_element(self, J, coeffs: Sequence[float]) -> np.ndarray:
         gens = list(self.generators(J))
         if len(coeffs) != len(gens):
             raise ValueError(f"{len(coeffs)} coefficients for {len(gens)} generators")
-        return _span(coeffs, gens)
-
-
-def _span(coeffs: Sequence[float], gens: Sequence[np.ndarray]) -> np.ndarray:
-    return sum(c * g for c, g in zip(coeffs, gens))
+        return sum(c * g for c, g in zip(coeffs, gens))
 
 
 def _sampled_elements(action: ProfiniteGroupAction, J, count: int, dim: int,
@@ -448,7 +443,7 @@ def _sampled_elements(action: ProfiniteGroupAction, J, count: int, dim: int,
     """`count` elements exp(sum_i c_i g_i) of level J, drawn with `count` points of R^dim."""
     gens = list(action.generators(J))
     C, X = sample_joint(rng, count, len(gens), dim)
-    return [action.exp(_span(row, gens)) for row in C], X
+    return action.exp(sum(c[:, None, None] * g for c, g in zip(C.T, gens))), X
 
 
 def check_action_compat(action: ProfiniteGroupAction, pairs: Iterable[tuple],
@@ -495,10 +490,10 @@ def momentum_verify(omega: TameForm, action: ProfiniteGroupAction, mu: MomentumM
     dim = omega.family.dim(J)
     gs, X = _sampled_elements(action, J, GROUP_ELEMENTS, dim, rng)
     # linear action: Dphi_g = g; a constant form is read once, at the first point
-    form_at = ((lambda x, mat=omega.matrix(J, X[0]): mat) if omega.is_constant
-               else (lambda x: omega.matrix(J, x)))
-    preserve = [(i, residual(pull_components(form_at(action.act(J, g, x)), g), form_at(x)))
-                for i, (g, x) in enumerate(zip(gs, X))]
+    read = ((lambda P, mat=omega.matrix(J, X[0]): np.broadcast_to(mat, gs.shape))
+            if omega.is_constant else (lambda P: np.array([omega.matrix(J, p) for p in P])))
+    moved = read([action.act(J, g, x) for g, x in zip(gs, X)])
+    preserve = list(enumerate(map(residual, pull_components(moved, gs, 2), read(X))))
     report = VerificationReport("momentum map")
     form_check = report.add_worst("action preserves the form", preserve, SYMPLECTIC_TOL,
                                   what="sample")
@@ -508,13 +503,11 @@ def momentum_verify(omega: TameForm, action: ProfiniteGroupAction, mu: MomentumM
 
     xi = action.algebra_element(J, coeffs)
     solve = hamiltonian_solver(omega, mu.of(coeffs), J)
-    generator = []
-    for i, x in enumerate(sample_point(dim, rng, samples)):
-        h = FD_STEP * (1.0 + residual(x, 0.0))
-        forward = action.act(J, action.exp(h * xi), x)
-        backward = action.act(J, action.exp(-h * xi), x)
-        generator.append((i, residual((forward - backward) / (2.0 * h),
-                                      solve(x)[2])))
+    X = sample_point(dim, rng, samples)
+    h = FD_STEP * (1.0 + np.array([residual(x, 0.0) for x in X]))
+    forward, backward = np.split(action.exp(np.concatenate([h, -h])[:, None, None] * xi), 2)
+    generator = [(i, residual((action.act(J, f, x) - action.act(J, b, x)) / (2 * hi), solve(x)[2]))
+                 for i, (x, hi, f, b) in enumerate(zip(X, h, forward, backward))]
     report.add_worst("momentum field matches the action generator", generator, tol,
                      what="sample")
     return report

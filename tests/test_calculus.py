@@ -22,11 +22,16 @@ def nonclosed_form(family):
 
 
 def test_pull_components_matches_bruteforce_oracle(rng):
-    for degree in (1, 2, 3):
-        comps = rng.standard_normal((4,) * degree)
-        jac = rng.standard_normal((4, 6))
-        assert np.allclose(pl.pull_components(comps, jac),
-                           pull_form(comps, jac), atol=1e-12)
+    """One point, and a stack of 5 sharing one Jacobian or taking one each:
+    each stacked sample has the bits of its one-point call."""
+    for degree in (0, 1, 2, 3):
+        comps = rng.standard_normal((5,) + (4,) * degree)
+        shared, each = rng.standard_normal((4, 6)), rng.standard_normal((5, 4, 6))
+        for jac, jacs in ((shared, [shared] * 5), (each, each)):
+            singles = [pl.pull_components(c, j) for c, j in zip(comps, jacs)]
+            assert np.array_equal(pl.pull_components(comps, jac, degree), singles)
+            assert np.allclose(singles, [pull_form(c, j) for c, j in zip(comps, jacs)],
+                               atol=1e-12)
 
 
 def test_alternating_sum_degree_one_by_hand(rng):

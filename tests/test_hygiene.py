@@ -3,9 +3,9 @@ module imports is used there, no module is imported inside a function,
 max |a - b| is computed by maps.residual alone, only limits.py touches a
 thread's storage, only expr.py compiles or evaluates code, descriptors.py
 compiles through symbolic_form, every pullback goes through
-calculus.pull_components, only symplectic.py calls numpy's LAPACK
-solve gufunc, through its _solve, and the pairwise audits report through
-family.audit_pairs."""
+calculus.pull_components and takes an audit's samples as one stack, only
+symplectic.py calls numpy's LAPACK solve gufunc, through its _solve, and the
+pairwise audits report through family.audit_pairs."""
 import ast
 import re
 from pathlib import Path
@@ -113,14 +113,45 @@ def test_descriptors_compile_expressions_only_through_symbolic_form():
     assert not named, f"descriptors.py compiles an expression at {named}"
 
 
+PULLBACKS = {"pull_components", "pullback_inj", "pushforward_proj"}
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _per_item_pullbacks(tree):
+    """Pullback calls that run once per item of a loop: in a comprehension's
+    element, or in a `for` body with the loop variable among their arguments
+    (a loop over levels that pulls back each level's stack is not one)."""
+    for loop in ast.walk(tree):
+        if isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            bodies, items = [getattr(loop, "elt", loop)], None
+        elif isinstance(loop, (ast.For, ast.AsyncFor)):
+            bodies, items = loop.body, _names(loop.target)
+        else:
+            continue
+        yield from (call for body in bodies for call in ast.walk(body)
+                    if isinstance(call, ast.Call)
+                    and getattr(call.func, "id", getattr(call.func, "attr", None)) in PULLBACKS
+                    and (items is None or items & set().union(*map(_names, call.args))))
+
+
 def test_pullbacks_go_through_pull_components():
     """A form's pullback along a Jacobian is calculus.pull_components; a
     `jac.T @ M @ jac` written out in calculus.py or symplectic.py would be a
-    second implementation of it, rounding its own way."""
-    by_hand = [f"{name}:{n}" for name in ("calculus.py", "symplectic.py")
-               for n, line in enumerate((SRC / name).read_text().splitlines(), 1)
-               if re.search(r"\.T\s*@.*@", line)]
+    second implementation of it, rounding its own way.  Each audit pulls its
+    samples back as one stack: a pullback run once per sample there, in a
+    comprehension or a `for` over the samples, takes them one at a time."""
+    by_hand, per_sample = [], []
+    for name in ("calculus.py", "symplectic.py"):
+        text = (SRC / name).read_text()
+        by_hand += [f"{name}:{n}" for n, line in enumerate(text.splitlines(), 1)
+                    if re.search(r"\.T\s*@.*@", line)]
+        per_sample += sorted({f"{name}:{call.lineno}"
+                              for call in _per_item_pullbacks(ast.parse(text))})
     assert not by_hand, f"a pullback is written out by hand at {by_hand}"
+    assert not per_sample, f"a pullback runs once per sample at {per_sample}"
 
 
 def test_only_symplectic_names_the_lapack_gufunc():

@@ -405,6 +405,24 @@ def test_exp_nilpotent_is_exact_and_dim_zero(symplectic):
     assert np.array_equal(action.exp(np.zeros((3, 3))), np.eye(3))
 
 
+def test_exp_of_a_stack_is_each_elements_exp_bit_for_bit(symplectic):
+    action = symplectic["action"]
+    rng = np.random.default_rng(39)
+    for d in (1, 3, 6):
+        # entries from about 1e-3 to 30, and a zero element first: scaling
+        # exponents from 0 to about 8 in one stack, four of them at least
+        stack = rng.standard_normal((9, d, d)) * np.logspace(-3, 1.5, 9)[:, None, None]
+        stack[0] = 0.0
+        norms = np.abs(stack).sum(axis=1).max(axis=1)
+        assert len({max(0, int(np.frexp(n)[1]) + 1) for n in norms}) >= 4
+        loop = np.array([action.exp(x) for x in stack])
+        assert np.array_equal(action.exp(stack), loop)
+        assert np.array_equal(action.exp(stack.reshape(3, 3, d, d)), loop.reshape(3, 3, d, d))
+        assert action.exp(np.zeros((0, d, d))).shape == (0, d, d)
+    assert np.array_equal(action.exp(np.zeros((2, 0, 0))), np.zeros((2, 0, 0)))
+    assert action.exp(np.zeros((0, 0))).shape == (0, 0)
+
+
 @pytest.mark.parametrize("norm", [0.1, 1.0, 5.0, 20.0, 50.0])
 def test_exp_inverse_and_symmetric_closed_form(symplectic, norm):
     action = symplectic["action"]
